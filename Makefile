@@ -4,18 +4,30 @@
 
 GO ?= go
 
-.PHONY: verify build test vet race race-full fuzz-smoke chaos chaos-load explain-smoke shard-smoke bench-server bench-build bench-json bench-cache bench-overhead bench-hotpath bench-guard bench-load bench-trend bench-shards
+.PHONY: verify build test vet bench race race-full fuzz-smoke chaos chaos-load explain-smoke shard-smoke bench-server bench-build bench-json bench-cache bench-overhead bench-hotpath bench-guard bench-load bench-trend bench-shards
 
 ## Tier 1 — compile + unit/integration tests (the seed contract).
 build:
 	$(GO) build ./...
 
+## bench/ is a module of its own, outside ./..., yet it imports core,
+## qcache and shard internals: both tiers build it so a refactor cannot
+## break the benchmark unseen.
 test:
 	$(GO) test ./...
+	$(GO) test -C bench ./...
 
 ## Tier 2 — static analysis.
 vet:
 	$(GO) vet ./...
+	$(GO) vet -C bench ./...
+
+## The repo's benchmark (BENCHMARK.json; bench/README.md): end-to-end
+## metrics of the four named workloads, one JSON line each on stdout.
+bench:
+	for w in hot_ier cache_zipf algo_mix shard4; do \
+		$(GO) run -C bench fannr/bench -workload $$w -seed 1 || exit 1; \
+	done
 
 ## Tier 3 — race detector over the concurrency-bearing packages
 ## (engine pools, HTTP server, parallel index builds, workload draws) plus

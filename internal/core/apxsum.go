@@ -1,8 +1,6 @@
 package core
 
 import (
-	"fmt"
-
 	"fannr/internal/graph"
 	"fannr/internal/sp"
 )
@@ -14,38 +12,53 @@ import (
 // 3-approximation; Theorem 2 tightens it to 2 when Q ⊆ P. In the paper's
 // experiments the observed ratio never exceeds 1.2.
 func APXSum(g *graph.Graph, gp GPhi, q Query) (Answer, error) {
-	if err := q.Validate(g); err != nil {
-		return Answer{}, err
-	}
-	if q.Agg != Sum {
-		return Answer{}, fmt.Errorf("%w: APXSum requires the sum aggregate, got %v", ErrInvalid, q.Agg)
-	}
-	ts := q.startSpan("algo:apxsum")
-	defer ts.end()
+	return solveOne(g, gp, q, algoAPXSum, nil, IEROptions{})
+}
+
+// KAPXSum extends APX-sum to k-FANN_R queries. The paper notes (§V) that
+// all algorithms except APX-sum adapt to top-k; this is the natural
+// extension beyond the paper: for kAns > 1 collect the nearest AND
+// second-nearest data point of every query point as candidates (so the
+// candidate pool cannot collapse below k when query points share nearest
+// neighbors), then rank the pool exactly.
+//
+// The answers are exact over the candidate pool. The rank-1 answer
+// retains APX-sum's 3-approximation guarantee (the Theorem 1 candidate is
+// in the pool); deeper ranks are heuristic — there is no proven bound,
+// which is why the paper stopped at k = 1. Results may contain fewer than
+// kAns entries when the pool is smaller.
+func KAPXSum(g *graph.Graph, gp GPhi, q Query, kAns int) ([]Answer, error) {
+	return solve(g, gp, q, algoAPXSum, kAns, false, nil, IEROptions{}, nil)
+}
+
+// apxCandidates is APX-sum's reduction: the per network-nearest data
+// points of every q ∈ Q, each listed once. The GD loop ranks them.
+func apxCandidates(g *graph.Graph, q *Query, per int) ([]graph.NodeID, error) {
 	pSet := q.countSet(g.NumNodes())
 	pSet.AddAll(q.P)
 	seen := q.seenSet(g.NumNodes())
-	candidates := make([]graph.NodeID, 0, len(q.Q))
+	candidates := make([]graph.NodeID, 0, per*len(q.Q))
 	for _, src := range q.Q {
 		if q.canceled() {
-			return Answer{}, ErrCanceled
+			return nil, ErrCanceled
 		}
 		ex := sp.NewExpander(g, src, pSet)
-		nb, ok := ex.Peek()
+		for picked := 0; picked < per; picked++ {
+			nb, ok := ex.Next()
+			if !ok {
+				break // this query point reaches no further data point
+			}
+			if !seen.Contains(nb.Node) {
+				seen.Add(nb.Node, 0)
+				candidates = append(candidates, nb.Node)
+			}
+		}
 		q.Stats.CountSettled(ex.NodesScanned())
-		if !ok {
-			continue // this query point reaches no data point
-		}
-		if !seen.Contains(nb.Node) {
-			seen.Add(nb.Node, 0)
-			candidates = append(candidates, nb.Node)
-		}
 	}
 	if len(candidates) == 0 {
-		return Answer{}, ErrNoResult
+		return nil, ErrNoResult
 	}
-	ts.attr("candidates", len(candidates))
-	return GD(g, gp, Query{P: candidates, Q: q.Q, Phi: q.Phi, Agg: q.Agg, Cancel: q.Cancel, Stats: q.Stats, Scratch: q.Scratch, Trace: q.Trace})
+	return candidates, nil
 }
 
 // APXSumRatioBound returns the proven worst-case approximation ratio for a

@@ -6,21 +6,35 @@
 // aggregate g ∈ {max, sum}, an FANN_R query returns the p* ∈ P minimizing
 // the aggregate network distance to its ⌈φ|Q|⌉ nearest members of Q.
 //
-// The package provides the paper's algorithm suite:
+// The paper states every algorithm as one search that keeps an incumbent
+// and is parameterized by g_φ, and §V turns each into k-FANN_R by
+// replacing the incumbent with a bounded queue. The package is built the
+// same way (skeleton.go): solve validates the query, opens the algorithm's
+// span, runs one search loop over a topK — the bounded incumbent queue,
+// a scalar with no heap at k = 1 — and materialises the answers. A loop
+// only offers candidates and reads the k-th incumbent distance:
 //
-//   - GD — the generalized Dijkstra-based baseline enumerating P (§III-A)
+//   - GD — enumerate P, the generalized Dijkstra-based baseline (§III-A)
 //   - RList — the threshold algorithm over per-query-point queues (§III-B)
 //   - IERKNN — the IER-kNN best-first framework over an R-tree on P
 //     (§III-C, Algorithm 1)
 //   - ExactMax — the counter-based exact algorithm for max (§IV-A,
 //     Algorithm 2)
 //   - APXSum — the 3-approximation for sum (§IV-B, Algorithm 3; 2-approx
-//     when Q ⊆ P)
-//   - K* variants answering k-FANN_R (§V)
+//     when Q ⊆ P): a candidate reduction followed by the GD loop
 //
-// Every algorithm is parameterized by a GPhi engine computing the flexible
-// aggregate function g_φ(p, Q); the engines (INE, A*, PHL, GTree,
-// IER-A*/PHL/GTree) reproduce the paper's Table I.
+// Each has a single-answer entry point and a K* entry point (§V); both
+// are thin wrappers over the one body, and Dispatch binds the five wire
+// names to it.
+//
+// A GPhi engine computes the flexible aggregate function g_φ(p, Q), which
+// for both aggregates is a fold over the k = ⌈φ|Q|⌉ network-nearest
+// members of Q. So an engine (INE, A*, PHL, GTree, IER-A*/PHL/GTree —
+// the paper's Table I) is only its neighbour search; Dist, Subset and
+// KNearest derive from it through one fold (AggSorted) and one projection
+// (SubsetSorted), which makes the NeighborSearcher contract —
+// Dist(p,k,agg) == AggSorted(KNearest(p,k,nil),k,agg), bit for bit — hold
+// by construction on every engine and through the query cache.
 package core
 
 import (
@@ -248,8 +262,9 @@ type GPhi interface {
 
 // aggOf folds the k-smallest prefix of dists in place: one pass over
 // dists[:k], no sorting, no allocation. The prefix may be fully sorted or
-// merely partially selected (partialSelect) — both aggregates only need
-// the k smallest values present, not ordered.
+// merely partially selected (partialSelect): the max does not depend on
+// the order and neither does a bound, but a sum that must agree bit for
+// bit with AggSorted needs the prefix ascending (oracleEngine.Dist).
 func aggOf(dists []float64, k int, agg Aggregate) float64 {
 	if agg == Max {
 		return maxOfFirst(dists, k)

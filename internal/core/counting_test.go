@@ -6,61 +6,57 @@ import (
 )
 
 // These tests turn the paper's efficiency arguments into assertions on
-// g_φ invocation counts.
+// g_φ invocation counts, read from the query's Stats.
 
 func TestInvocationCounts(t *testing.T) {
 	env := newTestEnv(t, 800, 60)
 	rng := rand.New(rand.NewSource(61))
+	gp := NewINE(env.g)
 	for trial := 0; trial < 5; trial++ {
 		q := env.randomQuery(rng, 60, 12, 0.5, Max)
 		rtP := BuildPTree(env.g, q.P)
-
-		gd := NewCounting(NewINE(env.g))
-		if _, err := GD(env.g, gd, q); err != nil {
-			t.Fatal(err)
+		// counted runs one algorithm and returns the op counts it spent.
+		counted := func(q Query, run func(Query) (Answer, error)) Stats {
+			t.Helper()
+			var st Stats
+			q.Stats = &st
+			if _, err := run(q); err != nil {
+				t.Fatal(err)
+			}
+			return st
 		}
-		if gd.Dists != int64(len(q.P)) {
-			t.Fatalf("GD evaluated %d points, want |P| = %d", gd.Dists, len(q.P))
+
+		gd := counted(q, func(q Query) (Answer, error) { return GD(env.g, gp, q) })
+		if gd.GPhiEvals != int64(len(q.P)) {
+			t.Fatalf("GD evaluated %d points, want |P| = %d", gd.GPhiEvals, len(q.P))
 		}
 
 		// Exact-max runs g_φ exactly once (§IV-A): "we can run the time
 		// consuming g_φ only once".
-		em := NewCounting(NewINE(env.g))
-		if _, err := ExactMax(env.g, em, q); err != nil {
-			t.Fatal(err)
-		}
-		if em.Dists != 1 || em.Subsets != 1 {
+		em := counted(q, func(q Query) (Answer, error) { return ExactMax(env.g, gp, q) })
+		if em.GPhiEvals != 1 || em.GPhiSubsets != 1 {
 			t.Fatalf("Exact-max ran g_φ %d times (+%d subsets), want exactly 1",
-				em.Dists, em.Subsets)
+				em.GPhiEvals, em.GPhiSubsets)
 		}
 
 		// R-List and IER-kNN terminate early: never more evaluations than
 		// GD's full enumeration.
-		rl := NewCounting(NewINE(env.g))
-		if _, err := RList(env.g, rl, q); err != nil {
-			t.Fatal(err)
-		}
-		if rl.Dists > int64(len(q.P)) {
-			t.Fatalf("R-List evaluated %d > |P| = %d points", rl.Dists, len(q.P))
+		rl := counted(q, func(q Query) (Answer, error) { return RList(env.g, gp, q) })
+		if rl.GPhiEvals > int64(len(q.P)) {
+			t.Fatalf("R-List evaluated %d > |P| = %d points", rl.GPhiEvals, len(q.P))
 		}
 
-		ier := NewCounting(NewINE(env.g))
-		if _, err := IERKNN(env.g, rtP, ier, q, IEROptions{}); err != nil {
-			t.Fatal(err)
-		}
-		if ier.Dists > int64(len(q.P)) {
-			t.Fatalf("IER-kNN evaluated %d > |P| = %d points", ier.Dists, len(q.P))
+		ier := counted(q, func(q Query) (Answer, error) { return IERKNN(env.g, rtP, gp, q, IEROptions{}) })
+		if ier.GPhiEvals > int64(len(q.P)) {
+			t.Fatalf("IER-kNN evaluated %d > |P| = %d points", ier.GPhiEvals, len(q.P))
 		}
 
 		// APX-sum examines at most |Q| candidates (Algorithm 3).
 		qs := q
 		qs.Agg = Sum
-		apx := NewCounting(NewINE(env.g))
-		if _, err := APXSum(env.g, apx, qs); err != nil {
-			t.Fatal(err)
-		}
-		if apx.Dists > int64(len(q.Q)) {
-			t.Fatalf("APX-sum evaluated %d > |Q| = %d candidates", apx.Dists, len(q.Q))
+		apx := counted(qs, func(q Query) (Answer, error) { return APXSum(env.g, gp, q) })
+		if apx.GPhiEvals > int64(len(q.Q)) {
+			t.Fatalf("APX-sum evaluated %d > |Q| = %d candidates", apx.GPhiEvals, len(q.Q))
 		}
 	}
 }
@@ -71,38 +67,20 @@ func TestInvocationCounts(t *testing.T) {
 func TestIERPrunesAgainstGD(t *testing.T) {
 	env := newTestEnv(t, 1000, 62)
 	rng := rand.New(rand.NewSource(63))
-	totalGD, totalIER := int64(0), int64(0)
+	gp := NewINE(env.g)
+	totalGD := int64(0)
+	var ier Stats
 	for trial := 0; trial < 8; trial++ {
 		q := env.randomQuery(rng, 120, 10, 0.5, Max)
-		rtP := BuildPTree(env.g, q.P)
-		ier := NewCounting(NewINE(env.g))
-		if _, err := IERKNN(env.g, rtP, ier, q, IEROptions{}); err != nil {
+		q.Stats = &ier
+		if _, err := IERKNN(env.g, BuildPTree(env.g, q.P), gp, q, IEROptions{}); err != nil {
 			t.Fatal(err)
 		}
 		totalGD += int64(len(q.P))
-		totalIER += ier.Dists
 	}
-	if totalIER >= totalGD {
-		t.Fatalf("IER-kNN evaluated %d of %d candidates — no pruning at all", totalIER, totalGD)
+	if ier.GPhiEvals >= totalGD {
+		t.Fatalf("IER-kNN evaluated %d of %d candidates — no pruning at all", ier.GPhiEvals, totalGD)
 	}
 	t.Logf("IER-kNN evaluated %d of %d candidates (%.0f%% pruned)",
-		totalIER, totalGD, 100*(1-float64(totalIER)/float64(totalGD)))
-}
-
-func TestCountingZeroAndName(t *testing.T) {
-	env := newTestEnv(t, 200, 64)
-	c := NewCounting(NewINE(env.g))
-	if c.Name() != "INE" {
-		t.Fatalf("Name = %q", c.Name())
-	}
-	c.Reset([]int32{1, 2})
-	c.Dist(3, 1, Max)
-	c.Subset(3, 1, nil)
-	if c.Resets != 1 || c.Dists != 1 || c.Subsets != 1 {
-		t.Fatalf("counters %d/%d/%d", c.Resets, c.Dists, c.Subsets)
-	}
-	c.Zero()
-	if c.Resets != 0 || c.Dists != 0 || c.Subsets != 0 {
-		t.Fatal("Zero did not clear counters")
-	}
+		ier.GPhiEvals, totalGD, 100*(1-float64(ier.GPhiEvals)/float64(totalGD)))
 }

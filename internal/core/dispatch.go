@@ -4,63 +4,44 @@ import (
 	"fmt"
 
 	"fannr/internal/graph"
+	"fannr/internal/rtree"
 )
 
-// Dispatch routes a named algorithm to its implementation: the single-
-// answer entry point for k == 1 and the k-FANN_R adaptation otherwise,
-// normalized to an answer list either way. It is the one place the wire
-// names ("gd", "rlist", "ier", "exactmax", "apxsum") are bound to code,
-// shared by the HTTP server and the shard hosts so a query dispatched
-// locally and one dispatched through the coordinator run identical
-// paths. An empty algo defaults to GD; unknown names and IER without
+// algoByName binds the wire names to the search loops — the one place
+// they are bound to code. An empty name defaults to GD.
+var algoByName = map[string]algo{
+	"":         algoGD,
+	"gd":       algoGD,
+	"rlist":    algoRList,
+	"ier":      algoIERKNN,
+	"exactmax": algoExactMax,
+	"apxsum":   algoAPXSum,
+}
+
+// Dispatch routes a named algorithm to its implementation and returns
+// the k best answers: k <= 1 runs exactly what the single-answer entry
+// point runs (same span, subset in the query's Scratch), k > 1 what the
+// K* entry point runs. It is shared by the HTTP server and the shard
+// hosts so a query dispatched locally and one dispatched through the
+// coordinator run identical paths. Unknown names and IER without
 // coordinates are client faults (ErrInvalid).
 func Dispatch(g *graph.Graph, algo string, gp GPhi, q Query, k int) ([]Answer, error) {
-	single := func(a Answer, err error) ([]Answer, error) {
-		if err != nil {
-			return nil, err
-		}
-		return []Answer{a}, nil
+	a, ok := algoByName[algo]
+	if !ok {
+		return nil, fmt.Errorf("%w: unknown algorithm %q", ErrInvalid, algo)
 	}
-	switch algo {
-	case "", "gd":
-		if k > 1 {
-			return KGD(g, gp, q, k)
-		}
-		return single(GD(g, gp, q))
-	case "rlist":
-		if k > 1 {
-			return KRList(g, gp, q, k)
-		}
-		return single(RList(g, gp, q))
-	case "ier":
+	var rtP *rtree.Tree
+	if a == algoIERKNN {
 		if !g.HasCoords() {
 			return nil, fmt.Errorf("%w: algorithm \"ier\" needs coordinates, which dataset %q lacks", ErrInvalid, g.Name())
 		}
-		rtP := BuildPTree(g, q.P)
-		if k > 1 {
-			return KIERKNN(g, rtP, gp, q, k, IEROptions{})
-		}
-		return single(IERKNN(g, rtP, gp, q, IEROptions{}))
-	case "exactmax":
-		if k > 1 {
-			return KExactMax(g, gp, q, k)
-		}
-		return single(ExactMax(g, gp, q))
-	case "apxsum":
-		if k > 1 {
-			return KAPXSum(g, gp, q, k)
-		}
-		return single(APXSum(g, gp, q))
-	default:
-		return nil, fmt.Errorf("%w: unknown algorithm %q", ErrInvalid, algo)
+		rtP = BuildPTree(g, q.P)
 	}
+	return solve(g, gp, q, a, k, k <= 1, rtP, IEROptions{}, nil)
 }
 
 // KnownAlgo reports whether name is a dispatchable algorithm name.
 func KnownAlgo(name string) bool {
-	switch name {
-	case "", "gd", "rlist", "ier", "exactmax", "apxsum":
-		return true
-	}
-	return false
+	_, ok := algoByName[name]
+	return ok
 }

@@ -1,10 +1,6 @@
 package core
 
-import (
-	"fmt"
-
-	"fannr/internal/graph"
-)
+import "fannr/internal/graph"
 
 // ExactMax answers a max-FANN_R query with Algorithm 2 of the paper: the
 // switchable multi-source expansion pops the globally nearest (q, p) pair
@@ -17,41 +13,44 @@ import (
 // The aggregate must be Max: the §IV-A counter-example (reproduced in the
 // tests) shows the counting argument is unsound for Sum.
 func ExactMax(g *graph.Graph, gp GPhi, q Query) (Answer, error) {
-	if err := q.Validate(g); err != nil {
-		return Answer{}, err
-	}
-	if q.Agg != Max {
-		return Answer{}, fmt.Errorf("%w: ExactMax requires the max aggregate, got %v", ErrInvalid, q.Agg)
-	}
-	ts := q.startSpan("algo:exactmax")
-	defer ts.end()
-	k := q.K()
-	pool := newExpanderPool(g, q)
+	return solveOne(g, gp, q, algoExactMax, nil, IEROptions{})
+}
+
+// KExactMax answers a k-max-FANN_R query with the Exact-max adaptation:
+// expansion continues until kAns distinct counters reach ⌈φ|Q|⌉; the
+// saturation order is exactly ascending flexible max distance.
+func KExactMax(g *graph.Graph, gp GPhi, q Query, kAns int) ([]Answer, error) {
+	return solve(g, gp, q, algoExactMax, kAns, false, nil, IEROptions{}, nil)
+}
+
+// exactMax is Exact-max's search loop: pop (q, p) pairs in global distance
+// order and evaluate g_φ only on the points whose counter saturates,
+// until the queue holds one winner per requested answer.
+func (s *solver) exactMax() error {
+	q := &s.q
+	pool := newExpanderPool(s.g, q.P, q.Q)
 	if q.Stats != nil {
 		defer func() { q.Stats.CountSettled(pool.settled()) }()
 	}
-	counts := q.countSet(g.NumNodes())
-	for {
+	counts := q.countSet(s.g.NumNodes())
+	for s.top.len() < s.top.k {
 		if q.canceled() {
-			return Answer{}, ErrCanceled
+			return ErrCanceled
 		}
-		_, p, _, ok := pool.pop()
+		p, ok := pool.pop()
 		if !ok {
-			return Answer{}, ErrNoResult
+			break
 		}
 		q.Stats.CountPop()
 		c, _ := counts.Value(p)
-		c++
-		counts.Add(p, c)
-		if int(c) >= k {
-			gp.Reset(q.Q)
-			q.Stats.CountEval()
-			d, ok := gp.Dist(p, k, q.Agg)
-			if !ok {
-				return Answer{}, ErrNoResult
-			}
-			q.Stats.CountSubset()
-			return Answer{P: p, Dist: d, Subset: q.keepSubset(gp.Subset(p, k, q.subsetBuf()))}, nil
+		counts.Add(p, c+1)
+		if int(c)+1 != s.k {
+			continue
+		}
+		q.Stats.CountEval()
+		if d, ok := s.gp.Dist(p, s.k, q.Agg); ok {
+			s.top.offer(p, d)
 		}
 	}
+	return nil
 }

@@ -1,39 +1,31 @@
 package core
 
-import (
-	"math"
-
-	"fannr/internal/graph"
-)
+import "fannr/internal/graph"
 
 // GD answers an FANN_R query with the generalized Dijkstra-based algorithm
 // of §III-A: evaluate g_φ(p, Q) for every p ∈ P and keep the minimum. The
 // paper calls the INE instantiation "Baseline" and the family "GD"; any
 // engine plugs in.
 func GD(g *graph.Graph, gp GPhi, q Query) (Answer, error) {
-	if err := q.Validate(g); err != nil {
-		return Answer{}, err
-	}
-	ts := q.startSpan("algo:gd")
-	defer ts.end()
-	k := q.K()
-	gp.Reset(q.Q)
-	best := Answer{P: -1, Dist: math.Inf(1)}
-	for _, p := range q.P {
-		if q.canceled() {
-			return Answer{}, ErrCanceled
+	return solveOne(g, gp, q, algoGD, nil, IEROptions{})
+}
+
+// KGD answers a k-FANN_R query by enumerating P and keeping the kAns best
+// (§V: "update the queue when enumerating the P").
+func KGD(g *graph.Graph, gp GPhi, q Query, kAns int) ([]Answer, error) {
+	return solve(g, gp, q, algoGD, kAns, false, nil, IEROptions{}, nil)
+}
+
+// scanAll is GD's search loop: every data point is a candidate.
+func (s *solver) scanAll() error {
+	for _, p := range s.q.P {
+		if s.q.canceled() {
+			return ErrCanceled
 		}
-		q.Stats.CountEval()
-		d, ok := gp.Dist(p, k, q.Agg)
-		if ok && d < best.Dist {
-			best.P = p
-			best.Dist = d
+		s.q.Stats.CountEval()
+		if d, ok := s.gp.Dist(p, s.k, s.q.Agg); ok {
+			s.top.offer(p, d)
 		}
 	}
-	if best.P < 0 {
-		return Answer{}, ErrNoResult
-	}
-	q.Stats.CountSubset()
-	best.Subset = q.keepSubset(gp.Subset(best.P, k, q.subsetBuf()))
-	return best, nil
+	return nil
 }

@@ -261,6 +261,54 @@ func TestIERKNNZeroAllocSteadyState(t *testing.T) {
 	}
 }
 
+// TestKIERKNNWarmAlloc gates the top-k path the benchmark serves (algo
+// ier, engine IER-PHL, k = 10): with the incumbent heap, the visited set
+// and the frontier warm in the Scratch, a query allocates only what it
+// returns — the answer list and one detached subset per answer.
+func TestKIERKNNWarmAlloc(t *testing.T) {
+	g, ix, q := hotpathEnv(t)
+	gp, err := NewIERGPhi("IER-PHL", g, ix)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q.Agg = Sum
+	rtP := BuildPTree(g, q.P)
+	const kAns = 10
+	ans, err := KIERKNN(g, rtP, gp, q, kAns, IEROptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ans) != kAns {
+		t.Fatalf("warm-up returned %d answers, want %d", len(ans), kAns)
+	}
+	allocs := testing.AllocsPerRun(20, func() {
+		if _, err := KIERKNN(g, rtP, gp, q, kAns, IEROptions{}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > kAns+1 {
+		t.Fatalf("top-k IER-kNN steady state allocates %v objects per query, want <= %d", allocs, kAns+1)
+	}
+}
+
+// TestDispatchGDWarmAlloc gates the served k = 1 path: a warm Dispatch
+// allocates the one-element answer list it returns and nothing else.
+func TestDispatchGDWarmAlloc(t *testing.T) {
+	g, ix, q := hotpathEnv(t)
+	gp := NewOracleGPhi("PHL", ix)
+	if _, err := Dispatch(g, "gd", gp, q, 1); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(20, func() {
+		if _, err := Dispatch(g, "gd", gp, q, 1); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 1 {
+		t.Fatalf("warm Dispatch(gd, k=1) allocates %v objects per query, want <= 1", allocs)
+	}
+}
+
 // TestIEREngineWarmAlloc gates the IER-* engine family (Euclidean
 // restriction around a batching oracle): after the first Reset binds Q,
 // repeated g_φ evaluations allocate nothing.

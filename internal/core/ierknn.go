@@ -32,10 +32,9 @@ func BuildPTree(g *graph.Graph, P []graph.NodeID) *rtree.Tree {
 	return rtree.BulkLoad(pts, rtree.DefaultFanout)
 }
 
-// ierSearch is the shared best-first traversal behind IERKNN and KIERKNN.
-// stop receives each candidate bound before expansion and reports whether
-// the search can terminate; eval is invoked for every surfaced data
-// point.
+// ierSearch is the best-first frontier of the IER-kNN framework: the
+// query-side geometry the Euclidean bounds are computed from and the
+// priority queue of R-tree entries ordered by bound.
 type ierSearch struct {
 	g       *graph.Graph
 	qx, qy  []float64 // query point coordinates
@@ -45,17 +44,14 @@ type ierSearch struct {
 	opts    IEROptions
 	scratch []float64
 	pq      *pqueue.Heap[ierEntry]
-	cancel  func() bool
-	stats   *Stats
 }
 
 type ierEntry struct {
 	node  *rtree.Node // nil for point entries
 	point graph.NodeID
-	x, y  float64
 }
 
-// newIERSearch binds a traversal to a query, reusing the Scratch-held
+// newIERSearch binds a frontier to a query, reusing the Scratch-held
 // state (coordinate buffers, bound scratch, frontier heap) when the query
 // carries one so warm IER-kNN runs allocate nothing.
 func newIERSearch(g *graph.Graph, rtP *rtree.Tree, q Query, opts IEROptions) *ierSearch {
@@ -81,8 +77,6 @@ func newIERSearch(g *graph.Graph, rtP *rtree.Tree, q Query, opts IEROptions) *ie
 	} else {
 		s.pq.Reset()
 	}
-	s.cancel = q.Cancel
-	s.stats = q.Stats
 	for i, v := range q.Q {
 		x, y := g.Coord(v)
 		s.qx[i], s.qy[i] = x, y
@@ -128,74 +122,71 @@ func (s *ierSearch) boundPoint(x, y float64) float64 {
 	return s.g.ScaleEuclid(flexAgg(s.scratch, s.k, s.agg))
 }
 
-// run drives Algorithm 1: pop entries in bound order, stop as soon as the
-// head bound cannot beat the incumbent (per kth), expand nodes, and hand
-// data points to eval. It returns ErrCanceled if the query's cancel hook
-// fires.
-func (s *ierSearch) run(kth func() float64, eval func(p graph.NodeID)) error {
-	for s.pq.Len() > 0 {
-		if s.cancel != nil && s.cancel() {
-			return ErrCanceled
-		}
-		top := s.pq.Min()
-		if top.Key >= kth() {
-			// Everything still queued is pruned: its Euclidean lower bound
-			// already exceeds the incumbent, so no g_φ will ever run on it.
-			s.stats.CountPruned(int64(s.pq.Len()))
-			break
-		}
-		s.pq.Pop()
-		s.stats.CountPop()
-		e := top.Value
-		if e.node == nil {
-			eval(e.point)
-			continue
-		}
-		s.stats.CountVisit()
-		if e.node.IsLeaf() {
-			for _, p := range e.node.Points() {
-				s.pq.Push(s.boundPoint(p.X, p.Y), ierEntry{point: p.ID, x: p.X, y: p.Y})
-			}
-		} else {
-			for _, c := range e.node.Children() {
-				s.pq.Push(s.boundNode(c), ierEntry{node: c})
-			}
-		}
-	}
-	return nil
-}
-
 // IERKNN answers an FANN_R query with the IER-kNN framework (Algorithm 1):
 // a best-first scan of the R-tree over P ordered by the flexible Euclidean
 // aggregate, evaluating the network g_φ only on surviving data points. The
 // graph must carry coordinates.
 func IERKNN(g *graph.Graph, rtP *rtree.Tree, gp GPhi, q Query, opts IEROptions) (Answer, error) {
-	if err := q.Validate(g); err != nil {
-		return Answer{}, err
+	return solveOne(g, gp, q, algoIERKNN, rtP, opts)
+}
+
+// KIERKNN answers a k-FANN_R query with the IER-kNN adaptation: the
+// best-first scan terminates when the head bound reaches the kAns-th
+// smallest incumbent distance.
+func KIERKNN(g *graph.Graph, rtP *rtree.Tree, gp GPhi, q Query, kAns int, opts IEROptions) ([]Answer, error) {
+	return solve(g, gp, q, algoIERKNN, kAns, false, rtP, opts, nil)
+}
+
+// ierknn is IER-kNN's search loop (Algorithm 1): pop R-tree entries in
+// bound order, stop as soon as the head bound cannot beat the k-th
+// incumbent, expand nodes, and evaluate g_φ on surfaced data points.
+func (s *solver) ierknn(rtP *rtree.Tree, opts IEROptions) error {
+	q := &s.q
+	f := newIERSearch(s.g, rtP, s.q, opts)
+	// Guard against the same data point surfacing twice (an rtP built over
+	// a duplicate-containing P): one point must never hold two ranks. A
+	// scalar incumbent needs no guard — a repeat never beats itself.
+	var seen *graph.NodeSet
+	if s.top.k > 1 {
+		seen = q.seenSet(s.g.NumNodes())
 	}
-	ts := q.startSpan("algo:ierknn")
-	defer ts.end()
-	k := q.K()
-	gp.Reset(q.Q)
-	s := newIERSearch(g, rtP, q, opts)
-	best := Answer{P: -1, Dist: math.Inf(1)}
-	err := s.run(
-		func() float64 { return best.Dist },
-		func(p graph.NodeID) {
-			q.Stats.CountEval()
-			if d, ok := gp.Dist(p, k, q.Agg); ok && d < best.Dist {
-				best.P = p
-				best.Dist = d
+	for f.pq.Len() > 0 {
+		if q.canceled() {
+			return ErrCanceled
+		}
+		head := f.pq.Min()
+		if head.Key >= s.top.kth() {
+			// Everything still queued is pruned: its Euclidean lower bound
+			// already exceeds the incumbent, so no g_φ will ever run on it.
+			q.Stats.CountPruned(int64(f.pq.Len()))
+			return nil
+		}
+		f.pq.Pop()
+		q.Stats.CountPop()
+		e := head.Value
+		if e.node == nil {
+			if seen != nil {
+				if seen.Contains(e.point) {
+					continue
+				}
+				seen.Add(e.point, 0)
 			}
-		},
-	)
-	if err != nil {
-		return Answer{}, err
+			q.Stats.CountEval()
+			if d, ok := s.gp.Dist(e.point, s.k, q.Agg); ok {
+				s.top.offer(e.point, d)
+			}
+			continue
+		}
+		q.Stats.CountVisit()
+		if e.node.IsLeaf() {
+			for _, p := range e.node.Points() {
+				f.pq.Push(f.boundPoint(p.X, p.Y), ierEntry{point: p.ID})
+			}
+		} else {
+			for _, c := range e.node.Children() {
+				f.pq.Push(f.boundNode(c), ierEntry{node: c})
+			}
+		}
 	}
-	if best.P < 0 {
-		return Answer{}, ErrNoResult
-	}
-	q.Stats.CountSubset()
-	best.Subset = q.keepSubset(gp.Subset(best.P, k, q.subsetBuf()))
-	return best, nil
+	return nil
 }

@@ -16,19 +16,18 @@ type expanderPool struct {
 	lanes []*sp.Expander
 	heads []float64 // current head distance per lane (Inf when exhausted)
 	meta  *pqueue.Heap[int]
-	pSet  *graph.NodeSet
 }
 
-func newExpanderPool(g *graph.Graph, q Query) *expanderPool {
+func newExpanderPool(g *graph.Graph, P, Q []graph.NodeID) *expanderPool {
 	pool := &expanderPool{
-		lanes: make([]*sp.Expander, len(q.Q)),
-		heads: make([]float64, len(q.Q)),
-		meta:  pqueue.NewHeap[int](len(q.Q)),
-		pSet:  graph.NewNodeSet(g.NumNodes()),
+		lanes: make([]*sp.Expander, len(Q)),
+		heads: make([]float64, len(Q)),
+		meta:  pqueue.NewHeap[int](len(Q)),
 	}
-	pool.pSet.AddAll(q.P)
-	for i, src := range q.Q {
-		pool.lanes[i] = sp.NewExpander(g, src, pool.pSet)
+	pSet := graph.NewNodeSet(g.NumNodes())
+	pSet.AddAll(P)
+	for i, src := range Q {
+		pool.lanes[i] = sp.NewExpander(g, src, pSet)
 		if nb, ok := pool.lanes[i].Peek(); ok {
 			pool.heads[i] = nb.Dist
 			pool.meta.Push(nb.Dist, i)
@@ -39,13 +38,12 @@ func newExpanderPool(g *graph.Graph, q Query) *expanderPool {
 	return pool
 }
 
-// pop removes and returns the globally nearest queue head: the lane index,
-// the surfaced data point, and its distance. ok is false when every lane
-// is exhausted.
-func (pool *expanderPool) pop() (lane int, p graph.NodeID, dist float64, ok bool) {
+// pop removes the globally nearest queue head and returns the data point
+// it surfaced. ok is false when every lane is exhausted.
+func (pool *expanderPool) pop() (p graph.NodeID, ok bool) {
 	for pool.meta.Len() > 0 {
 		it := pool.meta.Pop()
-		lane = it.Value
+		lane := it.Value
 		if it.Key != pool.heads[lane] {
 			continue // stale entry from an earlier head
 		}
@@ -56,9 +54,9 @@ func (pool *expanderPool) pop() (lane int, p graph.NodeID, dist float64, ok bool
 		} else {
 			pool.heads[lane] = math.Inf(1)
 		}
-		return lane, nb.Node, nb.Dist, true
+		return nb.Node, true
 	}
-	return 0, 0, 0, false
+	return 0, false
 }
 
 // settled sums the nodes settled across every lane — the shortest-path
@@ -85,30 +83,35 @@ func (pool *expanderPool) threshold(k int, agg Aggregate, scratch []float64) flo
 // evaluated with g_φ; the search stops as soon as the incumbent beats the
 // bound τ derived from the queue heads.
 func RList(g *graph.Graph, gp GPhi, q Query) (Answer, error) {
-	if err := q.Validate(g); err != nil {
-		return Answer{}, err
-	}
-	ts := q.startSpan("algo:rlist")
-	defer ts.end()
-	k := q.K()
-	gp.Reset(q.Q)
-	pool := newExpanderPool(g, q)
+	return solveOne(g, gp, q, algoRList, nil, IEROptions{})
+}
+
+// KRList answers a k-FANN_R query with the R-List adaptation: terminate
+// when the threshold τ reaches the kAns-th smallest incumbent distance.
+func KRList(g *graph.Graph, gp GPhi, q Query, kAns int) ([]Answer, error) {
+	return solve(g, gp, q, algoRList, kAns, false, nil, IEROptions{}, nil)
+}
+
+// rlist is R-List's search loop: evaluate each data point the first time
+// any lane surfaces it, until τ reaches the k-th incumbent.
+func (s *solver) rlist() error {
+	q := &s.q
+	pool := newExpanderPool(s.g, q.P, q.Q)
 	if q.Stats != nil {
 		defer func() { q.Stats.CountSettled(pool.settled()) }()
 	}
-	seen := q.seenSet(g.NumNodes())
-	best := Answer{P: -1, Dist: math.Inf(1)}
+	seen := q.seenSet(s.g.NumNodes())
 	scratch := q.distBuf(len(q.Q))
 	for {
 		if q.canceled() {
-			return Answer{}, ErrCanceled
+			return ErrCanceled
 		}
-		if best.P >= 0 && best.Dist <= pool.threshold(k, q.Agg, scratch) {
-			break
+		if s.top.kth() <= pool.threshold(s.k, q.Agg, scratch) {
+			return nil
 		}
-		_, p, _, ok := pool.pop()
+		p, ok := pool.pop()
 		if !ok {
-			break // every lane exhausted
+			return nil // every lane exhausted
 		}
 		q.Stats.CountPop()
 		if seen.Contains(p) {
@@ -116,15 +119,8 @@ func RList(g *graph.Graph, gp GPhi, q Query) (Answer, error) {
 		}
 		seen.Add(p, 0)
 		q.Stats.CountEval()
-		if d, ok := gp.Dist(p, k, q.Agg); ok && d < best.Dist {
-			best.P = p
-			best.Dist = d
+		if d, ok := s.gp.Dist(p, s.k, q.Agg); ok {
+			s.top.offer(p, d)
 		}
 	}
-	if best.P < 0 {
-		return Answer{}, ErrNoResult
-	}
-	q.Stats.CountSubset()
-	best.Subset = q.keepSubset(gp.Subset(best.P, k, q.subsetBuf()))
-	return best, nil
 }

@@ -2,12 +2,14 @@ package core
 
 import (
 	"fannr/internal/graph"
+	"fannr/internal/pqueue"
 )
 
 // Scratch is reusable per-query working memory for the algorithm layer:
 // the dedup sort buffer behind Query.Validate, the answer subset buffer,
 // the distance scratch behind R-List's threshold, the visited/counter
-// sets of R-List and Exact-max, and the best-first machinery of IER-kNN.
+// sets of R-List and Exact-max, the best-first machinery of IER-kNN, and
+// the incumbent heap of the top-k queries.
 // With a warm Scratch attached (Query.Scratch), steady-state queries on
 // batching engines allocate zero heap objects — verified by the
 // testing.AllocsPerRun gates in hotpath_test.go.
@@ -23,12 +25,13 @@ import (
 // executors) must copy the subset first; callers that run one query per
 // checkout need not.
 type Scratch struct {
-	ids    []graph.NodeID // Validate: sorted-id dedup probe
-	subset []graph.NodeID // answer subset buffer
-	dists  []float64      // threshold / spare distance buffer
-	seen   *graph.NodeSet // R-List visited set
-	counts *graph.NodeSet // Exact-max per-point counters
-	search *ierSearch     // IER-kNN best-first traversal state
+	ids    []graph.NodeID                // Validate: sorted-id dedup probe
+	subset []graph.NodeID                // answer subset buffer
+	dists  []float64                     // threshold / spare distance buffer
+	seen   *graph.NodeSet                // R-List visited set
+	counts *graph.NodeSet                // Exact-max per-point counters
+	search *ierSearch                    // IER-kNN best-first traversal state
+	top    *pqueue.MaxHeap[graph.NodeID] // k-FANN_R incumbent queue (k > 1)
 }
 
 // NewScratch returns an empty Scratch; buffers grow on first use and are

@@ -20,15 +20,7 @@ func ANN(g *graph.Graph, gp GPhi, P, Q []graph.NodeID, agg Aggregate) (Answer, e
 // (which contains an optimal meeting point); for the max aggregate the
 // counter-based Exact-max search avoids enumerating V.
 func OMP(g *graph.Graph, gp GPhi, Q []graph.NodeID, agg Aggregate) (Answer, error) {
-	all := make([]graph.NodeID, g.NumNodes())
-	for i := range all {
-		all[i] = graph.NodeID(i)
-	}
-	q := Query{P: all, Q: Q, Phi: 1, Agg: agg}
-	if agg == Max {
-		return ExactMax(g, gp, q)
-	}
-	return GD(g, gp, q)
+	return FlexibleOMP(g, gp, Q, 1, agg)
 }
 
 // FlexibleOMP generalizes OMP with a flexibility parameter: the network

@@ -196,24 +196,6 @@ func TestStatsOracleEngineSettles(t *testing.T) {
 	}
 }
 
-// The counting wrapper forwards BindStats to its inner engine.
-func TestStatsCountingGPhiForwardsBind(t *testing.T) {
-	g := statsGraph(t, 18)
-	inner := NewINE(g)
-	wrapped := NewCounting(inner)
-	q := statsQuery(g, 8, 15, 8, Max)
-	st := &Stats{}
-	q.Stats = st
-	BindStats(wrapped, st)
-	defer BindStats(wrapped, nil)
-	if _, err := GD(g, wrapped, q); err != nil {
-		t.Fatal(err)
-	}
-	if st.Settled == 0 {
-		t.Fatal("CountingGPhi did not forward BindStats to the INE engine")
-	}
-}
-
 // BindStats on an engine that is not a StatsSink must be a silent no-op.
 func TestBindStatsNonSinkNoOp(t *testing.T) {
 	BindStats(plainGPhi{}, &Stats{}) // must not panic

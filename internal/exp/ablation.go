@@ -64,18 +64,20 @@ func (e *Env) AblationBound() ([]*Table, error) {
 		evalTbl.Ticks = append(evalTbl.Ticks, tick.label)
 		insts := e.generate(tick.params)
 		for si, cheapBound := range []bool{false, true} {
-			counter := core.NewCounting(core.NewINE(e.G))
+			gp := core.NewINE(e.G)
+			var st core.Stats
 			runs := 0
 			for qi := range insts {
 				q := insts[qi].query
 				q.Agg = core.Max
-				if _, err := core.IERKNN(e.G, insts[qi].rtP, counter, q, core.IEROptions{CheapBound: cheapBound}); err == nil {
+				q.Stats = &st
+				if _, err := core.IERKNN(e.G, insts[qi].rtP, gp, q, core.IEROptions{CheapBound: cheapBound}); err == nil {
 					runs++
 				}
 			}
 			cell := Cell{Skip: runs == 0}
 			if runs > 0 {
-				cell.Value = float64(counter.Dists) / float64(runs)
+				cell.Value = float64(st.GPhiEvals) / float64(runs)
 			}
 			evalTbl.Series[si].Cells = append(evalTbl.Series[si].Cells, cell)
 		}

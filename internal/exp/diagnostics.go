@@ -66,22 +66,23 @@ func (e *Env) Diagnostics() ([]*Table, error) {
 		}
 		avgP /= float64(len(insts))
 		for ai, a := range algos {
-			inner, err := e.newEngine("PHL")
+			gp, err := e.newEngine("PHL")
 			if err != nil {
 				return nil, err
 			}
-			counter := core.NewCounting(inner)
+			var st core.Stats
 			runs := 0
 			for qi := range insts {
 				inst := &insts[qi]
 				inst.query.Agg = a.agg
-				if err := a.run(counter, inst); err == nil {
+				inst.query.Stats = &st
+				if err := a.run(gp, inst); err == nil {
 					runs++
 				}
 			}
 			cell := Cell{Skip: runs == 0}
 			if runs > 0 {
-				cell.Value = float64(counter.Dists) / float64(runs)
+				cell.Value = float64(st.GPhiEvals) / float64(runs)
 			}
 			tbl.Series[ai].Cells = append(tbl.Series[ai].Cells, cell)
 		}

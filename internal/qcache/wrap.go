@@ -67,27 +67,20 @@ func (e *cachedEngine) lookup(p graph.NodeID, k int) []sp.Neighbor {
 	return nbrs
 }
 
+// Dist, Subset and KNearest go through core's one fold and one
+// projection, so a cached list answers bit-identically to the live
+// engine it came from (the NeighborSearcher contract). KNearest also
+// makes wrapped engines themselves wrappable.
+
 func (e *cachedEngine) Dist(p graph.NodeID, k int, agg core.Aggregate) (float64, bool) {
 	return core.AggSorted(e.lookup(p, k), k, agg)
 }
 
 func (e *cachedEngine) Subset(p graph.NodeID, k int, dst []graph.NodeID) []graph.NodeID {
-	nbrs := e.lookup(p, k)
-	if len(nbrs) > k {
-		nbrs = nbrs[:k]
-	}
-	for _, nb := range nbrs {
-		dst = append(dst, nb.Node)
-	}
-	return dst
+	return core.SubsetSorted(e.lookup(p, k), k, dst)
 }
 
-// KNearest makes wrapped engines themselves wrappable and keeps the
-// NeighborSearcher contract visible through the cache.
 func (e *cachedEngine) KNearest(p graph.NodeID, k int, dst []sp.Neighbor) []sp.Neighbor {
 	nbrs := e.lookup(p, k)
-	if len(nbrs) > k {
-		nbrs = nbrs[:k]
-	}
-	return append(dst, nbrs...)
+	return append(dst, nbrs[:min(k, len(nbrs))]...)
 }
