@@ -198,6 +198,15 @@ func BenchmarkAlgoGD_PHL(b *testing.B) {
 	})
 }
 
+// GD over the GTree engine — algo_mix's gd-gtree-max class at the paper's
+// defaults: one occurrence-list kNN per data point.
+func BenchmarkAlgoGD_GTree(b *testing.B) {
+	benchAlgo(b, "GTree", func(e *exp.Env, gp core.GPhi, bq benchQuery) error {
+		_, err := core.GD(e.G, gp, bq.q)
+		return err
+	})
+}
+
 func BenchmarkAlgoRList_PHL(b *testing.B) {
 	benchAlgo(b, "PHL", func(e *exp.Env, gp core.GPhi, bq benchQuery) error {
 		_, err := core.RList(e.G, gp, bq.q)

@@ -271,11 +271,10 @@ func (e *oracleEngine) KNearest(p graph.NodeID, k int, dst []sp.Neighbor) []sp.N
 // NewGTreeGPhi returns the "GTree" engine: occurrence-list kNN search over
 // a prebuilt G-tree (Table I: G-tree + Occ indexes).
 func NewGTreeGPhi(t *gtree.Tree) GPhi {
-	return engine{&gtreeEngine{t: t, q: t.NewQuerier()}}
+	return engine{&gtreeEngine{q: t.NewQuerier(), objs: t.NewObjectSet(nil)}}
 }
 
 type gtreeEngine struct {
-	t     *gtree.Tree
 	q     *gtree.Querier
 	objs  *gtree.ObjectSet
 	lastQ []graph.NodeID
@@ -291,12 +290,13 @@ func (e *gtreeEngine) BindStats(s *Stats) { e.stats = s }
 
 func (e *gtreeEngine) Reset(Q []graph.NodeID) {
 	// Rebinding to the same Q is free: the occurrence list only depends on
-	// the set, so repeated queries over one Q skip the rebuild entirely.
-	if e.objs != nil && slices.Equal(e.lastQ, Q) {
+	// the set, so repeated queries over one Q skip the rebuild entirely. A
+	// new Q re-indexes the one ObjectSet in place.
+	if slices.Equal(e.lastQ, Q) {
 		return
 	}
 	e.lastQ = append(e.lastQ[:0], Q...)
-	e.objs = e.t.NewObjectSet(Q)
+	e.objs.Reset(Q)
 }
 
 func (e *gtreeEngine) nearest(p graph.NodeID, k int) []sp.Neighbor {

@@ -309,6 +309,32 @@ func TestDispatchGDWarmAlloc(t *testing.T) {
 	}
 }
 
+// TestDispatchGDGTreeWarmAlloc is the same gate over the GTree engine,
+// with Q changing between requests as it does under traffic: re-indexing
+// the occurrence list, the querier's border vectors and its two heaps
+// all reuse their storage, so the answer list stays the only allocation.
+func TestDispatchGDGTreeWarmAlloc(t *testing.T) {
+	g, _, q := hotpathEnv(t)
+	tr, err := gtree.Build(g, gtree.Options{MaxLeafSize: 32})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gp := NewGTreeGPhi(tr)
+	q2 := q
+	q2.Q = append([]graph.NodeID(nil), q.P[:24]...)
+	run := func() {
+		for _, query := range []Query{q, q2} {
+			if _, err := Dispatch(g, "gd", gp, query, 1); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	run()
+	if allocs := testing.AllocsPerRun(20, run) / 2; allocs > 1 {
+		t.Fatalf("warm Dispatch(gd, GTree, k=1) allocates %v objects per query, want <= 1", allocs)
+	}
+}
+
 // TestIEREngineWarmAlloc gates the IER-* engine family (Euclidean
 // restriction around a batching oracle): after the first Reset binds Q,
 // repeated g_φ evaluations allocate nothing.

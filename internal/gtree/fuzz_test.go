@@ -2,10 +2,12 @@ package gtree
 
 import (
 	"bytes"
+	"math"
 	"math/rand"
 	"testing"
 
 	"fannr/internal/graph"
+	"fannr/internal/sp"
 )
 
 // fileChaosSeeds derives load-path corruption variants (torn writes,
@@ -84,6 +86,60 @@ func FuzzRead(f *testing.F) {
 		out := make([]float64, 2)
 		q.DistBatch(0, []graph.NodeID{0, graph.NodeID(g.NumNodes() - 1)}, out)
 		_ = tr.Stats()
+	})
+}
+
+// FuzzKNNMatchesDijkstra derives a road network, a tree shape, an object
+// set, a source and k from the fuzz input and holds KNN and DistBatch to
+// Dijkstra. The seeds replay under plain `go test`.
+func FuzzKNNMatchesDijkstra(f *testing.F) {
+	f.Add(int64(1), uint8(0), uint8(7), uint8(3))
+	f.Add(int64(2), uint8(0x25), uint8(31), uint8(31))  // fanout 7, tau 12
+	f.Add(int64(3), uint8(0xf6), uint8(1), uint8(0))    // fanout 8, tau 64
+	f.Add(int64(4), uint8(0x08), uint8(200), uint8(90)) // binary, tau 4, Q with repeats
+	f.Fuzz(func(t *testing.T, seed int64, shape, nQ, kk uint8) {
+		g, err := graph.Generate(graph.GenConfig{Nodes: 40 + int(uint64(seed)%360), Seed: seed, Name: "fz"})
+		if err != nil {
+			t.Skip(err)
+		}
+		tr, err := Build(g, Options{Fanout: 2 + int(shape&7), MaxLeafSize: 4 + 4*int(shape>>4)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := g.NumNodes()
+		rng := rand.New(rand.NewSource(seed))
+		// Q may repeat vertices; distinct is what Dijkstra's target set holds.
+		Q := make([]graph.NodeID, 1+int(nQ))
+		var distinct []graph.NodeID
+		targets := graph.NewNodeSet(n)
+		for i := range Q {
+			Q[i] = graph.NodeID(rng.Intn(n))
+			if !targets.Contains(Q[i]) {
+				targets.Add(Q[i], 0)
+				distinct = append(distinct, Q[i])
+			}
+		}
+		src := graph.NodeID(rng.Intn(n))
+		q := tr.NewQuerier()
+		ref := sp.NewDijkstra(g)
+		batch := make([]float64, len(Q))
+		q.DistBatch(src, Q, batch)
+		for i, v := range Q {
+			if want := ref.Dist(src, v); math.Abs(batch[i]-want) > 1e-6 {
+				t.Fatalf("DistBatch(%d -> %d) = %v, want %v", src, v, batch[i], want)
+			}
+		}
+		k := 1 + int(kk)%len(distinct)
+		got := q.KNN(src, tr.NewObjectSet(distinct), k, nil)
+		want := ref.KNNAmong(src, targets, k, nil)
+		if len(got) != len(want) {
+			t.Fatalf("KNN(%d, k=%d) returned %d neighbours, want %d", src, k, len(got), len(want))
+		}
+		for i := range got {
+			if math.Abs(got[i].Dist-want[i].Dist) > 1e-6 {
+				t.Fatalf("KNN(%d, k=%d)[%d] = %v, want %v", src, k, i, got[i].Dist, want[i].Dist)
+			}
+		}
 	})
 }
 

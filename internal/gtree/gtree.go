@@ -154,10 +154,15 @@ type node struct {
 	verts   []graph.NodeID // leaf only: vertices in leaf order
 	borders []graph.NodeID
 
-	// X is the matrix vertex set: borders for a leaf, the union of the
-	// children's borders for an internal node.
-	X    []graph.NodeID
-	xIdx map[graph.NodeID]int32
+	// X is the matrix vertex set: borders for a leaf, the concatenation of
+	// the children's border lists (in child order) for an internal node.
+	// The layout is positional: child c's j-th border sits at X[c.xoff+j],
+	// so the query path never looks a vertex up.
+	X []graph.NodeID
+	// xoff is the offset of this node's border block inside its parent's
+	// X, derived from the children's border counts at build
+	// (computeBorders) and at load (assemble) — never stored in the file.
+	xoff int32
 	// borderX indexes this node's own borders within X.
 	borderX []int32
 
@@ -515,24 +520,26 @@ func (t *Tree) computeBorders() {
 			idx = n.parent
 		}
 	}
-	// Populate X sets and border indexes.
+	// Populate X sets and border indexes. xpos is the build's only
+	// vertex → X-index lookup, one graph-sized table reused by every node.
+	xpos := make([]int32, t.g.NumNodes())
 	for i := range t.nodes {
 		n := &t.nodes[i]
 		if n.isLeaf() {
 			n.X = n.borders
 		} else {
 			for _, c := range n.children {
+				t.nodes[c].xoff = int32(len(n.X))
 				n.X = append(n.X, t.nodes[c].borders...)
 			}
 		}
-		n.xIdx = make(map[graph.NodeID]int32, len(n.X))
 		for j, v := range n.X {
-			n.xIdx[v] = int32(j)
+			xpos[v] = int32(j)
 		}
 		n.borderX = make([]int32, len(n.borders))
 		for j, b := range n.borders {
-			xi, ok := n.xIdx[b]
-			if !ok {
+			xi := xpos[b]
+			if int(xi) >= len(n.X) || n.X[xi] != b {
 				panic(fmt.Sprintf("gtree: border %d of node %d missing from X", b, i))
 			}
 			n.borderX[j] = xi
@@ -607,6 +614,11 @@ func (t *Tree) buildLeafMatrices(workers int) {
 func (t *Tree) assembleBottomUp(workers int) {
 	heaps := make([]*localHeap, workers)
 	dists := make([][]float64, workers)
+	// xpos[v] is v's index in the current node's X, -1 outside it.
+	xpos := make([]int32, t.g.NumNodes())
+	for v := range xpos {
+		xpos[v] = -1
+	}
 	// Creation order is top-down BFS, so reverse order visits children
 	// before parents.
 	for i := len(t.nodes) - 1; i >= 0; i-- {
@@ -619,8 +631,8 @@ func (t *Tree) assembleBottomUp(workers int) {
 		// Child border cliques.
 		for _, ci := range n.children {
 			c := &t.nodes[ci]
-			for bi, b := range c.borders {
-				xb := n.xIdx[b]
+			for bi := range c.borders {
+				xb := c.xoff + int32(bi)
 				for bj, b2 := range c.borders {
 					if bi == bj {
 						continue
@@ -632,23 +644,29 @@ func (t *Tree) assembleBottomUp(workers int) {
 						w = c.matDist(c.borderX[bi], c.borderX[bj])
 					}
 					if !math.IsInf(w, 1) {
-						adj[xb] = append(adj[xb], arc{to: n.xIdx[b2], w: w})
+						adj[xb] = append(adj[xb], arc{to: c.xoff + int32(bj), w: w})
 					}
 				}
 			}
 		}
 		// Original edges crossing between different children of n.
 		for xi, v := range n.X {
+			xpos[v] = int32(xi)
+		}
+		for xi, v := range n.X {
 			nbrs, ws := t.g.Neighbors(v)
 			for j, u := range nbrs {
-				xj, ok := n.xIdx[u]
-				if !ok {
+				xj := xpos[u]
+				if xj < 0 {
 					continue
 				}
 				if t.childOf(int32(i), v) != t.childOf(int32(i), u) {
 					adj[xi] = append(adj[xi], arc{to: xj, w: ws[j]})
 				}
 			}
+		}
+		for _, v := range n.X {
+			xpos[v] = -1
 		}
 		n.mat = make([]float64, nx*nx)
 		par.Do(workers, nx, func(w, s int) {
@@ -707,10 +725,8 @@ func (t *Tree) refineTopDown(workers int) {
 		// through[x][bj] = min over exit borders b of within(x,b) +
 		// global(b, borders[bj]).
 		through := make([]float64, nx*nb)
-		pb := make([]int32, nb) // parent X index of each border
-		for bj, b := range n.borders {
-			pb[bj] = p.xIdx[b]
-		}
+		// n's borders occupy rows/columns [xoff, xoff+nb) of the parent.
+		pmat, pnx, xoff := p.mat, len(p.X), int(n.xoff)
 		par.Do(workers, nx, func(_, x int) {
 			for bj := 0; bj < nb; bj++ {
 				best := math.Inf(1)
@@ -719,7 +735,7 @@ func (t *Tree) refineTopDown(workers int) {
 					if math.IsInf(w, 1) {
 						continue
 					}
-					g := p.matDist(p.xIdx[n.borders[bi]], pb[bj])
+					g := pmat[(xoff+bi)*pnx+xoff+bj]
 					if d := w + g; d < best {
 						best = d
 					}
@@ -909,7 +925,6 @@ type Stats struct {
 func (t *Tree) Stats() Stats {
 	var s Stats
 	s.TreeNodes = len(t.nodes)
-	var xEntries int64
 	for i := range t.nodes {
 		n := &t.nodes[i]
 		if int(n.depth)+1 > s.Height {
@@ -920,15 +935,12 @@ func (t *Tree) Stats() Stats {
 		}
 		s.Borders += len(n.borders)
 		s.MatrixCells += int64(len(n.mat))
-		xEntries += int64(len(n.X))
 	}
-	// Heap footprint: the two slabs plus node headers, the xIdx lookup
-	// maps (~16 bytes per entry including bucket overhead), and the three
+	// Heap footprint: the two slabs plus node headers and the three
 	// graph-sized vertex tables. For an mmap-loaded tree the slabs and
 	// vertex tables live in the page cache (reported by MappedBytes), so
-	// only the node headers and xIdx maps — rebuilt on the heap at load —
-	// count here.
-	s.MemoryBytes = int64(len(t.nodes))*int64(unsafe.Sizeof(node{})) + xEntries*16
+	// only the node headers — rebuilt on the heap at load — count here.
+	s.MemoryBytes = int64(len(t.nodes)) * int64(unsafe.Sizeof(node{}))
 	if !t.Mapped() {
 		s.MemoryBytes += int64(len(t.fslab))*8 + int64(len(t.islab))*4 +
 			int64(t.g.NumNodes())*12 // leafOf/posInLeaf/leafSeq

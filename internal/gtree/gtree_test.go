@@ -1,13 +1,16 @@
 package gtree
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"sort"
+	"sync"
 	"testing"
 
 	"fannr/internal/graph"
 	"fannr/internal/sp"
+	"fannr/internal/workload"
 )
 
 func roadNetwork(t testing.TB, n int, seed int64) *graph.Graph {
@@ -282,14 +285,20 @@ func TestObjectSetCounts(t *testing.T) {
 		t.Fatalf("root count = %d, want %d", objs.count[0], len(objSlice))
 	}
 	total := 0
-	for leaf, list := range objs.perLeaf {
-		if !tr.nodes[leaf].isLeaf() {
-			t.Fatalf("perLeaf key %d is not a leaf", leaf)
+	for ni := range tr.nodes {
+		list := objs.leafObjects(int32(ni))
+		if len(list) > 0 && !tr.nodes[ni].isLeaf() {
+			t.Fatalf("node %d holds objects but is not a leaf", ni)
+		}
+		for _, o := range list {
+			if tr.leafOf[o] != int32(ni) {
+				t.Fatalf("object %d filed under leaf %d, lives in %d", o, ni, tr.leafOf[o])
+			}
 		}
 		total += len(list)
 	}
 	if total != len(objSlice) {
-		t.Fatalf("perLeaf holds %d, want %d", total, len(objSlice))
+		t.Fatalf("leaves hold %d objects, want %d", total, len(objSlice))
 	}
 	if objs.MemoryBytes() <= 0 {
 		t.Fatal("MemoryBytes should be positive")
@@ -355,40 +364,81 @@ func BenchmarkBuild(b *testing.B) {
 	}
 }
 
-func BenchmarkDist(b *testing.B) {
-	g := roadNetwork(b, 5000, 2)
-	tr, err := Build(g, Options{MaxLeafSize: 128})
-	if err != nil {
-		b.Fatal(err)
+// The query benchmarks run on the graph bench/ serves (NW at 1/64,
+// ~17k vertices, default fanout and leaf size) with Q drawn the way
+// algo_mix draws it — |Q| ∈ {64, 256} inside an A = 10 % region — so a
+// regression in the kernels shows here before a full `make bench`.
+var (
+	benchTreeOnce sync.Once
+	benchTree     *Tree
+	benchTreeErr  error
+)
+
+func trafficTree(b *testing.B) *Tree {
+	b.Helper()
+	benchTreeOnce.Do(func() {
+		g, err := workload.LoadDataset("NW", 1.0/64)
+		if err != nil {
+			benchTreeErr = err
+			return
+		}
+		benchTree, benchTreeErr = Build(g, Options{})
+	})
+	if benchTreeErr != nil {
+		b.Fatal(benchTreeErr)
 	}
-	q := tr.NewQuerier()
-	rng := rand.New(rand.NewSource(3))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		u := graph.NodeID(rng.Intn(g.NumNodes()))
-		v := graph.NodeID(rng.Intn(g.NumNodes()))
-		q.Dist(u, v)
+	return benchTree
+}
+
+// BenchmarkDist times one source-to-Q distance evaluation per target:
+// point-to-point Dist, and DistBatch (the GTree-SPSP / IER-GTree path)
+// with a fresh source per batch.
+func BenchmarkDist(b *testing.B) {
+	tr := trafficTree(b)
+	n := tr.g.NumNodes()
+	for _, m := range []int{64, 256} {
+		Q := workload.NewGenerator(tr.g, 3).UniformQ(0.10, m)
+		b.Run(fmt.Sprintf("pair/Q=%d", m), func(b *testing.B) {
+			q := tr.NewQuerier()
+			rng := rand.New(rand.NewSource(3))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				q.Dist(graph.NodeID(rng.Intn(n)), Q[i%m])
+			}
+		})
+		b.Run(fmt.Sprintf("batch/Q=%d", m), func(b *testing.B) {
+			q := tr.NewQuerier()
+			rng := rand.New(rand.NewSource(3))
+			out := make([]float64, m)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i += m {
+				q.DistBatch(graph.NodeID(rng.Intn(n)), Q, out)
+			}
+		})
 	}
 }
 
+// BenchmarkKNN times the GTree engine's g_φ: the φ|Q| nearest members of
+// Q from a random source.
 func BenchmarkKNN(b *testing.B) {
-	g := roadNetwork(b, 5000, 4)
-	tr, err := Build(g, Options{MaxLeafSize: 128})
-	if err != nil {
-		b.Fatal(err)
-	}
-	q := tr.NewQuerier()
-	rng := rand.New(rand.NewSource(5))
-	objSlice := make([]graph.NodeID, 128)
-	for i := range objSlice {
-		objSlice[i] = graph.NodeID(rng.Intn(g.NumNodes()))
-	}
-	objs := tr.NewObjectSet(objSlice)
-	var buf []sp.Neighbor
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		buf = q.KNN(graph.NodeID(rng.Intn(g.NumNodes())), objs, 64, buf[:0])
+	tr := trafficTree(b)
+	n := tr.g.NumNodes()
+	for _, m := range []int{64, 256} {
+		objs := tr.NewObjectSet(workload.NewGenerator(tr.g, 5).UniformQ(0.10, m))
+		for _, phi := range []float64{0.1, 1} {
+			k := int(math.Ceil(phi * float64(m)))
+			b.Run(fmt.Sprintf("Q=%d/phi=%g", m, phi), func(b *testing.B) {
+				q := tr.NewQuerier()
+				rng := rand.New(rand.NewSource(5))
+				var buf []sp.Neighbor
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					buf = q.KNN(graph.NodeID(rng.Intn(n)), objs, k, buf[:0])
+				}
+			})
+		}
 	}
 }

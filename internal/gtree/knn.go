@@ -2,140 +2,134 @@ package gtree
 
 import (
 	"math"
-	"sort"
 
 	"fannr/internal/graph"
-	"fannr/internal/pqueue"
 	"fannr/internal/sp"
 )
 
 // ObjectSet is the occurrence list ("Occ" in the paper's Table I) over a
 // set of objects: per tree node, how many objects its subtree contains,
-// and per leaf, which objects. Build one per query object set and reuse it
-// across many KNN calls.
+// and per leaf, which objects — a CSR over tree nodes, objs[start[n]:
+// start[n+1]] being leaf n's objects in the order they were given. Build
+// one per query object set and reuse it across many KNN calls; Reset
+// rebinds it to another set without allocating.
 type ObjectSet struct {
-	t       *Tree
-	count   []int32
-	perLeaf map[int32][]graph.NodeID
-	size    int
+	t     *Tree
+	count []int32
+	start []int32
+	objs  []graph.NodeID
 }
 
 // NewObjectSet indexes objs against the tree.
 func (t *Tree) NewObjectSet(objs []graph.NodeID) *ObjectSet {
 	os := &ObjectSet{
-		t:       t,
-		count:   make([]int32, len(t.nodes)),
-		perLeaf: make(map[int32][]graph.NodeID, len(objs)),
-		size:    len(objs),
+		t:     t,
+		count: make([]int32, len(t.nodes)),
+		start: make([]int32, len(t.nodes)+1),
 	}
-	for _, o := range objs {
-		leaf := t.leafOf[o]
-		os.perLeaf[leaf] = append(os.perLeaf[leaf], o)
-		for n := leaf; n >= 0; n = t.nodes[n].parent {
-			os.count[n]++
-		}
-	}
+	os.Reset(objs)
 	return os
 }
 
+// Reset re-indexes the set over objs, reusing its tables.
+func (os *ObjectSet) Reset(objs []graph.NodeID) {
+	t := os.t
+	clear(os.count)
+	for _, o := range objs {
+		for n := t.leafOf[o]; n >= 0; n = t.nodes[n].parent {
+			os.count[n]++
+		}
+	}
+	// Counting sort by leaf, stable in the given order.
+	off := int32(0)
+	for i := range t.nodes {
+		os.start[i] = off
+		if t.nodes[i].isLeaf() {
+			off += os.count[i]
+		}
+	}
+	if cap(os.objs) < len(objs) {
+		os.objs = make([]graph.NodeID, len(objs))
+	}
+	os.objs = os.objs[:len(objs)]
+	for _, o := range objs {
+		leaf := t.leafOf[o]
+		os.objs[os.start[leaf]] = o
+		os.start[leaf]++
+	}
+	// Every cursor now sits at its successor's start: shift them back.
+	copy(os.start[1:], os.start)
+	os.start[0] = 0
+}
+
+// leafObjects returns the objects inside leaf ni.
+func (os *ObjectSet) leafObjects(ni int32) []graph.NodeID {
+	return os.objs[os.start[ni]:os.start[ni+1]]
+}
+
 // Len reports the number of indexed objects.
-func (os *ObjectSet) Len() int { return os.size }
+func (os *ObjectSet) Len() int { return len(os.objs) }
 
 // MemoryBytes estimates the occurrence-list footprint (Appendix A of the
 // paper compares it against the R-tree over Q).
 func (os *ObjectSet) MemoryBytes() int64 {
-	total := int64(len(os.count)) * 4
-	for _, l := range os.perLeaf {
-		total += int64(len(l))*4 + 16
-	}
-	return total
+	return int64(len(os.count)+len(os.start)+len(os.objs)) * 4
 }
 
 // KNN returns the k nearest objects to src in ascending network-distance
 // order (fewer when the reachable object set is smaller). Results are
-// appended to dst.
+// appended to dst. Warm Queriers allocate nothing beyond dst's growth.
 func (q *Querier) KNN(src graph.NodeID, objs *ObjectSet, k int, dst []sp.Neighbor) []sp.Neighbor {
-	if k <= 0 || objs.size == 0 {
+	if k <= 0 || objs.Len() == 0 {
 		return dst
 	}
 	t := q.t
-	root := &t.nodes[0]
-	if root.isLeaf() {
-		// Degenerate single-leaf tree: the leaf subgraph is the graph.
-		localSSSP(root.ladjStart, root.ladjNode, root.ladjW, int(t.posInLeaf[src]), q.dist[:len(root.verts)], q.h)
-		cands := make([]sp.Neighbor, 0, objs.size)
-		for _, o := range objs.perLeaf[0] {
-			if d := q.dist[t.posInLeaf[o]]; !math.IsInf(d, 1) {
-				cands = append(cands, sp.Neighbor{Node: o, Dist: d})
-			}
-		}
-		sort.Slice(cands, func(i, j int) bool { return cands[i].Dist < cands[j].Dist })
-		if len(cands) > k {
-			cands = cands[:k]
-		}
-		return append(dst, cands...)
-	}
-
-	// Global distance vectors from src over each visited node's X set,
-	// cached in the querier's arena-backed batch scratch.
-	q.batchReset()
-	vecs := q.bvecs
-	srcLeaf := t.leafOf[src]
-	q.buildChainVectors(src, vecs)
-
-	// Within-leaf distances from src, computed lazily for the source leaf.
-	var srcLocal []float64
-	ensureSrcLocal := func() {
-		if srcLocal == nil {
-			srcLocal = q.srcLocalDists(src)
-		}
-	}
-
-	best := pqueue.NewMaxHeap[graph.NodeID](k)
-	kth := func() float64 {
-		if best.Len() < k {
-			return math.Inf(1)
-		}
-		return best.Max().Key
-	}
+	q.setSource(src)
+	// best keeps the k nearest objects seen; kth is its admission bar.
+	best := q.best
+	best.Reset()
+	kth := math.Inf(1)
 	offer := func(o graph.NodeID, d float64) {
-		if math.IsInf(d, 1) {
+		if d >= kth {
 			return
 		}
-		if best.Len() < k {
-			best.Push(d, o)
-		} else if d < best.Max().Key {
+		if best.Len() == k {
 			best.Pop()
-			best.Push(d, o)
+		}
+		best.Push(d, o)
+		if best.Len() == k {
+			kth = best.Max().Key
 		}
 	}
 
-	pq := pqueue.NewHeap[int32](16)
-	if objs.count[0] > 0 {
+	// Best-first over tree nodes by the smallest distance to their
+	// borders. Only children that contain objects get a border vector.
+	srcLeaf := t.leafOf[src]
+	pq := q.pq
+	pq.Reset()
+	if t.nodes[0].isLeaf() {
+		// Degenerate single-leaf tree: the leaf subgraph is the graph.
+		local := q.srcLocalDists()
+		for _, o := range objs.objs {
+			offer(o, local[t.posInLeaf[o]])
+		}
+	} else {
 		pq.Push(0, 0)
 	}
 	for pq.Len() > 0 {
 		it := pq.Pop()
 		lb, ni := it.Key, it.Value
-		if lb >= kth() {
+		if lb >= kth {
 			break
 		}
 		n := &t.nodes[ni]
 		if n.isLeaf() {
-			v := vecs[ni]
-			for _, o := range objs.perLeaf[ni] {
+			v := q.borderVec(ni)
+			for _, o := range objs.leafObjects(ni) {
 				pos := int(t.posInLeaf[o])
-				d := math.Inf(1)
-				for bi := range n.borders {
-					if vb := v[bi]; !math.IsInf(vb, 1) {
-						if w := n.leafDist(bi, pos); vb+w < d {
-							d = vb + w
-						}
-					}
-				}
+				d := leafTargetDist(n, v, pos)
 				if ni == srcLeaf {
-					ensureSrcLocal()
-					if w := srcLocal[pos]; w < d {
+					if w := q.srcLocalDists()[pos]; w < d {
 						d = w
 					}
 				}
@@ -143,27 +137,20 @@ func (q *Querier) KNN(src graph.NodeID, objs *ObjectSet, k int, dst []sp.Neighbo
 			}
 			continue
 		}
-		vn := vecs[ni]
 		for _, ci := range n.children {
 			if objs.count[ci] == 0 {
 				continue
 			}
-			c := &t.nodes[ci]
-			vc, have := vecs[ci]
-			if !have {
-				vc = q.descendVector(n, vn, ci)
-				vecs[ci] = vc
-			}
 			lbChild := 0.0
-			if !t.contains(c, src) {
+			if q.chain[n.depth+1] != ci {
 				lbChild = math.Inf(1)
-				for _, bx := range c.borderX {
-					if vc[bx] < lbChild {
-						lbChild = vc[bx]
+				for _, d := range q.borderVec(ci) {
+					if d < lbChild {
+						lbChild = d
 					}
 				}
 			}
-			if lbChild < kth() {
+			if lbChild < kth {
 				pq.Push(lbChild, ci)
 			}
 		}
@@ -180,123 +167,4 @@ func (q *Querier) KNN(src graph.NodeID, objs *ObjectSet, k int, dst []sp.Neighbo
 		dst[i], dst[j] = dst[j], dst[i]
 	}
 	return dst
-}
-
-// buildChainVectors fills vecs[n] = global distances from src to each
-// X-vertex of n, for the source leaf and every ancestor up to the root.
-func (q *Querier) buildChainVectors(src graph.NodeID, vecs map[int32][]float64) {
-	t := q.t
-	l := t.leafOf[src]
-	leaf := &t.nodes[l]
-	p := &t.nodes[leaf.parent]
-	pos := int(t.posInLeaf[src])
-	vl := q.carve(len(leaf.borders))
-	for bi := range leaf.borders {
-		bestD := math.Inf(1)
-		xb := p.xIdx[leaf.borders[bi]]
-		for bj := range leaf.borders {
-			w := leaf.leafDist(bj, pos)
-			if math.IsInf(w, 1) {
-				continue
-			}
-			if d := w + p.matDist(p.xIdx[leaf.borders[bj]], xb); d < bestD {
-				bestD = d
-			}
-		}
-		vl[bi] = bestD
-	}
-	vecs[l] = vl
-
-	node := l
-	for t.nodes[node].parent >= 0 {
-		pi := t.nodes[node].parent
-		pn := &t.nodes[pi]
-		child := &t.nodes[node]
-		vc := vecs[node]
-		vp := q.carve(len(pn.X))
-		for xi, x := range pn.X {
-			if t.contains(child, x) {
-				// x ∈ B(child): its global distance is already known.
-				if child.isLeaf() {
-					vp[xi] = vc[childBorderIndex(child, x)]
-				} else {
-					vp[xi] = vc[child.xIdx[x]]
-				}
-				continue
-			}
-			bestD := math.Inf(1)
-			for bi, cb := range child.borders {
-				var vb float64
-				if child.isLeaf() {
-					vb = vc[bi]
-				} else {
-					vb = vc[child.xIdx[cb]]
-				}
-				if math.IsInf(vb, 1) {
-					continue
-				}
-				if d := vb + pn.matDist(pn.xIdx[cb], int32(xi)); d < bestD {
-					bestD = d
-				}
-			}
-			vp[xi] = bestD
-		}
-		vecs[pi] = vp
-		node = pi
-	}
-}
-
-// childBorderIndex finds the border index of x within a leaf node.
-func childBorderIndex(leaf *node, x graph.NodeID) int {
-	for i, b := range leaf.borders {
-		if b == x {
-			return i
-		}
-	}
-	panic("gtree: vertex not a border of its leaf")
-}
-
-// descendVector derives the global distance vector of child ci from its
-// parent's vector: child borders inherit directly (they appear in the
-// parent's X set); interior X-vertices of the child go through its borders
-// using the child's refined (global) matrix.
-func (q *Querier) descendVector(parent *node, vp []float64, ci int32) []float64 {
-	t := q.t
-	c := &t.nodes[ci]
-	if c.isLeaf() {
-		vc := q.carve(len(c.borders))
-		for bi, b := range c.borders {
-			vc[bi] = vp[parent.xIdx[b]]
-		}
-		return vc
-	}
-	vc := q.carve(len(c.X))
-	for i := range vc {
-		vc[i] = math.Inf(1)
-	}
-	for _, bx := range c.borderX {
-		vc[bx] = vp[parent.xIdx[c.X[bx]]]
-	}
-	for xi := range c.X {
-		isBorder := false
-		for _, bx := range c.borderX {
-			if bx == int32(xi) {
-				isBorder = true
-				break
-			}
-		}
-		if isBorder {
-			continue
-		}
-		bestD := math.Inf(1)
-		for _, bx := range c.borderX {
-			if vb := vc[bx]; !math.IsInf(vb, 1) {
-				if d := vb + c.matDist(bx, int32(xi)); d < bestD {
-					bestD = d
-				}
-			}
-		}
-		vc[xi] = bestD
-	}
-	return vc
 }

@@ -3,6 +3,7 @@ package gtree
 import (
 	"fmt"
 	"math"
+	"sync"
 	"testing"
 
 	"fannr/internal/graph"
@@ -100,6 +101,60 @@ func TestParallelBuildAnswersExactly(t *testing.T) {
 			t.Fatalf("Dist(%d,%d) = %v, want %v", pair[0], pair[1], got, want)
 		}
 	}
+}
+
+// One Querier per goroutine is the concurrency contract: the Tree and an
+// ObjectSet are read-only and shared, every goroutine's border-vector
+// memo, arena and heaps are its own. Under -race this fails on any write
+// the query path makes outside its Querier; without it, it still checks
+// that concurrent answers are bit-identical to sequential ones.
+func TestQuerierPerGoroutine(t *testing.T) {
+	g, err := graph.Generate(graph.GenConfig{Nodes: 900, Seed: 29, Name: "perg"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, err := Build(g, Options{MaxLeafSize: 32})
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := g.NumNodes()
+	Q := make([]graph.NodeID, 40)
+	for i := range Q {
+		Q[i] = graph.NodeID((i*97 + 13) % n)
+	}
+	objs := tr.NewObjectSet(Q)
+	answer := func(q *Querier, src graph.NodeID) []float64 {
+		out := make([]float64, len(Q), 2*len(Q)+1)
+		q.DistBatch(src, Q, out)
+		for _, nb := range q.KNN(src, objs, 10, nil) {
+			out = append(out, nb.Dist)
+		}
+		return append(out, q.Dist(src, Q[0]))
+	}
+	const goroutines, perG = 4, 25
+	want := make([][]float64, goroutines*perG)
+	seq := tr.NewQuerier()
+	for i := range want {
+		want[i] = answer(seq, graph.NodeID((i*131)%n))
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < goroutines; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			q := tr.NewQuerier()
+			for i := w * perG; i < (w+1)*perG; i++ {
+				got := answer(q, graph.NodeID((i*131)%n))
+				for j := range got {
+					if math.Float64bits(got[j]) != math.Float64bits(want[i][j]) {
+						t.Errorf("goroutine %d query %d value %d: %v, sequential %v", w, i, j, got[j], want[i][j])
+						return
+					}
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
 }
 
 func BenchmarkBuildWorkers(b *testing.B) {

@@ -17,8 +17,10 @@ import (
 // per-node metadata, islab, fslab), the same layout the in-memory Tree
 // uses after flatten(). A loader can mmap the file read-only and point
 // every node's views at the page cache (Load); stream readers decode the
-// sections onto the heap (Read). Only the per-node xIdx lookup maps are
-// rebuilt on the heap at load.
+// sections onto the heap (Read). Only the node headers live on the heap
+// after a load: X is addressed positionally (child c's borders are
+// X[c.xoff:][:len(c.borders)]), and xoff is recomputed from the stored
+// lengths, so the file carries no lookup structure at all.
 const magic = "FANNRGT4\n"
 
 // magicV3 is the previous stream format (fixed metadata records + slabs
@@ -338,16 +340,21 @@ func readV3(r io.Reader, g *graph.Graph) (*Tree, error) {
 }
 
 // assemble carves every node's views out of the two slabs (in flatten()
-// pack order), rebuilds the xIdx maps, and — when audit is set — runs
+// pack order), derives each node's xoff, and — when audit is set — runs
 // the full content-range audit. Both the v3 stream reader and the v4
 // section loader end here, so every heap load enforces the same
-// invariants; fast mapped loads skip only the validate pass.
+// invariants; fast mapped loads skip only the validate pass. The shape
+// checks that stay on the fast path are the ones positional addressing
+// rests on: every non-root node is the child of exactly the parent it
+// names, an internal node's X is as long as its children's border lists
+// together, and borderX has one entry per border — so xoff+j always
+// lands inside the parent's matrix. They read O(tree nodes) ids, not the
+// slabs.
 func (t *Tree) assemble(lens []nodeLens, wantI, wantF int64, audit bool) error {
 	if int64(len(t.islab)) != wantI || int64(len(t.fslab)) != wantF {
 		return fmt.Errorf("gtree: slabs hold %d/%d entries, metadata expects %d/%d",
 			len(t.islab), len(t.fslab), wantI, wantF)
 	}
-	nNodes := t.g.NumNodes()
 	var oi, of int64
 	carveI := func(n int32) []int32 {
 		s := t.islab[oi : oi+int64(n) : oi+int64(n)]
@@ -376,19 +383,42 @@ func (t *Tree) assemble(lens []nodeLens, wantI, wantF int64, audit bool) error {
 		n.borderX = carveI(l.borderX)
 		n.ladjStart = carveI(l.ladjStart)
 		n.ladjNode = carveI(l.ladjNode)
-		n.xIdx = make(map[graph.NodeID]int32, len(n.X))
-		for j, v := range n.X {
-			if v < 0 || int(v) >= nNodes {
-				return fmt.Errorf("gtree: tree node %d references vertex %d outside graph", i, v)
-			}
-			n.xIdx[v] = int32(j)
-		}
 		wantMat := len(n.X) * len(n.X)
 		if n.isLeaf() {
 			wantMat = len(n.borders) * len(n.verts)
 		}
 		if len(n.mat) != wantMat {
 			return fmt.Errorf("gtree: tree node %d matrix has %d cells, want %d", i, len(n.mat), wantMat)
+		}
+		if len(n.borderX) != len(n.borders) {
+			return fmt.Errorf("gtree: tree node %d has %d borderX entries for %d borders", i, len(n.borderX), len(n.borders))
+		}
+		n.xoff = -1
+	}
+	t.nodes[0].xoff = 0
+	for i := range t.nodes {
+		n := &t.nodes[i]
+		if n.isLeaf() {
+			continue
+		}
+		off := 0
+		for _, c := range n.children {
+			if c <= int32(i) || int(c) >= len(t.nodes) || t.nodes[c].parent != int32(i) || t.nodes[c].xoff >= 0 {
+				// Children always follow their parent in build order; demanding
+				// c > i also rules out cycles without a separate traversal.
+				return fmt.Errorf("gtree: tree node %d lists child %d, which is outside (%d,%d), names another parent or is listed twice",
+					i, c, i, len(t.nodes))
+			}
+			t.nodes[c].xoff = int32(off)
+			off += len(t.nodes[c].borders)
+		}
+		if off != len(n.X) {
+			return fmt.Errorf("gtree: tree node %d has an X set of %d entries, its children's borders total %d", i, len(n.X), off)
+		}
+	}
+	for i := range t.nodes {
+		if t.nodes[i].xoff < 0 {
+			return fmt.Errorf("gtree: tree node %d is listed by no parent", i)
 		}
 	}
 	if !audit {
@@ -400,8 +430,10 @@ func (t *Tree) assemble(lens []nodeLens, wantI, wantF int64, audit bool) error {
 // validate is the content-range audit over everything the query path
 // indexes with: a corrupted-but-CRC-valid or hand-forged file must fail
 // here with a descriptive error, not panic inside a query. Checks cover
-// tree topology (parents, children), the vertex tables, border/X cross
-// references, and each leaf's CSR adjacency.
+// tree topology (depths, intervals; assemble has already matched every
+// child to its parent), the vertex tables, border/X cross references —
+// X must be the children's border lists in order, which is what lets the
+// query path address it by offset — and each leaf's CSR adjacency.
 func (t *Tree) validate() error {
 	count := int32(len(t.nodes))
 	nNodes := int32(t.g.NumNodes())
@@ -424,16 +456,6 @@ func (t *Tree) validate() error {
 			return fmt.Errorf("gtree: tree node %d covers leaf sequence [%d,%d) outside [0,%d]",
 				i, n.lo, n.hi, nNodes)
 		}
-		for _, c := range n.children {
-			if c <= ni || c >= count {
-				// Children always follow their parent in build order; demanding
-				// c > i also rules out cycles without a separate traversal.
-				return fmt.Errorf("gtree: tree node %d lists child %d outside (%d,%d)", i, c, i, count)
-			}
-			if t.nodes[c].parent != ni {
-				return fmt.Errorf("gtree: tree node %d lists child %d whose parent is %d", i, c, t.nodes[c].parent)
-			}
-		}
 		for _, v := range n.verts {
 			if v < 0 || v >= nNodes {
 				return fmt.Errorf("gtree: tree node %d vertex %d outside graph", i, v)
@@ -444,9 +466,22 @@ func (t *Tree) validate() error {
 				return fmt.Errorf("gtree: tree node %d border %d outside graph", i, b)
 			}
 		}
-		for _, bx := range n.borderX {
+		for j, bx := range n.borderX {
 			if bx < 0 || int(bx) >= len(n.X) {
 				return fmt.Errorf("gtree: tree node %d borderX entry %d outside its %d-entry X set", i, bx, len(n.X))
+			}
+			if n.X[bx] != n.borders[j] {
+				return fmt.Errorf("gtree: tree node %d borderX entry %d points at vertex %d, border %d is vertex %d",
+					i, j, n.X[bx], j, n.borders[j])
+			}
+		}
+		for _, c := range n.children {
+			ch := &t.nodes[c]
+			for j, b := range ch.borders {
+				if x := n.X[int(ch.xoff)+j]; x != b {
+					return fmt.Errorf("gtree: tree node %d X set is not its children's borders in order: entry %d is vertex %d, child %d border %d is vertex %d",
+						i, int(ch.xoff)+j, x, c, j, b)
+				}
 			}
 		}
 		if n.isLeaf() {

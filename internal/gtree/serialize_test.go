@@ -361,6 +361,50 @@ func TestReadRejectsForgedContents(t *testing.T) {
 				}
 			}
 		}, "borderX"},
+		// The invariants positional addressing rests on. With per-node lookup maps a
+		// forged X survived the audit and a map miss read index 0 — a wrong
+		// distance, not an error.
+		{"X-entry-swapped", func(tr *Tree) {
+			n := tr.someWideInternal()
+			n.X[0], n.X[1] = n.X[1], n.X[0]
+			for j, bx := range n.borderX { // keep borderX pointing at the same vertices
+				if bx < 2 {
+					n.borderX[j] = 1 - bx
+				}
+			}
+		}, "children's borders"},
+		{"borderX-wrong-entry", func(tr *Tree) {
+			for i := range tr.nodes {
+				if n := &tr.nodes[i]; !n.isLeaf() && len(n.borderX) > 1 {
+					n.borderX[0] = n.borderX[1]
+					return
+				}
+			}
+			panic("no internal node with two borders")
+		}, "borderX"},
+		{"X-shorter-than-children-borders", func(tr *Tree) {
+			n := tr.someWideInternal()
+			nx := len(n.X) - 1
+			n.X, n.mat = n.X[:nx], n.mat[:nx*nx]
+			tr.flatten() // repack so metadata and slabs agree on the forged lengths
+		}, "children's borders total"},
+		{"borderX-shorter-than-borders", func(tr *Tree) {
+			for i := range tr.nodes {
+				if n := &tr.nodes[i]; !n.isLeaf() && len(n.borderX) > 0 {
+					n.borderX = n.borderX[:len(n.borderX)-1]
+					tr.flatten()
+					return
+				}
+			}
+			panic("no internal node with borders")
+		}, "borderX entries"},
+	}
+	// Shape forgeries must also fail the fast mmap load, which skips the
+	// content audit: they are what keeps xoff+j inside the parent matrix.
+	fastRejects := map[string]bool{
+		"child-dangling":                  true,
+		"X-shorter-than-children-borders": true,
+		"borderX-shorter-than-borders":    true,
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -384,8 +428,29 @@ func TestReadRejectsForgedContents(t *testing.T) {
 			if _, err := Read(bytes.NewReader(writeV3(t, tr)), g); err == nil {
 				t.Fatal("forged v3 contents accepted")
 			}
+			if fastRejects[tc.name] {
+				path := filepath.Join(t.TempDir(), "forged.gtree")
+				if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+					t.Fatal(err)
+				}
+				if loaded, err := Load(path, g, LoadOptions{Mmap: true}); err == nil {
+					loaded.Close()
+					t.Fatal("forged shape accepted by the unaudited mmap load")
+				}
+			}
 		})
 	}
+}
+
+// someWideInternal returns a non-root internal node with at least two X
+// entries and two borders, for forgery tests.
+func (t *Tree) someWideInternal() *node {
+	for i := 1; i < len(t.nodes); i++ {
+		if n := &t.nodes[i]; !n.isLeaf() && len(n.X) >= 2 && len(n.borderX) >= 2 {
+			return n
+		}
+	}
+	panic("no wide internal node")
 }
 
 // someLeaf returns a leaf with at least two vertices, for forgery tests.
