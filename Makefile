@@ -70,6 +70,7 @@ fuzz-smoke:
 	$(GO) test -run - -fuzz FuzzDistEndpoint -fuzztime $(FUZZTIME) ./internal/server/
 	$(GO) test -run - -fuzz FuzzDifferentialCase -fuzztime $(FUZZTIME) ./internal/difftest/
 	$(GO) test -run - -fuzz FuzzRead -fuzztime $(FUZZTIME) ./internal/phl/
+	$(GO) test -run - -fuzz FuzzDistBoundMatchesDistBatch -fuzztime $(FUZZTIME) ./internal/phl/
 	$(GO) test -run - -fuzz FuzzRead -fuzztime $(FUZZTIME) ./internal/gtree/
 	$(GO) test -run - -fuzz FuzzKNNMatchesDijkstra -fuzztime $(FUZZTIME) ./internal/gtree/
 	$(GO) test -run - -fuzz FuzzRead -fuzztime $(FUZZTIME) ./internal/ch/

@@ -175,13 +175,26 @@ func defaultQuery(b *testing.B) benchQuery {
 	return benchQ
 }
 
+// denseQuery is algo_mix's dense shape — d = 0.01, M = 256 — where GD
+// evaluates g_φ for ~170 data points against one Q.
+func denseQuery(b *testing.B) benchQuery {
+	b.Helper()
+	e := sharedEnv(b)
+	p := workload.DefaultParams()
+	gen := NewWorkloadGenerator(e.G, 99)
+	return benchQuery{q: core.Query{P: gen.UniformP(0.01), Q: gen.UniformQ(p.A, 256), Phi: p.Phi, Agg: core.Max}}
+}
+
 func benchAlgo(b *testing.B, engine string, run func(e *exp.Env, gp core.GPhi, bq benchQuery) error) {
+	benchAlgoOn(b, engine, defaultQuery(b), run)
+}
+
+func benchAlgoOn(b *testing.B, engine string, bq benchQuery, run func(e *exp.Env, gp core.GPhi, bq benchQuery) error) {
 	e := sharedEnv(b)
 	gp, err := e.Engine(engine)
 	if err != nil {
 		b.Fatal(err)
 	}
-	bq := defaultQuery(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -193,6 +206,15 @@ func benchAlgo(b *testing.B, engine string, run func(e *exp.Env, gp core.GPhi, b
 
 func BenchmarkAlgoGD_PHL(b *testing.B) {
 	benchAlgo(b, "PHL", func(e *exp.Env, gp core.GPhi, bq benchQuery) error {
+		_, err := core.GD(e.G, gp, bq.q)
+		return err
+	})
+}
+
+// GD over PHL on the dense shape — algo_mix's gd-phl-max-dense class:
+// one bind of Q, then every data point resolved through it.
+func BenchmarkAlgoGD_PHL_Dense(b *testing.B) {
+	benchAlgoOn(b, "PHL", denseQuery(b), func(e *exp.Env, gp core.GPhi, bq benchQuery) error {
 		_, err := core.GD(e.G, gp, bq.q)
 		return err
 	})
@@ -244,6 +266,18 @@ func BenchmarkAlgoAPXSum_INE(b *testing.B) {
 	})
 }
 
+// APX-sum over PHL on the dense shape — algo_mix's apxsum-phl-sum class:
+// |Q| nearest-data-point expansions, then GD over the candidates.
+func BenchmarkAlgoAPXSum_PHL(b *testing.B) {
+	bq := denseQuery(b)
+	bq.q.Agg = core.Sum
+	bq.q.Scratch = core.NewScratch()
+	benchAlgoOn(b, "PHL", bq, func(e *exp.Env, gp core.GPhi, bq benchQuery) error {
+		_, err := core.APXSum(e.G, gp, bq.q)
+		return err
+	})
+}
+
 func BenchmarkAlgoKExactMax10_INE(b *testing.B) {
 	benchAlgo(b, "INE", func(e *exp.Env, gp core.GPhi, bq benchQuery) error {
 		_, err := core.KExactMax(e.G, gp, bq.q, 10)
@@ -253,7 +287,12 @@ func BenchmarkAlgoKExactMax10_INE(b *testing.B) {
 
 // Per-engine g_φ micro-benchmarks: one flexible aggregate evaluation.
 
-func benchGPhi(b *testing.B, engine string) {
+func benchGPhi(b *testing.B, engine string) { benchGPhiRebind(b, engine, false) }
+
+// benchGPhiRebind times one g_φ evaluation; with rebind the engine is
+// reset once per pass over P, as a request resets it, so every |P|-th
+// evaluation carries whatever the engine does to bind Q.
+func benchGPhiRebind(b *testing.B, engine string, rebind bool) {
 	e := sharedEnv(b)
 	gp, err := e.Engine(engine)
 	if err != nil {
@@ -265,10 +304,17 @@ func benchGPhi(b *testing.B, engine string) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		p := bq.q.P[i%len(bq.q.P)]
-		gp.Dist(p, k, core.Max)
+		j := i % len(bq.q.P)
+		if rebind && j == 0 {
+			gp.Reset(bq.q.Q)
+		}
+		gp.Dist(bq.q.P[j], k, core.Max)
 	}
 }
+
+// BenchmarkGPhiPHLBound is BenchmarkGPhiPHL as a request pays for it: the
+// bind of Q on the first evaluation after each Reset is in the mean.
+func BenchmarkGPhiPHLBound(b *testing.B) { benchGPhiRebind(b, "PHL", true) }
 
 func BenchmarkGPhiINE(b *testing.B)      { benchGPhi(b, "INE") }
 func BenchmarkGPhiAStar(b *testing.B)    { benchGPhi(b, "A*") }

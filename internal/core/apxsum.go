@@ -32,28 +32,30 @@ func KAPXSum(g *graph.Graph, gp GPhi, q Query, kAns int) ([]Answer, error) {
 }
 
 // apxCandidates is APX-sum's reduction: the per network-nearest data
-// points of every q ∈ Q, each listed once. The GD loop ranks them.
+// points of every q ∈ Q, each listed once. The GD loop ranks them. The
+// |Q| expansions run strictly one after another, so they share one
+// graph-sized Dijkstra (held in the Scratch) instead of minting a
+// map-backed sp.Expander each — that is for R-List, which keeps them all
+// live at once.
 func apxCandidates(g *graph.Graph, q *Query, per int) ([]graph.NodeID, error) {
 	pSet := q.countSet(g.NumNodes())
 	pSet.AddAll(q.P)
 	seen := q.seenSet(g.NumNodes())
+	d := q.dijkstra(g)
 	candidates := make([]graph.NodeID, 0, per*len(q.Q))
+	var near [2]sp.Neighbor // per ≤ 2
 	for _, src := range q.Q {
 		if q.canceled() {
 			return nil, ErrCanceled
 		}
-		ex := sp.NewExpander(g, src, pSet)
-		for picked := 0; picked < per; picked++ {
-			nb, ok := ex.Next()
-			if !ok {
-				break // this query point reaches no further data point
-			}
+		before := d.NodesScanned()
+		for _, nb := range d.KNNAmong(src, pSet, per, near[:0]) {
 			if !seen.Contains(nb.Node) {
 				seen.Add(nb.Node, 0)
 				candidates = append(candidates, nb.Node)
 			}
 		}
-		q.Stats.CountSettled(ex.NodesScanned())
+		q.Stats.CountSettled(d.NodesScanned() - before)
 	}
 	if len(candidates) == 0 {
 		return nil, ErrNoResult

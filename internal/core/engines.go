@@ -107,6 +107,17 @@ type BatchOracle interface {
 	DistBatch(u graph.NodeID, targets []graph.NodeID, out []float64)
 }
 
+// boundOracle is the optional oracle capability behind target-bound g_φ
+// evaluation: g_φ resolves many sources against one fixed Q, so an
+// oracle that can index Q once (phl.Batcher inverts its hub labels into
+// per-hub buckets) answers each source in time proportional to what the
+// source shares with Q. DistBound obeys the BatchOracle contract with
+// the bound list as targets; oracleEngine detects it next to BatchOracle.
+type boundOracle interface {
+	BindTargets(Q []graph.NodeID)
+	DistBound(u graph.NodeID, out []float64)
+}
+
 // batchProvider is implemented by shared concurrent-reader indexes
 // (phl.Index) that cannot carry per-query scatter state themselves but
 // can mint a single-goroutine batching front-end.
@@ -144,6 +155,16 @@ func cmpNeighbor(a, b sp.Neighbor) int {
 	default:
 		return 0
 	}
+}
+
+// cmpNeighborNode orders neighbors by ascending distance, then node id: a
+// total order on a duplicate-free Q, so the k-prefix is one fixed set
+// whatever subset of Q was sorted to find it.
+func cmpNeighborNode(a, b sp.Neighbor) int {
+	if c := cmpNeighbor(a, b); c != 0 {
+		return c
+	}
+	return int(a.Node) - int(b.Node)
 }
 
 // NewINE returns the INE engine: a Dijkstra expansion from p that stops
@@ -186,15 +207,19 @@ func (e *ineEngine) nearest(p graph.NodeID, k int) []sp.Neighbor {
 // matrix-assembly SPSP variant.
 func NewOracleGPhi(name string, o Oracle) GPhi {
 	o, b := batchOf(o)
-	return &oracleEngine{name: name, o: o, b: b}
+	tb, _ := o.(boundOracle)
+	return &oracleEngine{name: name, o: o, b: b, tb: tb}
 }
 
 type oracleEngine struct {
 	name  string
 	o     Oracle
 	b     BatchOracle // non-nil when o supports one-to-many lookups
+	tb    boundOracle // non-nil when o can bind Q once; preferred over b
+	bound bool        // tb holds the current Q
 	q     []graph.NodeID
 	dbuf  []float64
+	sbuf  []float64 // nearest: the copy of dbuf that selection permutes
 	nbuf  []sp.Neighbor
 	stats *Stats
 }
@@ -206,19 +231,31 @@ func (e *oracleEngine) Name() string { return e.name }
 // from tables and settle nothing).
 func (e *oracleEngine) BindStats(s *Stats) { e.stats = s }
 
-func (e *oracleEngine) Reset(Q []graph.NodeID) { e.q = Q }
+// Reset only records Q. A target-binding oracle indexes it on the first
+// resolve, not here: a request answered entirely from cached neighbour
+// lists resets the engine and never evaluates it, and must not pay a
+// bind worth about 2.5 evaluations.
+func (e *oracleEngine) Reset(Q []graph.NodeID) { e.q, e.bound = Q, false }
 
-// resolve fills e.dbuf with the distance from p to every member of Q, in
-// one batched lookup when the oracle supports it.
+// resolve fills e.dbuf with the distance from p to every member of Q:
+// through the bound Q when the oracle can bind one, else in one batched
+// lookup when it supports that, else pair by pair.
 func (e *oracleEngine) resolve(p graph.NodeID) {
 	before := int64(0)
 	if e.stats != nil {
 		before = scanOf(e.o)
 	}
 	e.dbuf = growF(e.dbuf, len(e.q))
-	if e.b != nil {
+	switch {
+	case e.tb != nil:
+		if !e.bound {
+			e.tb.BindTargets(e.q)
+			e.bound = true
+		}
+		e.tb.DistBound(p, e.dbuf)
+	case e.b != nil:
 		e.b.DistBatch(p, e.q, e.dbuf)
-	} else {
+	default:
 		for i, q := range e.q {
 			e.dbuf[i] = e.o.Dist(p, q)
 		}
@@ -228,25 +265,37 @@ func (e *oracleEngine) resolve(p graph.NodeID) {
 	}
 }
 
-// nearest sorts the reachable members of Q by their resolved distance.
+// nearest orders only what its callers read: it selects the k-th
+// smallest resolved distance, collects the reachable members of Q at or
+// under it and sorts those — the k-prefix of the full sort (KNearest,
+// Subset and the cache's list layer never look past it), without
+// ordering the other |Q| − k. Ties at the k-th place go to the lower
+// node id, so a list found at k is a prefix of the one found at any
+// larger k.
 func (e *oracleEngine) nearest(p graph.NodeID, k int) []sp.Neighbor {
 	e.resolve(p)
+	kth := math.Inf(1)
+	if 0 < k && k < len(e.q) {
+		e.sbuf = append(e.sbuf[:0], e.dbuf...)
+		partialSelect(e.sbuf, k)
+		kth = maxOfFirst(e.sbuf, k)
+	}
 	e.nbuf = e.nbuf[:0]
 	for i, q := range e.q {
-		if d := e.dbuf[i]; !math.IsInf(d, 1) {
+		if d := e.dbuf[i]; d <= kth && !math.IsInf(d, 1) {
 			e.nbuf = append(e.nbuf, sp.Neighbor{Node: q, Dist: d})
 		}
 	}
-	slices.SortFunc(e.nbuf, cmpNeighbor)
+	slices.SortFunc(e.nbuf, cmpNeighborNode)
 	return e.nbuf[:min(k, len(e.nbuf))]
 }
 
-// Dist is the one evaluation that does not sort all of Q: GD calls it
-// |P| times per query and the full sort costs 15–50 % of a hub-label
-// evaluation at |Q| = 256. It selects the k smallest distances and, for
-// the sum, orders just that prefix, so it adds the same values in the
-// same ascending order as AggSorted does and agrees with it bit for bit
-// (TestNeighborSearcherContract).
+// Dist folds without building a neighbour list at all. It is what GD
+// calls for every data point when no cache wraps the engine (behind
+// qcache.Wrap evaluations arrive through KNearest instead). It selects
+// the k smallest distances and, for the sum, orders just that prefix,
+// so it adds the same values in the same ascending order as AggSorted
+// does and agrees with it bit for bit (TestNeighborSearcherContract).
 func (e *oracleEngine) Dist(p graph.NodeID, k int, agg Aggregate) (float64, bool) {
 	if k > len(e.q) {
 		return math.Inf(1), false

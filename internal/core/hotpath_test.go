@@ -222,22 +222,116 @@ func hotpathEnv(t testing.TB) (*graph.Graph, *phl.Index, Query) {
 	return g, ix, q
 }
 
+// hotpathQueries returns q and a twin over a different, smaller Q drawn
+// from q.P: alternating them makes every request rebind the engine, as
+// traffic does.
+func hotpathQueries(q Query) []Query {
+	q2 := q
+	q2.Q = append([]graph.NodeID(nil), q.P[:10]...)
+	return []Query{q, q2}
+}
+
+// requireBound fails unless gp resolves through the target-bound path and
+// has bound a Q.
+func requireBound(t *testing.T, gp GPhi) {
+	t.Helper()
+	if e := gp.(*oracleEngine); e.tb == nil || !e.bound {
+		t.Fatalf("PHL engine is not on the target-bound path (tb=%v bound=%v)", e.tb, e.bound)
+	}
+}
+
 // TestGDZeroAllocSteadyState is the PR's headline gate: GD over the PHL
-// batching engine with a warm Scratch performs zero heap allocations per
-// query.
+// engine with a warm Scratch performs zero heap allocations per query —
+// the bind of Q on the first evaluation included, with Q changing from
+// one query to the next.
 func TestGDZeroAllocSteadyState(t *testing.T) {
 	g, ix, q := hotpathEnv(t)
 	gp := NewOracleGPhi("PHL", ix)
-	if _, err := GD(g, gp, q); err != nil { // warm every buffer
-		t.Fatal(err)
-	}
-	allocs := testing.AllocsPerRun(20, func() {
-		if _, err := GD(g, gp, q); err != nil {
-			t.Fatal(err)
+	qs := hotpathQueries(q)
+	run := func() {
+		for _, query := range qs {
+			if _, err := GD(g, gp, query); err != nil {
+				t.Fatal(err)
+			}
 		}
-	})
-	if allocs != 0 {
-		t.Fatalf("GD steady state allocates %v objects per query, want 0", allocs)
+	}
+	run() // warm every buffer
+	requireBound(t, gp)
+	if allocs := testing.AllocsPerRun(20, run); allocs != 0 {
+		t.Fatalf("GD steady state allocates %v objects per two queries, want 0", allocs)
+	}
+}
+
+// TestBoundPathWarmAlloc is the same gate one layer down: Reset, then one
+// Dist per data point, through the bound path, allocates nothing once
+// the bucket slabs have grown to the larger Q.
+func TestBoundPathWarmAlloc(t *testing.T) {
+	_, ix, q := hotpathEnv(t)
+	gp := NewOracleGPhi("PHL", ix)
+	qs := hotpathQueries(q)
+	run := func() {
+		for _, query := range qs {
+			gp.Reset(query.Q)
+			for _, p := range query.P {
+				gp.Dist(p, query.K(), query.Agg)
+			}
+		}
+	}
+	run()
+	requireBound(t, gp)
+	if allocs := testing.AllocsPerRun(20, run); allocs != 0 {
+		t.Fatalf("warm Reset + |P| × Dist allocates %v objects, want 0", allocs)
+	}
+}
+
+// countingBinder is a phl.Batcher that counts its binds.
+type countingBinder struct {
+	*phl.Batcher
+	binds int
+}
+
+func (c *countingBinder) BindTargets(Q []graph.NodeID) {
+	c.binds++
+	c.Batcher.BindTargets(Q)
+}
+
+// TestBindOnFirstEvaluation pins when the engine binds Q: never in Reset
+// (a request served from cached lists evaluates nothing and must bind
+// nothing), once on the first evaluation after it — which is already
+// exact — and not again until the next Reset.
+func TestBindOnFirstEvaluation(t *testing.T) {
+	_, ix, q := hotpathEnv(t)
+	cb := &countingBinder{Batcher: ix.NewBatcher()}
+	gp := NewOracleGPhi("PHL", cb)
+	k := q.K()
+	want := func(p graph.NodeID, Q []graph.NodeID, k int) float64 {
+		ds := make([]float64, len(Q))
+		for i, v := range Q {
+			ds[i] = ix.Dist(p, v)
+		}
+		return flexAgg(ds, k, Max)
+	}
+	gp.Reset(q.Q)
+	gp.Reset(q.Q[:12])
+	gp.Reset(q.Q)
+	if cb.binds != 0 {
+		t.Fatalf("%d binds after three Resets and no evaluation, want 0", cb.binds)
+	}
+	for i, p := range q.P[:5] {
+		if got, ok := gp.Dist(p, k, Max); !ok || math.Float64bits(got) != math.Float64bits(want(p, q.Q, k)) {
+			t.Fatalf("evaluation %d after Reset: Dist(%d) = %v, want %v", i, p, got, want(p, q.Q, k))
+		}
+		if cb.binds != 1 {
+			t.Fatalf("%d binds after %d evaluations of one Q, want 1", cb.binds, i+1)
+		}
+	}
+	gp.Reset(q.Q[:12])
+	p := q.P[7]
+	if got, ok := gp.Dist(p, 6, Max); !ok || math.Float64bits(got) != math.Float64bits(want(p, q.Q[:12], 6)) {
+		t.Fatalf("first evaluation of the next Q: Dist(%d) = %v, want %v", p, got, want(p, q.Q[:12], 6))
+	}
+	if cb.binds != 2 {
+		t.Fatalf("%d binds after the second Q's first evaluation, want 2", cb.binds)
 	}
 }
 
@@ -296,15 +390,17 @@ func TestKIERKNNWarmAlloc(t *testing.T) {
 func TestDispatchGDWarmAlloc(t *testing.T) {
 	g, ix, q := hotpathEnv(t)
 	gp := NewOracleGPhi("PHL", ix)
-	if _, err := Dispatch(g, "gd", gp, q, 1); err != nil {
-		t.Fatal(err)
-	}
-	allocs := testing.AllocsPerRun(20, func() {
-		if _, err := Dispatch(g, "gd", gp, q, 1); err != nil {
-			t.Fatal(err)
+	qs := hotpathQueries(q) // Q changes between requests: each one binds
+	run := func() {
+		for _, query := range qs {
+			if _, err := Dispatch(g, "gd", gp, query, 1); err != nil {
+				t.Fatal(err)
+			}
 		}
-	})
-	if allocs > 1 {
+	}
+	run()
+	requireBound(t, gp)
+	if allocs := testing.AllocsPerRun(20, run) / 2; allocs > 1 {
 		t.Fatalf("warm Dispatch(gd, k=1) allocates %v objects per query, want <= 1", allocs)
 	}
 }

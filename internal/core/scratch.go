@@ -3,13 +3,15 @@ package core
 import (
 	"fannr/internal/graph"
 	"fannr/internal/pqueue"
+	"fannr/internal/sp"
 )
 
 // Scratch is reusable per-query working memory for the algorithm layer:
 // the dedup sort buffer behind Query.Validate, the answer subset buffer,
 // the distance scratch behind R-List's threshold, the visited/counter
-// sets of R-List and Exact-max, the best-first machinery of IER-kNN, and
-// the incumbent heap of the top-k queries.
+// sets of R-List and Exact-max, the best-first machinery of IER-kNN, the
+// incumbent heap of the top-k queries, and the Dijkstra behind APX-sum's
+// candidate step.
 // With a warm Scratch attached (Query.Scratch), steady-state queries on
 // batching engines allocate zero heap objects — verified by the
 // testing.AllocsPerRun gates in hotpath_test.go.
@@ -32,6 +34,7 @@ type Scratch struct {
 	counts *graph.NodeSet                // Exact-max per-point counters
 	search *ierSearch                    // IER-kNN best-first traversal state
 	top    *pqueue.MaxHeap[graph.NodeID] // k-FANN_R incumbent queue (k > 1)
+	dij    *sp.Dijkstra                  // APX-sum candidate expansions
 }
 
 // NewScratch returns an empty Scratch; buffers grow on first use and are
@@ -92,4 +95,16 @@ func (q *Query) countSet(n int) *graph.NodeSet {
 	}
 	q.Scratch.counts.Reset()
 	return q.Scratch.counts
+}
+
+// dijkstra returns a single-source search bound to g: the Scratch's, when
+// there is one, minted on first use and again if the graph differs.
+func (q *Query) dijkstra(g *graph.Graph) *sp.Dijkstra {
+	if q.Scratch == nil {
+		return sp.NewDijkstra(g)
+	}
+	if q.Scratch.dij == nil || q.Scratch.dij.Graph() != g {
+		q.Scratch.dij = sp.NewDijkstra(g)
+	}
+	return q.Scratch.dij
 }

@@ -16,8 +16,8 @@ func fileChaosSeeds(f *testing.F, seed []byte) [][]byte {
 
 // FuzzRead hardens the index deserializer: arbitrary bytes must never
 // panic or allocate absurd buffers, and accepted inputs must produce an
-// index whose queries — including the Batcher scatter path, which
-// indexes rank-sized tables by label contents — do not crash.
+// index whose queries — including the Batcher scatter and bucket paths,
+// which index rank-sized tables by label contents — do not crash.
 func FuzzRead(f *testing.F) {
 	// Seed with real serialized indexes (v4 section file and legacy v3
 	// stream) and some corruptions of each.
@@ -66,6 +66,8 @@ func FuzzRead(f *testing.F) {
 		b := ix.NewBatcher()
 		out := make([]float64, 2)
 		b.DistBatch(0, []int32{0, int32(n - 1)}, out)
+		b.BindTargets([]int32{0, int32(n - 1)})
+		b.DistBound(int32(n-1), out)
 	})
 }
 

@@ -266,6 +266,20 @@ type Batcher struct {
 	// so the memo only expires when the source changes.
 	u      graph.NodeID
 	uvalid bool
+	// Target-bound mode (BindTargets/DistBound): the labels of a fixed
+	// target list inverted into one bucket per hub. Hub h's bucket is
+	// bqi/bd[bend[h]-bcnt[h] : bend[h]] — the index into the bound list
+	// of every target whose label holds h, paired with its distance to h
+	// — and is live while bstamp[h] == bepoch. The tables are allocated
+	// on the first bind and the slabs only grow, so a Batcher that never
+	// binds (IER-*) pays nothing and a warm one allocates nothing.
+	bstamp []uint32
+	bcnt   []int32
+	bend   []int32
+	bepoch uint32
+	bqi    []int32
+	bd     []float64
+	nq     int
 }
 
 // NewBatcher returns a batching front-end bound to ix.
@@ -286,9 +300,12 @@ func (b *Batcher) Dist(u, v graph.NodeID) float64 { return b.ix.Dist(u, v) }
 func (b *Batcher) Entries() int64 { return b.ix.Entries() }
 
 // MemoryBytes reports the underlying index footprint plus the scatter
-// table.
+// table and, once a target list has been bound, the bucket tables and
+// slabs.
 func (b *Batcher) MemoryBytes() int64 {
-	return b.ix.MemoryBytes() + int64(len(b.tab))*8 + int64(len(b.stamp))*4
+	return b.ix.MemoryBytes() + int64(len(b.tab))*8 + int64(len(b.stamp))*4 +
+		int64(len(b.bstamp)+len(b.bcnt)+len(b.bend))*4 +
+		int64(cap(b.bqi))*4 + int64(cap(b.bd))*8
 }
 
 // DistBatch computes distances from u to every target in one pass over
@@ -334,5 +351,97 @@ func (b *Batcher) DistBatch(u graph.NodeID, targets []graph.NodeID, out []float6
 			}
 		}
 		out[i] = best
+	}
+}
+
+// BindTargets binds the Batcher to a fixed target list for DistBound: the
+// many-sources-to-one-target-set shape of g_φ, where DistBatch would walk
+// every entry of every target's label again for each source. The labels
+// of targets are inverted into per-hub buckets with a two-pass counting
+// sort — count per hub, then place in target order, a bucket's extent
+// being claimed the first time the second pass meets its hub — over
+// epoch-stamped tables, so a bind costs O(Σ_t |L(t)|) whatever the graph
+// size. targets may repeat a node and may be empty; the binding holds
+// until the next BindTargets and is independent of DistBatch's memo.
+// Bucket offsets are int32: the labels of one target list must hold
+// fewer than 2³¹ entries (a 24 GiB slab).
+func (b *Batcher) BindTargets(targets []graph.NodeID) {
+	if b.bstamp == nil {
+		n := b.ix.n
+		b.bstamp, b.bcnt, b.bend = make([]uint32, n), make([]int32, n), make([]int32, n)
+	}
+	if b.bepoch >= math.MaxUint32-1 {
+		for i := range b.bstamp {
+			b.bstamp[i] = 0
+		}
+		b.bepoch = 0
+	}
+	counted, placed := b.bepoch+1, b.bepoch+2
+	b.bepoch = placed
+	b.nq = len(targets)
+	total := 0
+	for _, t := range targets {
+		ht, _ := b.ix.label(t)
+		for _, h := range ht {
+			if b.bstamp[h] != counted {
+				b.bstamp[h] = counted
+				b.bcnt[h] = 0
+			}
+			b.bcnt[h]++
+		}
+		total += len(ht)
+	}
+	if cap(b.bqi) < total {
+		b.bqi, b.bd = make([]int32, total), make([]float64, total)
+	}
+	next := int32(0)
+	for qi, t := range targets {
+		ht, dt := b.ix.label(t)
+		for j, h := range ht {
+			if b.bstamp[h] == counted {
+				b.bstamp[h] = placed
+				b.bend[h] = next
+				next += b.bcnt[h]
+			}
+			at := b.bend[h]
+			b.bqi[at], b.bd[at] = int32(qi), dt[j]
+			b.bend[h] = at + 1
+		}
+	}
+}
+
+// DistBound writes the distance from u to the i-th bound target into
+// out[i], for every target of the last BindTargets: one walk over u's
+// label, relaxing out over the bucket of each hub that has one. It forms
+// exactly the sums DistBatch forms — d(u,h) + d(t,h) for every hub h the
+// two labels share, same operand order — and takes their minimum, which
+// does not depend on the order they arrive in, so the results are
+// bit-identical to DistBatch and Dist: +Inf for an unreachable target,
+// and 0 for u itself, because u's label carries a zero-distance hub (u,
+// or a hub at distance 0 that pruned it) and no sum is negative. len(out)
+// must be at least the number of bound targets; warm Batchers allocate
+// nothing.
+func (b *Batcher) DistBound(u graph.NodeID, out []float64) {
+	out = out[:b.nq]
+	if len(out) == 0 {
+		return // nothing bound (or an empty list): no tables to consult
+	}
+	for i := range out {
+		out[i] = math.Inf(1)
+	}
+	hu, du := b.ix.label(u)
+	for i, h := range hu {
+		if b.bstamp[h] != b.bepoch {
+			continue
+		}
+		end := b.bend[h]
+		start := end - b.bcnt[h]
+		d := du[i]
+		qi, dq := b.bqi[start:end], b.bd[start:end]
+		for j, t := range qi {
+			if s := d + dq[j]; s < out[t] {
+				out[t] = s
+			}
+		}
 	}
 }

@@ -116,6 +116,14 @@ func TestLoadMmap(t *testing.T) {
 						t.Fatalf("DistBatch(%d -> %d): %v vs %v", u, targets[j], got[j], want[j])
 					}
 				}
+				// The bound path reads the same (possibly mapped) slabs.
+				b.BindTargets(targets)
+				b.DistBound(u, got)
+				for j := range targets {
+					if math.Float64bits(got[j]) != math.Float64bits(want[j]) {
+						t.Fatalf("DistBound(%d -> %d): %v vs %v", u, targets[j], got[j], want[j])
+					}
+				}
 			}
 		})
 	}

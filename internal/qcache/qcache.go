@@ -140,20 +140,26 @@ func (c *Cache) GetList(engine string, q Fingerprint, p graph.NodeID, k int) ([]
 // PutList stores the sorted neighbor list computed for (engine, q, p).
 // complete marks lists that exhausted Q's reachable members. A resident
 // list that already answers at least as much (longer, or complete) is
-// kept — two racing fills can never downgrade the entry.
+// kept — two racing fills can never downgrade the entry. The list is
+// copied, so later caller mutation cannot corrupt the cache.
 func (c *Cache) PutList(engine string, q Fingerprint, p graph.NodeID, nbrs []sp.Neighbor, complete bool) {
 	if c == nil {
 		return
 	}
-	cp := append([]sp.Neighbor(nil), nbrs...)
-	size := int64(48) + 16*int64(len(cp))
-	c.put(listKeyOf(engine, q, p), listVal{nbrs: cp, complete: complete}, size,
+	c.putListOwned(engine, q, p, append([]sp.Neighbor(nil), nbrs...), complete)
+}
+
+// putListOwned is PutList without the copy: the cache takes nbrs over,
+// and the caller may still read it but never write it again.
+func (c *Cache) putListOwned(engine string, q Fingerprint, p graph.NodeID, nbrs []sp.Neighbor, complete bool) {
+	size := int64(48) + 16*int64(len(nbrs))
+	c.put(listKeyOf(engine, q, p), listVal{nbrs: nbrs, complete: complete}, size,
 		func(old any) bool {
 			ov := old.(listVal)
 			if ov.complete {
 				return true
 			}
-			return !complete && len(ov.nbrs) >= len(cp)
+			return !complete && len(ov.nbrs) >= len(nbrs)
 		})
 }
 

@@ -69,6 +69,25 @@ func TestResultRoundTripAndIsolation(t *testing.T) {
 	}
 }
 
+// TestPutListCopiesOwnedPutDoesNot pins the two list puts: the exported
+// one copies, so its caller may reuse the slice; the owning one stores
+// the very slice it was handed.
+func TestPutListCopiesOwnedPutDoesNot(t *testing.T) {
+	c := New(Config{MaxEntries: 64})
+	q := FingerprintNodes([]graph.NodeID{1, 2})
+	nbrs := []sp.Neighbor{{Node: 1, Dist: 1}, {Node: 2, Dist: 2}}
+	c.PutList("E", q, 10, nbrs, true)
+	nbrs[0].Dist = 99 // caller mutation must not reach the cache
+	if got, ok := c.GetList("E", q, 10, 2); !ok || got[0].Dist != 1 {
+		t.Fatalf("PutList did not copy: got %v ok=%v", got, ok)
+	}
+	own := []sp.Neighbor{{Node: 1, Dist: 1}, {Node: 2, Dist: 2}}
+	c.putListOwned("E", q, 11, own, true)
+	if got, ok := c.GetList("E", q, 11, 2); !ok || &got[0] != &own[0] {
+		t.Fatalf("putListOwned copied the list it was given (ok=%v)", ok)
+	}
+}
+
 func TestListSubsumptionAndCompleteness(t *testing.T) {
 	c := New(Config{MaxEntries: 64})
 	q := FingerprintNodes([]graph.NodeID{1, 2, 3, 4})

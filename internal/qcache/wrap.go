@@ -62,8 +62,8 @@ func (e *cachedEngine) lookup(p graph.NodeID, k int) []sp.Neighbor {
 		return nbrs
 	}
 	e.stats.CountCacheMiss()
-	nbrs := e.ns.KNearest(p, k, nil)
-	e.c.PutList(e.name, e.qfp, p, nbrs, len(nbrs) < k)
+	nbrs := e.ns.KNearest(p, k, nil) // fresh, and only read from here on
+	e.c.putListOwned(e.name, e.qfp, p, nbrs, len(nbrs) < k)
 	return nbrs
 }
 

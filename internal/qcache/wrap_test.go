@@ -6,6 +6,7 @@ import (
 
 	"fannr/internal/core"
 	"fannr/internal/graph"
+	"fannr/internal/phl"
 	"fannr/internal/sp"
 )
 
@@ -135,6 +136,67 @@ func TestWrapAgreesWithRawEngines(t *testing.T) {
 		}
 		if m := c.Metrics(); m.HitsSubsume == 0 {
 			t.Fatalf("%s: no subsumption hits recorded: %+v", raw.Name(), m)
+		}
+	}
+}
+
+// TestWrapPrefixMatchesLiveEngineUnderTies: the oracle engines order only
+// the k-prefix they are asked for, so a list cached at k must still
+// answer every k' ≤ k exactly as a live engine asked for k' would — same
+// nodes, same order, same bits — even on a unit-weight grid, where most
+// k-th places are tied.
+func TestWrapPrefixMatchesLiveEngineUnderTies(t *testing.T) {
+	const side = 10
+	b := graph.NewBuilder(side * side)
+	for v := 0; v < side*side; v++ {
+		if v%side+1 < side {
+			_ = b.AddEdge(graph.NodeID(v), graph.NodeID(v+1), 1)
+		}
+		if v+side < side*side {
+			_ = b.AddEdge(graph.NodeID(v), graph.NodeID(v+side), 1)
+		}
+	}
+	g, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ix, err := phl.Build(g, phl.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var Q []graph.NodeID
+	for v := 0; v < side*side; v += 3 {
+		Q = append(Q, graph.NodeID(v))
+	}
+	c := New(Config{MaxEntries: 1024})
+	warm, live := c.Wrap(core.NewOracleGPhi("PHL", ix)), core.NewOracleGPhi("PHL", ix)
+	warm.Reset(Q)
+	live.Reset(Q)
+	const kFill = 20
+	for p := graph.NodeID(0); p < side*side; p += 7 {
+		warm.(core.NeighborSearcher).KNearest(p, kFill, nil) // the one fill
+		misses := c.Metrics().MissesList
+		for k := kFill; k >= 1; k-- {
+			got := warm.(core.NeighborSearcher).KNearest(p, k, nil)
+			want := live.(core.NeighborSearcher).KNearest(p, k, nil)
+			if len(got) != len(want) {
+				t.Fatalf("p=%d k=%d: cached list has %d entries, live %d", p, k, len(got), len(want))
+			}
+			for i := range want {
+				if got[i].Node != want[i].Node || math.Float64bits(got[i].Dist) != math.Float64bits(want[i].Dist) {
+					t.Fatalf("p=%d k=%d: cached[%d] = %v, live = %v", p, k, i, got[i], want[i])
+				}
+			}
+			for _, agg := range []core.Aggregate{core.Max, core.Sum} {
+				gd, gok := warm.Dist(p, k, agg)
+				wd, wok := live.Dist(p, k, agg)
+				if gok != wok || math.Float64bits(gd) != math.Float64bits(wd) {
+					t.Fatalf("p=%d k=%d %v: cached Dist = (%v, %v), live = (%v, %v)", p, k, agg, gd, gok, wd, wok)
+				}
+			}
+		}
+		if m := c.Metrics().MissesList; m != misses {
+			t.Fatalf("p=%d: %d list misses below the filled k, want 0", p, m-misses)
 		}
 	}
 }
