@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: verify build test vet bench race race-full fuzz-smoke chaos chaos-load explain-smoke shard-smoke bench-server bench-build bench-json bench-cache bench-overhead bench-hotpath bench-guard bench-load bench-trend bench-shards
+.PHONY: verify build test vet bench bench-gate figures microbench race race-full fuzz-smoke chaos chaos-load explain-smoke shard-smoke
 
 ## Tier 1 — compile + unit/integration tests (the seed contract).
 build:
@@ -17,10 +17,11 @@ test:
 	$(GO) test ./...
 	$(GO) test -C bench ./...
 
-## Tier 2 — static analysis.
+## Tier 2 — static analysis; any file gofmt would rewrite fails it.
 vet:
 	$(GO) vet ./...
 	$(GO) vet -C bench ./...
+	@fmt="$$(gofmt -l .)"; test -z "$$fmt" || { echo "gofmt -l:"; echo "$$fmt"; exit 1; }
 
 ## The repo's benchmark (BENCHMARK.json; bench/README.md): end-to-end
 ## metrics of the four named workloads, one JSON line each on stdout.
@@ -28,6 +29,27 @@ bench:
 	for w in hot_ier cache_zipf algo_mix shard4; do \
 		$(GO) run -C bench fannr/bench -workload $$w -seed 1 || exit 1; \
 	done
+
+## The benchmark's A/A self-test: every workload twice untraced and twice
+## traced on one build and one seed; fails if an end-to-end metric differs
+## beyond its bound or a count/bytes metric does not repeat exactly.
+bench-gate:
+	$(GO) run -C bench fannr/bench -aa
+
+## Regenerate the paper's §VI tables and figures (EXPERIMENTS.md quotes
+## results_full.txt).
+figures:
+	$(GO) run ./cmd/fannr-bench -exp all > results_full.txt
+
+## In-process microbenchmarks bench/ has no rung for: pooled lock-free
+## request path vs the serialized baseline across core counts, parallel
+## index-construction speedup, and GD with the Stats hook disabled (nil
+## pointer tests only — the DESIGN §11 budget) vs enabled.
+microbench:
+	$(GO) test -run - -bench 'ServerThroughput|DistEndpoint' -cpu 1,2,4,8 \
+		-benchtime 1x ./internal/server/
+	$(GO) test -run - -bench BuildWorkers -benchtime 1x ./internal/gtree/ ./internal/ch/
+	$(GO) test -run - -bench 'GDStats' -benchtime 1000x ./internal/core/
 
 ## Tier 3 — race detector over the concurrency-bearing packages
 ## (engine pools, HTTP server, parallel index builds, workload draws) plus
@@ -95,69 +117,3 @@ chaos-load:
 	$(GO) test -race -v -run 'IndexFault|ReloadFailure|SwapStorm|Reload' ./internal/server/
 
 verify: build test vet race
-
-## Throughput of the pooled lock-free request path vs the serialized
-## baseline, across core counts.
-bench-server:
-	$(GO) test -run - -bench 'ServerThroughput|DistEndpoint' -cpu 1,2,4,8 \
-		-benchtime 1x ./internal/server/
-
-## Parallel index-construction speedup.
-bench-build:
-	$(GO) test -run - -bench BuildWorkers -benchtime 1x ./internal/gtree/ ./internal/ch/
-
-## Machine-readable benchmark trajectory (latency quantiles + op counts
-## for the headline algorithms); BENCH_PR4.json is the checked-in run.
-bench-json:
-	$(GO) run ./cmd/fannr-bench -json BENCH_PR4.json
-
-## Semantic-cache benchmark: hit rate and cold/warm/latency-saved
-## quantiles under a Zipf-repeat workload; BENCH_PR5.json is the
-## checked-in run.
-bench-cache:
-	$(GO) run ./cmd/fannr-bench -cache BENCH_PR5.json
-
-## Observability overhead guard: GD with the Stats hook disabled (nil
-## pointer tests only) vs. enabled. The disabled column is the §11 budget.
-bench-overhead:
-	$(GO) test -run - -bench 'GDStats' -benchtime 1000x ./internal/core/
-
-## Hot-path benchmark: batched one-to-many distance lookups vs the
-## per-pair baseline for every batching engine; BENCH_PR6.json is the
-## checked-in run.
-bench-hotpath:
-	$(GO) run ./cmd/fannr-bench -hotpath BENCH_PR6.json
-
-## Hot-path regression guard: rerun the benchmark and fail if any IER
-## engine regresses >10% against the checked-in BENCH_PR6.json on both
-## batched cold p50 and same-run batched-vs-per-pair speedup (the ratio
-## cancels machine-speed noise between runs).
-bench-guard:
-	$(GO) run ./cmd/fannr-bench -guard BENCH_PR6.json
-
-## Index load benchmark: time-to-first-query for heap deserialization vs
-## zero-copy mmap over the same v4 files, as a same-run ratio. Fails if
-## mmap is not ≥10× faster per index; BENCH_PR7.json is the checked-in
-## run. Builds ~225 MB of indexes in a temp dir first (a few minutes).
-bench-load:
-	$(GO) run ./cmd/fannr-bench -load BENCH_PR7.json -scale 0.0625
-
-## Benchmark trend gate: rerun the headline set and diff it against the
-## checked-in BENCH_PR9.json with same-run ratio normalization (each
-## algorithm's p50 over its own run's geometric mean, so uniform host
-## noise cancels). Fails on >10% normalized regressions or op-count
-## growth on the identical workload. 16 queries per algorithm keeps the
-## quantiles stable on a noisy 1-CPU host (8 is not enough: the
-## heavyweight algorithms' p50 swings >2x run-to-run). Refresh the
-## baseline (copy BENCH_TREND.json over BENCH_PR9.json) when a PR
-## changes performance on purpose.
-bench-trend:
-	$(GO) run ./cmd/fannr-bench -json BENCH_TREND.json -queries 16
-	$(GO) run ./cmd/fannr-bench -compare BENCH_PR9.json BENCH_TREND.json
-
-## Sharded-serving benchmark: coordinator overhead (same-run ratio vs a
-## direct single-process engine) and shard fan-out at S ∈ {1,2,4} on a
-## clustered workload; fails unless the g_φ bound prunes (mean shards
-## contacted < S). BENCH_PR10.json is the checked-in run.
-bench-shards:
-	$(GO) run ./cmd/fannr-bench -shards BENCH_PR10.json -scale 0.015625 -queries 16

@@ -6,12 +6,10 @@
 //
 //	fannr-bench -exp fig4a
 //	fannr-bench -exp all -scale 0.015625 -queries 4
-//	fannr-bench -json BENCH_PR4.json
 //	fannr-bench -list
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -23,41 +21,27 @@ import (
 
 func main() {
 	var (
-		expID    = flag.String("exp", "", "experiment id (see -list) or \"all\"")
-		list     = flag.Bool("list", false, "list experiment ids and exit")
-		dataset  = flag.String("dataset", "NW", "Table III dataset for workload experiments")
-		scale    = flag.Float64("scale", 1.0/16, "dataset scale relative to the paper's node counts")
-		queries  = flag.Int("queries", 8, "queries averaged per data point (the paper uses 100)")
-		seed     = flag.Int64("seed", 1, "workload seed")
-		timeout  = flag.Duration("timeout", 20*time.Second, "per-(algorithm, tick) budget before DNF")
-		budget   = flag.Int64("phl-budget", 0, "hub-label entry budget (0 = default)")
-		csvDir   = flag.String("csv", "", "also write one CSV per table into this directory")
-		chart    = flag.Bool("chart", false, "render ASCII charts after each table")
-		jsonOut  = flag.String("json", "", "write a machine-readable benchmark report (latency quantiles + op counts) to this file and exit")
-		cacheOut = flag.String("cache", "", "write the semantic-cache benchmark report (hit rate + latency-saved quantiles under a Zipf-repeat workload) to this file and exit")
-		hotOut   = flag.String("hotpath", "", "write the hot-path benchmark report (batched vs per-pair distance lookups per engine) to this file and exit")
-		loadOut  = flag.String("load", "", "write the index load benchmark report (time-to-first-query, heap vs zero-copy mmap, same-run ratio) to this file and exit")
-		shardOut = flag.String("shards", "", "write the sharded-serving benchmark report (coordinator overhead as a same-run ratio + shards contacted/pruned per query at S=1,2,4) to this file and exit")
-		guardIn  = flag.String("guard", "", "run the hot-path benchmark and fail if any IER engine's batched cold p50 AND same-run speedup both regress >10% against this baseline report")
-		compare  = flag.Bool("compare", false, "compare two -json reports (old.json new.json as positional args) with same-run ratio normalization; exit non-zero on >10% normalized regressions")
+		expID   = flag.String("exp", "", "experiment id (see -list) or \"all\"")
+		list    = flag.Bool("list", false, "list experiment ids and exit")
+		dataset = flag.String("dataset", "NW", "Table III dataset for workload experiments")
+		scale   = flag.Float64("scale", 1.0/16, "dataset scale relative to the paper's node counts")
+		queries = flag.Int("queries", 8, "queries averaged per data point (the paper uses 100)")
+		seed    = flag.Int64("seed", 1, "workload seed")
+		timeout = flag.Duration("timeout", 20*time.Second, "per-(algorithm, tick) budget before DNF")
+		budget  = flag.Int64("phl-budget", 0, "hub-label entry budget (0 = default)")
+		csvDir  = flag.String("csv", "", "also write one CSV per table into this directory")
+		chart   = flag.Bool("chart", false, "render ASCII charts after each table")
 	)
 	flag.Parse()
-	if *compare {
-		if flag.NArg() != 2 {
-			fmt.Fprintln(os.Stderr, "fannr-bench: -compare needs exactly two positional args: old.json new.json")
-			os.Exit(2)
-		}
-		if err := compareBenchReports(flag.Arg(0), flag.Arg(1)); err != nil {
-			fmt.Fprintf(os.Stderr, "fannr-bench: -compare: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
 	if *list {
 		for _, id := range fannr.ExperimentIDs() {
 			fmt.Println(id)
 		}
 		return
+	}
+	if *expID == "" {
+		fmt.Fprintln(os.Stderr, "fannr-bench: -exp required (or -list)")
+		os.Exit(2)
 	}
 	cfg := fannr.ExpConfig{
 		Dataset:   *dataset,
@@ -66,52 +50,6 @@ func main() {
 		Seed:      *seed,
 		Timeout:   *timeout,
 		PHLBudget: *budget,
-	}
-	if *jsonOut != "" {
-		if err := writeBenchJSON(*jsonOut, cfg); err != nil {
-			fmt.Fprintf(os.Stderr, "fannr-bench: -json: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *cacheOut != "" {
-		if err := writeCacheBench(*cacheOut, cfg); err != nil {
-			fmt.Fprintf(os.Stderr, "fannr-bench: -cache: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *hotOut != "" {
-		if err := writeHotpathBench(*hotOut, cfg); err != nil {
-			fmt.Fprintf(os.Stderr, "fannr-bench: -hotpath: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *loadOut != "" {
-		if err := writeLoadBench(*loadOut, cfg); err != nil {
-			fmt.Fprintf(os.Stderr, "fannr-bench: -load: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *shardOut != "" {
-		if err := writeShardBench(*shardOut, cfg); err != nil {
-			fmt.Fprintf(os.Stderr, "fannr-bench: -shards: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *guardIn != "" {
-		if err := guardHotpath(*guardIn, cfg); err != nil {
-			fmt.Fprintf(os.Stderr, "fannr-bench: -guard: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *expID == "" {
-		fmt.Fprintln(os.Stderr, "fannr-bench: -exp required (or -list, -json, -cache, -hotpath, -load, -shards, -guard, -compare)")
-		os.Exit(2)
 	}
 	ids := []string{*expID}
 	if *expID == "all" {
@@ -140,191 +78,6 @@ func main() {
 		}
 		fmt.Printf("[%s completed in %s]\n\n", id, time.Since(start).Round(time.Millisecond))
 	}
-}
-
-// compareBenchReports diffs two -json reports. Latency is judged on
-// same-run normalized ratios (each algorithm's p50 over its run's
-// geometric mean), so host-speed noise between the two runs cancels;
-// deterministic op counts are compared near-absolutely when the
-// workloads match. Exits through an error on >10% normalized regression.
-func compareBenchReports(oldPath, newPath string) error {
-	read := func(path string) (*fannr.BenchReport, error) {
-		raw, err := os.ReadFile(path)
-		if err != nil {
-			return nil, err
-		}
-		var r fannr.BenchReport
-		if err := json.Unmarshal(raw, &r); err != nil {
-			return nil, fmt.Errorf("parsing %s: %w", path, err)
-		}
-		return &r, nil
-	}
-	oldR, err := read(oldPath)
-	if err != nil {
-		return err
-	}
-	newR, err := read(newPath)
-	if err != nil {
-		return err
-	}
-	cmp := fannr.CompareBench(oldR, newR, 0.10)
-	for _, line := range cmp.Lines {
-		fmt.Println(line)
-	}
-	if len(cmp.Violations) > 0 {
-		for _, v := range cmp.Violations {
-			fmt.Fprintf(os.Stderr, "REGRESSION: %s\n", v)
-		}
-		return fmt.Errorf("%d trend violation(s) between %s and %s", len(cmp.Violations), oldPath, newPath)
-	}
-	fmt.Printf("[bench trend clean: %s → %s]\n", oldPath, newPath)
-	return nil
-}
-
-// writeBenchJSON runs the headline benchmark set and writes the report.
-func writeBenchJSON(path string, cfg fannr.ExpConfig) error {
-	start := time.Now()
-	report, err := fannr.RunBenchJSON(cfg)
-	if err != nil {
-		return err
-	}
-	raw, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(path, append(raw, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("[bench report written to %s in %s]\n", path, time.Since(start).Round(time.Millisecond))
-	return nil
-}
-
-// writeCacheBench runs the semantic-cache benchmark and writes the report.
-func writeCacheBench(path string, cfg fannr.ExpConfig) error {
-	start := time.Now()
-	report, err := fannr.RunCacheBench(cfg)
-	if err != nil {
-		return err
-	}
-	raw, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(path, append(raw, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("[cache bench: hit rate %.3f, cold p50 %.1fµs, warm p50 %.2fµs, speedup %.0f×; written to %s in %s]\n",
-		report.HitRate, report.ColdP50Micros, report.WarmHitP50Micros, report.SpeedupP50,
-		path, time.Since(start).Round(time.Millisecond))
-	return nil
-}
-
-// writeHotpathBench runs the hot-path comparison and writes the report.
-func writeHotpathBench(path string, cfg fannr.ExpConfig) error {
-	start := time.Now()
-	report, err := fannr.RunHotpathBench(cfg)
-	if err != nil {
-		return err
-	}
-	raw, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(path, append(raw, '\n'), 0o644); err != nil {
-		return err
-	}
-	for _, eh := range report.Engines {
-		fmt.Printf("[hotpath %s/%s: batched p50 %dµs, per-pair p50 %dµs, %.1f×]\n",
-			eh.Algo, eh.Engine, eh.BatchedP50Micros, eh.PerPairP50Micros, eh.SpeedupP50)
-	}
-	fmt.Printf("[hotpath report written to %s in %s]\n", path, time.Since(start).Round(time.Millisecond))
-	return nil
-}
-
-// writeLoadBench runs the index load (time-to-first-query) benchmark,
-// enforces the same-run mmap-vs-heap ratio floor, and writes the report.
-func writeLoadBench(path string, cfg fannr.ExpConfig) error {
-	start := time.Now()
-	report, err := fannr.RunLoadBench(cfg)
-	if err != nil {
-		return err
-	}
-	raw, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(path, append(raw, '\n'), 0o644); err != nil {
-		return err
-	}
-	for _, il := range report.Indexes {
-		fmt.Printf("[load %s: %.1f MB file, heap TTFQ %dµs, mmap TTFQ %dµs, %.0f×]\n",
-			il.Index, float64(il.FileBytes)/1e6, il.HeapTTFQMicros, il.MmapTTFQMicros, il.Speedup)
-	}
-	fmt.Printf("[load report written to %s in %s]\n", path, time.Since(start).Round(time.Millisecond))
-	if violations := fannr.GuardLoad(report, 10); len(violations) > 0 {
-		for _, v := range violations {
-			fmt.Fprintf(os.Stderr, "REGRESSION: %s\n", v)
-		}
-		return fmt.Errorf("%d load-path violation(s)", len(violations))
-	}
-	return nil
-}
-
-// writeShardBench runs the sharded-serving benchmark, enforces the
-// pruning invariant (mean shards contacted < S on the clustered
-// workload), and writes the report.
-func writeShardBench(path string, cfg fannr.ExpConfig) error {
-	start := time.Now()
-	report, err := fannr.RunShardBench(cfg)
-	if err != nil {
-		return err
-	}
-	raw, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(path, append(raw, '\n'), 0o644); err != nil {
-		return err
-	}
-	for _, bc := range report.Configs {
-		fmt.Printf("[shards S=%d: coord p50 %dµs vs direct %dµs (%.2f× overhead), contacted %.2f pruned %.2f of %.2f candidate shards/query]\n",
-			bc.Shards, bc.CoordP50Micros, bc.DirectP50Micros, bc.CoordOverhead,
-			bc.MeanContacted, bc.MeanPruned, bc.CandidateShards)
-	}
-	fmt.Printf("[shard report written to %s in %s]\n", path, time.Since(start).Round(time.Millisecond))
-	if violations := fannr.GuardShard(report); len(violations) > 0 {
-		for _, v := range violations {
-			fmt.Fprintf(os.Stderr, "REGRESSION: %s\n", v)
-		}
-		return fmt.Errorf("%d shard-pruning violation(s)", len(violations))
-	}
-	return nil
-}
-
-// guardHotpath reruns the hot-path benchmark and fails when any IER
-// engine regresses >10% against the baseline report on both guarded
-// signals (batched cold p50 and same-run speedup; see fannr.GuardHotpath).
-func guardHotpath(baselinePath string, cfg fannr.ExpConfig) error {
-	raw, err := os.ReadFile(baselinePath)
-	if err != nil {
-		return err
-	}
-	var baseline fannr.HotpathReport
-	if err := json.Unmarshal(raw, &baseline); err != nil {
-		return fmt.Errorf("parsing baseline %s: %w", baselinePath, err)
-	}
-	current, err := fannr.RunHotpathBench(cfg)
-	if err != nil {
-		return err
-	}
-	if regressions := fannr.GuardHotpath(&baseline, current, 0.10); len(regressions) > 0 {
-		for _, r := range regressions {
-			fmt.Fprintf(os.Stderr, "REGRESSION: %s\n", r)
-		}
-		return fmt.Errorf("%d hot-path regression(s) against %s", len(regressions), baselinePath)
-	}
-	fmt.Printf("[hotpath guard passed against %s]\n", baselinePath)
-	return nil
 }
 
 func writeCSV(dir string, tbl *fannr.ExpTable) error {

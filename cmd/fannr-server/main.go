@@ -34,8 +34,7 @@
 // from a semantic cache: exact repeats skip the engine entirely, and
 // queries sharing the same Q reuse cached per-candidate neighbor lists
 // across φ and k (subsumption). -coalesce (default on) collapses
-// concurrent identical queries onto one computation, and -batch-window
-// groups same-Q queries onto one engine checkout.
+// concurrent identical queries onto one computation.
 // Startup cost: -phl-index and -gtree-index point at files written by
 // fannr-index so the server loads instead of rebuilding. -mmap (default
 // auto) memory-maps v4 index files read-only for near-instant start
@@ -98,8 +97,6 @@ type config struct {
 	cacheEntries     int
 	cacheTTL         time.Duration
 	coalesce         bool
-	batchWindow      time.Duration
-	batchMax         int
 	slowLog          int
 }
 
@@ -126,8 +123,6 @@ func main() {
 	flag.IntVar(&cfg.cacheEntries, "cache-entries", 4096, "semantic query-cache capacity in entries (0 = disabled)")
 	flag.DurationVar(&cfg.cacheTTL, "cache-ttl", 0, "query-cache entry time-to-live (0 = no expiry; indexes are immutable in-process)")
 	flag.BoolVar(&cfg.coalesce, "coalesce", true, "collapse concurrent identical /fann queries onto one computation")
-	flag.DurationVar(&cfg.batchWindow, "batch-window", 0, "hold /fann queries up to this long to batch same-Q queries onto one engine checkout (0 = disabled)")
-	flag.IntVar(&cfg.batchMax, "batch-max", 32, "max queries per batch before an early flush")
 	flag.IntVar(&cfg.slowLog, "slow-log", 64, "traces retained at /debug/slow: the N slowest requests plus the N most recent errored/degraded ones")
 	flag.Parse()
 	if err := run(cfg); err != nil {
@@ -269,8 +264,6 @@ func run(cfg config) error {
 		CacheEntries:     cfg.cacheEntries,
 		CacheTTL:         cfg.cacheTTL,
 		Coalesce:         cfg.coalesce,
-		BatchWindow:      cfg.batchWindow,
-		BatchMax:         cfg.batchMax,
 		SlowLogEntries:   cfg.slowLog,
 	}
 	if cfg.logRequests {

@@ -362,29 +362,6 @@ type (
 	ExpConfig = exp.Config
 	// ExpTable is a rendered experiment result.
 	ExpTable = exp.Table
-	// BenchReport is the machine-readable trajectory fannr-bench -json
-	// emits: per-algorithm latency quantiles plus operation counts.
-	BenchReport = exp.BenchReport
-	// CacheBenchReport is the semantic-cache benchmark report fannr-bench
-	// -cache emits: hit rate plus cold/warm/latency-saved quantiles under
-	// a Zipf-repeat workload.
-	CacheBenchReport = exp.CacheBenchReport
-	// HotpathReport is the zero-alloc hot-path benchmark fannr-bench
-	// -hotpath emits: batched vs per-pair distance-lookup latency per
-	// engine, plus the headline algorithm table.
-	HotpathReport = exp.HotpathReport
-	// LoadReport is the index time-to-first-query benchmark fannr-bench
-	// -load emits: heap vs zero-copy mmap load latency per index, as a
-	// same-run ratio.
-	LoadReport = exp.LoadReport
-	// ShardBenchReport is the scatter-gather serving benchmark fannr-bench
-	// -shards emits: coordinator overhead (coordinated / direct wall time,
-	// same run) and shard fan-out counts per shard count.
-	ShardBenchReport = exp.ShardBenchReport
-	// BenchComparison is the trend diff of two -json bench reports
-	// (fannr-bench -compare): per-algorithm lines plus CI-failing
-	// violations.
-	BenchComparison = exp.BenchComparison
 )
 
 // RunExperiment regenerates one of the paper's figures or tables by id
@@ -393,62 +370,3 @@ func RunExperiment(id string, cfg ExpConfig) ([]*ExpTable, error) { return exp.R
 
 // ExperimentIDs lists the available experiment ids.
 func ExperimentIDs() []string { return exp.ExperimentIDs() }
-
-// RunBenchJSON measures the headline algorithm set over default-parameter
-// workloads and returns the structured report (fannr-bench -json).
-func RunBenchJSON(cfg ExpConfig) (*BenchReport, error) { return exp.RunBenchJSON(cfg) }
-
-// RunCacheBench measures the semantic query cache under a Zipf-repeat
-// workload and returns the structured report (fannr-bench -cache).
-func RunCacheBench(cfg ExpConfig) (*CacheBenchReport, error) { return exp.RunCacheBench(cfg) }
-
-// RunHotpathBench measures batched one-to-many distance lookups against
-// the per-pair baseline for every batching engine and returns the
-// structured report (fannr-bench -hotpath).
-func RunHotpathBench(cfg ExpConfig) (*HotpathReport, error) { return exp.RunHotpathBench(cfg) }
-
-// GuardHotpath compares a fresh hot-path run against a checked-in
-// baseline report, returning a description of every IER engine whose
-// batched cold p50 regressed beyond tolerance (fractional; 0.10 = 10%)
-// while its same-run batched-vs-per-pair speedup also fell beyond
-// tolerance — the second signal cancels machine-speed noise between
-// runs, so only genuine batching regressions fire.
-func GuardHotpath(baseline, current *HotpathReport, tolerance float64) []string {
-	return exp.GuardHotpath(baseline, current, tolerance)
-}
-
-// RunLoadBench measures time-to-first-query for the heap and zero-copy
-// mmap index load paths over the same persisted v4 files and returns the
-// structured report (fannr-bench -load). The headline per-index number
-// is the same-run heap/mmap ratio.
-func RunLoadBench(cfg ExpConfig) (*LoadReport, error) { return exp.RunLoadBench(cfg) }
-
-// GuardLoad checks a load report's same-run invariant: every index must
-// open at least minSpeedup× faster mmapped than heap-deserialized.
-func GuardLoad(report *LoadReport, minSpeedup float64) []string {
-	return exp.GuardLoad(report, minSpeedup)
-}
-
-// RunShardBench measures the sharded scatter-gather serving path against
-// the direct single-process engine, same workload same run, at each of
-// counts (default 1, 2, 4) — coordinator overhead as a same-run ratio
-// plus mean shards contacted/pruned per query (fannr-bench -shards).
-func RunShardBench(cfg ExpConfig, counts ...int) (*ShardBenchReport, error) {
-	return exp.RunShardBench(cfg, counts...)
-}
-
-// GuardShard checks a shard report's pruning invariant: at every shard
-// count above one, mean shards contacted must be strictly below the
-// count — the per-shard g_φ bound demonstrably pruning.
-func GuardShard(report *ShardBenchReport) []string {
-	return exp.GuardShard(report)
-}
-
-// CompareBench diffs two fannr-bench -json reports with same-run ratio
-// normalization (each algorithm's p50 relative to its own run's
-// geometric mean), so uniform host-speed noise cancels and only
-// shape changes — one algorithm slowing relative to its peers, or op
-// counts growing on an identical workload — count as regressions.
-func CompareBench(old, current *BenchReport, tolerance float64) BenchComparison {
-	return exp.CompareBench(old, current, tolerance)
-}

@@ -300,77 +300,3 @@ func TestGTreeLeafFor(t *testing.T) {
 		}
 	}
 }
-
-// TestRunBenchJSON pins the -json report contract: every headline
-// algorithm appears with sane quantiles (sorted, positive) and op counts
-// consistent with the algorithms' structure — GD evaluates all of P per
-// query, Exact-max exactly once per query.
-// TestRunCacheBench pins the -cache report contract on a tiny dataset:
-// every request after the cold pass hits, the list layer records
-// subsumption fills for the lower-φ ladder rungs, and the exact-hit path
-// is at least an order of magnitude faster than the cold computes (the
-// PR's acceptance bar, measured here at a scale where cold queries are
-// cheapest and the bar hardest to clear).
-func TestRunCacheBench(t *testing.T) {
-	cfg := tinyConfig()
-	cfg.Queries = 3
-	report, err := RunCacheBench(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if report.Dataset != "DE" || report.Distinct != cfg.Queries*len(cacheBenchPhis) {
-		t.Fatalf("report header %+v", report)
-	}
-	if report.HitRate != 1 || report.HitsExact != int64(report.Requests) {
-		t.Fatalf("hit accounting: rate %v, exact %d of %d", report.HitRate, report.HitsExact, report.Requests)
-	}
-	if report.HitsSubsume == 0 {
-		t.Fatal("lower-φ cold fills recorded no subsumption hits")
-	}
-	if report.ColdP50Micros <= 0 || report.WarmHitP50Micros <= 0 {
-		t.Fatalf("degenerate quantiles: cold %v, warm %v", report.ColdP50Micros, report.WarmHitP50Micros)
-	}
-	if report.SpeedupP50 < 10 {
-		t.Fatalf("speedup p50 = %v, want ≥ 10×", report.SpeedupP50)
-	}
-}
-
-func TestRunBenchJSON(t *testing.T) {
-	cfg := tinyConfig()
-	cfg.Queries = 3
-	report, err := RunBenchJSON(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if report.Queries != cfg.Queries || report.Dataset != "DE" {
-		t.Fatalf("report header %+v", report)
-	}
-	want := map[string]bool{"GD": false, "R-List": false, "IER-kNN": false, "Exact-max": false, "APX-sum": false}
-	for _, a := range report.Algos {
-		if _, ok := want[a.Name]; !ok {
-			t.Fatalf("unexpected algorithm %q", a.Name)
-		}
-		want[a.Name] = true
-		if a.MeanMicros <= 0 || a.P50Micros > a.P90Micros || a.P90Micros > a.P99Micros || a.P99Micros > a.MaxMicros {
-			t.Fatalf("%s: unsorted quantiles %+v", a.Name, a)
-		}
-		if a.Ops.GPhiEvals <= 0 || a.Ops.GPhiSubsets != int64(cfg.Queries) {
-			t.Fatalf("%s: op counts %+v, want evals > 0 and one subset per query", a.Name, a.Ops)
-		}
-		switch a.Name {
-		case "Exact-max":
-			if a.Ops.GPhiEvals != int64(cfg.Queries) {
-				t.Fatalf("Exact-max evals %d, want one per query (%d)", a.Ops.GPhiEvals, cfg.Queries)
-			}
-		case "R-List":
-			if a.Ops.Settled == 0 {
-				t.Fatalf("%s reported no settles", a.Name)
-			}
-		}
-	}
-	for name, seen := range want {
-		if !seen {
-			t.Fatalf("algorithm %q missing from report", name)
-		}
-	}
-}

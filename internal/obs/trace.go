@@ -9,7 +9,7 @@ import (
 )
 
 // Attr is one typed key/value annotation on a span (engine@generation,
-// cache outcome, coalesce role, batch flush size, ...).
+// cache outcome, coalesce role, ...).
 type Attr struct {
 	Key   string
 	Value any
@@ -43,9 +43,7 @@ type Span struct {
 // Trace records the stages of one request as a tree of spans so
 // structured logs, the EXPLAIN report and the slow-query log can
 // attribute latency and op counts instead of reporting one opaque wall
-// time. A Trace belongs to a single goroutine (batch execution hands
-// the whole trace to the flush goroutine and takes it back over a
-// channel, so the single-owner rule holds there too).
+// time. A Trace belongs to a single goroutine.
 type Trace struct {
 	ID   string
 	root *Span

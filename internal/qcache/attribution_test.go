@@ -5,8 +5,6 @@ import (
 	"sync"
 	"testing"
 	"time"
-
-	"fannr/internal/core"
 )
 
 // TestFlightFollowerLearnsLeaderID pins the attribution fix: a coalesced
@@ -53,39 +51,3 @@ func TestFlightFollowerLearnsLeaderID(t *testing.T) {
 		t.Fatalf("follower learned leader id %q, want leader-1", followerLeader)
 	}
 }
-
-// TestBatcherMembersLearnLeaderAndSize pins batch attribution: every
-// member of a flush learns the opener's request id and the flush size.
-func TestBatcherMembersLearnLeaderAndSize(t *testing.T) {
-	b := NewBatcher(20*time.Millisecond, 8, func(string) EngineSource { return &fakeSource{} }, nil)
-	const n = 3
-	infos := make([]BatchInfo, n)
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			// Stagger submissions so member 0 deterministically opens the
-			// window (the window is far longer than the stagger).
-			time.Sleep(time.Duration(i) * 2 * time.Millisecond)
-			var err error
-			_, infos[i], err = b.Do(context.Background(), bkey("E", 1), ids[i], func(core.GPhi) ([]core.Answer, error) {
-				return []core.Answer{{P: 1}}, nil
-			})
-			if err != nil {
-				t.Errorf("member %d: %v", i, err)
-			}
-		}(i)
-	}
-	wg.Wait()
-	for i, info := range infos {
-		if info.Size != n {
-			t.Errorf("member %d saw flush size %d, want %d", i, info.Size, n)
-		}
-		if info.Leader != ids[0] {
-			t.Errorf("member %d saw leader %q, want %q", i, info.Leader, ids[0])
-		}
-	}
-}
-
-var ids = []string{"req-a", "req-b", "req-c"}

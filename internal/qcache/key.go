@@ -2,9 +2,8 @@
 // cache over FANN answers, a per-candidate neighbor-list cache that
 // exploits the paper's "Revisitation of g_φ" (every flexible aggregate
 // is a fold over the k nearest members of Q, so one cached sorted list
-// answers every φ' ≤ φ), in-flight coalescing of identical concurrent
-// queries, and a small-window batch executor that amortizes engine
-// checkouts across queries sharing a query-point set. Stdlib only.
+// answers every φ' ≤ φ), and in-flight coalescing of identical
+// concurrent queries. Stdlib only.
 package qcache
 
 import (
@@ -75,14 +74,6 @@ type ResultKey struct {
 	Phi    float64
 	K      int
 	P, Q   Fingerprint
-}
-
-// BatchKey groups queries that share an engine and a query-point set —
-// the unit over which one engine checkout (one Reset(Q)) can serve many
-// evaluations.
-type BatchKey struct {
-	Engine string
-	Q      Fingerprint
 }
 
 // entryKind discriminates the two value shapes sharing the LRU.

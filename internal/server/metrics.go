@@ -44,7 +44,6 @@ const (
 	mCacheEntries   = "fannr_cache_entries"
 	mCacheBytes     = "fannr_cache_bytes"
 	mCoalesced      = "fannr_coalesced_total"
-	mBatchSize      = "fannr_batch_size"
 	mIndexBytes     = "fannr_index_bytes"
 	// Lifecycle series (reloadable indexes only): memory faults contained
 	// on an index's mapping, reload attempts by outcome, the serving
@@ -54,11 +53,6 @@ const (
 	mIndexGeneration  = "fannr_index_generation"
 	mIndexQuarantined = "fannr_index_quarantined"
 )
-
-// batchSizeBuckets bound the fannr_batch_size histogram: batch sizes are
-// small integers, so the buckets are powers of two up to the default
-// BatchMax.
-var batchSizeBuckets = []float64{1, 2, 4, 8, 16, 32}
 
 // engineMetrics is the per-engine handle set, prefetched once at freeze
 // time so the request path records op counts with plain atomic adds — no
@@ -94,7 +88,6 @@ type serverMetrics struct {
 	engines        map[string]*engineMetrics
 	requestSeconds map[string]*obs.Histogram // by route label
 	coalesced      *obs.Counter              // nil when coalescing is off
-	batchSize      *obs.Histogram            // nil when batching is off
 	// indexFaults is incremented by noteIndexFault for every contained
 	// memory fault, keyed by index name (reloadable indexes only).
 	indexFaults map[string]*obs.Counter
@@ -311,10 +304,6 @@ func newServerMetrics(s *Server, reg *obs.Registry) *serverMetrics {
 	if s.flight != nil {
 		m.coalesced = reg.Counter(mCoalesced,
 			"Requests answered by another in-flight identical query's computation.")
-	}
-	if s.batcher != nil {
-		m.batchSize = reg.Histogram(mBatchSize,
-			"Queries evaluated per batch-executor flush.", batchSizeBuckets)
 	}
 	return m
 }

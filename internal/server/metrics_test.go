@@ -127,7 +127,7 @@ func TestMetaSchemaAndRegistryAgreement(t *testing.T) {
 	if !ok {
 		t.Fatalf("/meta cache is %T, want object", meta["cache"])
 	}
-	for _, key := range []string{"enabled", "coalescing", "batching"} {
+	for _, key := range []string{"enabled", "coalescing"} {
 		if on, ok := cache[key].(bool); !ok || on {
 			t.Fatalf("/meta cache.%s = %v (ok=%v), want false", key, cache[key], ok)
 		}

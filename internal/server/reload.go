@@ -12,7 +12,6 @@ import (
 	"fannr/internal/binio"
 	"fannr/internal/core"
 	"fannr/internal/lifecycle"
-	"fannr/internal/qcache"
 	"fannr/internal/resil"
 )
 
@@ -327,62 +326,6 @@ func (s *Server) checkout(name string) (*core.EnginePool, *lifecycle.Pin, error)
 		return nil, nil, err
 	}
 	return pin.Value().(*snapshotSet).pools[name], pin, nil
-}
-
-// batchSource resolves the qcache batch executor's engine source: static
-// pools directly, reloadable engines through a per-flush pinning adapter.
-func (s *Server) batchSource(name string) qcache.EngineSource {
-	if pool, ok := s.pools[name]; ok {
-		return pool
-	}
-	return &pinnedSource{s: s, engine: name}
-}
-
-// pinnedSource adapts a reloadable engine to qcache.EngineSource: each
-// Acquire pins the live generation and checks an engine out of that
-// generation's pool; Release/Discard return the engine and drop the pin.
-// The batch executor uses one source per flush on one goroutine, so the
-// pin/pool pair needs no locking. Acquire runs under the fault guard —
-// an engine factory faulting on a rotted mapping quarantines the index
-// and fails the batch instead of killing the flush goroutine.
-type pinnedSource struct {
-	s      *Server
-	engine string
-	pin    *lifecycle.Pin
-	pool   *core.EnginePool
-}
-
-func (ps *pinnedSource) Acquire(ctx context.Context) (gp core.GPhi, err error) {
-	defer ps.s.ranges.Guard(ps.s.noteIndexFault)(&err)
-	pool, pin, err := ps.s.checkout(ps.engine)
-	if err != nil {
-		return nil, err
-	}
-	gp, err = pool.Acquire(ctx)
-	if err != nil {
-		if pin != nil {
-			pin.Release()
-		}
-		return nil, err
-	}
-	ps.pin, ps.pool = pin, pool
-	return gp, nil
-}
-
-func (ps *pinnedSource) Release(gp core.GPhi) {
-	ps.pool.Release(gp)
-	if ps.pin != nil {
-		ps.pin.Release()
-	}
-	ps.pin, ps.pool = nil, nil
-}
-
-func (ps *pinnedSource) Discard() {
-	ps.pool.Discard()
-	if ps.pin != nil {
-		ps.pin.Release()
-	}
-	ps.pin, ps.pool = nil, nil
 }
 
 // noteIndexFault is the Guard callback: quarantine the faulting index

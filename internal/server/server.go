@@ -114,14 +114,6 @@ type Options struct {
 	// (cancellation, shed) are never shared — a waiting follower is
 	// promoted and recomputes.
 	Coalesce bool
-	// BatchWindow groups /fann queries that share an engine and a query
-	// point set arriving within the window onto one engine checkout,
-	// evaluated in one pass (0 disables batching). The first query of a
-	// group pays the window as added latency.
-	BatchWindow time.Duration
-	// BatchMax flushes a batch early once it holds this many queries
-	// (0 = 32).
-	BatchMax int
 	// SlowLogEntries sizes the always-on slow-query log served at
 	// /debug/slow: the N slowest requests plus the N most recent
 	// erroring/degraded requests are retained with their full traces
@@ -166,12 +158,11 @@ type Server struct {
 	reg     *obs.Registry
 	logger  *slog.Logger
 	pprof   bool
-	// qc/flight/batcher are the acceleration layers, each independently
-	// optional (nil = off). All three are keyed by canonical query
-	// fingerprints, so permuted-but-equal P/Q share entries and flights.
-	qc      *qcache.Cache
-	flight  *qcache.Flight
-	batcher *qcache.Batcher
+	// qc/flight are the acceleration layers, each independently optional
+	// (nil = off). Both are keyed by canonical query fingerprints, so
+	// permuted-but-equal P/Q share entries and flights.
+	qc     *qcache.Cache
+	flight *qcache.Flight
 	// indexSizes records the size of each preprocessing index for the
 	// fannr_index_bytes gauge and /meta, split into heap-resident bytes
 	// and mmap-backed bytes (zero for heap-loaded or built indexes) so
@@ -259,15 +250,6 @@ func New(g *graph.Graph, opts Options) (*Server, error) {
 		s.flight = qcache.NewFlight(func(err error) bool {
 			return errors.Is(err, core.ErrInvalid) || errors.Is(err, core.ErrNoResult)
 		})
-	}
-	if opts.BatchWindow > 0 {
-		s.batcher = qcache.NewBatcher(opts.BatchWindow, opts.BatchMax,
-			s.batchSource,
-			func(n int) {
-				if m := s.metrics; m != nil && m.batchSize != nil {
-					m.batchSize.Observe(float64(n))
-				}
-			})
 	}
 	reg := func(name string, factory core.EngineFactory) {
 		s.pools[name] = core.NewBoundedEnginePool(name, s.poolCapacity(), s.limits, factory)
@@ -659,7 +641,6 @@ func (s *Server) handleMeta(w http.ResponseWriter, _ *http.Request) {
 	cache := map[string]any{
 		"enabled":    s.qc != nil,
 		"coalescing": s.flight != nil,
-		"batching":   s.batcher != nil,
 	}
 	if cm := s.qc.Metrics(); s.qc != nil {
 		cache["entries"] = cm.Entries
@@ -773,8 +754,7 @@ func (s *Server) handleFANN(w http.ResponseWriter, r *http.Request) {
 	outcome := "ok"
 	served, degraded := "", false
 	cacheKind := "" // "exact" | "coalesced" | "" (computed or cache off)
-	leaderID := ""  // coalesce/batch leader this request's answer came from
-	batchSize := 0  // members in this request's flush (0 = not batched)
+	leaderID := ""  // coalesce leader this request's answer came from
 	var req FANNRequest
 	var q core.Query
 	defer func() {
@@ -794,7 +774,6 @@ func (s *Server) handleFANN(w http.ResponseWriter, r *http.Request) {
 			slog.Duration("decode", tr.Dur("decode")),
 			slog.Duration("cache_lookup", tr.Dur("cache")),
 			slog.Duration("coalesce", tr.Dur("coalesce")),
-			slog.Duration("batch", tr.Dur("batch")),
 			slog.Duration("admit", tr.Dur("admit")),
 			slog.Duration("pin", tr.Dur("pin")),
 			slog.Duration("compute", tr.Dur("compute")),
@@ -803,7 +782,6 @@ func (s *Server) handleFANN(w http.ResponseWriter, r *http.Request) {
 			slog.Int64("heap_pops", stats.HeapPops),
 			slog.String("cache", cacheKind),
 			slog.String("leader", leaderID),
-			slog.Int("batch_size", batchSize),
 			slog.Int64("cache_hits", stats.CacheHits),
 			slog.Int64("cache_misses", stats.CacheMisses),
 		)
@@ -921,11 +899,11 @@ func (s *Server) handleFANN(w http.ResponseWriter, r *http.Request) {
 	}()
 
 	// Acceleration layers: canonical fingerprints make permuted-but-equal
-	// P/Q share cache entries, flights and batches. Half-open probes
+	// P/Q share cache entries and flights. Half-open probes
 	// bypass every layer — a probe exists to exercise the engine, and a
 	// cache hit or shared flight would "prove" recovery without touching
 	// it (the deferred guard above fails an unreported probe).
-	accel := (s.qc != nil || s.flight != nil || s.batcher != nil) && !probe
+	accel := (s.qc != nil || s.flight != nil) && !probe
 	var rkey qcache.ResultKey
 	if accel {
 		algo := req.Algo
@@ -980,9 +958,7 @@ func (s *Server) handleFANN(w http.ResponseWriter, r *http.Request) {
 	// runQuery performs one real engine checkout and evaluation: bounded
 	// admission, stats binding, dispatch through the cache wrapper, and
 	// result-cache fill. It runs on this goroutine — directly, or as a
-	// flight leader on behalf of coalesced followers. When batching is on
-	// the checkout is delegated to the batch executor, which amortizes
-	// one admission across every query sharing (engine, Q) in the window.
+	// flight leader on behalf of coalesced followers.
 	runQuery := func() (answers []core.Answer, err error) {
 		// Arm fault containment first (LIFO: its recover runs last, after
 		// engine cleanup and pin release). Everything below may touch a
@@ -990,51 +966,6 @@ func (s *Server) handleFANN(w http.ResponseWriter, r *http.Request) {
 		// dispatch itself — and a SIGBUS on a rotted page must become a
 		// classified error plus a quarantine, not a dead process.
 		defer s.ranges.Guard(s.noteIndexFault)(&err)
-
-		if s.batcher != nil && accel {
-			endCompute := tr.Start("compute")
-			// The batch span covers queue wait plus execution; the task
-			// closure runs on the flush goroutine while this goroutine is
-			// parked in Do, so the algorithm spans it opens nest here (the
-			// trace crosses over and back through the result channel).
-			batchSp := tr.StartSpan("batch")
-			computeStart := time.Now()
-			var binfo qcache.BatchInfo
-			answers, binfo, err = s.batcher.Do(ctx, qcache.BatchKey{Engine: served, Q: rkey.Q}, tr.ID, func(gp core.GPhi) (banswers []core.Answer, berr error) {
-				// Tasks run on the flush goroutine, whose panic-on-fault
-				// state is independent of ours: arm its guard separately.
-				defer s.ranges.Guard(s.noteIndexFault)(&berr)
-				stop := q.BindContext(ctx)
-				defer stop()
-				eng := s.qc.Wrap(gp) // nil-safe: gp unchanged when caching is off
-				core.BindStats(eng, stats)
-				core.BindCancel(eng, ctx.Done())
-				defer func() {
-					core.BindStats(gp, nil)
-					core.BindCancel(gp, nil)
-				}()
-				return s.dispatch(req.Algo, eng, q, req.K)
-			})
-			leaderID, batchSize = binfo.Leader, binfo.Size
-			if binfo.Size > 0 {
-				batchSp.SetAttr("leader", binfo.Leader)
-				batchSp.SetAttr("size", binfo.Size)
-				role := "follower"
-				if binfo.Leader == tr.ID {
-					role = "leader"
-				}
-				batchSp.SetAttr("role", role)
-			}
-			batchSp.End()
-			endCompute()
-			computeMicros = time.Since(computeStart).Microseconds()
-			em.compute.ObserveEx(time.Since(computeStart).Seconds(), tr.ID)
-			em.flush(stats)
-			if err == nil {
-				s.qc.PutResult(rkey, answers)
-			}
-			return answers, err
-		}
 
 		// Bounded admission: wait in the pool's queue up to the deadline;
 		// saturation beyond the queue sheds with 503 + Retry-After. For a
@@ -1102,7 +1033,7 @@ func (s *Server) handleFANN(w http.ResponseWriter, r *http.Request) {
 			pool.Discard()
 			report(false)
 		}()
-		answers, err = s.dispatch(req.Algo, eng, q, req.K)
+		answers, err = core.Dispatch(s.g, req.Algo, eng, q, req.K)
 		completed = true
 		endCompute()
 		elapsed := time.Since(computeStart)
@@ -1275,12 +1206,6 @@ func decodeErr(err error) error {
 		return fmt.Errorf("decoding request: %w", err)
 	}
 	return fmt.Errorf("%w: decoding request: %s", core.ErrInvalid, err)
-}
-
-// dispatch delegates to the shared core.Dispatch router (also used by
-// the shard hosts), keeping the wire algorithm names bound in one place.
-func (s *Server) dispatch(algo string, gp core.GPhi, q core.Query, k int) ([]core.Answer, error) {
-	return core.Dispatch(s.g, algo, gp, q, k)
 }
 
 // DistRequest is the /dist request body.

@@ -42,8 +42,11 @@ func Classify(err error, retryAfter int) *Error {
 		return se // already classified by a lower layer
 	}
 	status, code := http.StatusInternalServerError, "internal"
+	var tooBig *http.MaxBytesError
 	var ifault *lifecycle.IndexFault
 	switch {
+	case errors.As(err, &tooBig):
+		status, code = http.StatusRequestEntityTooLarge, "too_large"
 	case errors.As(err, &ifault):
 		status, code = http.StatusServiceUnavailable, "index_fault"
 	case errors.Is(err, lifecycle.ErrUnavailable):

@@ -2,7 +2,6 @@ package shard
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -214,22 +213,22 @@ func (h *Host) Handler() http.Handler {
 func (h *Host) handleFANN(w http.ResponseWriter, r *http.Request) {
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxFramePayload+frameHeader+frameTrailer))
 	if err != nil {
-		h.fail(w, Classify(fmt.Errorf("%w: reading frame: %s", ErrCodec, err), 0))
+		failHTTP(w, Classify(fmt.Errorf("%w: reading frame: %w", ErrCodec, err), 0))
 		return
 	}
 	req, err := DecodeRequest(body)
 	if err != nil {
-		h.fail(w, Classify(err, 0))
+		failHTTP(w, Classify(err, 0))
 		return
 	}
 	resp, err := h.Execute(r.Context(), req)
 	if err != nil {
-		h.fail(w, Classify(err, h.retryAfterSecs()))
+		failHTTP(w, Classify(err, h.retryAfterSecs()))
 		return
 	}
 	frame, err := EncodeResponse(resp)
 	if err != nil {
-		h.fail(w, Classify(err, 0))
+		failHTTP(w, Classify(err, 0))
 		return
 	}
 	w.Header().Set("Content-Type", "application/octet-stream")
@@ -241,28 +240,12 @@ func (h *Host) handleFANN(w http.ResponseWriter, r *http.Request) {
 func (h *Host) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	if h.opts.Check != nil {
 		if err := h.opts.Check(); err != nil {
-			h.fail(w, Classify(err, h.retryAfterSecs()))
+			failHTTP(w, Classify(err, h.retryAfterSecs()))
 			return
 		}
 	}
 	w.Header().Set("Content-Type", "application/json")
 	fmt.Fprintf(w, "{\"status\":\"ok\",\"shard\":%d,\"engines\":%d}\n", h.ID, len(h.pools))
-}
-
-// fail writes a classified error with the taxonomy body and headers.
-func (h *Host) fail(w http.ResponseWriter, se *Error) {
-	if se.RetryAfter > 0 {
-		w.Header().Set("Retry-After", strconv.Itoa(se.RetryAfter))
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(se.Status)
-	fmt.Fprintf(w, "{\"error\":%s,\"code\":%s}\n", jsonString(se.Msg), jsonString(se.Code))
-}
-
-// jsonString quotes s as a JSON string.
-func jsonString(s string) string {
-	b, _ := json.Marshal(s)
-	return string(b)
 }
 
 // sortAnswers keeps merged answer lists ordered by distance then node id

@@ -8,6 +8,7 @@ import (
 	"strconv"
 	"time"
 
+	"fannr/internal/core"
 	"fannr/internal/graph"
 	"fannr/internal/obs"
 	"fannr/internal/resil"
@@ -103,7 +104,7 @@ func (c *Coordinator) handleFANN(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	var req FANNRequest
 	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxFramePayload)).Decode(&req); err != nil {
-		failHTTP(w, &Error{Status: http.StatusBadRequest, Code: "invalid", Msg: fmt.Sprintf("decoding request: %v", err)})
+		failHTTP(w, Classify(fmt.Errorf("%w: decoding request: %w", core.ErrInvalid, err), 0))
 		return
 	}
 	explain := r.URL.Query().Get("explain") == "1" || r.Header.Get("X-Fannr-Explain") != ""

@@ -19,8 +19,13 @@ import (
 // status, the Retry-After header, and the decoded error shape.
 func postCoord(t *testing.T, h http.Handler, body string) (int, string, ErrorResponse) {
 	t.Helper()
+	return postErr(t, h, "/fann", []byte(body))
+}
+
+func postErr(t *testing.T, h http.Handler, path string, body []byte) (int, string, ErrorResponse) {
+	t.Helper()
 	rr := httptest.NewRecorder()
-	req := httptest.NewRequest("POST", "/fann", bytes.NewReader([]byte(body)))
+	req := httptest.NewRequest("POST", path, bytes.NewReader(body))
 	h.ServeHTTP(rr, req)
 	var e ErrorResponse
 	_ = json.NewDecoder(rr.Body).Decode(&e)
@@ -66,12 +71,18 @@ func TestCoordinatorErrorTaxonomy(t *testing.T) {
 	}
 	h := coord.Handler()
 
+	// A well-formed query padded to one byte over the body limit: only
+	// its size is wrong.
+	const head = `{"p":[0,2],"q":[1,2],"phi":1,"pad":"`
+	oversized := head + strings.Repeat("x", maxFramePayload+1-len(head)-2) + `"}`
+
 	cases := []struct {
 		name   string
 		body   string
 		status int
 		code   string
 	}{
+		{"body over 16 MiB", oversized, http.StatusRequestEntityTooLarge, "too_large"},
 		{"malformed json", `{"p":[1,2`, http.StatusBadRequest, "invalid"},
 		{"wrong field type", `{"p":"not-a-list"}`, http.StatusBadRequest, "invalid"},
 		{"empty P", `{"p":[],"q":[0,1],"phi":0.5}`, http.StatusBadRequest, "invalid"},
@@ -110,6 +121,49 @@ func TestCoordinatorErrorTaxonomy(t *testing.T) {
 	}
 	if !strings.Contains(rr.Body.String(), `"answers":[`) {
 		t.Fatalf("answers not a list: %s", rr.Body.String())
+	}
+}
+
+// TestHostHandlerErrorTaxonomy is the framed-request counterpart: a shard
+// host reached directly answers a bad frame with the same {status, code}
+// body the coordinator and the single-process server would.
+func TestHostHandlerErrorTaxonomy(t *testing.T) {
+	g, _ := testGraph(t, 260, 21)
+	host := NewHost(0, g, HostOptions{})
+	if err := host.AddEngine("INE", func() core.GPhi { return core.NewINE(g) }); err != nil {
+		t.Fatal(err)
+	}
+	frame := func(req *Request) []byte {
+		b, err := EncodeRequest(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	valid := frame(&Request{P: []graph.NodeID{1, 2}, Q: []graph.NodeID{5}, Phi: 1})
+	cases := []struct {
+		name   string
+		body   []byte
+		status int
+		code   string
+	}{
+		{"frame over 16 MiB", make([]byte, maxFramePayload+frameHeader+frameTrailer+1), http.StatusRequestEntityTooLarge, "too_large"},
+		{"torn frame", valid[:len(valid)-3], http.StatusBadRequest, "invalid"},
+		{"unknown engine", frame(&Request{P: []graph.NodeID{1}, Q: []graph.NodeID{5}, Phi: 1, Engine: "warp"}), http.StatusBadRequest, "invalid"},
+	}
+	h := host.Handler()
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			status, _, e := postErr(t, h, "/shard/fann", tc.body)
+			if status != tc.status || e.Code != tc.code || e.Error == "" {
+				t.Fatalf("got %d %q (error %q), want %d %q", status, e.Code, e.Error, tc.status, tc.code)
+			}
+		})
+	}
+	rr := httptest.NewRecorder()
+	h.ServeHTTP(rr, httptest.NewRequest("POST", "/shard/fann", bytes.NewReader(valid)))
+	if rr.Code != http.StatusOK {
+		t.Fatalf("control frame: status %d body %s", rr.Code, rr.Body.String())
 	}
 }
 
