@@ -43,13 +43,18 @@ figures:
 
 ## In-process microbenchmarks bench/ has no rung for: pooled lock-free
 ## request path vs the serialized baseline across core counts, parallel
-## index-construction speedup, and GD with the Stats hook disabled (nil
-## pointer tests only — the DESIGN §11 budget) vs enabled.
+## index-construction speedup, GD with the Stats hook disabled (nil
+## pointer tests only — the DESIGN §11 budget) vs enabled, and the bind of
+## Q kept in view: a PHL / IER-PHL evaluation as a request pays for it,
+## and IER-PHL's whole dispatch over algo_mix's d × M × φ grid against
+## the Euclidean restriction it replaced (evals/op says how few
+## evaluations share one bind; φ = 0.1 is where restriction is not behind).
 microbench:
 	$(GO) test -run - -bench 'ServerThroughput|DistEndpoint' -cpu 1,2,4,8 \
 		-benchtime 1x ./internal/server/
 	$(GO) test -run - -bench BuildWorkers -benchtime 1x ./internal/gtree/ ./internal/ch/
 	$(GO) test -run - -bench 'GDStats' -benchtime 1000x ./internal/core/
+	$(GO) test -run - -bench 'GPhiPHLBound|GPhiIERPHLBound|IERPHLRegimes' -cpu 1 -benchtime 500x .
 
 ## Tier 3 — race detector over the concurrency-bearing packages
 ## (engine pools, HTTP server, parallel index builds, workload draws) plus

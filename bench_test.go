@@ -10,12 +10,15 @@ package fannr
 // count and timeout flags.
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 	"time"
 
 	"fannr/internal/core"
 	"fannr/internal/exp"
+	"fannr/internal/graph"
+	"fannr/internal/phl"
 	"fannr/internal/workload"
 )
 
@@ -316,6 +319,10 @@ func benchGPhiRebind(b *testing.B, engine string, rebind bool) {
 // bind of Q on the first evaluation after each Reset is in the mean.
 func BenchmarkGPhiPHLBound(b *testing.B) { benchGPhiRebind(b, "PHL", true) }
 
+// BenchmarkGPhiIERPHLBound is the same for IER-PHL, which over phl.Index
+// is the same body under the other name.
+func BenchmarkGPhiIERPHLBound(b *testing.B) { benchGPhiRebind(b, "IER-PHL", true) }
+
 func BenchmarkGPhiINE(b *testing.B)      { benchGPhi(b, "INE") }
 func BenchmarkGPhiAStar(b *testing.B)    { benchGPhi(b, "A*") }
 func BenchmarkGPhiPHL(b *testing.B)      { benchGPhi(b, "PHL") }
@@ -323,3 +330,69 @@ func BenchmarkGPhiGTree(b *testing.B)    { benchGPhi(b, "GTree") }
 func BenchmarkGPhiIERAStar(b *testing.B) { benchGPhi(b, "IER-A*") }
 func BenchmarkGPhiIERPHL(b *testing.B)   { benchGPhi(b, "IER-PHL") }
 func BenchmarkGPhiIERGTree(b *testing.B) { benchGPhi(b, "IER-GTree") }
+
+// restrictedPHL is a PHL batcher with its target binding hidden, which
+// keeps NewIERGPhi on the Euclidean-restriction path.
+type restrictedPHL struct{ b *phl.Batcher }
+
+func (r restrictedPHL) Dist(u, v graph.NodeID) float64 { return r.b.Dist(u, v) }
+
+func (r restrictedPHL) DistBatch(u graph.NodeID, targets []graph.NodeID, out []float64) {
+	r.b.DistBatch(u, targets, out)
+}
+
+// BenchmarkIERPHLRegimes sweeps core.Dispatch("ier", IER-PHL, k = 1) over
+// algo_mix's grid — d × M × φ at A = 10 % — with Q changing on every
+// request, so each one pays its bind (or its R-tree over Q). The bound
+// arm is what IER-PHL runs; the restrict arm is the Euclidean restriction
+// it ran before, over the same index. evals/op is the g_φ evaluations a
+// request makes: at a handful per request the bind is most of the bound
+// arm's cost, and binding M = 256 labels to read ⌈0.1·M⌉ of them is the
+// one corner where restriction is not behind.
+func BenchmarkIERPHLRegimes(b *testing.B) {
+	e := sharedEnv(b)
+	arms := []struct {
+		name   string
+		oracle func() core.Oracle
+	}{
+		{"bound", func() core.Oracle { return e.PHL }},
+		{"restrict", func() core.Oracle { return restrictedPHL{e.PHL.NewBatcher()} }},
+	}
+	for _, d := range []float64{0.001, 0.01} {
+		for _, m := range []int{64, 256} {
+			for _, phi := range []float64{0.1, 0.5, 1} {
+				gen := NewWorkloadGenerator(e.G, 7)
+				qs := make([]core.Query, 8)
+				for i := range qs {
+					qs[i] = core.Query{
+						P: gen.UniformP(d), Q: gen.UniformQ(0.10, m), Phi: phi, Agg: core.Max,
+						Scratch: core.NewScratch(), Stats: &core.Stats{},
+					}
+				}
+				for _, arm := range arms {
+					b.Run(fmt.Sprintf("d=%g/M=%d/phi=%g/%s", d, m, phi, arm.name), func(b *testing.B) {
+						gp, err := core.NewIERGPhi("IER-PHL", e.G, arm.oracle())
+						if err != nil {
+							b.Fatal(err)
+						}
+						for _, q := range qs {
+							*q.Stats = core.Stats{}
+						}
+						b.ReportAllocs()
+						b.ResetTimer()
+						for i := 0; i < b.N; i++ {
+							if _, err := core.Dispatch(e.G, "ier", gp, qs[i%len(qs)], 1); err != nil {
+								b.Fatal(err)
+							}
+						}
+						evals := int64(0)
+						for _, q := range qs {
+							evals += q.Stats.GPhiEvals
+						}
+						b.ReportMetric(float64(evals)/float64(b.N), "evals/op")
+					})
+				}
+			}
+		}
+	}
+}

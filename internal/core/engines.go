@@ -18,8 +18,11 @@ import (
 //	A*/PHL/... — NewOracleGPhi: one point-to-point distance per q ∈ Q
 //	GTree      — occurrence-list kNN over the G-tree
 //	IER-*      — NewIERGPhi: R-tree over Q + incremental Euclidean
-//	             restriction around a distance oracle (IER-A*, IER-PHL,
-//	             IER-GTree — the "IER²" building block of §III-C)
+//	             restriction around a distance oracle (IER-A*,
+//	             IER-GTree — the "IER²" building block of §III-C).
+//	             Over an oracle that binds Q (IER-PHL) the name is kept
+//	             and the search is the oracle engine's: one label walk
+//	             prices all of Q, so restricting it saves nothing.
 
 // NeighborSearcher is the optional engine capability the query cache
 // (internal/qcache) builds on: the paper's "Revisitation of g_φ"
@@ -234,7 +237,10 @@ func (e *oracleEngine) BindStats(s *Stats) { e.stats = s }
 // Reset only records Q. A target-binding oracle indexes it on the first
 // resolve, not here: a request answered entirely from cached neighbour
 // lists resets the engine and never evaluates it, and must not pay a
-// bind worth about 2.5 evaluations.
+// bind: it is the first touch of Q's labels and the dearest single step
+// of a request that evaluates a handful of points — ≈ 70 µs at |Q| = 128
+// in a warm in-process loop (more in a server, where those labels are
+// cold), against ≈ 9 µs for each evaluation through it.
 func (e *oracleEngine) Reset(Q []graph.NodeID) { e.q, e.bound = Q, false }
 
 // resolve fills e.dbuf with the distance from p to every member of Q:
@@ -360,11 +366,22 @@ func (e *gtreeEngine) nearest(p graph.NodeID, k int) []sp.Neighbor {
 // scan stops when the scaled Euclidean lower bound of the next candidate
 // cannot improve the k-th best network distance. The graph must carry
 // coordinates.
+//
+// Restriction pays when each network distance is a search of its own (A*,
+// CH, ALT) or a border-matrix assembly (G-tree). An oracle that binds its
+// targets (phl.Index, through the Batcher it mints) answers all of Q in
+// one walk over L(p) for less than the R-tree scan alone costs, so over
+// such an oracle the IER name gets NewOracleGPhi's neighbour search:
+// IER-PHL and PHL are two names for one body and return the same bits.
+// The coordinate requirement holds for every IER-* name regardless.
 func NewIERGPhi(name string, g *graph.Graph, o Oracle) (GPhi, error) {
 	if !g.HasCoords() {
 		return nil, fmt.Errorf("fannr: engine %s needs coordinates for Euclidean restriction", name)
 	}
 	o, b := batchOf(o)
+	if tb, ok := o.(boundOracle); ok {
+		return &oracleEngine{name: name, o: o, b: b, tb: tb}, nil
+	}
 	return engine{&ierEngine{
 		name: name,
 		g:    g,
@@ -501,6 +518,6 @@ func (e *ierEngine) nearest(p graph.NodeID, k int) []sp.Neighbor {
 	for _, it := range e.best.Items() {
 		e.buf = append(e.buf, sp.Neighbor{Node: it.Value, Dist: it.Key})
 	}
-	slices.SortFunc(e.buf, cmpNeighbor)
+	slices.SortFunc(e.buf, cmpNeighborNode)
 	return e.buf
 }

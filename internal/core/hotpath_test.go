@@ -236,7 +236,7 @@ func hotpathQueries(q Query) []Query {
 func requireBound(t *testing.T, gp GPhi) {
 	t.Helper()
 	if e := gp.(*oracleEngine); e.tb == nil || !e.bound {
-		t.Fatalf("PHL engine is not on the target-bound path (tb=%v bound=%v)", e.tb, e.bound)
+		t.Fatalf("%s engine is not on the target-bound path (tb=%v bound=%v)", gp.Name(), e.tb, e.bound)
 	}
 }
 
@@ -264,23 +264,30 @@ func TestGDZeroAllocSteadyState(t *testing.T) {
 
 // TestBoundPathWarmAlloc is the same gate one layer down: Reset, then one
 // Dist per data point, through the bound path, allocates nothing once
-// the bucket slabs have grown to the larger Q.
+// the bucket slabs have grown to the larger Q — under the PHL name and
+// under IER-PHL, which over phl.Index is the same body, so a Reset to a
+// different Q is as free for it.
 func TestBoundPathWarmAlloc(t *testing.T) {
-	_, ix, q := hotpathEnv(t)
-	gp := NewOracleGPhi("PHL", ix)
+	g, ix, q := hotpathEnv(t)
+	ierPHL, err := NewIERGPhi("IER-PHL", g, ix)
+	if err != nil {
+		t.Fatal(err)
+	}
 	qs := hotpathQueries(q)
-	run := func() {
-		for _, query := range qs {
-			gp.Reset(query.Q)
-			for _, p := range query.P {
-				gp.Dist(p, query.K(), query.Agg)
+	for _, gp := range []GPhi{NewOracleGPhi("PHL", ix), ierPHL} {
+		run := func() {
+			for _, query := range qs {
+				gp.Reset(query.Q)
+				for _, p := range query.P {
+					gp.Dist(p, query.K(), query.Agg)
+				}
 			}
 		}
-	}
-	run()
-	requireBound(t, gp)
-	if allocs := testing.AllocsPerRun(20, run); allocs != 0 {
-		t.Fatalf("warm Reset + |P| × Dist allocates %v objects, want 0", allocs)
+		run()
+		requireBound(t, gp)
+		if allocs := testing.AllocsPerRun(20, run); allocs != 0 {
+			t.Fatalf("%s: warm Reset + |P| × Dist allocates %v objects, want 0", gp.Name(), allocs)
+		}
 	}
 }
 
@@ -431,14 +438,19 @@ func TestDispatchGDGTreeWarmAlloc(t *testing.T) {
 	}
 }
 
-// TestIEREngineWarmAlloc gates the IER-* engine family (Euclidean
-// restriction around a batching oracle): after the first Reset binds Q,
-// repeated g_φ evaluations allocate nothing.
+// TestIEREngineWarmAlloc gates the Euclidean-restriction path of the
+// IER-* family (a batching oracle that binds no targets — what IER-GTree
+// runs on; here the PHL batcher with its binding hidden): once Reset has
+// packed the R-tree over Q, a Reset to the same Q is free and repeated
+// g_φ evaluations allocate nothing.
 func TestIEREngineWarmAlloc(t *testing.T) {
 	g, ix, q := hotpathEnv(t)
-	gp, err := NewIERGPhi("IER-PHL", g, ix)
+	gp, err := NewIERGPhi("IER-PHL", g, restrictOnly{ix.NewBatcher()})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if _, ok := gp.(engine).neighborSearch.(*ierEngine); !ok {
+		t.Fatalf("a non-binding oracle got %T, want the restriction engine", gp)
 	}
 	gp.Reset(q.Q)
 	k := q.K()

@@ -24,8 +24,10 @@ type Stats struct {
 	// HeapPops counts best-first and meta-heap pop operations (IER-kNN
 	// priority queue, the R-List/Exact-max switchable expansion).
 	HeapPops int64
-	// IndexVisits counts index-node expansions (R-tree nodes opened by
-	// the IER scan).
+	// IndexVisits counts index-node expansions: R-tree nodes opened by
+	// the IER-kNN search over P, G-tree kNN calls, and the candidates an
+	// IER-* engine's Euclidean scan over Q surfaces — none for IER-PHL,
+	// which resolves through the bound Q and scans nothing.
 	IndexVisits int64
 	// Pruned counts candidates discarded without a g_φ evaluation (IER
 	// entries still queued when the bound terminated the scan).

@@ -272,7 +272,8 @@ type Batcher struct {
 	// of every target whose label holds h, paired with its distance to h
 	// — and is live while bstamp[h] == bepoch. The tables are allocated
 	// on the first bind and the slabs only grow, so a Batcher that never
-	// binds (IER-*) pays nothing and a warm one allocates nothing.
+	// binds (one wrapped by a caller that hides BindTargets) pays nothing
+	// and a warm one allocates nothing.
 	bstamp []uint32
 	bcnt   []int32
 	bend   []int32

@@ -8,8 +8,9 @@
 package rtree
 
 import (
+	"cmp"
 	"math"
-	"sort"
+	"slices"
 
 	"fannr/internal/pqueue"
 )
@@ -164,11 +165,39 @@ func BulkLoad(pts []Point, fanout int) *Tree {
 	return t
 }
 
+// The packing sorts use total orders — coordinate, then point id for
+// points; coordinate, then input position (a stable sort) for nodes — so
+// the packed tree is a function of the point set alone, not of how a
+// sort treats equal coordinates. They are package-level funcs so the
+// per-request BulkLoad over P allocates no closures.
+func cmpPointX(a, b Point) int {
+	if c := cmp.Compare(a.X, b.X); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.ID, b.ID)
+}
+
+func cmpPointY(a, b Point) int {
+	if c := cmp.Compare(a.Y, b.Y); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.ID, b.ID)
+}
+
+// Nodes order by MBR centre; twice the centre orders the same.
+func cmpCenterX(a, b *Node) int {
+	return cmp.Compare(a.rect.MinX+a.rect.MaxX, b.rect.MinX+b.rect.MaxX)
+}
+
+func cmpCenterY(a, b *Node) int {
+	return cmp.Compare(a.rect.MinY+a.rect.MaxY, b.rect.MinY+b.rect.MaxY)
+}
+
 func strPack(pts []Point, fanout int) []*Node {
 	nLeaves := (len(pts) + fanout - 1) / fanout
 	nSlices := int(math.Ceil(math.Sqrt(float64(nLeaves))))
 	sliceSize := nSlices * fanout
-	sort.Slice(pts, func(i, j int) bool { return pts[i].X < pts[j].X })
+	slices.SortFunc(pts, cmpPointX)
 	var leaves []*Node
 	for s := 0; s < len(pts); s += sliceSize {
 		e := s + sliceSize
@@ -176,7 +205,7 @@ func strPack(pts []Point, fanout int) []*Node {
 			e = len(pts)
 		}
 		slice := pts[s:e]
-		sort.Slice(slice, func(i, j int) bool { return slice[i].Y < slice[j].Y })
+		slices.SortFunc(slice, cmpPointY)
 		for l := 0; l < len(slice); l += fanout {
 			le := l + fanout
 			if le > len(slice) {
@@ -194,9 +223,7 @@ func packNodes(nodes []*Node, fanout int) []*Node {
 	nParents := (len(nodes) + fanout - 1) / fanout
 	nSlices := int(math.Ceil(math.Sqrt(float64(nParents))))
 	sliceSize := nSlices * fanout
-	centerX := func(n *Node) float64 { return (n.rect.MinX + n.rect.MaxX) / 2 }
-	centerY := func(n *Node) float64 { return (n.rect.MinY + n.rect.MaxY) / 2 }
-	sort.Slice(nodes, func(i, j int) bool { return centerX(nodes[i]) < centerX(nodes[j]) })
+	slices.SortStableFunc(nodes, cmpCenterX)
 	var parents []*Node
 	for s := 0; s < len(nodes); s += sliceSize {
 		e := s + sliceSize
@@ -204,7 +231,7 @@ func packNodes(nodes []*Node, fanout int) []*Node {
 			e = len(nodes)
 		}
 		slice := nodes[s:e]
-		sort.Slice(slice, func(i, j int) bool { return centerY(slice[i]) < centerY(slice[j]) })
+		slices.SortStableFunc(slice, cmpCenterY)
 		for l := 0; l < len(slice); l += fanout {
 			le := l + fanout
 			if le > len(slice) {

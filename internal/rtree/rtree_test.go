@@ -3,6 +3,7 @@ package rtree
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -109,6 +110,43 @@ func TestBulkLoadInvariants(t *testing.T) {
 			t.Fatalf("Len = %d, want %d", tr.Len(), n)
 		}
 		checkTreeInvariants(t, tr)
+	}
+}
+
+// TestBulkLoadIgnoresInputOrder pins the packing's total order: on a
+// lattice, where every coordinate is shared by a whole row or column,
+// the packed tree is the same whatever order the points arrive in.
+func TestBulkLoadIgnoresInputOrder(t *testing.T) {
+	const side = 13
+	pts := make([]Point, 0, side*side)
+	for i := 0; i < side*side; i++ {
+		pts = append(pts, Point{X: float64(i % side), Y: float64(i / side), ID: int32(i)})
+	}
+	var leaves func(n *Node, out [][]Point) [][]Point
+	leaves = func(n *Node, out [][]Point) [][]Point {
+		if n.IsLeaf() {
+			return append(out, n.Points())
+		}
+		for _, c := range n.Children() {
+			out = leaves(c, out)
+		}
+		return out
+	}
+	want := leaves(BulkLoad(append([]Point(nil), pts...), 4).Root(), nil)
+	rng := rand.New(rand.NewSource(3))
+	for trial := 0; trial < 5; trial++ {
+		rng.Shuffle(len(pts), func(i, j int) { pts[i], pts[j] = pts[j], pts[i] })
+		tr := BulkLoad(append([]Point(nil), pts...), 4)
+		checkTreeInvariants(t, tr)
+		got := leaves(tr.Root(), nil)
+		if len(got) != len(want) {
+			t.Fatalf("trial %d: %d leaves, want %d", trial, len(got), len(want))
+		}
+		for i := range want {
+			if !slices.Equal(got[i], want[i]) {
+				t.Fatalf("trial %d: leaf %d holds %v, the unshuffled load packed %v", trial, i, got[i], want[i])
+			}
+		}
 	}
 }
 
@@ -307,6 +345,19 @@ func TestStats(t *testing.T) {
 	s := tr.Stats()
 	if s.Leaves == 0 || s.Nodes < s.Leaves || s.Height < 2 || s.MemoryBytes <= 0 {
 		t.Fatalf("implausible stats: %+v", s)
+	}
+}
+
+// BenchmarkBulkLoad packs a P the size IER-kNN builds per request (the
+// benchmark's |P| = 169).
+func BenchmarkBulkLoad(b *testing.B) {
+	src := randomPoints(169, 1)
+	pts := make([]Point, len(src))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		copy(pts, src)
+		BulkLoad(pts, DefaultFanout)
 	}
 }
 

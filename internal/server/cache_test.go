@@ -1,7 +1,9 @@
 package server
 
 import (
+	"encoding/json"
 	"math"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"sync"
@@ -11,6 +13,7 @@ import (
 	"fannr/internal/core"
 	"fannr/internal/graph"
 	"fannr/internal/obs"
+	"fannr/internal/phl"
 )
 
 // cacheServer builds a server over a small generated graph with the
@@ -165,5 +168,77 @@ func TestCoalesceCollapsesDuplicates(t *testing.T) {
 	sc := scrapeMetrics(t, ts.URL)
 	if v, ok := sc.Value(mCoalesced); !ok || v != clients-1 {
 		t.Fatalf("%s = %v (ok=%v), want %d", mCoalesced, v, ok, clients-1)
+	}
+}
+
+// TestIERPHLAnswersMatchPHL: over one PHL index the two engine names are
+// one neighbour search, so the same (P, Q, φ, agg, algo, k) returns
+// byte-identical answers under either name — computed cold, and again on
+// a server whose neighbour lists a φ = 1 request has already filled, so
+// the request is served (in part, for the pruning algorithm) from the
+// list cache.
+func TestIERPHLAnswersMatchPHL(t *testing.T) {
+	g, err := graph.Generate(graph.GenConfig{Nodes: 600, Seed: 33, Name: "twin"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	labels, err := phl.Build(g, phl.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	serve := func() string {
+		srv, err := New(g, Options{PHL: labels, CacheEntries: 8192})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ts := httptest.NewServer(srv.Handler())
+		t.Cleanup(ts.Close)
+		return ts.URL
+	}
+	rng := rand.New(rand.NewSource(33))
+	var P, Q []graph.NodeID
+	for _, v := range rng.Perm(g.NumNodes())[:80] {
+		if len(P) < 60 {
+			P = append(P, graph.NodeID(v))
+		} else {
+			Q = append(Q, graph.NodeID(v))
+		}
+	}
+	type answers struct {
+		Answers json.RawMessage `json:"answers"`
+	}
+	ask := func(url string, req FANNRequest) string {
+		t.Helper()
+		status, got := post[answers](t, url+"/fann", req)
+		if status != http.StatusOK || len(got.Answers) == 0 {
+			t.Fatalf("%s/%s φ=%v: status %d, answers %q", req.Engine, req.Algo, req.Phi, status, got.Answers)
+		}
+		return string(got.Answers)
+	}
+	for _, c := range []FANNRequest{
+		{Algo: "gd", Agg: "max", K: 1},
+		{Algo: "ier", Agg: "sum", K: 10},
+	} {
+		c.P, c.Q, c.Phi = P, Q, 0.5
+		cold, warm := serve(), serve()
+		var got []string
+		for _, engine := range []string{"PHL", "IER-PHL"} {
+			c.Engine = engine
+			got = append(got, ask(cold, c))
+			fill := c
+			fill.Phi = 1
+			ask(warm, fill)
+			got = append(got, ask(warm, c))
+		}
+		for i, a := range got[1:] {
+			if a != got[0] {
+				t.Fatalf("%s/%s k=%d: answers differ between PHL cold and %s:\n%s\n%s",
+					c.Algo, c.Agg, c.K, []string{"PHL warm", "IER-PHL cold", "IER-PHL warm"}[i], got[0], a)
+			}
+		}
+		sc := scrapeMetrics(t, warm)
+		if v, ok := sc.Value(mCacheHits, obs.L("kind", "subsume")); !ok || v < 2 {
+			t.Fatalf("%s/%s: %s{kind=subsume} = %v (ok=%v) on the pre-filled server, want both engines' requests served from lists", c.Algo, c.Agg, mCacheHits, v, ok)
+		}
 	}
 }
