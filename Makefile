@@ -49,12 +49,17 @@ figures:
 ## and IER-PHL's whole dispatch over algo_mix's d × M × φ grid against
 ## the Euclidean restriction it replaced (evals/op says how few
 ## evaluations share one bind; φ = 0.1 is where restriction is not behind).
+## The last two price the request-side stage: the /fann scanner against
+## encoding/json on hot_ier- and shard4-shaped bodies, and one sort per
+## set against the map + sort.Slice sequence it replaced.
 microbench:
 	$(GO) test -run - -bench 'ServerThroughput|DistEndpoint' -cpu 1,2,4,8 \
 		-benchtime 1x ./internal/server/
 	$(GO) test -run - -bench BuildWorkers -benchtime 1x ./internal/gtree/ ./internal/ch/
 	$(GO) test -run - -bench 'GDStats' -benchtime 1000x ./internal/core/
 	$(GO) test -run - -bench 'GPhiPHLBound|GPhiIERPHLBound|IERPHLRegimes' -cpu 1 -benchtime 500x .
+	$(GO) test -run - -bench DecodeFANN -cpu 1 -benchtime 2000x ./internal/wire/
+	$(GO) test -run - -bench Canonicalise -cpu 1 -benchtime 2000x ./internal/core/
 
 ## Tier 3 — race detector over the concurrency-bearing packages
 ## (engine pools, HTTP server, parallel index builds, workload draws) plus
@@ -66,7 +71,7 @@ race: explain-smoke shard-smoke
 		./internal/par/... ./internal/workload/... ./internal/difftest/... \
 		./internal/obs/... ./internal/qcache/... ./internal/lifecycle/... \
 		./internal/phl/... ./internal/sp/... ./internal/rtree/... \
-		./internal/shard/...
+		./internal/shard/... ./internal/wire/...
 
 ## Explain/observability smoke under the race detector: the nine-engine
 ## span-vs-counter invariant, slow-query capture with exemplar linkage,
@@ -95,6 +100,7 @@ FUZZTIME ?= 10s
 fuzz-smoke:
 	$(GO) test -run - -fuzz FuzzFANNEndpoint -fuzztime $(FUZZTIME) ./internal/server/
 	$(GO) test -run - -fuzz FuzzDistEndpoint -fuzztime $(FUZZTIME) ./internal/server/
+	$(GO) test -run - -fuzz FuzzDecodeFANN -fuzztime $(FUZZTIME) ./internal/wire/
 	$(GO) test -run - -fuzz FuzzDifferentialCase -fuzztime $(FUZZTIME) ./internal/difftest/
 	$(GO) test -run - -fuzz FuzzRead -fuzztime $(FUZZTIME) ./internal/phl/
 	$(GO) test -run - -fuzz FuzzDistBoundMatchesDistBatch -fuzztime $(FUZZTIME) ./internal/phl/

@@ -42,7 +42,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"slices"
 	"sync/atomic"
 
 	"fannr/internal/graph"
@@ -96,6 +95,12 @@ type Query struct {
 	// disables tracing at the cost of one pointer test per invocation —
 	// the per-operation hot loops never touch it.
 	Trace *obs.Trace
+
+	// What Validate last canonicalized (canon.go): the two sets by slice
+	// identity with their fingerprints, and the node count they were
+	// range-checked against.
+	canonP, canonQ canonSet
+	canonNodes     int
 }
 
 // canceled polls the optional cancel hook.
@@ -154,6 +159,11 @@ func (q *Query) K() int {
 // engine. Every algorithm validates before computing k, so all of them
 // see the canonical multiplicity-free sets. The caller's slices are never
 // mutated; dedup replaces q.P/q.Q with fresh copies.
+//
+// Each set costs one sort of a copy in a reusable buffer (canon.go). The
+// same pass yields the set's Fingerprint, and the query remembers what
+// it canonicalized, so validating it again — solve does, after a server
+// or Dispatch already has — is a few comparisons.
 func (q *Query) Validate(g *graph.Graph) error {
 	if len(q.P) == 0 {
 		return fmt.Errorf("%w: empty data set P", ErrInvalid)
@@ -164,64 +174,22 @@ func (q *Query) Validate(g *graph.Graph) error {
 	if !(q.Phi > 0 && q.Phi <= 1) {
 		return fmt.Errorf("%w: flexibility φ = %v outside (0,1]", ErrInvalid, q.Phi)
 	}
-	n := graph.NodeID(g.NumNodes())
-	for _, p := range q.P {
-		if p < 0 || p >= n {
-			return fmt.Errorf("%w: data point %d outside graph", ErrInvalid, p)
-		}
+	n := g.NumNodes()
+	if q.canonNodes == n && q.canonP.covers(q.P) && q.canonQ.covers(q.Q) {
+		return nil
 	}
-	for _, v := range q.Q {
-		if v < 0 || v >= n {
-			return fmt.Errorf("%w: query point %d outside graph", ErrInvalid, v)
-		}
+	buf := q.sortBuf()
+	defer q.releaseSortBuf(buf)
+	P, canonP, bad := canonicalize(q.P, n, buf)
+	if bad >= 0 {
+		return fmt.Errorf("%w: data point %d outside graph", ErrInvalid, q.P[bad])
 	}
-	q.P = q.dedupe(q.P)
-	q.Q = q.dedupe(q.Q)
+	Q, canonQ, bad := canonicalize(q.Q, n, buf)
+	if bad >= 0 {
+		return fmt.Errorf("%w: query point %d outside graph", ErrInvalid, q.Q[bad])
+	}
+	q.P, q.Q, q.canonP, q.canonQ, q.canonNodes = P, Q, canonP, canonQ, n
 	return nil
-}
-
-// dedupe canonicalizes one id set. With a Scratch attached, the common
-// duplicate-free case is detected by a sort over the reusable probe
-// buffer — zero allocations — and only actual duplicates fall back to
-// the map-based path.
-func (q *Query) dedupe(ids []graph.NodeID) []graph.NodeID {
-	if s := q.Scratch; s != nil {
-		s.ids = append(s.ids[:0], ids...)
-		slices.Sort(s.ids)
-		clean := true
-		for i := 1; i < len(s.ids); i++ {
-			if s.ids[i] == s.ids[i-1] {
-				clean = false
-				break
-			}
-		}
-		if clean {
-			return ids
-		}
-	}
-	return dedupeNodes(ids)
-}
-
-// dedupeNodes returns ids with duplicates removed, keeping the first
-// occurrence of each id in order. The input is returned as-is when it is
-// already duplicate-free (the common case — no allocation).
-func dedupeNodes(ids []graph.NodeID) []graph.NodeID {
-	seen := make(map[graph.NodeID]struct{}, len(ids))
-	for i, v := range ids {
-		if _, dup := seen[v]; dup {
-			out := make([]graph.NodeID, i, len(ids))
-			copy(out, ids[:i])
-			for _, w := range ids[i:] {
-				if _, dup := seen[w]; !dup {
-					seen[w] = struct{}{}
-					out = append(out, w)
-				}
-			}
-			return out
-		}
-		seen[v] = struct{}{}
-	}
-	return ids
 }
 
 // Answer is the result triple (p*, Q*_φ, d*) of Definition 2.

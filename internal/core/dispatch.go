@@ -35,7 +35,12 @@ func Dispatch(g *graph.Graph, algo string, gp GPhi, q Query, k int) ([]Answer, e
 		if !g.HasCoords() {
 			return nil, fmt.Errorf("%w: algorithm \"ier\" needs coordinates, which dataset %q lacks", ErrInvalid, g.Name())
 		}
-		rtP = BuildPTree(g, q.P)
+		// Validating here (solve's own Validate then passes through) is
+		// what lets the tree be built over q.P as it stands.
+		if err := q.Validate(g); err != nil {
+			return nil, err
+		}
+		rtP = buildPTree(g, q.P)
 	}
 	return solve(g, gp, q, a, k, k <= 1, rtP, IEROptions{}, nil)
 }

@@ -23,7 +23,12 @@ type IEROptions struct {
 // otherwise surface twice in best-first order and could occupy two ranks
 // of a top-k answer. The graph must carry coordinates.
 func BuildPTree(g *graph.Graph, P []graph.NodeID) *rtree.Tree {
-	P = dedupeNodes(P)
+	return buildPTree(g, dedupeNodes(P))
+}
+
+// buildPTree is BuildPTree over a P already free of duplicates — a
+// validated query's, which Dispatch hands it without a second dedup.
+func buildPTree(g *graph.Graph, P []graph.NodeID) *rtree.Tree {
 	pts := make([]rtree.Point, len(P))
 	for i, p := range P {
 		x, y := g.Coord(p)

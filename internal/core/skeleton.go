@@ -142,7 +142,8 @@ func solve(g *graph.Graph, gp GPhi, q Query, a algo, kAns int, one bool, rtP *rt
 	}
 	// Validate canonicalizes q.P/q.Q (dedup) in this function's copy of
 	// the query, the one every later step reads: k = ⌈φ|Q|⌉ must be taken
-	// over the duplicate-free Q or the algorithms disagree with Brute.
+	// over the duplicate-free Q or the algorithms disagree with Brute. A
+	// query its caller already validated passes straight through.
 	if err := q.Validate(g); err != nil {
 		return nil, err
 	}
@@ -167,7 +168,7 @@ func solve(g *graph.Graph, gp GPhi, q Query, a algo, kAns int, one bool, rtP *rt
 		return solve(g, gp, q, algoGD, kAns, one, nil, opts, dst)
 	}
 	s := solver{g: g, gp: gp, q: q, k: q.K(), top: q.newTopK(kAns)}
-	gp.Reset(q.Q)
+	q.resetEngine(gp)
 	var err error
 	switch a {
 	case algoGD:

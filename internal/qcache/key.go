@@ -7,61 +7,20 @@
 package qcache
 
 import (
-	"encoding/binary"
-	"hash/maphash"
-	"sort"
-
 	"fannr/internal/core"
 	"fannr/internal/graph"
 )
 
-// Fingerprint is a 128-bit order- and duplicate-insensitive digest of a
-// node set, built from two independently seeded maphash sums. Keys store
-// fingerprints instead of the sets themselves, so collision resistance
-// matters: 64 bits would give a birthday bound within reach of a busy
-// cache's lifetime, 128 bits does not. The seeds are process-local,
-// which is exactly the scope of the cache.
-type Fingerprint struct {
-	Hi, Lo uint64
-}
+// Fingerprint is the 128-bit order- and duplicate-insensitive digest of
+// a node set that keys both cache layers. It is core's: Query.Validate
+// takes it from the sort that canonicalizes the set, so a validated
+// query's Fingerprints cost nothing more.
+type Fingerprint = core.Fingerprint
 
-var (
-	seedHi = maphash.MakeSeed()
-	seedLo = maphash.MakeSeed()
-)
-
-// FingerprintNodes digests ids as a set: a scratch copy is sorted and
-// deduplicated, then length-prefixed and hashed. Query.Validate already
-// canonicalizes P and Q by first-occurrence dedup, so permuted-but-equal
-// inputs reach the cache as permutations of one set and hash identically
-// here.
-func FingerprintNodes(ids []graph.NodeID) Fingerprint {
-	scratch := make([]graph.NodeID, len(ids))
-	copy(scratch, ids)
-	sort.Slice(scratch, func(i, j int) bool { return scratch[i] < scratch[j] })
-	n := 0
-	for i, id := range scratch {
-		if i == 0 || id != scratch[n-1] {
-			scratch[n] = id
-			n++
-		}
-	}
-	scratch = scratch[:n]
-
-	var hi, lo maphash.Hash
-	hi.SetSeed(seedHi)
-	lo.SetSeed(seedLo)
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], uint64(n))
-	hi.Write(b[:])
-	lo.Write(b[:])
-	for _, id := range scratch {
-		binary.LittleEndian.PutUint64(b[:], uint64(id))
-		hi.Write(b[:])
-		lo.Write(b[:])
-	}
-	return Fingerprint{Hi: hi.Sum64(), Lo: lo.Sum64()}
-}
+// FingerprintNodes digests ids as a set — permuted or duplicated inputs
+// hash identically. It sorts a copy; for a query that went through
+// Validate, read Query.Fingerprints instead.
+func FingerprintNodes(ids []graph.NodeID) Fingerprint { return core.FingerprintNodes(ids) }
 
 // ResultKey identifies one fully specified FANN query for the result
 // layer and the coalescing group: the engine that will serve it, the

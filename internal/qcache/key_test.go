@@ -1,10 +1,13 @@
 package qcache
 
 import (
+	"encoding/json"
 	"math/rand"
 	"testing"
 
+	"fannr/internal/core"
 	"fannr/internal/graph"
+	"fannr/internal/wire"
 )
 
 func TestFingerprintSetSemantics(t *testing.T) {
@@ -66,5 +69,81 @@ func TestShardOfInRange(t *testing.T) {
 		if s := shardOf(k); s < 0 || s >= numShards {
 			t.Fatalf("shard %d out of range", s)
 		}
+	}
+}
+
+// The digests a validated query carries are FingerprintNodes of the raw
+// ids, so a result key built from Query.Fingerprints equals one built
+// the long way — the property that keeps cache behaviour (hits,
+// subsumption, evictions) what it was.
+func TestFingerprintsOfValidatedQueryMatch(t *testing.T) {
+	g, err := graph.Generate(graph.GenConfig{Nodes: 600, Seed: 3, Name: "fp"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(5))
+	draw := func(n int) []graph.NodeID {
+		out := make([]graph.NodeID, n)
+		for i := range out {
+			out[i] = graph.NodeID(rng.Intn(g.NumNodes())) // collisions on purpose
+		}
+		return out
+	}
+	for trial := 0; trial < 40; trial++ {
+		rawP, rawQ := draw(1+rng.Intn(150)), draw(1+rng.Intn(100))
+		q := core.Query{P: rawP, Q: rawQ, Phi: 0.5}
+		if err := q.Validate(g); err != nil {
+			t.Fatal(err)
+		}
+		var key ResultKey
+		key.P, key.Q = q.Fingerprints()
+		if key.P != FingerprintNodes(rawP) || key.Q != FingerprintNodes(rawQ) {
+			t.Fatalf("trial %d: Validate's digests differ from FingerprintNodes of the raw ids", trial)
+		}
+		if key.P != FingerprintNodes(q.P) || key.Q != FingerprintNodes(q.Q) {
+			t.Fatalf("trial %d: digests differ from FingerprintNodes of the deduplicated ids", trial)
+		}
+	}
+}
+
+// The request-side stage of a hot_ier-shaped request — decode the body,
+// validate, build the result key — allocates the two id slices and
+// nothing else once the pooled buffers are warm: no map, no sort
+// scratch, no strings for well-known names.
+func TestRequestStageAllocs(t *testing.T) {
+	g, err := graph.Generate(graph.GenConfig{Nodes: 2000, Seed: 4, Name: "stage"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	perm := rand.New(rand.NewSource(6)).Perm(g.NumNodes())
+	ids := func(perm []int) []graph.NodeID {
+		out := make([]graph.NodeID, len(perm))
+		for i, v := range perm {
+			out[i] = graph.NodeID(v)
+		}
+		return out
+	}
+	body, err := json.Marshal(&wire.FANNRequest{P: ids(perm[:169]), Q: ids(perm[169 : 169+128]), Phi: 0.5, Agg: "max", Algo: "ier", Engine: "IER-PHL", K: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var key ResultKey
+	var req wire.FANNRequest // a handler's lives as long as its request; the decoder overwrites it whole
+	allocs := testing.AllocsPerRun(100, func() {
+		if err := wire.DecodeBody(body, &req); err != nil {
+			t.Fatal(err)
+		}
+		q := core.Query{P: req.P, Q: req.Q, Phi: req.Phi}
+		if err := q.Validate(g); err != nil {
+			t.Fatal(err)
+		}
+		key = ResultKey{Engine: req.Engine, Algo: req.Algo, Agg: q.Agg, Phi: q.Phi, K: req.K}
+		key.P, key.Q = q.Fingerprints()
+	})
+	if allocs > 2 {
+		t.Fatalf("decode + Validate + result key allocates %v times, want <= 2 (P and Q)", allocs)
+	}
+	if key.P == key.Q {
+		t.Fatal("P and Q digests collide")
 	}
 }

@@ -49,7 +49,13 @@ func (e *cachedEngine) BindCancel(done <-chan struct{}) {
 }
 
 func (e *cachedEngine) Reset(Q []graph.NodeID) {
-	e.qfp = FingerprintNodes(Q)
+	e.ResetFingerprinted(Q, FingerprintNodes(Q))
+}
+
+// ResetFingerprinted is Reset for a caller that already holds Q's
+// fingerprint: core's solve passes the one Query.Validate computed.
+func (e *cachedEngine) ResetFingerprinted(Q []graph.NodeID, fp Fingerprint) {
+	e.qfp = fp
 	e.inner.Reset(Q)
 }
 

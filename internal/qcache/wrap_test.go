@@ -140,6 +140,34 @@ func TestWrapAgreesWithRawEngines(t *testing.T) {
 	}
 }
 
+// A wrapper reset through core's solve (which hands it the fingerprint
+// Query.Validate computed) and one reset by hand through Reset (which
+// sorts Q itself) key the list layer identically: the second finds every
+// list the first stored, for a Q given in another order with a repeat.
+func TestWrapResetFingerprintedKeysLikeReset(t *testing.T) {
+	g, err := graph.Generate(graph.GenConfig{Nodes: 200, Seed: 78, Name: "wrapfp"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := New(Config{MaxEntries: 1024})
+	P := []graph.NodeID{3, 17, 42, 99}
+	if _, err := core.GD(g, c.Wrap(core.NewINE(g)), core.Query{P: P, Q: []graph.NodeID{5, 60, 120, 150}, Phi: 1, Agg: core.Sum}); err != nil {
+		t.Fatal(err)
+	}
+	filled := c.Metrics()
+	byHand := c.Wrap(core.NewINE(g))
+	byHand.Reset([]graph.NodeID{150, 5, 120, 60, 5})
+	for _, p := range P {
+		if _, ok := byHand.Dist(p, 4, core.Sum); !ok {
+			t.Fatalf("no distance for %d", p)
+		}
+	}
+	after := c.Metrics()
+	if hits := after.HitsSubsume - filled.HitsSubsume; hits != int64(len(P)) || after.MissesList != filled.MissesList {
+		t.Fatalf("hand-reset wrapper: %d list hits of %d, %d new misses", hits, len(P), after.MissesList-filled.MissesList)
+	}
+}
+
 // TestWrapPrefixMatchesLiveEngineUnderTies: the oracle engines order only
 // the k-prefix they are asked for, so a list cached at k must still
 // answer every k' ≤ k exactly as a live engine asked for k' would — same

@@ -17,7 +17,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"log/slog"
 	"net/http"
 	"net/http/pprof"
@@ -34,6 +33,7 @@ import (
 	"fannr/internal/qcache"
 	"fannr/internal/resil"
 	"fannr/internal/sp"
+	"fannr/internal/wire"
 )
 
 // Options configures which engines the server offers. INE and A* are
@@ -95,8 +95,8 @@ type Options struct {
 	// internet.
 	Pprof bool
 	// Logger receives one structured record per /fann request (request
-	// id, engine, outcome, stage timings). nil discards the records, so
-	// tests and benchmarks stay quiet by default.
+	// id, engine, outcome, stage timings). nil disables them — the
+	// default logger reports every level off, so no record is even built.
 	Logger *slog.Logger
 	// CacheEntries enables the query-acceleration cache (internal/qcache)
 	// with this many entries shared between final results and per-
@@ -184,6 +184,16 @@ type Server struct {
 	slow *obs.SlowLog
 }
 
+// discardLogs is the handler behind a nil Options.Logger: it reports
+// every level disabled, so the request path builds no record for it.
+// (slog.DiscardHandler is newer than this module's go line.)
+type discardLogs struct{}
+
+func (discardLogs) Enabled(context.Context, slog.Level) bool  { return false }
+func (discardLogs) Handle(context.Context, slog.Record) error { return nil }
+func (d discardLogs) WithAttrs([]slog.Attr) slog.Handler      { return d }
+func (d discardLogs) WithGroup(string) slog.Handler           { return d }
+
 // indexSize splits an index's footprint by where the bytes live.
 type indexSize struct{ heap, mapped int64 }
 
@@ -233,7 +243,7 @@ func New(g *graph.Graph, opts Options) (*Server, error) {
 		s.reg = obs.NewRegistry()
 	}
 	if s.logger == nil {
-		s.logger = slog.New(slog.NewTextHandler(io.Discard, nil))
+		s.logger = slog.New(discardLogs{})
 	}
 	if s.retryAfter <= 0 {
 		s.retryAfter = time.Second
@@ -702,16 +712,9 @@ func (s *Server) handleMeta(w http.ResponseWriter, _ *http.Request) {
 	})
 }
 
-// FANNRequest is the /fann request body.
-type FANNRequest struct {
-	P      []graph.NodeID `json:"p"`
-	Q      []graph.NodeID `json:"q"`
-	Phi    float64        `json:"phi"`
-	Agg    string         `json:"agg"`    // "max" | "sum"
-	Algo   string         `json:"algo"`   // "gd" | "rlist" | "ier" | "exactmax" | "apxsum"
-	Engine string         `json:"engine"` // one of /meta's engines (default "INE")
-	K      int            `json:"k"`      // answers to return (default 1)
-}
+// FANNRequest is the /fann request body (Engine defaults to "INE"): the
+// one definition and the one decoder every tier shares.
+type FANNRequest = wire.FANNRequest
 
 // FANNAnswer is one result of a /fann call.
 type FANNAnswer struct {
@@ -759,32 +762,35 @@ func (s *Server) handleFANN(w http.ResponseWriter, r *http.Request) {
 	var q core.Query
 	defer func() {
 		elapsed := time.Since(start)
-		s.logger.LogAttrs(r.Context(), slog.LevelInfo, "fann",
-			slog.String("request_id", tr.ID),
-			slog.String("engine", req.Engine),
-			slog.String("served", served),
-			slog.Bool("degraded", degraded),
-			slog.String("algo", req.Algo),
-			slog.Float64("phi", req.Phi),
-			slog.Int("np", len(q.P)),
-			slog.Int("nq", len(q.Q)),
-			slog.Int("k", req.K),
-			slog.String("outcome", outcome),
-			slog.Duration("duration", elapsed),
-			slog.Duration("decode", tr.Dur("decode")),
-			slog.Duration("cache_lookup", tr.Dur("cache")),
-			slog.Duration("coalesce", tr.Dur("coalesce")),
-			slog.Duration("admit", tr.Dur("admit")),
-			slog.Duration("pin", tr.Dur("pin")),
-			slog.Duration("compute", tr.Dur("compute")),
-			slog.Int64("gphi_evals", stats.GPhiEvals),
-			slog.Int64("settled", stats.Settled),
-			slog.Int64("heap_pops", stats.HeapPops),
-			slog.String("cache", cacheKind),
-			slog.String("leader", leaderID),
-			slog.Int64("cache_hits", stats.CacheHits),
-			slog.Int64("cache_misses", stats.CacheMisses),
-		)
+		// The attributes are only built for a logger that will print them.
+		if s.logger.Enabled(r.Context(), slog.LevelInfo) {
+			s.logger.LogAttrs(r.Context(), slog.LevelInfo, "fann",
+				slog.String("request_id", tr.ID),
+				slog.String("engine", req.Engine),
+				slog.String("served", served),
+				slog.Bool("degraded", degraded),
+				slog.String("algo", req.Algo),
+				slog.Float64("phi", req.Phi),
+				slog.Int("np", len(q.P)),
+				slog.Int("nq", len(q.Q)),
+				slog.Int("k", req.K),
+				slog.String("outcome", outcome),
+				slog.Duration("duration", elapsed),
+				slog.Duration("decode", tr.Dur("decode")),
+				slog.Duration("cache_lookup", tr.Dur("cache")),
+				slog.Duration("coalesce", tr.Dur("coalesce")),
+				slog.Duration("admit", tr.Dur("admit")),
+				slog.Duration("pin", tr.Dur("pin")),
+				slog.Duration("compute", tr.Dur("compute")),
+				slog.Int64("gphi_evals", stats.GPhiEvals),
+				slog.Int64("settled", stats.Settled),
+				slog.Int64("heap_pops", stats.HeapPops),
+				slog.String("cache", cacheKind),
+				slog.String("leader", leaderID),
+				slog.Int64("cache_hits", stats.CacheHits),
+				slog.Int64("cache_misses", stats.CacheMisses),
+			)
+		}
 		// Feed the slow-query log last, with the finished trace: the N
 		// slowest requests and every errored/degraded one keep their full
 		// span tree retrievable at /debug/slow?id=<request_id>.
@@ -808,8 +814,11 @@ func (s *Server) handleFANN(w http.ResponseWriter, r *http.Request) {
 		fail(w, err)
 	}
 
+	// The decode span covers the whole request-side stage: read, parse,
+	// and Validate's canonicalisation, which also yields the fingerprints
+	// the result key is built from further down.
 	endDecode := tr.Start("decode")
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxFANNBody)).Decode(&req); err != nil {
+	if err := wire.ReadFANN(w, r, maxFANNBody, &req); err != nil {
 		endDecode()
 		failq(decodeErr(err))
 		return
@@ -910,10 +919,8 @@ func (s *Server) handleFANN(w http.ResponseWriter, r *http.Request) {
 		if algo == "" {
 			algo = "gd"
 		}
-		rkey = qcache.ResultKey{
-			Engine: served, Algo: algo, Agg: q.Agg, Phi: q.Phi, K: req.K,
-			P: qcache.FingerprintNodes(q.P), Q: qcache.FingerprintNodes(q.Q),
-		}
+		rkey = qcache.ResultKey{Engine: served, Algo: algo, Agg: q.Agg, Phi: q.Phi, K: req.K}
+		rkey.P, rkey.Q = q.Fingerprints()
 		// Reloadable engines stamp the index generation into the key: a
 		// swap naturally invalidates every result computed on the old
 		// index, and coalesced flights never pair queries across

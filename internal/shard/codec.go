@@ -16,6 +16,7 @@ import (
 	"hash/crc32"
 
 	"fannr/internal/graph"
+	"fannr/internal/wire"
 )
 
 // Wire frame: magic | version u16 | flags u16 | length u32 | payload |
@@ -84,17 +85,9 @@ func DecodeFrame(data []byte) ([]byte, error) {
 }
 
 // Request is one shard RPC: the FANN query restricted to the P-objects
-// the coordinator routed to this shard. Wire shape matches the public
-// /fann request so the two layers stay mentally interchangeable.
-type Request struct {
-	P      []graph.NodeID `json:"p"`
-	Q      []graph.NodeID `json:"q"`
-	Phi    float64        `json:"phi"`
-	Agg    string         `json:"agg"`
-	Algo   string         `json:"algo"`
-	Engine string         `json:"engine"`
-	K      int            `json:"k"`
-}
+// the coordinator routed to this shard. It is the public /fann request,
+// type and decoder both.
+type Request = wire.FANNRequest
 
 // Answer mirrors the public FANN answer shape.
 type Answer struct {
@@ -134,7 +127,7 @@ func DecodeRequest(data []byte) (*Request, error) {
 		return nil, err
 	}
 	var r Request
-	if err := json.Unmarshal(payload, &r); err != nil {
+	if err := wire.DecodePayload(payload, &r); err != nil {
 		return nil, fmt.Errorf("%w: request body: %s", ErrCodec, err)
 	}
 	return &r, nil

@@ -1,12 +1,14 @@
 package shard
 
 import (
+	"cmp"
 	"context"
 	"encoding/hex"
 	"errors"
 	"fmt"
 	"math"
 	"net/http"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -256,8 +258,8 @@ func (c *Coordinator) Execute(ctx context.Context, req *Request, tr *obs.Trace) 
 		rkey = qcache.ResultKey{
 			Engine: fmt.Sprintf("%s@shards:%d:%s", engine, c.plan.Epoch, c.healthyMask()),
 			Algo:   algo, Agg: q.Agg, Phi: q.Phi, K: k,
-			P: qcache.FingerprintNodes(q.P), Q: qcache.FingerprintNodes(q.Q),
 		}
+		rkey.P, rkey.Q = q.Fingerprints()
 		if answers, hit := c.cache.GetResult(rkey); hit {
 			if c.mCacheHit != nil {
 				c.mCacheHit.Inc()
@@ -287,11 +289,8 @@ func (c *Coordinator) Execute(ctx context.Context, req *Request, tr *obs.Trace) 
 		}
 		order = append(order, cand{s, c.plan.Bound(s, q.Q, kAgg, q.Agg)})
 	}
-	sort.Slice(order, func(i, j int) bool {
-		if order[i].bound != order[j].bound {
-			return order[i].bound < order[j].bound
-		}
-		return order[i].shard < order[j].shard
+	slices.SortFunc(order, func(a, b cand) int {
+		return cmp.Or(cmp.Compare(a.bound, b.bound), cmp.Compare(a.shard, b.shard))
 	})
 
 	var (

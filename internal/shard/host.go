@@ -1,19 +1,20 @@
 package shard
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"runtime/debug"
-	"sort"
+	"slices"
 	"strconv"
 	"time"
 
 	"fannr/internal/core"
 	"fannr/internal/graph"
 	"fannr/internal/qcache"
+	"fannr/internal/wire"
 )
 
 // HostOptions configures one shard host.
@@ -133,10 +134,8 @@ func (h *Host) Execute(ctx context.Context, req *Request) (*Response, error) {
 	}
 	var rkey qcache.ResultKey
 	if h.cache != nil {
-		rkey = qcache.ResultKey{
-			Engine: engine, Algo: algo, Agg: q.Agg, Phi: q.Phi, K: k,
-			P: qcache.FingerprintNodes(q.P), Q: qcache.FingerprintNodes(q.Q),
-		}
+		rkey = qcache.ResultKey{Engine: engine, Algo: algo, Agg: q.Agg, Phi: q.Phi, K: k}
+		rkey.P, rkey.Q = q.Fingerprints()
 		if answers, hit := h.cache.GetResult(rkey); hit {
 			resp := h.respond(engine, answers, start)
 			resp.CacheHit = true
@@ -211,12 +210,13 @@ func (h *Host) Handler() http.Handler {
 }
 
 func (h *Host) handleFANN(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxFramePayload+frameHeader+frameTrailer))
+	body, err := wire.ReadBody(http.MaxBytesReader(w, r.Body, maxFramePayload+frameHeader+frameTrailer), r.ContentLength)
 	if err != nil {
 		failHTTP(w, Classify(fmt.Errorf("%w: reading frame: %w", ErrCodec, err), 0))
 		return
 	}
-	req, err := DecodeRequest(body)
+	req, err := DecodeRequest(body.Bytes())
+	body.Release() // the decoded request does not alias the frame
 	if err != nil {
 		failHTTP(w, Classify(err, 0))
 		return
@@ -251,10 +251,7 @@ func (h *Host) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 // sortAnswers keeps merged answer lists ordered by distance then node id
 // (shared by the coordinator's merge).
 func sortAnswers(answers []Answer) {
-	sort.Slice(answers, func(i, j int) bool {
-		if answers[i].Dist != answers[j].Dist {
-			return answers[i].Dist < answers[j].Dist
-		}
-		return answers[i].P < answers[j].P
+	slices.SortFunc(answers, func(a, b Answer) int {
+		return cmp.Or(cmp.Compare(a.Dist, b.Dist), cmp.Compare(a.P, b.P))
 	})
 }

@@ -9,22 +9,15 @@ import (
 	"time"
 
 	"fannr/internal/core"
-	"fannr/internal/graph"
 	"fannr/internal/obs"
 	"fannr/internal/resil"
+	"fannr/internal/wire"
 )
 
-// FANNRequest mirrors the single-process server's /fann request body, so
-// a client can point at a coordinator without changing a byte.
-type FANNRequest struct {
-	P      []graph.NodeID `json:"p"`
-	Q      []graph.NodeID `json:"q"`
-	Phi    float64        `json:"phi"`
-	Agg    string         `json:"agg"`
-	Algo   string         `json:"algo"`
-	Engine string         `json:"engine"`
-	K      int            `json:"k"`
-}
+// FANNRequest is the single-process server's /fann request body, read
+// by the same decoder, so a client can point at a coordinator without
+// changing a byte.
+type FANNRequest = wire.FANNRequest
 
 // FANNResponse extends the server's response shape with the
 // scatter-gather accounting: which shards were down (degraded partial
@@ -103,7 +96,7 @@ func failHTTP(w http.ResponseWriter, se *Error) {
 func (c *Coordinator) handleFANN(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	var req FANNRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxFramePayload)).Decode(&req); err != nil {
+	if err := wire.ReadFANN(w, r, maxFramePayload, &req); err != nil {
 		failHTTP(w, Classify(fmt.Errorf("%w: decoding request: %w", core.ErrInvalid, err), 0))
 		return
 	}
@@ -112,10 +105,7 @@ func (c *Coordinator) handleFANN(w http.ResponseWriter, r *http.Request) {
 	if explain {
 		tr = obs.NewTrace(obs.NewRequestID())
 	}
-	res, err := c.Execute(r.Context(), &Request{
-		P: req.P, Q: req.Q, Phi: req.Phi, Agg: req.Agg,
-		Algo: req.Algo, Engine: req.Engine, K: req.K,
-	}, tr)
+	res, err := c.Execute(r.Context(), &req, tr)
 	if err != nil {
 		failHTTP(w, Classify(err, int(c.opts.RetryAfter.Round(time.Second)/time.Second)))
 		return
