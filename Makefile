@@ -49,9 +49,14 @@ figures:
 ## and IER-PHL's whole dispatch over algo_mix's d × M × φ grid against
 ## the Euclidean restriction it replaced (evals/op says how few
 ## evaluations share one bind; φ = 0.1 is where restriction is not behind).
-## The last two price the request-side stage: the /fann scanner against
+## Two price the request-side stage: the /fann scanner against
 ## encoding/json on hot_ier- and shard4-shaped bodies, and one sort per
-## set against the map + sort.Slice sequence it replaced.
+## set against the map + sort.Slice sequence it replaced. The last two
+## price what PR 25 took out of algo_mix's tail: 64 expansion lanes on
+## pooled label tables against the map-backed lane they replaced
+## (allocs/op), and GD through qcache.Wrap at a Q's first sight (nothing
+## stored) against its second (every list built, sorted, stored) and the
+## bare engine.
 microbench:
 	$(GO) test -run - -bench 'ServerThroughput|DistEndpoint' -cpu 1,2,4,8 \
 		-benchtime 1x ./internal/server/
@@ -60,6 +65,7 @@ microbench:
 	$(GO) test -run - -bench 'GPhiPHLBound|GPhiIERPHLBound|IERPHLRegimes' -cpu 1 -benchtime 500x .
 	$(GO) test -run - -bench DecodeFANN -cpu 1 -benchtime 2000x ./internal/wire/
 	$(GO) test -run - -bench Canonicalise -cpu 1 -benchtime 2000x ./internal/core/
+	$(GO) test -run - -bench 'ExpanderLanes|WrapFirstSight' -cpu 1 -benchtime 200x .
 
 ## Tier 3 — race detector over the concurrency-bearing packages
 ## (engine pools, HTTP server, parallel index builds, workload draws) plus
@@ -107,6 +113,7 @@ fuzz-smoke:
 	$(GO) test -run - -fuzz FuzzRead -fuzztime $(FUZZTIME) ./internal/gtree/
 	$(GO) test -run - -fuzz FuzzKNNMatchesDijkstra -fuzztime $(FUZZTIME) ./internal/gtree/
 	$(GO) test -run - -fuzz FuzzRead -fuzztime $(FUZZTIME) ./internal/ch/
+	$(GO) test -run - -fuzz FuzzExpanderTable -fuzztime $(FUZZTIME) ./internal/sp/
 	$(GO) test -run - -fuzz FuzzShardRPC -fuzztime $(FUZZTIME) ./internal/shard/
 
 ## Fault-injection and overload acceptance: the circuit breaker + chaos

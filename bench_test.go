@@ -16,9 +16,12 @@ import (
 	"time"
 
 	"fannr/internal/core"
+	"fannr/internal/difftest"
 	"fannr/internal/exp"
 	"fannr/internal/graph"
 	"fannr/internal/phl"
+	"fannr/internal/qcache"
+	"fannr/internal/sp"
 	"fannr/internal/workload"
 )
 
@@ -393,6 +396,95 @@ func BenchmarkIERPHLRegimes(b *testing.B) {
 					})
 				}
 			}
+		}
+	}
+}
+
+// BenchmarkExpanderLanes is what R-List and Exact-max pay for their
+// switchable expansion, without the search around it: 64 lanes (Q at the
+// default A = 10 %) over d = 0.01, each run to its 8th report. The table
+// arm re-arms one pooled set of lanes per op, as a Scratch does; the map
+// arm is the map-backed lane this replaced (difftest.MapExpander), which
+// could only be minted per request. Both settle the same nodes.
+func BenchmarkExpanderLanes(b *testing.B) {
+	e := sharedEnv(b)
+	gen := NewWorkloadGenerator(e.G, 99)
+	Q := gen.UniformQ(workload.DefaultParams().A, 64)
+	pSet := graph.NewNodeSet(e.G.NumNodes())
+	pSet.AddAll(gen.UniformP(0.01))
+	const reports = 8
+	b.Run("table", func(b *testing.B) {
+		lanes := make([]sp.Expander, len(Q))
+		pass := func() {
+			for j := range lanes {
+				lanes[j].Reset(e.G, Q[j], pSet)
+				for r := 0; r < reports; r++ {
+					lanes[j].Next()
+				}
+			}
+		}
+		pass() // grows the tables
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			pass()
+		}
+	})
+	b.Run("map", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			for _, src := range Q {
+				lane := difftest.NewMapExpander(e.G, src, pSet)
+				for r := 0; r < reports; r++ {
+					lane.Next()
+				}
+			}
+		}
+	})
+}
+
+// BenchmarkWrapFirstSight prices the list layer's admission rule on the
+// shape that owned algo_mix's tail: GD over the 169 data points of
+// d = 0.01 against M = 256 query points, PHL behind qcache.Wrap. "first"
+// is a request whose Q the cache has never been bound to (evaluated
+// through the engine, nothing stored), "second" one whose Q it has seen
+// once (every evaluation builds, sorts and stores its list — what every
+// request paid before the rule), "bare" the engine with no cache. The
+// cache is purged outside the timer before each op, so no arm ever
+// finds a list or evicts one.
+func BenchmarkWrapFirstSight(b *testing.B) {
+	e := sharedEnv(b)
+	gen := NewWorkloadGenerator(e.G, 99)
+	P, Q := gen.UniformP(0.01), gen.UniformQ(workload.DefaultParams().A, 256)
+	for _, phi := range []float64{0.1, 1} {
+		q := core.Query{P: P, Q: Q, Phi: phi, Agg: core.Max, Scratch: core.NewScratch()}
+		for _, sights := range []struct {
+			name   string
+			before int // bindings of Q the cache has seen when the op starts; < 0: no cache
+		}{{"first", 0}, {"second", 1}, {"bare", -1}} {
+			b.Run(fmt.Sprintf("phi=%g/%s", phi, sights.name), func(b *testing.B) {
+				gp, err := e.Engine("PHL")
+				if err != nil {
+					b.Fatal(err)
+				}
+				cache := qcache.New(qcache.Config{MaxEntries: 4096})
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					eng := gp
+					if sights.before >= 0 {
+						b.StopTimer()
+						cache.Purge()
+						for s := 0; s < sights.before; s++ {
+							cache.Wrap(gp).Reset(Q)
+						}
+						b.StartTimer()
+						eng = cache.Wrap(gp)
+					}
+					if _, err := core.GD(e.G, eng, q); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
 		}
 	}
 }

@@ -34,9 +34,9 @@ func KAPXSum(g *graph.Graph, gp GPhi, q Query, kAns int) ([]Answer, error) {
 // apxCandidates is APX-sum's reduction: the per network-nearest data
 // points of every q ∈ Q, each listed once. The GD loop ranks them. The
 // |Q| expansions run strictly one after another, so they share one
-// graph-sized Dijkstra (held in the Scratch) instead of minting a
-// map-backed sp.Expander each — that is for R-List, which keeps them all
-// live at once.
+// graph-sized Dijkstra (held in the Scratch) instead of running an
+// sp.Expander lane each — those, with their sparse label tables, are for
+// R-List and Exact-max, which keep all |Q| expansions live at once.
 func apxCandidates(g *graph.Graph, q *Query, per int) ([]graph.NodeID, error) {
 	pSet := q.countSet(g.NumNodes())
 	pSet.AddAll(q.P)

@@ -7,19 +7,19 @@ import (
 	"fannr/internal/core"
 	"fannr/internal/difftest"
 	"fannr/internal/graph"
-	"fannr/internal/sp"
 )
 
 // expanderCandidates is APX-sum's candidate step as it was first written
-// — one map-backed sp.Expander per query point — kept as the reference
-// the shared-Dijkstra version must reproduce: same candidates in the same
-// order, same number of settled nodes.
+// — one map-backed expander per query point (difftest.MapExpander, what
+// sp.Expander was then) — kept as the reference the shared-Dijkstra
+// version must reproduce: same candidates in the same order, same number
+// of settled nodes.
 func expanderCandidates(g *graph.Graph, q core.Query, per int) (candidates []graph.NodeID, settled int64) {
 	pSet := graph.NewNodeSet(g.NumNodes())
 	pSet.AddAll(q.P)
 	seen := graph.NewNodeSet(g.NumNodes())
 	for _, src := range q.Q {
-		ex := sp.NewExpander(g, src, pSet)
+		ex := difftest.NewMapExpander(g, src, pSet)
 		for picked := 0; picked < per; picked++ {
 			nb, ok := ex.Next()
 			if !ok {

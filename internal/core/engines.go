@@ -297,8 +297,9 @@ func (e *oracleEngine) nearest(p graph.NodeID, k int) []sp.Neighbor {
 }
 
 // Dist folds without building a neighbour list at all. It is what GD
-// calls for every data point when no cache wraps the engine (behind
-// qcache.Wrap evaluations arrive through KNearest instead). It selects
+// calls for every data point when no cache wraps the engine, and behind
+// qcache.Wrap for a Q the cache sees for the first time; only a Q seen
+// before arrives through KNearest, whose list the cache keeps. It selects
 // the k smallest distances and, for the sum, orders just that prefix,
 // so it adds the same values in the same ascending order as AggSorted
 // does and agrees with it bit for bit (TestNeighborSearcherContract).

@@ -28,11 +28,12 @@ func KExactMax(g *graph.Graph, gp GPhi, q Query, kAns int) ([]Answer, error) {
 // until the queue holds one winner per requested answer.
 func (s *solver) exactMax() error {
 	q := &s.q
-	pool := newExpanderPool(s.g, q.P, q.Q)
+	n := s.g.NumNodes()
+	pool := q.expanders(s.g, q.seenSet(n))
 	if q.Stats != nil {
 		defer func() { q.Stats.CountSettled(pool.settled()) }()
 	}
-	counts := q.countSet(s.g.NumNodes())
+	counts := q.countSet(n)
 	for s.top.len() < s.top.k {
 		if q.canceled() {
 			return ErrCanceled

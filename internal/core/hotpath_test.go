@@ -262,6 +262,59 @@ func TestGDZeroAllocSteadyState(t *testing.T) {
 	}
 }
 
+// laneQueries alternates two (P, Q) of different |P| and |Q| over one
+// warm Scratch, so every request re-arms pooled lanes from other
+// sources, and the smaller one leaves lanes idle.
+func laneQueries(q Query) []Query {
+	q2 := q
+	q2.P = append([]graph.NodeID(nil), q.Q...)
+	q2.Q = append([]graph.NodeID(nil), q.P[:10]...)
+	return []Query{q, q2}
+}
+
+// warmAllocs runs each query once through run to warm the Scratch, then
+// reports the allocations of one more pass.
+func warmAllocs(t *testing.T, qs []Query, run func(Query) error) float64 {
+	t.Helper()
+	pass := func() {
+		for _, q := range qs {
+			if err := run(q); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	pass()
+	return testing.AllocsPerRun(20, pass)
+}
+
+// TestRListWarmAlloc: R-List over INE with a warm Scratch allocates
+// nothing — the |Q| lanes, their label tables and frontiers, the
+// meta-heap and P's membership set are the Scratch's and are re-armed,
+// where each request used to mint 2·|Q| maps, |Q| heaps and a
+// graph-sized NodeSet.
+func TestRListWarmAlloc(t *testing.T) {
+	g, _, q := hotpathEnv(t)
+	gp := NewINE(g)
+	for _, agg := range []Aggregate{Sum, Max} {
+		q.Agg = agg
+		allocs := warmAllocs(t, laneQueries(q), func(q Query) error { _, err := RList(g, gp, q); return err })
+		if allocs != 0 {
+			t.Fatalf("R-List (%v) steady state allocates %v objects per two queries, want 0", agg, allocs)
+		}
+	}
+}
+
+// TestExactMaxWarmAlloc is the same gate for Exact-max, which shares the
+// lanes.
+func TestExactMaxWarmAlloc(t *testing.T) {
+	g, _, q := hotpathEnv(t)
+	gp := NewINE(g)
+	allocs := warmAllocs(t, laneQueries(q), func(q Query) error { _, err := ExactMax(g, gp, q); return err })
+	if allocs != 0 {
+		t.Fatalf("Exact-max steady state allocates %v objects per two queries, want 0", allocs)
+	}
+}
+
 // TestBoundPathWarmAlloc is the same gate one layer down: Reset, then one
 // Dist per data point, through the bound path, allocates nothing once
 // the bucket slabs have grown to the larger Q — under the PHL name and

@@ -11,23 +11,42 @@ import (
 // expanderPool is the shared machinery of R-List and Exact-max: one
 // resumable Dijkstra per q ∈ Q reporting members of P from near to far,
 // plus a meta-heap that always surfaces the lane whose head data point is
-// globally nearest (the paper's "switchable" multi-source expansion).
+// globally nearest (the paper's "switchable" multi-source expansion). A
+// Scratch keeps one and re-arms it per request: the lanes with their
+// label tables and frontiers, heads and the meta-heap are all reused. A
+// lane gives up an outsized table when it is next armed (sp.Expander.Reset),
+// so the pool holds at most one small table per lane it arms; a lane
+// left idle by a smaller Q keeps what it last held until then.
 type expanderPool struct {
-	lanes []*sp.Expander
-	heads []float64 // current head distance per lane (Inf when exhausted)
+	all   []*sp.Expander // every lane minted so far; lanes is its prefix
+	lanes []*sp.Expander // one per member of the armed Q
+	heads []float64      // current head distance per lane (Inf when exhausted)
 	meta  *pqueue.Heap[int]
 }
 
-func newExpanderPool(g *graph.Graph, P, Q []graph.NodeID) *expanderPool {
-	pool := &expanderPool{
-		lanes: make([]*sp.Expander, len(Q)),
-		heads: make([]float64, len(Q)),
-		meta:  pqueue.NewHeap[int](len(Q)),
+// expanders returns the lane pool armed for q: one lane per member of Q
+// reporting the members of P, from the Scratch when the query has one.
+// pSet is an empty graph-sized set the pool fills with P and reads until
+// the search ends; the caller picks one its own loop does not use.
+func (q *Query) expanders(g *graph.Graph, pSet *graph.NodeSet) *expanderPool {
+	var pool *expanderPool
+	if q.Scratch != nil {
+		pool = &q.Scratch.lanes
+	} else {
+		pool = &expanderPool{}
 	}
-	pSet := graph.NewNodeSet(g.NumNodes())
-	pSet.AddAll(P)
-	for i, src := range Q {
-		pool.lanes[i] = sp.NewExpander(g, src, pSet)
+	if pool.meta == nil {
+		pool.meta = pqueue.NewHeap[int](len(q.Q))
+	}
+	pool.meta.Reset()
+	pSet.AddAll(q.P)
+	for len(pool.all) < len(q.Q) {
+		pool.all = append(pool.all, new(sp.Expander))
+	}
+	pool.lanes = pool.all[:len(q.Q)]
+	pool.heads = growF(pool.heads, len(q.Q))
+	for i, src := range q.Q {
+		pool.lanes[i].Reset(g, src, pSet)
 		if nb, ok := pool.lanes[i].Peek(); ok {
 			pool.heads[i] = nb.Dist
 			pool.meta.Push(nb.Dist, i)
@@ -96,11 +115,12 @@ func KRList(g *graph.Graph, gp GPhi, q Query, kAns int) ([]Answer, error) {
 // any lane surfaces it, until τ reaches the k-th incumbent.
 func (s *solver) rlist() error {
 	q := &s.q
-	pool := newExpanderPool(s.g, q.P, q.Q)
+	n := s.g.NumNodes()
+	pool := q.expanders(s.g, q.countSet(n))
 	if q.Stats != nil {
 		defer func() { q.Stats.CountSettled(pool.settled()) }()
 	}
-	seen := q.seenSet(s.g.NumNodes())
+	seen := q.seenSet(n)
 	scratch := q.distBuf(len(q.Q))
 	for {
 		if q.canceled() {

@@ -9,9 +9,9 @@ import (
 // Scratch is reusable per-query working memory for the algorithm layer:
 // the dedup sort buffer behind Query.Validate, the answer subset buffer,
 // the distance scratch behind R-List's threshold, the visited/counter
-// sets of R-List and Exact-max, the best-first machinery of IER-kNN, the
-// incumbent heap of the top-k queries, and the Dijkstra behind APX-sum's
-// candidate step.
+// sets and the expansion lanes of R-List and Exact-max, the best-first
+// machinery of IER-kNN, the incumbent heap of the top-k queries, and the
+// Dijkstra behind APX-sum's candidate step.
 // With a warm Scratch attached (Query.Scratch), steady-state queries on
 // batching engines allocate zero heap objects — verified by the
 // testing.AllocsPerRun gates in hotpath_test.go.
@@ -32,6 +32,7 @@ type Scratch struct {
 	dists  []float64                     // threshold / spare distance buffer
 	seen   *graph.NodeSet                // R-List visited set
 	counts *graph.NodeSet                // Exact-max per-point counters
+	lanes  expanderPool                  // R-List / Exact-max: one resumable Dijkstra per q
 	search *ierSearch                    // IER-kNN best-first traversal state
 	top    *pqueue.MaxHeap[graph.NodeID] // k-FANN_R incumbent queue (k > 1)
 	dij    *sp.Dijkstra                  // APX-sum candidate expansions

@@ -97,9 +97,16 @@ func TestNeighborSearcherContract(t *testing.T) {
 					Q = append(Q, graph.NodeID(v))
 				}
 				gp.Reset(Q)
+				if trial%2 == 1 {
+					// The cache stores a Q's lists from its second binding
+					// on: odd trials bind twice, so the cached arm holds
+					// the contract both ways — evaluated through at first
+					// sight, and filled then served as prefixes.
+					gp.Reset(Q)
+				}
 				ps := []graph.NodeID{graph.NodeID(rng.Intn(mainland)), graph.NodeID(rng.Intn(mainland)), island[4], island[5]}
-				// Descending k: the cached engine serves the smaller ones
-				// as prefixes of the first list.
+				// Descending k: a filling cached engine serves the smaller
+				// ones as prefixes of the first list.
 				for _, k := range []int{len(Q), 21, 12, 1 + rng.Intn(11), 1} {
 					for _, p := range ps {
 						nbrs := ns.KNearest(p, k, nil)
@@ -127,5 +134,8 @@ func TestNeighborSearcherContract(t *testing.T) {
 				}
 			}
 		}
+	}
+	if m := cache.Metrics(); m.HitsSubsume == 0 || m.ListSkips == 0 {
+		t.Fatalf("cached arm did not run both ways: %+v", m)
 	}
 }

@@ -485,24 +485,30 @@ func (env *Env) runTopK(c Case, q core.Query) error {
 	return nil
 }
 
-// cachedSweep is the descending-φ ladder RunCaseCached runs: the φ=1
-// pass fills each candidate's full neighbor list, so every later (and
-// every second-pass) query is answered from cached prefixes.
+// cachedSweep is the descending-φ ladder RunCaseCached ends with: every
+// k it asks for fits the lists the φ=1 query filled.
 var cachedSweep = []float64{1.0, 0.75, 0.5, 0.25, 0.1, 0.01}
 
-// RunCaseCached is the warm/cold differential gate for the qcache
-// semantic cache: the case's query runs over a descending-φ sweep twice
-// per engine — cold through the raw engine and warm through a
-// cache-wrapped one — and every warm answer must agree with the cold
-// answer and with brute force. Descending φ makes the smaller k values
-// subsumption hits against the lists the φ=1 queries filled, exercising
-// exactly the "Revisitation of g_φ" prefix-fold property the cache
-// relies on; the run fails outright if no subsumption hit was recorded,
-// so a silently pass-through cache cannot fake agreement.
-func (env *Env) RunCaseCached(c Case, engines []core.GPhi) error {
-	if engines == nil {
-		engines = env.Engines
-	}
+// RunCaseCached is the differential gate for the qcache list layer and
+// its admission rule. Per engine, on a cache of its own, the case's
+// query at φ=1 is answered by GD three times, each through a fresh
+// wrapper as the server makes one per request, and the cache's counters
+// are pinned after each so that neither a pass-through nor an
+// always-fill wrapper can fake agreement:
+//
+//   - first sight of Q: every evaluation and the winner's subset miss,
+//     are computed by the engine directly, and nothing is stored;
+//   - second sight: the same evaluations miss and each stores its list;
+//     only the subset hits (the winner's list, stored a moment earlier);
+//   - third: no miss — every evaluation and the subset are list hits.
+//
+// Then GD and R-List run a descending-φ sweep whose smaller k are all
+// prefixes of those lists — the "Revisitation of g_φ" fold the cache
+// relies on — and must not miss once. Every warm answer is compared with
+// the bare engine's bit for bit (one fold serves both since PR 12; the
+// NeighborSearcher contract is what makes the three states agree), with
+// brute force to tolerance, and checked by Verify.
+func (env *Env) RunCaseCached(c Case) error {
 	algos := []struct {
 		name string
 		fn   func(*graph.Graph, core.GPhi, core.Query) (core.Answer, error)
@@ -510,54 +516,84 @@ func (env *Env) RunCaseCached(c Case, engines []core.GPhi) error {
 		{"GD", core.GD},
 		{"RList", core.RList},
 	}
-	for _, gp := range engines {
+	for _, gp := range env.Engines {
 		cache := qcache.New(qcache.Config{MaxEntries: 1 << 14})
-		warmEng := cache.Wrap(gp)
-		if warmEng == gp {
+		if cache.Wrap(gp) == gp {
 			return fmt.Errorf("%v: %s lacks neighbor extraction; cache wrap was a no-op", c, gp.Name())
 		}
-		for pass := 0; pass < 2; pass++ {
-			for _, phi := range cachedSweep {
-				q := c.query()
-				q.Phi = phi
-				want, bruteErr := core.Brute(env.G, q)
-				noResult := errors.Is(bruteErr, core.ErrNoResult)
-				if bruteErr != nil && !noResult {
-					return fmt.Errorf("%v: brute at φ=%v: %w", c, phi, bruteErr)
+		// check runs one query bare and through a fresh wrapper. ok is
+		// false (and err nil) when brute force finds no answer and both
+		// agree.
+		check := func(label string, fn func(*graph.Graph, core.GPhi, core.Query) (core.Answer, error), phi float64) (ok bool, err error) {
+			q := c.query()
+			q.Phi = phi
+			want, bruteErr := core.Brute(env.G, q)
+			noResult := errors.Is(bruteErr, core.ErrNoResult)
+			if bruteErr != nil && !noResult {
+				return false, fmt.Errorf("%v: brute at φ=%v: %w", c, phi, bruteErr)
+			}
+			cold, coldErr := fn(env.G, gp, q)
+			warm, warmErr := fn(env.G, cache.Wrap(gp), q)
+			if noResult {
+				if !errors.Is(warmErr, core.ErrNoResult) || !errors.Is(coldErr, core.ErrNoResult) {
+					return false, fmt.Errorf("%v: %s: cold err %v, warm err %v, brute says ErrNoResult", c, label, coldErr, warmErr)
 				}
-				for _, algo := range algos {
-					label := fmt.Sprintf("cached/%s/%s pass=%d φ=%v", algo.name, gp.Name(), pass, phi)
-					cold, coldErr := algo.fn(env.G, gp, q)
-					warm, warmErr := algo.fn(env.G, warmEng, q)
-					if noResult {
-						if !errors.Is(warmErr, core.ErrNoResult) || !errors.Is(coldErr, core.ErrNoResult) {
-							return fmt.Errorf("%v: %s: cold err %v, warm err %v, brute says ErrNoResult",
-								c, label, coldErr, warmErr)
-						}
-						continue
-					}
-					if coldErr != nil || warmErr != nil {
-						return fmt.Errorf("%v: %s: cold err %v, warm err %v", c, label, coldErr, warmErr)
-					}
-					// The cached fold may sum sorted neighbors in a different
-					// order than the engine's native aggregation, so distances
-					// agree to tolerance, not bit-for-bit; Verify then pins the
-					// warm answer's subset to an independently recomputed g_φ.
-					if !closeTo(warm.Dist, cold.Dist) {
-						return fmt.Errorf("%v: %s: warm d* = %v, cold %v", c, label, warm.Dist, cold.Dist)
-					}
-					if !closeTo(warm.Dist, want.Dist) {
-						return fmt.Errorf("%v: %s: warm d* = %v, brute %v (p=%d vs %d)",
-							c, label, warm.Dist, want.Dist, warm.P, want.P)
-					}
-					if err := core.Verify(env.G, q, warm); err != nil {
-						return fmt.Errorf("%v: %s: warm answer fails Verify: %w", c, label, err)
-					}
+				return false, nil
+			}
+			if coldErr != nil || warmErr != nil {
+				return false, fmt.Errorf("%v: %s: cold err %v, warm err %v", c, label, coldErr, warmErr)
+			}
+			if warm.P != cold.P || math.Float64bits(warm.Dist) != math.Float64bits(cold.Dist) {
+				return false, fmt.Errorf("%v: %s: warm (%d, %v), cold (%d, %v) — not bit-identical", c, label, warm.P, warm.Dist, cold.P, cold.Dist)
+			}
+			if !closeTo(warm.Dist, want.Dist) {
+				return false, fmt.Errorf("%v: %s: warm d* = %v, brute %v (p=%d vs %d)", c, label, warm.Dist, want.Dist, warm.P, want.P)
+			}
+			if err := core.Verify(env.G, q, warm); err != nil {
+				return false, fmt.Errorf("%v: %s: warm answer fails Verify: %w", c, label, err)
+			}
+			return true, nil
+		}
+
+		var lookups int64 // list lookups of the φ=1 GD: one per data point, one for the subset
+		prev := cache.Metrics()
+		for sight := 1; sight <= 3; sight++ {
+			label := fmt.Sprintf("cached/GD/%s sight %d", gp.Name(), sight)
+			ok, err := check(label, core.GD, 1)
+			if err != nil {
+				return err
+			}
+			m := cache.Metrics()
+			misses, hits, skips := m.MissesList-prev.MissesList, m.HitsSubsume-prev.HitsSubsume, m.ListSkips-prev.ListSkips
+			prev = m
+			if !ok {
+				// No answer at φ=1: nothing reached Subset, so the counts
+				// below do not apply; the sweep's smaller φ still run.
+				continue
+			}
+			var want [4]int64 // misses, hits, skips, entries
+			switch sight {
+			case 1:
+				lookups = misses
+				want = [4]int64{lookups, 0, lookups, 0}
+			case 2:
+				want = [4]int64{lookups - 1, 1, 0, lookups - 1}
+			case 3:
+				want = [4]int64{0, lookups, 0, lookups - 1}
+			}
+			if got := [4]int64{misses, hits, skips, m.Entries}; got != want || lookups < 2 {
+				return fmt.Errorf("%v: %s: list misses/hits/skips/entries = %v, want %v", c, label, got, want)
+			}
+		}
+		for _, phi := range cachedSweep {
+			for _, algo := range algos {
+				if _, err := check(fmt.Sprintf("cached/%s/%s φ=%v", algo.name, gp.Name(), phi), algo.fn, phi); err != nil {
+					return err
 				}
 			}
 		}
-		if m := cache.Metrics(); m.HitsSubsume == 0 {
-			return fmt.Errorf("%v: %s: sweep recorded no subsumption hits: %+v", c, gp.Name(), m)
+		if m := cache.Metrics(); lookups > 0 && (m.MissesList != prev.MissesList || m.Entries != prev.Entries || m.HitsSubsume == prev.HitsSubsume) {
+			return fmt.Errorf("%v: %s: sweep below the filled k was not served from lists: %+v, before it %+v", c, gp.Name(), m, prev)
 		}
 	}
 	return nil

@@ -1,7 +1,6 @@
 package difftest
 
 import (
-	"fannr/internal/core"
 	"sync"
 	"testing"
 )
@@ -118,12 +117,11 @@ func TestDifferentialMmapVsHeap(t *testing.T) {
 }
 
 // TestDifferentialCachedWarmCold is the qcache acceptance gate: seeded
-// cases run cold (raw engine) and warm (cache-wrapped) over a
-// descending-φ sweep, twice, and every warm answer must match the cold
-// answer and brute force — including the answers served as subsumption
-// hits from longer cached lists. Engines rotate per case to bound cost;
-// INE and one oracle engine run every case since they exercise the two
-// distinct KNearest implementations.
+// cases run bare and cache-wrapped through every engine — the first,
+// second and third sight of one query (nothing stored, lists stored,
+// lists served), then a descending-φ sweep served from those lists as
+// subsumption hits — and every warm answer must match the bare engine's
+// bit for bit, and brute force.
 func TestDifferentialCachedWarmCold(t *testing.T) {
 	casesPerEnv := 12
 	if testing.Short() {
@@ -138,12 +136,7 @@ func TestDifferentialCachedWarmCold(t *testing.T) {
 			}
 			for i := 0; i < casesPerEnv; i++ {
 				c := GenCase(spec.seed*20_000+int64(i), env.G)
-				engines := []core.GPhi{
-					env.Engines[0],                  // INE
-					env.Engines[2],                  // PHL oracle
-					env.Engines[i%len(env.Engines)], // rotating coverage
-				}
-				if err := env.RunCaseCached(c, engines); err != nil {
+				if err := env.RunCaseCached(c); err != nil {
 					t.Fatal(err)
 				}
 			}

@@ -93,9 +93,11 @@ func (c *Cache) get(k cacheKey) (any, bool) {
 // neighbor list racing with a shorter one).
 func (c *Cache) put(k cacheKey, val any, size int64, keep func(old any) bool) {
 	s := &c.shards[shardOf(k)]
-	now := c.now().UnixNano()
-	var expires int64
+	// Without a TTL nothing expires (expires stays 0 on every entry), so
+	// the clock is not read — as in get.
+	var now, expires int64
 	if c.ttl > 0 {
+		now = c.now().UnixNano()
 		expires = now + int64(c.ttl)
 	}
 	s.mu.Lock()
@@ -125,7 +127,8 @@ func (c *Cache) put(k cacheKey, val any, size int64, keep func(old any) bool) {
 	}
 }
 
-// Purge drops every entry — the manual invalidation hook. The indexes a
+// Purge drops every entry and forgets every bound Q — the manual
+// invalidation hook. The indexes a
 // cache fronts are immutable for the life of the process, so purging is
 // only needed when an operator swaps datasets in tests or tooling.
 func (c *Cache) Purge() {
@@ -145,6 +148,9 @@ func (c *Cache) Purge() {
 		s.mu.Unlock()
 		c.entries.Add(-n)
 		c.bytes.Add(-freed)
+	}
+	for i := range c.bound {
+		c.bound[i].Store(0)
 	}
 }
 

@@ -36,10 +36,15 @@ type Cache struct {
 	now      func() time.Time
 	shards   [numShards]shard
 
+	// bound is the list layer's doorkeeper: digests of the (engine, Q)
+	// pairs a wrapper was bound to, in 4-slot buckets, most recent first.
+	bound []atomic.Uint64
+
 	hitsExact   atomic.Int64
 	hitsSubsume atomic.Int64
 	missesExact atomic.Int64
 	missesList  atomic.Int64
+	listSkips   atomic.Int64
 	evictions   atomic.Int64
 	entries     atomic.Int64
 	bytes       atomic.Int64
@@ -58,11 +63,51 @@ func New(cfg Config) *Cache {
 	if now == nil {
 		now = timeNow
 	}
-	c := &Cache{perShard: per, ttl: cfg.TTL, now: now}
+	c := &Cache{perShard: per, ttl: cfg.TTL, now: now, bound: make([]atomic.Uint64, boundSlots(cfg.MaxEntries))}
 	for i := range c.shards {
 		c.shards[i].entries = make(map[cacheKey]*entry)
 	}
 	return c
+}
+
+// boundWays is the doorkeeper's bucket width.
+const boundWays = 4
+
+// boundSlots sizes the doorkeeper from the entry budget: one digest per
+// entry the cache may hold (a Q whose lists are resident occupies at
+// least one), rounded up to a power of two of whole buckets. 8 bytes a
+// slot — 1/6 of the smallest list entry's accounted size.
+func boundSlots(maxEntries int) int {
+	n := 16 * boundWays
+	for n < maxEntries {
+		n *= 2
+	}
+	return n
+}
+
+// seenBound reports whether a wrapper over engine was bound to the Q
+// behind fp before (since the last Purge, and as far as the fixed table
+// remembers), and records that one is now. It is the list layer's
+// admission rule: a Q's neighbour lists are stored from its second
+// binding on, so traffic that never repeats a Q stores, sorts and evicts
+// nothing. Forgetting a Q (a full bucket, two racing writers) only
+// delays its fill by one request; it never affects an answer.
+func (c *Cache) seenBound(engine string, fp Fingerprint) bool {
+	d := fp.Hi ^ fp.Lo*0x9E3779B97F4A7C15
+	for i := 0; i < len(engine); i++ {
+		d = (d ^ uint64(engine[i])) * 0x100000001B3
+	}
+	d |= 1 // 0 is an empty slot
+	bucket := int(d>>8) & (len(c.bound)/boundWays - 1)
+	b := c.bound[bucket*boundWays:][:boundWays]
+	prev := d
+	for i := range b {
+		prev = b[i].Swap(prev) // shift the bucket down behind d
+		if prev == d {
+			return true
+		}
+	}
+	return false
 }
 
 // resultVal is the stored shape of the result layer: the answers only.
@@ -169,9 +214,12 @@ type Metrics struct {
 	HitsSubsume int64
 	MissesExact int64
 	MissesList  int64
-	Evictions   int64
-	Entries     int64
-	Bytes       int64
+	// ListSkips counts g_φ evaluations computed for a first-sight Q and
+	// deliberately not stored (see seenBound).
+	ListSkips int64
+	Evictions int64
+	Entries   int64
+	Bytes     int64
 }
 
 // Metrics snapshots the counters; zero-valued on a nil cache.
@@ -184,6 +232,7 @@ func (c *Cache) Metrics() Metrics {
 		HitsSubsume: c.hitsSubsume.Load(),
 		MissesExact: c.missesExact.Load(),
 		MissesList:  c.missesList.Load(),
+		ListSkips:   c.listSkips.Load(),
 		Evictions:   c.evictions.Load(),
 		Entries:     c.entries.Load(),
 		Bytes:       c.bytes.Load(),

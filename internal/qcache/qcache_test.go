@@ -190,3 +190,24 @@ func TestTTLExpiry(t *testing.T) {
 		t.Fatalf("expired complete list resurrected")
 	}
 }
+
+// TestNoTTLNeverReadsClock: with TTL 0 (the server's default) no entry
+// expires, so neither a store, a replacing store nor a lookup reads the
+// clock.
+func TestNoTTLNeverReadsClock(t *testing.T) {
+	c := New(Config{MaxEntries: 8, Now: func() time.Time {
+		t.Error("clock read without a TTL")
+		return time.Time{}
+	}})
+	q := FingerprintNodes([]graph.NodeID{1})
+	c.PutList("E", q, 1, []sp.Neighbor{{Node: 1, Dist: 1}}, false)
+	c.PutList("E", q, 1, []sp.Neighbor{{Node: 1, Dist: 1}, {Node: 2, Dist: 2}}, true)
+	if got, ok := c.GetList("E", q, 1, 2); !ok || len(got) != 2 {
+		t.Fatalf("GetList = %v ok=%v", got, ok)
+	}
+	key := rkey("E", 0.5, 1, q, q)
+	c.PutResult(key, []core.Answer{{P: 1, Dist: 1}})
+	if _, ok := c.GetResult(key); !ok {
+		t.Fatal("stored result missed")
+	}
+}

@@ -16,7 +16,7 @@ import (
 
 // TestRaceHammerCache drives the sharded LRU from many goroutines with a
 // working set larger than the cache, so gets, puts, evictions, TTL
-// expiry and purges all interleave. Run under -race (the race Makefile
+// expiry, purges and doorkeeper bindings all interleave. Run under -race (the race Makefile
 // tier includes this package); the assertions only sanity-check the
 // gauges because correctness under contention IS the absence of races
 // plus gauge consistency.
@@ -35,7 +35,7 @@ func TestRaceHammerCache(t *testing.T) {
 			for i := 0; i < 3000; i++ {
 				q := qfps[rng.Intn(len(qfps))]
 				p := graph.NodeID(rng.Intn(300))
-				switch rng.Intn(5) {
+				switch rng.Intn(6) {
 				case 0:
 					n := 1 + rng.Intn(4)
 					nbrs := make([]sp.Neighbor, n)
@@ -65,6 +65,8 @@ func TestRaceHammerCache(t *testing.T) {
 					if i%512 == 0 {
 						c.Purge()
 					}
+				case 5:
+					c.seenBound("E", Fingerprint{Lo: uint64(rng.Intn(600))})
 				}
 			}
 		}(w)

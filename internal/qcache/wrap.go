@@ -7,12 +7,16 @@ import (
 )
 
 // Wrap returns a GPhi that serves Dist/Subset from the cache's
-// neighbor-list layer, falling through to inner's KNearest on misses and
-// filling the cache for the next query. The wrapper is cheap, carries
-// per-request state (the bound Q's fingerprint, the bound Stats) and
-// must not be shared across goroutines — create one per request around a
-// pooled engine. When the cache is nil or inner cannot enumerate
-// neighbors, inner is returned unchanged.
+// neighbor-list layer. What a miss does depends on whether the cache has
+// seen the bound Q before (Cache.seenBound, asked at Reset): for a Q
+// bound at least once already, the miss falls through to inner's
+// KNearest and fills the cache for the next query; for a Q at first
+// sight it is evaluated by inner directly and nothing is stored. The
+// wrapper is cheap, carries per-request state (the bound Q's fingerprint
+// and admission verdict, the bound Stats) and must not be shared across
+// goroutines — create one per request around a pooled engine. When the
+// cache is nil or inner cannot enumerate neighbors, inner is returned
+// unchanged.
 func (c *Cache) Wrap(inner core.GPhi) core.GPhi {
 	if c == nil {
 		return inner
@@ -30,6 +34,7 @@ type cachedEngine struct {
 	c     *Cache
 	name  string
 	qfp   Fingerprint
+	fill  bool // the cache has seen this Q before: misses store their list
 	stats *core.Stats
 }
 
@@ -56,37 +61,69 @@ func (e *cachedEngine) Reset(Q []graph.NodeID) {
 // fingerprint: core's solve passes the one Query.Validate computed.
 func (e *cachedEngine) ResetFingerprinted(Q []graph.NodeID, fp Fingerprint) {
 	e.qfp = fp
+	e.fill = e.c.seenBound(e.name, fp)
 	e.inner.Reset(Q)
 }
 
-// lookup serves the k-nearest list for p from cache or computes and
-// fills it. The result is sorted ascending and holds min(k, reachable)
-// neighbors.
-func (e *cachedEngine) lookup(p graph.NodeID, k int) []sp.Neighbor {
+// ListMode names what gp does with a neighbour list the cache lacks:
+// "fill" (compute and store it), "first-sight" (evaluate through the
+// engine and store nothing — the cache had not seen the bound Q before)
+// or "" when gp is not a Wrap result. It reads the last Reset's verdict.
+func ListMode(gp core.GPhi) string {
+	e, ok := gp.(*cachedEngine)
+	switch {
+	case !ok:
+		return ""
+	case e.fill:
+		return "fill"
+	}
+	return "first-sight"
+}
+
+// lookup serves the k-nearest list for p: from the cache, or — for a Q
+// the cache has seen before — computed and stored. The list is sorted
+// ascending and holds min(k, reachable) neighbors. ok is false for a
+// miss at first sight of Q: the caller evaluates through inner, which
+// for an oracle engine's Dist means no list is built or sorted at all.
+func (e *cachedEngine) lookup(p graph.NodeID, k int) (nbrs []sp.Neighbor, ok bool) {
 	if nbrs, ok := e.c.GetList(e.name, e.qfp, p, k); ok {
 		e.stats.CountCacheHit()
-		return nbrs
+		return nbrs, true
 	}
 	e.stats.CountCacheMiss()
-	nbrs := e.ns.KNearest(p, k, nil) // fresh, and only read from here on
+	if !e.fill {
+		e.c.listSkips.Add(1)
+		return nil, false
+	}
+	nbrs = e.ns.KNearest(p, k, nil) // fresh, and only read from here on
 	e.c.putListOwned(e.name, e.qfp, p, nbrs, len(nbrs) < k)
-	return nbrs
+	return nbrs, true
 }
 
 // Dist, Subset and KNearest go through core's one fold and one
 // projection, so a cached list answers bit-identically to the live
-// engine it came from (the NeighborSearcher contract). KNearest also
-// makes wrapped engines themselves wrappable.
+// engine it came from, and the live engine at first sight answers
+// bit-identically to the list a later request stores (both are the
+// NeighborSearcher contract). KNearest also makes wrapped engines
+// themselves wrappable.
 
 func (e *cachedEngine) Dist(p graph.NodeID, k int, agg core.Aggregate) (float64, bool) {
-	return core.AggSorted(e.lookup(p, k), k, agg)
+	if nbrs, ok := e.lookup(p, k); ok {
+		return core.AggSorted(nbrs, k, agg)
+	}
+	return e.inner.Dist(p, k, agg)
 }
 
 func (e *cachedEngine) Subset(p graph.NodeID, k int, dst []graph.NodeID) []graph.NodeID {
-	return core.SubsetSorted(e.lookup(p, k), k, dst)
+	if nbrs, ok := e.lookup(p, k); ok {
+		return core.SubsetSorted(nbrs, k, dst)
+	}
+	return e.inner.Subset(p, k, dst)
 }
 
 func (e *cachedEngine) KNearest(p graph.NodeID, k int, dst []sp.Neighbor) []sp.Neighbor {
-	nbrs := e.lookup(p, k)
-	return append(dst, nbrs[:min(k, len(nbrs))]...)
+	if nbrs, ok := e.lookup(p, k); ok {
+		return append(dst, nbrs[:min(k, len(nbrs))]...)
+	}
+	return e.ns.KNearest(p, k, dst)
 }

@@ -63,6 +63,10 @@ func TestWrapServesPrefixesAndCompleteLists(t *testing.T) {
 	var stats core.Stats
 	w := c.Wrap(stub)
 	core.BindStats(w, &stats)
+	// Bound twice: lists are stored from the second binding of a Q on
+	// (at first sight a miss is evaluated and nothing is kept —
+	// TestFirstSightStoresNothing), and this test is about stored lists.
+	w.Reset([]graph.NodeID{10, 11, 12})
 	w.Reset([]graph.NodeID{10, 11, 12})
 
 	// Cold fill at k=3, then every k' ≤ 3 and the subset come from cache.
@@ -151,10 +155,16 @@ func TestWrapResetFingerprintedKeysLikeReset(t *testing.T) {
 	}
 	c := New(Config{MaxEntries: 1024})
 	P := []graph.NodeID{3, 17, 42, 99}
-	if _, err := core.GD(g, c.Wrap(core.NewINE(g)), core.Query{P: P, Q: []graph.NodeID{5, 60, 120, 150}, Phi: 1, Agg: core.Sum}); err != nil {
-		t.Fatal(err)
+	// Twice: the first sight of a Q stores no lists, the second fills.
+	for sight := 0; sight < 2; sight++ {
+		if _, err := core.GD(g, c.Wrap(core.NewINE(g)), core.Query{P: P, Q: []graph.NodeID{5, 60, 120, 150}, Phi: 1, Agg: core.Sum}); err != nil {
+			t.Fatal(err)
+		}
 	}
 	filled := c.Metrics()
+	if filled.Entries != int64(len(P)) {
+		t.Fatalf("second sight stored %d lists, want %d", filled.Entries, len(P))
+	}
 	byHand := c.Wrap(core.NewINE(g))
 	byHand.Reset([]graph.NodeID{150, 5, 120, 60, 5})
 	for _, p := range P {
@@ -198,7 +208,8 @@ func TestWrapPrefixMatchesLiveEngineUnderTies(t *testing.T) {
 	}
 	c := New(Config{MaxEntries: 1024})
 	warm, live := c.Wrap(core.NewOracleGPhi("PHL", ix)), core.NewOracleGPhi("PHL", ix)
-	warm.Reset(Q)
+	warm.Reset(Q) // first sight: nothing would be stored
+	warm.Reset(Q) // second: the fill below is kept, which is what is under test
 	live.Reset(Q)
 	const kFill = 20
 	for p := graph.NodeID(0); p < side*side; p += 7 {
@@ -226,5 +237,125 @@ func TestWrapPrefixMatchesLiveEngineUnderTies(t *testing.T) {
 		if m := c.Metrics().MissesList; m != misses {
 			t.Fatalf("p=%d: %d list misses below the filled k, want 0", p, m-misses)
 		}
+	}
+}
+
+// TestFirstSightStoresNothing is the list layer's admission rule end to
+// end: requests that each bring a Q the cache has never seen evaluate
+// through the engine and store no list, so they evict nothing, while the
+// result layer still keeps every answer; and the rule only governs what
+// a miss does — a list that is resident is served even to a binding the
+// doorkeeper takes for a first sight.
+func TestFirstSightStoresNothing(t *testing.T) {
+	g, err := graph.Generate(graph.GenConfig{Nodes: 200, Seed: 79, Name: "firstsight"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const fresh = 300
+	c := New(Config{MaxEntries: 2048})
+	raw := core.NewINE(g)
+	P := []graph.NodeID{3, 17, 42, 99}
+	solve := func(Q []graph.NodeID) (core.Answer, string) {
+		t.Helper()
+		w := c.Wrap(raw)
+		q := core.Query{P: P, Q: Q, Phi: 1, Agg: core.Sum}
+		ans, err := core.GD(g, w, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want, _ := core.GD(g, raw, q); ans.P != want.P || math.Float64bits(ans.Dist) != math.Float64bits(want.Dist) {
+			t.Fatalf("Q=%v: (%d, %v) through the wrapper, (%d, %v) bare", Q, ans.P, ans.Dist, want.P, want.Dist)
+		}
+		return ans, ListMode(w)
+	}
+
+	kept := []graph.NodeID{5, 60, 120, 150}
+	for sight, want := range []string{"first-sight", "fill"} {
+		if _, mode := solve(kept); mode != want {
+			t.Fatalf("sight %d of Q: lists %q, want %q", sight+1, mode, want)
+		}
+	}
+	filled := c.Metrics()
+	if filled.Entries != int64(len(P)) {
+		t.Fatalf("second sight stored %d lists, want %d", filled.Entries, len(P))
+	}
+
+	for i := 0; i < fresh; i++ {
+		Q := []graph.NodeID{graph.NodeID(i % 190), graph.NodeID(i%190 + 7), graph.NodeID((i / 190) + 198)}
+		ans, mode := solve(Q)
+		if mode != "first-sight" {
+			t.Fatalf("fresh Q %v: lists %q", Q, mode)
+		}
+		c.PutResult(rkey("INE", 1, 3, FingerprintNodes(P), FingerprintNodes(Q)), []core.Answer{ans})
+	}
+	m := c.Metrics()
+	if m.Evictions != 0 || m.HitsSubsume != filled.HitsSubsume {
+		t.Fatalf("%d fresh Qs: %d evictions, %d list hits, want none of either", fresh, m.Evictions, m.HitsSubsume-filled.HitsSubsume)
+	}
+	if results := m.Entries - filled.Entries; results != fresh {
+		t.Fatalf("%d fresh Qs added %d entries, want one result each and no list", fresh, results)
+	}
+	// Every evaluation and the winner's subset: computed, counted, not stored.
+	if skips := m.ListSkips - filled.ListSkips; skips != fresh*int64(len(P)+1) || m.MissesList-filled.MissesList != skips {
+		t.Fatalf("%d list skips, %d list misses, want %d of each", skips, m.MissesList-filled.MissesList, fresh*(len(P)+1))
+	}
+}
+
+// TestFirstSightServesResidentLists: the doorkeeper has long forgotten
+// the one Q whose lists are resident, so its next binding reads as a
+// first sight — and is answered from those lists all the same.
+func TestFirstSightServesResidentLists(t *testing.T) {
+	c := New(Config{MaxEntries: 64})
+	stub := &stubEngine{table: map[graph.NodeID][]sp.Neighbor{
+		1: {{Node: 10, Dist: 1}, {Node: 11, Dist: 2}},
+	}}
+	Q := []graph.NodeID{10, 11}
+	w := c.Wrap(stub)
+	w.Reset(Q)
+	w.Reset(Q)
+	w.Dist(1, 2, core.Sum) // fills
+	for i := 0; i < 1000; i++ {
+		c.seenBound("stub", FingerprintNodes([]graph.NodeID{graph.NodeID(100 + i)}))
+	}
+	w.Reset(Q)
+	if mode := ListMode(w); mode != "first-sight" {
+		t.Fatalf("after 1000 other bindings the doorkeeper of a 64-entry cache still knows Q (lists %q)", mode)
+	}
+	calls := stub.calls
+	if d, ok := w.Dist(1, 2, core.Sum); !ok || d != 3 {
+		t.Fatalf("Dist = %v ok=%v", d, ok)
+	}
+	if stub.calls != calls || c.Metrics().HitsSubsume != 1 {
+		t.Fatalf("resident list not served at first sight: %d engine calls, %+v", stub.calls-calls, c.Metrics())
+	}
+}
+
+// TestDoorkeeperForgetsOnPurge: Purge empties the doorkeeper with the
+// entries, so the binding after it is a first sight again, and the one
+// after that fills.
+func TestDoorkeeperForgetsOnPurge(t *testing.T) {
+	c := New(Config{MaxEntries: 64})
+	w := c.Wrap(&stubEngine{})
+	Q := []graph.NodeID{10, 11, 12}
+	for _, want := range []string{"first-sight", "fill", "fill"} {
+		w.Reset(Q)
+		if mode := ListMode(w); mode != want {
+			t.Fatalf("lists %q, want %q", mode, want)
+		}
+	}
+	// The digest covers the engine: another engine's binding of the same
+	// Q is its own first sight.
+	if c.seenBound("other", FingerprintNodes(Q)) {
+		t.Fatal("a binding under another engine name was taken for a repeat")
+	}
+	c.Purge()
+	for _, want := range []string{"first-sight", "fill"} {
+		w.Reset(Q)
+		if mode := ListMode(w); mode != want {
+			t.Fatalf("after Purge: lists %q, want %q", mode, want)
+		}
+	}
+	if ListMode(&stubEngine{}) != "" {
+		t.Fatal("ListMode of an unwrapped engine is not empty")
 	}
 }

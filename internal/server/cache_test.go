@@ -116,6 +116,65 @@ func TestCacheSubsumeAcrossPhi(t *testing.T) {
 	}
 }
 
+// TestCacheListAdmissionSurfaces walks one Q through its first three
+// sights and reads the admission rule off every operator surface: the
+// ?explain=1 compute span says which way misses went ("first-sight",
+// then "fill"), fannr_cache_list_skips_total moves only at first sight
+// (one per evaluation and one for the subset) and /meta's cache block
+// carries the same number, list entries appear only at the second sight,
+// and the third is served from them.
+func TestCacheListAdmissionSurfaces(t *testing.T) {
+	_, ts, _ := cacheServer(t, Options{CacheEntries: 4096})
+	P := []graph.NodeID{3, 17, 42, 99, 140, 181}
+	Q := []graph.NodeID{5, 60, 120, 150, 199}
+	metric := func(sc obs.Scrape, name string, labels ...obs.Label) float64 {
+		v, _ := sc.Value(name, labels...)
+		return v
+	}
+	prev := scrapeMetrics(t, ts.URL)
+	if _, ok := prev.Value(mCacheListSkips); !ok {
+		t.Fatalf("%s not exposed with the cache on", mCacheListSkips)
+	}
+	for sight, want := range []struct {
+		lists                string
+		skips, entries, hits float64
+		phi                  float64
+	}{
+		{"first-sight", float64(len(P) + 1), 1, 0, 1}, // the result only
+		{"fill", 0, float64(len(P) + 1), 1, 0.8},      // |P| lists + the result; the subset reads its own list back
+		{"fill", 0, 1, float64(len(P) + 1), 0.6},      // the result; every lookup a list hit
+	} {
+		req := FANNRequest{P: P, Q: Q, Phi: want.phi, Agg: "sum", Engine: "INE"}
+		status, resp := post[FANNResponse](t, ts.URL+"/fann?explain=1", req)
+		if status != http.StatusOK || resp.Explain == nil {
+			t.Fatalf("sight %d: status %d, explain %v", sight+1, status, resp.Explain)
+		}
+		var lists any
+		for _, sp := range collectSpans(resp.Explain.Spans) {
+			if sp.Name == "compute" {
+				lists = sp.Attrs["lists"]
+			}
+		}
+		if lists != want.lists {
+			t.Fatalf("sight %d: compute span lists = %v, want %q", sight+1, lists, want.lists)
+		}
+		sc := scrapeMetrics(t, ts.URL)
+		got := [3]float64{
+			metric(sc, mCacheListSkips) - metric(prev, mCacheListSkips),
+			metric(sc, mCacheEntries) - metric(prev, mCacheEntries),
+			metric(sc, mCacheHits, obs.L("kind", "subsume")) - metric(prev, mCacheHits, obs.L("kind", "subsume")),
+		}
+		if got != [3]float64{want.skips, want.entries, want.hits} {
+			t.Fatalf("sight %d: list skips / new entries / list hits = %v, want %v", sight+1, got, [3]float64{want.skips, want.entries, want.hits})
+		}
+		prev = sc
+	}
+	_, meta := getJSON(t, ts.URL+"/meta")
+	if got := meta["cache"].(map[string]any)["list_skips"]; got != metric(prev, mCacheListSkips) {
+		t.Fatalf("/meta cache.list_skips = %v, /metrics says %v", got, metric(prev, mCacheListSkips))
+	}
+}
+
 // TestCoalesceCollapsesDuplicates: concurrent identical requests against
 // a slow engine share one computation — every response carries the same
 // answer, the engine evaluated each candidate once, and the coalesced
@@ -174,9 +233,12 @@ func TestCoalesceCollapsesDuplicates(t *testing.T) {
 // TestIERPHLAnswersMatchPHL: over one PHL index the two engine names are
 // one neighbour search, so the same (P, Q, φ, agg, algo, k) returns
 // byte-identical answers under either name — computed cold, and again on
-// a server whose neighbour lists a φ = 1 request has already filled, so
-// the request is served (in part, for the pruning algorithm) from the
-// list cache.
+// a server whose neighbour lists were filled beforehand, so the request
+// is served from the list cache: every evaluation a list hit, not one
+// miss. The fill is two GD requests over the same Q — lists are stored
+// from a Q's second sight on, and GD at φ = 1 then stores every data
+// point's complete list (it was one φ = 1 request before the admission
+// rule, which the subset's self-read alone would still satisfy).
 func TestIERPHLAnswersMatchPHL(t *testing.T) {
 	g, err := graph.Generate(graph.GenConfig{Nodes: 600, Seed: 33, Name: "twin"})
 	if err != nil {
@@ -226,19 +288,28 @@ func TestIERPHLAnswersMatchPHL(t *testing.T) {
 			c.Engine = engine
 			got = append(got, ask(cold, c))
 			fill := c
+			fill.Algo, fill.K = "gd", 1
+			fill.Phi = 0.9
+			ask(warm, fill) // first sight of Q under this engine: nothing stored
 			fill.Phi = 1
-			ask(warm, fill)
+			ask(warm, fill) // second: stores
+			before := scrapeMetrics(t, warm)
 			got = append(got, ask(warm, c))
+			after := scrapeMetrics(t, warm)
+			delta := func(name string) float64 {
+				a, _ := after.Value(name, obs.L("kind", "subsume"))
+				b, _ := before.Value(name, obs.L("kind", "subsume"))
+				return a - b
+			}
+			if hits, misses := delta(mCacheHits), delta(mCacheMisses); misses != 0 || hits < float64(c.K+1) {
+				t.Fatalf("%s %s/%s on the pre-filled server: %v list hits, %v list misses, want it served from lists alone", engine, c.Algo, c.Agg, hits, misses)
+			}
 		}
 		for i, a := range got[1:] {
 			if a != got[0] {
 				t.Fatalf("%s/%s k=%d: answers differ between PHL cold and %s:\n%s\n%s",
 					c.Algo, c.Agg, c.K, []string{"PHL warm", "IER-PHL cold", "IER-PHL warm"}[i], got[0], a)
 			}
-		}
-		sc := scrapeMetrics(t, warm)
-		if v, ok := sc.Value(mCacheHits, obs.L("kind", "subsume")); !ok || v < 2 {
-			t.Fatalf("%s/%s: %s{kind=subsume} = %v (ok=%v) on the pre-filled server, want both engines' requests served from lists", c.Algo, c.Agg, mCacheHits, v, ok)
 		}
 	}
 }

@@ -41,6 +41,7 @@ const (
 	mCacheHits      = "fannr_cache_hits_total"
 	mCacheMisses    = "fannr_cache_misses_total"
 	mCacheEvictions = "fannr_cache_evictions_total"
+	mCacheListSkips = "fannr_cache_list_skips_total"
 	mCacheEntries   = "fannr_cache_entries"
 	mCacheBytes     = "fannr_cache_bytes"
 	mCoalesced      = "fannr_coalesced_total"
@@ -264,6 +265,8 @@ func newServerMetrics(s *Server, reg *obs.Registry) *serverMetrics {
 			func() float64 { return float64(qc.Metrics().MissesList) }, obs.L("kind", "subsume"))
 		reg.CounterFunc(mCacheEvictions, "Cache entries evicted by the LRU.",
 			func() float64 { return float64(qc.Metrics().Evictions) })
+		reg.CounterFunc(mCacheListSkips, "Evaluations computed at first sight of a query set and deliberately not stored as neighbor lists.",
+			func() float64 { return float64(qc.Metrics().ListSkips) })
 		reg.GaugeFunc(mCacheEntries, "Live cache entries (results + neighbor lists).",
 			func() float64 { return float64(qc.Metrics().Entries) })
 		reg.GaugeFunc(mCacheBytes, "Approximate bytes held by live cache entries.",

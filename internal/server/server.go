@@ -658,6 +658,7 @@ func (s *Server) handleMeta(w http.ResponseWriter, _ *http.Request) {
 		cache["hits"] = cm.HitsExact + cm.HitsSubsume
 		cache["misses"] = cm.MissesExact + cm.MissesList
 		cache["evictions"] = cm.Evictions
+		cache["list_skips"] = cm.ListSkips
 		cache["hit_rate"] = cacheHitRate(cm)
 	}
 	// Index sizes are read back from the gauge like everything else so
@@ -1021,7 +1022,7 @@ func (s *Server) handleFANN(w http.ResponseWriter, r *http.Request) {
 		core.BindCancel(eng, ctx.Done())
 
 		computeStart := time.Now()
-		endCompute := tr.Start("compute")
+		computeSp := tr.StartSpan("compute")
 		completed := false
 		defer func() {
 			em.flush(stats)
@@ -1042,7 +1043,10 @@ func (s *Server) handleFANN(w http.ResponseWriter, r *http.Request) {
 		}()
 		answers, err = core.Dispatch(s.g, req.Algo, eng, q, req.K)
 		completed = true
-		endCompute()
+		if mode := qcache.ListMode(eng); mode != "" {
+			computeSp.SetAttr("lists", mode)
+		}
+		computeSp.End()
 		elapsed := time.Since(computeStart)
 		computeMicros = elapsed.Microseconds()
 		em.compute.ObserveEx(elapsed.Seconds(), tr.ID)
