@@ -56,7 +56,12 @@ figures:
 ## pooled label tables against the map-backed lane they replaced
 ## (allocs/op), and GD through qcache.Wrap at a Q's first sight (nothing
 ## stored) against its second (every list built, sorted, stored) and the
-## bare engine.
+## bare engine. The last two are the evidence for core's boundHubs: GD
+## through Dispatch at the three shapes bench/ serves through PHL with the
+## bound walk stopped after 2, 4 and 8 hubs against bare Dist
+## (abandoned/eval is the share of evaluations the bounds ended), and
+## what one candidate costs on the bound path — rejected after the
+## prefix, completed through prefix + resume, or walked in full.
 microbench:
 	$(GO) test -run - -bench 'ServerThroughput|DistEndpoint' -cpu 1,2,4,8 \
 		-benchtime 1x ./internal/server/
@@ -66,6 +71,8 @@ microbench:
 	$(GO) test -run - -bench DecodeFANN -cpu 1 -benchtime 2000x ./internal/wire/
 	$(GO) test -run - -bench Canonicalise -cpu 1 -benchtime 2000x ./internal/core/
 	$(GO) test -run - -bench 'ExpanderLanes|WrapFirstSight' -cpu 1 -benchtime 200x .
+	$(GO) test -run - -bench GDAbandon -cpu 1 -benchtime 300x ./internal/core/
+	$(GO) test -run - -bench DistBoundPrefix -cpu 1 -benchtime 20000x ./internal/phl/
 
 ## Tier 3 — race detector over the concurrency-bearing packages
 ## (engine pools, HTTP server, parallel index builds, workload draws) plus
@@ -110,6 +117,7 @@ fuzz-smoke:
 	$(GO) test -run - -fuzz FuzzDifferentialCase -fuzztime $(FUZZTIME) ./internal/difftest/
 	$(GO) test -run - -fuzz FuzzRead -fuzztime $(FUZZTIME) ./internal/phl/
 	$(GO) test -run - -fuzz FuzzDistBoundMatchesDistBatch -fuzztime $(FUZZTIME) ./internal/phl/
+	$(GO) test -run - -fuzz FuzzDistBelow -fuzztime $(FUZZTIME) ./internal/core/
 	$(GO) test -run - -fuzz FuzzRead -fuzztime $(FUZZTIME) ./internal/gtree/
 	$(GO) test -run - -fuzz FuzzKNNMatchesDijkstra -fuzztime $(FUZZTIME) ./internal/gtree/
 	$(GO) test -run - -fuzz FuzzRead -fuzztime $(FUZZTIME) ./internal/ch/

@@ -12,7 +12,9 @@
 // same way (skeleton.go): solve validates the query, opens the algorithm's
 // span, runs one search loop over a topK — the bounded incumbent queue,
 // a scalar with no heap at k = 1 — and materialises the answers. A loop
-// only offers candidates and reads the k-th incumbent distance:
+// only offers candidates (through one eval, which hands the k-th
+// incumbent distance to engines that can stop an evaluation that cannot
+// beat it) and reads that distance itself:
 //
 //   - GD — enumerate P, the generalized Dijkstra-based baseline (§III-A)
 //   - RList — the threshold algorithm over per-query-point queues (§III-B)

@@ -23,6 +23,9 @@ import (
 //	             Over an oracle that binds Q (IER-PHL) the name is kept
 //	             and the search is the oracle engine's: one label walk
 //	             prices all of Q, so restricting it saves nothing.
+//
+// PHL and IER-PHL also take the incumbent a value is to be compared with
+// (DistBelower) and stop an evaluation that cannot come in under it.
 
 // NeighborSearcher is the optional engine capability the query cache
 // (internal/qcache) builds on: the paper's "Revisitation of g_φ"
@@ -38,6 +41,21 @@ type NeighborSearcher interface {
 	// Dist(p,k,agg) == AggSorted(KNearest(p,k,nil), k, agg) and
 	// Subset(p,k,nil) lists the same nodes in the same order.
 	KNearest(p graph.NodeID, k int, dst []sp.Neighbor) []sp.Neighbor
+}
+
+// DistBelower is the optional engine capability the search loops build
+// on: every algorithm uses g_φ(p, Q) for one thing, comparing it with the
+// incumbent, so an engine that can tell early that the value will not be
+// under the incumbent need not finish computing it. The oracle engine
+// over a target-binding oracle (PHL, IER-PHL) implements it with
+// triangle bounds off the hubs its walk meets first; the cache and chaos
+// wrappers forward it.
+type DistBelower interface {
+	// DistBelow returns exactly what Dist returns whenever that value is
+	// under tau. Otherwise it may return ok = false without finishing the
+	// evaluation, or Dist's result all the same; nothing else. With tau =
+	// +Inf it is Dist.
+	DistBelow(p graph.NodeID, k int, agg Aggregate, tau float64) (float64, bool)
 }
 
 // AggSorted is the fold: it reduces a sorted ascending neighbor list to
@@ -116,9 +134,15 @@ type BatchOracle interface {
 // per-hub buckets) answers each source in time proportional to what the
 // source shares with Q. DistBound obeys the BatchOracle contract with
 // the bound list as targets; oracleEngine detects it next to BatchOracle.
+// The walk can also be taken in two steps: DistBoundPrefix stops after
+// hubs entries of u's label have met a bucket, leaving in lb[i] a lower
+// bound on the distance to target i and returning where it stopped, and
+// DistBoundResume carries out on from there to DistBound's result.
 type boundOracle interface {
 	BindTargets(Q []graph.NodeID)
 	DistBound(u graph.NodeID, out []float64)
+	DistBoundPrefix(u graph.NodeID, hubs int, out, lb []float64) int
+	DistBoundResume(u graph.NodeID, pos int, out []float64)
 }
 
 // batchProvider is implemented by shared concurrent-reader indexes
@@ -208,11 +232,39 @@ func (e *ineEngine) nearest(p graph.NodeID, k int) []sp.Neighbor {
 // aggregating the k smallest. With an sp.AStar oracle this is the paper's
 // "A*" engine; with phl.Index it is "PHL"; with a gtree.Querier it is the
 // matrix-assembly SPSP variant.
-func NewOracleGPhi(name string, o Oracle) GPhi {
+func NewOracleGPhi(name string, o Oracle) GPhi { return newOracleEngine(name, o) }
+
+// newOracleEngine resolves what o can do — batch, bind its targets —
+// once, at construction.
+func newOracleEngine(name string, o Oracle) *oracleEngine {
 	o, b := batchOf(o)
 	tb, _ := o.(boundOracle)
-	return &oracleEngine{name: name, o: o, b: b, tb: tb}
+	return &oracleEngine{name: name, o: o, b: b, tb: tb, hubs: boundHubs}
 }
+
+// boundHubs is how many bucket-bearing hubs of L(p) DistBelow walks
+// before it asks whether p can still beat the incumbent. A label is
+// sorted by hub rank, so these are the hubs most of the graph shares:
+// each one's bucket holds nearly all of Q, and between them they bound
+// nearly every member. Past them the bounds barely improve while every
+// further hub is work a rejected candidate did not need.
+// BenchmarkGDAbandon (make microbench) is the evidence — GD through
+// Dispatch on NW 1/64, fresh Q per request, µs per query at -cpu 1
+// (medians of 3) and the share of evaluations abandoned:
+//
+//	shape (|P| × M, aggregate)        bare Dist   2 hubs       4 hubs       8 hubs
+//	shard4's slice, 211 × 8, max         175     49 (87 %)    54 (97 %)    69 (97 %)
+//	shard4's slice, 211 × 8, sum         180     61           64           83
+//	gd-phl-max-dense, 169 × 128, max    1072    390 (87 %)   483 (98 %)   535 (98 %)
+//	the same, sum                       1455    621          676          861
+//	gd-phl-sum's, 17 × 128, max          207    244 (41 %)   174 (82 %)   215 (82 %)
+//	the same, sum                        249    219          200          215
+//
+// Four is the one setting ahead of bare Dist in every cell. Two is
+// 10–20 % cheaper where P is large, because a prefix half as long is paid
+// by every candidate, but it rejects too few once P is small (17 points
+// leave it behind bare Dist); eight buys no rejections four did not.
+const boundHubs = 4
 
 type oracleEngine struct {
 	name  string
@@ -220,8 +272,10 @@ type oracleEngine struct {
 	b     BatchOracle // non-nil when o supports one-to-many lookups
 	tb    boundOracle // non-nil when o can bind Q once; preferred over b
 	bound bool        // tb holds the current Q
+	hubs  int         // boundHubs; a field so BenchmarkGDAbandon can vary it
 	q     []graph.NodeID
 	dbuf  []float64
+	lbuf  []float64 // DistBelow: lower bounds beside dbuf
 	sbuf  []float64 // nearest: the copy of dbuf that selection permutes
 	nbuf  []sp.Neighbor
 	stats *Stats
@@ -245,20 +299,33 @@ func (e *oracleEngine) Reset(Q []graph.NodeID) { e.q, e.bound = Q, false }
 
 // resolve fills e.dbuf with the distance from p to every member of Q:
 // through the bound Q when the oracle can bind one, else in one batched
-// lookup when it supports that, else pair by pair.
-func (e *oracleEngine) resolve(p graph.NodeID) {
+// lookup when it supports that, else pair by pair. A finite tau asks only
+// whether g_φ(p, Q) over the k nearest is under it, and a binding oracle
+// then takes the walk in two steps: the bounds its first hubs give may
+// already answer no, in which case resolve returns false with e.dbuf
+// unfinished.
+func (e *oracleEngine) resolve(p graph.NodeID, k int, agg Aggregate, tau float64) bool {
 	before := int64(0)
 	if e.stats != nil {
 		before = scanOf(e.o)
 	}
 	e.dbuf = growF(e.dbuf, len(e.q))
+	under := true
 	switch {
 	case e.tb != nil:
 		if !e.bound {
 			e.tb.BindTargets(e.q)
 			e.bound = true
 		}
-		e.tb.DistBound(p, e.dbuf)
+		if math.IsInf(tau, 1) {
+			e.tb.DistBound(p, e.dbuf)
+			break
+		}
+		e.lbuf = growF(e.lbuf, len(e.q))
+		pos := e.tb.DistBoundPrefix(p, e.hubs, e.dbuf, e.lbuf)
+		if under = !boundsReach(e.lbuf, k, agg, tau); under {
+			e.tb.DistBoundResume(p, pos, e.dbuf)
+		}
 	case e.b != nil:
 		e.b.DistBatch(p, e.q, e.dbuf)
 	default:
@@ -269,6 +336,26 @@ func (e *oracleEngine) resolve(p graph.NodeID) {
 	if e.stats != nil {
 		e.stats.CountSettled(scanOf(e.o) - before)
 	}
+	return under
+}
+
+// boundsReach reports whether lower bounds lb on the distances from a
+// point to the members of Q already put its g_φ at tau or above. The
+// aggregate of the k nearest is at least the aggregate of the k smallest
+// bounds: for max that is the k-th smallest bound, which reaches tau
+// exactly when fewer than k bounds are under it — a counting pass, no
+// selection; for sum it is their total. lb is rearranged.
+func boundsReach(lb []float64, k int, agg Aggregate, tau float64) bool {
+	if agg == Max {
+		under := 0
+		for _, l := range lb {
+			if l < tau {
+				under++
+			}
+		}
+		return under < k
+	}
+	return flexAgg(lb, k, Sum) >= tau
 }
 
 // nearest orders only what its callers read: it selects the k-th
@@ -279,7 +366,7 @@ func (e *oracleEngine) resolve(p graph.NodeID) {
 // node id, so a list found at k is a prefix of the one found at any
 // larger k.
 func (e *oracleEngine) nearest(p graph.NodeID, k int) []sp.Neighbor {
-	e.resolve(p)
+	e.resolve(p, k, Max, math.Inf(1))
 	kth := math.Inf(1)
 	if 0 < k && k < len(e.q) {
 		e.sbuf = append(e.sbuf[:0], e.dbuf...)
@@ -296,18 +383,30 @@ func (e *oracleEngine) nearest(p graph.NodeID, k int) []sp.Neighbor {
 	return e.nbuf[:min(k, len(e.nbuf))]
 }
 
-// Dist folds without building a neighbour list at all. It is what GD
-// calls for every data point when no cache wraps the engine, and behind
-// qcache.Wrap for a Q the cache sees for the first time; only a Q seen
-// before arrives through KNearest, whose list the cache keeps. It selects
-// the k smallest distances and, for the sum, orders just that prefix,
-// so it adds the same values in the same ascending order as AggSorted
-// does and agrees with it bit for bit (TestNeighborSearcherContract).
+// Dist folds without building a neighbour list at all; it is DistBelow
+// with nothing to stay under.
 func (e *oracleEngine) Dist(p graph.NodeID, k int, agg Aggregate) (float64, bool) {
+	return e.DistBelow(p, k, agg, math.Inf(1))
+}
+
+// DistBelow is the engine's one evaluation body. It is what the search
+// loops call for every candidate when no cache wraps the engine, and
+// behind qcache.Wrap for a Q the cache sees for the first time; only a Q
+// seen before arrives through KNearest, whose list the cache keeps. It
+// selects the k smallest distances and, for the sum, orders just that
+// prefix, so it adds the same values in the same ascending order as
+// AggSorted does and agrees with it bit for bit
+// (TestNeighborSearcherContract). An evaluation the bounds end early is
+// counted as abandoned and reports ok = false, which a caller holding tau
+// as its incumbent treats as it would the value: not an improvement.
+func (e *oracleEngine) DistBelow(p graph.NodeID, k int, agg Aggregate, tau float64) (float64, bool) {
 	if k > len(e.q) {
 		return math.Inf(1), false
 	}
-	e.resolve(p)
+	if !e.resolve(p, k, agg, tau) {
+		e.stats.CountAbandoned()
+		return math.Inf(1), false
+	}
 	partialSelect(e.dbuf, k)
 	if agg == Sum {
 		slices.Sort(e.dbuf[:k])
@@ -379,15 +478,15 @@ func NewIERGPhi(name string, g *graph.Graph, o Oracle) (GPhi, error) {
 	if !g.HasCoords() {
 		return nil, fmt.Errorf("fannr: engine %s needs coordinates for Euclidean restriction", name)
 	}
-	o, b := batchOf(o)
-	if tb, ok := o.(boundOracle); ok {
-		return &oracleEngine{name: name, o: o, b: b, tb: tb}, nil
+	oe := newOracleEngine(name, o)
+	if oe.tb != nil {
+		return oe, nil
 	}
 	return engine{&ierEngine{
 		name: name,
 		g:    g,
-		o:    o,
-		b:    b,
+		o:    oe.o,
+		b:    oe.b,
 		best: pqueue.NewMaxHeap[graph.NodeID](16),
 	}}, nil
 }

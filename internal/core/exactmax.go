@@ -48,10 +48,7 @@ func (s *solver) exactMax() error {
 		if int(c)+1 != s.k {
 			continue
 		}
-		q.Stats.CountEval()
-		if d, ok := s.gp.Dist(p, s.k, q.Agg); ok {
-			s.top.offer(p, d)
-		}
+		s.eval(p)
 	}
 	return nil
 }

@@ -16,16 +16,17 @@ func KGD(g *graph.Graph, gp GPhi, q Query, kAns int) ([]Answer, error) {
 	return solve(g, gp, q, algoGD, kAns, false, nil, IEROptions{}, nil)
 }
 
-// scanAll is GD's search loop: every data point is a candidate.
+// scanAll is GD's search loop: every data point is a candidate. It still
+// calls eval |P| times — GPhiEvals is what the paper counts — but from
+// the first incumbent on, an engine with DistBelow spends a full
+// evaluation only on the few points near Q and a four-hub prefix on the
+// rest (GPhiAbandoned).
 func (s *solver) scanAll() error {
 	for _, p := range s.q.P {
 		if s.q.canceled() {
 			return ErrCanceled
 		}
-		s.q.Stats.CountEval()
-		if d, ok := s.gp.Dist(p, s.k, s.q.Agg); ok {
-			s.top.offer(p, d)
-		}
+		s.eval(p)
 	}
 	return nil
 }

@@ -176,10 +176,7 @@ func (s *solver) ierknn(rtP *rtree.Tree, opts IEROptions) error {
 				}
 				seen.Add(e.point, 0)
 			}
-			q.Stats.CountEval()
-			if d, ok := s.gp.Dist(e.point, s.k, q.Agg); ok {
-				s.top.offer(e.point, d)
-			}
+			s.eval(e.point)
 			continue
 		}
 		q.Stats.CountVisit()

@@ -138,9 +138,6 @@ func (s *solver) rlist() error {
 			continue
 		}
 		seen.Add(p, 0)
-		q.Stats.CountEval()
-		if d, ok := s.gp.Dist(p, s.k, q.Agg); ok {
-			s.top.offer(p, d)
-		}
+		s.eval(p)
 	}
 }

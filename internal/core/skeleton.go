@@ -121,11 +121,34 @@ func (t *topK) pop() sp.Neighbor {
 // engine (already bound to Q), the flexible subset size and the
 // incumbent queue.
 type solver struct {
-	g   *graph.Graph
-	gp  GPhi
-	q   Query
-	k   int // ⌈φ|Q|⌉
-	top topK
+	g     *graph.Graph
+	gp    GPhi
+	below DistBelower // gp's, when it can end an evaluation early
+	q     Query
+	k     int // ⌈φ|Q|⌉
+	top   topK
+}
+
+// eval is how every search loop evaluates a candidate: g_φ(p, Q) is
+// computed and offered to the incumbent queue. An engine that can is
+// told the k-th incumbent distance and may stop as soon as p cannot come
+// in under it — offer's strict < would have dropped exactly those
+// values, so the answers are the ones a full evaluation gives, and the
+// evaluation is counted either way.
+func (s *solver) eval(p graph.NodeID) {
+	s.q.Stats.CountEval()
+	var (
+		d  float64
+		ok bool
+	)
+	if s.below != nil {
+		d, ok = s.below.DistBelow(p, s.k, s.q.Agg, s.top.kth())
+	} else {
+		d, ok = s.gp.Dist(p, s.k, s.q.Agg)
+	}
+	if ok {
+		s.top.offer(p, d)
+	}
 }
 
 // solve runs algorithm a and returns the kAns best answers in ascending
@@ -168,6 +191,7 @@ func solve(g *graph.Graph, gp GPhi, q Query, a algo, kAns int, one bool, rtP *rt
 		return solve(g, gp, q, algoGD, kAns, one, nil, opts, dst)
 	}
 	s := solver{g: g, gp: gp, q: q, k: q.K(), top: q.newTopK(kAns)}
+	s.below, _ = gp.(DistBelower)
 	q.resetEngine(gp)
 	var err error
 	switch a {

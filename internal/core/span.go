@@ -49,6 +49,13 @@ func (ts *traceSpan) end() {
 	if ts.st != nil {
 		d := *ts.st
 		ts.count("gphi_evals", d.GPhiEvals-ts.before.GPhiEvals)
+		// How many of those evaluations the engine's bounds ended early.
+		// An attribute, not a count: it is a part of gphi_evals, and it
+		// goes on the span whose own loop ran them (APX-sum's has none;
+		// the GD span nested in it does).
+		if n := d.GPhiAbandoned - ts.before.GPhiAbandoned; n > 0 && ts.sp.CountValue("gphi_evals") > 0 {
+			ts.sp.SetAttr("abandoned", n)
+		}
 		ts.count("gphi_subsets", d.GPhiSubsets-ts.before.GPhiSubsets)
 		ts.count("heap_pops", d.HeapPops-ts.before.HeapPops)
 		ts.count("index_visits", d.IndexVisits-ts.before.IndexVisits)

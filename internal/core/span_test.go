@@ -5,6 +5,7 @@ import (
 
 	"fannr/internal/graph"
 	"fannr/internal/obs"
+	"fannr/internal/phl"
 )
 
 // statNames are the counter names spans report, in Stats field order.
@@ -155,6 +156,37 @@ func TestExplainDelegationDisjoint(t *testing.T) {
 	}
 	if got := apx.Counts["gphi_evals"] + gd.Counts["gphi_evals"]; got != st.GPhiEvals {
 		t.Errorf("span evals sum %d != stats %d", got, st.GPhiEvals)
+	}
+}
+
+// TestExplainAbandonedOnTheEvaluatingSpan: the abandoned attribute is a
+// part of gphi_evals, so it goes on the span whose loop ran the
+// evaluations — the GD span nested in APX-sum's, not APX-sum's own — and
+// equals what Stats counted.
+func TestExplainAbandonedOnTheEvaluatingSpan(t *testing.T) {
+	g := statsGraph(t, 22)
+	ix, err := phl.Build(g, phl.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gp := NewOracleGPhi("PHL", ix)
+	q := statsQuery(g, 8, 60, 12, Sum)
+	rep, st := runTraced(t, g, q, func(q Query) error {
+		BindStats(gp, q.Stats)
+		defer BindStats(gp, nil)
+		_, err := APXSum(g, gp, q)
+		return err
+	})
+	apx := rep.Spans[0]
+	gd := apx.Children[0]
+	if st.GPhiAbandoned == 0 {
+		t.Fatal("the ranking scan abandoned nothing — test proves nothing")
+	}
+	if _, ok := apx.Attrs["abandoned"]; ok {
+		t.Errorf("apxsum span claims abandoned = %v; it evaluates nothing itself", apx.Attrs["abandoned"])
+	}
+	if got := gd.Attrs["abandoned"]; got != st.GPhiAbandoned {
+		t.Errorf("gd span abandoned = %v, stats say %d", got, st.GPhiAbandoned)
 	}
 }
 

@@ -19,6 +19,10 @@ type Stats struct {
 	// GPhiEvals counts g_φ distance evaluations (engine Dist calls made
 	// by the algorithm) — the paper's primary cost unit.
 	GPhiEvals int64
+	// GPhiAbandoned counts the evaluations among GPhiEvals that the
+	// engine ended early: lower bounds on the distances to Q showed the
+	// value could not come in under the incumbent (DistBelower).
+	GPhiAbandoned int64
 	// GPhiSubsets counts engine Subset calls (answer materialization).
 	GPhiSubsets int64
 	// HeapPops counts best-first and meta-heap pop operations (IER-kNN
@@ -48,6 +52,13 @@ type Stats struct {
 func (s *Stats) CountEval() {
 	if s != nil {
 		s.GPhiEvals++
+	}
+}
+
+// CountAbandoned records one g_φ evaluation ended early by a bound.
+func (s *Stats) CountAbandoned() {
+	if s != nil {
+		s.GPhiAbandoned++
 	}
 }
 
@@ -106,6 +117,7 @@ func (s *Stats) Add(o Stats) {
 		return
 	}
 	s.GPhiEvals += o.GPhiEvals
+	s.GPhiAbandoned += o.GPhiAbandoned
 	s.GPhiSubsets += o.GPhiSubsets
 	s.HeapPops += o.HeapPops
 	s.IndexVisits += o.IndexVisits

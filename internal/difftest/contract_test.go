@@ -79,6 +79,7 @@ func TestNeighborSearcherContract(t *testing.T) {
 	mainland := env.G.NumNodes() - len(island)
 	cache := qcache.New(qcache.Config{MaxEntries: 1 << 14})
 	rng := rand.New(rand.NewSource(12))
+	belowSeen := false
 	for _, bare := range env.Engines {
 		for _, gp := range []core.GPhi{bare, cache.Wrap(bare)} {
 			label := gp.Name() + "/bare"
@@ -120,6 +121,24 @@ func TestNeighborSearcherContract(t *testing.T) {
 								t.Fatalf("%s: Dist(%d, k=%d, %v) = (%v, %v), AggSorted(KNearest) = (%v, %v), diff %g",
 									label, p, k, agg, got, gotOK, want, wantOK, got-want)
 							}
+							// An engine that takes a threshold answers with
+							// the same bits whenever it answers, and must
+							// answer when the value is under the threshold:
+							// just above it, at it, well under it.
+							below, ok := gp.(core.DistBelower)
+							if !ok {
+								continue
+							}
+							belowSeen = true
+							for _, tau := range []float64{math.Nextafter(want, math.Inf(1)), want, want / 2} {
+								got, gotOK := below.DistBelow(p, k, agg, tau)
+								if gotOK && (!wantOK || math.Float64bits(got) != math.Float64bits(want)) {
+									t.Fatalf("%s: DistBelow(%d, k=%d, %v, τ=%v) = %v, AggSorted(KNearest) = (%v, %v)", label, p, k, agg, tau, got, want, wantOK)
+								}
+								if !gotOK && wantOK && want < tau {
+									t.Fatalf("%s: DistBelow(%d, k=%d, %v, τ=%v) gave up on %v", label, p, k, agg, tau, want)
+								}
+							}
 						}
 						sub := gp.Subset(p, k, nil)
 						if len(sub) != len(nbrs) {
@@ -137,5 +156,8 @@ func TestNeighborSearcherContract(t *testing.T) {
 	}
 	if m := cache.Metrics(); m.HitsSubsume == 0 || m.ListSkips == 0 {
 		t.Fatalf("cached arm did not run both ways: %+v", m)
+	}
+	if !belowSeen {
+		t.Fatal("no engine, bare or cached, took a threshold")
 	}
 }

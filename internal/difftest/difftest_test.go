@@ -3,6 +3,8 @@ package difftest
 import (
 	"sync"
 	"testing"
+
+	"fannr/internal/core"
 )
 
 // envSpec fixes the deterministic graph fleet the harness sweeps. Sizes
@@ -34,10 +36,25 @@ func TestDifferentialVsBrute(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			// The two engines that can end an evaluation early (PHL and
+			// IER-PHL: DistBelow over a bound Q) must have done so
+			// somewhere in the corpus, and no other engine may claim to:
+			// agreement with brute force then says the bound path is
+			// exact, not that it was never taken.
+			abandoned := make([]core.Stats, len(env.Engines))
+			for i, gp := range env.Engines {
+				core.BindStats(gp, &abandoned[i])
+			}
 			for i := 0; i < casesPerEnv; i++ {
 				c := GenCase(spec.seed*10_000+int64(i), env.G)
 				if err := env.RunCase(c); err != nil {
 					t.Fatal(err)
+				}
+			}
+			for i, gp := range env.Engines {
+				bounds := gp.Name() == "PHL" || gp.Name() == "IER-PHL"
+				if got := abandoned[i].GPhiAbandoned; (got > 0) != bounds {
+					t.Fatalf("%s abandoned %d evaluations over %d cases; it bounds: %v", gp.Name(), got, casesPerEnv, bounds)
 				}
 			}
 		})

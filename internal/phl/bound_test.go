@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"fannr/internal/graph"
+	"fannr/internal/workload"
 )
 
 // islandGraph is randomGraph with no edge across node n·2/3: two
@@ -42,7 +43,8 @@ func islandGraph(t testing.TB, n int, seed int64) *graph.Graph {
 
 // checkBound binds Q on b and compares DistBound from every source in
 // srcs, bit for bit, with DistBatch on a second Batcher (so the two
-// paths never share scatter state) and with the label merge.
+// paths never share scatter state) and with the label merge. It then
+// takes the same walk in two steps (checkPrefix).
 func checkBound(t testing.TB, ix *Index, b *Batcher, Q, srcs []graph.NodeID) {
 	t.Helper()
 	ref := ix.NewBatcher()
@@ -56,6 +58,7 @@ func checkBound(t testing.TB, ix *Index, b *Batcher, Q, srcs []graph.NodeID) {
 		if got[len(Q)] != untouched {
 			t.Fatalf("DistBound(%d) wrote past the %d bound targets", p, len(Q))
 		}
+		checkPrefix(t, ix, b, p, got[:len(Q)])
 		ref.DistBatch(p, Q, want)
 		for i, q := range Q {
 			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
@@ -63,6 +66,47 @@ func checkBound(t testing.TB, ix *Index, b *Batcher, Q, srcs []graph.NodeID) {
 			}
 			if d := ix.Dist(p, q); math.Float64bits(got[i]) != math.Float64bits(d) {
 				t.Fatalf("DistBound(%d)[%d→%d] = %v, Dist = %v", p, i, q, got[i], d)
+			}
+		}
+	}
+}
+
+// checkPrefix holds the two-step walk from p against want, DistBound's
+// result over the list b has bound: stopping after 1, 2, 4, 8 and all of
+// L(p)'s hubs, the prefix leaves upper bounds in out and admissible lower
+// bounds in lb (lb[i] ≤ want[i], the inequality DistBelow's exactness
+// rests on) without writing past the bound targets, and resuming from
+// the returned position reaches want bit for bit.
+func checkPrefix(t testing.TB, ix *Index, b *Batcher, p graph.NodeID, want []float64) {
+	t.Helper()
+	const untouched = -1
+	n := len(want)
+	out, lb := make([]float64, n+1), make([]float64, n+1)
+	label, _ := ix.label(p)
+	for _, hubs := range []int{1, 2, 4, 8, len(label)} {
+		out[n], lb[n] = untouched, untouched
+		pos := b.DistBoundPrefix(p, hubs, out, lb)
+		if out[n] != untouched || lb[n] != untouched {
+			t.Fatalf("DistBoundPrefix(%d, %d hubs) wrote past the %d bound targets", p, hubs, n)
+		}
+		if pos < 0 || pos > len(label) || (hubs >= len(label) && n > 0 && pos != len(label)) {
+			t.Fatalf("DistBoundPrefix(%d, %d hubs) stopped at %d of a %d-entry label", p, hubs, pos, len(label))
+		}
+		for i := range want {
+			if !(0 <= lb[i] && lb[i] <= want[i]) {
+				t.Fatalf("DistBoundPrefix(%d, %d hubs): lb[%d] = %v is not in [0, d = %v]", p, hubs, i, lb[i], want[i])
+			}
+			if out[i] < want[i] {
+				t.Fatalf("DistBoundPrefix(%d, %d hubs): out[%d] = %v under the distance %v", p, hubs, i, out[i], want[i])
+			}
+		}
+		b.DistBoundResume(p, pos, out)
+		if out[n] != untouched {
+			t.Fatalf("DistBoundResume(%d, from %d) wrote past the %d bound targets", p, pos, n)
+		}
+		for i := range want {
+			if math.Float64bits(out[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("prefix(%d hubs) + resume from %d: [%d→target %d] = %v, DistBound = %v", hubs, pos, p, i, out[i], want[i])
 			}
 		}
 	}
@@ -119,6 +163,76 @@ func TestDistBoundMatchesDistBatch(t *testing.T) {
 	}
 }
 
+// unitGrid is core's tie-heavy fixture (core/engines_test.go): a
+// side×side grid of unit-weight edges plus a 5-node chain nothing
+// connects to it. Every label entry is a small integer, so differences
+// and sums are exact and a bound that is off by one ulp shows.
+func unitGrid(t testing.TB, side int) *graph.Graph {
+	t.Helper()
+	n := side * side
+	b := graph.NewBuilder(n + 5)
+	for r := 0; r < side; r++ {
+		for c := 0; c < side; c++ {
+			v := graph.NodeID(r*side + c)
+			if c+1 < side {
+				_ = b.AddEdge(v, v+1, 1)
+			}
+			if r+1 < side {
+				_ = b.AddEdge(v, v+graph.NodeID(side), 1)
+			}
+		}
+	}
+	for i := 1; i < 5; i++ {
+		_ = b.AddEdge(graph.NodeID(n+i-1), graph.NodeID(n+i), 1)
+	}
+	g, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
+
+// TestDistBoundPrefixOnUnitGrid runs the two-step walk where distances
+// tie everywhere and part of Q is out of reach: target lists that
+// straddle the grid and the chain, a repeated target, all nodes, none.
+// It also requires the bounds to be worth having: over the grid, four
+// hubs must put most lower bounds above half the distance they bound.
+func TestDistBoundPrefixOnUnitGrid(t *testing.T) {
+	g := unitGrid(t, 12)
+	ix, err := Build(g, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := g.NumNodes()
+	rng := rand.New(rand.NewSource(42))
+	b := ix.NewBatcher()
+	srcs := allNodes(g)
+	for _, m := range []int{1, 24, 0, 9} {
+		Q := drawNodes(rng, n, m)
+		if m > 2 {
+			Q[0], Q[1], Q[2] = graph.NodeID(n-1), graph.NodeID(n-3), Q[m-1] // two on the chain, one repeat
+		}
+		checkBound(t, ix, b, Q, srcs)
+	}
+	checkBound(t, ix, b, srcs, srcs)
+
+	out, lb := make([]float64, n), make([]float64, n)
+	tight, reachable := 0, 0
+	for _, p := range srcs[:n-5] {
+		b.DistBoundPrefix(p, 4, out, lb)
+		b.DistBound(p, out)
+		for i := range srcs[:n-5] {
+			reachable++
+			if 2*lb[i] >= out[i] {
+				tight++
+			}
+		}
+	}
+	if 2*tight < reachable {
+		t.Fatalf("four hubs bound only %d of %d grid pairs to within a factor 2", tight, reachable)
+	}
+}
+
 func TestDistBoundUnreachable(t *testing.T) {
 	g := islandGraph(t, 30, 35)
 	ix, err := Build(g, Options{})
@@ -141,10 +255,12 @@ func TestDistBoundUnbound(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := []float64{-1}
-	ix.NewBatcher().DistBound(3, out)
-	if out[0] != -1 {
-		t.Fatalf("unbound DistBound wrote %v", out[0])
+	out, lb := []float64{-1}, []float64{-1}
+	b := ix.NewBatcher()
+	b.DistBound(3, out)
+	b.DistBoundResume(3, b.DistBoundPrefix(3, 4, out, lb), out)
+	if out[0] != -1 || lb[0] != -1 {
+		t.Fatalf("unbound DistBound / prefix / resume wrote %v, %v", out[0], lb[0])
 	}
 }
 
@@ -232,16 +348,17 @@ func TestDistBoundWarmAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	b := ix.NewBatcher()
 	Q, small := drawNodes(rng, g.NumNodes(), 32), drawNodes(rng, g.NumNodes(), 8)
-	out := make([]float64, len(Q))
+	out, lb := make([]float64, len(Q)), make([]float64, len(Q))
 	b.BindTargets(Q)
 	if allocs := testing.AllocsPerRun(20, func() {
 		b.BindTargets(small)
 		b.BindTargets(Q)
 		for p := 0; p < 50; p++ {
 			b.DistBound(graph.NodeID(p), out)
+			b.DistBoundResume(graph.NodeID(p), b.DistBoundPrefix(graph.NodeID(p), 4, out, lb), out)
 		}
 	}); allocs != 0 {
-		t.Fatalf("warm BindTargets + DistBound allocate %v objects, want 0", allocs)
+		t.Fatalf("warm BindTargets + DistBound, prefix and resume allocate %v objects, want 0", allocs)
 	}
 }
 
@@ -275,4 +392,40 @@ func FuzzDistBoundMatchesDistBatch(f *testing.F) {
 		checkBound(t, ix, b, Q[:len(Q)/2], srcs)
 		checkBound(t, ix, b, Q, srcs)
 	})
+}
+
+// BenchmarkDistBoundPrefix prices a candidate on the bound path at
+// gd-phl-max-dense's shape (NW 1/64, Q of 128 at A = 10 %, sources drawn
+// uniformly): "full" is DistBound, what every candidate cost before the
+// walk could stop; "rejected" is the four-hub prefix alone, what a
+// candidate the bounds rule out costs now; "completed" is prefix plus
+// resume, what the few that go on to a value cost.
+func BenchmarkDistBoundPrefix(b *testing.B) {
+	g, err := workload.LoadDataset("NW", 1.0/64)
+	if err != nil {
+		b.Fatal(err)
+	}
+	ix, err := Build(g, Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	gen := workload.NewGenerator(g, 26)
+	Q, srcs := gen.UniformQ(0.10, 128), gen.UniformP(0.01)
+	bt := ix.NewBatcher()
+	bt.BindTargets(Q)
+	out, lb := make([]float64, len(Q)), make([]float64, len(Q))
+	for _, arm := range []struct {
+		name string
+		walk func(graph.NodeID)
+	}{
+		{"full", func(u graph.NodeID) { bt.DistBound(u, out) }},
+		{"rejected", func(u graph.NodeID) { bt.DistBoundPrefix(u, 4, out, lb) }},
+		{"completed", func(u graph.NodeID) { bt.DistBoundResume(u, bt.DistBoundPrefix(u, 4, out, lb), out) }},
+	} {
+		b.Run(arm.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				arm.walk(srcs[i%len(srcs)])
+			}
+		})
+	}
 }

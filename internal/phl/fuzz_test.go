@@ -68,6 +68,7 @@ func FuzzRead(f *testing.F) {
 		b.DistBatch(0, []int32{0, int32(n - 1)}, out)
 		b.BindTargets([]int32{0, int32(n - 1)})
 		b.DistBound(int32(n-1), out)
+		b.DistBoundResume(int32(n-1), b.DistBoundPrefix(int32(n-1), 4, out, make([]float64, 2)), out)
 	})
 }
 

@@ -266,8 +266,10 @@ type Batcher struct {
 	// so the memo only expires when the source changes.
 	u      graph.NodeID
 	uvalid bool
-	// Target-bound mode (BindTargets/DistBound): the labels of a fixed
-	// target list inverted into one bucket per hub. Hub h's bucket is
+	// Target-bound mode (BindTargets, then DistBound — or the same walk in
+	// two steps, DistBoundPrefix and DistBoundResume, for a caller that
+	// may not need it finished): the labels of a fixed target list
+	// inverted into one bucket per hub. Hub h's bucket is
 	// bqi/bd[bend[h]-bcnt[h] : bend[h]] — the index into the bound list
 	// of every target whose label holds h, paired with its distance to h
 	// — and is live while bstamp[h] == bepoch. The tables are allocated
@@ -424,13 +426,82 @@ func (b *Batcher) BindTargets(targets []graph.NodeID) {
 // nothing.
 func (b *Batcher) DistBound(u graph.NodeID, out []float64) {
 	out = out[:b.nq]
-	if len(out) == 0 {
-		return // nothing bound (or an empty list): no tables to consult
-	}
 	for i := range out {
 		out[i] = math.Inf(1)
 	}
+	b.DistBoundResume(u, 0, out)
+}
+
+// boundSlack is ε in the lower bound DistBoundPrefix keeps. For a hub h
+// in both L(u) and L(t) the triangle inequality gives
+// |d(u,h) − d(t,h)| ≤ d(u,t) over exact distances, but a label entry is a
+// left-to-right sum of up to n edge weights and carries a relative error
+// of up to n·2⁻⁵³, so the computed difference can overshoot by that share
+// of the *operands* — a relative slack on the difference itself would
+// not survive cancellation, the two entries can agree to the last few
+// bits — and the computed distance it is compared with, the minimum of
+// such sums, can undershoot by as much again. 2n·2⁻⁵³ is 8.9e-10 at n =
+// 4 million edges on one shortest path (the USA road network has 58
+// million in all); the 1.1e-10 left over covers adding up to a million
+// bounds in a different order than the distances they are held against.
+const boundSlack = 1e-9
+
+// DistBoundPrefix starts a DistBound that a caller may abandon: it
+// walks u's label only until hubs of its entries have met a bucket and
+// returns the label position it stopped at. out[i] then holds the
+// minimum over those hubs (+Inf if none reached target i) and lb[i] a
+// lower bound on the value DistBound would leave there: the largest
+// |d(u,h) − d(tᵢ,h)| − ε·(d(u,h) + d(tᵢ,h)) met so far, 0 if none (see
+// boundSlack). A label's first entries are its highest-ranked hubs, the
+// ones most of the graph shares, so a few of them bound nearly every
+// target. DistBoundResume continues from the returned position. out and
+// lb must each hold at least the number of bound targets.
+func (b *Batcher) DistBoundPrefix(u graph.NodeID, hubs int, out, lb []float64) int {
+	out, lb = out[:b.nq], lb[:b.nq]
+	if len(out) == 0 {
+		return 0
+	}
+	for i := range out {
+		out[i], lb[i] = math.Inf(1), 0
+	}
 	hu, du := b.ix.label(u)
+	pos := 0
+	for ; pos < len(hu) && hubs > 0; pos++ {
+		h := hu[pos]
+		if b.bstamp[h] != b.bepoch {
+			continue
+		}
+		hubs--
+		end := b.bend[h]
+		start := end - b.bcnt[h]
+		d := du[pos]
+		qi, dq := b.bqi[start:end], b.bd[start:end]
+		for j, t := range qi {
+			s := d + dq[j]
+			if s < out[t] {
+				out[t] = s
+			}
+			if l := math.Abs(d-dq[j]) - boundSlack*s; l > lb[t] {
+				lb[t] = l
+			}
+		}
+	}
+	return pos
+}
+
+// DistBoundResume is the relax loop of the bound path: it walks u's
+// label from position pos on, lowering out over the bucket of each hub
+// that has one. From 0 over an out of +Inf it is DistBound; from the
+// position DistBoundPrefix returned, over the out it left, it finishes
+// that walk — the same sums reach the same minimum, so the result is
+// bit-identical to DistBound's.
+func (b *Batcher) DistBoundResume(u graph.NodeID, pos int, out []float64) {
+	out = out[:b.nq]
+	if len(out) == 0 {
+		return // nothing bound (or an empty list): no tables to consult
+	}
+	hu, du := b.ix.label(u)
+	hu, du = hu[pos:], du[pos:]
 	for i, h := range hu {
 		if b.bstamp[h] != b.bepoch {
 			continue

@@ -1,6 +1,8 @@
 package qcache
 
 import (
+	"math"
+
 	"fannr/internal/core"
 	"fannr/internal/graph"
 	"fannr/internal/sp"
@@ -25,12 +27,14 @@ func (c *Cache) Wrap(inner core.GPhi) core.GPhi {
 	if !ok {
 		return inner
 	}
-	return &cachedEngine{inner: inner, ns: ns, c: c, name: inner.Name()}
+	below, _ := inner.(core.DistBelower)
+	return &cachedEngine{inner: inner, ns: ns, below: below, c: c, name: inner.Name()}
 }
 
 type cachedEngine struct {
 	inner core.GPhi
 	ns    core.NeighborSearcher
+	below core.DistBelower // inner's, when it can end an evaluation early
 	c     *Cache
 	name  string
 	qfp   Fingerprint
@@ -108,8 +112,19 @@ func (e *cachedEngine) lookup(p graph.NodeID, k int) (nbrs []sp.Neighbor, ok boo
 // themselves wrappable.
 
 func (e *cachedEngine) Dist(p graph.NodeID, k int, agg core.Aggregate) (float64, bool) {
+	return e.DistBelow(p, k, agg, math.Inf(1))
+}
+
+// DistBelow hands the caller's threshold to inner only on the path that
+// stores nothing: a resident list answers in full (the fold over it is
+// cheaper than any bound), and a list being filled must be whole, so the
+// fill path asks KNearest as before.
+func (e *cachedEngine) DistBelow(p graph.NodeID, k int, agg core.Aggregate, tau float64) (float64, bool) {
 	if nbrs, ok := e.lookup(p, k); ok {
 		return core.AggSorted(nbrs, k, agg)
+	}
+	if e.below != nil {
+		return e.below.DistBelow(p, k, agg, tau)
 	}
 	return e.inner.Dist(p, k, agg)
 }

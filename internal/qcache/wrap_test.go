@@ -359,3 +359,59 @@ func TestDoorkeeperForgetsOnPurge(t *testing.T) {
 		t.Fatal("ListMode of an unwrapped engine is not empty")
 	}
 }
+
+// TestWrapForwardsThresholdOnlyAtFirstSight pins where a search loop's
+// threshold goes: to the engine on the path that stores nothing, where
+// GD then abandons most of P exactly as it does over the bare engine;
+// not on the fill path, whose lists must be whole; and not past a
+// resident list, which answers in full whatever the threshold. All three
+// sights return the bare engine's answer bit for bit.
+func TestWrapForwardsThresholdOnlyAtFirstSight(t *testing.T) {
+	g, err := graph.Generate(graph.GenConfig{Nodes: 400, Seed: 26, Name: "below"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ix, err := phl.Build(g, phl.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := New(Config{MaxEntries: 4096})
+	raw := core.NewOracleGPhi("PHL", ix)
+	var P []graph.NodeID
+	for v := 1; v < g.NumNodes(); v += 5 {
+		P = append(P, graph.NodeID(v))
+	}
+	q := core.Query{P: P, Q: []graph.NodeID{7, 90, 180, 260, 333}, Phi: 0.6, Agg: core.Max}
+	want, err := core.GD(g, raw, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for sight, wantMode := range []string{"first-sight", "fill", "fill"} {
+		var st core.Stats
+		w := c.Wrap(raw)
+		core.BindStats(w, &st)
+		qs := q
+		qs.Stats = &st
+		got, err := core.GD(g, w, qs)
+		core.BindStats(w, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.P != want.P || math.Float64bits(got.Dist) != math.Float64bits(want.Dist) {
+			t.Fatalf("sight %d: (%d, %v) through the wrapper, (%d, %v) bare", sight+1, got.P, got.Dist, want.P, want.Dist)
+		}
+		if mode := ListMode(w); mode != wantMode {
+			t.Fatalf("sight %d: lists %q, want %q", sight+1, mode, wantMode)
+		}
+		if st.GPhiEvals != int64(len(P)) || (st.GPhiAbandoned > 0) != (sight == 0) {
+			t.Fatalf("sight %d (%s): %d evaluations, %d abandoned; want |P| = %d and abandonment at first sight only", sight+1, wantMode, st.GPhiEvals, st.GPhiAbandoned, len(P))
+		}
+	}
+	// A resident list answers under any threshold, even one it cannot meet.
+	w := c.Wrap(raw)
+	w.Reset(q.Q)
+	full, _ := w.Dist(want.P, q.K(), q.Agg)
+	if d, ok := w.(core.DistBelower).DistBelow(want.P, q.K(), q.Agg, 0); !ok || math.Float64bits(d) != math.Float64bits(full) {
+		t.Fatalf("DistBelow(τ=0) over a resident list = (%v, %v), want the list's fold %v", d, ok, full)
+	}
+}

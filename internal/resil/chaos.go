@@ -3,6 +3,7 @@ package resil
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"sync/atomic"
 	"time"
@@ -65,19 +66,22 @@ func (in *Injector) Armed() bool { return in.armed.Load() }
 // wrapper is single-goroutine; the shared arm switch is atomic.
 func (in *Injector) Wrap(gp core.GPhi) core.GPhi {
 	n := in.wraps.Add(1) - 1
+	below, _ := gp.(core.DistBelower)
 	return &ChaosEngine{
 		inner: gp,
+		below: below,
 		in:    in,
 		rng:   rand.New(rand.NewSource(in.cfg.Seed + n)),
 	}
 }
 
 // ChaosEngine wraps a GPhi engine and injects panics, error-carrying
-// panics, and latency into Dist while its Injector is armed. Name,
-// Reset and Subset pass through untouched, so pools and algorithms see
-// an ordinary engine.
+// panics, and latency into Dist and DistBelow while its Injector is
+// armed. Name, Reset and Subset pass through untouched, so pools and
+// algorithms see an ordinary engine.
 type ChaosEngine struct {
 	inner core.GPhi
+	below core.DistBelower // inner's, when it can end an evaluation early
 	in    *Injector
 	rng   *rand.Rand
 	done  <-chan struct{}
@@ -101,6 +105,12 @@ func (c *ChaosEngine) Reset(Q []graph.NodeID) { c.inner.Reset(Q) }
 
 // Dist injects the configured faults (when armed), then delegates.
 func (c *ChaosEngine) Dist(p graph.NodeID, k int, agg core.Aggregate) (float64, bool) {
+	return c.DistBelow(p, k, agg, math.Inf(1))
+}
+
+// DistBelow is Dist with the search loop's threshold forwarded after the
+// faults, so an engine under chaos evaluates the way a served one does.
+func (c *ChaosEngine) DistBelow(p graph.NodeID, k int, agg core.Aggregate, tau float64) (float64, bool) {
 	if c.in.armed.Load() {
 		cfg := c.in.cfg
 		if cfg.Latency > 0 {
@@ -124,6 +134,9 @@ func (c *ChaosEngine) Dist(p graph.NodeID, k int, agg core.Aggregate) (float64, 
 		if cfg.ErrProb > 0 && c.rng.Float64() < cfg.ErrProb {
 			panic(fmt.Errorf("%w: %s.Dist(%d)", ErrInjected, c.inner.Name(), p))
 		}
+	}
+	if c.below != nil {
+		return c.below.DistBelow(p, k, agg, tau)
 	}
 	return c.inner.Dist(p, k, agg)
 }

@@ -2,6 +2,7 @@ package resil
 
 import (
 	"errors"
+	"math"
 	"sync"
 	"testing"
 	"time"
@@ -307,5 +308,57 @@ func TestBreakerOnTransition(t *testing.T) {
 		if e != want[i] {
 			t.Fatalf("transition %d = %v→%v, want %v→%v", i, e.from, e.to, want[i].from, want[i].to)
 		}
+	}
+}
+
+// thresholdSpy records the thresholds its DistBelow is handed.
+type thresholdSpy struct {
+	core.GPhi
+	taus []float64
+}
+
+func (s *thresholdSpy) DistBelow(p graph.NodeID, k int, agg core.Aggregate, tau float64) (float64, bool) {
+	s.taus = append(s.taus, tau)
+	return s.GPhi.Dist(p, k, agg)
+}
+
+// TestChaosForwardsThreshold: a wrapped engine that takes a threshold
+// still gets it — so a chaos arm evaluates the way the served path does
+// — after the fault draw, not instead of it; Dist arrives as +Inf; and
+// an engine without the capability is called through Dist as before.
+func TestChaosForwardsThreshold(t *testing.T) {
+	spy := &thresholdSpy{GPhi: chaosInner(t)}
+	in := NewInjector(ChaosConfig{Seed: 1, PanicProb: 1})
+	gp := in.Wrap(spy)
+	below, ok := gp.(core.DistBelower)
+	if !ok {
+		t.Fatal("ChaosEngine does not forward DistBelow")
+	}
+	want, _ := spy.GPhi.Dist(4, 2, core.Max)
+	if d, ok := below.DistBelow(4, 2, core.Max, 12.5); !ok || d != want {
+		t.Fatalf("disarmed DistBelow = (%v, %v), want %v", d, ok, want)
+	}
+	if d, ok := gp.Dist(4, 2, core.Max); !ok || d != want {
+		t.Fatalf("disarmed Dist = (%v, %v), want %v", d, ok, want)
+	}
+	if len(spy.taus) != 2 || spy.taus[0] != 12.5 || !math.IsInf(spy.taus[1], 1) {
+		t.Fatalf("inner saw thresholds %v, want [12.5 +Inf]", spy.taus)
+	}
+	in.Arm()
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("armed DistBelow with PanicProb=1 did not panic")
+			}
+		}()
+		below.DistBelow(4, 2, core.Max, 12.5)
+	}()
+	if len(spy.taus) != 2 {
+		t.Fatal("the fault was drawn after the evaluation, not before")
+	}
+	in.Disarm()
+	plain := in.Wrap(chaosInner(t))
+	if d, ok := plain.(core.DistBelower).DistBelow(4, 2, core.Max, 0); !ok || d != want {
+		t.Fatalf("DistBelow over an engine without the capability = (%v, %v), want Dist's %v", d, ok, want)
 	}
 }

@@ -25,8 +25,8 @@ type RetryPolicy struct {
 	// drawn from a stream seeded by Seed, so concurrent reloaders spread
 	// out deterministically. Values outside [0,1) are clamped.
 	Jitter float64
-	// Seed anchors the jitter stream. Each Do call derives its own rng,
-	// so one policy value is safe to share.
+	// Seed anchors the jitter stream. Each Do call that has to wait
+	// derives its own rng, so one policy value is safe to share.
 	Seed int64
 	// Sleep waits between attempts; nil means time.Sleep via a
 	// context-aware wait. Tests inject a recorder to assert the schedule
@@ -45,7 +45,10 @@ func (p RetryPolicy) Do(ctx context.Context, op func() error) error {
 	if jitter < 0 || jitter >= 1 {
 		jitter = 0
 	}
-	rng := rand.New(rand.NewSource(p.Seed))
+	// Seeding a math/rand source fills a 4.9 KB state: only a call that
+	// actually draws a jittered delay pays for one. The coordinator runs
+	// every shard RPC through Do and almost none of them retry.
+	var rng *rand.Rand
 	delay := p.Base
 	var err error
 	for i := 0; i < attempts; i++ {
@@ -63,6 +66,9 @@ func (p RetryPolicy) Do(ctx context.Context, op func() error) error {
 		}
 		d := delay
 		if jitter > 0 && d > 0 {
+			if rng == nil {
+				rng = rand.New(rand.NewSource(p.Seed))
+			}
 			d = time.Duration(float64(d) * (1 + jitter*(2*rng.Float64()-1)))
 		}
 		if p.Sleep != nil {

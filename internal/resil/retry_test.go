@@ -199,3 +199,21 @@ func TestChaosLatencyCancellation(t *testing.T) {
 		t.Fatal("BindCancel(nil) must detach the channel")
 	}
 }
+
+// TestRetryFirstTrySuccessAllocatesNothing: the jitter rng (a 4.9 KB
+// lagged-Fibonacci state to seed) is created when a jittered delay is
+// first drawn, not on entry — the shard coordinator runs every RPC
+// through Do and almost none of them retries. The schedule a retrying
+// call draws from a given Seed is TestRetryJitterDeterministic's.
+func TestRetryFirstTrySuccessAllocatesNothing(t *testing.T) {
+	p := RetryPolicy{Attempts: 2, Base: 10 * time.Millisecond, Max: 100 * time.Millisecond, Jitter: 0.2}
+	ctx := context.Background()
+	ok := func() error { return nil }
+	if allocs := testing.AllocsPerRun(100, func() {
+		if err := p.Do(ctx, ok); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Fatalf("Do with a first-try success allocates %v objects, want 0", allocs)
+	}
+}

@@ -391,3 +391,50 @@ func TestSlowLogCaptureAndExemplarLinkage(t *testing.T) {
 		t.Fatalf("error capture %+v, want bad-query-1/invalid newest", snap.Errors)
 	}
 }
+
+// TestExplainAbandonedMatchesCounter: GD over PHL evaluates every data
+// point and, from the first incumbent on, ends most of those evaluations
+// on a bound. The algo span reports how many as its abandoned attribute,
+// equal to the movement of fannr_gphi_abandoned_total — with the count of
+// evaluations still |P| — and the answer is the one INE gives, which has
+// no bound to abandon on and moves neither.
+func TestExplainAbandonedMatchesCounter(t *testing.T) {
+	ts, g := explainServer(t, Options{})
+	req := FANNRequest{Q: []graph.NodeID{5, 25, 125, 325}, Phi: 0.5, Agg: "max", Algo: "gd"}
+	for v := 3; v < g.NumNodes(); v += 7 {
+		req.P = append(req.P, graph.NodeID(v))
+	}
+	var best [2]FANNAnswer
+	for i, engine := range []string{"PHL", "INE"} {
+		el := obs.L("engine", engine)
+		before := scrapeMetrics(t, ts.URL)
+		req.Engine = engine
+		status, resp := post[FANNResponse](t, ts.URL+"/fann?explain=1", req)
+		if status != http.StatusOK || len(resp.Answers) != 1 {
+			t.Fatalf("%s: status %d, answers %+v", engine, status, resp.Answers)
+		}
+		best[i] = resp.Answers[0]
+		after := scrapeMetrics(t, ts.URL)
+		a, ok := after.Value("fannr_gphi_abandoned_total", el)
+		if !ok {
+			t.Fatalf("%s: fannr_gphi_abandoned_total missing from scrape", engine)
+		}
+		b, _ := before.Value("fannr_gphi_abandoned_total", el)
+		var attr float64
+		for _, sp := range collectSpans(resp.Explain.Spans) {
+			if sp.Name == "algo:gd" {
+				attr, _ = sp.Attrs["abandoned"].(float64)
+			}
+		}
+		if attr != a-b || (a-b > 0) != (engine == "PHL") {
+			t.Fatalf("%s: algo:gd abandoned attr %v, counter moved %v over %d points", engine, attr, a-b, len(req.P))
+		}
+		if got := resp.Explain.Counts["gphi_evals"]; got != int64(len(req.P)) {
+			t.Fatalf("%s: %d evaluations for |P| = %d", engine, got, len(req.P))
+		}
+	}
+	// A hub sum and a path sum may round differently in the last place.
+	if d := best[0].Dist - best[1].Dist; best[0].P != best[1].P || d > 1e-9*best[1].Dist || d < -1e-9*best[1].Dist {
+		t.Fatalf("PHL answered %+v, INE %+v", best[0], best[1])
+	}
+}

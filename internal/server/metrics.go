@@ -19,6 +19,7 @@ const (
 	mRequestSeconds = "fannr_request_seconds"
 	mComputeSeconds = "fannr_query_compute_seconds"
 	mGPhiEvals      = "fannr_gphi_evals_total"
+	mGPhiAbandoned  = "fannr_gphi_abandoned_total"
 	mGPhiSubsets    = "fannr_gphi_subsets_total"
 	mHeapPops       = "fannr_heap_pops_total"
 	mIndexVisits    = "fannr_index_visits_total"
@@ -61,6 +62,7 @@ const (
 type engineMetrics struct {
 	compute  *obs.Histogram
 	evals    *obs.Counter
+	abandons *obs.Counter
 	subsets  *obs.Counter
 	pops     *obs.Counter
 	visits   *obs.Counter
@@ -76,6 +78,7 @@ func (em *engineMetrics) flush(st *core.Stats) {
 		return
 	}
 	em.evals.Add(st.GPhiEvals)
+	em.abandons.Add(st.GPhiAbandoned)
 	em.subsets.Add(st.GPhiSubsets)
 	em.pops.Add(st.HeapPops)
 	em.visits.Add(st.IndexVisits)
@@ -169,6 +172,8 @@ func newServerMetrics(s *Server, reg *obs.Registry) *serverMetrics {
 				obs.DefBuckets, el),
 			evals: reg.Counter(mGPhiEvals,
 				"g_phi distance evaluations performed by queries on this engine.", el),
+			abandons: reg.Counter(mGPhiAbandoned,
+				"g_phi evaluations the engine ended early: a lower bound showed the value could not beat the incumbent.", el),
 			subsets: reg.Counter(mGPhiSubsets,
 				"g_phi subset materializations performed on this engine.", el),
 			pops: reg.Counter(mHeapPops,

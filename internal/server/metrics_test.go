@@ -66,6 +66,7 @@ func TestMetricsEndToEnd(t *testing.T) {
 		{"fannr_request_seconds_count", []obs.Label{obs.L("route", "fann")}, n + 1},
 		{"fannr_query_compute_seconds_count", []obs.Label{ine}, n},
 		{"fannr_gphi_evals_total", []obs.Label{ine}, n * 4}, // GD evaluates all of P
+		{"fannr_gphi_abandoned_total", []obs.Label{ine}, 0}, // exposed; INE has no bound to abandon on
 		{"fannr_gphi_subsets_total", []obs.Label{ine}, n},
 		{"fannr_dijkstra_settled_total", []obs.Label{ine}, 1},
 		{"fannr_heap_pops_total", []obs.Label{obs.L("engine", "PHL")}, 1}, // R-List pops
@@ -260,7 +261,7 @@ func TestStructuredRequestLog(t *testing.T) {
 	if rec["outcome"] != "ok" || rec["served"] != "INE" || rec["degraded"] != false {
 		t.Fatalf("log record %v, want outcome=ok served=INE degraded=false", rec)
 	}
-	for _, key := range []string{"duration", "decode", "admit", "compute", "gphi_evals", "settled"} {
+	for _, key := range []string{"duration", "decode", "admit", "compute", "gphi_evals", "gphi_abandoned", "settled"} {
 		if _, ok := rec[key]; !ok {
 			t.Fatalf("log record missing %q: %v", key, rec)
 		}

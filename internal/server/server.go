@@ -784,6 +784,7 @@ func (s *Server) handleFANN(w http.ResponseWriter, r *http.Request) {
 				slog.Duration("pin", tr.Dur("pin")),
 				slog.Duration("compute", tr.Dur("compute")),
 				slog.Int64("gphi_evals", stats.GPhiEvals),
+				slog.Int64("gphi_abandoned", stats.GPhiAbandoned),
 				slog.Int64("settled", stats.Settled),
 				slog.Int64("heap_pops", stats.HeapPops),
 				slog.String("cache", cacheKind),

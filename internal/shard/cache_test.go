@@ -2,7 +2,11 @@ package shard
 
 import (
 	"context"
+	"encoding/hex"
+	"fmt"
 	"testing"
+
+	"fannr/internal/resil"
 )
 
 // The coordinator's exact cache is keyed by engine@shards:<epoch>:<mask>.
@@ -55,5 +59,39 @@ func TestCoordinatorCacheTopologyInvalidation(t *testing.T) {
 	}
 	if again.CacheHit {
 		t.Fatal("degraded result was cached")
+	}
+}
+
+// TestCoordinatorCacheEngineFormat pins the key member cacheEngine
+// builds without fmt against the format it replaced,
+// fmt.Sprintf("%s@shards:%d:%s", engine, epoch, hex(mask)) with one mask
+// bit per admitted shard, at shard counts on both sides of a byte
+// boundary and with shards tripped — and the targets read once at
+// construction against what the transports report.
+func TestCoordinatorCacheEngineFormat(t *testing.T) {
+	for _, shards := range []int{1, 4, 8, 9} {
+		cl := newTestCluster(t, 260, 21, shards, CoordinatorOptions{CacheEntries: 8})
+		for trip := -1; trip < shards; trip += 3 {
+			if trip >= 0 {
+				cl.coord.TripShard(trip)
+			}
+			mask := make([]byte, (shards+7)/8)
+			for s := 0; s < shards; s++ {
+				if cl.coord.BreakerState(s) != resil.Open {
+					mask[s/8] |= 1 << (s % 8)
+				}
+			}
+			for _, engine := range []string{"PHL", "", "an-engine-name-longer-than-the-stack-buffer-the-key-is-appended-into-so-that-it-must-grow-on-the-heap"} {
+				want := fmt.Sprintf("%s@shards:%d:%s", engine, cl.plan.Epoch, hex.EncodeToString(mask))
+				if got := cl.coord.cacheEngine(engine); got != want {
+					t.Fatalf("S=%d: cacheEngine(%q) = %q, want %q", shards, engine, got, want)
+				}
+			}
+		}
+		for s, tr := range cl.coord.transports {
+			if cl.coord.targets[s] != tr.Target() || tr.Target() != fmt.Sprintf("inproc:%d", s) {
+				t.Fatalf("S=%d: shard %d target %q, transport reports %q", shards, s, cl.coord.targets[s], tr.Target())
+			}
+		}
 	}
 }

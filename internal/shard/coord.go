@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"slices"
 	"sort"
+	"strconv"
 	"sync"
 	"time"
 
@@ -71,6 +72,7 @@ type Result struct {
 type Coordinator struct {
 	plan       *Plan
 	transports []Transport
+	targets    []string // transports[s].Target(), read once at construction
 	breakers   []*resil.Breaker
 	retry      resil.RetryPolicy
 	opts       CoordinatorOptions
@@ -117,6 +119,7 @@ func NewCoordinator(plan *Plan, transports []Transport, opts CoordinatorOptions)
 		c.retry = resil.RetryPolicy{Attempts: 2, Base: 10 * time.Millisecond, Max: 100 * time.Millisecond, Jitter: 0.2}
 	}
 	for i := 0; i < plan.Shards(); i++ {
+		c.targets = append(c.targets, transports[i].Target())
 		c.breakers = append(c.breakers, resil.NewBreaker(opts.BreakerThreshold, opts.BreakerCooldown))
 	}
 	if opts.CacheEntries > 0 {
@@ -192,17 +195,29 @@ func (c *Coordinator) TripShard(s int) {
 	}
 }
 
-// healthyMask fingerprints which shards are currently admitted by their
-// breakers, for the cache key: a shard dropping out (or coming back)
-// must not serve results cached under a different reachable set.
-func (c *Coordinator) healthyMask() string {
-	mask := make([]byte, (len(c.breakers)+7)/8)
-	for i, b := range c.breakers {
-		if b.State() != resil.Open {
+// cacheEngine is the engine member of the coordinator's result-cache
+// key, engine@shards:<epoch>:<healthy mask>. The mask is one bit per
+// shard its breaker currently admits, in hex, eight shards to a byte: a
+// shard dropping out (or coming back) must not serve results cached
+// under a different reachable set. Built by appending into a stack
+// buffer — the string is the only allocation, once per request.
+func (c *Coordinator) cacheEngine(engine string) string {
+	var buf [96]byte
+	var mbuf [16]byte
+	mask := mbuf[:0]
+	for i, br := range c.breakers {
+		if i%8 == 0 {
+			mask = append(mask, 0)
+		}
+		if br.State() != resil.Open {
 			mask[i/8] |= 1 << (i % 8)
 		}
 	}
-	return hex.EncodeToString(mask)
+	b := append(buf[:0], engine...)
+	b = append(b, "@shards:"...)
+	b = strconv.AppendUint(b, c.plan.Epoch, 10)
+	b = append(b, ':')
+	return string(hex.AppendEncode(b, mask))
 }
 
 // shardCall records one shard's fate for EXPLAIN and /debug.
@@ -256,7 +271,7 @@ func (c *Coordinator) Execute(ctx context.Context, req *Request, tr *obs.Trace) 
 	}
 	if c.cache != nil {
 		rkey = qcache.ResultKey{
-			Engine: fmt.Sprintf("%s@shards:%d:%s", engine, c.plan.Epoch, c.healthyMask()),
+			Engine: c.cacheEngine(engine),
 			Algo:   algo, Agg: q.Agg, Phi: q.Phi, K: k,
 		}
 		rkey.P, rkey.Q = q.Fingerprints()
@@ -319,7 +334,7 @@ func (c *Coordinator) Execute(ctx context.Context, req *Request, tr *obs.Trace) 
 		if order[i].bound >= kthDist {
 			for ; i < len(order); i++ {
 				pruned++
-				calls = append(calls, shardCall{shard: order[i].shard, target: c.transports[order[i].shard].Target(), bound: order[i].bound, outcome: "pruned"})
+				calls = append(calls, shardCall{shard: order[i].shard, target: c.targets[order[i].shard], bound: order[i].bound, outcome: "pruned"})
 			}
 			break
 		}
@@ -337,7 +352,7 @@ func (c *Coordinator) Execute(ctx context.Context, req *Request, tr *obs.Trace) 
 			wg.Add(1)
 			go func(wi int, cd cand) {
 				defer wg.Done()
-				sc := shardCall{shard: cd.shard, target: c.transports[cd.shard].Target(), bound: cd.bound}
+				sc := shardCall{shard: cd.shard, target: c.targets[cd.shard], bound: cd.bound}
 				resp, se := c.callShard(ctx, cd.shard, &Request{
 					P: perShard[cd.shard], Q: q.Q, Phi: q.Phi, Agg: req.Agg,
 					Algo: req.Algo, Engine: engine, K: k,

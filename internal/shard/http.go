@@ -151,7 +151,7 @@ func (c *Coordinator) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 			out.Healthy++
 		}
 		out.Shards = append(out.Shards, shardStatus{
-			Shard: s, Target: c.transports[s].Target(),
+			Shard: s, Target: c.targets[s],
 			Breaker: st.String(), Objects: len(c.plan.Group(s)),
 		})
 	}
@@ -188,7 +188,7 @@ func (c *Coordinator) handleMeta(w http.ResponseWriter, _ *http.Request) {
 	}
 	for s := 0; s < c.plan.Shards(); s++ {
 		out.Targets = append(out.Targets, shardMeta{
-			Shard: s, Target: c.transports[s].Target(), Vertices: len(c.plan.Group(s)),
+			Shard: s, Target: c.targets[s], Vertices: len(c.plan.Group(s)),
 		})
 	}
 	writeJSON(w, http.StatusOK, out)

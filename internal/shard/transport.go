@@ -28,7 +28,7 @@ type InProc struct {
 	Host *Host
 }
 
-func (t InProc) Target() string { return fmt.Sprintf("inproc:%d", t.Host.ID) }
+func (t InProc) Target() string { return "inproc:" + strconv.Itoa(t.Host.ID) }
 
 func (t InProc) Call(ctx context.Context, req *Request) (*Response, error) {
 	frame, err := EncodeRequest(req)
