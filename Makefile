@@ -61,7 +61,11 @@ figures:
 ## bound walk stopped after 2, 4 and 8 hubs against bare Dist
 ## (abandoned/eval is the share of evaluations the bounds ended), and
 ## what one candidate costs on the bound path — rejected after the
-## prefix, completed through prefix + resume, or walked in full.
+## prefix, completed through prefix + resume, or walked in full. Beside
+## it, the two rows every PHL request is priced by and bench/ has no rung
+## for: the bind of one Q at hot_ier's shape (entries/bind is Σ_q |L(q)|)
+## and the label build itself on NW 1/64 (entries/node, and how much of
+## it went into sampling trees for the hub order).
 microbench:
 	$(GO) test -run - -bench 'ServerThroughput|DistEndpoint' -cpu 1,2,4,8 \
 		-benchtime 1x ./internal/server/
@@ -72,7 +76,8 @@ microbench:
 	$(GO) test -run - -bench Canonicalise -cpu 1 -benchtime 2000x ./internal/core/
 	$(GO) test -run - -bench 'ExpanderLanes|WrapFirstSight' -cpu 1 -benchtime 200x .
 	$(GO) test -run - -bench GDAbandon -cpu 1 -benchtime 300x ./internal/core/
-	$(GO) test -run - -bench DistBoundPrefix -cpu 1 -benchtime 20000x ./internal/phl/
+	$(GO) test -run - -bench 'DistBoundPrefix|BindTargets' -cpu 1 -benchtime 20000x ./internal/phl/
+	$(GO) test -run - -bench 'Build$$' -cpu 1 -benchtime 3x ./internal/phl/
 
 ## Tier 3 — race detector over the concurrency-bearing packages
 ## (engine pools, HTTP server, parallel index builds, workload draws) plus
@@ -118,6 +123,7 @@ fuzz-smoke:
 	$(GO) test -run - -fuzz FuzzRead -fuzztime $(FUZZTIME) ./internal/phl/
 	$(GO) test -run - -fuzz FuzzDistBoundMatchesDistBatch -fuzztime $(FUZZTIME) ./internal/phl/
 	$(GO) test -run - -fuzz FuzzDistBelow -fuzztime $(FUZZTIME) ./internal/core/
+	$(GO) test -run - -fuzz FuzzIERBoundAdmissible -fuzztime $(FUZZTIME) ./internal/core/
 	$(GO) test -run - -fuzz FuzzRead -fuzztime $(FUZZTIME) ./internal/gtree/
 	$(GO) test -run - -fuzz FuzzKNNMatchesDijkstra -fuzztime $(FUZZTIME) ./internal/gtree/
 	$(GO) test -run - -fuzz FuzzRead -fuzztime $(FUZZTIME) ./internal/ch/

@@ -83,6 +83,7 @@ func run(dataset string, scale float64, grFile, coFile, kind, out string, leaf, 
 			if err != nil {
 				return 0, err
 			}
+			fmt.Printf("hub labels: %d entries, %.1f per node\n", ix.Entries(), ix.AvgLabelSize())
 			return ix.MemoryBytes(), ix.Save(w)
 		}); err != nil {
 			return err
@@ -130,7 +131,8 @@ func convert(in, kind, out string, dataset string, scale float64, grFile, coFile
 			return fmt.Errorf("converting %s: %w", in, err)
 		}
 		defer ix.Close()
-		fmt.Printf("converting %s (~%.1f MB hub labels)\n", in, float64(ix.MemoryBytes())/1e6)
+		fmt.Printf("converting %s (~%.1f MB hub labels: %d entries, %.1f per node)\n", in,
+			float64(ix.MemoryBytes())/1e6, ix.Entries(), ix.AvgLabelSize())
 		return save(out, func(w io.Writer) (int64, error) { return ix.MemoryBytes(), ix.Save(w) })
 	case "gtree":
 		g, err := loadGraph(dataset, scale, grFile, coFile)

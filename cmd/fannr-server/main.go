@@ -179,6 +179,7 @@ func addReloadablePHL(srv *server.Server, g *fannr.Graph, path string, loadOpts 
 			ix.Close()
 			return nil, fmt.Errorf("loading PHL index %s: -mmap=on but the file cannot be zero-copy mapped (convert it to v4 with fannr-index -in)", path)
 		}
+		fmt.Printf("hub labels: %d entries, %.1f per node\n", ix.Entries(), ix.AvgLabelSize())
 		return ix, nil
 	}
 	return srv.AddReloadable(server.IndexSource{
@@ -287,6 +288,7 @@ func run(cfg config) error {
 			if err != nil {
 				return err
 			}
+			fmt.Printf("hub labels: %d entries, %.1f per node\n", ix.Entries(), ix.AvgLabelSize())
 			opts.PHL = ix
 		case "GTree":
 			if cfg.gtreeIndex != "" {

@@ -117,6 +117,7 @@ func buildEngines(g *fannr.Graph, names string, workers int) (map[string]core.En
 			if err != nil {
 				return nil, nil, err
 			}
+			fmt.Printf("hub labels: %d entries, %.1f per node\n", ix.Entries(), ix.AvgLabelSize())
 			add("PHL", func() core.GPhi { return core.NewOracleGPhi("PHL", ix) })
 		case "GTree":
 			fmt.Println("building G-tree engine...")

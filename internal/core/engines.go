@@ -250,20 +250,23 @@ func newOracleEngine(name string, o Oracle) *oracleEngine {
 // further hub is work a rejected candidate did not need.
 // BenchmarkGDAbandon (make microbench) is the evidence — GD through
 // Dispatch on NW 1/64, fresh Q per request, µs per query at -cpu 1
-// (medians of 3) and the share of evaluations abandoned:
+// (medians of 5 interleaved runs) and the share of evaluations abandoned,
+// re-measured under the tree-weight hub order (labels of 79.5 entries, a
+// different four vertices at the head of every walk):
 //
 //	shape (|P| × M, aggregate)        bare Dist   2 hubs       4 hubs       8 hubs
-//	shard4's slice, 211 × 8, max         175     49 (87 %)    54 (97 %)    69 (97 %)
-//	shard4's slice, 211 × 8, sum         180     61           64           83
-//	gd-phl-max-dense, 169 × 128, max    1072    390 (87 %)   483 (98 %)   535 (98 %)
-//	the same, sum                       1455    621          676          861
-//	gd-phl-sum's, 17 × 128, max          207    244 (41 %)   174 (82 %)   215 (82 %)
-//	the same, sum                        249    219          200          215
+//	shard4's slice, 211 × 8, max         104     32 (90 %)    36 (96 %)    54 (97 %)
+//	shard4's slice, 211 × 8, sum         100     39           43           61
+//	gd-phl-max-dense, 169 × 128, max     686    279 (86 %)   337 (98 %)   504 (98 %)
+//	the same, sum                        866    406          482          693
+//	gd-phl-sum's, 17 × 128, max          131     97 (76 %)   100 (82 %)   127 (82 %)
+//	the same, sum                        149    107          125          142
 //
-// Four is the one setting ahead of bare Dist in every cell. Two is
-// 10–20 % cheaper where P is large, because a prefix half as long is paid
-// by every candidate, but it rejects too few once P is small (17 points
-// leave it behind bare Dist); eight buys no rejections four did not.
+// Four is ahead of bare Dist in every cell, in every run, and rejects
+// all that eight does. Two no longer falls behind bare Dist at 17 points
+// (a full walk is a third shorter, a prefix is not) and reads 3–17 %
+// under four; that is a gap the end-to-end pairs would have to confirm
+// before the constant follows it.
 const boundHubs = 4
 
 type oracleEngine struct {

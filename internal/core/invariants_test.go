@@ -1,12 +1,15 @@
 package core
 
 import (
+	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
 
 	"fannr/internal/graph"
+	"fannr/internal/rtree"
 	"fannr/internal/sp"
 )
 
@@ -210,4 +213,82 @@ func distTo(g *graph.Graph, u, v graph.NodeID) (float64, bool) {
 		propDijkstra[g] = d
 	}
 	return d.Dist(u, v), true
+}
+
+// FuzzIERBoundAdmissible is Lemma 1 over the whole packed P-tree, the
+// inequality IER-kNN's early stop rests on: for any road-like graph or
+// the unit grid (distances tie, the chain is out of reach), any P and Q,
+// any φ, either aggregate and either bound — the flexible Euclidean
+// aggregate or §III-C's cheap one — boundPoint of a data point is at
+// most Brute's g_φ of it, and boundNode of every R-tree node at most the
+// smallest g_φ among the data points beneath it.
+func FuzzIERBoundAdmissible(f *testing.F) {
+	f.Add(int64(1), uint8(40), false, []byte{0, 1, 2, 3, 90, 91, 200}, []byte{5, 6, 77}, uint8(49), false, false)
+	f.Add(int64(2), uint8(7), true, []byte{0, 11, 22, 33, 44, 55, 66, 77, 88, 99, 101, 120}, []byte{3, 50, 52, 102}, uint8(99), true, false)
+	f.Add(int64(3), uint8(200), false, []byte{9, 8, 7, 6, 5, 4, 3, 2, 1, 0, 100, 150, 250}, []byte{1, 2, 3, 4, 5, 6, 7, 8}, uint8(0), true, true)
+	f.Add(int64(4), uint8(3), true, []byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 20}, []byte{20, 40}, uint8(50), false, true)
+	f.Fuzz(func(t *testing.T, seed int64, size uint8, grid bool, rawP, rawQ []byte, phiRaw uint8, sum, cheap bool) {
+		var g *graph.Graph
+		if grid {
+			g = unitGrid(t, 3+int(size)%10)
+		} else {
+			var err error
+			if g, err = graph.Generate(graph.GenConfig{Nodes: 64 + int(size), Seed: seed}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		nodes := func(raw []byte, limit int) []graph.NodeID {
+			if len(raw) > limit {
+				raw = raw[:limit]
+			}
+			out := make([]graph.NodeID, len(raw))
+			for i, c := range raw {
+				out[i] = graph.NodeID((int(c) + i*int(size)) % g.NumNodes())
+			}
+			return out
+		}
+		q := Query{P: nodes(rawP, 48), Q: nodes(rawQ, 16), Phi: float64(1+int(phiRaw)%100) / 100, Agg: Max}
+		if sum {
+			q.Agg = Sum
+		}
+		if q.Validate(g) != nil {
+			return // an empty set
+		}
+		gphi := make(map[graph.NodeID]float64, len(q.P))
+		for _, p := range q.P {
+			one, err := Brute(g, Query{P: []graph.NodeID{p}, Q: q.Q, Phi: q.Phi, Agg: q.Agg})
+			switch {
+			case errors.Is(err, ErrNoResult):
+				gphi[p] = math.Inf(1) // fewer than k of Q can be reached
+			case err != nil:
+				t.Fatal(err)
+			default:
+				gphi[p] = one.Dist
+			}
+		}
+		rtP := buildPTree(g, q.P)
+		s := newIERSearch(g, rtP, q, IEROptions{CheapBound: cheap})
+		admissible := func(what string, lb, d float64) {
+			t.Helper()
+			if !(lb >= 0) || lb > d+1e-9*(1+d) {
+				t.Fatalf("%s: bound %v over g_φ %v (k = %d of %d, %v, cheap %v)", what, lb, d, q.K(), len(q.Q), q.Agg, cheap)
+			}
+		}
+		var walk func(n *rtree.Node) float64
+		walk = func(n *rtree.Node) float64 {
+			least := math.Inf(1)
+			for _, c := range n.Children() {
+				least = math.Min(least, walk(c))
+			}
+			if n.IsLeaf() {
+				for _, p := range n.Points() {
+					admissible(fmt.Sprintf("point %d", p.ID), s.boundPoint(p.X, p.Y), gphi[p.ID])
+					least = math.Min(least, gphi[p.ID])
+				}
+			}
+			admissible(fmt.Sprintf("node over %v", n.Rect()), s.boundNode(n), least)
+			return least
+		}
+		walk(rtP.Root())
+	})
 }

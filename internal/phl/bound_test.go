@@ -429,3 +429,31 @@ func BenchmarkDistBoundPrefix(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkBindTargets prices the bind a PHL request pays before its
+// first evaluation, at hot_ier's shape — NW 1/64, Q of 128 at A = 10 %,
+// a different Q on every request (64 in rotation, so no bucket layout is
+// ever warm). entries/bind is Σ_q |L(q)|, the count the bind's cost
+// follows and the hub order sets.
+func BenchmarkBindTargets(b *testing.B) {
+	g := loadNW(b, 1.0/64)
+	ix := mustBuild(b, g)
+	gen := workload.NewGenerator(g, 27)
+	qs := make([][]graph.NodeID, 64)
+	entries := 0
+	for i := range qs {
+		qs[i] = gen.UniformQ(0.10, 128)
+		for _, q := range qs[i] {
+			h, _ := ix.label(q)
+			entries += len(h)
+		}
+	}
+	bt := ix.NewBatcher()
+	bt.BindTargets(qs[0])
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		bt.BindTargets(qs[i%len(qs)])
+	}
+	b.ReportMetric(float64(entries)/float64(len(qs)), "entries/bind")
+}

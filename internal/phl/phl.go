@@ -3,20 +3,27 @@
 //
 // The paper uses Pruned Highway Labeling (Akiba et al., ALENEX'14) as its
 // fastest distance oracle. This package builds labels with the pruned
-// labeling scheme by the same authors (pruned Dijkstra from vertices in
-// degree order): like PHL it is an exact 2-hop scheme whose queries merge
-// two sorted label arrays in O(label size), it exploits the same low
-// highway dimension of road networks, and it shares PHL's failure mode of
-// exhausting memory on very large graphs — which Fig. 9 of the paper
-// depends on. A configurable entry budget reproduces that failure mode
-// deterministically.
+// labeling scheme by the same authors (pruned Dijkstra from every vertex,
+// most important first): like PHL it is an exact 2-hop scheme whose
+// queries merge two sorted label arrays in O(label size), it exploits the
+// same low highway dimension of road networks, and it shares PHL's
+// failure mode of exhausting memory on very large graphs — which Fig. 9
+// of the paper depends on. A configurable entry budget reproduces that
+// failure mode deterministically.
+//
+// Importance is degree, and among vertices of one degree — two thirds of
+// a road network — the number of shortest paths through a vertex, sampled
+// over a few shortest-path trees (order.go). Everything the index costs
+// is counted in label entries: the build (each root scans the labels of
+// the vertices it reaches), the file and the resident size, the bind of a
+// target list (Σ_q |L(q)|) and every walk over L(p); the order is what
+// sets that count, so TestLabelSizeOnRoadNetwork gates it.
 package phl
 
 import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
 	"unsafe"
 
 	"fannr/internal/binio"
@@ -103,44 +110,43 @@ func (ix *Index) label(v graph.NodeID) ([]int32, []float64) {
 	return ix.hubSlab[lo:hi], ix.distSlab[lo:hi]
 }
 
-// Build constructs labels for g by pruned Dijkstra from vertices in
-// descending degree order.
+// Build constructs labels for g by pruned Dijkstra from every vertex in
+// hubOrder: descending degree, ties by how many sampled shortest paths
+// run through a vertex. The result is a function of g and opts alone.
 func Build(g *graph.Graph, opts Options) (*Index, error) {
 	n := g.NumNodes()
+	h := pqueue.NewIndexedHeap(n)
+	order := hubOrder(g, h)
 	rank := make([]int32, n)
+	for r, v := range order {
+		rank[v] = int32(r)
+	}
 	// Construction appends to labels interleaved across nodes, so it works
 	// on per-node slices and flattens into the slab layout at the end.
 	hubs := make([][]int32, n)
 	dists := make([][]float64, n)
-	order := make([]int32, n)
-	for i := range order {
-		order[i] = int32(i)
-	}
-	// Degree-descending order puts well-connected vertices first, which is
-	// the standard cheap proxy for highway importance.
-	sort.SliceStable(order, func(i, j int) bool {
-		return g.Degree(order[i]) > g.Degree(order[j])
-	})
-	for r, v := range order {
-		rank[v] = int32(r)
-	}
 
-	h := pqueue.NewIndexedHeap(n)
 	dist := make([]float64, n)
 	stamp := make([]uint32, n)
 	var epoch uint32
 	// tmp[r] holds the root's label keyed by hub rank during one pruned
-	// Dijkstra, enabling O(label) prune checks.
+	// Dijkstra, enabling O(label) prune checks, and +Inf everywhere else:
+	// a hub the root's label lacks then fails the check on its own, with
+	// one random load per entry scanned.
 	tmp := make([]float64, n)
-	tmpStamp := make([]uint32, n)
+	for i := range tmp {
+		tmp[i] = math.Inf(1)
+	}
 	var entries int64
 
 	for r := 0; r < n; r++ {
 		root := order[r]
 		epoch++
-		for i, hub := range hubs[root] {
-			tmp[hub] = dists[root][i]
-			tmpStamp[hub] = epoch
+		// The search appends (r, 0) to the root's own label; the entries
+		// before it are the ones to scatter, and to take back afterwards.
+		rootHubs, rootDists := hubs[root], dists[root]
+		for i, hub := range rootHubs {
+			tmp[hub] = rootDists[i]
 		}
 		h.Reset()
 		stamp[root] = epoch
@@ -154,7 +160,7 @@ func Build(g *graph.Graph, opts Options) (*Index, error) {
 			hv := hubs[v]
 			dvs := dists[v]
 			for i, hub := range hv {
-				if tmpStamp[hub] == epoch && tmp[hub]+dvs[i] <= dv {
+				if tmp[hub]+dvs[i] <= dv {
 					pruned = true
 					break
 				}
@@ -177,6 +183,9 @@ func Build(g *graph.Graph, opts Options) (*Index, error) {
 					h.Update(u, du)
 				}
 			}
+		}
+		for _, hub := range rootHubs {
+			tmp[hub] = math.Inf(1)
 		}
 	}
 

@@ -6,8 +6,10 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"fannr/internal/graph"
+	"fannr/internal/pqueue"
 	"fannr/internal/sp"
 )
 
@@ -145,17 +147,23 @@ func TestLabelsAreSortedAndSized(t *testing.T) {
 	}
 }
 
+// BenchmarkBuild is the index build every bench/ workload's setup_s
+// pays, on the graph they pay it on (NW 1/64): seconds per build, the
+// label size the hub order reaches, and the share of the build spent
+// sampling trees for that order.
 func BenchmarkBuild(b *testing.B) {
-	g, err := graph.Generate(graph.GenConfig{Nodes: 2000, Seed: 4})
-	if err != nil {
-		b.Fatal(err)
-	}
+	g := loadNW(b, 1.0/64)
+	var ix *Index
 	b.ReportAllocs()
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Build(g, Options{}); err != nil {
-			b.Fatal(err)
-		}
+		ix = mustBuild(b, g)
 	}
+	b.StopTimer()
+	b.ReportMetric(ix.AvgLabelSize(), "entries/node")
+	start := time.Now()
+	treeWeights(g, sampleRoots(g.NumNodes()), pqueue.NewIndexedHeap(g.NumNodes()))
+	b.ReportMetric(float64(time.Since(start).Microseconds())/1e3, "sampling-ms")
 }
 
 func BenchmarkDist(b *testing.B) {

@@ -146,6 +146,18 @@ func (r *reloadable) indexBytes() (heap, mapped int64) {
 	return 0, 0
 }
 
+// labelEntries reads the live generation's label count: 0 while
+// quarantined, and for an index that is not a hub labeling.
+func (r *reloadable) labelEntries() int64 {
+	if p := r.pin(); p != nil {
+		defer p.Release()
+		if lc, ok := p.Value().(*snapshotSet).ix.(labelCounted); ok {
+			return lc.Entries()
+		}
+	}
+	return 0
+}
+
 // reloadRetry is the backoff schedule for index loads: a reload racing a
 // half-written file waits the writer out instead of failing the swap.
 // Jitter is seeded per server start; tests inject their own policies via

@@ -442,3 +442,56 @@ func TestReloadSwapStorm(t *testing.T) {
 	}
 	t.Fatalf("goroutines %d, baseline %d — leak after the storm", runtime.NumGoroutine(), baseline)
 }
+
+// TestMetaReportsLabelEntries: /meta's hub-label entry carries the label
+// count of what is serving — a built index and a file-backed generation
+// alike — and an index that is not a hub labeling carries none.
+func TestMetaReportsLabelEntries(t *testing.T) {
+	labelEntries := func(url string) map[string]any {
+		t.Helper()
+		resp, err := http.Get(url + "/meta")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var meta struct {
+			Indexes map[string]map[string]any `json:"indexes"`
+		}
+		if err := json.NewDecoder(resp.Body).Decode(&meta); err != nil {
+			t.Fatal(err)
+		}
+		out := map[string]any{}
+		for name, entry := range meta.Indexes {
+			out[name] = entry["label_entries"]
+		}
+		return out
+	}
+
+	g, err := graph.Generate(graph.GenConfig{Nodes: 800, Seed: 5, Name: "srv"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ix, err := phl.Build(g, phl.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := float64(ix.Entries())
+
+	srv, err := New(g, Options{PHL: ix})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.RegisterIndexBytes("gtree", 1<<20); err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	if got := labelEntries(ts.URL); got["phl"] != want || got["gtree"] != nil {
+		t.Fatalf("built index: /meta label_entries = %v, want phl %v and none for gtree", got, want)
+	}
+
+	h := newReloadHarness(t, true, nil, Options{})
+	if got := labelEntries(h.ts.URL); got["phl"] != want {
+		t.Fatalf("file-backed index: /meta label_entries = %v, want phl %v", got, want)
+	}
+}

@@ -194,8 +194,9 @@ func (discardLogs) Handle(context.Context, slog.Record) error { return nil }
 func (d discardLogs) WithAttrs([]slog.Attr) slog.Handler      { return d }
 func (d discardLogs) WithGroup(string) slog.Handler           { return d }
 
-// indexSize splits an index's footprint by where the bytes live.
-type indexSize struct{ heap, mapped int64 }
+// indexSize splits an index's footprint by where the bytes live;
+// entries is its label count, for the one kind of index that has one.
+type indexSize struct{ heap, mapped, entries int64 }
 
 // memorySized is implemented by indexes that report their resident size
 // (phl.Index, gtree.Tree via Stats, ...).
@@ -204,6 +205,12 @@ type memorySized interface{ MemoryBytes() int64 }
 // mappedSized is additionally implemented by indexes that may be
 // mmap-backed (phl.Index); MappedBytes is 0 for heap-loaded instances.
 type mappedSized interface{ MappedBytes() int64 }
+
+// labelCounted is implemented by hub-label indexes (phl.Index). The
+// count depends only on the graph and the hub order the file was built
+// under, so /meta's label_entries tells two builds of one network apart
+// where byte sizes would need a diff.
+type labelCounted interface{ Entries() int64 }
 
 // New builds a server over g.
 func New(g *graph.Graph, opts Options) (*Server, error) {
@@ -236,6 +243,9 @@ func New(g *graph.Graph, opts Options) (*Server, error) {
 		sz := indexSize{heap: sized.MemoryBytes()}
 		if mm, ok := opts.PHL.(mappedSized); ok {
 			sz.mapped = mm.MappedBytes()
+		}
+		if lc, ok := opts.PHL.(labelCounted); ok {
+			sz.entries = lc.Entries()
 		}
 		s.indexSizes["phl"] = sz
 	}
@@ -667,10 +677,14 @@ func (s *Server) handleMeta(w http.ResponseWriter, _ *http.Request) {
 	// reloadable indexes add lifecycle state and file provenance so
 	// operators can tell which artifact generation is actually serving.
 	indexes := make(map[string]any, len(s.indexSizes)+len(s.reload))
-	for name := range s.indexSizes {
+	for name, sz := range s.indexSizes {
 		heap := val(mIndexBytes, obs.L("index", name), obs.L("mem", "heap"))
 		mapped := val(mIndexBytes, obs.L("index", name), obs.L("mem", "mapped"))
-		indexes[name] = map[string]any{"heap": heap, "mapped": mapped, "total": heap + mapped}
+		entry := map[string]any{"heap": heap, "mapped": mapped, "total": heap + mapped}
+		if sz.entries > 0 {
+			entry["label_entries"] = sz.entries
+		}
+		indexes[name] = entry
 	}
 	for name, rl := range s.reload {
 		heap := val(mIndexBytes, obs.L("index", name), obs.L("mem", "heap"))
@@ -684,6 +698,9 @@ func (s *Server) handleMeta(w http.ResponseWriter, _ *http.Request) {
 		}
 		if st.Reason != "" {
 			entry["quarantine_reason"] = st.Reason
+		}
+		if n := rl.labelEntries(); n > 0 {
+			entry["label_entries"] = n
 		}
 		if p := rl.prov.Load(); p != nil {
 			entry["path"] = p.Path
