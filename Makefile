@@ -49,9 +49,12 @@ figures:
 ## and IER-PHL's whole dispatch over algo_mix's d × M × φ grid against
 ## the Euclidean restriction it replaced (evals/op says how few
 ## evaluations share one bind; φ = 0.1 is where restriction is not behind).
-## Two price the request-side stage: the /fann scanner against
-## encoding/json on hot_ier- and shard4-shaped bodies, and one sort per
-## set against the map + sort.Slice sequence it replaced. The last two
+## Four price the request-side stage: the /fann scanner against
+## encoding/json on hot_ier- and shard4-shaped bodies, one sort per
+## set against the map + sort.Slice sequence it replaced, Validate with
+## the set registry (no registry / first sight / hit at 128, 169 and 844
+## ids, 64 permutations in rotation), and one shard call's two bodies
+## appended and scanned against encoding/json (211 + 8 ids). The last two
 ## price what PR 25 took out of algo_mix's tail: 64 expansion lanes on
 ## pooled label tables against the map-backed lane they replaced
 ## (allocs/op), and GD through qcache.Wrap at a Q's first sight (nothing
@@ -73,7 +76,8 @@ microbench:
 	$(GO) test -run - -bench 'GDStats' -benchtime 1000x ./internal/core/
 	$(GO) test -run - -bench 'GPhiPHLBound|GPhiIERPHLBound|IERPHLRegimes' -cpu 1 -benchtime 500x .
 	$(GO) test -run - -bench DecodeFANN -cpu 1 -benchtime 2000x ./internal/wire/
-	$(GO) test -run - -bench Canonicalise -cpu 1 -benchtime 2000x ./internal/core/
+	$(GO) test -run - -bench 'Canonicalise|ValidateRegistry' -cpu 1 -benchtime 2000x ./internal/core/
+	$(GO) test -run - -bench ShardCodec -cpu 1 -benchtime 2000x ./internal/wire/
 	$(GO) test -run - -bench 'ExpanderLanes|WrapFirstSight' -cpu 1 -benchtime 200x .
 	$(GO) test -run - -bench GDAbandon -cpu 1 -benchtime 300x ./internal/core/
 	$(GO) test -run - -bench 'DistBoundPrefix|BindTargets' -cpu 1 -benchtime 20000x ./internal/phl/
@@ -119,6 +123,8 @@ fuzz-smoke:
 	$(GO) test -run - -fuzz FuzzFANNEndpoint -fuzztime $(FUZZTIME) ./internal/server/
 	$(GO) test -run - -fuzz FuzzDistEndpoint -fuzztime $(FUZZTIME) ./internal/server/
 	$(GO) test -run - -fuzz FuzzDecodeFANN -fuzztime $(FUZZTIME) ./internal/wire/
+	$(GO) test -run - -fuzz FuzzShardBodies -fuzztime $(FUZZTIME) ./internal/wire/
+	$(GO) test -run - -fuzz FuzzSetRegistry -fuzztime $(FUZZTIME) ./internal/core/
 	$(GO) test -run - -fuzz FuzzDifferentialCase -fuzztime $(FUZZTIME) ./internal/difftest/
 	$(GO) test -run - -fuzz FuzzRead -fuzztime $(FUZZTIME) ./internal/phl/
 	$(GO) test -run - -fuzz FuzzDistBoundMatchesDistBatch -fuzztime $(FUZZTIME) ./internal/phl/

@@ -97,13 +97,16 @@ func FingerprintNodes(ids []graph.NodeID) Fingerprint {
 
 // canonSet is what Validate remembers of a set it canonicalized: which
 // slice it was (first element and length — a set replaced afterwards,
-// as APX-sum replaces P by its candidates, no longer matches) and its
-// fingerprint. Overwriting elements in place behind Validate's back is
-// the one thing this cannot see.
+// as APX-sum replaces P by its candidates, no longer matches), its
+// fingerprint, and what the query's registry made of it (sets.go).
+// Overwriting elements in place behind Validate's back is the one thing
+// this cannot see.
 type canonSet struct {
 	first *graph.NodeID
 	n     int
 	fp    Fingerprint
+	entry *SetEntry
+	sight SetSight
 }
 
 func (c *canonSet) covers(ids []graph.NodeID) bool {

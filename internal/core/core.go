@@ -97,6 +97,11 @@ type Query struct {
 	// disables tracing at the cost of one pointer test per invocation —
 	// the per-operation hot loops never touch it.
 	Trace *obs.Trace
+	// Sets, when non-nil, is the registry Validate looks both id lists up
+	// in before it sorts them, and the place what depends on P alone — the
+	// R-tree of an "ier" Dispatch — is kept between requests (sets.go).
+	// Nil validates and builds per query. The serving tiers attach theirs.
+	Sets *SetRegistry
 
 	// What Validate last canonicalized (canon.go): the two sets by slice
 	// identity with their fingerprints, and the node count they were
@@ -162,10 +167,12 @@ func (q *Query) K() int {
 // see the canonical multiplicity-free sets. The caller's slices are never
 // mutated; dedup replaces q.P/q.Q with fresh copies.
 //
-// Each set costs one sort of a copy in a reusable buffer (canon.go). The
-// same pass yields the set's Fingerprint, and the query remembers what
-// it canonicalized, so validating it again — solve does, after a server
-// or Dispatch already has — is a few comparisons.
+// Each set costs one sort of a copy in a reusable buffer (canon.go) —
+// or, for an id list the query's registry holds, one hash and one
+// comparison (sets.go). The same pass yields the set's Fingerprint, and
+// the query remembers what it canonicalized, so validating it again —
+// solve does, after a server or Dispatch already has — is a few
+// comparisons.
 func (q *Query) Validate(g *graph.Graph) error {
 	if len(q.P) == 0 {
 		return fmt.Errorf("%w: empty data set P", ErrInvalid)
@@ -176,19 +183,30 @@ func (q *Query) Validate(g *graph.Graph) error {
 	if !(q.Phi > 0 && q.Phi <= 1) {
 		return fmt.Errorf("%w: flexibility φ = %v outside (0,1]", ErrInvalid, q.Phi)
 	}
+	// A set Validate has canonicalized before — the same slice, against
+	// the same node count — is not looked at again: solve validates a
+	// query its caller already has, and APX-sum's ranking scan one whose
+	// P alone was replaced.
 	n := g.NumNodes()
-	if q.canonNodes == n && q.canonP.covers(q.P) && q.canonQ.covers(q.Q) {
+	doP := q.canonNodes != n || !q.canonP.covers(q.P)
+	doQ := q.canonNodes != n || !q.canonQ.covers(q.Q)
+	if !doP && !doQ {
 		return nil
 	}
 	buf := q.sortBuf()
 	defer q.releaseSortBuf(buf)
-	P, canonP, bad := canonicalize(q.P, n, buf)
-	if bad >= 0 {
-		return fmt.Errorf("%w: data point %d outside graph", ErrInvalid, q.P[bad])
+	P, canonP, Q, canonQ := q.P, q.canonP, q.Q, q.canonQ
+	if doP {
+		var bad int
+		if P, canonP, bad = q.canonicalizeIn(roleP, q.P, n, buf); bad >= 0 {
+			return fmt.Errorf("%w: data point %d outside graph", ErrInvalid, q.P[bad])
+		}
 	}
-	Q, canonQ, bad := canonicalize(q.Q, n, buf)
-	if bad >= 0 {
-		return fmt.Errorf("%w: query point %d outside graph", ErrInvalid, q.Q[bad])
+	if doQ {
+		var bad int
+		if Q, canonQ, bad = q.canonicalizeIn(roleQ, q.Q, n, buf); bad >= 0 {
+			return fmt.Errorf("%w: query point %d outside graph", ErrInvalid, q.Q[bad])
+		}
 	}
 	q.P, q.Q, q.canonP, q.canonQ, q.canonNodes = P, Q, canonP, canonQ, n
 	return nil

@@ -36,11 +36,12 @@ func Dispatch(g *graph.Graph, algo string, gp GPhi, q Query, k int) ([]Answer, e
 			return nil, fmt.Errorf("%w: algorithm \"ier\" needs coordinates, which dataset %q lacks", ErrInvalid, g.Name())
 		}
 		// Validating here (solve's own Validate then passes through) is
-		// what lets the tree be built over q.P as it stands.
+		// what lets the tree be built over q.P as it stands — or taken
+		// from the registry entry Validate found for it.
 		if err := q.Validate(g); err != nil {
 			return nil, err
 		}
-		rtP = buildPTree(g, q.P)
+		rtP = q.pTree(g)
 	}
 	return solve(g, gp, q, a, k, k <= 1, rtP, IEROptions{}, nil)
 }

@@ -187,7 +187,9 @@ func solve(g *graph.Graph, gp GPhi, q Query, a algo, kAns int, one bool, rtP *rt
 		// The ranking scan is the same query over the reduced P, so it
 		// inherits Cancel, Stats, Scratch and Trace: its evals land on the
 		// request's counters and on a nested span.
-		q.P = candidates
+		// The candidates are this request's own list, not one anybody
+		// sends: they stay out of the set registry.
+		q.P, q.Sets = candidates, nil
 		return solve(g, gp, q, algoGD, kAns, one, nil, opts, dst)
 	}
 	s := solver{g: g, gp: gp, q: q, k: q.K(), top: q.newTopK(kAns)}

@@ -161,6 +161,41 @@ func TestDifferentialCachedWarmCold(t *testing.T) {
 	}
 }
 
+// TestDifferentialSetRegistry is the set registry's acceptance gate: the
+// full corpus, every case walked through first sight, fill and hit on
+// the single-process path (every algorithm) and through the coordinator
+// at S ∈ {1, 2, 4}, answers held to the registry-less ones bit for bit
+// and to brute force; a permuted and a duplicate-carrying re-send keep
+// the fingerprint and the distances.
+func TestDifferentialSetRegistry(t *testing.T) {
+	casesPerEnv := 80 // 4 envs × 80 = 320 cases
+	if testing.Short() {
+		casesPerEnv = 20
+	}
+	for _, spec := range envSpecs {
+		t.Run(string(rune('A'+spec.seed-11)), func(t *testing.T) {
+			t.Parallel()
+			env, err := NewEnv(spec.nodes, spec.seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			se, err := NewShardedEnv(env, 1, 2, 4)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < casesPerEnv; i++ {
+				c := GenCase(spec.seed*10_000+int64(i), env.G)
+				if err := env.RunCaseRegistered(c); err != nil {
+					t.Fatal(err)
+				}
+				if err := se.RunCaseShardedRegistered(c); err != nil {
+					t.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // The case generator must be deterministic per seed — CI failures have to
 // reproduce locally from the logged seed alone.
 func TestGenCaseDeterministic(t *testing.T) {

@@ -47,6 +47,10 @@ const (
 	mCacheBytes     = "fannr_cache_bytes"
 	mCoalesced      = "fannr_coalesced_total"
 	mIndexBytes     = "fannr_index_bytes"
+	// fannr_sets_{hits,fills,skips,evictions}_total: the set registry's
+	// counters. Not fannr_cache_*: the result cache's hit rate and
+	// eviction count must keep meaning what they meant.
+	mSetsPrefix = "fannr_sets"
 	// Lifecycle series (reloadable indexes only): memory faults contained
 	// on an index's mapping, reload attempts by outcome, the serving
 	// generation, and whether the index is currently quarantined.
@@ -277,6 +281,7 @@ func newServerMetrics(s *Server, reg *obs.Registry) *serverMetrics {
 		reg.GaugeFunc(mCacheBytes, "Approximate bytes held by live cache entries.",
 			func() float64 { return float64(qc.Metrics().Bytes) })
 	}
+	s.sets.RegisterMetrics(reg, mSetsPrefix)
 	for name, sz := range s.indexSizes {
 		sz := sz
 		reg.GaugeFunc(mIndexBytes, "Bytes of a preprocessing index by backing memory (heap vs mmap).",

@@ -163,6 +163,11 @@ type Server struct {
 	// permuted-but-equal P/Q share entries and flights.
 	qc     *qcache.Cache
 	flight *qcache.Flight
+	// sets remembers the id lists requests repeat — a P layer, a Q asked
+	// again — so Validate sorts each once, and an "ier" request finds the
+	// R-tree over its P already packed (core/sets.go). Always on: its
+	// bounds are core's constants and a list nobody repeats stores nothing.
+	sets *core.SetRegistry
 	// indexSizes records the size of each preprocessing index for the
 	// fannr_index_bytes gauge and /meta, split into heap-resident bytes
 	// and mmap-backed bytes (zero for heap-loaded or built indexes) so
@@ -233,6 +238,7 @@ func New(g *graph.Graph, opts Options) (*Server, error) {
 		reload:           map[string]*reloadable{},
 		engineIndex:      map[string]string{},
 		ranges:           lifecycle.NewRanges(),
+		sets:             core.NewSetRegistry(),
 	}
 	slowEntries := opts.SlowLogEntries
 	if slowEntries <= 0 {
@@ -712,6 +718,7 @@ func (s *Server) handleMeta(w http.ResponseWriter, _ *http.Request) {
 		}
 		indexes[name] = entry
 	}
+	sets := s.sets.Metrics()
 	writeJSON(w, http.StatusOK, map[string]any{
 		"dataset": s.g.Name(),
 		"nodes":   s.g.NumNodes(),
@@ -727,6 +734,7 @@ func (s *Server) handleMeta(w http.ResponseWriter, _ *http.Request) {
 		"fallback": s.fallback,
 		"draining": s.draining.Load(),
 		"cache":    cache,
+		"sets":     map[string]any{"entries": sets.Entries, "bytes": sets.Bytes},
 	})
 }
 
@@ -836,29 +844,30 @@ func (s *Server) handleFANN(w http.ResponseWriter, r *http.Request) {
 	// The decode span covers the whole request-side stage: read, parse,
 	// and Validate's canonicalisation, which also yields the fingerprints
 	// the result key is built from further down.
-	endDecode := tr.Start("decode")
+	decodeSp := tr.StartSpan("decode")
 	if err := wire.ReadFANN(w, r, maxFANNBody, &req); err != nil {
-		endDecode()
+		decodeSp.End()
 		failq(decodeErr(err))
 		return
 	}
-	q = core.Query{P: req.P, Q: req.Q, Phi: req.Phi, Stats: stats, Trace: tr}
+	q = core.Query{P: req.P, Q: req.Q, Phi: req.Phi, Stats: stats, Trace: tr, Sets: s.sets}
 	switch req.Agg {
 	case "", "max":
 		q.Agg = core.Max
 	case "sum":
 		q.Agg = core.Sum
 	default:
-		endDecode()
+		decodeSp.End()
 		failq(invalidf("unknown aggregate %q", req.Agg))
 		return
 	}
 	if err := q.Validate(s.g); err != nil {
-		endDecode()
+		decodeSp.End()
 		failq(err)
 		return
 	}
-	endDecode()
+	decodeSp.SetAttr("sets", q.PSight().String())
+	decodeSp.End()
 	if req.K < 1 {
 		req.K = 1
 	}
@@ -896,7 +905,8 @@ func (s *Server) handleFANN(w http.ResponseWriter, r *http.Request) {
 	root := tr.Root()
 	root.SetAttr("engine", engineName)
 	root.SetAttr("served", served)
-	if gen := s.engineGeneration(served); gen != 0 {
+	gen := s.engineGeneration(served)
+	if gen != 0 {
 		root.SetAttr("generation", gen)
 	}
 	if degraded {
@@ -944,8 +954,8 @@ func (s *Server) handleFANN(w http.ResponseWriter, r *http.Request) {
 		// swap naturally invalidates every result computed on the old
 		// index, and coalesced flights never pair queries across
 		// generations.
-		if gen := s.engineGeneration(served); gen != 0 {
-			rkey.Engine = fmt.Sprintf("%s@%d", served, gen)
+		if gen != 0 {
+			rkey.Engine = generationKey(served, gen)
 		}
 	}
 
@@ -1186,6 +1196,17 @@ func (s *Server) handleFANN(w http.ResponseWriter, r *http.Request) {
 		resp.Explain = tr.Report()
 	}
 	writeJSON(w, http.StatusOK, resp)
+}
+
+// generationKey is the engine member of a reloadable engine's cache key,
+// engine@generation. Appended into a stack buffer: the string is the only
+// allocation, on a path every request of such an engine takes, cache hits
+// included.
+func generationKey(engine string, gen uint64) string {
+	var buf [64]byte
+	b := append(buf[:0], engine...)
+	b = append(b, '@')
+	return string(strconv.AppendUint(b, gen, 10))
 }
 
 // detachSubsets clones every answer's subset out of whatever buffer the

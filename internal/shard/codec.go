@@ -15,7 +15,6 @@ import (
 	"fmt"
 	"hash/crc32"
 
-	"fannr/internal/graph"
 	"fannr/internal/wire"
 )
 
@@ -39,17 +38,22 @@ var ErrCodec = errors.New("shard: codec")
 
 // EncodeFrame wraps payload in a version-1 frame.
 func EncodeFrame(payload []byte) ([]byte, error) {
+	return sealFrame(append(make([]byte, frameHeader, frameHeader+len(payload)+frameTrailer), payload...))
+}
+
+// sealFrame makes a frame of buf, whose first frameHeader bytes are
+// room for the header and the rest the payload: it fills the header in
+// and appends the checksum.
+func sealFrame(buf []byte) ([]byte, error) {
+	payload := buf[frameHeader:]
 	if len(payload) > maxFramePayload {
 		return nil, fmt.Errorf("%w: payload %d bytes exceeds cap %d", ErrCodec, len(payload), maxFramePayload)
 	}
-	out := make([]byte, frameHeader+len(payload)+frameTrailer)
-	binary.BigEndian.PutUint32(out[0:], frameMagic)
-	binary.BigEndian.PutUint16(out[4:], CodecVersion)
-	binary.BigEndian.PutUint16(out[6:], 0)
-	binary.BigEndian.PutUint32(out[8:], uint32(len(payload)))
-	copy(out[frameHeader:], payload)
-	binary.BigEndian.PutUint32(out[frameHeader+len(payload):], crc32.ChecksumIEEE(payload))
-	return out, nil
+	binary.BigEndian.PutUint32(buf[0:], frameMagic)
+	binary.BigEndian.PutUint16(buf[4:], CodecVersion)
+	binary.BigEndian.PutUint16(buf[6:], 0)
+	binary.BigEndian.PutUint32(buf[8:], uint32(len(payload)))
+	return binary.BigEndian.AppendUint32(buf, crc32.ChecksumIEEE(payload)), nil
 }
 
 // DecodeFrame validates a frame and returns its payload. The payload is
@@ -90,30 +94,28 @@ func DecodeFrame(data []byte) ([]byte, error) {
 type Request = wire.FANNRequest
 
 // Answer mirrors the public FANN answer shape.
-type Answer struct {
-	P      graph.NodeID   `json:"p"`
-	Dist   float64        `json:"dist"`
-	Subset []graph.NodeID `json:"subset,omitempty"`
-}
+type Answer = wire.ShardAnswer
 
 // Response is a shard's reply. A shard that owns no candidate close
 // enough simply returns an empty Answers list — per-shard "no result" is
 // a successful empty reply, not an error; only the coordinator can
 // decide the global query found nothing.
-type Response struct {
-	Answers []Answer `json:"answers"`
-	Engine  string   `json:"engine"`
-	Micros  int64    `json:"micros"`
-	// Stats the coordinator folds into EXPLAIN spans.
-	GPhiEvals int64 `json:"gphi_evals,omitempty"`
-	CacheHit  bool  `json:"cache_hit,omitempty"`
-}
+type Response = wire.ShardResponse
 
 // EncodeRequest / DecodeRequest / EncodeResponse / DecodeResponse frame
 // the JSON bodies. Both directions run through the same frame codec, so
-// the in-process transport exercises byte-for-byte what HTTP ships.
+// the in-process transport exercises byte-for-byte what HTTP ships. A
+// body is appended straight into its frame (internal/wire); a value that
+// path does not write is marshalled by encoding/json, and the two
+// produce the same bytes.
 
 func EncodeRequest(r *Request) ([]byte, error) {
+	// Ids dominate a request; seven bytes hold a six-digit id and its
+	// comma, and append grows the buffer for a graph with longer ones.
+	buf := make([]byte, frameHeader, frameHeader+128+7*(len(r.P)+len(r.Q))+frameTrailer)
+	if buf, ok := wire.AppendFANNRequest(buf, r); ok {
+		return sealFrame(buf)
+	}
 	payload, err := json.Marshal(r)
 	if err != nil {
 		return nil, err
@@ -134,6 +136,14 @@ func DecodeRequest(data []byte) (*Request, error) {
 }
 
 func EncodeResponse(r *Response) ([]byte, error) {
+	size := frameHeader + 128 + frameTrailer
+	for i := range r.Answers {
+		size += 64 + 7*len(r.Answers[i].Subset)
+	}
+	buf := make([]byte, frameHeader, size)
+	if buf, ok := wire.AppendShardResponse(buf, r); ok {
+		return sealFrame(buf)
+	}
 	payload, err := json.Marshal(r)
 	if err != nil {
 		return nil, err
@@ -147,7 +157,7 @@ func DecodeResponse(data []byte) (*Response, error) {
 		return nil, err
 	}
 	var r Response
-	if err := json.Unmarshal(payload, &r); err != nil {
+	if err := wire.DecodeShardResponse(payload, &r); err != nil {
 		return nil, fmt.Errorf("%w: response body: %s", ErrCodec, err)
 	}
 	return &r, nil

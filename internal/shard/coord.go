@@ -142,6 +142,9 @@ const (
 	mShardBreaker   = "fannr_shard_breaker_state"
 	mShardEpoch     = "fannr_shard_plan_epoch"
 	mShardCount     = "fannr_shard_count"
+	// fannr_shard_sets_{hits,fills,skips,evictions}_total: the
+	// coordinator's set registry.
+	mShardSetsPrefix = "fannr_shard_sets"
 )
 
 func (c *Coordinator) register(reg *obs.Registry) {
@@ -163,6 +166,7 @@ func (c *Coordinator) register(reg *obs.Registry) {
 		return float64(c.plan.Epoch & ((1 << 52) - 1))
 	})
 	reg.GaugeFunc(mShardCount, "Shards in the plan.", func() float64 { return float64(c.plan.Shards()) })
+	c.plan.sets.RegisterMetrics(reg, mShardSetsPrefix)
 	for i := 0; i < c.plan.Shards(); i++ {
 		l := obs.L("shard", fmt.Sprintf("%d", i))
 		c.mShardReq = append(c.mShardReq, reg.Counter(mShardRequests, "RPCs sent to this shard.", l))
@@ -183,6 +187,10 @@ func (c *Coordinator) register(reg *obs.Registry) {
 
 // Plan returns the coordinator's partition plan.
 func (c *Coordinator) Plan() *Plan { return c.plan }
+
+// SetMetrics snapshots the coordinator's set registry (for /meta and
+// the differential harness).
+func (c *Coordinator) SetMetrics() core.SetMetrics { return c.plan.sets.Metrics() }
 
 // BreakerState exposes a shard's breaker state (for /readyz and tests).
 func (c *Coordinator) BreakerState(s int) resil.State { return c.breakers[s].State() }
@@ -243,7 +251,9 @@ func (c *Coordinator) Execute(ctx context.Context, req *Request, tr *obs.Trace) 
 	if engine == "" {
 		engine = c.opts.DefaultEngine
 	}
-	q := core.Query{P: req.P, Q: req.Q, Phi: req.Phi}
+	// Validated through the plan's registry: a P layer (or a Q) seen
+	// before is neither sorted again here nor, below, cut again.
+	q := core.Query{P: req.P, Q: req.Q, Phi: req.Phi, Sets: c.plan.sets}
 	switch req.Agg {
 	case "", "max":
 		q.Agg = core.Max
@@ -347,27 +357,33 @@ func (c *Coordinator) Execute(ctx context.Context, req *Request, tr *obs.Trace) 
 		results := make([]shardCall, len(wave))
 		responses := make([]*Response, len(wave))
 		errs := make([]*Error, len(wave))
+		// The first call of a wave runs on this goroutine, which would
+		// otherwise only wait; a one-shard wave then starts none.
+		call := func(wi int, cd cand) {
+			sc := shardCall{shard: cd.shard, target: c.targets[cd.shard], bound: cd.bound}
+			resp, se := c.callShard(ctx, cd.shard, &Request{
+				P: perShard[cd.shard], Q: q.Q, Phi: q.Phi, Agg: req.Agg,
+				Algo: req.Algo, Engine: engine, K: k,
+			})
+			if se != nil {
+				sc.outcome, sc.code = "down", se.Code
+				errs[wi] = se
+			} else {
+				sc.outcome, sc.answers = "ok", len(resp.Answers)
+				sc.micros, sc.cacheHit = resp.Micros, resp.CacheHit
+				responses[wi] = resp
+			}
+			results[wi] = sc
+		}
 		var wg sync.WaitGroup
-		for wi, cd := range wave {
+		for wi, cd := range wave[1:] {
 			wg.Add(1)
 			go func(wi int, cd cand) {
 				defer wg.Done()
-				sc := shardCall{shard: cd.shard, target: c.targets[cd.shard], bound: cd.bound}
-				resp, se := c.callShard(ctx, cd.shard, &Request{
-					P: perShard[cd.shard], Q: q.Q, Phi: q.Phi, Agg: req.Agg,
-					Algo: req.Algo, Engine: engine, K: k,
-				})
-				if se != nil {
-					sc.outcome, sc.code = "down", se.Code
-					errs[wi] = se
-				} else {
-					sc.outcome, sc.answers = "ok", len(resp.Answers)
-					sc.micros, sc.cacheHit = resp.Micros, resp.CacheHit
-					responses[wi] = resp
-				}
-				results[wi] = sc
-			}(wi, cd)
+				call(wi, cd)
+			}(wi+1, cd)
 		}
+		call(0, wave[0])
 		wg.Wait()
 		for wi, cd := range wave {
 			calls = append(calls, results[wi])

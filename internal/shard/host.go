@@ -46,6 +46,10 @@ type Host struct {
 	pools map[string]*core.EnginePool
 	order []string
 	cache *qcache.Cache
+	// sets remembers the slices of P layers the coordinator routes here
+	// (and repeated Q sets): the same list arrives with every request
+	// over a layer, and Validate sorts it once (core/sets.go).
+	sets *core.SetRegistry
 }
 
 // NewHost creates a host over g. Engines are added with AddEngine.
@@ -56,7 +60,7 @@ func NewHost(id int, g *graph.Graph, opts HostOptions) *Host {
 	if opts.RetryAfter <= 0 {
 		opts.RetryAfter = time.Second
 	}
-	h := &Host{ID: id, g: g, opts: opts, pools: map[string]*core.EnginePool{}}
+	h := &Host{ID: id, g: g, opts: opts, pools: map[string]*core.EnginePool{}, sets: core.NewSetRegistry()}
 	if opts.CacheEntries > 0 {
 		h.cache = qcache.New(qcache.Config{MaxEntries: opts.CacheEntries})
 	}
@@ -100,7 +104,7 @@ func (h *Host) Execute(ctx context.Context, req *Request) (*Response, error) {
 	if len(req.P) == 0 {
 		return &Response{Engine: req.Engine}, nil
 	}
-	q := core.Query{P: req.P, Q: req.Q, Phi: req.Phi}
+	q := core.Query{P: req.P, Q: req.Q, Phi: req.Phi, Sets: h.sets}
 	switch req.Agg {
 	case "", "max":
 		q.Agg = core.Max
@@ -147,17 +151,23 @@ func (h *Host) Execute(ctx context.Context, req *Request) (*Response, error) {
 	if err != nil {
 		return nil, Classify(err, h.retryAfterSecs())
 	}
+	// A Scratch rides with the engine checkout, as on the single-process
+	// server. The answers' subsets may alias it until respond has copied
+	// them, so it goes back to the pool only after that; after a failed
+	// dispatch (a panicking engine may have left it mid-update) it is
+	// dropped.
+	scr := pool.GetScratch()
+	q.Scratch = scr
 	answers, err := h.dispatch(pool, gp, algo, q, k)
-	if errors.Is(err, core.ErrNoResult) {
-		return h.respond(engine, nil, start), nil
-	}
-	if err != nil {
+	if err != nil && !errors.Is(err, core.ErrNoResult) {
 		return nil, Classify(err, h.retryAfterSecs())
 	}
-	if h.cache != nil {
+	if err == nil && h.cache != nil {
 		h.cache.PutResult(rkey, answers)
 	}
-	return h.respond(engine, answers, start), nil
+	resp := h.respond(engine, answers, start)
+	pool.PutScratch(scr)
+	return resp, nil
 }
 
 // dispatch runs the algorithm and returns the engine to its pool; a

@@ -168,7 +168,14 @@ func (c *Coordinator) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, status, out)
 }
 
+// setsMeta is /meta's view of the coordinator's set registry.
+type setsMeta struct {
+	Entries int   `json:"entries"`
+	Bytes   int64 `json:"bytes"`
+}
+
 func (c *Coordinator) handleMeta(w http.ResponseWriter, _ *http.Request) {
+	sets := c.SetMetrics()
 	type shardMeta struct {
 		Shard    int    `json:"shard"`
 		Target   string `json:"target"`
@@ -181,10 +188,12 @@ func (c *Coordinator) handleMeta(w http.ResponseWriter, _ *http.Request) {
 		Nodes   int         `json:"nodes"`
 		Engine  string      `json:"default_engine"`
 		Targets []shardMeta `json:"targets"`
+		Sets    setsMeta    `json:"sets"`
 	}{
 		Shards: c.plan.Shards(), Epoch: c.plan.Epoch,
 		Graph: c.plan.g.Name(), Nodes: c.plan.g.NumNodes(),
 		Engine: c.opts.DefaultEngine,
+		Sets:   setsMeta{Entries: sets.Entries, Bytes: sets.Bytes},
 	}
 	for s := 0; s < c.plan.Shards(); s++ {
 		out.Targets = append(out.Targets, shardMeta{

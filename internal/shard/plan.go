@@ -54,6 +54,12 @@ type Plan struct {
 	// coordinates) add a geometric lower bound alongside the landmarks.
 	bbox      []box
 	hasCoords bool
+
+	// sets is the registry every coordinator over this plan validates
+	// its requests through (core/sets.go). It lives here because what a
+	// coordinator keeps per P layer — the cut — is this plan's: SplitP is
+	// a pure function of (plan, P), and sets is its memo.
+	sets *core.SetRegistry
 }
 
 type box struct{ minX, minY, maxX, maxY float64 }
@@ -75,6 +81,7 @@ func NewPlan(g *graph.Graph, tree *gtree.Tree, opts PlanOptions) (*Plan, error) 
 		groups:    tree.PartitionK(opts.Shards),
 		shardOf:   make([]int32, g.NumNodes()),
 		hasCoords: g.HasCoords(),
+		sets:      core.NewSetRegistry(),
 	}
 	for s, grp := range p.groups {
 		for _, v := range grp {
@@ -192,9 +199,21 @@ func (p *Plan) Group(s int) []graph.NodeID { return p.groups[s] }
 func (p *Plan) ShardOf(v graph.NodeID) int { return int(p.shardOf[v]) }
 
 // SplitP routes a P-object set to its owning shards: out[s] holds the
-// members of P whose vertex shard s owns (the occurrence-list routing of
-// the coordinator's scatter phase).
+// members of P whose vertex shard s owns, in P's order (the
+// occurrence-list routing of the coordinator's scatter phase). A list
+// the plan's registry holds — one a coordinator over this plan has
+// validated twice — is cut once and the parts, which callers must not
+// write to, are shared by every later call; any other list (a
+// first-seen one, or the duplicate-free form a coordinator scatters of
+// a list sent with duplicates) is cut for this call.
 func (p *Plan) SplitP(P []graph.NodeID) [][]graph.NodeID {
+	if e := p.sets.Find(P, p.g.NumNodes()); e != nil {
+		return e.Split(p, p.cut)
+	}
+	return p.cut(P)
+}
+
+func (p *Plan) cut(P []graph.NodeID) [][]graph.NodeID {
 	out := make([][]graph.NodeID, len(p.groups))
 	for _, v := range P {
 		s := p.shardOf[v]

@@ -150,64 +150,69 @@ func keyOf(name []byte) uint8 {
 // invalid. whole additionally requires nothing but whitespace after the
 // object.
 func scan(data []byte, req *FANNRequest, whole bool) bool {
-	i := skipSpace(data, 0)
+	i, ok := scanObject(data, skipSpace(data, 0), keyOf, func(key uint8, i int) (int, bool) {
+		var ok bool
+		switch key {
+		case keyP:
+			req.P, i, ok = scanIDs(data, i)
+		case keyQ:
+			req.Q, i, ok = scanIDs(data, i)
+		case keyPhi:
+			req.Phi, i, ok = scanFloat(data, i)
+		case keyK:
+			req.K, i, ok = scanInt(data, i)
+		case keyAgg:
+			req.Agg, i, ok = scanName(data, i)
+		case keyAlgo:
+			req.Algo, i, ok = scanName(data, i)
+		case keyEngine:
+			req.Engine, i, ok = scanName(data, i)
+		}
+		return i, ok
+	})
+	return ok && (!whole || skipSpace(data, i) == len(data))
+}
+
+// scanObject walks one flat JSON object from data[i], calling value for
+// each key — the index of its value in, the index after it out — and
+// returns the index after the closing brace. keyOf names a key's bit (0
+// for an unknown key); a key met twice, like anything unexpected, ends
+// the scan with ok false.
+func scanObject(data []byte, i int, keyOf func([]byte) uint8, value func(key uint8, i int) (int, bool)) (next int, ok bool) {
 	if i == len(data) || data[i] != '{' {
-		return false
+		return i, false
 	}
 	i = skipSpace(data, i+1)
-	if i == len(data) {
-		return false
+	if i < len(data) && data[i] == '}' {
+		return i + 1, true
 	}
-	if data[i] == '}' {
-		i++
-	} else {
-		var seen uint8
-		for {
-			name, j, ok := scanString(data, i)
-			key := keyOf(name)
-			if !ok || key == 0 || seen&key != 0 {
-				return false
-			}
-			seen |= key
-			i = skipSpace(data, j)
-			if i == len(data) || data[i] != ':' {
-				return false
-			}
-			i = skipSpace(data, i+1)
-			switch key {
-			case keyP:
-				req.P, i, ok = scanIDs(data, i)
-			case keyQ:
-				req.Q, i, ok = scanIDs(data, i)
-			case keyPhi:
-				req.Phi, i, ok = scanFloat(data, i)
-			case keyK:
-				req.K, i, ok = scanInt(data, i)
-			case keyAgg:
-				req.Agg, i, ok = scanName(data, i)
-			case keyAlgo:
-				req.Algo, i, ok = scanName(data, i)
-			case keyEngine:
-				req.Engine, i, ok = scanName(data, i)
-			}
-			if !ok {
-				return false
-			}
-			i = skipSpace(data, i)
-			if i == len(data) {
-				return false
-			}
-			if data[i] == '}' {
-				i++
-				break
-			}
-			if data[i] != ',' {
-				return false
-			}
-			i = skipSpace(data, i+1)
+	var seen uint8
+	for {
+		name, j, ok := scanString(data, i)
+		key := keyOf(name)
+		if !ok || key == 0 || seen&key != 0 {
+			return i, false
 		}
+		seen |= key
+		i = skipSpace(data, j)
+		if i == len(data) || data[i] != ':' {
+			return i, false
+		}
+		if i, ok = value(key, skipSpace(data, i+1)); !ok {
+			return i, false
+		}
+		i = skipSpace(data, i)
+		if i == len(data) {
+			return i, false
+		}
+		if data[i] == '}' {
+			return i + 1, true
+		}
+		if data[i] != ',' {
+			return i, false
+		}
+		i = skipSpace(data, i+1)
 	}
-	return !whole || skipSpace(data, i) == len(data)
 }
 
 // skipSpace returns the index of the first byte at or after i that is not
