@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: verify build test vet bench bench-gate figures microbench race race-full fuzz-smoke chaos chaos-load explain-smoke shard-smoke
+.PHONY: verify build test vet loc bench bench-gate figures microbench race race-full fuzz-smoke chaos chaos-load explain-smoke shard-smoke
 
 ## Tier 1 — compile + unit/integration tests (the seed contract).
 build:
@@ -22,6 +22,17 @@ vet:
 	$(GO) vet ./...
 	$(GO) vet -C bench ./...
 	@fmt="$$(gofmt -l .)"; test -z "$$fmt" || { echo "gofmt -l:"; echo "$$fmt"; exit 1; }
+
+## Report-only size of the code: non-test Go lines outside bench/, then
+## every non-test function over 80 lines, longest first. The function
+## walk reads gofmt'd source, where a top-level func opens with "func "
+## and ends at the first "}" in column one.
+GOSRC = find . -name '*.go' ! -name '*_test.go' -not -path './bench/*' | sort
+loc:
+	@$(GOSRC) | xargs cat | wc -l | awk '{ print "non-test Go outside bench/: " $$1 " lines" }'
+	@$(GOSRC) | xargs awk '/^func /{ start = FNR; name = $$0; sub(/ *\{$$/, "", name) } \
+		/^}/ && start { if (FNR - start >= 80) printf "%5d  %s:%d  %s\n", FNR - start + 1, FILENAME, start, name; start = 0 }' \
+		| sort -rn
 
 ## The repo's benchmark (BENCHMARK.json; bench/README.md): end-to-end
 ## metrics of the four named workloads, one JSON line each on stdout.
@@ -154,4 +165,4 @@ chaos-load:
 	$(GO) test -race -v -run 'Retry|FileChaos|TransientErrors|ChaosLatencyCancel' ./internal/resil/
 	$(GO) test -race -v -run 'IndexFault|ReloadFailure|SwapStorm|Reload' ./internal/server/
 
-verify: build test vet race
+verify: build test vet race loc

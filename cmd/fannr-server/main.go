@@ -57,11 +57,9 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"log/slog"
-	"net/http"
 	"os"
 	"os/signal"
 	"strings"
@@ -345,10 +343,6 @@ func run(cfg config) error {
 		return fmt.Errorf("-fallback: %w (registered engines: %s)", err, strings.Join(srv.Engines(), ", "))
 	}
 
-	httpSrv := &http.Server{Addr: cfg.addr, Handler: srv.Handler()}
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-
 	// SIGHUP hot-swaps every file-backed index (same as POST /admin/reload):
 	// in-flight requests finish on the generation they pinned, the old
 	// mapping unmaps when the last of them releases.
@@ -367,30 +361,7 @@ func run(cfg config) error {
 			}
 		}
 	}()
-
-	errc := make(chan error, 1)
-	go func() {
-		fmt.Printf("listening on %s (query timeout %v)\n", cfg.addr, cfg.queryTimeout)
-		errc <- httpSrv.ListenAndServe()
-	}()
-
-	select {
-	case err := <-errc:
-		return err
-	case <-ctx.Done():
-	}
-	stop()           // a second signal kills immediately
-	srv.BeginDrain() // /healthz + /readyz answer 503 so balancers stop routing here
-	fmt.Printf("shutting down: draining in-flight requests (up to %v)\n", cfg.drainTimeout)
-	drainCtx, cancel := context.WithTimeout(context.Background(), cfg.drainTimeout)
-	defer cancel()
-	if err := httpSrv.Shutdown(drainCtx); err != nil {
-		httpSrv.Close()
-		return fmt.Errorf("graceful shutdown: %w", err)
-	}
-	if err := <-errc; err != nil && !errors.Is(err, http.ErrServerClosed) {
-		return err
-	}
-	fmt.Println("bye")
-	return nil
+	// Draining flips /healthz + /readyz to 503 so balancers stop routing here.
+	return server.ListenAndDrain(cfg.addr, srv.Handler(), cfg.drainTimeout,
+		fmt.Sprintf("query timeout %v", cfg.queryTimeout), srv.BeginDrain)
 }

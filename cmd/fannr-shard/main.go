@@ -33,21 +33,19 @@
 package main
 
 import (
-	"context"
 	"errors"
 	"flag"
 	"fmt"
 	"net/http"
 	"os"
-	"os/signal"
 	"strings"
-	"syscall"
 	"time"
 
 	"fannr"
 	"fannr/internal/core"
 	"fannr/internal/gtree"
 	"fannr/internal/obs"
+	"fannr/internal/server"
 	"fannr/internal/shard"
 )
 
@@ -243,32 +241,5 @@ func run(cfg config) error {
 		return fmt.Errorf("-mode must be all, host, or coord (got %q)", cfg.mode)
 	}
 
-	httpSrv := &http.Server{Addr: cfg.addr, Handler: handler}
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-
-	errc := make(chan error, 1)
-	go func() {
-		fmt.Printf("listening on %s (mode %s)\n", cfg.addr, cfg.mode)
-		errc <- httpSrv.ListenAndServe()
-	}()
-
-	select {
-	case err := <-errc:
-		return err
-	case <-ctx.Done():
-	}
-	stop()
-	fmt.Printf("shutting down: draining (up to %v)\n", cfg.drainTimeout)
-	drainCtx, cancel := context.WithTimeout(context.Background(), cfg.drainTimeout)
-	defer cancel()
-	if err := httpSrv.Shutdown(drainCtx); err != nil {
-		httpSrv.Close()
-		return fmt.Errorf("graceful shutdown: %w", err)
-	}
-	if err := <-errc; err != nil && !errors.Is(err, http.ErrServerClosed) {
-		return err
-	}
-	fmt.Println("bye")
-	return nil
+	return server.ListenAndDrain(cfg.addr, handler, cfg.drainTimeout, "mode "+cfg.mode, nil)
 }

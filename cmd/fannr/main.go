@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"fannr"
+	"fannr/internal/wire"
 )
 
 func main() {
@@ -67,13 +68,8 @@ func run(dataset string, scale float64, grFile, coFile, algo, engine, agg string
 		Q = gen.ClusteredQ(cover, m, c)
 	}
 	q := fannr.Query{P: P, Q: Q, Phi: phi}
-	switch strings.ToLower(agg) {
-	case "max":
-		q.Agg = fannr.Max
-	case "sum":
-		q.Agg = fannr.Sum
-	default:
-		return fmt.Errorf("unknown aggregate %q", agg)
+	if q.Agg, err = wire.ParseAgg(strings.ToLower(agg)); err != nil {
+		return err
 	}
 	fmt.Printf("query: |P|=%d |Q|=%d phi=%g k=%d agg=%s algo=%s engine=%s\n",
 		len(P), len(Q), phi, q.K(), q.Agg, algo, engine)

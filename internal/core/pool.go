@@ -3,8 +3,11 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
 	"runtime"
 	"sync/atomic"
+
+	"fannr/internal/graph"
 )
 
 // ErrSaturated is returned by Gate.Acquire (and so EnginePool.Acquire)
@@ -207,10 +210,54 @@ func (p *EnginePool) Gauges() (inflight, queued, shed int64) {
 	return p.gate.Gauges()
 }
 
-// With checks out an engine, runs f, and returns the engine even when f
-// panics — the convenient form for request handlers.
-func (p *EnginePool) With(f func(GPhi) error) error {
-	gp := p.Get()
-	defer p.Put(gp)
-	return f(gp)
+// ErrEnginePanic is the error Run returns for an engine that panicked:
+// an engine bug, which the serving tiers answer 500 "internal".
+var ErrEnginePanic = errors.New("engine panic")
+
+// Run is the one engine-run step of every serving tier: check an engine
+// out under admission, hand the query a pooled Scratch, dispatch, detach
+// the answers' subsets from the Scratch, and give engine and Scratch back.
+// The answers are the caller's to keep.
+//
+// engage, when non-nil, runs once the engine is checked out and returns
+// what to dispatch on — the caller's place to end its admission span,
+// wrap the engine and bind its hooks. Whatever it binds on the pooled
+// engine is unbound before the engine goes back.
+//
+// A panicking engine is discarded, never repooled, and the panic comes
+// back as an ErrEnginePanic error carrying the panic's value and no
+// stack. A memory fault (a panic value that carries the faulting address)
+// is re-raised after the discard, so the lifecycle.Guard a caller arms
+// around Run can tell a rotted index page from an engine bug.
+func (p *EnginePool) Run(ctx context.Context, g *graph.Graph, algo string, q Query, k int, engage func(GPhi) GPhi) (answers []Answer, err error) {
+	gp, err := p.Acquire(ctx)
+	if err != nil {
+		return nil, err
+	}
+	defer func() {
+		if rec := recover(); rec != nil {
+			p.Discard()
+			if _, fault := rec.(interface{ Addr() uintptr }); fault {
+				panic(rec)
+			}
+			answers, err = nil, fmt.Errorf("%w: %v", ErrEnginePanic, rec)
+		}
+	}()
+	scr := p.GetScratch()
+	q.Scratch = scr
+	eng := gp
+	if engage != nil {
+		eng = engage(gp)
+	}
+	answers, err = Dispatch(g, algo, eng, q, k)
+	for i, a := range answers {
+		if len(a.Subset) > 0 {
+			answers[i].Subset = append([]graph.NodeID(nil), a.Subset...)
+		}
+	}
+	BindStats(gp, nil)
+	BindCancel(gp, nil)
+	p.Release(gp)
+	p.PutScratch(scr)
+	return answers, err
 }

@@ -55,18 +55,41 @@ func TestEnginePoolDefaultCapacity(t *testing.T) {
 	}
 }
 
-func TestEnginePoolWithReturnsEngineOnPanic(t *testing.T) {
+// panickyINE panics on every evaluation.
+type panickyINE struct{ GPhi }
+
+func (panickyINE) Dist(graph.NodeID, int, Aggregate) (float64, bool) { panic("boom") }
+
+// TestEnginePoolRunDiscardsOnPanic pins the engine-run rule every tier
+// relies on: a clean run repools its engine, a panicking one is dropped
+// and comes back as ErrEnginePanic with the panic's value and no stack,
+// and either way the admission slot is freed.
+func TestEnginePoolRunDiscardsOnPanic(t *testing.T) {
 	g, err := graph.Generate(graph.GenConfig{Nodes: 60, Seed: 2, Name: "pool"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := NewEnginePool("INE", 1, func() GPhi { return NewINE(g) })
-	func() {
-		defer func() { _ = recover() }()
-		_ = p.With(func(GPhi) error { panic("boom") })
-	}()
-	if _, _, idle := p.Stats(); idle != 1 {
-		t.Fatalf("engine leaked on panic: idle %d, want 1", idle)
+	q := Query{P: []graph.NodeID{1, 2, 3}, Q: []graph.NodeID{4, 5}, Phi: 1}
+	if err := q.Validate(g); err != nil {
+		t.Fatal(err)
+	}
+	limits := PoolLimits{MaxInFlight: 1}
+	ok := NewBoundedEnginePool("INE", 1, limits, func() GPhi { return NewINE(g) })
+	if _, err := ok.Run(context.Background(), g, "gd", q, 1, nil); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, idle := ok.Stats(); idle != 1 {
+		t.Fatalf("clean run: idle %d, want the engine back", idle)
+	}
+	bad := NewBoundedEnginePool("Boom", 1, limits, func() GPhi { return panickyINE{NewINE(g)} })
+	for i := 0; i < 2; i++ { // the second run proves the slot was freed
+		_, err := bad.Run(context.Background(), g, "gd", q, 1, nil)
+		if !errors.Is(err, ErrEnginePanic) || err.Error() != "engine panic: boom" {
+			t.Fatalf("run %d: err %v, want %q", i, err, "engine panic: boom")
+		}
+	}
+	if created, _, idle := bad.Stats(); idle != 0 || created != 2 {
+		t.Fatalf("panicked engines: created %d idle %d, want 2 built and none repooled", created, idle)
 	}
 }
 

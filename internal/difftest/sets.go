@@ -152,7 +152,7 @@ func (se *ShardedEnv) RunCaseShardedRegistered(c Case) error {
 		prev := coord.SetMetrics()
 		for sight := 1; sight <= 3; sight++ {
 			res, err := coord.Execute(context.Background(), &shard.Request{
-				P: c.P, Q: c.Q, Phi: c.Phi, Agg: aggName(q.Agg), Algo: algo, Engine: engine, K: c.KAns,
+				P: c.P, Q: c.Q, Phi: c.Phi, Agg: q.Agg.String(), Algo: algo, Engine: engine, K: c.KAns,
 			}, nil)
 			m := coord.SetMetrics()
 			got := [3]int64{m.Skips - prev.Skips, m.Fills - prev.Fills, m.Hits - prev.Hits}

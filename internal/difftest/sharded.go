@@ -66,14 +66,6 @@ func NewShardedEnv(env *Env, counts ...int) (*ShardedEnv, error) {
 // Counts returns the shard counts the env deploys.
 func (se *ShardedEnv) Counts() []int { return se.counts }
 
-// aggName maps a core aggregate to its wire name.
-func aggName(a core.Aggregate) string {
-	if a == core.Sum {
-		return "sum"
-	}
-	return "max"
-}
-
 // RunCaseSharded runs one case through the coordinator at every shard
 // count × every applicable algorithm and compares the merged top-k lists
 // against core.KBrute: the scatter/bound/prune/merge pipeline must be
@@ -109,7 +101,7 @@ func (se *ShardedEnv) RunCaseSharded(c Case) error {
 		for _, algo := range algos {
 			label := fmt.Sprintf("sharded S=%d %s/%s", S, algo, engine)
 			res, err := coord.Execute(context.Background(), &shard.Request{
-				P: c.P, Q: c.Q, Phi: c.Phi, Agg: aggName(q.Agg),
+				P: c.P, Q: c.Q, Phi: c.Phi, Agg: q.Agg.String(),
 				Algo: algo, Engine: engine, K: c.KAns,
 			}, nil)
 			if noResult {
@@ -195,7 +187,7 @@ func (se *ShardedEnv) RunCaseShardedChaos(c Case, S int) error {
 	}
 	q := c.query()
 	req := &shard.Request{
-		P: c.P, Q: c.Q, Phi: c.Phi, Agg: aggName(q.Agg), Engine: "INE", K: c.KAns,
+		P: c.P, Q: c.Q, Phi: c.Phi, Agg: q.Agg.String(), Engine: "INE", K: c.KAns,
 	}
 	res, err := coord.Execute(context.Background(), req, nil)
 	label := fmt.Sprintf("chaos S=%d dead=%d", S, dead)

@@ -35,6 +35,15 @@ type ResultKey struct {
 	P, Q   Fingerprint
 }
 
+// NewResultKey is the result key of a validated query run as algo for k
+// answers on engine. The engine member is the caller's to stamp with
+// whatever makes a cached answer stale on its tier: engine@generation on
+// the server, engine@shards:<epoch>:<mask> on the coordinator.
+func NewResultKey(engine, algo string, q *core.Query, k int) ResultKey {
+	p, qq := q.Fingerprints()
+	return ResultKey{Engine: engine, Algo: algo, Agg: q.Agg, Phi: q.Phi, K: k, P: p, Q: qq}
+}
+
 // entryKind discriminates the two value shapes sharing the LRU.
 type entryKind uint8
 

@@ -281,7 +281,7 @@ func newServerMetrics(s *Server, reg *obs.Registry) *serverMetrics {
 		reg.GaugeFunc(mCacheBytes, "Approximate bytes held by live cache entries.",
 			func() float64 { return float64(qc.Metrics().Bytes) })
 	}
-	s.sets.RegisterMetrics(reg, mSetsPrefix)
+	s.tier.Sets.RegisterMetrics(reg, mSetsPrefix)
 	for name, sz := range s.indexSizes {
 		sz := sz
 		reg.GaugeFunc(mIndexBytes, "Bytes of a preprocessing index by backing memory (heap vs mmap).",

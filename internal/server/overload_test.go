@@ -479,6 +479,45 @@ func TestHalfOpenProbeDropReopens(t *testing.T) {
 	}
 }
 
+// TestHalfOpenProbeUnknownAlgoKeepsBreakerOpen is the regression test
+// for an invalid request closing a breaker: the request is normalised —
+// its algorithm checked — before routing, so a body naming an unknown
+// algorithm answers 400 without being admitted as the half-open probe,
+// and an engine that still panics on every evaluation stays out of
+// rotation.
+func TestHalfOpenProbeUnknownAlgoKeepsBreakerOpen(t *testing.T) {
+	g, err := graph.Generate(graph.GenConfig{Nodes: 120, Seed: 37, Name: "probe"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const cooldown = 40 * time.Millisecond
+	srv, err := New(g, Options{BreakerThreshold: 1, BreakerCooldown: cooldown})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var mode atomic.Int32
+	mode.Store(1) // every evaluation panics
+	if err := srv.AddEngine("Flaky", func() core.GPhi {
+		return &modalINE{GPhi: core.NewINE(g), mode: &mode}
+	}); err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	if status, e := postRaw(t, ts.URL+"/fann", []byte(`{"p":[1,20,40],"q":[5,55],"phi":0.5,"engine":"Flaky"}`)); status != http.StatusInternalServerError {
+		t.Fatalf("panic request: status %d (%+v), want 500", status, e)
+	}
+	time.Sleep(cooldown + 20*time.Millisecond)
+	status, e := postRaw(t, ts.URL+"/fann", []byte(`{"p":[1,20,40],"q":[5,55],"phi":0.5,"engine":"Flaky","algo":"psychic"}`))
+	if status != http.StatusBadRequest || e.Code != "invalid" {
+		t.Fatalf("invalid probe: status %d code %q, want 400 invalid", status, e.Code)
+	}
+	if st := srv.breakers["Flaky"].State(); st == resil.Closed {
+		t.Fatal("an invalid request closed the breaker of an engine that still panics")
+	}
+}
+
 // TestDistAdmissionSheds pins that /dist sits behind the same bounded
 // admission as /fann: with its gate saturated the endpoint sheds with
 // 503 "overloaded" + Retry-After instead of allocating another O(|V|)

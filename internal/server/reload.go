@@ -13,6 +13,7 @@ import (
 	"fannr/internal/core"
 	"fannr/internal/lifecycle"
 	"fannr/internal/resil"
+	"fannr/internal/wire"
 )
 
 // ReloadableIndex is what a hot-swappable index must expose: closable
@@ -408,5 +409,5 @@ func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
 		}
 		body[name] = entry
 	}
-	writeJSON(w, status, map[string]any{"indexes": body})
+	wire.WriteJSON(w, status, map[string]any{"indexes": body})
 }

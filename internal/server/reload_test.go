@@ -481,7 +481,7 @@ func TestMetaReportsLabelEntries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := srv.RegisterIndexBytes("gtree", 1<<20); err != nil {
+	if err := srv.RegisterIndex("gtree", 1<<20, 0); err != nil {
 		t.Fatal(err)
 	}
 	ts := httptest.NewServer(srv.Handler())

@@ -20,10 +20,12 @@ import (
 	"log/slog"
 	"net/http"
 	"net/http/pprof"
+	"os"
+	"os/signal"
 	"sort"
-	"strconv"
 	"sync"
 	"sync/atomic"
+	"syscall"
 	"time"
 
 	"fannr/internal/core"
@@ -163,16 +165,18 @@ type Server struct {
 	// permuted-but-equal P/Q share entries and flights.
 	qc     *qcache.Cache
 	flight *qcache.Flight
-	// sets remembers the id lists requests repeat — a P layer, a Q asked
-	// again — so Validate sorts each once, and an "ier" request finds the
-	// R-tree over its P already packed (core/sets.go). Always on: its
-	// bounds are core's constants and a list nobody repeats stores nothing.
-	sets *core.SetRegistry
+	// tier is the server's configuration of the normalise step: engine
+	// "INE" by default, the registered engines, and the registry of id
+	// lists requests repeat — a P layer, a Q asked again — so Validate
+	// sorts each once, and an "ier" request finds the R-tree over its P
+	// already packed (core/sets.go). The registry is always on: its bounds
+	// are core's constants and a list nobody repeats stores nothing.
+	tier wire.Tier
 	// indexSizes records the size of each preprocessing index for the
 	// fannr_index_bytes gauge and /meta, split into heap-resident bytes
 	// and mmap-backed bytes (zero for heap-loaded or built indexes) so
 	// the two are never double-counted. Written only before freeze (New,
-	// RegisterIndex, RegisterIndexBytes).
+	// RegisterIndex).
 	indexSizes map[string]indexSize
 	// reload holds the hot-swappable indexes (AddReloadable) by index
 	// name; engineIndex maps each reloadable engine name to its index.
@@ -238,8 +242,8 @@ func New(g *graph.Graph, opts Options) (*Server, error) {
 		reload:           map[string]*reloadable{},
 		engineIndex:      map[string]string{},
 		ranges:           lifecycle.NewRanges(),
-		sets:             core.NewSetRegistry(),
 	}
+	s.tier = wire.Tier{Graph: g, Sets: core.NewSetRegistry(), DefaultEngine: "INE", HasEngine: s.hasEngine}
 	slowEntries := opts.SlowLogEntries
 	if slowEntries <= 0 {
 		slowEntries = 64
@@ -260,9 +264,6 @@ func New(g *graph.Graph, opts Options) (*Server, error) {
 	}
 	if s.logger == nil {
 		s.logger = slog.New(discardLogs{})
-	}
-	if s.retryAfter <= 0 {
-		s.retryAfter = time.Second
 	}
 	for from, to := range opts.Fallback {
 		s.fallback[from] = to
@@ -385,13 +386,6 @@ func (s *Server) RegisterIndex(name string, heapBytes, mappedBytes int64) error 
 	return nil
 }
 
-// RegisterIndexBytes records a purely heap-resident index size. It is
-// the pre-mmap spelling of RegisterIndex(name, bytes, 0), kept for
-// callers that never map.
-func (s *Server) RegisterIndexBytes(name string, bytes int64) error {
-	return s.RegisterIndex(name, bytes, 0)
-}
-
 // Engines lists the registered engine names — static pools and
 // reloadable engines — sorted. Callers wiring a fallback ladder can
 // validate it against this set before serving.
@@ -442,6 +436,42 @@ func (s *Server) BeginDrain() { s.draining.Store(true) }
 // Draining reports whether BeginDrain has been called.
 func (s *Server) Draining() bool { return s.draining.Load() }
 
+// ListenAndDrain serves h on addr until SIGINT or SIGTERM, then calls
+// onDrain (if set), stops accepting connections and waits up to drain
+// for in-flight requests before returning. A second signal during the
+// drain kills the process. banner goes into the start-up line.
+func ListenAndDrain(addr string, h http.Handler, drain time.Duration, banner string, onDrain func()) error {
+	httpSrv := &http.Server{Addr: addr, Handler: h}
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	errc := make(chan error, 1)
+	go func() {
+		fmt.Printf("listening on %s (%s)\n", addr, banner)
+		errc <- httpSrv.ListenAndServe()
+	}()
+	select {
+	case err := <-errc:
+		return err
+	case <-ctx.Done():
+	}
+	stop()
+	if onDrain != nil {
+		onDrain()
+	}
+	fmt.Printf("shutting down: draining in-flight requests (up to %v)\n", drain)
+	drainCtx, cancel := context.WithTimeout(context.Background(), drain)
+	defer cancel()
+	if err := httpSrv.Shutdown(drainCtx); err != nil {
+		httpSrv.Close()
+		return fmt.Errorf("graceful shutdown: %w", err)
+	}
+	if err := <-errc; err != nil && !errors.Is(err, http.ErrServerClosed) {
+		return err
+	}
+	fmt.Println("bye")
+	return nil
+}
+
 // Handler returns the HTTP routes and freezes engine registration. Every
 // route runs behind panic recovery: a panicking handler answers 500 with
 // the standard error shape instead of tearing the connection down (the
@@ -473,120 +503,23 @@ func (s *Server) Handler() http.Handler {
 	}
 	// instrument sits OUTSIDE panic recovery so a recovered panic's 500
 	// still lands in the request series.
-	return s.instrument(recoverPanics(mux))
-}
-
-// recoverPanics converts handler panics into 500 responses. It rethrows
-// http.ErrAbortHandler (the net/http idiom for deliberately dropping a
-// connection) so streaming aborts keep working.
-func recoverPanics(next http.Handler) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		defer func() {
-			rec := recover()
-			if rec == nil {
-				return
-			}
-			if rec == http.ErrAbortHandler {
-				panic(rec)
-			}
-			fail(w, fmt.Errorf("internal error: %v", rec))
-		}()
-		next.ServeHTTP(w, r)
-	})
+	return s.instrument(wire.Recover(mux))
 }
 
 // ErrorResponse is the stable JSON error shape every non-2xx response
-// carries. Code is machine-readable and maps 1:1 to the HTTP status:
-// "invalid" (400), "not_found" (404), "too_large" (413),
-// "overloaded" (503, with a Retry-After header), "timeout" (504),
-// "internal" (500).
-type ErrorResponse struct {
-	Error string `json:"error"`
-	Code  string `json:"code"`
-}
-
-// errStatus classifies an error into its HTTP status and stable code.
-// The taxonomy: malformed or semantically invalid requests are the
-// client's fault (400/413); a well-formed query with no answer is 404; a
-// request shed by admission control or an open breaker is 503, the one
-// retryable server-fault class — a quarantined or mid-swap index adds
-// the sibling codes "index_fault" (the request that hit the rotted page)
-// and "overloaded" (requests racing the quarantine); a query that
-// outlived its deadline or its client is 504; everything unexpected —
-// including handler panics — is a 500, never blamed on the client.
-func errStatus(err error) (int, string) {
-	var tooBig *http.MaxBytesError
-	var ifault *lifecycle.IndexFault
-	switch {
-	case errors.As(err, &tooBig):
-		return http.StatusRequestEntityTooLarge, "too_large"
-	case errors.As(err, &ifault):
-		return http.StatusServiceUnavailable, "index_fault"
-	case errors.Is(err, lifecycle.ErrUnavailable):
-		return http.StatusServiceUnavailable, "overloaded"
-	case errors.Is(err, core.ErrInvalid):
-		return http.StatusBadRequest, "invalid"
-	case errors.Is(err, core.ErrNoResult):
-		return http.StatusNotFound, "not_found"
-	case errors.Is(err, core.ErrSaturated):
-		return http.StatusServiceUnavailable, "overloaded"
-	case errors.Is(err, core.ErrCanceled),
-		errors.Is(err, context.DeadlineExceeded),
-		errors.Is(err, context.Canceled):
-		return http.StatusGatewayTimeout, "timeout"
-	default:
-		return http.StatusInternalServerError, "internal"
-	}
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
-}
-
-// fail classifies err and writes the error response.
-func fail(w http.ResponseWriter, err error) {
-	status, code := errStatus(err)
-	writeJSON(w, status, ErrorResponse{Error: err.Error(), Code: code})
-}
-
-// retryAfterHeader attaches the server's Retry-After hint to a 503.
-func (s *Server) retryAfterHeader(w http.ResponseWriter) {
-	secs := int(s.retryAfter.Round(time.Second) / time.Second)
-	if secs < 1 {
-		secs = 1
-	}
-	w.Header().Set("Retry-After", strconv.Itoa(secs))
-}
-
-// shed answers 503 "overloaded" with the server's Retry-After hint — the
-// load-shedding response for saturated pools and fully-open ladders.
-func (s *Server) shed(w http.ResponseWriter, err error) {
-	s.retryAfterHeader(w)
-	writeJSON(w, http.StatusServiceUnavailable, ErrorResponse{Error: err.Error(), Code: "overloaded"})
-}
-
-// invalidf builds a client-fault error (maps to 400).
-func invalidf(format string, args ...any) error {
-	return fmt.Errorf("%w: %s", core.ErrInvalid, fmt.Sprintf(format, args...))
-}
+// carries, the same on all three tiers: Code is the row of the one error
+// table (wire.Classify) and maps 1:1 to the HTTP status.
+type ErrorResponse = wire.ErrorResponse
 
 // handleHealthz is liveness (also served as the legacy /health): 200
 // while the process should keep receiving traffic, 503 once graceful
 // drain begins so load balancers stop routing to a dying server.
 func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
+	status, state := http.StatusOK, "ok"
 	if s.draining.Load() {
-		writeJSON(w, http.StatusServiceUnavailable, map[string]any{
-			"status": "draining",
-			"uptime": time.Since(s.started).String(),
-		})
-		return
+		status, state = http.StatusServiceUnavailable, "draining"
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
-		"status": "ok",
-		"uptime": time.Since(s.started).String(),
-	})
+	wire.WriteJSON(w, status, map[string]any{"status": state, "uptime": time.Since(s.started).String()})
 }
 
 // handleReadyz is readiness: 503 while draining, while any engine's
@@ -617,15 +550,15 @@ func (s *Server) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 	}
 	switch {
 	case s.draining.Load():
-		writeJSON(w, http.StatusServiceUnavailable, map[string]any{
+		wire.WriteJSON(w, http.StatusServiceUnavailable, map[string]any{
 			"status": "draining", "breakers": open, "quarantined": quarantined, "cache": cache,
 		})
 	case len(open) > 0 || len(quarantined) > 0:
-		writeJSON(w, http.StatusServiceUnavailable, map[string]any{
+		wire.WriteJSON(w, http.StatusServiceUnavailable, map[string]any{
 			"status": "degraded", "breakers": open, "quarantined": quarantined, "cache": cache,
 		})
 	default:
-		writeJSON(w, http.StatusOK, map[string]any{"status": "ready", "cache": cache})
+		wire.WriteJSON(w, http.StatusOK, map[string]any{"status": "ready", "cache": cache})
 	}
 }
 
@@ -718,8 +651,8 @@ func (s *Server) handleMeta(w http.ResponseWriter, _ *http.Request) {
 		}
 		indexes[name] = entry
 	}
-	sets := s.sets.Metrics()
-	writeJSON(w, http.StatusOK, map[string]any{
+	sets := s.tier.Sets.Metrics()
+	wire.WriteJSON(w, http.StatusOK, map[string]any{
 		"dataset": s.g.Name(),
 		"nodes":   s.g.NumNodes(),
 		"edges":   s.g.NumEdges(),
@@ -738,526 +671,6 @@ func (s *Server) handleMeta(w http.ResponseWriter, _ *http.Request) {
 	})
 }
 
-// FANNRequest is the /fann request body (Engine defaults to "INE"): the
-// one definition and the one decoder every tier shares.
-type FANNRequest = wire.FANNRequest
-
-// FANNAnswer is one result of a /fann call.
-type FANNAnswer struct {
-	P      graph.NodeID   `json:"p"`
-	Dist   float64        `json:"dist"`
-	Subset []graph.NodeID `json:"subset"`
-}
-
-// FANNResponse is the /fann response body. Engine is the pool that
-// actually answered; Degraded is set when that differs from the
-// requested engine because its breaker was open and the fallback ladder
-// was followed.
-type FANNResponse struct {
-	Answers  []FANNAnswer `json:"answers"`
-	Micros   int64        `json:"micros"`
-	Engine   string       `json:"engine"`
-	Degraded bool         `json:"degraded,omitempty"`
-	// Explain carries the hierarchical trace report when the request
-	// asked for it (?explain=1 or X-Fannr-Explain) — the EXPLAIN ANALYZE
-	// view of the answer above it.
-	Explain *obs.Report `json:"explain,omitempty"`
-}
-
-// maxFANNBody bounds the /fann request body (point sets can be large but
-// not unbounded); maxDistBody bounds /dist.
-const (
-	maxFANNBody = 16 << 20
-	maxDistBody = 1 << 20
-)
-
-func (s *Server) handleFANN(w http.ResponseWriter, r *http.Request) {
-	// Per-request trace: decode / admit / compute spans feed the stage
-	// timings in the structured log. The deferred record fires on every
-	// exit path, so failed requests are logged with their outcome code
-	// just like successes.
-	tr := obs.NewTrace(requestID(r.Context()))
-	explain := r.URL.Query().Get("explain") == "1" || r.Header.Get("X-Fannr-Explain") != ""
-	stats := &core.Stats{}
-	start := time.Now()
-	outcome := "ok"
-	served, degraded := "", false
-	cacheKind := "" // "exact" | "coalesced" | "" (computed or cache off)
-	leaderID := ""  // coalesce leader this request's answer came from
-	var req FANNRequest
-	var q core.Query
-	defer func() {
-		elapsed := time.Since(start)
-		// The attributes are only built for a logger that will print them.
-		if s.logger.Enabled(r.Context(), slog.LevelInfo) {
-			s.logger.LogAttrs(r.Context(), slog.LevelInfo, "fann",
-				slog.String("request_id", tr.ID),
-				slog.String("engine", req.Engine),
-				slog.String("served", served),
-				slog.Bool("degraded", degraded),
-				slog.String("algo", req.Algo),
-				slog.Float64("phi", req.Phi),
-				slog.Int("np", len(q.P)),
-				slog.Int("nq", len(q.Q)),
-				slog.Int("k", req.K),
-				slog.String("outcome", outcome),
-				slog.Duration("duration", elapsed),
-				slog.Duration("decode", tr.Dur("decode")),
-				slog.Duration("cache_lookup", tr.Dur("cache")),
-				slog.Duration("coalesce", tr.Dur("coalesce")),
-				slog.Duration("admit", tr.Dur("admit")),
-				slog.Duration("pin", tr.Dur("pin")),
-				slog.Duration("compute", tr.Dur("compute")),
-				slog.Int64("gphi_evals", stats.GPhiEvals),
-				slog.Int64("gphi_abandoned", stats.GPhiAbandoned),
-				slog.Int64("settled", stats.Settled),
-				slog.Int64("heap_pops", stats.HeapPops),
-				slog.String("cache", cacheKind),
-				slog.String("leader", leaderID),
-				slog.Int64("cache_hits", stats.CacheHits),
-				slog.Int64("cache_misses", stats.CacheMisses),
-			)
-		}
-		// Feed the slow-query log last, with the finished trace: the N
-		// slowest requests and every errored/degraded one keep their full
-		// span tree retrievable at /debug/slow?id=<request_id>.
-		root := tr.Root()
-		root.SetAttr("outcome", outcome)
-		root.End()
-		s.slow.Record(obs.SlowEntry{
-			RequestID: tr.ID,
-			Algo:      req.Algo,
-			Engine:    served,
-			Outcome:   outcome,
-			Degraded:  degraded,
-			Start:     start,
-			DurMicros: elapsed.Microseconds(),
-			Trace:     tr.Report(),
-		}, outcome != "ok" || degraded)
-	}()
-	// failq classifies, records the outcome code, and writes the error.
-	failq := func(err error) {
-		_, outcome = errStatus(err)
-		fail(w, err)
-	}
-
-	// The decode span covers the whole request-side stage: read, parse,
-	// and Validate's canonicalisation, which also yields the fingerprints
-	// the result key is built from further down.
-	decodeSp := tr.StartSpan("decode")
-	if err := wire.ReadFANN(w, r, maxFANNBody, &req); err != nil {
-		decodeSp.End()
-		failq(decodeErr(err))
-		return
-	}
-	q = core.Query{P: req.P, Q: req.Q, Phi: req.Phi, Stats: stats, Trace: tr, Sets: s.sets}
-	switch req.Agg {
-	case "", "max":
-		q.Agg = core.Max
-	case "sum":
-		q.Agg = core.Sum
-	default:
-		decodeSp.End()
-		failq(invalidf("unknown aggregate %q", req.Agg))
-		return
-	}
-	if err := q.Validate(s.g); err != nil {
-		decodeSp.End()
-		failq(err)
-		return
-	}
-	decodeSp.SetAttr("sets", q.PSight().String())
-	decodeSp.End()
-	if req.K < 1 {
-		req.K = 1
-	}
-	engineName := req.Engine
-	if engineName == "" {
-		engineName = "INE"
-	}
-	if !s.hasEngine(engineName) {
-		failq(invalidf("unknown engine %q (see /meta)", engineName))
-		return
-	}
-
-	// The query lifecycle is bounded by the request: the context ends when
-	// the client disconnects, and -query-timeout adds a server-side
-	// deadline on top — covering the admission queue wait as well as the
-	// compute. The Cancel hook polls an atomic the context watcher flips,
-	// so every algorithm aborts at its next loop boundary.
-	ctx := r.Context()
-	if s.queryTimeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, s.queryTimeout)
-		defer cancel()
-	}
-
-	// Walk the breaker/fallback ladder to the engine that will serve.
-	var probe, ok bool
-	served, degraded, probe, ok = s.routeEngine(engineName)
-	if !ok {
-		outcome = "overloaded"
-		s.shed(w, fmt.Errorf("engine %q unavailable: breaker open and no closed fallback", engineName))
-		return
-	}
-	breaker := s.breakers[served]
-	em := s.metrics.engines[served]
-	root := tr.Root()
-	root.SetAttr("engine", engineName)
-	root.SetAttr("served", served)
-	gen := s.engineGeneration(served)
-	if gen != 0 {
-		root.SetAttr("generation", gen)
-	}
-	if degraded {
-		root.SetAttr("degraded", true)
-	}
-
-	// Every breaker verdict goes through report, which remembers that one
-	// was recorded. A half-open probe MUST report — until it does the
-	// breaker admits nobody — but several paths below return without a
-	// verdict of their own (shed, queue timeout, canceled dispatch:
-	// "timeouts prove nothing"). For a probe those silences would wedge
-	// the circuit half-open forever, so the deferred guard converts an
-	// unreported probe into a Failure: it re-opens with a fresh cooldown,
-	// and a probe that could not finish is indeed no evidence of recovery.
-	reported := false
-	report := func(healthy bool) {
-		reported = true
-		if healthy {
-			breaker.Success()
-		} else {
-			breaker.Failure()
-		}
-	}
-	defer func() {
-		if probe && !reported {
-			breaker.Failure()
-		}
-	}()
-
-	// Acceleration layers: canonical fingerprints make permuted-but-equal
-	// P/Q share cache entries and flights. Half-open probes
-	// bypass every layer — a probe exists to exercise the engine, and a
-	// cache hit or shared flight would "prove" recovery without touching
-	// it (the deferred guard above fails an unreported probe).
-	accel := (s.qc != nil || s.flight != nil) && !probe
-	var rkey qcache.ResultKey
-	if accel {
-		algo := req.Algo
-		if algo == "" {
-			algo = "gd"
-		}
-		rkey = qcache.ResultKey{Engine: served, Algo: algo, Agg: q.Agg, Phi: q.Phi, K: req.K}
-		rkey.P, rkey.Q = q.Fingerprints()
-		// Reloadable engines stamp the index generation into the key: a
-		// swap naturally invalidates every result computed on the old
-		// index, and coalesced flights never pair queries across
-		// generations.
-		if gen != 0 {
-			rkey.Engine = generationKey(served, gen)
-		}
-	}
-
-	// Exact result hit: answer without an engine checkout. The breaker is
-	// not consulted — serving from memory says nothing about the engine.
-	if accel {
-		cacheSp := tr.StartSpan("cache")
-		cacheSp.SetAttr("key_engine", rkey.Engine)
-		if cached, ok := s.qc.GetResult(rkey); ok {
-			stats.CountCacheHit()
-			cacheKind = "exact"
-			// The span carries the hit so per-span counts still sum to the
-			// request's counter deltas (no algorithm span ran).
-			cacheSp.SetAttr("outcome", "exact")
-			cacheSp.Count("cache_hits", 1)
-			cacheSp.End()
-			if degraded {
-				em.degraded.Inc()
-			}
-			resp := FANNResponse{Micros: time.Since(start).Microseconds(), Engine: served, Degraded: degraded}
-			for _, a := range cached {
-				resp.Answers = append(resp.Answers, FANNAnswer{P: a.P, Dist: a.Dist, Subset: a.Subset})
-			}
-			if explain {
-				resp.Explain = tr.Report()
-			}
-			writeJSON(w, http.StatusOK, resp)
-			return
-		}
-		cacheSp.SetAttr("outcome", "miss")
-		cacheSp.End()
-	}
-
-	var computeMicros int64
-
-	// runQuery performs one real engine checkout and evaluation: bounded
-	// admission, stats binding, dispatch through the cache wrapper, and
-	// result-cache fill. It runs on this goroutine — directly, or as a
-	// flight leader on behalf of coalesced followers.
-	runQuery := func() (answers []core.Answer, err error) {
-		// Arm fault containment first (LIFO: its recover runs last, after
-		// engine cleanup and pin release). Everything below may touch a
-		// mapped index — engine factories inside Acquire as well as the
-		// dispatch itself — and a SIGBUS on a rotted page must become a
-		// classified error plus a quarantine, not a dead process.
-		defer s.ranges.Guard(s.noteIndexFault)(&err)
-
-		// Bounded admission: wait in the pool's queue up to the deadline;
-		// saturation beyond the queue sheds with 503 + Retry-After. For a
-		// reloadable engine the checkout pins the index generation — the
-		// pin releases last (LIFO), after the engine is back in the
-		// generation's pool, and is what keeps the mapping alive while
-		// this request computes, no matter how many swaps land meanwhile.
-		endAdmit := tr.Start("admit")
-		pinSp := tr.StartSpan("pin")
-		pool, pin, err := s.checkout(served)
-		if err != nil {
-			pinSp.End()
-			endAdmit()
-			return nil, err
-		}
-		if pin != nil {
-			pinSp.SetAttr("generation", pin.Generation())
-			defer pin.Release()
-		}
-		pinSp.End()
-		gp, err := pool.Acquire(ctx)
-		endAdmit()
-		if err != nil {
-			return nil, err
-		}
-		// Scratch rides with the engine checkout: warm buffers make the
-		// steady-state query allocation-free. Answers may alias it until
-		// detachSubsets below, which runs before the Scratch is repooled.
-		scr := pool.GetScratch()
-		q.Scratch = scr
-
-		stop := q.BindContext(ctx)
-		defer stop()
-
-		// Attribute the engine's internal settles to this request's Stats.
-		// Pooled engines MUST be unbound before going back to the free
-		// list: a stale binding would let the next request write into this
-		// one's finished Stats. The cache wrapper is per-request state
-		// around the pooled engine; a probe skips it so every evaluation
-		// exercises the real substrate.
-		eng := gp
-		if accel {
-			eng = s.qc.Wrap(gp)
-		}
-		core.BindStats(eng, stats)
-		core.BindCancel(eng, ctx.Done())
-
-		computeStart := time.Now()
-		computeSp := tr.StartSpan("compute")
-		completed := false
-		defer func() {
-			em.flush(stats)
-			if completed {
-				core.BindStats(gp, nil)
-				core.BindCancel(gp, nil)
-				pool.Release(gp)
-				pool.PutScratch(scr)
-				return
-			}
-			// On panic the engine's internal state is suspect: drop it for
-			// the GC instead of poisoning the free list (recoverPanics
-			// answers 500), and feed the breaker so repeated blowups open
-			// it.
-			outcome = "internal"
-			pool.Discard()
-			report(false)
-		}()
-		answers, err = core.Dispatch(s.g, req.Algo, eng, q, req.K)
-		completed = true
-		if mode := qcache.ListMode(eng); mode != "" {
-			computeSp.SetAttr("lists", mode)
-		}
-		computeSp.End()
-		elapsed := time.Since(computeStart)
-		computeMicros = elapsed.Microseconds()
-		em.compute.ObserveEx(elapsed.Seconds(), tr.ID)
-		// Detach before the deferred PutScratch: the answers outlive the
-		// checkout (JSON encoding, the result cache, coalesced followers),
-		// so any subset aliasing the Scratch must be cloned first.
-		detachSubsets(answers)
-		if err == nil {
-			s.qc.PutResult(rkey, answers)
-		}
-		return answers, err
-	}
-
-	// Coalescing: concurrent identical queries share one runQuery. The
-	// leader executes here; followers wait and adopt shareable outcomes.
-	// A follower never reports to the breaker (it ran nothing) and a
-	// canceled or panicking leader promotes a follower instead of
-	// poisoning it.
-	var answers []core.Answer
-	var err error
-	coalesced := false
-	if s.flight != nil && accel {
-		coSp := tr.StartSpan("coalesce")
-		var v any
-		var leader string
-		v, err, coalesced, leader = s.flight.Do(ctx, rkey, tr.ID, func() (any, error) { return runQuery() })
-		if v != nil {
-			answers = v.([]core.Answer)
-		}
-		if leader != "" {
-			leaderID = leader
-		}
-		if coalesced {
-			cacheKind = "coalesced"
-			stats.CountCacheHit()
-			// Attribution fix: the follower's trace and log line name the
-			// leader whose computation produced this answer. The span
-			// carries the coalesced hit so per-span counts still sum to the
-			// request's counter deltas.
-			coSp.SetAttr("role", "follower")
-			coSp.SetAttr("leader", leader)
-			coSp.Count("cache_hits", 1)
-			if m := s.metrics.coalesced; m != nil {
-				m.Inc()
-			}
-		} else {
-			coSp.SetAttr("role", "leader")
-		}
-		coSp.End()
-	} else {
-		answers, err = runQuery()
-	}
-	if err != nil {
-		if errors.Is(err, core.ErrSaturated) {
-			outcome = "overloaded"
-			s.shed(w, err)
-			return
-		}
-		// A checkout that raced a quarantine (the holder refused a pin) is
-		// retryable exactly like saturation: the next request routes down
-		// the ladder. The request that hit the fault itself answers 503
-		// "index_fault", also with a Retry-After — after the quarantine
-		// the ladder serves, and after a reload the index is back.
-		if errors.Is(err, lifecycle.ErrUnavailable) {
-			outcome = "overloaded"
-			s.shed(w, err)
-			return
-		}
-		var ifault *lifecycle.IndexFault
-		if errors.As(err, &ifault) {
-			s.retryAfterHeader(w)
-		}
-		if errors.Is(err, core.ErrCanceled) {
-			// Attribute the abort: a server-side deadline is a 504 the
-			// client will read; a vanished client just gets the connection
-			// closed.
-			if ctxErr := ctx.Err(); ctxErr != nil {
-				err = fmt.Errorf("%w: %w", err, ctxErr)
-			}
-		}
-		// Client-fault and no-result outcomes prove the engine worked;
-		// internal errors count against it. Timeouts prove nothing —
-		// except for a probe, which the deferred guard above fails.
-		// Coalesced followers never report: they ran nothing.
-		if !coalesced {
-			switch status, _ := errStatus(err); status {
-			case http.StatusInternalServerError:
-				report(false)
-			case http.StatusBadRequest, http.StatusNotFound:
-				report(true)
-			}
-		}
-		failq(err)
-		return
-	}
-	if !coalesced {
-		report(true)
-	}
-	if degraded {
-		em.degraded.Inc()
-	}
-	micros := computeMicros
-	if coalesced {
-		micros = time.Since(start).Microseconds()
-	}
-	// A computed request whose only cache traffic was partial-list reuse
-	// answered from subsumption: surface that as the cache outcome.
-	if cacheKind == "" && accel && stats.CacheHits > 0 {
-		cacheKind = "subsume"
-	}
-	if cacheKind != "" {
-		root.SetAttr("cache", cacheKind)
-	}
-	resp := FANNResponse{Micros: micros, Engine: served, Degraded: degraded}
-	for _, a := range answers {
-		resp.Answers = append(resp.Answers, FANNAnswer{P: a.P, Dist: a.Dist, Subset: a.Subset})
-	}
-	if explain {
-		resp.Explain = tr.Report()
-	}
-	writeJSON(w, http.StatusOK, resp)
-}
-
-// generationKey is the engine member of a reloadable engine's cache key,
-// engine@generation. Appended into a stack buffer: the string is the only
-// allocation, on a path every request of such an engine takes, cache hits
-// included.
-func generationKey(engine string, gen uint64) string {
-	var buf [64]byte
-	b := append(buf[:0], engine...)
-	b = append(b, '@')
-	return string(strconv.AppendUint(b, gen, 10))
-}
-
-// detachSubsets clones every answer's subset out of whatever buffer the
-// engine or Scratch produced it in, giving the answers independent
-// lifetimes.
-func detachSubsets(answers []core.Answer) {
-	for i, a := range answers {
-		if len(a.Subset) > 0 {
-			answers[i].Subset = append([]graph.NodeID(nil), a.Subset...)
-		}
-	}
-}
-
-// routeEngine resolves which pool serves a request for requested: the
-// engine itself while its breaker admits, otherwise the first engine
-// down the fallback ladder whose breaker does. A half-open breaker
-// admits exactly one caller — the recovery probe, flagged so the
-// handler can guarantee the probe reports an outcome no matter how the
-// request ends. ok is false when the ladder ends with every breaker
-// open.
-func (s *Server) routeEngine(requested string) (served string, degraded, probe, ok bool) {
-	name := requested
-	for hops := 0; hops <= len(s.pools)+len(s.engineIndex); hops++ {
-		// A quarantined (or mid-initial-load) reloadable index skips its
-		// engines entirely — same degrade semantics as an open breaker,
-		// but gated on the index's lifecycle state, not failure counts.
-		if s.hasEngine(name) && s.engineAvailable(name) {
-			if admitted, isProbe := s.breakers[name].Admit(); admitted {
-				return name, name != requested, isProbe, true
-			}
-		}
-		next, has := s.fallback[name]
-		if !has {
-			return "", false, false, false
-		}
-		name = next
-	}
-	return "", false, false, false
-}
-
-// decodeErr classifies a request-body decoding failure: an oversized body
-// keeps its *http.MaxBytesError identity (413), everything else is a
-// malformed request (400).
-func decodeErr(err error) error {
-	var tooBig *http.MaxBytesError
-	if errors.As(err, &tooBig) {
-		return fmt.Errorf("decoding request: %w", err)
-	}
-	return fmt.Errorf("%w: decoding request: %s", core.ErrInvalid, err)
-}
-
 // DistRequest is the /dist request body.
 type DistRequest struct {
 	U graph.NodeID `json:"u"`
@@ -1267,12 +680,12 @@ type DistRequest struct {
 func (s *Server) handleDist(w http.ResponseWriter, r *http.Request) {
 	var req DistRequest
 	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxDistBody)).Decode(&req); err != nil {
-		fail(w, decodeErr(err))
+		wire.WriteError(w, wire.BodyError(err), s.retryAfter)
 		return
 	}
 	n := graph.NodeID(s.g.NumNodes())
 	if req.U < 0 || req.U >= n || req.V < 0 || req.V >= n {
-		fail(w, invalidf("node ids outside [0,%d)", n))
+		wire.WriteError(w, fmt.Errorf("%w: node ids outside [0,%d)", core.ErrInvalid, n), s.retryAfter)
 		return
 	}
 	// /dist draws the same O(|V|) class of scratch as /fann (a pooled
@@ -1280,16 +693,12 @@ func (s *Server) handleDist(w http.ResponseWriter, r *http.Request) {
 	// admission gate with the engine-pool limits: saturation sheds with
 	// 503 + Retry-After instead of growing the sync.Pool without bound.
 	if err := s.distGate.Acquire(r.Context()); err != nil {
-		if errors.Is(err, core.ErrSaturated) {
-			s.shed(w, err)
-			return
-		}
-		fail(w, err)
+		wire.WriteError(w, err, s.retryAfter)
 		return
 	}
 	defer s.distGate.Release()
 	d := s.dist.Get().(*sp.Dijkstra)
 	dist := d.Dist(req.U, req.V)
 	s.dist.Put(d)
-	writeJSON(w, http.StatusOK, map[string]float64{"dist": dist})
+	wire.WriteJSON(w, http.StatusOK, map[string]float64{"dist": dist})
 }

@@ -11,7 +11,6 @@ package shard
 import (
 	"encoding/binary"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"hash/crc32"
 
@@ -32,9 +31,6 @@ const (
 	// server's request-body cap.
 	maxFramePayload = 16 << 20
 )
-
-// ErrCodec tags every frame-level decode failure (errors.Is-able).
-var ErrCodec = errors.New("shard: codec")
 
 // EncodeFrame wraps payload in a version-1 frame.
 func EncodeFrame(payload []byte) ([]byte, error) {

@@ -15,9 +15,11 @@ import (
 	"time"
 
 	"fannr/internal/core"
+	"fannr/internal/graph"
 	"fannr/internal/obs"
 	"fannr/internal/qcache"
 	"fannr/internal/resil"
+	"fannr/internal/wire"
 )
 
 // CoordinatorOptions configures the scatter-gather front end.
@@ -77,6 +79,10 @@ type Coordinator struct {
 	retry      resil.RetryPolicy
 	opts       CoordinatorOptions
 	cache      *qcache.Cache
+	// tier is the coordinator's configuration of the normalise step: the
+	// plan's graph and registry, no engine check of its own (the hosts
+	// answer an unknown engine, and their 400 is relayed).
+	tier wire.Tier
 
 	mQueries   *obs.Counter
 	mContacted *obs.Counter
@@ -109,10 +115,8 @@ func NewCoordinator(plan *Plan, transports []Transport, opts CoordinatorOptions)
 	if opts.MaxFanout < 1 {
 		opts.MaxFanout = 4
 	}
-	if opts.RetryAfter <= 0 {
-		opts.RetryAfter = time.Second
-	}
 	c := &Coordinator{plan: plan, transports: transports, opts: opts}
+	c.tier = wire.Tier{Graph: plan.g, Sets: plan.sets, DefaultEngine: opts.DefaultEngine}
 	if opts.Retry != nil {
 		c.retry = *opts.Retry
 	} else {
@@ -147,9 +151,12 @@ const (
 	mShardSetsPrefix = "fannr_shard_sets"
 )
 
+// register builds the coordinator's metrics in reg — in a private
+// registry nobody scrapes when reg is nil, so the request path counts
+// without asking whether anyone reads.
 func (c *Coordinator) register(reg *obs.Registry) {
 	if reg == nil {
-		return
+		reg = obs.NewRegistry()
 	}
 	c.mQueries = reg.Counter(mShardQueries, "Coordinated FANN queries.")
 	c.mContacted = reg.Counter(mShardContacted, "Shard RPCs dispatched (pruned shards never appear here).")
@@ -240,209 +247,177 @@ type shardCall struct {
 	cacheHit bool
 }
 
-// Execute runs one coordinated query. tr may be nil; when set, one span
+// Execute runs one coordinated query through the request path every
+// tier shares after decode — normalise, result key, cache — with
+// scatter-gather as its compute stage. tr may be nil; when set, one span
 // per candidate-bearing shard lands under the current trace position.
 func (c *Coordinator) Execute(ctx context.Context, req *Request, tr *obs.Trace) (*Result, error) {
 	start := time.Now()
-	if c.mQueries != nil {
-		c.mQueries.Inc()
-	}
-	engine := req.Engine
-	if engine == "" {
-		engine = c.opts.DefaultEngine
-	}
+	c.mQueries.Inc()
 	// Validated through the plan's registry: a P layer (or a Q) seen
-	// before is neither sorted again here nor, below, cut again.
-	q := core.Query{P: req.P, Q: req.Q, Phi: req.Phi, Sets: c.plan.sets}
-	switch req.Agg {
-	case "", "max":
-		q.Agg = core.Max
-	case "sum":
-		q.Agg = core.Sum
-	default:
-		return nil, Classify(fmt.Errorf("%w: unknown aggregate %q", core.ErrInvalid, req.Agg), 0)
-	}
-	if !core.KnownAlgo(req.Algo) {
-		return nil, Classify(fmt.Errorf("%w: unknown algorithm %q", core.ErrInvalid, req.Algo), 0)
-	}
-	if err := q.Validate(c.plan.g); err != nil {
+	// before is neither sorted again here nor, in scatter, cut again.
+	var call wire.Call
+	if err := c.tier.Normalise(req, &call); err != nil {
 		return nil, Classify(err, 0)
 	}
-	k := req.K
-	if k < 1 {
-		k = 1
-	}
-
 	// Topology-stamped exact cache: engine@shards:<epoch>:<healthy mask>.
 	var rkey qcache.ResultKey
-	algo := req.Algo
-	if algo == "" {
-		algo = "gd"
-	}
 	if c.cache != nil {
-		rkey = qcache.ResultKey{
-			Engine: c.cacheEngine(engine),
-			Algo:   algo, Agg: q.Agg, Phi: q.Phi, K: k,
-		}
-		rkey.P, rkey.Q = q.Fingerprints()
+		rkey = qcache.NewResultKey(c.cacheEngine(call.Engine), call.Algo, &call.Query, call.K)
 		if answers, hit := c.cache.GetResult(rkey); hit {
-			if c.mCacheHit != nil {
-				c.mCacheHit.Inc()
-			}
-			res := &Result{Engine: engine, CacheHit: true, Micros: time.Since(start).Microseconds()}
-			for _, a := range answers {
-				res.Answers = append(res.Answers, Answer{P: a.P, Dist: a.Dist, Subset: a.Subset})
-			}
-			return res, nil
+			c.mCacheHit.Inc()
+			return &Result{Engine: call.Engine, Answers: shardAnswers(answers), CacheHit: true, Micros: time.Since(start).Microseconds()}, nil
 		}
-		if c.mCacheMiss != nil {
-			c.mCacheMiss.Inc()
-		}
+		c.mCacheMiss.Inc()
 	}
+	res, err := c.scatter(ctx, &call, tr)
+	if res == nil {
+		return nil, err
+	}
+	res.Micros = time.Since(start).Microseconds()
+	if err == nil && c.cache != nil && !res.Degraded {
+		answers := make([]core.Answer, len(res.Answers))
+		for i, a := range res.Answers {
+			answers[i] = core.Answer{P: a.P, Dist: a.Dist, Subset: a.Subset}
+		}
+		c.cache.PutResult(rkey, answers)
+	}
+	return res, err
+}
 
-	// Scatter: route P, bound candidate-bearing shards, order best-first.
-	perShard := c.plan.SplitP(q.P)
-	kAgg := q.K()
-	type cand struct {
-		shard int
-		bound float64
-	}
+// cand is a candidate-bearing shard and its g_φ lower bound.
+type cand struct {
+	shard int
+	bound float64
+}
+
+// gather is one scatter's running state: the merged top-k, the fate of
+// every shard considered, and the k-th distance that prunes the rest.
+type gather struct {
+	k         int
+	kth       float64
+	merged    []Answer
+	calls     []shardCall
+	down      []int
+	downErrs  []*Error
+	contacted int
+	pruned    int
+}
+
+// scatter is the coordinator's compute stage: route P, bound every
+// candidate-bearing shard, contact them best-bound-first in waves of at
+// most MaxFanout, merge their top-k lists, and prune every shard whose
+// bound cannot beat the running k-th answer. A query no shard could
+// answer relays a shard's fault; one that reached shards but found
+// nothing is not_found, with the result still describing the scatter.
+func (c *Coordinator) scatter(ctx context.Context, call *wire.Call, tr *obs.Trace) (*Result, error) {
+	perShard := c.plan.SplitP(call.P)
+	kAgg := call.Query.K()
 	var order []cand
 	for s, ps := range perShard {
-		if len(ps) == 0 {
-			continue
+		if len(ps) > 0 {
+			order = append(order, cand{s, c.plan.Bound(s, call.Q, kAgg, call.Agg)})
 		}
-		order = append(order, cand{s, c.plan.Bound(s, q.Q, kAgg, q.Agg)})
 	}
 	slices.SortFunc(order, func(a, b cand) int {
 		return cmp.Or(cmp.Compare(a.bound, b.bound), cmp.Compare(a.shard, b.shard))
 	})
-
-	var (
-		merged    []Answer
-		calls     []shardCall
-		down      []int
-		downErrs  []*Error
-		contacted int
-		pruned    int
-		succeeded int
-	)
-	kthDist := math.Inf(1)
-	tighten := func() {
-		sortAnswers(merged)
-		if len(merged) > k {
-			merged = merged[:k]
-		}
-		if len(merged) == k {
-			kthDist = merged[k-1].Dist
-		}
-	}
-
+	g := gather{k: call.K, kth: math.Inf(1)}
 	for i := 0; i < len(order); {
-		// Bounds ascend, kthDist only shrinks: once one shard prunes,
-		// every remaining shard prunes too.
-		if order[i].bound >= kthDist {
-			for ; i < len(order); i++ {
-				pruned++
-				calls = append(calls, shardCall{shard: order[i].shard, target: c.targets[order[i].shard], bound: order[i].bound, outcome: "pruned"})
+		// Bounds ascend, kth only shrinks: once one shard prunes, every
+		// remaining shard prunes too.
+		if order[i].bound >= g.kth {
+			for _, cd := range order[i:] {
+				g.pruned++
+				g.calls = append(g.calls, shardCall{shard: cd.shard, target: c.targets[cd.shard], bound: cd.bound, outcome: "pruned"})
 			}
 			break
 		}
-		wave := order[i:]
-		if len(wave) > c.opts.MaxFanout {
-			wave = wave[:c.opts.MaxFanout]
-		}
+		wave := order[i:min(len(order), i+c.opts.MaxFanout)]
 		i += len(wave)
-
-		results := make([]shardCall, len(wave))
-		responses := make([]*Response, len(wave))
-		errs := make([]*Error, len(wave))
-		// The first call of a wave runs on this goroutine, which would
-		// otherwise only wait; a one-shard wave then starts none.
-		call := func(wi int, cd cand) {
-			sc := shardCall{shard: cd.shard, target: c.targets[cd.shard], bound: cd.bound}
-			resp, se := c.callShard(ctx, cd.shard, &Request{
-				P: perShard[cd.shard], Q: q.Q, Phi: q.Phi, Agg: req.Agg,
-				Algo: req.Algo, Engine: engine, K: k,
-			})
-			if se != nil {
-				sc.outcome, sc.code = "down", se.Code
-				errs[wi] = se
-			} else {
-				sc.outcome, sc.answers = "ok", len(resp.Answers)
-				sc.micros, sc.cacheHit = resp.Micros, resp.CacheHit
-				responses[wi] = resp
-			}
-			results[wi] = sc
-		}
-		var wg sync.WaitGroup
-		for wi, cd := range wave[1:] {
-			wg.Add(1)
-			go func(wi int, cd cand) {
-				defer wg.Done()
-				call(wi, cd)
-			}(wi+1, cd)
-		}
-		call(0, wave[0])
-		wg.Wait()
-		for wi, cd := range wave {
-			calls = append(calls, results[wi])
-			if errs[wi] != nil {
-				down = append(down, cd.shard)
-				downErrs = append(downErrs, errs[wi])
-				contacted++
-				continue
-			}
-			contacted++
-			succeeded++
-			merged = append(merged, responses[wi].Answers...)
-		}
-		tighten()
+		c.wave(ctx, call, perShard, wave, &g)
 	}
 
-	if c.mContacted != nil {
-		c.mContacted.Add(int64(contacted))
-		c.mPruned.Add(int64(pruned))
-		c.mFanout.Observe(float64(contacted))
+	c.mContacted.Add(int64(g.contacted))
+	c.mPruned.Add(int64(g.pruned))
+	c.mFanout.Observe(float64(g.contacted))
+	c.emitSpans(tr, g.calls)
+	sort.Ints(g.down)
+	degraded := len(g.down) > 0
+	if degraded {
+		c.mDegraded.Inc()
 	}
-	c.emitSpans(tr, calls)
-	sort.Ints(down)
-
-	if len(down) > 0 && succeeded == 0 && len(order) > 0 {
+	if degraded && len(g.down) == g.contacted {
 		// Nothing answered: relay the shard fault, preferring the
 		// overload class (it carries Retry-After and means "try again").
-		se := downErrs[0]
-		for _, e := range downErrs {
+		se := g.downErrs[0]
+		for _, e := range g.downErrs {
 			if e.Status == http.StatusServiceUnavailable {
 				se = e
 				break
 			}
 		}
-		if c.mDegraded != nil {
-			c.mDegraded.Inc()
-		}
 		return nil, se
 	}
 	res := &Result{
-		Engine: engine, Answers: merged,
-		Degraded: len(down) > 0, DownShards: down,
-		Contacted: contacted, Pruned: pruned,
-		Micros: time.Since(start).Microseconds(),
+		Engine: call.Engine, Answers: g.merged,
+		Degraded: degraded, DownShards: g.down,
+		Contacted: g.contacted, Pruned: g.pruned,
 	}
-	if res.Degraded && c.mDegraded != nil {
-		c.mDegraded.Inc()
-	}
-	if len(merged) == 0 {
+	if len(g.merged) == 0 {
 		return res, Classify(core.ErrNoResult, 0)
 	}
-	if c.cache != nil && !res.Degraded {
-		answers := make([]core.Answer, len(merged))
-		for i, a := range merged {
-			answers[i] = core.Answer{P: a.P, Dist: a.Dist, Subset: a.Subset}
-		}
-		c.cache.PutResult(rkey, answers)
-	}
 	return res, nil
+}
+
+// wave contacts one wave of shards at once — the first call on this
+// goroutine, which would otherwise only wait, so a one-shard wave starts
+// none — and merges their answers into g.
+func (c *Coordinator) wave(ctx context.Context, call *wire.Call, perShard [][]graph.NodeID, wave []cand, g *gather) {
+	type reply struct {
+		resp *Response
+		err  *Error
+	}
+	replies := make([]reply, len(wave))
+	one := func(wi int) {
+		s := wave[wi].shard
+		replies[wi].resp, replies[wi].err = c.callShard(ctx, s, &Request{
+			P: perShard[s], Q: call.Q, Phi: call.Phi, Agg: call.Agg.String(),
+			Algo: call.Algo, Engine: call.Engine, K: call.K,
+		})
+	}
+	var wg sync.WaitGroup
+	for wi := 1; wi < len(wave); wi++ {
+		wg.Add(1)
+		go func(wi int) {
+			defer wg.Done()
+			one(wi)
+		}(wi)
+	}
+	one(0)
+	wg.Wait()
+	for wi, cd := range wave {
+		sc := shardCall{shard: cd.shard, target: c.targets[cd.shard], bound: cd.bound}
+		g.contacted++
+		if se := replies[wi].err; se != nil {
+			sc.outcome, sc.code = "down", se.Code
+			g.down = append(g.down, cd.shard)
+			g.downErrs = append(g.downErrs, se)
+		} else {
+			resp := replies[wi].resp
+			sc.outcome, sc.answers = "ok", len(resp.Answers)
+			sc.micros, sc.cacheHit = resp.Micros, resp.CacheHit
+			g.merged = append(g.merged, resp.Answers...)
+		}
+		g.calls = append(g.calls, sc)
+	}
+	sortAnswers(g.merged)
+	if len(g.merged) > g.k {
+		g.merged = g.merged[:g.k]
+	}
+	if len(g.merged) == g.k {
+		g.kth = g.merged[g.k-1].Dist
+	}
 }
 
 // callShard wraps one transport call in the breaker and retry policy.
@@ -451,18 +426,14 @@ func (c *Coordinator) Execute(ctx context.Context, req *Request, tr *obs.Trace) 
 // half-open probe contract is honored: an admitted probe always reports
 // success or failure.
 func (c *Coordinator) callShard(ctx context.Context, s int, req *Request) (*Response, *Error) {
-	if c.mShardReq != nil {
-		c.mShardReq[s].Inc()
-	}
+	c.mShardReq[s].Inc()
 	br := c.breakers[s]
 	admitted, _ := br.Admit()
 	if !admitted {
-		if c.mShardErr != nil {
-			c.mShardErr[s].Inc()
-		}
+		c.mShardErr[s].Inc()
 		return nil, &Error{
 			Status: http.StatusServiceUnavailable, Code: "overloaded",
-			RetryAfter: int(c.opts.BreakerCooldown.Round(time.Second) / time.Second),
+			RetryAfter: wire.RetryAfterSeconds(c.opts.BreakerCooldown),
 			Msg:        fmt.Sprintf("shard %d: breaker open", s),
 		}
 	}
@@ -490,16 +461,12 @@ func (c *Coordinator) callShard(ctx context.Context, s int, req *Request) (*Resp
 	case permanent != nil:
 		// The shard answered decisively; that is breaker-health success.
 		br.Success()
-		if c.mShardErr != nil {
-			c.mShardErr[s].Inc()
-		}
+		c.mShardErr[s].Inc()
 		return nil, permanent
 	default:
 		br.Failure()
-		if c.mShardErr != nil {
-			c.mShardErr[s].Inc()
-		}
-		return nil, Classify(err, int(c.opts.RetryAfter.Round(time.Second)/time.Second))
+		c.mShardErr[s].Inc()
+		return nil, Classify(err, c.opts.RetryAfter)
 	}
 }
 

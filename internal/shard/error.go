@@ -1,13 +1,13 @@
 package shard
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"net/http"
+	"time"
 
 	"fannr/internal/core"
-	"fannr/internal/lifecycle"
+	"fannr/internal/wire"
 )
 
 // Error is the typed fault a transport hands the coordinator: the HTTP
@@ -28,46 +28,38 @@ func (e *Error) Error() string {
 	return fmt.Sprintf("shard: %s (%d %s)", e.Msg, e.Status, e.Code)
 }
 
+// Row makes an Error a wire.Relayed: whoever writes it keeps its row.
+func (e *Error) Row() (status int, code string, retryAfter int, msg string) {
+	return e.Status, e.Code, e.RetryAfter, e.Msg
+}
+
 // Retryable reports whether the coordinator may retry the call: server
 // faults and overloads are retryable, client faults (4xx) are not.
 func (e *Error) Retryable() bool { return e.Status >= 500 }
 
-// Classify maps any error into the serving taxonomy, mirroring the HTTP
-// server's errStatus so a query answered through the coordinator fails
-// with the same {status, code} it would have failed with served
-// directly. retryAfter is attached to overload-class faults.
-func Classify(err error, retryAfter int) *Error {
+// Classify is err as the transport carries it: a lower layer's *Error
+// as it is, anything else with its row of wire.Classify's table — the
+// same {status, code} the query would have failed with served directly —
+// and, on a 503, retryAfter as its hint.
+func Classify(err error, retryAfter time.Duration) *Error {
 	var se *Error
 	if errors.As(err, &se) {
-		return se // already classified by a lower layer
+		return se
 	}
-	status, code := http.StatusInternalServerError, "internal"
-	var tooBig *http.MaxBytesError
-	var ifault *lifecycle.IndexFault
-	switch {
-	case errors.As(err, &tooBig):
-		status, code = http.StatusRequestEntityTooLarge, "too_large"
-	case errors.As(err, &ifault):
-		status, code = http.StatusServiceUnavailable, "index_fault"
-	case errors.Is(err, lifecycle.ErrUnavailable):
-		status, code = http.StatusServiceUnavailable, "overloaded"
-	case errors.Is(err, core.ErrInvalid), errors.Is(err, ErrCodec):
-		status, code = http.StatusBadRequest, "invalid"
-	case errors.Is(err, core.ErrNoResult):
-		status, code = http.StatusNotFound, "not_found"
-	case errors.Is(err, core.ErrSaturated):
-		status, code = http.StatusServiceUnavailable, "overloaded"
-	case errors.Is(err, core.ErrCanceled),
-		errors.Is(err, context.DeadlineExceeded),
-		errors.Is(err, context.Canceled):
-		status, code = http.StatusGatewayTimeout, "timeout"
-	}
+	status, code := wire.Classify(err)
 	e := &Error{Status: status, Code: code, Msg: err.Error()}
 	if status == http.StatusServiceUnavailable {
-		if retryAfter < 1 {
-			retryAfter = 1
-		}
-		e.RetryAfter = retryAfter
+		e.RetryAfter = wire.RetryAfterSeconds(retryAfter)
 	}
 	return e
 }
+
+// ErrCodec tags every frame-level decode failure (errors.Is-able). A
+// frame the codec refuses is the sender's fault, so it is core.ErrInvalid
+// too (400).
+var ErrCodec error = codecError{}
+
+type codecError struct{}
+
+func (codecError) Error() string        { return "shard: codec" }
+func (codecError) Is(target error) bool { return target == core.ErrInvalid }

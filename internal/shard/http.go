@@ -1,23 +1,13 @@
 package shard
 
 import (
-	"encoding/json"
-	"fmt"
 	"net/http"
-	"runtime/debug"
-	"strconv"
 	"time"
 
-	"fannr/internal/core"
 	"fannr/internal/obs"
 	"fannr/internal/resil"
 	"fannr/internal/wire"
 )
-
-// FANNRequest is the single-process server's /fann request body, read
-// by the same decoder, so a client can point at a coordinator without
-// changing a byte.
-type FANNRequest = wire.FANNRequest
 
 // FANNResponse extends the server's response shape with the
 // scatter-gather accounting: which shards were down (degraded partial
@@ -36,11 +26,8 @@ type FANNResponse struct {
 	Explain         *obs.Report `json:"explain,omitempty"`
 }
 
-// ErrorResponse matches the server's error body.
-type ErrorResponse struct {
-	Error string `json:"error"`
-	Code  string `json:"code"`
-}
+// ErrorResponse is the error body every tier writes (wire.WriteError).
+type ErrorResponse = wire.ErrorResponse
 
 // Handler serves the coordinator's public surface:
 //
@@ -58,46 +45,14 @@ func (c *Coordinator) Handler() http.Handler {
 	if c.opts.Registry != nil {
 		mux.Handle("GET /metrics", c.opts.Registry.Handler())
 	}
-	return recoverPanics(mux)
-}
-
-// recoverPanics turns a handler panic into a 500 — a shard bug must not
-// take the coordinator down with it.
-func recoverPanics(next http.Handler) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		defer func() {
-			if rec := recover(); rec != nil {
-				writeJSON(w, http.StatusInternalServerError, ErrorResponse{
-					Error: fmt.Sprintf("internal error: %v", rec), Code: "internal",
-				})
-				debug.PrintStack()
-			}
-		}()
-		next.ServeHTTP(w, r)
-	})
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
-}
-
-// failHTTP writes a classified error, relaying the {error, code} body
-// and the Retry-After hint end-to-end — a shard's 503 leaves the
-// coordinator as a 503 with the same code, not a generic 500.
-func failHTTP(w http.ResponseWriter, se *Error) {
-	if se.RetryAfter > 0 {
-		w.Header().Set("Retry-After", strconv.Itoa(se.RetryAfter))
-	}
-	writeJSON(w, se.Status, ErrorResponse{Error: se.Msg, Code: se.Code})
+	return wire.Recover(mux)
 }
 
 func (c *Coordinator) handleFANN(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
-	var req FANNRequest
+	var req Request // the single-process server's body, read by the same decoder
 	if err := wire.ReadFANN(w, r, maxFramePayload, &req); err != nil {
-		failHTTP(w, Classify(fmt.Errorf("%w: decoding request: %w", core.ErrInvalid, err), 0))
+		wire.WriteError(w, err, c.opts.RetryAfter)
 		return
 	}
 	explain := r.URL.Query().Get("explain") == "1" || r.Header.Get("X-Fannr-Explain") != ""
@@ -107,7 +62,7 @@ func (c *Coordinator) handleFANN(w http.ResponseWriter, r *http.Request) {
 	}
 	res, err := c.Execute(r.Context(), &req, tr)
 	if err != nil {
-		failHTTP(w, Classify(err, int(c.opts.RetryAfter.Round(time.Second)/time.Second)))
+		wire.WriteError(w, err, c.opts.RetryAfter)
 		return
 	}
 	resp := FANNResponse{
@@ -122,11 +77,11 @@ func (c *Coordinator) handleFANN(w http.ResponseWriter, r *http.Request) {
 		tr.Root().End()
 		resp.Explain = tr.Report()
 	}
-	writeJSON(w, http.StatusOK, resp)
+	wire.WriteJSON(w, http.StatusOK, resp)
 }
 
 func (c *Coordinator) handleHealthz(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]any{"status": "ok", "shards": c.plan.Shards()})
+	wire.WriteJSON(w, http.StatusOK, map[string]any{"status": "ok", "shards": c.plan.Shards()})
 }
 
 // shardStatus is one shard's /readyz row.
@@ -165,7 +120,7 @@ func (c *Coordinator) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 		out.Status = "unavailable"
 		status = http.StatusServiceUnavailable
 	}
-	writeJSON(w, status, out)
+	wire.WriteJSON(w, status, out)
 }
 
 // setsMeta is /meta's view of the coordinator's set registry.
@@ -200,5 +155,5 @@ func (c *Coordinator) handleMeta(w http.ResponseWriter, _ *http.Request) {
 			Shard: s, Target: c.targets[s], Vertices: len(c.plan.Group(s)),
 		})
 	}
-	writeJSON(w, http.StatusOK, out)
+	wire.WriteJSON(w, http.StatusOK, out)
 }

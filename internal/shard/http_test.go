@@ -217,6 +217,45 @@ func TestCoordinatorRelaysShardSheds(t *testing.T) {
 	}
 }
 
+// panicEngine blows up on every evaluation.
+type panicEngine struct{ core.GPhi }
+
+func (panicEngine) Dist(graph.NodeID, int, core.Aggregate) (float64, bool) {
+	panic("engine corrupted")
+}
+
+// A host engine that panics answers the coordinator's public client
+// 500 "internal" with the panic's value and nothing of the host's
+// goroutine stack: the engine run classifies the panic without one.
+func TestCoordinatorEnginePanicCarriesNoStack(t *testing.T) {
+	g, tree := testGraph(t, 260, 21)
+	plan, err := NewPlan(g, tree, PlanOptions{Shards: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	transports := make([]Transport, 2)
+	for s := range transports {
+		h := NewHost(s, g, HostOptions{})
+		if err := h.AddEngine("Fragile", func() core.GPhi { return panicEngine{core.NewINE(g)} }); err != nil {
+			t.Fatal(err)
+		}
+		transports[s] = InProc{Host: h}
+	}
+	coord, err := NewCoordinator(plan, transports, CoordinatorOptions{
+		DefaultEngine: "Fragile", Retry: &resil.RetryPolicy{Attempts: 1},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	status, _, e := postCoord(t, coord.Handler(), `{"p":[1,2,3,100,200],"q":[5,50],"phi":1}`)
+	if status != http.StatusInternalServerError || e.Code != "internal" {
+		t.Fatalf("status %d code %q, want 500 internal (error %q)", status, e.Code, e.Error)
+	}
+	if !strings.Contains(e.Error, "engine panic: engine corrupted") || strings.Contains(e.Error, "goroutine ") {
+		t.Fatalf("error %q, want the panic's value and no stack", e.Error)
+	}
+}
+
 // One dead shard is a 200 with the degraded stamp, not an error: partial
 // answers are explicit, never silent, never fatal.
 func TestCoordinatorHandlerDegraded(t *testing.T) {

@@ -97,7 +97,7 @@ func TestCoordinatorSetRegistry(t *testing.T) {
 	}
 	hostHits := int64(0)
 	for _, h := range cl.hosts {
-		hostHits += h.sets.Metrics().Hits
+		hostHits += h.tier.Sets.Metrics().Hits
 	}
 	if hostHits == 0 {
 		t.Fatal("no host found its slice of the layer in its registry")
@@ -287,7 +287,7 @@ func TestHostRepliesOutliveScratch(t *testing.T) {
 			}
 		}
 	}
-	if m := h.sets.Metrics(); m.Hits == 0 {
+	if m := h.tier.Sets.Metrics(); m.Hits == 0 {
 		t.Fatalf("host registry after six calls over one slice: %+v", m)
 	}
 }

@@ -8,6 +8,8 @@ import (
 	"io"
 	"net/http"
 	"strconv"
+
+	"fannr/internal/wire"
 )
 
 // Transport carries one shard RPC. The two implementations — in-process
@@ -41,7 +43,7 @@ func (t InProc) Call(ctx context.Context, req *Request) (*Response, error) {
 	}
 	resp, err := t.Host.Execute(ctx, decoded)
 	if err != nil {
-		return nil, Classify(err, t.Host.retryAfterSecs())
+		return nil, err // classified by Execute
 	}
 	out, err := EncodeResponse(resp)
 	if err != nil {
@@ -93,13 +95,9 @@ func (t *HTTPTransport) Call(ctx context.Context, req *Request) (*Response, erro
 	}
 	if hresp.StatusCode != http.StatusOK {
 		se := &Error{Status: hresp.StatusCode, Code: "internal", Msg: fmt.Sprintf("shard %s: status %d", t.URL, hresp.StatusCode)}
-		var body2 struct {
-			Error string `json:"error"`
-			Code  string `json:"code"`
-		}
-		if json.Unmarshal(body, &body2) == nil && body2.Code != "" {
-			se.Code = body2.Code
-			se.Msg = body2.Error
+		var e wire.ErrorResponse
+		if json.Unmarshal(body, &e) == nil && e.Code != "" {
+			se.Code, se.Msg = e.Code, e.Error
 		}
 		if ra := hresp.Header.Get("Retry-After"); ra != "" {
 			if secs, err := strconv.Atoi(ra); err == nil && secs > 0 {

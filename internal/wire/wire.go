@@ -1,6 +1,8 @@
 // Package wire is the /fann request as every serving tier reads it: one
 // struct and one decoder, shared by the single-process server, the shard
-// coordinator and the shard hosts' frame codec.
+// coordinator and the shard hosts' frame codec; one normalise step that
+// makes it a validated query (call.go); and one error table with the HTTP
+// surface that writes it (errors.go).
 //
 // The decoder is two paths over the same bytes. A hand-written scanner
 // accepts exactly the shape clients send — one flat object of the seven
@@ -89,16 +91,20 @@ func ReadBody(r io.Reader, sizeHint int64) (*Body, error) {
 }
 
 // ReadFANN reads an HTTP request's body, at most limit bytes of it, and
-// decodes it as DecodeBody does. A longer body fails with the
-// *http.MaxBytesError of http.MaxBytesReader, whatever its first bytes
-// hold.
+// decodes it as DecodeBody does. The error is classified (BodyError): a
+// longer body fails 413 with the *http.MaxBytesError of
+// http.MaxBytesReader, whatever its first bytes hold; one the decoder
+// refuses fails 400.
 func ReadFANN(w http.ResponseWriter, r *http.Request, limit int64, req *FANNRequest) error {
 	body, err := ReadBody(http.MaxBytesReader(w, r.Body, limit), r.ContentLength)
 	if err != nil {
-		return err
+		return BodyError(err)
 	}
 	defer body.Release()
-	return DecodeBody(body.Bytes(), req)
+	if err := DecodeBody(body.Bytes(), req); err != nil {
+		return BodyError(err)
+	}
+	return nil
 }
 
 // Bytes returns what was read; valid until Release.
