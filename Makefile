@@ -90,7 +90,8 @@ microbench:
 	$(GO) test -run - -bench 'Canonicalise|ValidateRegistry' -cpu 1 -benchtime 2000x ./internal/core/
 	$(GO) test -run - -bench ShardCodec -cpu 1 -benchtime 2000x ./internal/wire/
 	$(GO) test -run - -bench 'ExpanderLanes|WrapFirstSight' -cpu 1 -benchtime 200x .
-	$(GO) test -run - -bench GDAbandon -cpu 1 -benchtime 300x ./internal/core/
+	$(GO) test -run - -bench 'GDAbandon/(shard4|dense|sparse|gtree)' -cpu 1 -benchtime 300x ./internal/core/
+	$(GO) test -run - -bench 'GDAbandon/ine' -cpu 1 -benchtime 10x ./internal/core/
 	$(GO) test -run - -bench 'DistBoundPrefix|BindTargets' -cpu 1 -benchtime 20000x ./internal/phl/
 	$(GO) test -run - -bench 'Build$$' -cpu 1 -benchtime 3x ./internal/phl/
 

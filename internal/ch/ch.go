@@ -50,6 +50,9 @@ type Index struct {
 	n       int
 	// shortcuts counts inserted shortcut edges (for index-size reporting).
 	shortcuts int
+	// g is the graph Build contracted; nil for an index Read from a file,
+	// which does not carry it.
+	g *graph.Graph
 }
 
 type arc struct {
@@ -99,7 +102,7 @@ func Build(g *graph.Graph, opts Options) (*Index, error) {
 	for v := 0; v < n; v++ {
 		h.Update(int32(v), prio[v])
 	}
-	ix := &Index{rank: rank, n: n}
+	ix := &Index{rank: rank, n: n, g: g}
 	nextRank := int32(0)
 	for h.Len() > 0 {
 		v, key := h.Pop()
@@ -325,6 +328,10 @@ type Querier struct {
 	// sp engines' NodesScanned so observability can attribute CH work.
 	nodesScanned int64
 }
+
+// Graph returns the graph the index was built from, or nil when it was
+// read from a file.
+func (q *Querier) Graph() *graph.Graph { return q.ix.g }
 
 // NodesScanned returns the total number of nodes settled by this querier
 // since construction.

@@ -6,8 +6,11 @@ import (
 	"math/rand"
 	"testing"
 
+	"fannr/internal/ch"
 	"fannr/internal/graph"
+	"fannr/internal/gtree"
 	"fannr/internal/phl"
+	"fannr/internal/sp"
 	"fannr/internal/workload"
 )
 
@@ -27,15 +30,54 @@ func checkDistBelow(t testing.TB, gp GPhi, p graph.NodeID, k int, agg Aggregate,
 	}
 }
 
+// everyEngine is the engine suite difftest.NewEnv assembles, over g and
+// its hub labels ix: INE, the oracle engines over A*, PHL, the G-tree and
+// CH, the G-tree occurrence-list engine, and IER over A*, PHL and CH. g
+// must carry coordinates.
+func everyEngine(t testing.TB, g *graph.Graph, ix *phl.Index) []GPhi {
+	t.Helper()
+	tr, err := gtree.Build(g, gtree.Options{MaxLeafSize: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	chIx, err := ch.Build(g, ch.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	engines := []GPhi{
+		NewINE(g),
+		NewOracleGPhi("A*", sp.NewAStar(g)),
+		NewOracleGPhi("PHL", ix),
+		NewOracleGPhi("GTree-SPSP", tr.NewQuerier()),
+		NewOracleGPhi("CH", chIx.NewQuerier()),
+		NewGTreeGPhi(tr),
+	}
+	for _, spec := range []struct {
+		name string
+		o    Oracle
+	}{
+		{"IER-A*", sp.NewAStar(g)},
+		{"IER-PHL", ix},
+		{"IER-CH", chIx.NewQuerier()},
+	} {
+		e, err := NewIERGPhi(spec.name, g, spec.o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		engines = append(engines, e)
+	}
+	return engines
+}
+
 // TestDistBelowNeverRejectsABetterPoint is the admissibility gate of the
 // bound path (ROADMAP 3(b)'s first instance): over a road-like graph
 // with an island and the unit-weight grid with its detached chain —
-// members of Q out of reach on both — for PHL and IER-PHL, both
-// aggregates and every k from 1 to |Q|, a threshold just above g_φ(p, Q)
-// (one ulp, a 1e-12 share, half again, +Inf) returns it bit for bit, and
-// one at or under it returns false or that value. The thresholds at and
-// under must actually reject: a DistBelow that never abandons would pass
-// the rest vacuously.
+// members of Q out of reach on both — for every engine, both aggregates
+// and every k from 1 to |Q|, a threshold just above g_φ(p, Q) (one ulp,
+// a 1e-12 share, half again, +Inf) returns it bit for bit, and one at or
+// under it returns false or that value. The thresholds at and under must
+// actually reject: a DistBelow that never abandons would pass the rest
+// vacuously.
 func TestDistBelowNeverRejectsABetterPoint(t *testing.T) {
 	road, ix, island := islandGraph(t)
 	grid := unitGrid(t, 12)
@@ -52,12 +94,8 @@ func TestDistBelowNeverRejectsABetterPoint(t *testing.T) {
 		{"road", road, ix, island},
 		{"grid", grid, gridIx, []graph.NodeID{144, 146, 148}},
 	} {
-		ierPHL, err := NewIERGPhi("IER-PHL", env.g, env.ix)
-		if err != nil {
-			t.Fatal(err)
-		}
 		n := env.g.NumNodes()
-		for _, gp := range []GPhi{NewOracleGPhi("PHL", env.ix), ierPHL} {
+		for _, gp := range everyEngine(t, env.g, env.ix) {
 			var st Stats
 			BindStats(gp, &st)
 			rng := rand.New(rand.NewSource(26))
@@ -106,24 +144,38 @@ func TestDistBelowNeverRejectsABetterPoint(t *testing.T) {
 	}
 }
 
-// TestDistBelowOnlyWhereItPays: the engines with nothing to bound with
-// do not grow the capability — a search loop over them calls Dist as it
-// always has — and an oracle engine over a non-binding oracle has it
-// (one type) but never abandons.
+// TestDistBelowOnlyWhereItPays: an oracle engine over an oracle that
+// cannot bind Q has nothing to bound with but the Euclidean pre-bound,
+// so on a graph without coordinates it has the capability (one type) but
+// never abandons — over the hub labels with their binding hidden and
+// over A* alike, even at a threshold of 0.
 func TestDistBelowOnlyWhereItPays(t *testing.T) {
-	g, ix, q := hotpathEnv(t)
-	if _, ok := NewINE(g).(DistBelower); ok {
-		t.Fatal("INE implements DistBelower; it has no bound to offer")
+	road, _, q := hotpathEnv(t)
+	b := graph.NewBuilder(road.NumNodes())
+	for _, e := range road.Edges(nil) {
+		_ = b.AddEdge(e.U, e.V, e.W)
 	}
-	gp := NewOracleGPhi("PHL-restricted", restrictOnly{ix.NewBatcher()})
-	var st Stats
-	BindStats(gp, &st)
-	gp.Reset(q.Q)
-	for _, p := range q.P {
-		checkDistBelow(t, gp, p, q.K(), Max, 0)
+	g, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
 	}
-	if st.GPhiAbandoned != 0 {
-		t.Fatalf("an oracle that cannot bind Q abandoned %d evaluations", st.GPhiAbandoned)
+	ix, err := phl.Build(g, phl.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, gp := range []GPhi{
+		NewOracleGPhi("PHL-restricted", restrictOnly{ix.NewBatcher()}),
+		NewOracleGPhi("A*", sp.NewAStar(g)),
+	} {
+		var st Stats
+		BindStats(gp, &st)
+		gp.Reset(q.Q)
+		for _, p := range q.P {
+			checkDistBelow(t, gp, p, q.K(), Max, 0)
+		}
+		if st.GPhiAbandoned != 0 {
+			t.Fatalf("%s without coordinates abandoned %d evaluations", gp.Name(), st.GPhiAbandoned)
+		}
 	}
 }
 
@@ -183,7 +235,9 @@ type distOnly struct{ GPhi }
 
 // fuzzGraph is a connected random graph on n nodes, or with islands two
 // components split at n·2/3, edge weights in [1, 10) — whole numbers for
-// an even seed, so that distances tie and every bound is exact.
+// an even seed, so that distances tie and every bound is exact — and
+// nodes at random points of a 10 × 10 square, so the Euclidean bound of
+// the fastest edge meets its weight to the last few bits.
 func fuzzGraph(t testing.TB, n int, seed int64, islands bool) *graph.Graph {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
@@ -217,6 +271,13 @@ func fuzzGraph(t testing.TB, n int, seed int64, islands bool) *graph.Graph {
 			_ = b.AddEdge(graph.NodeID(u), graph.NodeID(v), weight())
 		}
 	}
+	x, y := make([]float64, n), make([]float64, n)
+	for v := range x {
+		x[v], y[v] = 10*rng.Float64(), 10*rng.Float64()
+	}
+	if err := b.SetCoords(x, y); err != nil {
+		t.Fatal(err)
+	}
 	g, err := b.Build()
 	if err != nil {
 		t.Fatal(err)
@@ -227,8 +288,8 @@ func fuzzGraph(t testing.TB, n int, seed int64, islands bool) *graph.Graph {
 // FuzzDistBelow: any graph shape, any Q (deduplicated, as Validate hands
 // it to an engine), any k, either aggregate and any threshold — given as
 // a factor of the true g_φ so the fuzzer can sit on the boundary, or
-// taken as it is when no k members are reachable — DistBelow answers as
-// checkDistBelow demands, from every node.
+// taken as it is when no k members are reachable — every engine's
+// DistBelow answers as checkDistBelow demands, from every node.
 func FuzzDistBelow(f *testing.F) {
 	f.Add(int64(1), uint8(40), false, []byte{0, 1, 2, 3}, uint8(2), false, 1.0)
 	f.Add(int64(2), uint8(9), true, []byte{8, 1}, uint8(1), true, 0.999999999)
@@ -260,27 +321,32 @@ func FuzzDistBelow(f *testing.F) {
 		if math.IsNaN(factor) {
 			return
 		}
-		gp := NewOracleGPhi("PHL", ix)
-		gp.Reset(Q)
-		for p := 0; p < n; p++ {
-			tau := factor
-			if d, ok := gp.Dist(graph.NodeID(p), k, agg); ok {
-				tau = d * factor
+		for _, gp := range everyEngine(t, g, ix) {
+			gp.Reset(Q)
+			for p := 0; p < n; p++ {
+				tau := factor
+				if d, ok := gp.Dist(graph.NodeID(p), k, agg); ok {
+					tau = d * factor
+				}
+				checkDistBelow(t, gp, graph.NodeID(p), k, agg, tau)
 			}
-			checkDistBelow(t, gp, graph.NodeID(p), k, agg, tau)
 		}
 	})
 }
 
-// BenchmarkGDAbandon is the evidence for boundHubs: GD through Dispatch
-// on NW 1/64 at the three shapes the benchmark serves through PHL —
-// shard4's per-shard slice (211 points, clustered Q of 8 at A = 25 %),
-// gd-phl-max-dense (d = 0.01, 169 points, M = 128) and gd-phl-sum
-// (d = 0.001, 17 points, M = 128) — both aggregates, with the prefix
-// stopped after 2, 4 and 8 hubs, against the same engine with DistBelow
-// hidden (bare Dist for every point). Q changes on every request, so
-// each pays its bind, as traffic does. abandoned/eval is the share of
-// evaluations the bounds ended.
+// BenchmarkGDAbandon is the evidence for boundHubs and for the engines'
+// early exits: GD through Dispatch on NW 1/64. PHL runs at the three
+// shapes the benchmark serves through it — shard4's per-shard slice (211
+// points, clustered Q of 8 at A = 25 %), gd-phl-max-dense (d = 0.01, 169
+// points, M = 128) and gd-phl-sum (d = 0.001, 17 points, M = 128) — with
+// the prefix stopped after 2, 4 and 8 hubs. GTree runs at gd-gtree-max's
+// shape (17 points, M = 128) and INE at rlist-ine-sum's (169 points,
+// M = 32), each with its native exit alone (the Euclidean pre-bound
+// cleared) and with the pre-bound in front. Every arm is against the
+// same engine with DistBelow hidden (bare Dist for every point), over
+// both aggregates. Q changes on every request, so each pays its bind, as
+// traffic does. abandoned/eval is the share of evaluations the bounds
+// ended.
 func BenchmarkGDAbandon(b *testing.B) {
 	g, err := workload.LoadDataset("NW", 1.0/64)
 	if err != nil {
@@ -318,6 +384,51 @@ func BenchmarkGDAbandon(b *testing.B) {
 					eng.BindStats(&st)
 					var gp GPhi = eng
 					if hubs == 0 {
+						gp = distOnly{eng}
+					}
+					b.ReportAllocs()
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						q := qs[i%len(qs)]
+						q.Agg = agg
+						if _, err := Dispatch(g, "gd", gp, q, 1); err != nil {
+							b.Fatal(err)
+						}
+					}
+					b.ReportMetric(float64(st.GPhiAbandoned)/float64(b.N*shape.nP), "abandoned/eval")
+				})
+			}
+		}
+	}
+	tr, err := gtree.Build(g, gtree.Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, shape := range []struct {
+		name  string
+		nP, m int
+		newGP func() GPhi
+	}{
+		{"gtree-17xM128", 17, 128, func() GPhi { return NewGTreeGPhi(tr) }},
+		{"ine-169xM32", 169, 32, func() GPhi { return NewINE(g) }},
+	} {
+		gen := workload.NewGenerator(g, 26)
+		P := gen.UniformP(0.05)[:shape.nP]
+		qs := make([]Query, 16)
+		for i := range qs {
+			qs[i] = Query{P: P, Q: gen.UniformQ(0.10, shape.m), Phi: 0.5, Scratch: NewScratch(), Stats: &Stats{}}
+		}
+		for _, agg := range []Aggregate{Max, Sum} {
+			for _, arm := range []string{"dist", "native", "prebound"} {
+				b.Run(fmt.Sprintf("%s/%v/%s", shape.name, agg, arm), func(b *testing.B) {
+					eng := shape.newGP().(*engine)
+					if arm == "native" {
+						eng.lb.g = nil
+					}
+					var st Stats
+					eng.BindStats(&st)
+					var gp GPhi = eng
+					if arm == "dist" {
 						gp = distOnly{eng}
 					}
 					b.ReportAllocs()

@@ -175,7 +175,7 @@ func TestIERPHLSharesPHLBody(t *testing.T) {
 	if _, ok := ierPHL.(*oracleEngine); !ok {
 		t.Fatalf("IER-PHL over phl.Index is a %T, want the oracle engine", ierPHL)
 	}
-	if _, ok := restricted.(engine); !ok {
+	if _, ok := restricted.(*engine); !ok {
 		t.Fatalf("IER-PHL over a non-binding oracle is a %T, want the restriction engine", restricted)
 	}
 	pl := NewOracleGPhi("PHL", ix)

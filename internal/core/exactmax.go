@@ -8,7 +8,9 @@ import "fannr/internal/graph"
 // first p whose counter reaches k = ⌈φ|Q|⌉ is exactly p*, because queue
 // heads surface in globally nondecreasing distance order. The expensive
 // g_φ runs only once, on the winner — which is why the engine choice
-// barely matters for this algorithm (Table V).
+// barely matters for this algorithm (Table V). That one evaluation has
+// no incumbent to stay under (τ = +Inf), so no engine's early exit
+// applies to it either.
 //
 // The aggregate must be Max: the §IV-A counter-example (reproduced in the
 // tests) shows the counting argument is unsound for Sum.

@@ -508,7 +508,7 @@ func TestIEREngineWarmAlloc(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := gp.(engine).neighborSearch.(*ierEngine); !ok {
+	if _, ok := gp.(*engine).neighborSearch.(*ierEngine); !ok {
 		t.Fatalf("a non-binding oracle got %T, want the restriction engine", gp)
 	}
 	gp.Reset(q.Q)

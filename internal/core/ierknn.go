@@ -37,18 +37,85 @@ func buildPTree(g *graph.Graph, P []graph.NodeID) *rtree.Tree {
 	return rtree.BulkLoad(pts, rtree.DefaultFanout)
 }
 
+// euclidQ is Q's side of the flexible Euclidean aggregate g^ε_φ of
+// Lemma 1: Q's coordinates, read on first use after reset, and the
+// scratch the k nearest are selected in. IER-kNN's point bound and the
+// engines' pre-bound (rejects) are both point; nothing else computes it.
+type euclidQ struct {
+	g       *graph.Graph // nil when the graph has no coordinates: no bound
+	q       []graph.NodeID
+	qx, qy  []float64 // Q's coordinates once read, else empty
+	scratch []float64
+}
+
+// withCoords returns g when it carries coordinates, else nil.
+func withCoords(g *graph.Graph) *graph.Graph {
+	if g == nil || !g.HasCoords() {
+		return nil
+	}
+	return g
+}
+
+// reset binds Q without reading it: a request served from cached lists
+// resets an engine and never asks for a bound.
+func (b *euclidQ) reset(Q []graph.NodeID) { b.q, b.qx = Q, b.qx[:0] }
+
+// coords reads Q's coordinates if this binding has not yet.
+func (b *euclidQ) coords() {
+	if len(b.qx) == len(b.q) {
+		return
+	}
+	b.qx, b.qy, b.scratch = growF(b.qx, len(b.q)), growF(b.qy, len(b.q)), growF(b.scratch, len(b.q))
+	for i, v := range b.q {
+		b.qx[i], b.qy[i] = b.g.Coord(v)
+	}
+}
+
+// point is g^ε_φ at (x, y), scaled into an admissible lower bound on the
+// network g_φ of any node there.
+func (b *euclidQ) point(x, y float64, k int, agg Aggregate) float64 {
+	b.coords()
+	for i := range b.qx {
+		b.scratch[i] = math.Hypot(b.qx[i]-x, b.qy[i]-y)
+	}
+	return b.g.ScaleEuclid(flexAgg(b.scratch, k, agg))
+}
+
+// rejects reports whether p's Euclidean bound already rules out
+// g_φ(p, Q) < tau. It is false without coordinates, for tau = +Inf and
+// for k past |Q|, where the evaluation has its own answer.
+func (b *euclidQ) rejects(p graph.NodeID, k int, agg Aggregate, tau float64) bool {
+	if b.g == nil || math.IsInf(tau, 1) || k > len(b.q) {
+		return false
+	}
+	x, y := b.g.Coord(p)
+	return past(b.point(x, y, k, agg), tau)
+}
+
+// roundSlack is the share of a threshold that a lower bound computed in
+// floating point must clear before an evaluation is abandoned on it. A
+// bound and the value it bounds are each exact up to a relative error of
+// a few units in the last place per term they add up — the edges of a
+// shortest path, the k members of a sum, the hypot and the speed scaling
+// of a Euclidean bound — so a bound can land above a value it bounds
+// exactly, by up to that share. 1e-9 is phl.boundSlack's budget (paths
+// of millions of edges); a bound that clears it is a real one.
+const roundSlack = 1e-9
+
+// past reports whether lb, a lower bound on a g_φ value computed in
+// floating point, rules out that value being under tau (see roundSlack).
+func past(lb, tau float64) bool { return lb >= tau+roundSlack*tau }
+
 // ierSearch is the best-first frontier of the IER-kNN framework: the
 // query-side geometry the Euclidean bounds are computed from and the
 // priority queue of R-tree entries ordered by bound.
 type ierSearch struct {
-	g       *graph.Graph
-	qx, qy  []float64 // query point coordinates
-	qRect   rtree.Rect
-	k       int
-	agg     Aggregate
-	opts    IEROptions
-	scratch []float64
-	pq      *pqueue.Heap[ierEntry]
+	euclidQ
+	qRect rtree.Rect
+	k     int
+	agg   Aggregate
+	opts  IEROptions
+	pq    *pqueue.Heap[ierEntry]
 }
 
 type ierEntry struct {
@@ -70,9 +137,8 @@ func newIERSearch(g *graph.Graph, rtP *rtree.Tree, q Query, opts IEROptions) *ie
 		s = &ierSearch{}
 	}
 	s.g = g
-	s.qx = growF(s.qx, len(q.Q))
-	s.qy = growF(s.qy, len(q.Q))
-	s.scratch = growF(s.scratch, len(q.Q))
+	s.reset(q.Q)
+	s.coords()
 	s.qRect = rtree.EmptyRect()
 	s.k = q.K()
 	s.agg = q.Agg
@@ -82,10 +148,8 @@ func newIERSearch(g *graph.Graph, rtP *rtree.Tree, q Query, opts IEROptions) *ie
 	} else {
 		s.pq.Reset()
 	}
-	for i, v := range q.Q {
-		x, y := g.Coord(v)
-		s.qx[i], s.qy[i] = x, y
-		s.qRect = s.qRect.Union(rtree.PointRect(x, y))
+	for i := range s.qx {
+		s.qRect = s.qRect.Union(rtree.PointRect(s.qx[i], s.qy[i]))
 	}
 	if rtP.Len() > 0 {
 		root := rtP.Root()
@@ -121,10 +185,7 @@ func (s *ierSearch) boundPoint(x, y float64) float64 {
 		}
 		return d
 	}
-	for i := range s.qx {
-		s.scratch[i] = math.Hypot(s.qx[i]-x, s.qy[i]-y)
-	}
-	return s.g.ScaleEuclid(flexAgg(s.scratch, s.k, s.agg))
+	return s.point(x, y, s.k, s.agg)
 }
 
 // IERKNN answers an FANN_R query with the IER-kNN framework (Algorithm 1):

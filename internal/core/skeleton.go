@@ -170,8 +170,8 @@ func solve(g *graph.Graph, gp GPhi, q Query, a algo, kAns int, one bool, rtP *rt
 	if err := q.Validate(g); err != nil {
 		return nil, err
 	}
-	if (a == algoExactMax && q.Agg != Max) || (a == algoAPXSum && q.Agg != Sum) {
-		return nil, fmt.Errorf("%w: %s does not support the %v aggregate", ErrInvalid, span[len("algo:"):], q.Agg)
+	if err := a.checkAgg(q.Agg); err != nil {
+		return nil, err
 	}
 	ts := q.startSpan(span)
 	defer ts.end()

@@ -152,6 +152,9 @@ func TestDecodeErrorTaxonomyThreeTiers(t *testing.T) {
 		{"phi zero", `{"p":[0],"q":[1],"phi":0}`, all(http.StatusBadRequest, "invalid"), false},
 		{"phi above one", `{"p":[0],"q":[1],"phi":1.5}`, all(http.StatusBadRequest, "invalid"), false},
 		{"unknown algorithm", `{"p":[0],"q":[1],"phi":0.5,"algo":"psychic"}`, all(http.StatusBadRequest, "invalid"), false},
+		{"ier without coordinates", `{"p":[0],"q":[1],"phi":0.5,"algo":"ier"}`, all(http.StatusBadRequest, "invalid"), false},
+		{"exactmax over the sum", `{"p":[0],"q":[1],"phi":0.5,"algo":"exactmax","agg":"sum"}`, all(http.StatusBadRequest, "invalid"), false},
+		{"apxsum over the max", `{"p":[0],"q":[1],"phi":0.5,"algo":"apxsum","agg":"max"}`, all(http.StatusBadRequest, "invalid"), false},
 		{"unknown engine", `{"p":[0],"q":[1],"phi":0.5,"engine":"warp"}`, all(http.StatusBadRequest, "invalid"), false},
 		{"unreachable", `{"p":[0],"q":[3,4,5],"phi":1}`, [3]want{{http.StatusNotFound, "not_found"}, {http.StatusNotFound, "not_found"}, ok}, false},
 		// Stateful from here on. The panic trips the server's engine

@@ -91,7 +91,8 @@ func FuzzRead(f *testing.F) {
 
 // FuzzKNNMatchesDijkstra derives a road network, a tree shape, an object
 // set, a source and k from the fuzz input and holds KNN and DistBatch to
-// Dijkstra. The seeds replay under plain `go test`.
+// Dijkstra, and KNNBelow to KNN on either side of the k-th distance. The
+// seeds replay under plain `go test`.
 func FuzzKNNMatchesDijkstra(f *testing.F) {
 	f.Add(int64(1), uint8(0), uint8(7), uint8(3))
 	f.Add(int64(2), uint8(0x25), uint8(31), uint8(31))  // fanout 7, tau 12
@@ -138,6 +139,24 @@ func FuzzKNNMatchesDijkstra(f *testing.F) {
 		for i := range got {
 			if math.Abs(got[i].Dist-want[i].Dist) > 1e-6 {
 				t.Fatalf("KNN(%d, k=%d)[%d] = %v, want %v", src, k, i, got[i].Dist, want[i].Dist)
+			}
+		}
+		// KNNBelow at a limit just past the k-th distance returns KNN's
+		// distances bit for bit; at the k-th itself, fewer than k.
+		if len(got) == k {
+			kth := got[k-1].Dist
+			os := tr.NewObjectSet(distinct)
+			below := q.KNNBelow(src, os, k, math.Nextafter(kth, math.Inf(1)), nil)
+			if len(below) != k {
+				t.Fatalf("KNNBelow(%d, k=%d) just past the k-th returned %d neighbours", src, k, len(below))
+			}
+			for i := range below {
+				if math.Float64bits(below[i].Dist) != math.Float64bits(got[i].Dist) {
+					t.Fatalf("KNNBelow(%d, k=%d)[%d] = %v, KNN %v", src, k, i, below[i].Dist, got[i].Dist)
+				}
+			}
+			if at := q.KNNBelow(src, os, k, kth, nil); len(at) >= k {
+				t.Fatalf("KNNBelow(%d, k=%d) at the k-th distance %v returned %d neighbours", src, k, kth, len(at))
 			}
 		}
 	})

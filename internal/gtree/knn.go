@@ -80,15 +80,25 @@ func (os *ObjectSet) MemoryBytes() int64 {
 // order (fewer when the reachable object set is smaller). Results are
 // appended to dst. Warm Queriers allocate nothing beyond dst's growth.
 func (q *Querier) KNN(src graph.NodeID, objs *ObjectSet, k int, dst []sp.Neighbor) []sp.Neighbor {
+	return q.KNNBelow(src, objs, k, math.Inf(1), dst)
+}
+
+// KNNBelow is KNN for a caller that only needs neighbours nearer than
+// limit: an object at or past it is never offered and a subtree whose
+// border lower bound reaches it is never descended. When the k-th
+// nearest object is under limit it returns KNN's neighbours (ties at one
+// distance possibly in another order); otherwise it returns fewer than k.
+func (q *Querier) KNNBelow(src graph.NodeID, objs *ObjectSet, k int, limit float64, dst []sp.Neighbor) []sp.Neighbor {
 	if k <= 0 || objs.Len() == 0 {
 		return dst
 	}
 	t := q.t
 	q.setSource(src)
-	// best keeps the k nearest objects seen; kth is its admission bar.
+	// best keeps the k nearest objects seen; kth is its admission bar,
+	// limit until k are held.
 	best := q.best
 	best.Reset()
-	kth := math.Inf(1)
+	kth := limit
 	offer := func(o graph.NodeID, d float64) {
 		if d >= kth {
 			return

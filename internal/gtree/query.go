@@ -65,6 +65,9 @@ func (t *Tree) NewQuerier() *Querier {
 	}
 }
 
+// Graph returns the graph the querier's tree is built over.
+func (q *Querier) Graph() *graph.Graph { return q.t.g }
+
 // Queries returns the number of Dist calls served.
 func (q *Querier) Queries() int64 { return q.queries }
 

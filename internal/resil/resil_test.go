@@ -322,6 +322,10 @@ func (s *thresholdSpy) DistBelow(p graph.NodeID, k int, agg core.Aggregate, tau 
 	return s.GPhi.Dist(p, k, agg)
 }
 
+// distOnly hides every optional capability of an engine, DistBelow
+// among them.
+type distOnly struct{ core.GPhi }
+
 // TestChaosForwardsThreshold: a wrapped engine that takes a threshold
 // still gets it — so a chaos arm evaluates the way the served path does
 // — after the fault draw, not instead of it; Dist arrives as +Inf; and
@@ -357,7 +361,7 @@ func TestChaosForwardsThreshold(t *testing.T) {
 		t.Fatal("the fault was drawn after the evaluation, not before")
 	}
 	in.Disarm()
-	plain := in.Wrap(chaosInner(t))
+	plain := in.Wrap(distOnly{chaosInner(t)})
 	if d, ok := plain.(core.DistBelower).DistBelow(4, 2, core.Max, 0); !ok || d != want {
 		t.Fatalf("DistBelow over an engine without the capability = (%v, %v), want Dist's %v", d, ok, want)
 	}

@@ -479,13 +479,12 @@ func TestHalfOpenProbeDropReopens(t *testing.T) {
 	}
 }
 
-// TestHalfOpenProbeUnknownAlgoKeepsBreakerOpen is the regression test
-// for an invalid request closing a breaker: the request is normalised —
-// its algorithm checked — before routing, so a body naming an unknown
-// algorithm answers 400 without being admitted as the half-open probe,
-// and an engine that still panics on every evaluation stays out of
-// rotation.
-func TestHalfOpenProbeUnknownAlgoKeepsBreakerOpen(t *testing.T) {
+// halfOpenFlaky serves an engine "Flaky" that panics on every
+// evaluation behind a breaker that one failure opens, trips it and waits
+// out the cooldown: the next request admitted to Flaky is the half-open
+// probe.
+func halfOpenFlaky(t *testing.T) (*Server, *httptest.Server) {
+	t.Helper()
 	g, err := graph.Generate(graph.GenConfig{Nodes: 120, Seed: 37, Name: "probe"})
 	if err != nil {
 		t.Fatal(err)
@@ -503,18 +502,43 @@ func TestHalfOpenProbeUnknownAlgoKeepsBreakerOpen(t *testing.T) {
 		t.Fatal(err)
 	}
 	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-
+	t.Cleanup(ts.Close)
 	if status, e := postRaw(t, ts.URL+"/fann", []byte(`{"p":[1,20,40],"q":[5,55],"phi":0.5,"engine":"Flaky"}`)); status != http.StatusInternalServerError {
 		t.Fatalf("panic request: status %d (%+v), want 500", status, e)
 	}
 	time.Sleep(cooldown + 20*time.Millisecond)
+	return srv, ts
+}
+
+// TestHalfOpenProbeUnknownAlgoKeepsBreakerOpen is the regression test
+// for an invalid request closing a breaker: the request is normalised —
+// its algorithm checked — before routing, so a body naming an unknown
+// algorithm answers 400 without being admitted as the half-open probe,
+// and an engine that still panics on every evaluation stays out of
+// rotation.
+func TestHalfOpenProbeUnknownAlgoKeepsBreakerOpen(t *testing.T) {
+	srv, ts := halfOpenFlaky(t)
 	status, e := postRaw(t, ts.URL+"/fann", []byte(`{"p":[1,20,40],"q":[5,55],"phi":0.5,"engine":"Flaky","algo":"psychic"}`))
 	if status != http.StatusBadRequest || e.Code != "invalid" {
 		t.Fatalf("invalid probe: status %d code %q, want 400 invalid", status, e.Code)
 	}
 	if st := srv.breakers["Flaky"].State(); st == resil.Closed {
 		t.Fatal("an invalid request closed the breaker of an engine that still panics")
+	}
+}
+
+// TestHalfOpenProbeUnsupportedAggKeepsBreakerOpen: an algorithm asked
+// for an aggregate it does not answer (Exact-max over the sum) is just
+// as invalid whatever the engine, so it too is turned away before
+// routing and cannot close the breaker as the half-open probe.
+func TestHalfOpenProbeUnsupportedAggKeepsBreakerOpen(t *testing.T) {
+	srv, ts := halfOpenFlaky(t)
+	status, e := postRaw(t, ts.URL+"/fann", []byte(`{"p":[1,20,40],"q":[5,55],"phi":0.5,"engine":"Flaky","algo":"exactmax","agg":"sum"}`))
+	if status != http.StatusBadRequest || e.Code != "invalid" {
+		t.Fatalf("exactmax+sum probe: status %d code %q, want 400 invalid", status, e.Code)
+	}
+	if st := srv.breakers["Flaky"].State(); st == resil.Closed {
+		t.Fatal("an exactmax+sum request closed the breaker of an engine that still panics")
 	}
 }
 

@@ -107,6 +107,9 @@ func (a *ALT) lowerBound(v, t graph.NodeID) float64 {
 	return best
 }
 
+// Graph returns the graph the engine is bound to.
+func (a *ALT) Graph() *graph.Graph { return a.g }
+
 // NodesScanned returns the total nodes settled since construction.
 func (a *ALT) NodesScanned() int64 { return a.nodesScanned }
 

@@ -28,6 +28,9 @@ func NewAStar(g *graph.Graph) *AStar {
 	}
 }
 
+// Graph returns the graph the engine is bound to.
+func (a *AStar) Graph() *graph.Graph { return a.g }
+
 // NodesScanned returns the total number of nodes settled by this engine
 // since construction.
 func (a *AStar) NodesScanned() int64 { return a.nodesScanned }
@@ -94,6 +97,9 @@ func NewBiDijkstra(g *graph.Graph) *BiDijkstra {
 		bs: make([]uint32, n),
 	}
 }
+
+// Graph returns the graph the engine is bound to.
+func (b *BiDijkstra) Graph() *graph.Graph { return b.g }
 
 // NodesScanned returns the total number of nodes settled by this engine
 // since construction.

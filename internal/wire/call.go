@@ -33,7 +33,8 @@ type Tier struct {
 	HasEngine func(string) bool
 }
 
-// Normalise turns req into c — aggregate named, algorithm known, query
+// Normalise turns req into c — aggregate named, algorithm known and
+// able to answer it on the tier's graph (core.CheckAlgo), query
 // validated against the tier's graph through its registry, engine
 // defaulted and served, k at least 1 — before any routing, cache lookup
 // or engine checkout. Every failure wraps core.ErrInvalid (400). c's
@@ -43,8 +44,8 @@ func (t *Tier) Normalise(req *FANNRequest, c *Call) error {
 	if err != nil {
 		return err
 	}
-	if !core.KnownAlgo(req.Algo) {
-		return fmt.Errorf("%w: unknown algorithm %q", core.ErrInvalid, req.Algo)
+	if err := core.CheckAlgo(t.Graph, req.Algo, agg); err != nil {
+		return err
 	}
 	c.P, c.Q, c.Phi, c.Agg, c.Sets = req.P, req.Q, req.Phi, agg, t.Sets
 	if err := c.Validate(t.Graph); err != nil {
