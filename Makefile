@@ -23,13 +23,16 @@ vet:
 	$(GO) vet -C bench ./...
 	@fmt="$$(gofmt -l .)"; test -z "$$fmt" || { echo "gofmt -l:"; echo "$$fmt"; exit 1; }
 
-## Report-only size of the code: non-test Go lines outside bench/, then
+## Report-only size of the code: non-test Go lines outside bench/, flag
+## registrations per binary, exported names of the fannr facade, then
 ## every non-test function over 80 lines, longest first. The function
 ## walk reads gofmt'd source, where a top-level func opens with "func "
 ## and ends at the first "}" in column one.
 GOSRC = find . -name '*.go' ! -name '*_test.go' -not -path './bench/*' | sort
 loc:
 	@$(GOSRC) | xargs cat | wc -l | awk '{ print "non-test Go outside bench/: " $$1 " lines" }'
+	@for d in cmd/*/; do printf '%5d flags  %s\n' $$(cat $${d}main.go | grep -cE '(flag|fs)\.(String|Bool|Int|Int64|Float64|Duration)(Var)?\(') $$d; done
+	@$(GO) doc -all fannr | grep -cE '^(func|type|var|const) [A-Z]|^	[A-Z][A-Za-z0-9]* +=' | awk '{ print "fannr facade exports: " $$1 }'
 	@$(GOSRC) | xargs awk '/^func /{ start = FNR; name = $$0; sub(/ *\{$$/, "", name) } \
 		/^}/ && start { if (FNR - start >= 80) printf "%5d  %s:%d  %s\n", FNR - start + 1, FILENAME, start, name; start = 0 }' \
 		| sort -rn

@@ -1,7 +1,9 @@
 // Command fannr-index builds road-network indexes (hub labels, G-tree,
 // contraction hierarchy) and persists them to disk, so repeated query or
 // benchmark sessions skip the construction cost the paper reports in
-// Fig. 9.
+// Fig. 9. With -kind dimacs it writes the network itself as DIMACS
+// .gr/.co files instead, to inspect, reuse, or feed to other tools
+// (including back into fannr via -gr/-co).
 //
 // Examples:
 //
@@ -9,6 +11,7 @@
 //	fannr-index -gr nw.gr -co nw.co -kind gtree -out nw.gtree
 //	fannr-index -dataset NW -kind all -out nw       # nw.phl nw.gtree nw.ch
 //	fannr-index -in old.phl -kind phl -out nw.phl   # convert v3 -> v4
+//	fannr-index -dataset DE -scale 0.0625 -kind dimacs -out de   # de.gr de.co
 //
 // With -in, an existing index file is converted to the current on-disk
 // format (v4, mmap-able) instead of being rebuilt. G-tree conversion
@@ -25,6 +28,7 @@ import (
 	"time"
 
 	"fannr"
+	"fannr/internal/workload"
 )
 
 func main() {
@@ -33,8 +37,8 @@ func main() {
 		scale   = flag.Float64("scale", 1.0/64, "dataset scale")
 		grFile  = flag.String("gr", "", "DIMACS .gr file (overrides -dataset)")
 		coFile  = flag.String("co", "", "DIMACS .co coordinate file")
-		kind    = flag.String("kind", "all", "index kind: phl | gtree | ch | all")
-		out     = flag.String("out", "index", "output path (suffixes added for -kind all)")
+		kind    = flag.String("kind", "all", "index kind: phl | gtree | ch | all, or dimacs for the network itself")
+		out     = flag.String("out", "index", "output path (suffixes added for -kind all and dimacs)")
 		leaf    = flag.Int("gtree-leaf", 256, "G-tree max leaf size (tau)")
 		workers = flag.Int("workers", 0, "index-build workers (0 = GOMAXPROCS, 1 = sequential)")
 		in      = flag.String("in", "", "existing index file to convert to the current format instead of rebuilding (requires a single -kind; gtree also needs the graph flags)")
@@ -62,11 +66,20 @@ func run(dataset string, scale float64, grFile, coFile, kind, out string, leaf, 
 		return convert(in, kind, out, dataset, scale, grFile, coFile, save)
 	}
 
-	g, err := loadGraph(dataset, scale, grFile, coFile)
+	g, err := workload.LoadNetwork(dataset, scale, grFile, coFile)
 	if err != nil {
 		return err
 	}
 	fmt.Printf("network: %s |V|=%d |E|=%d\n", g.Name(), g.NumNodes(), g.NumEdges())
+	if kind == "dimacs" {
+		if _, err := atomicWrite(out+".gr", func(gr io.Writer) (int64, error) {
+			return atomicWrite(out+".co", func(co io.Writer) (int64, error) { return 0, fannr.WriteDIMACS(g, gr, co) })
+		}); err != nil {
+			return fmt.Errorf("writing %s.gr and %s.co: %w", out, out, err)
+		}
+		fmt.Printf("wrote %s.gr and %s.co\n", out, out)
+		return nil
+	}
 
 	wants := func(k string) bool { return kind == k || kind == "all" }
 	suffix := func(k string) string {
@@ -135,7 +148,7 @@ func convert(in, kind, out string, dataset string, scale float64, grFile, coFile
 			float64(ix.MemoryBytes())/1e6, ix.Entries(), ix.AvgLabelSize())
 		return save(out, func(w io.Writer) (int64, error) { return ix.MemoryBytes(), ix.Save(w) })
 	case "gtree":
-		g, err := loadGraph(dataset, scale, grFile, coFile)
+		g, err := workload.LoadNetwork(dataset, scale, grFile, coFile)
 		if err != nil {
 			return err
 		}
@@ -209,30 +222,4 @@ func atomicWrite(name string, build func(w io.Writer) (int64, error)) (int64, er
 		return 0, fmt.Errorf("syncing %s: %w", dir, err)
 	}
 	return bytes, nil
-}
-
-func loadGraph(dataset string, scale float64, grFile, coFile string) (*fannr.Graph, error) {
-	if grFile == "" {
-		return fannr.LoadDataset(dataset, scale)
-	}
-	gr, err := os.Open(grFile)
-	if err != nil {
-		return nil, err
-	}
-	defer gr.Close()
-	var co io.Reader
-	if coFile != "" {
-		f, err := os.Open(coFile)
-		if err != nil {
-			return nil, err
-		}
-		defer f.Close()
-		co = f
-	}
-	g, err := fannr.ReadDIMACS(gr, co)
-	if err != nil {
-		return nil, err
-	}
-	lcc, _, err := fannr.LargestComponent(g)
-	return lcc, err
 }

@@ -69,6 +69,7 @@ import (
 	"fannr"
 	"fannr/internal/binio"
 	"fannr/internal/core"
+	"fannr/internal/resil"
 	"fannr/internal/server"
 )
 
@@ -78,7 +79,6 @@ type config struct {
 	scale            float64
 	addr             string
 	engines          string
-	workers          int
 	phlIndex         string
 	gtreeIndex       string
 	mmapMode         string
@@ -88,41 +88,41 @@ type config struct {
 	queueDepth       int
 	breakerThreshold int
 	breakerCooldown  time.Duration
-	retryAfter       time.Duration
 	fallback         string
 	pprof            bool
 	logRequests      bool
 	cacheEntries     int
-	cacheTTL         time.Duration
 	coalesce         bool
-	slowLog          int
+}
+
+// newFlags registers the command line on a FlagSet of its own, so the
+// flag surface is one function a test can read.
+func newFlags(cfg *config) *flag.FlagSet {
+	fs := flag.NewFlagSet("fannr-server", flag.ExitOnError)
+	fs.StringVar(&cfg.dataset, "dataset", "NW", "Table III dataset name (synthetic)")
+	fs.Float64Var(&cfg.scale, "scale", 1.0/64, "dataset scale")
+	fs.StringVar(&cfg.addr, "addr", ":8080", "listen address")
+	fs.StringVar(&cfg.engines, "engines", "PHL", "indexes to serve: comma-separated from PHL,GTree,CH,ALT (INE and A* need none); every engine they support is served")
+	fs.StringVar(&cfg.phlIndex, "phl-index", "", "load the hub labels from this fannr-index file instead of building at startup")
+	fs.StringVar(&cfg.gtreeIndex, "gtree-index", "", "load the G-tree from this fannr-index file instead of building at startup")
+	fs.StringVar(&cfg.mmapMode, "mmap", "auto", "zero-copy index loading: auto (mmap v4 files, heap-read older), on (require mmap; v4 files only), off (always heap-read)")
+	fs.DurationVar(&cfg.queryTimeout, "query-timeout", 10*time.Second, "per-request compute budget for /fann (0 = unlimited)")
+	fs.DurationVar(&cfg.drainTimeout, "drain-timeout", 15*time.Second, "graceful-shutdown drain budget after SIGINT/SIGTERM")
+	fs.IntVar(&cfg.maxInFlight, "max-inflight", 0, "per-engine cap on concurrent queries (0 = unbounded)")
+	fs.IntVar(&cfg.queueDepth, "queue-depth", 0, "queued queries allowed per engine once the cap is reached; beyond it requests shed with 503")
+	fs.IntVar(&cfg.breakerThreshold, "breaker-threshold", 0, "consecutive engine failures that open its circuit breaker (0 = disabled)")
+	fs.DurationVar(&cfg.breakerCooldown, "breaker-cooldown", resil.DefaultCooldown, "open-breaker cooldown before a half-open probe (0 = the default)")
+	fs.StringVar(&cfg.fallback, "fallback", "", `breaker fallback ladder, e.g. "PHL=INE,GTree=INE": when the left engine's breaker is open, serve from the right one (degraded)`)
+	fs.BoolVar(&cfg.pprof, "pprof", false, "mount net/http/pprof under /debug/pprof/")
+	fs.BoolVar(&cfg.logRequests, "log", false, "emit one structured JSON log line per /fann request to stderr")
+	fs.IntVar(&cfg.cacheEntries, "cache-entries", 4096, "semantic query-cache capacity in entries (0 = disabled)")
+	fs.BoolVar(&cfg.coalesce, "coalesce", true, "collapse concurrent identical /fann queries onto one computation")
+	return fs
 }
 
 func main() {
 	var cfg config
-	flag.StringVar(&cfg.dataset, "dataset", "NW", "Table III dataset name (synthetic)")
-	flag.Float64Var(&cfg.scale, "scale", 1.0/64, "dataset scale")
-	flag.StringVar(&cfg.addr, "addr", ":8080", "listen address")
-	flag.StringVar(&cfg.engines, "engines", "PHL", "indexes to build at startup: comma-separated from PHL,GTree,CH")
-	flag.IntVar(&cfg.workers, "workers", 0, "index-build workers (0 = GOMAXPROCS, 1 = sequential)")
-	flag.StringVar(&cfg.phlIndex, "phl-index", "", "load the PHL engine's hub labels from this fannr-index file instead of building at startup")
-	flag.StringVar(&cfg.gtreeIndex, "gtree-index", "", "load the GTree engine's tree from this fannr-index file instead of building at startup")
-	flag.StringVar(&cfg.mmapMode, "mmap", "auto", "zero-copy index loading: auto (mmap v4 files, heap-read older), on (require mmap; v4 files only), off (always heap-read)")
-	flag.DurationVar(&cfg.queryTimeout, "query-timeout", 10*time.Second, "per-request compute budget for /fann (0 = unlimited)")
-	flag.DurationVar(&cfg.drainTimeout, "drain-timeout", 15*time.Second, "graceful-shutdown drain budget after SIGINT/SIGTERM")
-	flag.IntVar(&cfg.maxInFlight, "max-inflight", 0, "per-engine cap on concurrent queries (0 = unbounded)")
-	flag.IntVar(&cfg.queueDepth, "queue-depth", 0, "queued queries allowed per engine once the cap is reached; beyond it requests shed with 503")
-	flag.IntVar(&cfg.breakerThreshold, "breaker-threshold", 0, "consecutive engine failures that open its circuit breaker (0 = disabled)")
-	flag.DurationVar(&cfg.breakerCooldown, "breaker-cooldown", 5*time.Second, "open-breaker cooldown before a half-open probe")
-	flag.DurationVar(&cfg.retryAfter, "retry-after", time.Second, "Retry-After hint attached to 503 overloaded responses")
-	flag.StringVar(&cfg.fallback, "fallback", "", `breaker fallback ladder, e.g. "PHL=INE,GTree=INE": when the left engine's breaker is open, serve from the right one (degraded)`)
-	flag.BoolVar(&cfg.pprof, "pprof", false, "mount net/http/pprof under /debug/pprof/")
-	flag.BoolVar(&cfg.logRequests, "log", false, "emit one structured JSON log line per /fann request to stderr")
-	flag.IntVar(&cfg.cacheEntries, "cache-entries", 4096, "semantic query-cache capacity in entries (0 = disabled)")
-	flag.DurationVar(&cfg.cacheTTL, "cache-ttl", 0, "query-cache entry time-to-live (0 = no expiry; indexes are immutable in-process)")
-	flag.BoolVar(&cfg.coalesce, "coalesce", true, "collapse concurrent identical /fann queries onto one computation")
-	flag.IntVar(&cfg.slowLog, "slow-log", 64, "traces retained at /debug/slow: the N slowest requests plus the N most recent errored/degraded ones")
-	flag.Parse()
+	newFlags(&cfg).Parse(os.Args[1:])
 	if err := run(cfg); err != nil {
 		fmt.Fprintln(os.Stderr, "fannr-server:", err)
 		os.Exit(1)
@@ -164,65 +164,69 @@ func mmapOptions(mode string) (opts fannr.LoadOptions, require bool, err error) 
 	}
 }
 
-// addReloadablePHL registers the PHL index file as a hot-swappable
-// source powering the "PHL" and "IER-PHL" engines. Each reload maps a
+// serverOptions is the flags → options step.
+func serverOptions(cfg config) server.Options {
+	opts := server.Options{
+		QueryTimeout:     cfg.queryTimeout,
+		MaxInFlight:      cfg.maxInFlight,
+		QueueDepth:       cfg.queueDepth,
+		BreakerThreshold: cfg.breakerThreshold,
+		BreakerCooldown:  cfg.breakerCooldown,
+		Pprof:            cfg.pprof,
+		CacheEntries:     cfg.cacheEntries,
+		Coalesce:         cfg.coalesce,
+	}
+	if cfg.logRequests {
+		opts.Logger = slog.New(slog.NewJSONHandler(os.Stderr, nil))
+	}
+	return opts
+}
+
+// mappedIndex is an index file as a reloadable source loads it.
+type mappedIndex interface {
+	server.ReloadableIndex
+	Mapped() bool
+}
+
+// addFileIndex registers the index file at path as a hot-swappable
+// source serving every engine that searches index x. Each reload maps a
 // fresh generation; the serving one is never evicted by a failed load.
-func addReloadablePHL(srv *server.Server, g *fannr.Graph, path string, loadOpts fannr.LoadOptions, requireMmap bool) error {
-	load := func() (server.ReloadableIndex, error) {
-		ix, err := fannr.LoadPHL(path, loadOpts)
+func addFileIndex(srv *server.Server, g *fannr.Graph, x core.Index, path string, loadOpts fannr.LoadOptions, requireMmap bool) error {
+	src := server.IndexSource{Path: path}
+	var load func() (mappedIndex, error)
+	switch x {
+	case core.PHLIndex:
+		src.Name = "phl"
+		src.Indexes = func(ix server.ReloadableIndex) core.Indexes { return core.Indexes{PHL: ix.(*fannr.PHLIndex)} }
+		load = func() (mappedIndex, error) {
+			ix, err := fannr.LoadPHL(path, loadOpts)
+			if err != nil {
+				return nil, err
+			}
+			fmt.Printf("hub labels: %d entries, %.1f per node\n", ix.Entries(), ix.AvgLabelSize())
+			return ix, nil
+		}
+	case core.GTreeIndex:
+		src.Name = "gtree"
+		src.Indexes = func(ix server.ReloadableIndex) core.Indexes { return core.Indexes{GTree: ix.(*fannr.GTree)} }
+		load = func() (mappedIndex, error) { return fannr.LoadGTree(path, g, loadOpts) }
+	}
+	src.Load = func() (server.ReloadableIndex, error) {
+		ix, err := load()
 		if err != nil {
-			return nil, fmt.Errorf("loading PHL index %s: %w", path, err)
+			return nil, fmt.Errorf("loading %s index %s: %w", x, path, err)
 		}
 		if requireMmap && !ix.Mapped() {
 			ix.Close()
-			return nil, fmt.Errorf("loading PHL index %s: -mmap=on but the file cannot be zero-copy mapped (convert it to v4 with fannr-index -in)", path)
+			return nil, fmt.Errorf("loading %s index %s: -mmap=on but the file cannot be zero-copy mapped (convert it to v4 with fannr-index -in)", x, path)
 		}
-		fmt.Printf("hub labels: %d entries, %.1f per node\n", ix.Entries(), ix.AvgLabelSize())
 		return ix, nil
 	}
-	return srv.AddReloadable(server.IndexSource{
-		Name: "phl",
-		Path: path,
-		Load: load,
-		Engines: map[string]func(server.ReloadableIndex) core.GPhi{
-			"PHL": func(ix server.ReloadableIndex) core.GPhi {
-				return core.NewOracleGPhi("PHL", ix.(*fannr.PHLIndex))
-			},
-			"IER-PHL": func(ix server.ReloadableIndex) core.GPhi {
-				gp, err := core.NewIERGPhi("IER-PHL", g, ix.(*fannr.PHLIndex))
-				if err != nil {
-					panic(err) // verified at registration; cannot fail on a loaded index
-				}
-				return gp
-			},
-		},
-	})
-}
-
-// addReloadableGTree registers the G-tree index file as a hot-swappable
-// source powering the "GTree" engine.
-func addReloadableGTree(srv *server.Server, g *fannr.Graph, path string, loadOpts fannr.LoadOptions, requireMmap bool) error {
-	load := func() (server.ReloadableIndex, error) {
-		tr, err := fannr.LoadGTree(path, g, loadOpts)
-		if err != nil {
-			return nil, fmt.Errorf("loading GTree index %s: %w", path, err)
-		}
-		if requireMmap && !tr.Mapped() {
-			tr.Close()
-			return nil, fmt.Errorf("loading GTree index %s: -mmap=on but the file cannot be zero-copy mapped (convert it to v4 with fannr-index -in)", path)
-		}
-		return tr, nil
+	if err := srv.AddReloadable(src); err != nil {
+		return err
 	}
-	return srv.AddReloadable(server.IndexSource{
-		Name: "gtree",
-		Path: path,
-		Load: load,
-		Engines: map[string]func(server.ReloadableIndex) core.GPhi{
-			"GTree": func(ix server.ReloadableIndex) core.GPhi {
-				return core.NewGTreeGPhi(ix.(*fannr.GTree))
-			},
-		},
-	})
+	logProvenance(x.String()+" index", path)
+	return nil
 }
 
 // logProvenance prints what was actually loaded: path, size, format,
@@ -246,99 +250,43 @@ func run(cfg config) error {
 	if err != nil {
 		return err
 	}
+	kinds, err := core.ParseIndexes(cfg.engines)
+	if err != nil {
+		return fmt.Errorf("-engines: %w", err)
+	}
 	g, err := fannr.LoadDataset(cfg.dataset, cfg.scale)
 	if err != nil {
 		return err
 	}
 	fmt.Printf("network: %s |V|=%d |E|=%d\n", g.Name(), g.NumNodes(), g.NumEdges())
 
-	opts := server.Options{
-		QueryTimeout:     cfg.queryTimeout,
-		MaxInFlight:      cfg.maxInFlight,
-		QueueDepth:       cfg.queueDepth,
-		BreakerThreshold: cfg.breakerThreshold,
-		BreakerCooldown:  cfg.breakerCooldown,
-		RetryAfter:       cfg.retryAfter,
-		Pprof:            cfg.pprof,
-		CacheEntries:     cfg.cacheEntries,
-		CacheTTL:         cfg.cacheTTL,
-		Coalesce:         cfg.coalesce,
-		SlowLogEntries:   cfg.slowLog,
-	}
-	if cfg.logRequests {
-		opts.Logger = slog.New(slog.NewJSONHandler(os.Stderr, nil))
-	}
-	var gtreeIndex *fannr.GTree
-	var phlReloadable, gtreeReloadable bool
-	for _, name := range strings.Split(cfg.engines, ",") {
-		switch strings.TrimSpace(name) {
-		case "", "INE", "A*":
-			// always available
-		case "PHL":
-			if cfg.phlIndex != "" {
-				// File-backed indexes register as reloadable sources after
-				// server.New, so SIGHUP / POST /admin/reload can hot-swap them.
-				phlReloadable = true
-				break
-			}
-			fmt.Println("building hub labels...")
-			ix, err := fannr.BuildPHL(g, fannr.PHLOptions{})
-			if err != nil {
-				return err
-			}
-			fmt.Printf("hub labels: %d entries, %.1f per node\n", ix.Entries(), ix.AvgLabelSize())
-			opts.PHL = ix
-		case "GTree":
-			if cfg.gtreeIndex != "" {
-				gtreeReloadable = true
-				break
-			}
-			fmt.Println("building G-tree...")
-			tr, err := fannr.BuildGTree(g, fannr.GTreeOptions{Workers: cfg.workers})
-			if err != nil {
-				return err
-			}
-			gtreeIndex = tr
-		case "CH":
-			fmt.Println("building contraction hierarchy...")
-			ix, err := fannr.BuildCH(g, fannr.CHOptions{Workers: cfg.workers})
-			if err != nil {
-				return err
-			}
-			opts.NewCH = func() core.Oracle { return ix.NewQuerier() }
-		default:
-			return fmt.Errorf("unknown engine %q", name)
+	// File-backed indexes register as reloadable sources after server.New,
+	// so SIGHUP / POST /admin/reload can hot-swap them; the rest are built.
+	files := map[core.Index]string{core.PHLIndex: cfg.phlIndex, core.GTreeIndex: cfg.gtreeIndex}
+	var build []core.Index
+	for _, x := range kinds {
+		if files[x] == "" {
+			build = append(build, x)
 		}
+	}
+	opts := serverOptions(cfg)
+	if opts.Indexes, err = server.BuildIndexes(g, build); err != nil {
+		return err
 	}
 	srv, err := server.New(g, opts)
 	if err != nil {
 		return err
 	}
 	defer srv.CloseIndexes()
-	if phlReloadable {
-		if err := addReloadablePHL(srv, g, cfg.phlIndex, loadOpts, requireMmap); err != nil {
-			return err
-		}
-		logProvenance("hub labels", cfg.phlIndex)
-	}
-	if gtreeReloadable {
-		if err := addReloadableGTree(srv, g, cfg.gtreeIndex, loadOpts, requireMmap); err != nil {
-			return err
-		}
-		logProvenance("G-tree", cfg.gtreeIndex)
-	}
-	if gtreeIndex != nil {
-		if err := srv.AddEngine("GTree", func() core.GPhi {
-			return core.NewGTreeGPhi(gtreeIndex)
-		}); err != nil {
-			return err
-		}
-		if err := srv.RegisterIndex("gtree", gtreeIndex.Stats().MemoryBytes, gtreeIndex.MappedBytes()); err != nil {
-			return err
+	for _, x := range kinds {
+		if path := files[x]; path != "" {
+			if err := addFileIndex(srv, g, x, path, loadOpts, requireMmap); err != nil {
+				return err
+			}
 		}
 	}
 	// The ladder is validated after every engine is registered so it may
-	// reference late-registered engines like GTree.
+	// reference the engines of file-backed indexes.
 	if err := srv.SetFallback(ladder); err != nil {
 		return fmt.Errorf("-fallback: %w (registered engines: %s)", err, strings.Join(srv.Engines(), ", "))
 	}

@@ -45,6 +45,7 @@ import (
 	"fannr/internal/core"
 	"fannr/internal/gtree"
 	"fannr/internal/obs"
+	"fannr/internal/resil"
 	"fannr/internal/server"
 	"fannr/internal/shard"
 )
@@ -58,100 +59,76 @@ type config struct {
 	shardID          int
 	targets          string
 	engines          string
-	workers          int
 	cacheEntries     int
-	hostCache        int
 	maxFanout        int
 	breakerThreshold int
 	breakerCooldown  time.Duration
-	retryAfter       time.Duration
 	drainTimeout     time.Duration
+}
+
+// newFlags registers the command line on a FlagSet of its own, so the
+// flag surface is one function a test can read.
+func newFlags(cfg *config) *flag.FlagSet {
+	fs := flag.NewFlagSet("fannr-shard", flag.ExitOnError)
+	fs.StringVar(&cfg.mode, "mode", "all", "all (hosts + coordinator in-process), host (one shard host), coord (coordinator over -targets)")
+	fs.StringVar(&cfg.dataset, "dataset", "NW", "Table III dataset name (synthetic)")
+	fs.Float64Var(&cfg.scale, "scale", 1.0/64, "dataset scale")
+	fs.StringVar(&cfg.addr, "addr", ":8080", "listen address")
+	fs.IntVar(&cfg.shards, "shards", 4, "shard count S (mode all; mode coord infers S from -targets)")
+	fs.IntVar(&cfg.shardID, "shard-id", 0, "this host's shard index (mode host)")
+	fs.StringVar(&cfg.targets, "targets", "", "comma-separated shard host base URLs, in shard order (mode coord)")
+	fs.StringVar(&cfg.engines, "engines", "INE", "indexes each host builds: comma-separated from PHL,GTree,CH,ALT (INE and A* need none); every engine they support is served")
+	fs.IntVar(&cfg.cacheEntries, "cache-entries", 4096, "coordinator exact-result cache capacity (0 = disabled); keys are stamped with the plan epoch and healthy shard set")
+	fs.IntVar(&cfg.maxFanout, "max-fanout", 4, "concurrent shard calls per wave; waves run best-bound-first so early answers prune later shards")
+	fs.IntVar(&cfg.breakerThreshold, "breaker-threshold", 3, "consecutive shard failures that open its breaker (0 = disabled)")
+	fs.DurationVar(&cfg.breakerCooldown, "breaker-cooldown", resil.DefaultCooldown, "open-breaker cooldown before a half-open probe (0 = the default)")
+	fs.DurationVar(&cfg.drainTimeout, "drain-timeout", 15*time.Second, "graceful-shutdown drain budget")
+	return fs
 }
 
 func main() {
 	var cfg config
-	flag.StringVar(&cfg.mode, "mode", "all", "all (hosts + coordinator in-process), host (one shard host), coord (coordinator over -targets)")
-	flag.StringVar(&cfg.dataset, "dataset", "NW", "Table III dataset name (synthetic)")
-	flag.Float64Var(&cfg.scale, "scale", 1.0/64, "dataset scale")
-	flag.StringVar(&cfg.addr, "addr", ":8080", "listen address")
-	flag.IntVar(&cfg.shards, "shards", 4, "shard count S (mode all; mode coord infers S from -targets)")
-	flag.IntVar(&cfg.shardID, "shard-id", 0, "this host's shard index (mode host)")
-	flag.StringVar(&cfg.targets, "targets", "", "comma-separated shard host base URLs, in shard order (mode coord)")
-	flag.StringVar(&cfg.engines, "engines", "INE", "engines each host builds: comma-separated from INE,A*,PHL,GTree,CH")
-	flag.IntVar(&cfg.workers, "workers", 0, "index-build workers (0 = GOMAXPROCS)")
-	flag.IntVar(&cfg.cacheEntries, "cache-entries", 4096, "coordinator exact-result cache capacity (0 = disabled); keys are stamped with the plan epoch and healthy shard set")
-	flag.IntVar(&cfg.hostCache, "host-cache-entries", 1024, "per-host result cache capacity (0 = disabled)")
-	flag.IntVar(&cfg.maxFanout, "max-fanout", 4, "concurrent shard calls per wave; waves run best-bound-first so early answers prune later shards")
-	flag.IntVar(&cfg.breakerThreshold, "breaker-threshold", 3, "consecutive shard failures that open its breaker (< 0 disables)")
-	flag.DurationVar(&cfg.breakerCooldown, "breaker-cooldown", 5*time.Second, "open-breaker cooldown before a half-open probe")
-	flag.DurationVar(&cfg.retryAfter, "retry-after", time.Second, "Retry-After hint attached to 503 responses")
-	flag.DurationVar(&cfg.drainTimeout, "drain-timeout", 15*time.Second, "graceful-shutdown drain budget")
-	flag.Parse()
+	newFlags(&cfg).Parse(os.Args[1:])
 	if err := run(cfg); err != nil {
 		fmt.Fprintln(os.Stderr, "fannr-shard:", err)
 		os.Exit(1)
 	}
 }
 
-// buildEngines assembles the named engine factories over shared
-// read-only indexes (built once, shared by every in-process host).
-func buildEngines(g *fannr.Graph, names string, workers int) (map[string]core.EngineFactory, []string, error) {
-	factories := map[string]core.EngineFactory{}
-	var order []string
-	add := func(name string, f core.EngineFactory) {
-		factories[name] = f
-		order = append(order, name)
-	}
-	for _, name := range strings.Split(names, ",") {
-		switch strings.TrimSpace(name) {
-		case "":
-		case "INE":
-			add("INE", func() core.GPhi { return core.NewINE(g) })
-		case "A*":
-			add("A*", func() core.GPhi { return core.NewOracleGPhi("A*", fannr.NewAStar(g)) })
-		case "PHL":
-			fmt.Println("building hub labels...")
-			ix, err := fannr.BuildPHL(g, fannr.PHLOptions{})
-			if err != nil {
-				return nil, nil, err
-			}
-			fmt.Printf("hub labels: %d entries, %.1f per node\n", ix.Entries(), ix.AvgLabelSize())
-			add("PHL", func() core.GPhi { return core.NewOracleGPhi("PHL", ix) })
-		case "GTree":
-			fmt.Println("building G-tree engine...")
-			tr, err := fannr.BuildGTree(g, fannr.GTreeOptions{Workers: workers})
-			if err != nil {
-				return nil, nil, err
-			}
-			add("GTree", func() core.GPhi { return core.NewGTreeGPhi(tr) })
-		case "CH":
-			fmt.Println("building contraction hierarchy...")
-			ix, err := fannr.BuildCH(g, fannr.CHOptions{Workers: workers})
-			if err != nil {
-				return nil, nil, err
-			}
-			add("CH", func() core.GPhi { return core.NewOracleGPhi("CH", ix.NewQuerier()) })
-		default:
-			return nil, nil, fmt.Errorf("unknown engine %q", name)
-		}
-	}
-	if len(order) == 0 {
-		return nil, nil, errors.New("-engines selected no engines")
-	}
-	return factories, order, nil
-}
+// hostCacheEntries sizes each host's result cache.
+const hostCacheEntries = 1024
 
-func newHost(id int, g *fannr.Graph, cfg config, factories map[string]core.EngineFactory, order []string) (*shard.Host, error) {
-	h := shard.NewHost(id, g, shard.HostOptions{
-		CacheEntries: cfg.hostCache,
-		RetryAfter:   cfg.retryAfter,
-	})
-	for _, name := range order {
-		if err := h.AddEngine(name, factories[name]); err != nil {
+// newHosts builds the hosts with the given shard ids, each serving every
+// catalogue engine the -engines indexes support, over indexes built once
+// and shared read-only by every in-process host.
+func newHosts(g *fannr.Graph, engines string, ids ...int) ([]*shard.Host, error) {
+	kinds, err := core.ParseIndexes(engines)
+	if err != nil {
+		return nil, fmt.Errorf("-engines: %w", err)
+	}
+	ix, err := server.BuildIndexes(g, kinds)
+	if err != nil {
+		return nil, err
+	}
+	hosts := make([]*shard.Host, len(ids))
+	for i, id := range ids {
+		hosts[i] = shard.NewHost(id, g, shard.HostOptions{CacheEntries: hostCacheEntries})
+		if err := hosts[i].AddCatalogue(ix); err != nil {
 			return nil, err
 		}
 	}
-	return h, nil
+	return hosts, nil
+}
+
+// coordinatorOptions is the flags → options step.
+func coordinatorOptions(cfg config) shard.CoordinatorOptions {
+	return shard.CoordinatorOptions{
+		BreakerThreshold: cfg.breakerThreshold,
+		BreakerCooldown:  cfg.breakerCooldown,
+		MaxFanout:        cfg.maxFanout,
+		CacheEntries:     cfg.cacheEntries,
+		Registry:         obs.NewRegistry(),
+	}
 }
 
 // buildPlan cuts the partition plan the coordinator routes by.
@@ -174,16 +151,12 @@ func run(cfg config) error {
 	var handler http.Handler
 	switch cfg.mode {
 	case "host":
-		factories, order, err := buildEngines(g, cfg.engines, cfg.workers)
+		hosts, err := newHosts(g, cfg.engines, cfg.shardID)
 		if err != nil {
 			return err
 		}
-		h, err := newHost(cfg.shardID, g, cfg, factories, order)
-		if err != nil {
-			return err
-		}
-		fmt.Printf("shard host %d: engines %s\n", cfg.shardID, strings.Join(order, ", "))
-		handler = h.Handler()
+		fmt.Printf("shard host %d\n", cfg.shardID)
+		handler = hosts[0].Handler()
 
 	case "all", "coord":
 		var transports []shard.Transport
@@ -208,26 +181,19 @@ func run(cfg config) error {
 			return err
 		}
 		if cfg.mode == "all" {
-			factories, order, err := buildEngines(g, cfg.engines, cfg.workers)
+			ids := make([]int, S)
+			for s := range ids {
+				ids[s] = s
+			}
+			hosts, err := newHosts(g, cfg.engines, ids...)
 			if err != nil {
 				return err
 			}
-			for s := 0; s < S; s++ {
-				h, err := newHost(s, g, cfg, factories, order)
-				if err != nil {
-					return err
-				}
+			for _, h := range hosts {
 				transports = append(transports, shard.InProc{Host: h})
 			}
 		}
-		coord, err := shard.NewCoordinator(plan, transports, shard.CoordinatorOptions{
-			BreakerThreshold: cfg.breakerThreshold,
-			BreakerCooldown:  cfg.breakerCooldown,
-			MaxFanout:        cfg.maxFanout,
-			RetryAfter:       cfg.retryAfter,
-			CacheEntries:     cfg.cacheEntries,
-			Registry:         obs.NewRegistry(),
-		})
+		coord, err := shard.NewCoordinator(plan, transports, coordinatorOptions(cfg))
 		if err != nil {
 			return err
 		}

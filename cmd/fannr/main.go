@@ -10,13 +10,15 @@ package main
 import (
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"strings"
 	"time"
 
 	"fannr"
+	"fannr/internal/core"
+	"fannr/internal/server"
 	"fannr/internal/wire"
+	"fannr/internal/workload"
 )
 
 func main() {
@@ -26,7 +28,7 @@ func main() {
 		grFile  = flag.String("gr", "", "DIMACS .gr file (overrides -dataset)")
 		coFile  = flag.String("co", "", "DIMACS .co coordinate file")
 		algo    = flag.String("algo", "ier", "algorithm: gd | rlist | ier | exactmax | apxsum")
-		engine  = flag.String("engine", "PHL", "g_phi engine: INE | A* | PHL | GTree | IER-A* | IER-PHL | IER-GTree")
+		engine  = flag.String("engine", "PHL", "g_phi engine: "+strings.Join(core.EngineNames(), " | "))
 		agg     = flag.String("agg", "max", "aggregate: max | sum")
 		phi     = flag.Float64("phi", 0.5, "flexibility in (0,1]")
 		density = flag.Float64("d", 0.001, "density of P (|P| = d|V|)")
@@ -48,7 +50,7 @@ func main() {
 
 func run(dataset string, scale float64, grFile, coFile, algo, engine, agg string,
 	phi, density, cover float64, m, c, kAns int, seed int64, lonlat, verify bool) error {
-	g, err := loadGraph(dataset, scale, grFile, coFile)
+	g, err := workload.LoadNetwork(dataset, scale, grFile, coFile)
 	if err != nil {
 		return err
 	}
@@ -80,34 +82,7 @@ func run(dataset string, scale float64, grFile, coFile, algo, engine, agg string
 	}
 
 	start := time.Now()
-	var answers []fannr.Answer
-	switch strings.ToLower(algo) {
-	case "gd":
-		answers, err = runMaybeK(kAns,
-			func() (fannr.Answer, error) { return fannr.GD(g, gp, q) },
-			func() ([]fannr.Answer, error) { return fannr.KGD(g, gp, q, kAns) })
-	case "rlist":
-		answers, err = runMaybeK(kAns,
-			func() (fannr.Answer, error) { return fannr.RList(g, gp, q) },
-			func() ([]fannr.Answer, error) { return fannr.KRList(g, gp, q, kAns) })
-	case "ier":
-		rtP := fannr.BuildPTree(g, q.P)
-		answers, err = runMaybeK(kAns,
-			func() (fannr.Answer, error) { return fannr.IERKNN(g, rtP, gp, q, fannr.IEROptions{}) },
-			func() ([]fannr.Answer, error) { return fannr.KIERKNN(g, rtP, gp, q, kAns, fannr.IEROptions{}) })
-	case "exactmax":
-		answers, err = runMaybeK(kAns,
-			func() (fannr.Answer, error) { return fannr.ExactMax(g, gp, q) },
-			func() ([]fannr.Answer, error) { return fannr.KExactMax(g, gp, q, kAns) })
-	case "apxsum":
-		if kAns > 1 {
-			return fmt.Errorf("APX-sum has no k-FANN_R adaptation (see the paper, §V)")
-		}
-		answers, err = runMaybeK(1,
-			func() (fannr.Answer, error) { return fannr.APXSum(g, gp, q) }, nil)
-	default:
-		return fmt.Errorf("unknown algorithm %q", algo)
-	}
+	answers, err := core.Dispatch(g, strings.ToLower(algo), gp, q, kAns)
 	elapsed := time.Since(start)
 	if err != nil {
 		return err
@@ -126,88 +101,20 @@ func run(dataset string, scale float64, grFile, coFile, algo, engine, agg string
 	return nil
 }
 
-func runMaybeK(kAns int, one func() (fannr.Answer, error), many func() ([]fannr.Answer, error)) ([]fannr.Answer, error) {
-	if kAns <= 1 || many == nil {
-		a, err := one()
-		if err != nil {
-			return nil, err
-		}
-		return []fannr.Answer{a}, nil
-	}
-	return many()
-}
-
-func loadGraph(dataset string, scale float64, grFile, coFile string) (*fannr.Graph, error) {
-	if grFile == "" {
-		return fannr.LoadDataset(dataset, scale)
-	}
-	gr, err := os.Open(grFile)
-	if err != nil {
-		return nil, err
-	}
-	defer gr.Close()
-	var co io.Reader
-	if coFile != "" {
-		f, err := os.Open(coFile)
-		if err != nil {
-			return nil, err
-		}
-		defer f.Close()
-		co = f
-	}
-	g, err := fannr.ReadDIMACS(gr, co)
-	if err != nil {
-		return nil, err
-	}
-	lcc, _, err := fannr.LargestComponent(g)
-	return lcc, err
-}
-
 // buildEngine constructs the requested g_φ engine, building only the
-// indexes it needs (PHL labels and G-trees take time on big networks).
+// index it searches (hub labels and G-trees take time on big networks).
 func buildEngine(g *fannr.Graph, name string) (fannr.GPhi, error) {
-	buildPHL := func() (*fannr.PHLIndex, error) {
-		fmt.Println("building hub labels...")
-		return fannr.BuildPHL(g, fannr.PHLOptions{})
+	x, err := core.EngineIndex(name)
+	if err != nil {
+		return nil, err
 	}
-	buildGTree := func() (*fannr.GTree, error) {
-		fmt.Println("building G-tree...")
-		return fannr.BuildGTree(g, fannr.GTreeOptions{})
+	ix, err := server.BuildIndexes(g, []core.Index{x})
+	if err != nil {
+		return nil, err
 	}
-	switch name {
-	case "INE":
-		return fannr.NewINE(g), nil
-	case "A*":
-		return fannr.NewOracleGPhi("A*", fannr.NewAStar(g)), nil
-	case "BiDijkstra":
-		return fannr.NewOracleGPhi("BiDijkstra", fannr.NewBiDijkstra(g)), nil
-	case "PHL":
-		ix, err := buildPHL()
-		if err != nil {
-			return nil, err
-		}
-		return fannr.NewOracleGPhi("PHL", ix), nil
-	case "GTree":
-		tr, err := buildGTree()
-		if err != nil {
-			return nil, err
-		}
-		return fannr.NewGTreeGPhi(tr), nil
-	case "IER-A*":
-		return fannr.NewIERGPhi("IER-A*", g, fannr.NewAStar(g))
-	case "IER-PHL":
-		ix, err := buildPHL()
-		if err != nil {
-			return nil, err
-		}
-		return fannr.NewIERGPhi("IER-PHL", g, ix)
-	case "IER-GTree":
-		tr, err := buildGTree()
-		if err != nil {
-			return nil, err
-		}
-		return fannr.NewIERGPhi("IER-GTree", g, tr.NewQuerier())
-	default:
-		return nil, fmt.Errorf("unknown engine %q", name)
+	f, err := core.Engine(name, g, ix)
+	if err != nil {
+		return nil, err
 	}
+	return f(), nil
 }

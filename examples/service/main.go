@@ -26,7 +26,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	srv, err := fannr.NewQueryServer(g, fannr.ServerOptions{PHL: labels})
+	srv, err := fannr.NewQueryServer(g, fannr.ServerOptions{Indexes: fannr.Indexes{PHL: labels}})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -33,7 +33,6 @@ package fannr
 import (
 	"io"
 
-	"fannr/internal/binio"
 	"fannr/internal/ch"
 	"fannr/internal/core"
 	"fannr/internal/exp"
@@ -68,23 +67,11 @@ func NewBuilder(n int) *Builder { return graph.NewBuilder(n) }
 // overlay, reduced to its largest connected component).
 func Generate(cfg GenConfig) (*Graph, error) { return graph.Generate(cfg) }
 
-// ReadDIMACS parses a 9th-DIMACS-challenge .gr stream and optional .co
-// coordinate stream.
-func ReadDIMACS(gr, co io.Reader) (*Graph, error) { return graph.ReadDIMACS(gr, co) }
-
 // WriteDIMACS writes a graph in DIMACS format.
 func WriteDIMACS(g *Graph, gr, co io.Writer) error { return graph.WriteDIMACS(g, gr, co) }
 
-// LargestComponent extracts the largest connected component.
-func LargestComponent(g *Graph) (*Graph, []NodeID, error) { return graph.LargestComponent(g) }
-
 // Projection maps coordinates into a new planar frame.
 type Projection = graph.Projection
-
-// Equirectangular returns a lon/lat projection at the given mid-latitude.
-func Equirectangular(midLatDegrees float64) Projection {
-	return graph.Equirectangular(midLatDegrees)
-}
 
 // EquirectangularFor derives the projection from a graph's coordinate
 // bounding box (handles the DIMACS microdegree convention).
@@ -93,20 +80,6 @@ func EquirectangularFor(g *Graph) Projection { return graph.EquirectangularFor(g
 // Reproject rebuilds g with every coordinate passed through proj,
 // recalibrating the Euclidean lower bounds for the new frame.
 func Reproject(g *Graph, proj Projection) (*Graph, error) { return graph.Reproject(g, proj) }
-
-// SplitEdge places a new vertex on edge (u,v) at fraction t of its
-// weight — the exact treatment for query or data objects that lie on an
-// edge (§II-A of the paper).
-func SplitEdge(g *Graph, u, v NodeID, t float64) (*Graph, NodeID, error) {
-	return graph.SplitEdge(g, u, v, t)
-}
-
-// ContractChains collapses degree-2 chains into single edges, preserving
-// distances among retained vertices — the standard simplification pass
-// for raw DIMACS networks. keep pins extra vertices (e.g., POI hosts).
-func ContractChains(g *Graph, keep func(NodeID) bool) (*Graph, []NodeID, error) {
-	return graph.ContractChains(g, keep)
-}
 
 // Queries and answers.
 type (
@@ -170,17 +143,9 @@ var (
 	KIERKNN   = core.KIERKNN
 	KExactMax = core.KExactMax
 	KBrute    = core.KBrute
-	// KAPXSum is fannr's beyond-paper top-k extension of APX-sum (the
-	// rank-1 answer keeps the 3-approximation bound; deeper ranks are
-	// heuristic).
-	KAPXSum = core.KAPXSum
 
 	// BuildPTree indexes P in an R-tree for IERKNN.
 	BuildPTree = core.BuildPTree
-
-	// ANN answers the classic aggregate nearest neighbor query (FANN_R at
-	// φ = 1).
-	ANN = core.ANN
 	// OMP answers the optimal meeting point query (FANN_R over an
 	// implicit P = V, φ = 1).
 	OMP = core.OMP
@@ -200,22 +165,6 @@ var (
 	NewIERGPhi = core.NewIERGPhi
 )
 
-// Concurrent query serving.
-type (
-	// EnginePool is a named, bounded free-list of g_φ engines: engines
-	// stay single-goroutine per checkout while the shared indexes serve
-	// any number of concurrent readers.
-	EnginePool = core.EnginePool
-	// EngineFactory builds a fresh engine over shared immutable indexes.
-	EngineFactory = core.EngineFactory
-)
-
-// NewEnginePool returns a pool producing engines from factory; capacity
-// bounds the idle free-list (0 = GOMAXPROCS).
-func NewEnginePool(name string, capacity int, factory EngineFactory) *EnginePool {
-	return core.NewEnginePool(name, capacity, factory)
-}
-
 // Distance oracles and indexes.
 type (
 	// PHLIndex is an exact 2-hop hub-label index (the paper's PHL role).
@@ -233,15 +182,8 @@ type (
 // BuildPHL constructs hub labels for g.
 func BuildPHL(g *Graph, opts PHLOptions) (*PHLIndex, error) { return phl.Build(g, opts) }
 
-// ReadPHL loads hub labels previously persisted with PHLIndex.Save.
-func ReadPHL(r io.Reader) (*PHLIndex, error) { return phl.Read(r) }
-
 // BuildGTree constructs a G-tree for g.
 func BuildGTree(g *Graph, opts GTreeOptions) (*GTree, error) { return gtree.Build(g, opts) }
-
-// ReadGTree loads a G-tree previously persisted with GTree.Save,
-// reattaching it to the graph it was built on.
-func ReadGTree(r io.Reader, g *Graph) (*GTree, error) { return gtree.Read(r, g) }
 
 // LoadOptions controls how a persisted index file is opened by LoadPHL
 // and LoadGTree.
@@ -269,28 +211,12 @@ func LoadGTree(path string, g *Graph, opts LoadOptions) (*GTree, error) {
 	return gtree.Load(path, g, gtree.LoadOptions(opts))
 }
 
-// FormatVersionError is returned (wrapped) when an index file's on-disk
-// format version differs from what this build reads — e.g. a v2 file
-// offered to the v4 loader. Rebuild or convert the file with
-// fannr-index.
-type FormatVersionError = binio.FormatVersionError
-
 // ReadCH loads a contraction hierarchy previously persisted with
 // CHIndex.Save.
 func ReadCH(r io.Reader) (*CHIndex, error) { return ch.Read(r) }
 
 // NewDijkstra returns a reusable single-source search engine.
 func NewDijkstra(g *Graph) *sp.Dijkstra { return sp.NewDijkstra(g) }
-
-// NewAStar returns a reusable A* point-to-point engine.
-func NewAStar(g *Graph) *sp.AStar { return sp.NewAStar(g) }
-
-// NewBiDijkstra returns a reusable bidirectional Dijkstra engine.
-func NewBiDijkstra(g *Graph) *sp.BiDijkstra { return sp.NewBiDijkstra(g) }
-
-// NewALT returns an A*-with-landmarks engine (triangle-inequality lower
-// bounds; works without coordinates).
-func NewALT(g *Graph, numLandmarks int) *sp.ALT { return sp.NewALT(g, numLandmarks) }
 
 // Contraction hierarchies (an extension beyond the paper's Table I).
 type (
@@ -306,8 +232,6 @@ func BuildCH(g *Graph, opts CHOptions) (*CHIndex, error) { return ch.Build(g, op
 
 // Workload generation (the paper's §VI-A factors).
 type (
-	// WorkloadParams are the experimental factors d, A, M, C, φ.
-	WorkloadParams = workload.Params
 	// WorkloadGenerator draws P and Q sets over one network.
 	WorkloadGenerator = workload.Generator
 	// POILayer is a Table IV point-of-interest layer.
@@ -318,13 +242,6 @@ type (
 func NewWorkloadGenerator(g *Graph, seed int64) *WorkloadGenerator {
 	return workload.NewGenerator(g, seed)
 }
-
-// DefaultWorkloadParams returns the paper's defaults (d=0.001, A=10%,
-// M=128, C=1, φ=0.5).
-func DefaultWorkloadParams() WorkloadParams { return workload.DefaultParams() }
-
-// POITableIV lists the paper's Table IV POI layers.
-func POITableIV() []POILayer { return workload.TableIV }
 
 // FindPOILayer returns the Table IV layer with the given name.
 func FindPOILayer(name string) (POILayer, error) { return workload.FindPOILayer(name) }
@@ -339,16 +256,16 @@ type (
 	// QueryServer serves FANN_R queries over HTTP (see internal/server
 	// for the endpoint contract).
 	QueryServer = server.Server
-	// ServerOptions selects which engines the server offers.
+	// ServerOptions configures a server: the indexes it serves engines
+	// over, admission limits, breakers, cache and logging.
 	ServerOptions = server.Options
+	// Indexes are the indexes a server serves over; every engine of the
+	// catalogue they support is served.
+	Indexes = core.Indexes
 	// FANNRequest is the /fann request body.
 	FANNRequest = server.FANNRequest
 	// FANNResponse is the /fann response body.
 	FANNResponse = server.FANNResponse
-	// ServerError is the stable JSON error shape every non-2xx response
-	// carries: a human-readable message plus a machine-readable code
-	// ("invalid", "not_found", "too_large", "timeout", "internal").
-	ServerError = server.ErrorResponse
 )
 
 // NewQueryServer builds an HTTP query server over g.

@@ -2,6 +2,7 @@ package fannr_test
 
 // End-to-end tests of the public API, exactly as a downstream user would
 // drive it — including concurrent querying over shared immutable indexes.
+// The few internal calls reach what the facade does not export.
 
 import (
 	"bytes"
@@ -11,6 +12,9 @@ import (
 	"testing"
 
 	"fannr"
+	"fannr/internal/core"
+	"fannr/internal/graph"
+	"fannr/internal/sp"
 )
 
 func buildNetwork(t testing.TB) *fannr.Graph {
@@ -66,7 +70,7 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 			return fannr.IERKNN(g, rtP, ierPHL, q, fannr.IEROptions{})
 		}},
 		{"ExactMax/BiDijkstra", func() (fannr.Answer, error) {
-			return fannr.ExactMax(g, fannr.NewOracleGPhi("Bi", fannr.NewBiDijkstra(g)), q)
+			return fannr.ExactMax(g, fannr.NewOracleGPhi("Bi", sp.NewBiDijkstra(g)), q)
 		}},
 	}
 	for _, m := range methods {
@@ -96,7 +100,7 @@ func TestPublicAPIApproximations(t *testing.T) {
 	if exact.Dist > 0 && apx.Dist/exact.Dist > bound {
 		t.Fatalf("ratio %v exceeds bound %v", apx.Dist/exact.Dist, bound)
 	}
-	topk, err := fannr.KAPXSum(g, fannr.NewINE(g), q, 3)
+	topk, err := core.KAPXSum(g, fannr.NewINE(g), q, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +163,7 @@ func TestDIMACSRoundTripThroughAPI(t *testing.T) {
 	if err := fannr.WriteDIMACS(g, &gr, &co); err != nil {
 		t.Fatal(err)
 	}
-	g2, err := fannr.ReadDIMACS(&gr, &co)
+	g2, err := graph.ReadDIMACS(&gr, &co)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +208,7 @@ func TestQueryPointOnEdge(t *testing.T) {
 	// Find any edge.
 	edges := gEdges(g)
 	e.U, e.V = edges[0].U, edges[0].V
-	split, mid, err := fannr.SplitEdge(g, e.U, e.V, 0.25)
+	split, mid, err := graph.SplitEdge(g, e.U, e.V, 0.25)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -47,10 +47,9 @@ type EngineFactory func() GPhi
 // pin an unbounded number of O(|V|) scratch allocations). The pool itself
 // is safe for concurrent use.
 //
-// A pool built with NewBoundedEnginePool additionally enforces a hard
-// in-flight cap with a bounded wait queue through Acquire/Release/
-// Discard; Get/Put bypass admission and remain for unbounded pools and
-// non-serving callers (experiments, tests).
+// Acquire/Release/Discard enforce the pool's in-flight cap with a
+// bounded wait queue; Get/Put bypass admission and remain for callers
+// outside the serving path (tests).
 type EnginePool struct {
 	name      string
 	factory   EngineFactory
@@ -64,17 +63,12 @@ type EnginePool struct {
 	gate *Gate
 }
 
-// NewEnginePool returns a pool producing engines from factory. capacity
-// bounds the free-list (how many idle engines are retained between
-// checkouts); capacity <= 0 defaults to GOMAXPROCS, matching the maximum
-// useful query parallelism on the host. No engine is built up front, and
-// admission is unbounded — use NewBoundedEnginePool to cap it.
-func NewEnginePool(name string, capacity int, factory EngineFactory) *EnginePool {
-	return NewBoundedEnginePool(name, capacity, PoolLimits{}, factory)
-}
-
-// NewBoundedEnginePool is NewEnginePool with admission control: at most
-// limits.MaxInFlight engines are checked out at once, at most
+// NewBoundedEnginePool returns a pool producing engines from factory.
+// capacity bounds the free-list (how many idle engines are retained
+// between checkouts); capacity <= 0 defaults to GOMAXPROCS, matching the
+// maximum useful query parallelism on the host. No engine is built up
+// front. Admission is limited: at most limits.MaxInFlight engines are
+// checked out at once (unbounded when it is 0), at most
 // limits.QueueDepth Acquire callers wait for a slot, and the rest shed
 // with ErrSaturated. Because the factory only runs under an admission
 // token, the pool can never hold more than MaxInFlight + capacity live

@@ -21,7 +21,7 @@ func TestEnginePoolReuseAndBound(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := NewEnginePool("INE", 2, func() GPhi { return NewINE(g) })
+	p := NewBoundedEnginePool("INE", 2, PoolLimits{}, func() GPhi { return NewINE(g) })
 	if p.Name() != "INE" || p.Capacity() != 2 {
 		t.Fatalf("name %q capacity %d", p.Name(), p.Capacity())
 	}
@@ -49,7 +49,7 @@ func TestEnginePoolReuseAndBound(t *testing.T) {
 }
 
 func TestEnginePoolDefaultCapacity(t *testing.T) {
-	p := NewEnginePool("x", 0, func() GPhi { return nil })
+	p := NewBoundedEnginePool("x", 0, PoolLimits{}, func() GPhi { return nil })
 	if p.Capacity() < 1 {
 		t.Fatalf("default capacity %d", p.Capacity())
 	}
@@ -112,11 +112,11 @@ func TestEnginePoolConcurrentHammer(t *testing.T) {
 		t.Fatal(err)
 	}
 	pools := []*EnginePool{
-		NewEnginePool("INE", 4, func() GPhi { return NewINE(g) }),
-		NewEnginePool("A*", 4, func() GPhi { return NewOracleGPhi("A*", sp.NewAStar(g)) }),
-		NewEnginePool("PHL", 4, func() GPhi { return NewOracleGPhi("PHL", labels) }),
-		NewEnginePool("GTree", 4, func() GPhi { return NewGTreeGPhi(tr) }),
-		NewEnginePool("IER-PHL", 4, func() GPhi {
+		NewBoundedEnginePool("INE", 4, PoolLimits{}, func() GPhi { return NewINE(g) }),
+		NewBoundedEnginePool("A*", 4, PoolLimits{}, func() GPhi { return NewOracleGPhi("A*", sp.NewAStar(g)) }),
+		NewBoundedEnginePool("PHL", 4, PoolLimits{}, func() GPhi { return NewOracleGPhi("PHL", labels) }),
+		NewBoundedEnginePool("GTree", 4, PoolLimits{}, func() GPhi { return NewGTreeGPhi(tr) }),
+		NewBoundedEnginePool("IER-PHL", 4, PoolLimits{}, func() GPhi {
 			e, err := NewIERGPhi("IER-PHL", g, labels)
 			if err != nil {
 				panic(err)
@@ -406,14 +406,14 @@ func TestAcquireFactoryPanicReleasesSlot(t *testing.T) {
 	p.Release(gp)
 }
 
-// TestUnboundedAcquireDelegates pins that a plain NewEnginePool still
+// TestUnboundedAcquireDelegates pins that an unbounded pool still
 // admits everything (legacy shape) while tracking the in-flight gauge.
 func TestUnboundedAcquireDelegates(t *testing.T) {
 	g, err := graph.Generate(graph.GenConfig{Nodes: 60, Seed: 2, Name: "unb"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := NewEnginePool("INE", 2, func() GPhi { return NewINE(g) })
+	p := NewBoundedEnginePool("INE", 2, PoolLimits{}, func() GPhi { return NewINE(g) })
 	if lim := p.Limits(); lim.MaxInFlight != 0 {
 		t.Fatalf("unbounded pool reports cap %d", lim.MaxInFlight)
 	}

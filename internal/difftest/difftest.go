@@ -36,7 +36,6 @@ import (
 	"fannr/internal/gtree"
 	"fannr/internal/phl"
 	"fannr/internal/qcache"
-	"fannr/internal/sp"
 )
 
 // Env is one road network with the full engine suite built over it.
@@ -48,12 +47,16 @@ type Env struct {
 	// harness reuses it to cut partition plans without rebuilding.
 	Tree *gtree.Tree
 
-	// names and factories let the sharded harness stamp out fresh engine
-	// instances per shard host over the indexes already built here
-	// (indexes are shared read-only; queriers are per-instance).
-	names     []string
-	factories map[string]core.EngineFactory
+	// factories let the sharded harness stamp out fresh engine instances
+	// per shard host over the indexes already built here (indexes are
+	// shared read-only; queriers are per-instance), in suite order.
+	factories []core.EngineFactory
 }
+
+// suite names the engines every case runs through, in the order Engines
+// holds them: the case seed picks the top-k and sharded engine by
+// position, so the order fixes which engine a corpus seed exercises.
+var suite = []string{"INE", "A*", "PHL", "GTree-SPSP", "CH", "GTree", "IER-A*", "IER-PHL", "IER-CH"}
 
 // NewEnv generates a connected random road network of roughly the given
 // node count and builds every engine of the paper's Table I (plus the CH
@@ -75,60 +78,21 @@ func NewEnv(nodes int, seed int64) (*Env, error) {
 }
 
 // assembleEnv builds the engine suite shared by NewEnv and NewEnvLoaded
-// from a graph and its (built or loaded) indexes.
+// from a graph and its (built or loaded) indexes, through the catalogue.
 func assembleEnv(g *graph.Graph, labels *phl.Index, tr *gtree.Tree) (*Env, error) {
 	chIx, err := ch.Build(g, ch.Options{})
 	if err != nil {
 		return nil, err
 	}
+	ix := core.Indexes{PHL: labels, GTree: tr, CH: func() core.Oracle { return chIx.NewQuerier() }}
 	env := &Env{G: g, Tree: tr}
-	env.Engines = append(env.Engines,
-		core.NewINE(g),
-		core.NewOracleGPhi("A*", sp.NewAStar(g)),
-		core.NewOracleGPhi("PHL", labels),
-		core.NewOracleGPhi("GTree-SPSP", tr.NewQuerier()),
-		core.NewOracleGPhi("CH", chIx.NewQuerier()),
-		core.NewGTreeGPhi(tr),
-	)
-	ierFactory := func(name string, oracle func() core.Oracle) core.EngineFactory {
-		return func() core.GPhi {
-			e, err := core.NewIERGPhi(name, g, oracle())
-			if err != nil {
-				// assembleEnv already built this engine once over the same
-				// graph, so a factory failure is unreachable; shard hosts
-				// contain engine panics either way.
-				panic(err)
-			}
-			return e
-		}
-	}
-	env.factories = map[string]core.EngineFactory{
-		"INE":        func() core.GPhi { return core.NewINE(g) },
-		"A*":         func() core.GPhi { return core.NewOracleGPhi("A*", sp.NewAStar(g)) },
-		"PHL":        func() core.GPhi { return core.NewOracleGPhi("PHL", labels) },
-		"GTree-SPSP": func() core.GPhi { return core.NewOracleGPhi("GTree-SPSP", tr.NewQuerier()) },
-		"CH":         func() core.GPhi { return core.NewOracleGPhi("CH", chIx.NewQuerier()) },
-		"GTree":      func() core.GPhi { return core.NewGTreeGPhi(tr) },
-		"IER-A*":     ierFactory("IER-A*", func() core.Oracle { return sp.NewAStar(g) }),
-		"IER-PHL":    ierFactory("IER-PHL", func() core.Oracle { return labels }),
-		"IER-CH":     ierFactory("IER-CH", func() core.Oracle { return chIx.NewQuerier() }),
-	}
-	for _, spec := range []struct {
-		name string
-		o    core.Oracle
-	}{
-		{"IER-A*", sp.NewAStar(g)},
-		{"IER-PHL", labels},
-		{"IER-CH", chIx.NewQuerier()},
-	} {
-		e, err := core.NewIERGPhi(spec.name, g, spec.o)
+	for _, name := range suite {
+		f, err := core.Engine(name, g, ix)
 		if err != nil {
 			return nil, err
 		}
-		env.Engines = append(env.Engines, e)
-	}
-	for _, e := range env.Engines {
-		env.names = append(env.names, e.Name())
+		env.Engines = append(env.Engines, f())
+		env.factories = append(env.factories, f)
 	}
 	return env, nil
 }

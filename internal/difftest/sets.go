@@ -140,7 +140,7 @@ func (se *ShardedEnv) RunCaseShardedRegistered(c Case) error {
 		return fmt.Errorf("%v: KBrute: %w", c, kbErr)
 	}
 	pick := func(n int) int { return int(((c.Seed % int64(n)) + int64(n)) % int64(n)) }
-	engine := se.env.names[pick(len(se.env.names))]
+	engine := suite[pick(len(suite))]
 	algos := caseAlgos(se.env.G, q.Agg)
 	algo := algos[pick(len(algos))]
 	sameList := slices.Equal(c.P, c.Q) // one key for both lists: the counts below do not apply

@@ -46,9 +46,9 @@ func NewShardedEnv(env *Env, counts ...int) (*ShardedEnv, error) {
 		}
 		transports := make([]shard.Transport, S)
 		for s := 0; s < S; s++ {
-			h := shard.NewHost(s, env.G, shard.HostOptions{PoolCapacity: 1})
-			for _, name := range env.names {
-				if err := h.AddEngine(name, env.factories[name]); err != nil {
+			h := shard.NewHost(s, env.G, shard.HostOptions{})
+			for i, name := range suite {
+				if err := h.AddEngine(name, env.factories[i]); err != nil {
 					return nil, err
 				}
 			}
@@ -80,11 +80,11 @@ func (se *ShardedEnv) RunCaseSharded(c Case) error {
 	if kbErr != nil && !noResult {
 		return fmt.Errorf("%v: KBrute: %w", c, kbErr)
 	}
-	idx := int(c.Seed) % len(se.env.names)
+	idx := int(c.Seed) % len(suite)
 	if idx < 0 {
-		idx += len(se.env.names)
+		idx += len(suite)
 	}
-	engine := se.env.names[idx]
+	engine := suite[idx]
 
 	algos := []string{"gd", "rlist"}
 	if se.env.G.HasCoords() {
@@ -170,8 +170,9 @@ func (se *ShardedEnv) RunCaseShardedChaos(c Case, S int) error {
 		return fmt.Errorf("difftest: chaos needs S ≥ 2")
 	}
 	coord, err := shard.NewCoordinator(plan, se.trs[S], shard.CoordinatorOptions{
-		MaxFanout: 1,
-		Retry:     &resil.RetryPolicy{Attempts: 1},
+		MaxFanout:        1,
+		Retry:            &resil.RetryPolicy{Attempts: 1},
+		BreakerThreshold: 1,
 	})
 	if err != nil {
 		return err

@@ -90,9 +90,9 @@ type Env struct {
 	Gen   *workload.Generator
 
 	engines map[string]core.GPhi
-	// Lazily-built extension indexes (beyond the paper's Table I).
-	chIndex *ch.Index
-	altIdx  *sp.ALT
+	// ix is what the catalogue builds engines over: PHL and GTree, and the
+	// extension indexes (CH, ALT) once an engine first needs them.
+	ix core.Indexes
 }
 
 // EngineNames lists the g_φ engines of the paper's Table I, in its order.
@@ -132,6 +132,7 @@ func NewEnvOn(cfg Config, g *graph.Graph) (*Env, error) {
 		GTree:   tr,
 		Gen:     workload.NewGenerator(g, cfg.Seed),
 		engines: make(map[string]core.GPhi, len(EngineNames)),
+		ix:      core.Indexes{PHL: ix, GTree: tr},
 	}
 	return e, nil
 }
@@ -154,67 +155,24 @@ func (e *Env) Engine(name string) (core.GPhi, error) {
 // private instances per series because an over-budget run is abandoned
 // mid-flight, poisoning its engine's scratch state.
 func (e *Env) buildEngine(name string) (core.GPhi, error) {
-	var gp core.GPhi
-	var err error
-	switch name {
-	case "INE":
-		gp = core.NewINE(e.G)
-	case "A*":
-		gp = core.NewOracleGPhi("A*", sp.NewAStar(e.G))
-	case "PHL":
-		gp = core.NewOracleGPhi("PHL", e.PHL)
-	case "GTree":
-		gp = core.NewGTreeGPhi(e.GTree)
-	case "IER-A*":
-		gp, err = core.NewIERGPhi("IER-A*", e.G, sp.NewAStar(e.G))
-	case "IER-PHL":
-		gp, err = core.NewIERGPhi("IER-PHL", e.G, e.PHL)
-	case "IER-GTree":
-		gp, err = core.NewIERGPhi("IER-GTree", e.G, e.GTree.NewQuerier())
-	case "CH":
-		if err = e.ensureCH(); err == nil {
-			gp = core.NewOracleGPhi("CH", e.chIndex.NewQuerier())
-		}
-	case "IER-CH":
-		if err = e.ensureCH(); err == nil {
-			gp, err = core.NewIERGPhi("IER-CH", e.G, e.chIndex.NewQuerier())
-		}
-	case "ALT":
-		e.ensureALT()
-		gp = core.NewOracleGPhi("ALT", e.altIdx.Clone())
-	case "IER-ALT":
-		e.ensureALT()
-		gp, err = core.NewIERGPhi("IER-ALT", e.G, e.altIdx.Clone())
-	default:
-		return nil, fmt.Errorf("exp: unknown engine %q", name)
+	x, err := core.EngineIndex(name)
+	if err != nil {
+		return nil, fmt.Errorf("exp: %w", err)
 	}
+	switch {
+	case x == core.CHIndex && e.ix.CH == nil:
+		c, err := ch.Build(e.G, ch.Options{})
+		if err != nil {
+			return nil, err
+		}
+		e.ix.CH = func() core.Oracle { return c.NewQuerier() }
+	case x == core.ALTIndex && e.ix.ALT == nil:
+		alt := sp.NewALT(e.G, 8)
+		e.ix.ALT = func() core.Oracle { return alt.Clone() }
+	}
+	f, err := core.Engine(name, e.G, e.ix)
 	if err != nil {
 		return nil, err
 	}
-	return gp, nil
-}
-
-// newDijkstraOracle returns a fresh pooled-Dijkstra point-to-point oracle
-// (the index-free substrate; its DistBatch answers one truncated search).
-func (e *Env) newDijkstraOracle() core.Oracle { return sp.NewDijkstra(e.G) }
-
-// ensureCH lazily builds the contraction hierarchy (extension engines
-// only — it is not part of the paper's Table I set).
-func (e *Env) ensureCH() error {
-	if e.chIndex != nil {
-		return nil
-	}
-	ix, err := ch.Build(e.G, ch.Options{})
-	if err != nil {
-		return err
-	}
-	e.chIndex = ix
-	return nil
-}
-
-// ensureALT lazily builds the shared landmark tables.
-func (e *Env) ensureALT() {
-	if e.altIdx == nil {
-		e.altIdx = sp.NewALT(e.G, 8)
-	}
+	return f(), nil
 }

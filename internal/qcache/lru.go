@@ -1,9 +1,6 @@
 package qcache
 
-import (
-	"sync"
-	"time"
-)
+import "sync"
 
 // numShards spreads lock contention; must stay a power of two for
 // shardOf's mask.
@@ -15,7 +12,6 @@ type entry struct {
 	key        cacheKey
 	prev, next *entry
 	size       int64
-	expires    int64 // unix nanos; 0 = never
 	val        any
 }
 
@@ -67,8 +63,7 @@ func (s *shard) removeLocked(e *entry) {
 	delete(s.entries, e.key)
 }
 
-// get returns the live value under k, refreshing recency. Expired
-// entries are removed and miss.
+// get returns the value under k, refreshing recency.
 func (c *Cache) get(k cacheKey) (any, bool) {
 	s := &c.shards[shardOf(k)]
 	s.mu.Lock()
@@ -77,43 +72,29 @@ func (c *Cache) get(k cacheKey) (any, bool) {
 	if e == nil {
 		return nil, false
 	}
-	if e.expires != 0 && c.now().UnixNano() > e.expires {
-		s.removeLocked(e)
-		c.entries.Add(-1)
-		c.bytes.Add(-e.size)
-		return nil, false
-	}
 	s.moveToFront(e)
 	return e.val, true
 }
 
 // put inserts or replaces the value under k. keep, when non-nil, is
-// consulted under the shard lock with the existing live value: returning
-// true aborts the write (the resident value is better — e.g. a longer
+// consulted under the shard lock with the existing value: returning true
+// aborts the write (the resident value is better — e.g. a longer
 // neighbor list racing with a shorter one).
 func (c *Cache) put(k cacheKey, val any, size int64, keep func(old any) bool) {
 	s := &c.shards[shardOf(k)]
-	// Without a TTL nothing expires (expires stays 0 on every entry), so
-	// the clock is not read — as in get.
-	var now, expires int64
-	if c.ttl > 0 {
-		now = c.now().UnixNano()
-		expires = now + int64(c.ttl)
-	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if e := s.entries[k]; e != nil {
-		expired := e.expires != 0 && now > e.expires
-		if !expired && keep != nil && keep(e.val) {
+		if keep != nil && keep(e.val) {
 			s.moveToFront(e)
 			return
 		}
 		c.bytes.Add(size - e.size)
-		e.val, e.size, e.expires = val, size, expires
+		e.val, e.size = val, size
 		s.moveToFront(e)
 		return
 	}
-	e := &entry{key: k, val: val, size: size, expires: expires}
+	e := &entry{key: k, val: val, size: size}
 	s.entries[k] = e
 	s.pushFront(e)
 	c.entries.Add(1)
@@ -153,6 +134,3 @@ func (c *Cache) Purge() {
 		c.bound[i].Store(0)
 	}
 }
-
-// timeNow is the default clock.
-func timeNow() time.Time { return time.Now() }

@@ -2,7 +2,6 @@ package qcache
 
 import (
 	"sync/atomic"
-	"time"
 
 	"fannr/internal/core"
 	"fannr/internal/graph"
@@ -15,13 +14,6 @@ type Config struct {
 	// (results and neighbor lists share the LRU). <= 0 disables the
 	// cache: New returns nil, and a nil *Cache is safe everywhere.
 	MaxEntries int
-	// TTL expires entries this long after their last write; 0 means
-	// entries live until evicted. The indexes behind a cache are
-	// immutable in-process, so TTL exists for operators who update the
-	// world out-of-band and accept bounded staleness.
-	TTL time.Duration
-	// Now injects a clock for TTL tests; nil means time.Now.
-	Now func() time.Time
 }
 
 // Cache is the two-layer semantic query cache. The result layer stores
@@ -32,8 +24,6 @@ type Config struct {
 // are safe for concurrent use and safe on a nil receiver (disabled).
 type Cache struct {
 	perShard int
-	ttl      time.Duration
-	now      func() time.Time
 	shards   [numShards]shard
 
 	// bound is the list layer's doorkeeper: digests of the (engine, Q)
@@ -59,11 +49,7 @@ func New(cfg Config) *Cache {
 	if per < 1 {
 		per = 1
 	}
-	now := cfg.Now
-	if now == nil {
-		now = timeNow
-	}
-	c := &Cache{perShard: per, ttl: cfg.TTL, now: now, bound: make([]atomic.Uint64, boundSlots(cfg.MaxEntries))}
+	c := &Cache{perShard: per, bound: make([]atomic.Uint64, boundSlots(cfg.MaxEntries))}
 	for i := range c.shards {
 		c.shards[i].entries = make(map[cacheKey]*entry)
 	}

@@ -2,7 +2,6 @@ package qcache
 
 import (
 	"testing"
-	"time"
 
 	"fannr/internal/core"
 	"fannr/internal/graph"
@@ -159,55 +158,5 @@ func TestLRUEvictionAndGauges(t *testing.T) {
 	m = c.Metrics()
 	if m.Entries != 0 || m.Bytes != 0 {
 		t.Fatalf("purge left %+v", m)
-	}
-}
-
-func TestTTLExpiry(t *testing.T) {
-	now := time.Unix(1000, 0)
-	clock := func() time.Time { return now }
-	c := New(Config{MaxEntries: 8, TTL: time.Minute, Now: clock})
-	q := FingerprintNodes([]graph.NodeID{1})
-	c.PutList("E", q, 1, []sp.Neighbor{{Node: 1, Dist: 1}}, true)
-	if _, ok := c.GetList("E", q, 1, 1); !ok {
-		t.Fatalf("fresh entry missed")
-	}
-	now = now.Add(2 * time.Minute)
-	if _, ok := c.GetList("E", q, 1, 1); ok {
-		t.Fatalf("expired entry hit")
-	}
-	if m := c.Metrics(); m.Entries != 0 {
-		t.Fatalf("expired entry still accounted: %+v", m)
-	}
-	// An expired resident never wins the keep-better comparison.
-	c.PutList("E", q, 2, []sp.Neighbor{{Node: 1, Dist: 1}, {Node: 2, Dist: 2}}, true)
-	now = now.Add(2 * time.Minute)
-	c.PutList("E", q, 2, []sp.Neighbor{{Node: 1, Dist: 1}}, false)
-	got, ok := c.GetList("E", q, 2, 1)
-	if !ok || len(got) != 1 {
-		t.Fatalf("refill after expiry: %v ok=%v", got, ok)
-	}
-	if _, ok := c.GetList("E", q, 2, 2); ok {
-		t.Fatalf("expired complete list resurrected")
-	}
-}
-
-// TestNoTTLNeverReadsClock: with TTL 0 (the server's default) no entry
-// expires, so neither a store, a replacing store nor a lookup reads the
-// clock.
-func TestNoTTLNeverReadsClock(t *testing.T) {
-	c := New(Config{MaxEntries: 8, Now: func() time.Time {
-		t.Error("clock read without a TTL")
-		return time.Time{}
-	}})
-	q := FingerprintNodes([]graph.NodeID{1})
-	c.PutList("E", q, 1, []sp.Neighbor{{Node: 1, Dist: 1}}, false)
-	c.PutList("E", q, 1, []sp.Neighbor{{Node: 1, Dist: 1}, {Node: 2, Dist: 2}}, true)
-	if got, ok := c.GetList("E", q, 1, 2); !ok || len(got) != 2 {
-		t.Fatalf("GetList = %v ok=%v", got, ok)
-	}
-	key := rkey("E", 0.5, 1, q, q)
-	c.PutResult(key, []core.Answer{{P: 1, Dist: 1}})
-	if _, ok := c.GetResult(key); !ok {
-		t.Fatal("stored result missed")
 	}
 }

@@ -15,13 +15,13 @@ import (
 )
 
 // TestRaceHammerCache drives the sharded LRU from many goroutines with a
-// working set larger than the cache, so gets, puts, evictions, TTL
-// expiry, purges and doorkeeper bindings all interleave. Run under -race (the race Makefile
+// working set larger than the cache, so gets, puts, evictions, purges
+// and doorkeeper bindings all interleave. Run under -race (the race Makefile
 // tier includes this package); the assertions only sanity-check the
 // gauges because correctness under contention IS the absence of races
 // plus gauge consistency.
 func TestRaceHammerCache(t *testing.T) {
-	c := New(Config{MaxEntries: 128, TTL: 2 * time.Millisecond})
+	c := New(Config{MaxEntries: 128})
 	qfps := []Fingerprint{
 		FingerprintNodes([]graph.NodeID{1, 2}),
 		FingerprintNodes([]graph.NodeID{3, 4, 5}),

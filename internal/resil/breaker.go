@@ -70,12 +70,17 @@ func (b *Breaker) OnTransition(fn func(from, to State)) {
 	}
 }
 
+// DefaultCooldown is how long an open breaker rejects when its owner
+// names no cooldown: every tier's breakers, and both serving binaries'
+// -breaker-cooldown default.
+const DefaultCooldown = 5 * time.Second
+
 // NewBreaker returns a breaker tripping after threshold consecutive
 // failures and probing again after cooldown. threshold <= 0 disables it;
-// cooldown <= 0 defaults to one second.
+// cooldown <= 0 means DefaultCooldown.
 func NewBreaker(threshold int, cooldown time.Duration) *Breaker {
 	if cooldown <= 0 {
-		cooldown = time.Second
+		cooldown = DefaultCooldown
 	}
 	return &Breaker{threshold: threshold, cooldown: cooldown, now: time.Now}
 }

@@ -131,6 +131,24 @@ func TestBreakerAdmitProbe(t *testing.T) {
 	}
 }
 
+// TestBreakerZeroCooldownIsDefault pins what a cooldown of 0 means on
+// every tier — the server's engine breakers and the coordinator's shard
+// breakers alike, and so both binaries' -breaker-cooldown 0.
+func TestBreakerZeroCooldownIsDefault(t *testing.T) {
+	clk := &fakeClock{t: time.Unix(0, 0)}
+	b := NewBreaker(1, 0)
+	b.now = clk.now
+	b.Failure()
+	clk.advance(DefaultCooldown - time.Millisecond)
+	if ok, _ := b.Admit(); ok {
+		t.Fatal("admitted before DefaultCooldown elapsed")
+	}
+	clk.advance(time.Millisecond)
+	if ok, probe := b.Admit(); !ok || !probe {
+		t.Fatalf("after DefaultCooldown: Admit = (%v, %v), want (true, true)", ok, probe)
+	}
+}
+
 // TestBreakerDisabled pins that threshold <= 0 (including the zero
 // value) never counts, never opens, never blocks.
 func TestBreakerDisabled(t *testing.T) {

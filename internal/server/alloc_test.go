@@ -8,6 +8,7 @@ import (
 	"runtime/debug"
 	"testing"
 
+	"fannr/internal/core"
 	"fannr/internal/graph"
 	"fannr/internal/phl"
 )
@@ -34,7 +35,7 @@ func TestFANNHandlerAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := New(g, Options{PHL: labels, CacheEntries: 4096, Coalesce: true})
+	srv, err := New(g, Options{Indexes: core.Indexes{PHL: labels}, CacheEntries: 4096, Coalesce: true})
 	if err != nil {
 		t.Fatal(err)
 	}

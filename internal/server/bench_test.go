@@ -8,6 +8,7 @@ import (
 	"sync"
 	"testing"
 
+	"fannr/internal/core"
 	"fannr/internal/graph"
 	"fannr/internal/phl"
 )
@@ -26,7 +27,7 @@ func benchHandler(b *testing.B, serialize bool) http.Handler {
 	if err != nil {
 		b.Fatal(err)
 	}
-	srv, err := New(g, Options{PHL: labels})
+	srv, err := New(g, Options{Indexes: core.Indexes{PHL: labels}})
 	if err != nil {
 		b.Fatal(err)
 	}

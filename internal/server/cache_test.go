@@ -249,7 +249,7 @@ func TestIERPHLAnswersMatchPHL(t *testing.T) {
 		t.Fatal(err)
 	}
 	serve := func() string {
-		srv, err := New(g, Options{PHL: labels, CacheEntries: 8192})
+		srv, err := New(g, Options{Indexes: core.Indexes{PHL: labels}, CacheEntries: 8192})
 		if err != nil {
 			t.Fatal(err)
 		}

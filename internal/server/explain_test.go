@@ -16,8 +16,8 @@ import (
 	"fannr/internal/phl"
 )
 
-// explainServer builds a server exposing all nine serving engines: INE,
-// A*, IER-A*, PHL, IER-PHL, CH, IER-CH, GTree and IER-GTree.
+// explainServer builds a server over hub labels, a CH and a G-tree,
+// serving every catalogue engine but the ALT pair.
 func explainServer(t *testing.T, opts Options) (*httptest.Server, *graph.Graph) {
 	t.Helper()
 	g, err := graph.Generate(graph.GenConfig{Nodes: 600, Seed: 17, Name: "exp"})
@@ -32,26 +32,13 @@ func explainServer(t *testing.T, opts Options) (*httptest.Server, *graph.Graph) 
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts.PHL = labels
-	opts.NewCH = func() core.Oracle { return chIdx.NewQuerier() }
-	srv, err := New(g, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
 	tr, err := gtree.Build(g, gtree.Options{MaxLeafSize: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := srv.AddEngine("GTree", func() core.GPhi { return core.NewGTreeGPhi(tr) }); err != nil {
-		t.Fatal(err)
-	}
-	if err := srv.AddEngine("IER-GTree", func() core.GPhi {
-		gp, err := core.NewIERGPhi("IER-GTree", g, tr.NewQuerier())
-		if err != nil {
-			panic(err)
-		}
-		return gp
-	}); err != nil {
+	opts.Indexes = core.Indexes{PHL: labels, GTree: tr, CH: func() core.Oracle { return chIdx.NewQuerier() }}
+	srv, err := New(g, opts)
+	if err != nil {
 		t.Fatal(err)
 	}
 	ts := httptest.NewServer(srv.Handler())
@@ -81,7 +68,7 @@ func collectSpans(spans []*obs.ReportSpan) []*obs.ReportSpan {
 }
 
 // TestExplainSpanCountsMatchCounters is the acceptance criterion: for
-// every one of the nine serving engines, ?explain=1 returns a span tree
+// every engine explainServer serves, ?explain=1 returns a span tree
 // whose per-span op-count deltas sum to exactly the movement of that
 // engine's fannr_* counters caused by the request.
 func TestExplainSpanCountsMatchCounters(t *testing.T) {
@@ -95,6 +82,7 @@ func TestExplainSpanCountsMatchCounters(t *testing.T) {
 		{"CH", "gd", "algo:gd"},
 		{"IER-CH", "ier", "algo:ierknn"},
 		{"GTree", "gd", "algo:gd"},
+		{"GTree-SPSP", "gd", "algo:gd"},
 		{"IER-GTree", "ier", "algo:ierknn"},
 	}
 	req := FANNRequest{
@@ -273,7 +261,7 @@ func TestSlowLogCaptureAndExemplarLinkage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := New(g, Options{SlowLogEntries: 8})
+	srv, err := New(g, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -398,7 +398,7 @@ func (s *Server) judge(c *fannCall, err error) error {
 // as the request's outcome.
 func (s *Server) fail(c *fannCall, err error) {
 	_, c.outcome = wire.Classify(err)
-	wire.WriteError(c.w, err, s.retryAfter)
+	wire.WriteError(c.w, err)
 }
 
 // reply writes the 200: the answers as served, and the trace when the

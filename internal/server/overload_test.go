@@ -61,7 +61,6 @@ func TestOverloadHammer(t *testing.T) {
 		MaxInFlight:  maxInFlight,
 		QueueDepth:   queueDepth,
 		QueryTimeout: 30 * time.Second,
-		RetryAfter:   2 * time.Second,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -123,8 +122,8 @@ func TestOverloadHammer(t *testing.T) {
 					if err := json.NewDecoder(resp.Body).Decode(&e); err != nil || e.Code != "overloaded" {
 						t.Errorf("503 body %+v (decode err %v), want code overloaded", e, err)
 					}
-					if ra := resp.Header.Get("Retry-After"); ra != "2" {
-						t.Errorf("Retry-After %q, want \"2\"", ra)
+					if ra := resp.Header.Get("Retry-After"); ra != "1" {
+						t.Errorf("Retry-After %q, want \"1\"", ra)
 					}
 					sheds.Add(1)
 				default:
@@ -551,7 +550,7 @@ func TestDistAdmissionSheds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := New(g, Options{MaxInFlight: 1, QueueDepth: 0, RetryAfter: 3 * time.Second})
+	srv, err := New(g, Options{MaxInFlight: 1, QueueDepth: 0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -570,8 +569,8 @@ func TestDistAdmissionSheds(t *testing.T) {
 	if err := json.NewDecoder(resp.Body).Decode(&e); err != nil || e.Code != "overloaded" {
 		t.Fatalf("503 body %+v (err %v), want code overloaded", e, err)
 	}
-	if ra := resp.Header.Get("Retry-After"); ra != "3" {
-		t.Fatalf("Retry-After %q, want \"3\"", ra)
+	if ra := resp.Header.Get("Retry-After"); ra != "1" {
+		t.Fatalf("Retry-After %q, want \"1\"", ra)
 	}
 	resp.Body.Close()
 

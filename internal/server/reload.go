@@ -28,7 +28,7 @@ type ReloadableIndex interface {
 }
 
 // IndexSource describes one reloadable index: how to load a generation
-// from disk and which engines it powers. The Load function is called at
+// from disk and which index it is. The Load function is called at
 // registration (the initial generation) and again on every reload; it
 // must return a freshly loaded index each time, never a shared one.
 type IndexSource struct {
@@ -41,10 +41,11 @@ type IndexSource struct {
 	// Load loads one generation. Failures are retried per the server's
 	// reload policy; a failure never evicts the serving generation.
 	Load func() (ReloadableIndex, error)
-	// Engines maps engine names to factories over the loaded index. Each
-	// generation gets fresh engine pools minted from these factories, so
-	// no pooled engine ever outlives its index's mapping.
-	Engines map[string]func(ReloadableIndex) core.GPhi
+	// Indexes says which index a loaded generation is. The source serves
+	// every catalogue engine that searches it (core.Catalogue); each
+	// generation gets fresh engine pools, so no pooled engine ever
+	// outlives its index's mapping.
+	Indexes func(ReloadableIndex) core.Indexes
 }
 
 // snapshotSet is one loaded generation: the index plus the engine pools
@@ -187,28 +188,14 @@ func (s *Server) AddReloadable(src IndexSource) error {
 	if s.frozen {
 		return fmt.Errorf("server: AddReloadable(%q) after Handler — registration is frozen once serving starts", src.Name)
 	}
-	if src.Name == "" || src.Load == nil || len(src.Engines) == 0 {
-		return errors.New("server: AddReloadable needs a name, a loader, and at least one engine")
+	if src.Name == "" || src.Load == nil || src.Indexes == nil {
+		return errors.New("server: AddReloadable needs a name, a loader and the index it loads")
 	}
 	if _, dup := s.reload[src.Name]; dup {
 		return fmt.Errorf("server: index %q already registered", src.Name)
 	}
-	for name := range src.Engines {
-		if _, dup := s.pools[name]; dup {
-			return fmt.Errorf("server: engine %q already registered", name)
-		}
-		if _, dup := s.engineIndex[name]; dup {
-			return fmt.Errorf("server: engine %q already registered", name)
-		}
-	}
 
 	r := &reloadable{src: src, retired: map[string]*retiredCounters{}}
-	for name := range src.Engines {
-		r.engines = append(r.engines, name)
-		r.retired[name] = &retiredCounters{}
-	}
-	sort.Strings(r.engines)
-
 	load := func() (lifecycle.Resource, error) {
 		ix, err := src.Load()
 		if err != nil {
@@ -216,7 +203,7 @@ func (s *Server) AddReloadable(src IndexSource) error {
 		}
 		ss := &snapshotSet{
 			ix:    ix,
-			pools: make(map[string]*core.EnginePool, len(src.Engines)),
+			pools: map[string]*core.EnginePool{},
 			// The mapping joins the fault registry for exactly its serving
 			// lifetime: registered before any engine can touch it,
 			// unregistered in Close after the last pin drops.
@@ -232,11 +219,10 @@ func (s *Server) AddReloadable(src IndexSource) error {
 				}
 			},
 		}
-		for name, factory := range src.Engines {
-			f := factory
-			ss.pools[name] = core.NewBoundedEnginePool(name, s.poolCapacity(), s.limits, func() core.GPhi {
-				return f(ix)
-			})
+		for _, e := range core.Catalogue(s.g, src.Indexes(ix)) {
+			if e.Index != core.NoIndex {
+				ss.pools[e.Name] = s.newPool(e.Name, e.New)
+			}
 		}
 		r.refreshProvenance()
 		return ss, nil
@@ -246,46 +232,35 @@ func (s *Server) AddReloadable(src IndexSource) error {
 	if err != nil {
 		return err
 	}
-	// Verify each factory builds once at startup, like addIER: a factory
-	// that cannot mint an engine should fail registration, not the first
-	// request. The probe engines are discarded.
-	if verr := func() (verr error) {
-		pin, err := holder.Acquire()
-		if err != nil {
-			return err
-		}
-		defer pin.Release()
-		ix := pin.Value().(*snapshotSet).ix
-		for name, factory := range src.Engines {
-			if err := verifyFactory(name, factory, ix); err != nil {
-				return err
-			}
-		}
-		return nil
-	}(); verr != nil {
+	// The engine names are the initial generation's; every later one
+	// loads the same kind of index and serves the same names.
+	pin, err := holder.Acquire()
+	if err != nil {
 		holder.Close()
-		return verr
+		return err
+	}
+	for name := range pin.Value().(*snapshotSet).pools {
+		r.engines = append(r.engines, name)
+		r.retired[name] = &retiredCounters{}
+	}
+	pin.Release()
+	sort.Strings(r.engines)
+	if len(r.engines) == 0 {
+		holder.Close()
+		return fmt.Errorf("server: index %q serves no engine", src.Name)
+	}
+	for _, name := range r.engines {
+		if s.hasEngine(name) {
+			holder.Close()
+			return fmt.Errorf("server: engine %q already registered", name)
+		}
 	}
 
 	r.holder = holder
 	s.reload[src.Name] = r
-	for name := range src.Engines {
+	for _, name := range r.engines {
 		s.engineIndex[name] = src.Name
 		s.breakers[name] = s.newBreaker()
-	}
-	return nil
-}
-
-// verifyFactory builds one engine and converts a factory panic into a
-// registration error.
-func verifyFactory(name string, factory func(ReloadableIndex) core.GPhi, ix ReloadableIndex) (err error) {
-	defer func() {
-		if rec := recover(); rec != nil {
-			err = fmt.Errorf("server: engine %q factory failed: %v", name, rec)
-		}
-	}()
-	if gp := factory(ix); gp == nil {
-		return fmt.Errorf("server: engine %q factory returned nil", name)
 	}
 	return nil
 }

@@ -17,6 +17,7 @@ import (
 
 	"fannr/internal/core"
 	"fannr/internal/graph"
+	"fannr/internal/gtree"
 	"fannr/internal/phl"
 	"fannr/internal/resil"
 )
@@ -93,10 +94,8 @@ func newReloadHarness(t *testing.T, verify bool, fallback map[string]string, opt
 			h.loads.Add(1)
 			return &countingIndex{Index: ix, closes: &h.closes}, nil
 		},
-		Engines: map[string]func(ReloadableIndex) core.GPhi{
-			"PHL": func(ix ReloadableIndex) core.GPhi {
-				return core.NewOracleGPhi("PHL", ix.(*countingIndex).Index)
-			},
+		Indexes: func(ix ReloadableIndex) core.Indexes {
+			return core.Indexes{PHL: ix.(*countingIndex).Index}
 		},
 	})
 	if err != nil {
@@ -477,11 +476,12 @@ func TestMetaReportsLabelEntries(t *testing.T) {
 	}
 	want := float64(ix.Entries())
 
-	srv, err := New(g, Options{PHL: ix})
+	tr, err := gtree.Build(g, gtree.Options{MaxLeafSize: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := srv.RegisterIndex("gtree", 1<<20, 0); err != nil {
+	srv, err := New(g, Options{Indexes: core.Indexes{PHL: ix, GTree: tr}})
+	if err != nil {
 		t.Fatal(err)
 	}
 	ts := httptest.NewServer(srv.Handler())

@@ -38,24 +38,14 @@ import (
 	"fannr/internal/wire"
 )
 
-// Options configures which engines the server offers. INE and A* are
-// always available; PHL and CH variants appear when the matching index is
-// supplied, and further engines (e.g., G-tree) register via AddEngine.
+// Options configures the server.
 type Options struct {
-	// PHL is a hub-label index (enables "PHL", "IER-PHL"). It must be
-	// safe for concurrent readers, as phl.Index is: the per-engine scratch
-	// lives in the pooled engines, not the oracle.
-	PHL core.Oracle
-	// NewCH supplies a fresh contraction-hierarchy querier per engine
-	// (enables "CH", "IER-CH"). Queriers carry per-goroutine search
-	// scratch, so the server needs a factory rather than a single shared
-	// instance; pass ch.Index.NewQuerier (wrapped to return core.Oracle).
-	NewCH func() core.Oracle
-	// PoolSize bounds each engine free-list — how many idle engines of
-	// one kind are retained between requests (0 = GOMAXPROCS). Peak
-	// concurrency is not limited; extra engines are built on demand and
-	// dropped on return.
-	PoolSize int
+	// Indexes are the in-memory indexes to serve over: every engine of the
+	// catalogue they support gets a pool (core.Catalogue) — INE and A*
+	// always, IER-A* on a graph with coordinates. File-backed indexes
+	// register with AddReloadable instead, and further engines with
+	// AddEngine.
+	Indexes core.Indexes
 	// QueryTimeout bounds how long one /fann request may compute (0 = no
 	// limit). Each request derives a deadline context that the query's
 	// Cancel hook polls, so a slow search aborts with 504 instead of
@@ -78,16 +68,13 @@ type Options struct {
 	// ladder and /readyz reports 503.
 	BreakerThreshold int
 	// BreakerCooldown is how long an open breaker rejects before
-	// admitting a half-open probe (<= 0 defaults to 1s).
+	// admitting a half-open probe (0 = resil.DefaultCooldown).
 	BreakerCooldown time.Duration
 	// Fallback maps an engine name to the next engine to serve from when
 	// its breaker is open (e.g. "PHL" -> "INE"). Chains are followed
 	// transitively; answers served off-ladder are stamped
 	// "degraded": true with the engine that actually answered.
 	Fallback map[string]string
-	// RetryAfter is the hint attached to 503 responses (<= 0 defaults to
-	// 1s).
-	RetryAfter time.Duration
 	// Metrics is the registry /metrics exposes (nil = a fresh private
 	// one). Inject a registry to scrape several servers together or to
 	// read gauges in tests.
@@ -105,24 +92,24 @@ type Options struct {
 	// candidate neighbor lists; 0 disables caching entirely. The cache
 	// sits between admission and engine compute: shed, breaker and
 	// degraded semantics are unchanged, and half-open probes always
-	// bypass it so a cache hit can never fake an engine recovery.
+	// bypass it so a cache hit can never fake an engine recovery. Entries
+	// never expire: the indexes are immutable, and a reload invalidates
+	// what was computed on the old generation through the engine@generation
+	// key.
 	CacheEntries int
-	// CacheTTL expires cache entries (0 = entries live until evicted).
-	// The in-process indexes are immutable, so a TTL only matters to
-	// operators refreshing the world out-of-band.
-	CacheTTL time.Duration
 	// Coalesce dedups concurrent identical /fann queries: one engine
 	// checkout computes, the rest share its outcome. Per-request errors
 	// (cancellation, shed) are never shared — a waiting follower is
 	// promoted and recomputes.
 	Coalesce bool
-	// SlowLogEntries sizes the always-on slow-query log served at
-	// /debug/slow: the N slowest requests plus the N most recent
-	// erroring/degraded requests are retained with their full traces
-	// (0 = 64). The capture fast path is one atomic compare for requests
-	// below the current slowness floor.
-	SlowLogEntries int
 }
+
+// slowLogEntries sizes the always-on slow-query log served at
+// /debug/slow: the N slowest requests plus the N most recent
+// erroring/degraded requests are retained with their full traces. The
+// capture fast path is one atomic compare for requests below the current
+// slowness floor.
+const slowLogEntries = 64
 
 // Server answers FANN_R queries over HTTP.
 type Server struct {
@@ -142,11 +129,9 @@ type Server struct {
 	// bound.
 	dist             sync.Pool
 	distGate         *core.Gate
-	poolSize         int
 	limits           core.PoolLimits
 	breakerThreshold int
 	breakerCooldown  time.Duration
-	retryAfter       time.Duration
 	queryTimeout     time.Duration
 	started          time.Time
 	// draining flips once graceful shutdown begins; /health, /healthz
@@ -175,8 +160,7 @@ type Server struct {
 	// indexSizes records the size of each preprocessing index for the
 	// fannr_index_bytes gauge and /meta, split into heap-resident bytes
 	// and mmap-backed bytes (zero for heap-loaded or built indexes) so
-	// the two are never double-counted. Written only before freeze (New,
-	// RegisterIndex).
+	// the two are never double-counted. Written only by New.
 	indexSizes map[string]indexSize
 	// reload holds the hot-swappable indexes (AddReloadable) by index
 	// name; engineIndex maps each reloadable engine name to its index.
@@ -228,11 +212,9 @@ func New(g *graph.Graph, opts Options) (*Server, error) {
 		pools:            map[string]*core.EnginePool{},
 		breakers:         map[string]*resil.Breaker{},
 		fallback:         map[string]string{},
-		poolSize:         opts.PoolSize,
 		limits:           core.PoolLimits{MaxInFlight: opts.MaxInFlight, QueueDepth: opts.QueueDepth},
 		breakerThreshold: opts.BreakerThreshold,
 		breakerCooldown:  opts.BreakerCooldown,
-		retryAfter:       opts.RetryAfter,
 		queryTimeout:     opts.QueryTimeout,
 		started:          time.Now(),
 		reg:              opts.Metrics,
@@ -242,22 +224,14 @@ func New(g *graph.Graph, opts Options) (*Server, error) {
 		reload:           map[string]*reloadable{},
 		engineIndex:      map[string]string{},
 		ranges:           lifecycle.NewRanges(),
+		slow:             obs.NewSlowLog(slowLogEntries),
 	}
 	s.tier = wire.Tier{Graph: g, Sets: core.NewSetRegistry(), DefaultEngine: "INE", HasEngine: s.hasEngine}
-	slowEntries := opts.SlowLogEntries
-	if slowEntries <= 0 {
-		slowEntries = 64
+	if ix := opts.Indexes.PHL; ix != nil {
+		s.indexSizes["phl"] = sizeOf(ix)
 	}
-	s.slow = obs.NewSlowLog(slowEntries)
-	if sized, ok := opts.PHL.(memorySized); ok {
-		sz := indexSize{heap: sized.MemoryBytes()}
-		if mm, ok := opts.PHL.(mappedSized); ok {
-			sz.mapped = mm.MappedBytes()
-		}
-		if lc, ok := opts.PHL.(labelCounted); ok {
-			sz.entries = lc.Entries()
-		}
-		s.indexSizes["phl"] = sz
+	if ix := opts.Indexes.GTree; ix != nil {
+		s.indexSizes["gtree"] = sizeOf(ix)
 	}
 	if s.reg == nil {
 		s.reg = obs.NewRegistry()
@@ -270,7 +244,7 @@ func New(g *graph.Graph, opts Options) (*Server, error) {
 	}
 	s.dist.New = func() any { return sp.NewDijkstra(g) }
 	s.distGate = core.NewGate("dist", s.limits)
-	s.qc = qcache.New(qcache.Config{MaxEntries: opts.CacheEntries, TTL: opts.CacheTTL})
+	s.qc = qcache.New(qcache.Config{MaxEntries: opts.CacheEntries})
 	if opts.Coalesce {
 		// Invalid-query and no-result outcomes are properties of the query
 		// and safe to share; everything else is per-caller.
@@ -278,68 +252,41 @@ func New(g *graph.Graph, opts Options) (*Server, error) {
 			return errors.Is(err, core.ErrInvalid) || errors.Is(err, core.ErrNoResult)
 		})
 	}
-	reg := func(name string, factory core.EngineFactory) {
-		s.pools[name] = core.NewBoundedEnginePool(name, s.poolCapacity(), s.limits, factory)
-		s.breakers[name] = s.newBreaker()
-	}
-	reg("INE", func() core.GPhi { return core.NewINE(g) })
-	reg("A*", func() core.GPhi { return core.NewOracleGPhi("A*", sp.NewAStar(g)) })
-	if g.HasCoords() {
-		if err := s.addIER("IER-A*", func() core.Oracle { return sp.NewAStar(g) }); err != nil {
-			return nil, err
-		}
-	}
-	if opts.PHL != nil {
-		reg("PHL", func() core.GPhi { return core.NewOracleGPhi("PHL", opts.PHL) })
-		if g.HasCoords() {
-			if err := s.addIER("IER-PHL", func() core.Oracle { return opts.PHL }); err != nil {
-				return nil, err
-			}
-		}
-	}
-	if opts.NewCH != nil {
-		reg("CH", func() core.GPhi { return core.NewOracleGPhi("CH", opts.NewCH()) })
-		if g.HasCoords() {
-			if err := s.addIER("IER-CH", opts.NewCH); err != nil {
-				return nil, err
-			}
-		}
+	for _, e := range core.Catalogue(g, opts.Indexes) {
+		s.pools[e.Name] = s.newPool(e.Name, e.New)
+		s.breakers[e.Name] = s.newBreaker()
 	}
 	return s, nil
 }
 
-// poolCapacity is the free-list bound for every engine pool. With
-// admission enabled it is at least MaxInFlight, so every released engine
-// is retained and the factory builds at most MaxInFlight engines total —
-// the invariant the overload hammer test pins.
-func (s *Server) poolCapacity() int {
-	if s.limits.MaxInFlight > s.poolSize {
-		return s.limits.MaxInFlight
+// sizeOf reads an index's footprint, split as indexSize keeps it.
+func sizeOf(ix any) indexSize {
+	var sz indexSize
+	if m, ok := ix.(memorySized); ok {
+		sz.heap = m.MemoryBytes()
 	}
-	return s.poolSize
+	if m, ok := ix.(mappedSized); ok {
+		sz.mapped = m.MappedBytes()
+	}
+	if lc, ok := ix.(labelCounted); ok {
+		sz.entries = lc.Entries()
+	}
+	return sz
+}
+
+// newPool builds one engine pool under the server's admission limits.
+// With admission enabled the free list holds MaxInFlight engines, so
+// every released engine is retained and the factory builds at most
+// MaxInFlight engines total — the invariant the overload hammer test
+// pins; without it the free list is GOMAXPROCS long.
+func (s *Server) newPool(name string, factory core.EngineFactory) *core.EnginePool {
+	return core.NewBoundedEnginePool(name, s.limits.MaxInFlight, s.limits, factory)
 }
 
 // newBreaker builds one engine's circuit breaker from the server
 // options (disabled when BreakerThreshold is 0).
 func (s *Server) newBreaker() *resil.Breaker {
 	return resil.NewBreaker(s.breakerThreshold, s.breakerCooldown)
-}
-
-// addIER registers an IER engine pool after verifying construction works
-// (surfacing e.g. missing coordinates at startup instead of per request).
-func (s *Server) addIER(name string, oracle func() core.Oracle) error {
-	if _, err := core.NewIERGPhi(name, s.g, oracle()); err != nil {
-		return err
-	}
-	s.pools[name] = core.NewBoundedEnginePool(name, s.poolCapacity(), s.limits, func() core.GPhi {
-		gp, err := core.NewIERGPhi(name, s.g, oracle())
-		if err != nil {
-			panic(err) // verified above; cannot fail
-		}
-		return gp
-	})
-	s.breakers[name] = s.newBreaker()
-	return nil
 }
 
 // AddEngine registers an additional named engine (e.g., a G-tree engine
@@ -362,27 +309,8 @@ func (s *Server) AddEngine(name string, factory core.EngineFactory) error {
 	if _, dup := s.engineIndex[name]; dup {
 		return fmt.Errorf("server: engine %q already registered", name)
 	}
-	s.pools[name] = core.NewBoundedEnginePool(name, s.poolCapacity(), s.limits, factory)
+	s.pools[name] = s.newPool(name, factory)
 	s.breakers[name] = s.newBreaker()
-	return nil
-}
-
-// RegisterIndex records the size of a named preprocessing index (e.g.
-// "gtree" for a G-tree registered through AddEngine) so it appears in
-// the fannr_index_bytes gauge and /meta. heapBytes is the heap-resident
-// footprint; mappedBytes is the mmap-backed footprint (0 unless the
-// index was zero-copy loaded). Like AddEngine it is rejected once
-// Handler has frozen the server.
-func (s *Server) RegisterIndex(name string, heapBytes, mappedBytes int64) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.frozen {
-		return fmt.Errorf("server: RegisterIndex(%q) after Handler — configuration is frozen once serving starts", name)
-	}
-	if name == "" {
-		return errors.New("server: RegisterIndex needs a name")
-	}
-	s.indexSizes[name] = indexSize{heap: heapBytes, mapped: mappedBytes}
 	return nil
 }
 
@@ -680,12 +608,12 @@ type DistRequest struct {
 func (s *Server) handleDist(w http.ResponseWriter, r *http.Request) {
 	var req DistRequest
 	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxDistBody)).Decode(&req); err != nil {
-		wire.WriteError(w, wire.BodyError(err), s.retryAfter)
+		wire.WriteError(w, wire.BodyError(err))
 		return
 	}
 	n := graph.NodeID(s.g.NumNodes())
 	if req.U < 0 || req.U >= n || req.V < 0 || req.V >= n {
-		wire.WriteError(w, fmt.Errorf("%w: node ids outside [0,%d)", core.ErrInvalid, n), s.retryAfter)
+		wire.WriteError(w, fmt.Errorf("%w: node ids outside [0,%d)", core.ErrInvalid, n))
 		return
 	}
 	// /dist draws the same O(|V|) class of scratch as /fann (a pooled
@@ -693,7 +621,7 @@ func (s *Server) handleDist(w http.ResponseWriter, r *http.Request) {
 	// admission gate with the engine-pool limits: saturation sheds with
 	// 503 + Retry-After instead of growing the sync.Pool without bound.
 	if err := s.distGate.Acquire(r.Context()); err != nil {
-		wire.WriteError(w, err, s.retryAfter)
+		wire.WriteError(w, err)
 		return
 	}
 	defer s.distGate.Release()

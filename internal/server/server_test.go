@@ -26,7 +26,7 @@ func testServer(t *testing.T) (*httptest.Server, *graph.Graph) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := New(g, Options{PHL: labels})
+	srv, err := New(g, Options{Indexes: core.Indexes{PHL: labels}})
 	if err != nil {
 		t.Fatal(err)
 	}

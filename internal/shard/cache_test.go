@@ -15,7 +15,7 @@ import (
 // never enter the cache at all.
 func TestCoordinatorCacheTopologyInvalidation(t *testing.T) {
 	const nodes = 260
-	cl := newTestCluster(t, nodes, 21, 4, CoordinatorOptions{CacheEntries: 64})
+	cl := newTestCluster(t, nodes, 21, 4, CoordinatorOptions{CacheEntries: 64, BreakerThreshold: 3})
 	req := testQueries(nodes)[0]
 
 	cold, err := cl.coord.Execute(context.Background(), req, nil)
@@ -70,7 +70,7 @@ func TestCoordinatorCacheTopologyInvalidation(t *testing.T) {
 // construction against what the transports report.
 func TestCoordinatorCacheEngineFormat(t *testing.T) {
 	for _, shards := range []int{1, 4, 8, 9} {
-		cl := newTestCluster(t, 260, 21, shards, CoordinatorOptions{CacheEntries: 8})
+		cl := newTestCluster(t, 260, 21, shards, CoordinatorOptions{CacheEntries: 8, BreakerThreshold: 3})
 		for trip := -1; trip < shards; trip += 3 {
 			if trip >= 0 {
 				cl.coord.TripShard(trip)

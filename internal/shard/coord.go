@@ -26,8 +26,10 @@ import (
 type CoordinatorOptions struct {
 	// DefaultEngine is used when a request names none (default "INE").
 	DefaultEngine string
-	// BreakerThreshold / BreakerCooldown configure the per-shard circuit
-	// breakers (defaults 3 failures / 5s; threshold < 0 disables).
+	// BreakerThreshold opens a shard's circuit breaker after that many
+	// consecutive failed calls (0 disables breaking); BreakerCooldown is
+	// how long it stays open before a half-open probe (0 =
+	// resil.DefaultCooldown).
 	BreakerThreshold int
 	BreakerCooldown  time.Duration
 	// Retry is the per-call retry policy (default: 2 attempts, 10ms
@@ -38,8 +40,6 @@ type CoordinatorOptions struct {
 	// Scattering in bound-ordered waves is what lets early answers
 	// tighten the k-th distance and prune later shards.
 	MaxFanout int
-	// RetryAfter is the hint attached to coordinator sheds (default 1s).
-	RetryAfter time.Duration
 	// CacheEntries sizes the coordinator's exact-result cache (0
 	// disables). Keys are stamped with the plan epoch and the healthy
 	// shard set, so resharding or a shard dropping out invalidates
@@ -103,14 +103,8 @@ func NewCoordinator(plan *Plan, transports []Transport, opts CoordinatorOptions)
 	if opts.DefaultEngine == "" {
 		opts.DefaultEngine = "INE"
 	}
-	if opts.BreakerThreshold == 0 {
-		opts.BreakerThreshold = 3
-	}
-	if opts.BreakerThreshold < 0 {
-		opts.BreakerThreshold = 0 // disabled breaker admits everything
-	}
 	if opts.BreakerCooldown <= 0 {
-		opts.BreakerCooldown = 5 * time.Second
+		opts.BreakerCooldown = resil.DefaultCooldown
 	}
 	if opts.MaxFanout < 1 {
 		opts.MaxFanout = 4
@@ -203,7 +197,8 @@ func (c *Coordinator) SetMetrics() core.SetMetrics { return c.plan.sets.Metrics(
 func (c *Coordinator) BreakerState(s int) resil.State { return c.breakers[s].State() }
 
 // TripShard force-opens a shard's breaker by feeding it failures — the
-// chaos hook tests and operators use to take a shard out of rotation.
+// chaos hook tests and operators use to take a shard out of rotation. A
+// coordinator without breakers (BreakerThreshold 0) keeps every shard.
 func (c *Coordinator) TripShard(s int) {
 	for i := 0; i < c.opts.BreakerThreshold+1; i++ {
 		c.breakers[s].Failure()
@@ -258,7 +253,7 @@ func (c *Coordinator) Execute(ctx context.Context, req *Request, tr *obs.Trace) 
 	// before is neither sorted again here nor, in scatter, cut again.
 	var call wire.Call
 	if err := c.tier.Normalise(req, &call); err != nil {
-		return nil, Classify(err, 0)
+		return nil, Classify(err)
 	}
 	// Topology-stamped exact cache: engine@shards:<epoch>:<healthy mask>.
 	var rkey qcache.ResultKey
@@ -365,7 +360,7 @@ func (c *Coordinator) scatter(ctx context.Context, call *wire.Call, tr *obs.Trac
 		Contacted: g.contacted, Pruned: g.pruned,
 	}
 	if len(g.merged) == 0 {
-		return res, Classify(core.ErrNoResult, 0)
+		return res, Classify(core.ErrNoResult)
 	}
 	return res, nil
 }
@@ -466,7 +461,7 @@ func (c *Coordinator) callShard(ctx context.Context, s int, req *Request) (*Resp
 	default:
 		br.Failure()
 		c.mShardErr[s].Inc()
-		return nil, Classify(err, c.opts.RetryAfter)
+		return nil, Classify(err)
 	}
 }
 

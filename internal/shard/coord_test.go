@@ -160,7 +160,7 @@ func (f failingTransport) Call(context.Context, *Request) (*Response, error) {
 func newDegradedCluster(t *testing.T, nodes int, seed int64, shards, downShard int) *cluster {
 	t.Helper()
 	cl := newTestCluster(t, nodes, seed, shards, CoordinatorOptions{
-		Retry: &resil.RetryPolicy{Attempts: 1},
+		Retry: &resil.RetryPolicy{Attempts: 1}, BreakerThreshold: 3,
 	})
 	transports := make([]Transport, shards)
 	for s := 0; s < shards; s++ {
@@ -169,7 +169,7 @@ func newDegradedCluster(t *testing.T, nodes int, seed int64, shards, downShard i
 	transports[downShard] = failingTransport{target: "inproc:dead"}
 	var err error
 	cl.coord, err = NewCoordinator(cl.plan, transports, CoordinatorOptions{
-		Retry: &resil.RetryPolicy{Attempts: 1},
+		Retry: &resil.RetryPolicy{Attempts: 1}, BreakerThreshold: 3,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"time"
 
 	"fannr/internal/core"
 	"fannr/internal/wire"
@@ -40,8 +39,8 @@ func (e *Error) Retryable() bool { return e.Status >= 500 }
 // Classify is err as the transport carries it: a lower layer's *Error
 // as it is, anything else with its row of wire.Classify's table — the
 // same {status, code} the query would have failed with served directly —
-// and, on a 503, retryAfter as its hint.
-func Classify(err error, retryAfter time.Duration) *Error {
+// and, on a 503, wire.RetryAfter as its hint.
+func Classify(err error) *Error {
 	var se *Error
 	if errors.As(err, &se) {
 		return se
@@ -49,7 +48,7 @@ func Classify(err error, retryAfter time.Duration) *Error {
 	status, code := wire.Classify(err)
 	e := &Error{Status: status, Code: code, Msg: err.Error()}
 	if status == http.StatusServiceUnavailable {
-		e.RetryAfter = wire.RetryAfterSeconds(retryAfter)
+		e.RetryAfter = wire.RetryAfterSeconds(wire.RetryAfter)
 	}
 	return e
 }

@@ -16,14 +16,15 @@ import (
 	"fannr/internal/wire"
 )
 
+// hostPoolCapacity bounds each host engine pool's free list: a host
+// serves the calls one coordinator fans out to it, at most a wave's
+// worth at a time.
+const hostPoolCapacity = 2
+
 // HostOptions configures one shard host.
 type HostOptions struct {
-	// PoolCapacity bounds each engine pool's free list (default 2).
-	PoolCapacity int
 	// CacheEntries sizes the host-local result cache (0 disables it).
 	CacheEntries int
-	// RetryAfter is the hint attached to shed responses (default 1s).
-	RetryAfter time.Duration
 	// Check, when set, gates every request: a lifecycle error returned
 	// here (ErrUnavailable, IndexFault) surfaces with the index-fault /
 	// overloaded taxonomy before any engine is touched. This is where a
@@ -50,9 +51,6 @@ type Host struct {
 
 // NewHost creates a host over g. Engines are added with AddEngine.
 func NewHost(id int, g *graph.Graph, opts HostOptions) *Host {
-	if opts.PoolCapacity < 1 {
-		opts.PoolCapacity = 2
-	}
 	h := &Host{ID: id, opts: opts, pools: map[string]*core.EnginePool{}}
 	h.tier = wire.Tier{Graph: g, Sets: core.NewSetRegistry(), HasEngine: func(name string) bool {
 		_, ok := h.pools[name]
@@ -69,9 +67,21 @@ func (h *Host) AddEngine(name string, factory core.EngineFactory) error {
 	if _, dup := h.pools[name]; dup {
 		return fmt.Errorf("shard: host %d: duplicate engine %q", h.ID, name)
 	}
-	h.pools[name] = core.NewBoundedEnginePool(name, h.opts.PoolCapacity, core.PoolLimits{}, factory)
+	h.pools[name] = core.NewBoundedEnginePool(name, hostPoolCapacity, core.PoolLimits{}, factory)
 	if h.tier.DefaultEngine == "" {
 		h.tier.DefaultEngine = name
+	}
+	return nil
+}
+
+// AddCatalogue registers every engine of the catalogue ix serves on the
+// host's graph (core.Catalogue), in the catalogue's order — INE first,
+// so it is the default. It is how fannr-shard builds its hosts.
+func (h *Host) AddCatalogue(ix core.Indexes) error {
+	for _, e := range core.Catalogue(h.tier.Graph, ix) {
+		if err := h.AddEngine(e.Name, e.New); err != nil {
+			return err
+		}
 	}
 	return nil
 }
@@ -86,7 +96,7 @@ func (h *Host) Execute(ctx context.Context, req *Request) (*Response, error) {
 	start := time.Now()
 	if h.opts.Check != nil {
 		if err := h.opts.Check(); err != nil {
-			return nil, Classify(err, h.opts.RetryAfter)
+			return nil, Classify(err)
 		}
 	}
 	if len(req.P) == 0 {
@@ -94,7 +104,7 @@ func (h *Host) Execute(ctx context.Context, req *Request) (*Response, error) {
 	}
 	var c wire.Call
 	if err := h.tier.Normalise(req, &c); err != nil {
-		return nil, Classify(err, 0)
+		return nil, Classify(err)
 	}
 	var rkey qcache.ResultKey
 	if h.cache != nil {
@@ -107,7 +117,7 @@ func (h *Host) Execute(ctx context.Context, req *Request) (*Response, error) {
 	}
 	answers, err := h.pools[c.Engine].Run(ctx, h.tier.Graph, c.Algo, c.Query, c.K, nil)
 	if err != nil && !errors.Is(err, core.ErrNoResult) {
-		return nil, Classify(err, h.opts.RetryAfter)
+		return nil, Classify(err)
 	}
 	if err == nil && h.cache != nil {
 		h.cache.PutResult(rkey, answers)
@@ -150,23 +160,23 @@ func (h *Host) Handler() http.Handler {
 func (h *Host) handleFANN(w http.ResponseWriter, r *http.Request) {
 	body, err := wire.ReadBody(http.MaxBytesReader(w, r.Body, maxFramePayload+frameHeader+frameTrailer), r.ContentLength)
 	if err != nil {
-		wire.WriteError(w, fmt.Errorf("%w: reading frame: %w", ErrCodec, err), h.opts.RetryAfter)
+		wire.WriteError(w, fmt.Errorf("%w: reading frame: %w", ErrCodec, err))
 		return
 	}
 	req, err := DecodeRequest(body.Bytes())
 	body.Release() // the decoded request does not alias the frame
 	if err != nil {
-		wire.WriteError(w, err, h.opts.RetryAfter)
+		wire.WriteError(w, err)
 		return
 	}
 	resp, err := h.Execute(r.Context(), req)
 	if err != nil {
-		wire.WriteError(w, err, h.opts.RetryAfter)
+		wire.WriteError(w, err)
 		return
 	}
 	frame, err := EncodeResponse(resp)
 	if err != nil {
-		wire.WriteError(w, err, h.opts.RetryAfter)
+		wire.WriteError(w, err)
 		return
 	}
 	w.Header().Set("Content-Type", "application/octet-stream")
@@ -178,7 +188,7 @@ func (h *Host) handleFANN(w http.ResponseWriter, r *http.Request) {
 func (h *Host) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	if h.opts.Check != nil {
 		if err := h.opts.Check(); err != nil {
-			wire.WriteError(w, err, h.opts.RetryAfter)
+			wire.WriteError(w, err)
 			return
 		}
 	}

@@ -52,7 +52,7 @@ func (c *Coordinator) handleFANN(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	var req Request // the single-process server's body, read by the same decoder
 	if err := wire.ReadFANN(w, r, maxFramePayload, &req); err != nil {
-		wire.WriteError(w, err, c.opts.RetryAfter)
+		wire.WriteError(w, err)
 		return
 	}
 	explain := r.URL.Query().Get("explain") == "1" || r.Header.Get("X-Fannr-Explain") != ""
@@ -62,7 +62,7 @@ func (c *Coordinator) handleFANN(w http.ResponseWriter, r *http.Request) {
 	}
 	res, err := c.Execute(r.Context(), &req, tr)
 	if err != nil {
-		wire.WriteError(w, err, c.opts.RetryAfter)
+		wire.WriteError(w, err)
 		return
 	}
 	resp := FANNResponse{

@@ -35,11 +35,11 @@ func (t InProc) Target() string { return "inproc:" + strconv.Itoa(t.Host.ID) }
 func (t InProc) Call(ctx context.Context, req *Request) (*Response, error) {
 	frame, err := EncodeRequest(req)
 	if err != nil {
-		return nil, Classify(err, 0)
+		return nil, Classify(err)
 	}
 	decoded, err := DecodeRequest(frame)
 	if err != nil {
-		return nil, Classify(err, 0)
+		return nil, Classify(err)
 	}
 	resp, err := t.Host.Execute(ctx, decoded)
 	if err != nil {
@@ -72,7 +72,7 @@ func (t *HTTPTransport) client() *http.Client {
 func (t *HTTPTransport) Call(ctx context.Context, req *Request) (*Response, error) {
 	frame, err := EncodeRequest(req)
 	if err != nil {
-		return nil, Classify(err, 0)
+		return nil, Classify(err)
 	}
 	hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, t.URL+"/shard/fann", bytes.NewReader(frame))
 	if err != nil {
@@ -86,7 +86,7 @@ func (t *HTTPTransport) Call(ctx context.Context, req *Request) (*Response, erro
 		if ctx.Err() != nil {
 			return nil, &Error{Status: http.StatusGatewayTimeout, Code: "timeout", Msg: err.Error()}
 		}
-		return nil, &Error{Status: http.StatusServiceUnavailable, Code: "overloaded", RetryAfter: 1, Msg: err.Error()}
+		return nil, &Error{Status: http.StatusServiceUnavailable, Code: "overloaded", RetryAfter: wire.RetryAfterSeconds(wire.RetryAfter), Msg: err.Error()}
 	}
 	defer hresp.Body.Close()
 	body, err := io.ReadAll(io.LimitReader(hresp.Body, maxFramePayload+frameHeader+frameTrailer+1))

@@ -28,8 +28,10 @@ type Tier struct {
 	Sets *core.SetRegistry
 	// DefaultEngine serves a request that names no engine.
 	DefaultEngine string
-	// HasEngine rejects a request for an engine the tier does not serve.
-	// The coordinator leaves it nil: its hosts decide, and it relays them.
+	// HasEngine rejects a request for an engine the tier does not serve,
+	// saying why when the catalogue knows the name: the index it needs, or
+	// coordinates. The coordinator leaves it nil: its hosts decide, and it
+	// relays them.
 	HasEngine func(string) bool
 }
 
@@ -59,7 +61,11 @@ func (t *Tier) Normalise(req *FANNRequest, c *Call) error {
 		c.Engine = t.DefaultEngine
 	}
 	if t.HasEngine != nil && !t.HasEngine(c.Engine) {
-		return fmt.Errorf("%w: unknown engine %q (see /meta)", core.ErrInvalid, c.Engine)
+		_, why := core.Engine(c.Engine, t.Graph, core.Indexes{})
+		if why == nil {
+			why = fmt.Errorf("unknown engine %q", c.Engine)
+		}
+		return fmt.Errorf("%w: %v (see /meta)", core.ErrInvalid, why)
 	}
 	return nil
 }

@@ -64,6 +64,11 @@ func Classify(err error) (status int, code string) {
 	return http.StatusInternalServerError, "internal"
 }
 
+// RetryAfter is the hint every tier attaches to a shed (a 503 of its own
+// making): long enough for a queue to drain, short enough that a client
+// backing off does not idle.
+const RetryAfter = time.Second
+
 // RetryAfterSeconds is the Retry-After value of a hint: whole seconds, at
 // least one.
 func RetryAfterSeconds(d time.Duration) int {
@@ -72,8 +77,8 @@ func RetryAfterSeconds(d time.Duration) int {
 
 // WriteError answers err with its row of the table. Every 503 carries a
 // Retry-After header: the relayed fault's own hint when it has one, else
-// retryAfter.
-func WriteError(w http.ResponseWriter, err error, retryAfter time.Duration) {
+// RetryAfter.
+func WriteError(w http.ResponseWriter, err error) {
 	status, code := Classify(err)
 	msg, secs := err.Error(), 0
 	var rel Relayed
@@ -82,7 +87,7 @@ func WriteError(w http.ResponseWriter, err error, retryAfter time.Duration) {
 	}
 	if status == http.StatusServiceUnavailable {
 		if secs < 1 {
-			secs = RetryAfterSeconds(retryAfter)
+			secs = RetryAfterSeconds(RetryAfter)
 		}
 		w.Header().Set("Retry-After", strconv.Itoa(secs))
 	}
@@ -109,7 +114,7 @@ func Recover(next http.Handler) http.Handler {
 			if rec == http.ErrAbortHandler {
 				panic(rec)
 			}
-			WriteError(w, fmt.Errorf("internal error: %v", rec), 0)
+			WriteError(w, fmt.Errorf("internal error: %v", rec))
 		}()
 		next.ServeHTTP(w, r)
 	})

@@ -9,6 +9,7 @@ package workload
 
 import (
 	"fmt"
+	"io"
 	"math"
 	"math/rand"
 	"os"
@@ -80,27 +81,46 @@ func LoadDataset(name string, scale float64) (*graph.Graph, error) {
 }
 
 func loadDIMACSDir(dir, name string) (*graph.Graph, error) {
-	gr, err := os.Open(dir + "/" + name + ".gr")
+	co := dir + "/" + name + ".co"
+	if _, err := os.Stat(co); err != nil {
+		co = ""
+	}
+	return readDIMACS(dir+"/"+name+".gr", co)
+}
+
+// LoadNetwork is the road network the command-line tools run on: the
+// DIMACS files grFile and coFile (coordinates optional), or without
+// grFile the Table III dataset at the given scale.
+func LoadNetwork(dataset string, scale float64, grFile, coFile string) (*graph.Graph, error) {
+	if grFile == "" {
+		return LoadDataset(dataset, scale)
+	}
+	return readDIMACS(grFile, coFile)
+}
+
+// readDIMACS reads a .gr file and, when coFile names one, its .co file,
+// and keeps the largest connected component.
+func readDIMACS(grFile, coFile string) (*graph.Graph, error) {
+	gr, err := os.Open(grFile)
 	if err != nil {
 		return nil, err
 	}
 	defer gr.Close()
-	co, err := os.Open(dir + "/" + name + ".co")
-	if err != nil {
-		g, err2 := graph.ReadDIMACS(gr, nil)
-		if err2 != nil {
-			return nil, err2
+	var co io.Reader
+	if coFile != "" {
+		f, err := os.Open(coFile)
+		if err != nil {
+			return nil, err
 		}
-		g2, _, err2 := graph.LargestComponent(g)
-		return g2, err2
+		defer f.Close()
+		co = f
 	}
-	defer co.Close()
 	g, err := graph.ReadDIMACS(gr, co)
 	if err != nil {
 		return nil, err
 	}
-	g2, _, err := graph.LargestComponent(g)
-	return g2, err
+	lcc, _, err := graph.LargestComponent(g)
+	return lcc, err
 }
 
 // Params are the paper's experimental factors with their §VI-A defaults.
