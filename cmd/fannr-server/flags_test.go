@@ -3,7 +3,10 @@ package main
 import (
 	"flag"
 	"slices"
+	"strings"
 	"testing"
+
+	"fannr/internal/core"
 )
 
 // flagSurface lists a FlagSet's flags as name=default, sorted.
@@ -39,5 +42,33 @@ func TestFlagSurface(t *testing.T) {
 	}
 	if got := flagSurface(newFlags(&config{})); !slices.Equal(got, want) {
 		t.Fatalf("flags\n got %q\nwant %q", got, want)
+	}
+}
+
+// TestIndexFileNeedsItsEngine pins that an index file flag whose index
+// -engines does not list fails at startup, naming both flags, instead of
+// starting without that index.
+func TestIndexFileNeedsItsEngine(t *testing.T) {
+	for _, tc := range []struct {
+		cfg  config
+		flag string
+	}{
+		{config{engines: "PHL", phlIndex: "nw.phl", gtreeIndex: "nw.gtree"}, "-gtree-index"},
+		{config{engines: "GTree,CH", gtreeIndex: "nw.gtree", phlIndex: "nw.phl"}, "-phl-index"},
+	} {
+		kinds, err := core.ParseIndexes(tc.cfg.engines)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = indexFiles(tc.cfg, kinds)
+		if err == nil || !strings.Contains(err.Error(), tc.flag) || !strings.Contains(err.Error(), "-engines") {
+			t.Fatalf("-engines %s with %s: err = %v, want one naming %s and -engines", tc.cfg.engines, tc.flag, err, tc.flag)
+		}
+	}
+	cfg := config{engines: "PHL,GTree", phlIndex: "nw.phl", gtreeIndex: "nw.gtree"}
+	kinds, _ := core.ParseIndexes(cfg.engines)
+	files, err := indexFiles(cfg, kinds)
+	if err != nil || files[core.PHLIndex] != "nw.phl" || files[core.GTreeIndex] != "nw.gtree" {
+		t.Fatalf("both indexes listed: files %v, err %v", files, err)
 	}
 }

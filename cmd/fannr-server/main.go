@@ -36,11 +36,11 @@
 // across φ and k (subsumption). -coalesce (default on) collapses
 // concurrent identical queries onto one computation.
 // Startup cost: -phl-index and -gtree-index point at files written by
-// fannr-index so the server loads instead of rebuilding. -mmap (default
-// auto) memory-maps v4 index files read-only for near-instant start
-// independent of index size; pre-v4 files fall back to a heap read
-// (-mmap on makes that fallback a startup error, -mmap off disables
-// mapping entirely).
+// fannr-index so the server loads instead of rebuilding; each needs its
+// index listed in -engines. -mmap auto or on (the same thing) memory-maps
+// the index files read-only for near-instant start independent of index
+// size; -mmap off reads them onto the heap. A file of any other format
+// version fails at startup with a rebuild hint.
 // File-backed indexes are live: SIGHUP or POST /admin/reload atomically
 // swaps in a freshly loaded generation — in-flight requests finish on
 // the generation they pinned, a failed load (half-written file, torn
@@ -62,6 +62,7 @@ import (
 	"log/slog"
 	"os"
 	"os/signal"
+	"slices"
 	"strings"
 	"syscall"
 	"time"
@@ -105,7 +106,7 @@ func newFlags(cfg *config) *flag.FlagSet {
 	fs.StringVar(&cfg.engines, "engines", "PHL", "indexes to serve: comma-separated from PHL,GTree,CH,ALT (INE and A* need none); every engine they support is served")
 	fs.StringVar(&cfg.phlIndex, "phl-index", "", "load the hub labels from this fannr-index file instead of building at startup")
 	fs.StringVar(&cfg.gtreeIndex, "gtree-index", "", "load the G-tree from this fannr-index file instead of building at startup")
-	fs.StringVar(&cfg.mmapMode, "mmap", "auto", "zero-copy index loading: auto (mmap v4 files, heap-read older), on (require mmap; v4 files only), off (always heap-read)")
+	fs.StringVar(&cfg.mmapMode, "mmap", "auto", "zero-copy index loading: auto or on (mmap the index files), off (heap-read them)")
 	fs.DurationVar(&cfg.queryTimeout, "query-timeout", 10*time.Second, "per-request compute budget for /fann (0 = unlimited)")
 	fs.DurationVar(&cfg.drainTimeout, "drain-timeout", 15*time.Second, "graceful-shutdown drain budget after SIGINT/SIGTERM")
 	fs.IntVar(&cfg.maxInFlight, "max-inflight", 0, "per-engine cap on concurrent queries (0 = unbounded)")
@@ -149,19 +150,37 @@ func parseFallback(s string) (map[string]string, error) {
 	return ladder, nil
 }
 
-// mmapOptions maps the -mmap mode onto load options plus whether a
-// mapped result is mandatory.
-func mmapOptions(mode string) (opts fannr.LoadOptions, require bool, err error) {
+// mmapOptions maps the -mmap mode onto load options.
+func mmapOptions(mode string) (fannr.LoadOptions, error) {
 	switch mode {
-	case "auto":
-		return fannr.LoadOptions{Mmap: true}, false, nil
-	case "on":
-		return fannr.LoadOptions{Mmap: true}, true, nil
+	case "auto", "on":
+		return fannr.LoadOptions{Mmap: true}, nil
 	case "off":
-		return fannr.LoadOptions{Mmap: false}, false, nil
+		return fannr.LoadOptions{Mmap: false}, nil
 	default:
-		return fannr.LoadOptions{}, false, fmt.Errorf("-mmap must be auto, on, or off (got %q)", mode)
+		return fannr.LoadOptions{}, fmt.Errorf("-mmap must be auto, on, or off (got %q)", mode)
 	}
+}
+
+// indexFiles maps each index -engines lists to the file its flag names
+// ("" = build at startup). A file whose index -engines does not list is
+// an error, not a silently unused flag.
+func indexFiles(cfg config, kinds []core.Index) (map[core.Index]string, error) {
+	files := make(map[core.Index]string)
+	for _, f := range []struct {
+		x            core.Index
+		flag, engine string
+		path         string
+	}{
+		{core.PHLIndex, "phl-index", "PHL", cfg.phlIndex},
+		{core.GTreeIndex, "gtree-index", "GTree", cfg.gtreeIndex},
+	} {
+		if f.path != "" && !slices.Contains(kinds, f.x) {
+			return nil, fmt.Errorf("-%s %s is set, but -engines %q does not list %s", f.flag, f.path, cfg.engines, f.engine)
+		}
+		files[f.x] = f.path
+	}
+	return files, nil
 }
 
 // serverOptions is the flags → options step.
@@ -182,23 +201,17 @@ func serverOptions(cfg config) server.Options {
 	return opts
 }
 
-// mappedIndex is an index file as a reloadable source loads it.
-type mappedIndex interface {
-	server.ReloadableIndex
-	Mapped() bool
-}
-
 // addFileIndex registers the index file at path as a hot-swappable
 // source serving every engine that searches index x. Each reload maps a
 // fresh generation; the serving one is never evicted by a failed load.
-func addFileIndex(srv *server.Server, g *fannr.Graph, x core.Index, path string, loadOpts fannr.LoadOptions, requireMmap bool) error {
+func addFileIndex(srv *server.Server, g *fannr.Graph, x core.Index, path string, loadOpts fannr.LoadOptions) error {
 	src := server.IndexSource{Path: path}
-	var load func() (mappedIndex, error)
+	var load func() (server.ReloadableIndex, error)
 	switch x {
 	case core.PHLIndex:
 		src.Name = "phl"
 		src.Indexes = func(ix server.ReloadableIndex) core.Indexes { return core.Indexes{PHL: ix.(*fannr.PHLIndex)} }
-		load = func() (mappedIndex, error) {
+		load = func() (server.ReloadableIndex, error) {
 			ix, err := fannr.LoadPHL(path, loadOpts)
 			if err != nil {
 				return nil, err
@@ -209,16 +222,12 @@ func addFileIndex(srv *server.Server, g *fannr.Graph, x core.Index, path string,
 	case core.GTreeIndex:
 		src.Name = "gtree"
 		src.Indexes = func(ix server.ReloadableIndex) core.Indexes { return core.Indexes{GTree: ix.(*fannr.GTree)} }
-		load = func() (mappedIndex, error) { return fannr.LoadGTree(path, g, loadOpts) }
+		load = func() (server.ReloadableIndex, error) { return fannr.LoadGTree(path, g, loadOpts) }
 	}
 	src.Load = func() (server.ReloadableIndex, error) {
 		ix, err := load()
 		if err != nil {
 			return nil, fmt.Errorf("loading %s index %s: %w", x, path, err)
-		}
-		if requireMmap && !ix.Mapped() {
-			ix.Close()
-			return nil, fmt.Errorf("loading %s index %s: -mmap=on but the file cannot be zero-copy mapped (convert it to v4 with fannr-index -in)", x, path)
 		}
 		return ix, nil
 	}
@@ -246,13 +255,17 @@ func run(cfg config) error {
 	if err != nil {
 		return err
 	}
-	loadOpts, requireMmap, err := mmapOptions(cfg.mmapMode)
+	loadOpts, err := mmapOptions(cfg.mmapMode)
 	if err != nil {
 		return err
 	}
 	kinds, err := core.ParseIndexes(cfg.engines)
 	if err != nil {
 		return fmt.Errorf("-engines: %w", err)
+	}
+	files, err := indexFiles(cfg, kinds)
+	if err != nil {
+		return err
 	}
 	g, err := fannr.LoadDataset(cfg.dataset, cfg.scale)
 	if err != nil {
@@ -262,7 +275,6 @@ func run(cfg config) error {
 
 	// File-backed indexes register as reloadable sources after server.New,
 	// so SIGHUP / POST /admin/reload can hot-swap them; the rest are built.
-	files := map[core.Index]string{core.PHLIndex: cfg.phlIndex, core.GTreeIndex: cfg.gtreeIndex}
 	var build []core.Index
 	for _, x := range kinds {
 		if files[x] == "" {
@@ -280,7 +292,7 @@ func run(cfg config) error {
 	defer srv.CloseIndexes()
 	for _, x := range kinds {
 		if path := files[x]; path != "" {
-			if err := addFileIndex(srv, g, x, path, loadOpts, requireMmap); err != nil {
+			if err := addFileIndex(srv, g, x, path, loadOpts); err != nil {
 				return err
 			}
 		}

@@ -33,6 +33,7 @@ package fannr
 import (
 	"io"
 
+	"fannr/internal/binio"
 	"fannr/internal/ch"
 	"fannr/internal/core"
 	"fannr/internal/exp"
@@ -185,35 +186,22 @@ func BuildPHL(g *Graph, opts PHLOptions) (*PHLIndex, error) { return phl.Build(g
 // BuildGTree constructs a G-tree for g.
 func BuildGTree(g *Graph, opts GTreeOptions) (*GTree, error) { return gtree.Build(g, opts) }
 
-// LoadOptions controls how a persisted index file is opened by LoadPHL
-// and LoadGTree.
-type LoadOptions struct {
-	// Mmap memory-maps format-v4 index files read-only and points the
-	// index's slabs straight at the mapping (zero-copy, demand-paged —
-	// time to first query is independent of index size). Pre-v4 files
-	// fall back to a heap conversion read. The file must stay unmodified
-	// on disk for the index's lifetime; Close the index to unmap.
-	Mmap bool
-	// Verify forces per-section checksum verification even under Mmap.
-	// Heap loads always verify; mapped loads skip it by default so that
-	// opening a beyond-RAM index does not fault in every page.
-	Verify bool
-}
+// LoadOptions controls how LoadPHL and LoadGTree open a persisted
+// index file: Mmap maps it read-only and points the index's slabs
+// straight at the mapping (zero-copy, demand-paged — time to first query
+// is independent of index size; the file must stay unmodified on disk
+// for the index's lifetime, and Close unmaps it); Verify forces the
+// per-section checksum pass even under Mmap, which heap loads always run.
+type LoadOptions = binio.LoadOptions
 
-// LoadPHL opens a hub-label index file (format v3 or v4).
-func LoadPHL(path string, opts LoadOptions) (*PHLIndex, error) {
-	return phl.Load(path, phl.LoadOptions(opts))
-}
+// LoadPHL opens a hub-label index file written by PHLIndex.Save.
+func LoadPHL(path string, opts LoadOptions) (*PHLIndex, error) { return phl.Load(path, opts) }
 
-// LoadGTree opens a G-tree index file (format v3 or v4), reattaching it
-// to the graph it was built on.
+// LoadGTree opens a G-tree index file written by GTree.Save, reattaching
+// it to the graph it was built on.
 func LoadGTree(path string, g *Graph, opts LoadOptions) (*GTree, error) {
-	return gtree.Load(path, g, gtree.LoadOptions(opts))
+	return gtree.Load(path, g, opts)
 }
-
-// ReadCH loads a contraction hierarchy previously persisted with
-// CHIndex.Save.
-func ReadCH(r io.Reader) (*CHIndex, error) { return ch.Read(r) }
 
 // NewDijkstra returns a reusable single-source search engine.
 func NewDijkstra(g *Graph) *sp.Dijkstra { return sp.NewDijkstra(g) }

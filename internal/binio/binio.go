@@ -1,241 +1,22 @@
-// Package binio provides sticky-error binary readers and writers for the
-// index serialization formats of fannr (hub labels, G-tree, contraction
-// hierarchies). All values are little-endian; slices are length-prefixed
-// with int64 counts validated against a configurable sanity limit so a
-// corrupted stream fails fast instead of allocating absurd buffers.
-//
-// Every stream ends in a CRC32 (IEEE) footer covering all preceding
-// bytes: Flush appends it automatically and Footer verifies it, so
-// bit-rot in a saved index fails loudly at load time instead of
-// corrupting answers.
+// Package binio is the on-disk container of fannr's persisted indexes
+// (hub labels and the G-tree): the v4 section file (section.go). All
+// values are little-endian, every array sits at a 64-byte-aligned offset
+// so a loader can mmap the file and view it in place, and CRC32s seal
+// the metadata and each section so bit-rot in a saved index fails loudly
+// at load time instead of corrupting answers. A tag of the right family
+// but another version fails with a FormatVersionError that names the
+// fix.
 package binio
 
-import (
-	"bufio"
-	"encoding/binary"
-	"fmt"
-	"hash/crc32"
-	"io"
-	"math"
-)
-
-// MaxSliceLen bounds any length prefix accepted by a Reader.
+// MaxSliceLen bounds any array length a section file may declare.
 const MaxSliceLen = 1 << 31
 
-// maxPrealloc bounds the elements any slice read pre-allocates before
-// bytes actually arrive; longer slices grow by append, so a forged
-// length prefix hits a read error long before it can demand gigabytes.
-const maxPrealloc = 1 << 16
-
-// Writer writes little-endian binary values, remembering the first error.
-type Writer struct {
-	w      *bufio.Writer
-	err    error
-	buf    [8]byte
-	crc    uint32
-	sealed bool
-}
-
-// NewWriter wraps w.
-func NewWriter(w io.Writer) *Writer {
-	return &Writer{w: bufio.NewWriter(w)}
-}
-
-// Err returns the first write error.
-func (w *Writer) Err() error { return w.err }
-
-// Flush appends the CRC32 footer (first call only) and flushes buffered
-// output, returning the first error. No values may be written after it.
-func (w *Writer) Flush() error {
-	if w.err != nil {
-		return w.err
-	}
-	if !w.sealed {
-		w.sealed = true
-		binary.LittleEndian.PutUint32(w.buf[:4], w.crc)
-		w.write(w.buf[:4])
-	}
-	if w.err != nil {
-		return w.err
-	}
-	w.err = w.w.Flush()
-	return w.err
-}
-
-func (w *Writer) write(b []byte) {
-	if w.err != nil {
-		return
-	}
-	w.crc = crc32.Update(w.crc, crc32.IEEETable, b)
-	_, w.err = w.w.Write(b)
-}
-
-// Magic writes a fixed-length tag.
-func (w *Writer) Magic(tag string) { w.write([]byte(tag)) }
-
-// I64 writes an int64.
-func (w *Writer) I64(v int64) {
-	binary.LittleEndian.PutUint64(w.buf[:], uint64(v))
-	w.write(w.buf[:8])
-}
-
-// I32 writes an int32.
-func (w *Writer) I32(v int32) {
-	binary.LittleEndian.PutUint32(w.buf[:4], uint32(v))
-	w.write(w.buf[:4])
-}
-
-// F64 writes a float64.
-func (w *Writer) F64(v float64) {
-	binary.LittleEndian.PutUint64(w.buf[:], math.Float64bits(v))
-	w.write(w.buf[:8])
-}
-
-// I32s writes a length-prefixed int32 slice.
-func (w *Writer) I32s(vs []int32) {
-	w.I64(int64(len(vs)))
-	for _, v := range vs {
-		w.I32(v)
-	}
-}
-
-// F64s writes a length-prefixed float64 slice.
-func (w *Writer) F64s(vs []float64) {
-	w.I64(int64(len(vs)))
-	for _, v := range vs {
-		w.F64(v)
-	}
-}
-
-// Reader reads little-endian binary values, remembering the first error.
-type Reader struct {
-	r   *bufio.Reader
-	err error
-	buf [8]byte
-	crc uint32
-}
-
-// NewReader wraps r.
-func NewReader(r io.Reader) *Reader {
-	return &Reader{r: bufio.NewReader(r)}
-}
-
-// Err returns the first read error.
-func (r *Reader) Err() error { return r.err }
-
-func (r *Reader) read(n int) []byte {
-	if r.err != nil {
-		return r.buf[:n]
-	}
-	if _, err := io.ReadFull(r.r, r.buf[:n]); err != nil {
-		r.err = err
-		return r.buf[:n]
-	}
-	r.crc = crc32.Update(r.crc, crc32.IEEETable, r.buf[:n])
-	return r.buf[:n]
-}
-
-// Magic consumes and verifies a fixed-length tag. A stream carrying a
-// different version of the same index family (say a FANNRPHL2 file fed
-// to a FANNRPHL4 reader) fails with a *FormatVersionError naming both
-// versions, so callers can attach a "rebuild the index" hint instead of
-// an opaque bad-magic message.
-func (r *Reader) Magic(tag string) {
-	if r.err != nil {
-		return
-	}
-	got := make([]byte, len(tag))
-	if _, err := io.ReadFull(r.r, got); err != nil {
-		r.err = err
-		return
-	}
-	r.crc = crc32.Update(r.crc, crc32.IEEETable, got)
-	if string(got) != tag {
-		r.err = magicError(string(got), tag)
-	}
-}
-
-// Footer consumes the trailing CRC32 and verifies it against every byte
-// read so far. Call it after the last value of a stream; a mismatch
-// (bit-rot, truncation at the footer, torn write) becomes the sticky
-// error.
-func (r *Reader) Footer() {
-	if r.err != nil {
-		return
-	}
-	want := r.crc
-	var b [4]byte
-	if _, err := io.ReadFull(r.r, b[:]); err != nil {
-		r.err = fmt.Errorf("binio: reading checksum footer: %w", err)
-		return
-	}
-	if got := binary.LittleEndian.Uint32(b[:]); got != want {
-		r.err = fmt.Errorf("binio: checksum mismatch: stream carries %#08x, content hashes to %#08x", binary.LittleEndian.Uint32(b[:]), want)
-	}
-}
-
-// I64 reads an int64.
-func (r *Reader) I64() int64 {
-	return int64(binary.LittleEndian.Uint64(r.read(8)))
-}
-
-// I32 reads an int32.
-func (r *Reader) I32() int32 {
-	return int32(binary.LittleEndian.Uint32(r.read(4)))
-}
-
-// F64 reads a float64.
-func (r *Reader) F64() float64 {
-	return math.Float64frombits(binary.LittleEndian.Uint64(r.read(8)))
-}
-
-// Len reads and validates a length prefix.
-func (r *Reader) Len() int {
-	n := r.I64()
-	if r.err == nil && (n < 0 || n > MaxSliceLen) {
-		r.err = fmt.Errorf("binio: implausible length %d", n)
-		return 0
-	}
-	if r.err != nil {
-		return 0
-	}
-	return int(n)
-}
-
-// I32s reads a length-prefixed int32 slice (nil when empty). The
-// pre-allocation is capped at maxPrealloc elements and the slice grows
-// only as bytes actually arrive, so a forged length prefix cannot
-// demand gigabytes for a tiny stream.
-func (r *Reader) I32s() []int32 {
-	n := r.Len()
-	if n == 0 {
-		return nil
-	}
-	out := make([]int32, 0, min(n, maxPrealloc))
-	for i := 0; i < n; i++ {
-		v := r.I32()
-		if r.err != nil {
-			return nil
-		}
-		out = append(out, v)
-	}
-	return out
-}
-
-// F64s reads a length-prefixed float64 slice (nil when empty), with the
-// same bounded pre-allocation as I32s.
-func (r *Reader) F64s() []float64 {
-	n := r.Len()
-	if n == 0 {
-		return nil
-	}
-	out := make([]float64, 0, min(n, maxPrealloc))
-	for i := 0; i < n; i++ {
-		v := r.F64()
-		if r.err != nil {
-			return nil
-		}
-		out = append(out, v)
-	}
-	return out
+// LoadOptions configures the index loaders (phl.Load, gtree.Load).
+type LoadOptions struct {
+	// Mmap selects zero-copy mapping. When false the file is read onto
+	// the heap.
+	Mmap bool
+	// Verify forces the per-section CRC pass even under mmap (reading the
+	// whole file once). Heap loads always verify.
+	Verify bool
 }

@@ -2,196 +2,191 @@ package binio
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
 	"math"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
-	"testing/quick"
 )
 
+// TestRoundTrip writes the edge values of every element kind — extreme
+// integers, infinities, negative zero, a NaN payload and an empty
+// section — and requires each to come back bit-exactly.
 func TestRoundTrip(t *testing.T) {
+	nan := math.Float64frombits(0x7ff8_0000_dead_beef)
+	sw := NewSectionWriter(testMagic)
+	sw.HeaderI64(math.MinInt64)
+	sw.HeaderI64(math.MaxInt64)
+	sw.I32Section([]int32{math.MinInt32, -2, math.MaxInt32})
+	sw.I32Section(nil)
+	sw.I64Section([]int64{math.MinInt64, 0, math.MaxInt64})
+	sw.F64Section([]float64{math.Pi, math.Inf(1), math.Inf(-1), math.Copysign(0, -1), nan})
 	var buf bytes.Buffer
-	w := NewWriter(&buf)
-	w.Magic("TEST1\n")
-	w.I64(-42)
-	w.I32(7)
-	w.F64(math.Pi)
-	w.I32s([]int32{1, -2, 3})
-	w.F64s([]float64{0.5, math.Inf(1)})
-	w.I32s(nil)
-	if err := w.Flush(); err != nil {
+	n, err := sw.WriteTo(&buf)
+	if err != nil {
 		t.Fatal(err)
+	}
+	if n != int64(buf.Len()) {
+		t.Fatalf("WriteTo reported %d bytes, wrote %d", n, buf.Len())
 	}
 
-	r := NewReader(&buf)
-	r.Magic("TEST1\n")
-	if got := r.I64(); got != -42 {
-		t.Fatalf("I64 = %d", got)
-	}
-	if got := r.I32(); got != 7 {
-		t.Fatalf("I32 = %d", got)
-	}
-	if got := r.F64(); got != math.Pi {
-		t.Fatalf("F64 = %v", got)
-	}
-	is := r.I32s()
-	if len(is) != 3 || is[0] != 1 || is[1] != -2 || is[2] != 3 {
-		t.Fatalf("I32s = %v", is)
-	}
-	fs := r.F64s()
-	if len(fs) != 2 || fs[0] != 0.5 || !math.IsInf(fs[1], 1) {
-		t.Fatalf("F64s = %v", fs)
-	}
-	if got := r.I32s(); got != nil {
-		t.Fatalf("empty I32s = %v", got)
-	}
-	r.Footer()
-	if err := r.Err(); err != nil {
+	sf, err := ParseSections(alignedCopy(buf.Bytes()), testMagic)
+	if err != nil {
 		t.Fatal(err)
+	}
+	if err := sf.VerifySections(); err != nil {
+		t.Fatal(err)
+	}
+	h := sf.Header()
+	if a, b := h.I64(), h.I64(); a != math.MinInt64 || b != math.MaxInt64 || h.Err() != nil {
+		t.Fatalf("header = %d,%d (err %v)", a, b, h.Err())
+	}
+	is, err := sf.I32(0)
+	if err != nil || len(is) != 3 || is[0] != math.MinInt32 || is[1] != -2 || is[2] != math.MaxInt32 {
+		t.Fatalf("I32 = %v (err %v)", is, err)
+	}
+	if empty, err := sf.I32(1); err != nil || len(empty) != 0 {
+		t.Fatalf("empty I32 = %v (err %v)", empty, err)
+	}
+	ls, err := sf.I64(2)
+	if err != nil || len(ls) != 3 || ls[0] != math.MinInt64 || ls[1] != 0 || ls[2] != math.MaxInt64 {
+		t.Fatalf("I64 = %v (err %v)", ls, err)
+	}
+	fs, err := sf.F64(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []float64{math.Pi, math.Inf(1), math.Inf(-1), math.Copysign(0, -1), nan}
+	if len(fs) != len(want) {
+		t.Fatalf("F64 = %v", fs)
+	}
+	for i := range want {
+		if math.Float64bits(fs[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("f64[%d] bits = %#x want %#x", i, math.Float64bits(fs[i]), math.Float64bits(want[i]))
+		}
 	}
 }
 
-// TestFooterDetectsBitRot flips each payload byte in turn; the CRC32
-// footer must reject every corruption, and a tampered footer itself must
-// be rejected too.
+// TestFooterDetectsBitRot flips every byte of a section file in turn. A
+// v4 file has no trailing footer; its seals are the table CRC over the
+// metadata and one CRC per section, and together they must reject a flip
+// of any byte that carries content. Only the zero padding between the
+// metadata and the sections, which no loader reads, may flip unnoticed.
 func TestFooterDetectsBitRot(t *testing.T) {
-	var buf bytes.Buffer
-	w := NewWriter(&buf)
-	w.Magic("ROT1\n")
-	w.I32s([]int32{1, 2, 3})
-	w.F64(math.Pi)
-	if err := w.Flush(); err != nil {
+	data, _, _, _ := buildTestFile(t)
+	clean, err := ParseSections(data, testMagic)
+	if err != nil {
 		t.Fatal(err)
 	}
-	readAll := func(data []byte) error {
-		r := NewReader(bytes.NewReader(data))
-		r.Magic("ROT1\n")
-		r.I32s()
-		r.F64()
-		r.Footer()
-		return r.Err()
+	metaEnd := int64(len(testMagic) + 8 + 16 + 8 + clean.NumSections()*tableEntrySize + 4)
+	sealed := func(i int64) bool {
+		if i < metaEnd {
+			return true
+		}
+		for _, s := range clean.sections {
+			if i >= s.off && i < s.off+s.count*int64(kindSize(s.kind)) {
+				return true
+			}
+		}
+		return false
 	}
-	if err := readAll(buf.Bytes()); err != nil {
-		t.Fatalf("clean stream rejected: %v", err)
+	load := func(d []byte) error {
+		sf, err := ParseSections(d, testMagic)
+		if err != nil {
+			return err
+		}
+		return sf.VerifySections()
 	}
-	for i := range buf.Bytes() {
-		tampered := append([]byte(nil), buf.Bytes()...)
-		tampered[i] ^= 0x40
-		if readAll(tampered) == nil {
+	for i := range data {
+		rotted := append([]byte(nil), data...)
+		rotted[i] ^= 0x40
+		err := load(rotted)
+		if sealed(int64(i)) && err == nil {
 			t.Fatalf("flipped byte %d accepted", i)
 		}
-	}
-	if readAll(buf.Bytes()[:buf.Len()-1]) == nil {
-		t.Fatal("truncated footer accepted")
-	}
-}
-
-// TestFlushSealsOnce pins that a second Flush only flushes — it must not
-// append a second footer.
-func TestFlushSealsOnce(t *testing.T) {
-	var buf bytes.Buffer
-	w := NewWriter(&buf)
-	w.I32(9)
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	once := buf.Len()
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if buf.Len() != once {
-		t.Fatalf("second Flush grew the stream from %d to %d bytes", once, buf.Len())
+		if !sealed(int64(i)) && err != nil {
+			t.Fatalf("flipped padding byte %d rejected: %v", i, err)
+		}
 	}
 }
 
+// TestBadMagic feeds a well-formed section file to a reader of another
+// index family: it must be refused as a plain bad magic, not as version
+// skew, on the bytes path and on both file paths.
 func TestBadMagic(t *testing.T) {
-	var buf bytes.Buffer
-	w := NewWriter(&buf)
-	w.Magic("AAAA")
-	_ = w.Flush()
-	r := NewReader(&buf)
-	r.Magic("BBBB")
-	if r.Err() == nil {
-		t.Fatal("bad magic accepted")
-	}
-}
-
-func TestTruncatedStream(t *testing.T) {
-	var buf bytes.Buffer
-	w := NewWriter(&buf)
-	w.I32s([]int32{1, 2, 3, 4, 5})
-	_ = w.Flush()
-	// Cut into the payload itself (the stream ends in a 4-byte footer).
-	trunc := buf.Bytes()[:buf.Len()-7]
-	r := NewReader(bytes.NewReader(trunc))
-	r.I32s()
-	if r.Err() == nil {
-		t.Fatal("truncated stream accepted")
-	}
-}
-
-func TestImplausibleLength(t *testing.T) {
-	var buf bytes.Buffer
-	w := NewWriter(&buf)
-	w.I64(int64(MaxSliceLen) + 1)
-	_ = w.Flush()
-	r := NewReader(&buf)
-	r.Len()
-	if r.Err() == nil {
-		t.Fatal("implausible length accepted")
-	}
-	var buf2 bytes.Buffer
-	w2 := NewWriter(&buf2)
-	w2.I64(-1)
-	_ = w2.Flush()
-	r2 := NewReader(&buf2)
-	r2.Len()
-	if r2.Err() == nil {
-		t.Fatal("negative length accepted")
-	}
-}
-
-func TestStickyErrors(t *testing.T) {
-	r := NewReader(bytes.NewReader(nil))
-	r.I64() // fails
-	first := r.Err()
-	if first == nil {
-		t.Fatal("empty read should fail")
-	}
-	r.I32()
-	r.F64s()
-	if r.Err() != first {
-		t.Fatal("error not sticky")
-	}
-}
-
-// Property: arbitrary slices round-trip bit-exactly.
-func TestSliceRoundTripProperty(t *testing.T) {
-	f := func(is []int32, fs []float64) bool {
-		var buf bytes.Buffer
-		w := NewWriter(&buf)
-		w.I32s(is)
-		w.F64s(fs)
-		if w.Flush() != nil {
-			return false
+	data, _, _, _ := buildTestFile(t)
+	const other = "FANNRPHL4\n"
+	check := func(how string, err error) {
+		t.Helper()
+		if err == nil {
+			t.Fatalf("%s: foreign magic accepted", how)
 		}
-		r := NewReader(&buf)
-		gi := r.I32s()
-		gf := r.F64s()
-		if r.Err() != nil || len(gi) != len(is) || len(gf) != len(fs) {
-			return false
+		var ve *FormatVersionError
+		if errors.As(err, &ve) {
+			t.Fatalf("%s: foreign magic classified as version skew: %v", how, err)
 		}
-		for i := range is {
-			if gi[i] != is[i] {
-				return false
-			}
+		if !strings.Contains(err.Error(), "bad magic") {
+			t.Fatalf("%s: error %q does not say bad magic", how, err)
 		}
-		for i := range fs {
-			if math.Float64bits(gf[i]) != math.Float64bits(fs[i]) {
-				return false
-			}
-		}
-		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
+	_, err := ParseSections(data, other)
+	check("ParseSections", err)
+	path := filepath.Join(t.TempDir(), "idx")
+	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
+	}
+	for _, mapped := range []bool{true, false} {
+		_, err := OpenSectionFile(path, other, mapped)
+		check("OpenSectionFile", err)
+	}
+}
+
+// TestTruncatedStream cuts a section file at every length short of the
+// whole: each prefix must be refused by ParseSections itself, so a torn
+// write never reaches a loader that would view bytes past the end.
+func TestTruncatedStream(t *testing.T) {
+	data, _, _, _ := buildTestFile(t)
+	for n := range data {
+		if _, err := ParseSections(data[:n], testMagic); err == nil {
+			t.Fatalf("%d-byte prefix of a %d-byte file accepted", n, len(data))
+		}
+	}
+}
+
+// TestImplausibleLength forges each length field of the metadata — the
+// header length, the section count and a section's element count — to a
+// negative value and to one past its limit: each must be refused as
+// implausible before any allocation or offset arithmetic trusts it. A
+// value exactly at the limit is plausible and fails only because the
+// file is too short for it.
+func TestImplausibleLength(t *testing.T) {
+	data, _, _, _ := buildTestFile(t)
+	tableStart := len(testMagic) + 8 + 16 + 8
+	fields := []struct {
+		name  string
+		pos   int
+		limit int64
+	}{
+		{"header-length", len(testMagic), MaxHeaderLen},
+		{"section-count", tableStart - 8, MaxSectionCount},
+		{"element-count", tableStart + 8, MaxSliceLen},
+	}
+	for _, f := range fields {
+		forge := func(v int64) error {
+			d := append([]byte(nil), data...)
+			binary.LittleEndian.PutUint64(d[f.pos:], uint64(v))
+			_, err := ParseSections(d, testMagic)
+			return err
+		}
+		for _, v := range []int64{-1, math.MinInt64, f.limit + 1, math.MaxInt64} {
+			if err := forge(v); err == nil || !strings.Contains(err.Error(), "implausible") {
+				t.Fatalf("%s = %d: err = %v, want an implausible-length error", f.name, v, err)
+			}
+		}
+		if err := forge(f.limit); err == nil || strings.Contains(err.Error(), "implausible") {
+			t.Fatalf("%s = %d (the limit): err = %v, want a past-the-file error", f.name, f.limit, err)
+		}
 	}
 }

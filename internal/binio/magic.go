@@ -10,8 +10,8 @@ import (
 
 // FormatVersionError reports a magic tag from the right index family but
 // the wrong format version — a v2 file fed to a v4 loader, or a v4 file
-// fed to an old binary. Serializers wrap it with a rebuild hint so the
-// operator-facing message names the fix, not just the mismatch.
+// fed to an old binary. Its message names the fix, not just the
+// mismatch.
 type FormatVersionError struct {
 	Family string // e.g. "FANNRPHL"
 	Found  int    // version carried by the stream
@@ -19,7 +19,7 @@ type FormatVersionError struct {
 }
 
 func (e *FormatVersionError) Error() string {
-	return fmt.Sprintf("binio: %s index is format v%d, this build reads v%d",
+	return fmt.Sprintf("binio: %s index is format v%d, this build reads v%d — rebuild the index with fannr-index",
 		e.Family, e.Found, e.Want)
 }
 

@@ -4,9 +4,13 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"math"
 	"os"
 	"path/filepath"
+	"slices"
+	"strings"
 	"testing"
+	"testing/quick"
 	"unsafe"
 )
 
@@ -278,10 +282,10 @@ func TestOpenSectionFileMmapAndHeap(t *testing.T) {
 	}
 }
 
-// TestMagicVersionError drives every historical magic through a v4
-// reader and a v4 stream through older readers: same-family version
-// skew must surface as *FormatVersionError naming both versions, while
-// unrelated bytes stay a plain bad-magic error.
+// TestMagicVersionError drives every historical magic through a newer
+// reader and a newer file through an older one: same-family version
+// skew must surface as *FormatVersionError naming both versions and the
+// rebuild tool, while unrelated bytes stay a plain bad-magic error.
 func TestMagicVersionError(t *testing.T) {
 	cases := []struct {
 		name      string
@@ -299,31 +303,82 @@ func TestMagicVersionError(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			r := NewReader(bytes.NewReader([]byte(tc.got + "trailing")))
-			r.Magic(tc.want)
+			_, err := ParseSections([]byte(tc.got+"padpadpad"), tc.want)
 			var ve *FormatVersionError
-			if !errors.As(r.Err(), &ve) {
-				t.Fatalf("err = %v, want FormatVersionError", r.Err())
+			if !errors.As(err, &ve) {
+				t.Fatalf("err = %v, want FormatVersionError", err)
 			}
 			if ve.Found != tc.found || ve.Want != tc.wantVer {
 				t.Fatalf("versions = found v%d want v%d; expected found v%d want v%d",
 					ve.Found, ve.Want, tc.found, tc.wantVer)
 			}
-			// ParseSections must classify version skew identically.
-			if _, err := ParseSections([]byte(tc.got+"padpadpad"), tc.want); !errors.As(err, &ve) {
-				t.Fatalf("ParseSections err = %v, want FormatVersionError", err)
+			if !strings.Contains(err.Error(), "fannr-index") {
+				t.Fatalf("error %q does not name fannr-index", err)
 			}
 		})
 	}
 	t.Run("unrelated-garbage", func(t *testing.T) {
-		r := NewReader(bytes.NewReader([]byte("GARBAGE890")))
-		r.Magic("FANNRPHL4\n")
+		_, err := ParseSections([]byte("GARBAGE890"), "FANNRPHL4\n")
 		var ve *FormatVersionError
-		if errors.As(r.Err(), &ve) {
-			t.Fatalf("garbage classified as version skew: %v", r.Err())
+		if errors.As(err, &ve) {
+			t.Fatalf("garbage classified as version skew: %v", err)
 		}
-		if r.Err() == nil {
+		if err == nil {
 			t.Fatal("garbage accepted")
 		}
 	})
+}
+
+// TestStickyErrors pins the header cursor's contract: the first overrun
+// is remembered, and every later read returns 0 without replacing it.
+func TestStickyErrors(t *testing.T) {
+	data, _, _, _ := buildTestFile(t)
+	sf, err := ParseSections(data, testMagic)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := sf.Header()
+	h.I64()
+	h.I64()
+	if v := h.I64(); v != 0 || h.Err() == nil {
+		t.Fatalf("read past a two-value header = %d, err %v", v, h.Err())
+	}
+	first := h.Err()
+	if v := h.I64(); v != 0 || h.Err() != first {
+		t.Fatal("header error not sticky")
+	}
+}
+
+// Property: arbitrary slices round-trip bit-exactly through a section
+// file, including empty ones and every float64 bit pattern.
+func TestSliceRoundTripProperty(t *testing.T) {
+	f := func(is []int32, ls []int64, fs []float64) bool {
+		sw := NewSectionWriter(testMagic)
+		sw.I32Section(is)
+		sw.I64Section(ls)
+		sw.F64Section(fs)
+		var buf bytes.Buffer
+		if _, err := sw.WriteTo(&buf); err != nil {
+			return false
+		}
+		sf, err := ParseSections(alignedCopy(buf.Bytes()), testMagic)
+		if err != nil || sf.VerifySections() != nil {
+			return false
+		}
+		gi, err1 := sf.I32(0)
+		gl, err2 := sf.I64(1)
+		gf, err3 := sf.F64(2)
+		if err1 != nil || err2 != nil || err3 != nil || !slices.Equal(gi, is) || !slices.Equal(gl, ls) || len(gf) != len(fs) {
+			return false
+		}
+		for i := range fs {
+			if math.Float64bits(gf[i]) != math.Float64bits(fs[i]) {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
+		t.Fatal(err)
+	}
 }

@@ -167,7 +167,7 @@ func (e *Env) buildEngine(name string) (core.GPhi, error) {
 		}
 		e.ix.CH = func() core.Oracle { return c.NewQuerier() }
 	case x == core.ALTIndex && e.ix.ALT == nil:
-		alt := sp.NewALT(e.G, 8)
+		alt := sp.NewALT(e.G, sp.DefaultLandmarks)
 		e.ix.ALT = func() core.Oracle { return alt.Clone() }
 	}
 	f, err := core.Engine(name, e.G, e.ix)

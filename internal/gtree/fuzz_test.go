@@ -45,7 +45,8 @@ func fileChaosSeeds(f *testing.F, seed []byte) [][]byte {
 // panic or allocate absurd buffers, and accepted inputs must produce a
 // tree whose queries do not crash. Mirrors internal/phl's FuzzRead.
 func FuzzRead(f *testing.F) {
-	// Seed with a real serialized tree and some corruptions of it.
+	// Seed with a real serialized tree, the same bytes under the old v3
+	// tag (which must fail as version skew), and corruptions of each.
 	g := roadNetwork(f, 120, 95)
 	tr, err := Build(g, Options{MaxLeafSize: 16})
 	if err != nil {
@@ -59,9 +60,10 @@ func FuzzRead(f *testing.F) {
 	f.Add(valid)
 	f.Add(valid[:len(valid)/2])
 	f.Add([]byte(magic))
-	f.Add([]byte(magicV3))
+	f.Add([]byte("FANNRGT3\n"))
 	f.Add([]byte{})
-	for _, seed := range [][]byte{valid, writeV3T(f, tr)} {
+	relabelled := append([]byte("FANNRGT3\n"), valid[len(magic):]...)
+	for _, seed := range [][]byte{valid, relabelled} {
 		corrupted := append([]byte(nil), seed...)
 		for i := 16; i < len(corrupted) && i < 128; i += 7 {
 			corrupted[i] ^= 0xff
@@ -161,6 +163,3 @@ func FuzzKNNMatchesDijkstra(f *testing.F) {
 		}
 	})
 }
-
-// writeV3T adapts writeV3 for fuzz seeding (testing.F is a testing.TB).
-func writeV3T(f *testing.F, tr *Tree) []byte { return writeV3(f, tr) }

@@ -1,12 +1,9 @@
 package gtree
 
 import (
-	"bufio"
-	"errors"
 	"fmt"
 	"io"
 	"math"
-	"os"
 
 	"fannr/internal/binio"
 	"fannr/internal/graph"
@@ -16,32 +13,18 @@ import (
 // followed by 64-byte-aligned raw sections (leafOf, posInLeaf, leafSeq,
 // per-node metadata, islab, fslab), the same layout the in-memory Tree
 // uses after flatten(). A loader can mmap the file read-only and point
-// every node's views at the page cache (Load); stream readers decode the
-// sections onto the heap (Read). Only the node headers live on the heap
-// after a load: X is addressed positionally (child c's borders are
+// every node's views at the page cache (Load); Read decodes the
+// sections onto the heap. Only the node headers live on the heap after
+// a load: X is addressed positionally (child c's borders are
 // X[c.xoff:][:len(c.borders)]), and xoff is recomputed from the stored
-// lengths, so the file carries no lookup structure at all.
+// lengths, so the file carries no lookup structure at all. Every other
+// version, the v3 stream included, fails with a rebuild hint.
 const magic = "FANNRGT4\n"
-
-// magicV3 is the previous stream format (fixed metadata records + slabs
-// behind a whole-stream CRC). Read still accepts it so existing indexes
-// convert with `fannr-index -in old.gtree`; Save always writes v4.
-const magicV3 = "FANNRGT3\n"
 
 // nodeMetaFields is the per-node record width in the v4 metadata
 // section: parent, depth, lo, hi, then the nine view lengths in
 // flatten() pack order.
 const nodeMetaFields = 13
-
-// rebuildHint converts binio's version-skew error into an operator
-// message that names the fix. Other errors pass through unchanged.
-func rebuildHint(err error) error {
-	var ve *binio.FormatVersionError
-	if errors.As(err, &ve) {
-		return fmt.Errorf("%w — rebuild the index with fannr-index (or convert it with fannr-index -in)", ve)
-	}
-	return err
-}
 
 // Save serializes the tree in the v4 section format. The graph itself is
 // not embedded — reattach the same graph in Read or Load.
@@ -82,26 +65,17 @@ type nodeLens struct {
 	mat, ladjW                                                int64
 }
 
-// Read deserializes a tree from a stream and reattaches it to g, which
-// must be the graph the tree was built on. v4 section files and legacy
-// v3 streams both load (onto the heap — use Load for zero-copy mmap of
-// v4 files); older versions fail with a rebuild hint.
+// Read deserializes a v4 tree from a stream onto the heap and
+// reattaches it to g, which must be the graph the tree was built on —
+// use Load for a zero-copy mmap of a file.
 func Read(r io.Reader, g *graph.Graph) (*Tree, error) {
-	br := bufio.NewReader(r)
-	head, err := br.Peek(len(magic))
-	if err != nil {
-		return nil, fmt.Errorf("gtree: reading magic: %w", err)
-	}
-	if string(head) == magicV3 {
-		return readV3(br, g)
-	}
-	data, err := io.ReadAll(br)
+	data, err := io.ReadAll(r)
 	if err != nil {
 		return nil, fmt.Errorf("gtree: reading stream: %w", err)
 	}
 	sf, err := binio.ParseSections(data, magic)
 	if err != nil {
-		return nil, fmt.Errorf("gtree: %w", rebuildHint(err))
+		return nil, fmt.Errorf("gtree: %w", err)
 	}
 	if err := sf.VerifySections(); err != nil {
 		return nil, fmt.Errorf("gtree: verifying index: %w", err)
@@ -110,42 +84,15 @@ func Read(r io.Reader, g *graph.Graph) (*Tree, error) {
 }
 
 // LoadOptions configures Load.
-type LoadOptions struct {
-	// Mmap selects zero-copy mapping for v4 files. When false the file is
-	// read onto the heap. v3 files always decode onto the heap.
-	Mmap bool
-	// Verify forces the per-section CRC pass even under mmap (reading the
-	// whole file once). Heap loads always verify.
-	Verify bool
-}
+type LoadOptions = binio.LoadOptions
 
-// Load opens an index file and reattaches it to g: v4 files map (or
-// read) via the section loader, v3 files fall back to the stream reader
-// for conversion. With opts.Mmap the returned Tree's slabs are zero-copy
-// views into a read-only mapping — see Mapped/Close.
+// Load opens a v4 index file and reattaches it to g. With opts.Mmap the
+// returned Tree's slabs are zero-copy views into a read-only mapping —
+// see Mapped/Close.
 func Load(path string, g *graph.Graph, opts LoadOptions) (*Tree, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("gtree: %w", err)
-	}
-	var head [len(magic)]byte
-	if _, err := io.ReadFull(f, head[:]); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("gtree: reading magic of %s: %w", path, err)
-	}
-	if string(head[:]) == magicV3 {
-		if _, err := f.Seek(0, io.SeekStart); err != nil {
-			f.Close()
-			return nil, fmt.Errorf("gtree: %w", err)
-		}
-		t, err := Read(f, g)
-		f.Close()
-		return t, err
-	}
-	f.Close()
 	sf, err := binio.OpenSectionFile(path, magic, opts.Mmap)
 	if err != nil {
-		return nil, fmt.Errorf("gtree: %w", rebuildHint(err))
+		return nil, fmt.Errorf("gtree: %w", err)
 	}
 	audit := !sf.Mapped() || opts.Verify
 	if audit {
@@ -261,95 +208,15 @@ func fromSections(sf *binio.SectionFile, g *graph.Graph, audit bool) (*Tree, err
 	return t, nil
 }
 
-// readV3 decodes the legacy v3 stream format.
-func readV3(r io.Reader, g *graph.Graph) (*Tree, error) {
-	br := binio.NewReader(r)
-	br.Magic(magicV3)
-	nNodes := int(br.I64())
-	if err := br.Err(); err != nil {
-		return nil, fmt.Errorf("gtree: reading header: %w", err)
-	}
-	if nNodes != g.NumNodes() {
-		return nil, fmt.Errorf("gtree: index built on %d nodes, graph has %d", nNodes, g.NumNodes())
-	}
-	t := &Tree{g: g}
-	t.opt.Fanout = int(br.I32())
-	t.opt.MaxLeafSize = int(br.I32())
-	t.leafOf = br.I32s()
-	t.posInLeaf = br.I32s()
-	t.leafSeq = br.I32s()
-	if err := br.Err(); err != nil {
-		return nil, fmt.Errorf("gtree: reading vertex tables: %w", err)
-	}
-	if len(t.leafOf) != nNodes || len(t.posInLeaf) != nNodes || len(t.leafSeq) != nNodes {
-		return nil, fmt.Errorf("gtree: vertex tables truncated")
-	}
-	count := int(br.I64())
-	if err := br.Err(); err != nil {
-		return nil, fmt.Errorf("gtree: reading node count: %w", err)
-	}
-	if count <= 0 || count > 2*nNodes+1 {
-		return nil, fmt.Errorf("gtree: implausible tree-node count %d for %d vertices", count, nNodes)
-	}
-	t.nodes = make([]node, count)
-	lens := make([]nodeLens, count)
-	var wantI, wantF int64
-	for i := range t.nodes {
-		n := &t.nodes[i]
-		n.parent = br.I32()
-		n.depth = br.I32()
-		n.lo = br.I32()
-		n.hi = br.I32()
-		l := &lens[i]
-		l.children = br.I32()
-		l.verts = br.I32()
-		l.borders = br.I32()
-		l.x = br.I32()
-		l.borderX = br.I32()
-		l.ladjStart = br.I32()
-		l.ladjNode = br.I32()
-		l.mat = br.I64()
-		l.ladjW = br.I64()
-		if err := br.Err(); err != nil {
-			return nil, fmt.Errorf("gtree: reading tree node %d: %w", i, err)
-		}
-		if l.children < 0 || l.verts < 0 || l.borders < 0 || l.x < 0 ||
-			l.borderX < 0 || l.ladjStart < 0 || l.ladjNode < 0 || l.mat < 0 || l.ladjW < 0 {
-			return nil, fmt.Errorf("gtree: tree node %d has negative array length", i)
-		}
-		if l.children == 0 && l.x != 0 {
-			return nil, fmt.Errorf("gtree: leaf node %d claims a separate X set", i)
-		}
-		wantI += int64(l.children) + int64(l.verts) + int64(l.borders) +
-			int64(l.x) + int64(l.borderX) + int64(l.ladjStart) + int64(l.ladjNode)
-		wantF += l.mat + l.ladjW
-		if wantI > binio.MaxSliceLen || wantF > binio.MaxSliceLen {
-			return nil, fmt.Errorf("gtree: implausible slab size (%d ids, %d cells)", wantI, wantF)
-		}
-	}
-	t.islab = br.I32s()
-	t.fslab = br.F64s()
-	br.Footer()
-	if err := br.Err(); err != nil {
-		return nil, fmt.Errorf("gtree: verifying index: %w", err)
-	}
-	if err := t.assemble(lens, wantI, wantF, true); err != nil {
-		return nil, err
-	}
-	return t, nil
-}
-
 // assemble carves every node's views out of the two slabs (in flatten()
 // pack order), derives each node's xoff, and — when audit is set — runs
-// the full content-range audit. Both the v3 stream reader and the v4
-// section loader end here, so every heap load enforces the same
-// invariants; fast mapped loads skip only the validate pass. The shape
-// checks that stay on the fast path are the ones positional addressing
-// rests on: every non-root node is the child of exactly the parent it
-// names, an internal node's X is as long as its children's border lists
-// together, and borderX has one entry per border — so xoff+j always
-// lands inside the parent's matrix. They read O(tree nodes) ids, not the
-// slabs.
+// the full content-range audit. Heap loads enforce every invariant;
+// fast mapped loads skip only the validate pass. The shape checks that
+// stay on the fast path are the ones positional addressing rests on:
+// every non-root node is the child of exactly the parent it names, an
+// internal node's X is as long as its children's border lists together,
+// and borderX has one entry per border — so xoff+j always lands inside
+// the parent's matrix. They read O(tree nodes) ids, not the slabs.
 func (t *Tree) assemble(lens []nodeLens, wantI, wantF int64, audit bool) error {
 	if int64(len(t.islab)) != wantI || int64(len(t.fslab)) != wantF {
 		return fmt.Errorf("gtree: slabs hold %d/%d entries, metadata expects %d/%d",

@@ -197,86 +197,9 @@ func TestReadDetectsBitRot(t *testing.T) {
 	}
 }
 
-// writeV3 emits the legacy v3 stream for a tree, so conversion keeps a
-// test double after the writer moved to v4.
-func writeV3(t testing.TB, tr *Tree) []byte {
-	t.Helper()
-	var buf bytes.Buffer
-	bw := binio.NewWriter(&buf)
-	bw.Magic(magicV3)
-	bw.I64(int64(tr.g.NumNodes()))
-	bw.I32(int32(tr.opt.Fanout))
-	bw.I32(int32(tr.opt.MaxLeafSize))
-	bw.I32s(tr.leafOf)
-	bw.I32s(tr.posInLeaf)
-	bw.I32s(tr.leafSeq)
-	bw.I64(int64(len(tr.nodes)))
-	for i := range tr.nodes {
-		n := &tr.nodes[i]
-		bw.I32(n.parent)
-		bw.I32(n.depth)
-		bw.I32(n.lo)
-		bw.I32(n.hi)
-		bw.I32(int32(len(n.children)))
-		bw.I32(int32(len(n.verts)))
-		bw.I32(int32(len(n.borders)))
-		if n.isLeaf() {
-			bw.I32(0)
-		} else {
-			bw.I32(int32(len(n.X)))
-		}
-		bw.I32(int32(len(n.borderX)))
-		bw.I32(int32(len(n.ladjStart)))
-		bw.I32(int32(len(n.ladjNode)))
-		bw.I64(int64(len(n.mat)))
-		bw.I64(int64(len(n.ladjW)))
-	}
-	bw.I32s(tr.islab)
-	bw.F64s(tr.fslab)
-	if err := bw.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
-}
-
-// TestReadV3Conversion proves the upgrade path: a legacy v3 stream still
-// loads (for fannr-index conversion) and answers identically.
-func TestReadV3Conversion(t *testing.T) {
-	g := roadNetwork(t, 400, 97)
-	tr, err := Build(g, Options{MaxLeafSize: 32})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := Read(bytes.NewReader(writeV3(t, tr)), g)
-	if err != nil {
-		t.Fatalf("v3 stream rejected: %v", err)
-	}
-	q1, q2 := tr.NewQuerier(), got.NewQuerier()
-	rng := rand.New(rand.NewSource(19))
-	for i := 0; i < 100; i++ {
-		u := graph.NodeID(rng.Intn(g.NumNodes()))
-		v := graph.NodeID(rng.Intn(g.NumNodes()))
-		if a, b := q1.Dist(u, v), q2.Dist(u, v); math.Float64bits(a) != math.Float64bits(b) {
-			t.Fatalf("Dist(%d,%d) differs via v3: %v vs %v", u, v, a, b)
-		}
-	}
-	// Load must take the same conversion path for v3 files.
-	path := filepath.Join(t.TempDir(), "old.gtree")
-	if err := os.WriteFile(path, writeV3(t, tr), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := Load(path, g, LoadOptions{Mmap: true})
-	if err != nil {
-		t.Fatalf("Load(v3): %v", err)
-	}
-	defer loaded.Close()
-	if loaded.Mapped() {
-		t.Fatal("v3 file cannot be zero-copy mapped, yet Mapped() = true")
-	}
-}
-
 // TestReadOldVersionsGetRebuildHint mirrors phl's table test: historical
-// magics must fail with the found/wanted versions and a rebuild hint.
+// magics, the retired v3 stream included, must fail with the
+// found/wanted versions and a rebuild hint.
 func TestReadOldVersionsGetRebuildHint(t *testing.T) {
 	g := roadNetwork(t, 120, 98)
 	for _, tc := range []struct {
@@ -286,6 +209,7 @@ func TestReadOldVersionsGetRebuildHint(t *testing.T) {
 	}{
 		{"v1", "FANNRGT1\n", 1},
 		{"v2", "FANNRGT2\n", 2},
+		{"v3", "FANNRGT3\n", 3},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			stream := append([]byte(tc.magic), bytes.Repeat([]byte{0}, 64)...)
@@ -300,8 +224,16 @@ func TestReadOldVersionsGetRebuildHint(t *testing.T) {
 			if ve.Found != tc.found || ve.Want != 4 {
 				t.Fatalf("err names v%d->v%d, want v%d->v4", ve.Found, ve.Want, tc.found)
 			}
-			if !strings.Contains(err.Error(), "fannr-index") {
+			if msg := err.Error(); !strings.Contains(msg, "fannr-index") || strings.Contains(msg, " -in") {
 				t.Fatalf("error %q does not tell the operator to rebuild with fannr-index", err)
+			}
+			// Same contract through the file loader.
+			path := filepath.Join(t.TempDir(), "old.gtree")
+			if err := os.WriteFile(path, stream, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := Load(path, g, LoadOptions{Mmap: true}); !errors.As(err, &ve) || ve.Found != tc.found || ve.Want != 4 {
+				t.Fatalf("Load err = %v, want FormatVersionError v%d->v4", err, tc.found)
 			}
 		})
 	}
@@ -423,10 +355,6 @@ func TestReadRejectsForgedContents(t *testing.T) {
 			}
 			if tc.wantErr != "" && !strings.Contains(err.Error(), tc.wantErr) {
 				t.Fatalf("err %q does not mention %q", err, tc.wantErr)
-			}
-			// The audits are shared with the v3 conversion path.
-			if _, err := Read(bytes.NewReader(writeV3(t, tr)), g); err == nil {
-				t.Fatal("forged v3 contents accepted")
 			}
 			if fastRejects[tc.name] {
 				path := filepath.Join(t.TempDir(), "forged.gtree")

@@ -19,8 +19,8 @@ func fileChaosSeeds(f *testing.F, seed []byte) [][]byte {
 // index whose queries — including the Batcher scatter and bucket paths,
 // which index rank-sized tables by label contents — do not crash.
 func FuzzRead(f *testing.F) {
-	// Seed with real serialized indexes (v4 section file and legacy v3
-	// stream) and some corruptions of each.
+	// Seed with a real serialized index, the same bytes under the old v3
+	// tag (which must fail as version skew), and corruptions of each.
 	g := randomGraph(f, 40, 1)
 	ix, err := Build(g, Options{})
 	if err != nil {
@@ -34,9 +34,10 @@ func FuzzRead(f *testing.F) {
 	f.Add(valid)
 	f.Add(valid[:len(valid)/2])
 	f.Add([]byte(magic))
-	f.Add([]byte(magicV3))
+	f.Add([]byte("FANNRPHL3\n"))
 	f.Add([]byte{})
-	for _, seed := range [][]byte{valid, writeV3T(f, ix)} {
+	relabelled := append([]byte("FANNRPHL3\n"), valid[len(magic):]...)
+	for _, seed := range [][]byte{valid, relabelled} {
 		corrupted := append([]byte(nil), seed...)
 		for i := 16; i < len(corrupted) && i < 128; i += 7 {
 			corrupted[i] ^= 0xff
@@ -71,6 +72,3 @@ func FuzzRead(f *testing.F) {
 		b.DistBoundResume(int32(n-1), b.DistBoundPrefix(int32(n-1), 4, out, make([]float64, 2)), out)
 	})
 }
-
-// writeV3T adapts writeV3 for fuzz seeding (testing.F is a testing.TB).
-func writeV3T(f *testing.F, ix *Index) []byte { return writeV3(f, ix) }

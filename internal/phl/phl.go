@@ -50,7 +50,7 @@ type Options struct {
 // v's label is hubSlab[off[v]:off[v+1]] paired element-wise with
 // distSlab[off[v]:off[v+1]], sorted by hub rank. The layout is
 // pointer-free past the struct header, which keeps the GC out of the
-// label storage and matches the on-disk v3 format byte for byte — the
+// label storage and matches the on-disk v4 sections byte for byte — the
 // prerequisite for mmap-backed loading.
 type Index struct {
 	rank     []int32 // node -> construction rank (hub id space)

@@ -1,11 +1,8 @@
 package phl
 
 import (
-	"bufio"
-	"errors"
 	"fmt"
 	"io"
-	"os"
 
 	"fannr/internal/binio"
 )
@@ -14,26 +11,12 @@ import (
 // by four 64-byte-aligned raw sections (rank, off, hubSlab, distSlab),
 // exactly the in-memory Index layout. A loader can therefore mmap the
 // file read-only and point the slab fields at zero-copy views (Load);
-// stream readers decode the same sections onto the heap (Read). The
-// section table carries its own CRC32 and one per section, replacing the
-// v3 whole-stream footer: metadata is always verified, payloads are
-// verified on heap loads and on demand for mmap loads.
+// Read decodes the same sections onto the heap. The section table
+// carries its own CRC32 and one per section: metadata is always
+// verified, payloads are verified on heap loads and on demand for mmap
+// loads. Every other version, the v3 stream included, fails with a
+// rebuild hint.
 const magic = "FANNRPHL4\n"
-
-// magicV3 is the previous stream format (per-node lengths + slabs behind
-// a whole-stream CRC). Read still accepts it so existing indexes convert
-// with `fannr-index -in old.phl`; Save always writes v4.
-const magicV3 = "FANNRPHL3\n"
-
-// rebuildHint converts binio's version-skew error into an operator
-// message that names the fix. Other errors pass through unchanged.
-func rebuildHint(err error) error {
-	var ve *binio.FormatVersionError
-	if errors.As(err, &ve) {
-		return fmt.Errorf("%w — rebuild the index with fannr-index (or convert it with fannr-index -in)", ve)
-	}
-	return err
-}
 
 // Save serializes the index in the v4 section format.
 func (ix *Index) Save(w io.Writer) error {
@@ -47,27 +30,16 @@ func (ix *Index) Save(w io.Writer) error {
 	return err
 }
 
-// Read deserializes an index from a stream: v4 section files and legacy
-// v3 streams both load (onto the heap — use Load for zero-copy mmap of
-// v4 files). Older versions fail with a rebuild hint.
+// Read deserializes a v4 index from a stream onto the heap — use Load
+// for a zero-copy mmap of a file.
 func Read(r io.Reader) (*Index, error) {
-	br := bufio.NewReader(r)
-	head, err := br.Peek(len(magic))
-	if err != nil {
-		return nil, fmt.Errorf("phl: reading magic: %w", err)
-	}
-	if string(head) == magicV3 {
-		return readV3(br)
-	}
-	// v4 (and anything unrecognized, which ParseSections will reject with
-	// a version-aware error).
-	data, err := io.ReadAll(br)
+	data, err := io.ReadAll(r)
 	if err != nil {
 		return nil, fmt.Errorf("phl: reading stream: %w", err)
 	}
 	sf, err := binio.ParseSections(data, magic)
 	if err != nil {
-		return nil, fmt.Errorf("phl: %w", rebuildHint(err))
+		return nil, fmt.Errorf("phl: %w", err)
 	}
 	if err := sf.VerifySections(); err != nil {
 		return nil, fmt.Errorf("phl: verifying index: %w", err)
@@ -76,19 +48,10 @@ func Read(r io.Reader) (*Index, error) {
 }
 
 // LoadOptions configures Load.
-type LoadOptions struct {
-	// Mmap selects zero-copy mapping for v4 files. When false the file is
-	// read onto the heap. v3 files always decode onto the heap.
-	Mmap bool
-	// Verify forces the per-section CRC pass even under mmap (reading the
-	// whole file once). Heap loads always verify.
-	Verify bool
-}
+type LoadOptions = binio.LoadOptions
 
-// Load opens an index file: v4 files map (or read) via the section
-// loader, v3 files fall back to the stream reader for conversion. With
-// opts.Mmap the returned Index's slabs are zero-copy views into a
-// read-only mapping — see Mapped/Close.
+// Load opens a v4 index file. With opts.Mmap the returned Index's slabs
+// are zero-copy views into a read-only mapping — see Mapped/Close.
 //
 // Trust model: heap loads verify every section CRC and audit every
 // content range, so time-to-first-query is O(file). Mapped loads verify
@@ -97,29 +60,9 @@ type LoadOptions struct {
 // a beyond-RAM index, defeating the mapping. opts.Verify buys the full
 // heap-grade validation pass under mmap.
 func Load(path string, opts LoadOptions) (*Index, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("phl: %w", err)
-	}
-	var head [len(magic)]byte
-	_, err = io.ReadFull(f, head[:])
-	if err != nil {
-		f.Close()
-		return nil, fmt.Errorf("phl: reading magic of %s: %w", path, err)
-	}
-	if string(head[:]) == magicV3 {
-		if _, err := f.Seek(0, io.SeekStart); err != nil {
-			f.Close()
-			return nil, fmt.Errorf("phl: %w", err)
-		}
-		ix, err := Read(f)
-		f.Close()
-		return ix, err
-	}
-	f.Close()
 	sf, err := binio.OpenSectionFile(path, magic, opts.Mmap)
 	if err != nil {
-		return nil, fmt.Errorf("phl: %w", rebuildHint(err))
+		return nil, fmt.Errorf("phl: %w", err)
 	}
 	audit := !sf.Mapped() || opts.Verify
 	if audit {
@@ -202,18 +145,10 @@ func fromSections(sf *binio.SectionFile, audit bool) (*Index, error) {
 	return ix, nil
 }
 
-// validateContents audits value ranges that shape checks cannot see:
-// rank and hub entries index rank-sized tables at query time (Batcher's
-// scatter table), so an out-of-range entry in a CRC-valid file would
-// otherwise become an index-out-of-range panic mid-query.
-func (ix *Index) validateContents() error {
-	if err := ix.validateRank(); err != nil {
-		return err
-	}
-	return ix.validateHubs()
-}
-
-// validateRank is the O(n) half of the content audit.
+// validateRank is the O(n) half of the content audit: rank and hub
+// entries index rank-sized tables at query time (Batcher's scatter
+// table), so an out-of-range entry in a CRC-valid file would otherwise
+// become an index-out-of-range panic mid-query.
 func (ix *Index) validateRank() error {
 	n32 := int32(ix.n)
 	for v, r := range ix.rank {
@@ -234,58 +169,4 @@ func (ix *Index) validateHubs() error {
 		}
 	}
 	return nil
-}
-
-// readV3 decodes the legacy v3 stream format.
-func readV3(r io.Reader) (*Index, error) {
-	br := binio.NewReader(r)
-	br.Magic(magicV3)
-	n := int(br.I64())
-	if err := br.Err(); err != nil {
-		return nil, fmt.Errorf("phl: reading header: %w", err)
-	}
-	if n <= 0 || n > binio.MaxSliceLen {
-		return nil, fmt.Errorf("phl: implausible node count %d", n)
-	}
-	// Read the rank table before committing to n-sized allocations, so a
-	// forged header cannot demand gigabytes for a tiny stream.
-	rank := br.I32s()
-	if err := br.Err(); err != nil {
-		return nil, fmt.Errorf("phl: reading rank table: %w", err)
-	}
-	if len(rank) != n {
-		return nil, fmt.Errorf("phl: rank table has %d entries, want %d", len(rank), n)
-	}
-	lens := br.I32s()
-	if err := br.Err(); err != nil {
-		return nil, fmt.Errorf("phl: reading label lengths: %w", err)
-	}
-	if len(lens) != n {
-		return nil, fmt.Errorf("phl: length table has %d entries, want %d", len(lens), n)
-	}
-	off := make([]int64, n+1)
-	for v, l := range lens {
-		if l < 0 {
-			return nil, fmt.Errorf("phl: negative label length for node %d", v)
-		}
-		off[v+1] = off[v] + int64(l)
-	}
-	if off[n] > binio.MaxSliceLen {
-		return nil, fmt.Errorf("phl: implausible entry count %d", off[n])
-	}
-	hubSlab := br.I32s()
-	distSlab := br.F64s()
-	br.Footer()
-	if err := br.Err(); err != nil {
-		return nil, fmt.Errorf("phl: verifying index: %w", err)
-	}
-	if int64(len(hubSlab)) != off[n] || int64(len(distSlab)) != off[n] {
-		return nil, fmt.Errorf("phl: slabs hold %d/%d entries, offsets expect %d",
-			len(hubSlab), len(distSlab), off[n])
-	}
-	ix := &Index{n: n, rank: rank, off: off, hubSlab: hubSlab, distSlab: distSlab}
-	if err := ix.validateContents(); err != nil {
-		return nil, err
-	}
-	return ix, nil
 }

@@ -187,67 +187,6 @@ func TestReadDetectsBitRot(t *testing.T) {
 	}
 }
 
-// writeV3 emits the legacy v3 stream for an index, so conversion keeps a
-// test double after the writer moved to v4.
-func writeV3(t testing.TB, ix *Index) []byte {
-	t.Helper()
-	var buf bytes.Buffer
-	bw := binio.NewWriter(&buf)
-	bw.Magic(magicV3)
-	bw.I64(int64(ix.n))
-	bw.I32s(ix.rank)
-	lens := make([]int32, ix.n)
-	for v := 0; v < ix.n; v++ {
-		lens[v] = int32(ix.off[v+1] - ix.off[v])
-	}
-	bw.I32s(lens)
-	bw.I32s(ix.hubSlab)
-	bw.F64s(ix.distSlab)
-	if err := bw.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
-}
-
-// TestReadV3Conversion proves the upgrade path: a legacy v3 stream still
-// loads (for fannr-index conversion) and answers identically.
-func TestReadV3Conversion(t *testing.T) {
-	g := randomGraph(t, 200, 55)
-	ix, err := Build(g, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	v3 := writeV3(t, ix)
-	got, err := Read(bytes.NewReader(v3))
-	if err != nil {
-		t.Fatalf("v3 stream rejected: %v", err)
-	}
-	rng := rand.New(rand.NewSource(9))
-	for i := 0; i < 100; i++ {
-		u := graph.NodeID(rng.Intn(g.NumNodes()))
-		v := graph.NodeID(rng.Intn(g.NumNodes()))
-		if a, b := ix.Dist(u, v), got.Dist(u, v); math.Float64bits(a) != math.Float64bits(b) {
-			t.Fatalf("Dist(%d,%d) differs via v3: %v vs %v", u, v, a, b)
-		}
-	}
-	// Load must take the same conversion path for v3 files.
-	path := filepath.Join(t.TempDir(), "old.phl")
-	if err := os.WriteFile(path, v3, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := Load(path, LoadOptions{Mmap: true})
-	if err != nil {
-		t.Fatalf("Load(v3): %v", err)
-	}
-	defer loaded.Close()
-	if loaded.Mapped() {
-		t.Fatal("v3 file cannot be zero-copy mapped, yet Mapped() = true")
-	}
-	if loaded.Entries() != ix.Entries() {
-		t.Fatalf("entries %d != %d via v3 Load", loaded.Entries(), ix.Entries())
-	}
-}
-
 // TestReadOldVersionsGetRebuildHint table-tests the operator experience
 // for every historical format fed to this reader: the error must name
 // the found and wanted versions and point at fannr-index.
@@ -259,6 +198,7 @@ func TestReadOldVersionsGetRebuildHint(t *testing.T) {
 	}{
 		{"v1", "FANNRPHL1\n", 1},
 		{"v2", "FANNRPHL2\n", 2},
+		{"v3", "FANNRPHL3\n", 3},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			stream := append([]byte(tc.magic), bytes.Repeat([]byte{0}, 64)...)
@@ -273,7 +213,7 @@ func TestReadOldVersionsGetRebuildHint(t *testing.T) {
 			if ve.Found != tc.found || ve.Want != 4 {
 				t.Fatalf("err names v%d->v%d, want v%d->v4", ve.Found, ve.Want, tc.found)
 			}
-			if !strings.Contains(err.Error(), "fannr-index") {
+			if msg := err.Error(); !strings.Contains(msg, "fannr-index") || strings.Contains(msg, " -in") {
 				t.Fatalf("error %q does not tell the operator to rebuild with fannr-index", err)
 			}
 			// Same contract through the file loader.
@@ -281,12 +221,12 @@ func TestReadOldVersionsGetRebuildHint(t *testing.T) {
 			if err := os.WriteFile(path, stream, 0o644); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := Load(path, LoadOptions{Mmap: true}); err == nil || !errors.As(err, &ve) {
-				t.Fatalf("Load err = %v, want FormatVersionError", err)
+			if _, err := Load(path, LoadOptions{Mmap: true}); !errors.As(err, &ve) || ve.Found != tc.found || ve.Want != 4 {
+				t.Fatalf("Load err = %v, want FormatVersionError v%d->v4", err, tc.found)
 			}
 		})
 	}
-	// v3 (readable) and garbage (plain mismatch) must NOT claim version skew.
+	// Garbage (plain mismatch) must NOT claim version skew.
 	if _, err := Read(bytes.NewReader([]byte("GARBAGE890GARBAGE"))); err == nil {
 		t.Fatal("garbage accepted")
 	} else if ve := new(binio.FormatVersionError); errors.As(err, &ve) {
@@ -363,17 +303,28 @@ func TestReadRejectsForgedContents(t *testing.T) {
 			}
 		})
 	}
-	// The same forgeries through the v3 stream path: the audits are
-	// shared, so v3 conversion is equally protected.
+	// The same forgeries behind a v3 tag: there is no v3 reader, so the
+	// file must be refused on its version, before any forged value is
+	// trusted, on both the bytes and the file entry points.
 	for _, tc := range cases {
 		if tc.name == "off-decreasing" {
-			continue // v3 stores lengths, not offsets; negative lengths are covered there
+			continue // v3 stored lengths, not offsets
 		}
 		t.Run("v3-"+tc.name, func(t *testing.T) {
 			ix := build()
 			tc.mutate(ix)
-			if _, err := Read(bytes.NewReader(writeV3(t, ix))); err == nil {
-				t.Fatal("forged v3 contents accepted")
+			data := save(ix)
+			v3 := append([]byte("FANNRPHL3\n"), data[len(magic):]...)
+			var ve *binio.FormatVersionError
+			if _, err := Read(bytes.NewReader(v3)); !errors.As(err, &ve) || ve.Found != 3 || ve.Want != 4 {
+				t.Fatalf("Read err = %v, want FormatVersionError v3->v4", err)
+			}
+			path := filepath.Join(t.TempDir(), "forged-v3.phl")
+			if err := os.WriteFile(path, v3, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := Load(path, LoadOptions{Mmap: true}); !errors.As(err, &ve) || ve.Found != 3 {
+				t.Fatalf("Load err = %v, want FormatVersionError v3->v4", err)
 			}
 		})
 	}

@@ -43,7 +43,7 @@ func BuildIndexes(g *graph.Graph, kinds []core.Index) (core.Indexes, error) {
 			ix.CH = func() core.Oracle { return c.NewQuerier() }
 		case core.ALTIndex:
 			fmt.Println("building ALT landmarks...")
-			alt := sp.NewALT(g, 8)
+			alt := sp.NewALT(g, sp.DefaultLandmarks)
 			ix.ALT = func() core.Oracle { return alt.Clone() }
 		}
 	}

@@ -226,7 +226,7 @@ func New(g *graph.Graph, opts Options) (*Server, error) {
 		ranges:           lifecycle.NewRanges(),
 		slow:             obs.NewSlowLog(slowLogEntries),
 	}
-	s.tier = wire.Tier{Graph: g, Sets: core.NewSetRegistry(), DefaultEngine: "INE", HasEngine: s.hasEngine}
+	s.tier = wire.Tier{Graph: g, Sets: core.NewSetRegistry(), DefaultEngine: wire.DefaultEngine, HasEngine: s.hasEngine}
 	if ix := opts.Indexes.PHL; ix != nil {
 		s.indexSizes["phl"] = sizeOf(ix)
 	}

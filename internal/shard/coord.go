@@ -24,8 +24,6 @@ import (
 
 // CoordinatorOptions configures the scatter-gather front end.
 type CoordinatorOptions struct {
-	// DefaultEngine is used when a request names none (default "INE").
-	DefaultEngine string
 	// BreakerThreshold opens a shard's circuit breaker after that many
 	// consecutive failed calls (0 disables breaking); BreakerCooldown is
 	// how long it stays open before a half-open probe (0 =
@@ -100,9 +98,6 @@ func NewCoordinator(plan *Plan, transports []Transport, opts CoordinatorOptions)
 	if len(transports) != plan.Shards() {
 		return nil, fmt.Errorf("shard: %d transports for %d shards", len(transports), plan.Shards())
 	}
-	if opts.DefaultEngine == "" {
-		opts.DefaultEngine = "INE"
-	}
 	if opts.BreakerCooldown <= 0 {
 		opts.BreakerCooldown = resil.DefaultCooldown
 	}
@@ -110,7 +105,7 @@ func NewCoordinator(plan *Plan, transports []Transport, opts CoordinatorOptions)
 		opts.MaxFanout = 4
 	}
 	c := &Coordinator{plan: plan, transports: transports, opts: opts}
-	c.tier = wire.Tier{Graph: plan.g, Sets: plan.sets, DefaultEngine: opts.DefaultEngine}
+	c.tier = wire.Tier{Graph: plan.g, Sets: plan.sets, DefaultEngine: wire.DefaultEngine}
 	if opts.Retry != nil {
 		c.retry = *opts.Retry
 	} else {

@@ -147,7 +147,7 @@ func (c *Coordinator) handleMeta(w http.ResponseWriter, _ *http.Request) {
 	}{
 		Shards: c.plan.Shards(), Epoch: c.plan.Epoch,
 		Graph: c.plan.g.Name(), Nodes: c.plan.g.NumNodes(),
-		Engine: c.opts.DefaultEngine,
+		Engine: c.tier.DefaultEngine,
 		Sets:   setsMeta{Entries: sets.Entries, Bytes: sets.Bytes},
 	}
 	for s := 0; s < c.plan.Shards(); s++ {

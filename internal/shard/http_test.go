@@ -241,13 +241,11 @@ func TestCoordinatorEnginePanicCarriesNoStack(t *testing.T) {
 		}
 		transports[s] = InProc{Host: h}
 	}
-	coord, err := NewCoordinator(plan, transports, CoordinatorOptions{
-		DefaultEngine: "Fragile", Retry: &resil.RetryPolicy{Attempts: 1},
-	})
+	coord, err := NewCoordinator(plan, transports, CoordinatorOptions{Retry: &resil.RetryPolicy{Attempts: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	status, _, e := postCoord(t, coord.Handler(), `{"p":[1,2,3,100,200],"q":[5,50],"phi":1}`)
+	status, _, e := postCoord(t, coord.Handler(), `{"p":[1,2,3,100,200],"q":[5,50],"phi":1,"engine":"Fragile"}`)
 	if status != http.StatusInternalServerError || e.Code != "internal" {
 		t.Fatalf("status %d code %q, want 500 internal (error %q)", status, e.Code, e.Error)
 	}

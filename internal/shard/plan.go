@@ -17,10 +17,6 @@ import (
 type PlanOptions struct {
 	// Shards is S, the number of partitions (required, ≥ 1).
 	Shards int
-	// Landmarks is the number of landmark distance vectors backing the
-	// shard-level lower bounds (default 8, the ALT default). More
-	// landmarks tighten the bounds at |V|·L floats of memory.
-	Landmarks int
 }
 
 // Plan is the immutable sharding contract the coordinator and the
@@ -73,9 +69,6 @@ func NewPlan(g *graph.Graph, tree *gtree.Tree, opts PlanOptions) (*Plan, error) 
 	if tree.Graph() != g {
 		return nil, fmt.Errorf("shard: partition tree was built over a different graph")
 	}
-	if opts.Landmarks < 1 {
-		opts.Landmarks = 8
-	}
 	p := &Plan{
 		g:         g,
 		groups:    tree.PartitionK(opts.Shards),
@@ -89,7 +82,7 @@ func NewPlan(g *graph.Graph, tree *gtree.Tree, opts PlanOptions) (*Plan, error) 
 		}
 	}
 	p.Epoch = p.fingerprint()
-	p.buildLandmarks(opts.Landmarks)
+	p.buildLandmarks()
 	if p.hasCoords {
 		p.buildBoxes()
 	}
@@ -120,37 +113,11 @@ func (p *Plan) fingerprint() uint64 {
 	return h.Sum64()
 }
 
-// buildLandmarks picks landmarks by farthest-point sampling (the ALT
-// strategy) and envelopes each distance vector per shard.
-func (p *Plan) buildLandmarks(count int) {
-	n := p.g.NumNodes()
-	d := sp.NewDijkstra(p.g)
-	minDist := make([]float64, n)
-	for i := range minDist {
-		minDist[i] = math.Inf(1)
-	}
-	cur := graph.NodeID(0)
-	for len(p.land) < count {
-		vec := d.All(cur)
-		p.land = append(p.land, vec)
-		far, farDist := cur, -1.0
-		for v := 0; v < n; v++ {
-			if math.IsInf(vec[v], 1) {
-				continue
-			}
-			if vec[v] < minDist[v] {
-				minDist[v] = vec[v]
-			}
-			if minDist[v] > farDist {
-				farDist = minDist[v]
-				far = graph.NodeID(v)
-			}
-		}
-		if far == cur {
-			break // graph exhausted
-		}
-		cur = far
-	}
+// buildLandmarks picks sp.DefaultLandmarks landmarks as ALT does
+// (sp.Landmarks) and envelopes each distance vector per shard. More
+// landmarks would tighten the bounds at |V|·L floats of memory.
+func (p *Plan) buildLandmarks() {
+	p.land = sp.Landmarks(p.g, sp.DefaultLandmarks)
 	S := len(p.groups)
 	p.lmin = make([][]float64, len(p.land))
 	p.lmax = make([][]float64, len(p.land))

@@ -23,32 +23,44 @@ type ALT struct {
 	nodesScanned int64
 }
 
-// NewALT picks numLandmarks landmarks by farthest-point sampling and
-// precomputes their distance vectors (numLandmarks full Dijkstra runs).
+// DefaultLandmarks is the landmark count of every ALT engine and shard
+// plan fannr builds.
+const DefaultLandmarks = 8
+
+// NewALT picks numLandmarks landmarks (DefaultLandmarks when < 1) and
+// precomputes their distance vectors (see Landmarks).
 func NewALT(g *graph.Graph, numLandmarks int) *ALT {
 	if numLandmarks < 1 {
-		numLandmarks = 8
+		numLandmarks = DefaultLandmarks
 	}
 	n := g.NumNodes()
-	a := &ALT{
+	return &ALT{
 		g:     g,
+		land:  Landmarks(g, numLandmarks),
 		h:     pqueue.NewIndexedHeap(n),
 		dist:  make([]float64, n),
 		stamp: make([]uint32, n),
 	}
+}
+
+// Landmarks picks up to count landmarks by farthest-point sampling and
+// returns their distance vectors (one full Dijkstra each): start at node
+// 0, then repeatedly take the reachable node maximizing the minimum
+// distance to the landmarks chosen so far. It stops early once no node
+// is farther than the last landmark (a tiny or disconnected graph).
+func Landmarks(g *graph.Graph, count int) [][]float64 {
+	n := g.NumNodes()
 	d := NewDijkstra(g)
-	// Farthest-point sampling: start anywhere, then repeatedly take the
-	// node maximizing the minimum distance to chosen landmarks.
-	cur := graph.NodeID(0)
 	minDist := make([]float64, n)
 	for i := range minDist {
 		minDist[i] = math.Inf(1)
 	}
-	for len(a.land) < numLandmarks {
+	var land [][]float64
+	cur := graph.NodeID(0)
+	for len(land) < count {
 		vec := d.All(cur)
-		a.land = append(a.land, vec)
-		far := cur
-		farDist := -1.0
+		land = append(land, vec)
+		far, farDist := cur, -1.0
 		for v := 0; v < n; v++ {
 			if math.IsInf(vec[v], 1) {
 				continue // unreachable nodes cannot serve as landmarks
@@ -62,11 +74,11 @@ func NewALT(g *graph.Graph, numLandmarks int) *ALT {
 			}
 		}
 		if far == cur {
-			break // graph exhausted (tiny or disconnected)
+			break
 		}
 		cur = far
 	}
-	return a
+	return land
 }
 
 // NumLandmarks returns the number of landmarks actually placed.

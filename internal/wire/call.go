@@ -20,6 +20,10 @@ type Call struct {
 	K int
 }
 
+// DefaultEngine serves a request that names no engine on fannr-server
+// and the shard coordinator: INE needs no index, so every tier has it.
+const DefaultEngine = "INE"
+
 // Tier is what normalising a request needs to know of the tier it runs
 // on. The three tiers differ only here.
 type Tier struct {
