@@ -86,7 +86,7 @@ figures:
 microbench:
 	$(GO) test -run - -bench 'ServerThroughput|DistEndpoint' -cpu 1,2,4,8 \
 		-benchtime 1x ./internal/server/
-	$(GO) test -run - -bench BuildWorkers -benchtime 1x ./internal/gtree/ ./internal/ch/
+	$(GO) test -run - -bench BuildWorkers -benchtime 1x ./internal/gtree/
 	$(GO) test -run - -bench 'GDStats' -benchtime 1000x ./internal/core/
 	$(GO) test -run - -bench 'GPhiPHLBound|GPhiIERPHLBound|IERPHLRegimes' -cpu 1 -benchtime 500x .
 	$(GO) test -run - -bench DecodeFANN -cpu 1 -benchtime 2000x ./internal/wire/
@@ -104,7 +104,7 @@ microbench:
 ## -short; drop it for the full hammer.
 race: explain-smoke shard-smoke
 	$(GO) test -race -short ./internal/server/... ./internal/core/... \
-		./internal/resil/... ./internal/gtree/... ./internal/ch/... \
+		./internal/resil/... ./internal/gtree/... \
 		./internal/par/... ./internal/workload/... ./internal/difftest/... \
 		./internal/obs/... ./internal/qcache/... ./internal/lifecycle/... \
 		./internal/phl/... ./internal/sp/... ./internal/rtree/... \
@@ -132,24 +132,28 @@ race-full:
 
 ## Short burst of native fuzzing over the HTTP JSON surface and the
 ## differential case generator (go test -fuzz takes one target at a time,
-## hence the loop). Seeds-only regression replay already runs in `test`.
+## hence one line each). Seeds-only regression replay already runs in
+## `test`. Each line first lists its target and fails when the package no
+## longer has it: `go test -fuzz` on a missing target still prints ok.
 FUZZTIME ?= 10s
+fuzz = $(GO) test -list '^$(1)$$' $(2) | grep -qx '$(1)' \
+	|| { echo "fuzz-smoke: $(2) has no $(1)"; exit 1; }; \
+	$(GO) test -run - -fuzz '^$(1)$$' -fuzztime $(FUZZTIME) $(2)
 fuzz-smoke:
-	$(GO) test -run - -fuzz FuzzFANNEndpoint -fuzztime $(FUZZTIME) ./internal/server/
-	$(GO) test -run - -fuzz FuzzDistEndpoint -fuzztime $(FUZZTIME) ./internal/server/
-	$(GO) test -run - -fuzz FuzzDecodeFANN -fuzztime $(FUZZTIME) ./internal/wire/
-	$(GO) test -run - -fuzz FuzzShardBodies -fuzztime $(FUZZTIME) ./internal/wire/
-	$(GO) test -run - -fuzz FuzzSetRegistry -fuzztime $(FUZZTIME) ./internal/core/
-	$(GO) test -run - -fuzz FuzzDifferentialCase -fuzztime $(FUZZTIME) ./internal/difftest/
-	$(GO) test -run - -fuzz FuzzRead -fuzztime $(FUZZTIME) ./internal/phl/
-	$(GO) test -run - -fuzz FuzzDistBoundMatchesDistBatch -fuzztime $(FUZZTIME) ./internal/phl/
-	$(GO) test -run - -fuzz FuzzDistBelow -fuzztime $(FUZZTIME) ./internal/core/
-	$(GO) test -run - -fuzz FuzzIERBoundAdmissible -fuzztime $(FUZZTIME) ./internal/core/
-	$(GO) test -run - -fuzz FuzzRead -fuzztime $(FUZZTIME) ./internal/gtree/
-	$(GO) test -run - -fuzz FuzzKNNMatchesDijkstra -fuzztime $(FUZZTIME) ./internal/gtree/
-	$(GO) test -run - -fuzz FuzzRead -fuzztime $(FUZZTIME) ./internal/ch/
-	$(GO) test -run - -fuzz FuzzExpanderTable -fuzztime $(FUZZTIME) ./internal/sp/
-	$(GO) test -run - -fuzz FuzzShardRPC -fuzztime $(FUZZTIME) ./internal/shard/
+	$(call fuzz,FuzzFANNEndpoint,./internal/server/)
+	$(call fuzz,FuzzDistEndpoint,./internal/server/)
+	$(call fuzz,FuzzDecodeFANN,./internal/wire/)
+	$(call fuzz,FuzzShardBodies,./internal/wire/)
+	$(call fuzz,FuzzSetRegistry,./internal/core/)
+	$(call fuzz,FuzzDifferentialCase,./internal/difftest/)
+	$(call fuzz,FuzzRead,./internal/phl/)
+	$(call fuzz,FuzzDistBoundMatchesDistBatch,./internal/phl/)
+	$(call fuzz,FuzzDistBelow,./internal/core/)
+	$(call fuzz,FuzzIERBoundAdmissible,./internal/core/)
+	$(call fuzz,FuzzRead,./internal/gtree/)
+	$(call fuzz,FuzzKNNMatchesDijkstra,./internal/gtree/)
+	$(call fuzz,FuzzExpanderTable,./internal/sp/)
+	$(call fuzz,FuzzShardRPC,./internal/shard/)
 
 ## Fault-injection and overload acceptance: the circuit breaker + chaos
 ## engine contracts, then the server driven through saturation, breaker

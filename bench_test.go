@@ -140,15 +140,6 @@ func BenchmarkAblationRefine(b *testing.B) {
 	}
 }
 
-func BenchmarkExtensionEngines(b *testing.B) {
-	cfg := benchConfig()
-	for i := 0; i < b.N; i++ {
-		if _, err := exp.ExtensionEngines(cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkDiagnostics(b *testing.B) {
 	runFigure(b, func(e *exp.Env) ([]*exp.Table, error) { return e.Diagnostics() })
 }

@@ -19,45 +19,51 @@ import (
 	"fannr"
 )
 
+// config carries the flag values into main: the experiment to run, how
+// to print it, and the run's ExpConfig.
+type config struct {
+	exp, csvDir string
+	list, chart bool
+	run         fannr.ExpConfig
+}
+
+// newFlags registers the command line on a FlagSet of its own, so the
+// flag surface is one function a test can read.
+func newFlags(cfg *config) *flag.FlagSet {
+	fs := flag.NewFlagSet("fannr-bench", flag.ExitOnError)
+	fs.StringVar(&cfg.exp, "exp", "", "experiment id (see -list) or \"all\"")
+	fs.BoolVar(&cfg.list, "list", false, "list experiment ids and exit")
+	fs.StringVar(&cfg.run.Dataset, "dataset", "NW", "Table III dataset for workload experiments")
+	fs.Float64Var(&cfg.run.Scale, "scale", 1.0/16, "dataset scale relative to the paper's node counts")
+	fs.IntVar(&cfg.run.Queries, "queries", 8, "queries averaged per data point (the paper uses 100)")
+	fs.Int64Var(&cfg.run.Seed, "seed", 1, "workload seed")
+	fs.DurationVar(&cfg.run.Timeout, "timeout", 20*time.Second, "per-(algorithm, tick) budget before DNF")
+	fs.Int64Var(&cfg.run.PHLBudget, "phl-budget", 0, "hub-label entry budget (0 = default)")
+	fs.StringVar(&cfg.csvDir, "csv", "", "also write one CSV per table into this directory")
+	fs.BoolVar(&cfg.chart, "chart", false, "render ASCII charts after each table")
+	return fs
+}
+
 func main() {
-	var (
-		expID   = flag.String("exp", "", "experiment id (see -list) or \"all\"")
-		list    = flag.Bool("list", false, "list experiment ids and exit")
-		dataset = flag.String("dataset", "NW", "Table III dataset for workload experiments")
-		scale   = flag.Float64("scale", 1.0/16, "dataset scale relative to the paper's node counts")
-		queries = flag.Int("queries", 8, "queries averaged per data point (the paper uses 100)")
-		seed    = flag.Int64("seed", 1, "workload seed")
-		timeout = flag.Duration("timeout", 20*time.Second, "per-(algorithm, tick) budget before DNF")
-		budget  = flag.Int64("phl-budget", 0, "hub-label entry budget (0 = default)")
-		csvDir  = flag.String("csv", "", "also write one CSV per table into this directory")
-		chart   = flag.Bool("chart", false, "render ASCII charts after each table")
-	)
-	flag.Parse()
-	if *list {
+	var cfg config
+	newFlags(&cfg).Parse(os.Args[1:])
+	if cfg.list {
 		for _, id := range fannr.ExperimentIDs() {
 			fmt.Println(id)
 		}
 		return
 	}
-	if *expID == "" {
+	if cfg.exp == "" {
 		fmt.Fprintln(os.Stderr, "fannr-bench: -exp required (or -list)")
 		os.Exit(2)
 	}
-	cfg := fannr.ExpConfig{
-		Dataset:   *dataset,
-		Scale:     *scale,
-		Queries:   *queries,
-		Seed:      *seed,
-		Timeout:   *timeout,
-		PHLBudget: *budget,
-	}
-	ids := []string{*expID}
-	if *expID == "all" {
+	ids := []string{cfg.exp}
+	if cfg.exp == "all" {
 		ids = fannr.ExperimentIDs()
 	}
 	for _, id := range ids {
 		start := time.Now()
-		tables, err := fannr.RunExperiment(id, cfg)
+		tables, err := fannr.RunExperiment(id, cfg.run)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "fannr-bench: %s: %v\n", id, err)
 			os.Exit(1)
@@ -65,12 +71,12 @@ func main() {
 		for _, tbl := range tables {
 			tbl.Render(os.Stdout)
 			fmt.Println()
-			if *chart {
+			if cfg.chart {
 				tbl.RenderChart(os.Stdout)
 				fmt.Println()
 			}
-			if *csvDir != "" {
-				if err := writeCSV(*csvDir, tbl); err != nil {
+			if cfg.csvDir != "" {
+				if err := writeCSV(cfg.csvDir, tbl); err != nil {
 					fmt.Fprintf(os.Stderr, "fannr-bench: writing CSV: %v\n", err)
 					os.Exit(1)
 				}

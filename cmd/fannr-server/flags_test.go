@@ -54,7 +54,7 @@ func TestIndexFileNeedsItsEngine(t *testing.T) {
 		flag string
 	}{
 		{config{engines: "PHL", phlIndex: "nw.phl", gtreeIndex: "nw.gtree"}, "-gtree-index"},
-		{config{engines: "GTree,CH", gtreeIndex: "nw.gtree", phlIndex: "nw.phl"}, "-phl-index"},
+		{config{engines: "GTree", gtreeIndex: "nw.gtree", phlIndex: "nw.phl"}, "-phl-index"},
 	} {
 		kinds, err := core.ParseIndexes(tc.cfg.engines)
 		if err != nil {
@@ -65,10 +65,24 @@ func TestIndexFileNeedsItsEngine(t *testing.T) {
 			t.Fatalf("-engines %s with %s: err = %v, want one naming %s and -engines", tc.cfg.engines, tc.flag, err, tc.flag)
 		}
 	}
-	cfg := config{engines: "PHL,GTree", phlIndex: "nw.phl", gtreeIndex: "nw.gtree"}
-	kinds, _ := core.ParseIndexes(cfg.engines)
-	files, err := indexFiles(cfg, kinds)
-	if err != nil || files[core.PHLIndex] != "nw.phl" || files[core.GTreeIndex] != "nw.gtree" {
-		t.Fatalf("both indexes listed: files %v, err %v", files, err)
+	for _, tc := range []struct {
+		engines string
+		want    []core.Index
+	}{
+		{"PHL,GTree", []core.Index{core.PHLIndex, core.GTreeIndex}},
+		// A repeated name lists its index once, in first-seen order:
+		// listed twice, nw.phl would be mapped and then fail to register
+		// as a second "phl" source.
+		{"GTree,PHL,INE,PHL,GTree", []core.Index{core.GTreeIndex, core.PHLIndex}},
+	} {
+		cfg := config{engines: tc.engines, phlIndex: "nw.phl", gtreeIndex: "nw.gtree"}
+		kinds, err := core.ParseIndexes(cfg.engines)
+		if err != nil || !slices.Equal(kinds, tc.want) {
+			t.Fatalf("-engines %s: indexes %v, err %v; want %v", tc.engines, kinds, err, tc.want)
+		}
+		files, err := indexFiles(cfg, kinds)
+		if err != nil || files[core.PHLIndex] != "nw.phl" || files[core.GTreeIndex] != "nw.gtree" {
+			t.Fatalf("-engines %s: files %v, err %v", tc.engines, files, err)
+		}
 	}
 }

@@ -103,7 +103,7 @@ func newFlags(cfg *config) *flag.FlagSet {
 	fs.StringVar(&cfg.dataset, "dataset", "NW", "Table III dataset name (synthetic)")
 	fs.Float64Var(&cfg.scale, "scale", 1.0/64, "dataset scale")
 	fs.StringVar(&cfg.addr, "addr", ":8080", "listen address")
-	fs.StringVar(&cfg.engines, "engines", "PHL", "indexes to serve: comma-separated from PHL,GTree,CH,ALT (INE and A* need none); every engine they support is served")
+	fs.StringVar(&cfg.engines, "engines", "PHL", "indexes to serve: comma-separated from PHL,GTree (INE and A* need none); every engine they support is served")
 	fs.StringVar(&cfg.phlIndex, "phl-index", "", "load the hub labels from this fannr-index file instead of building at startup")
 	fs.StringVar(&cfg.gtreeIndex, "gtree-index", "", "load the G-tree from this fannr-index file instead of building at startup")
 	fs.StringVar(&cfg.mmapMode, "mmap", "auto", "zero-copy index loading: auto or on (mmap the index files), off (heap-read them)")

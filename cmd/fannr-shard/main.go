@@ -77,7 +77,7 @@ func newFlags(cfg *config) *flag.FlagSet {
 	fs.IntVar(&cfg.shards, "shards", 4, "shard count S (mode all; mode coord infers S from -targets)")
 	fs.IntVar(&cfg.shardID, "shard-id", 0, "this host's shard index (mode host)")
 	fs.StringVar(&cfg.targets, "targets", "", "comma-separated shard host base URLs, in shard order (mode coord)")
-	fs.StringVar(&cfg.engines, "engines", "INE", "indexes each host builds: comma-separated from PHL,GTree,CH,ALT (INE and A* need none); every engine they support is served")
+	fs.StringVar(&cfg.engines, "engines", "INE", "indexes each host builds: comma-separated from PHL,GTree (INE and A* need none); every engine they support is served")
 	fs.IntVar(&cfg.cacheEntries, "cache-entries", 4096, "coordinator exact-result cache capacity (0 = disabled); keys are stamped with the plan epoch and healthy shard set")
 	fs.IntVar(&cfg.maxFanout, "max-fanout", 4, "concurrent shard calls per wave; waves run best-bound-first so early answers prune later shards")
 	fs.IntVar(&cfg.breakerThreshold, "breaker-threshold", 3, "consecutive shard failures that open its breaker (0 = disabled)")

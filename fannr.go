@@ -21,9 +21,8 @@
 // Algorithms: GD (enumerate P), RList (threshold algorithm), IERKNN
 // (best-first over an R-tree on P), ExactMax (counter-based exact max),
 // APXSum (3-approximate sum), and K* top-k variants. Engines: INE
-// (index-free), point-to-point oracles (A*, bidirectional Dijkstra, hub
-// labels, G-tree), and IER engines combining an R-tree over Q with any
-// oracle.
+// (index-free), point-to-point oracles (A*, hub labels, G-tree), and IER
+// engines combining an R-tree over Q with any oracle.
 //
 // This root package is a facade re-exporting the implementation packages
 // under internal/; see DESIGN.md for the architecture and EXPERIMENTS.md
@@ -34,7 +33,6 @@ import (
 	"io"
 
 	"fannr/internal/binio"
-	"fannr/internal/ch"
 	"fannr/internal/core"
 	"fannr/internal/exp"
 	"fannr/internal/graph"
@@ -205,18 +203,6 @@ func LoadGTree(path string, g *Graph, opts LoadOptions) (*GTree, error) {
 
 // NewDijkstra returns a reusable single-source search engine.
 func NewDijkstra(g *Graph) *sp.Dijkstra { return sp.NewDijkstra(g) }
-
-// Contraction hierarchies (an extension beyond the paper's Table I).
-type (
-	// CHIndex is a contraction-hierarchy shortest-path index.
-	CHIndex = ch.Index
-	// CHOptions tunes CH preprocessing.
-	CHOptions = ch.Options
-)
-
-// BuildCH contracts g into a hierarchy; queriers from the index serve as
-// distance oracles for the g_φ engines.
-func BuildCH(g *Graph, opts CHOptions) (*CHIndex, error) { return ch.Build(g, opts) }
 
 // Workload generation (the paper's §VI-A factors).
 type (

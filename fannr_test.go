@@ -69,8 +69,8 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 		{"IERKNN/IER-PHL", func() (fannr.Answer, error) {
 			return fannr.IERKNN(g, rtP, ierPHL, q, fannr.IEROptions{})
 		}},
-		{"ExactMax/BiDijkstra", func() (fannr.Answer, error) {
-			return fannr.ExactMax(g, fannr.NewOracleGPhi("Bi", sp.NewBiDijkstra(g)), q)
+		{"ExactMax/A*", func() (fannr.Answer, error) {
+			return fannr.ExactMax(g, fannr.NewOracleGPhi("A*", sp.NewAStar(g)), q)
 		}},
 	}
 	for _, m := range methods {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"fannr/internal/graph"
@@ -17,33 +18,33 @@ const (
 	NoIndex Index = iota
 	PHLIndex
 	GTreeIndex
-	CHIndex
-	ALTIndex
 )
 
 // String is the index's name in error messages.
 func (x Index) String() string {
-	return [...]string{"no", "PHL", "G-tree", "CH", "ALT"}[x]
+	return [...]string{"no", "PHL", "G-tree"}[x]
 }
 
 // ParseIndexes reads the comma-separated list the serving binaries'
-// -engines flag takes: PHL, GTree, CH and ALT name an index to build;
-// INE and A* name engines that need none and are accepted as no-ops.
+// -engines flag takes: PHL and GTree name an index to build; INE and A*
+// name engines that need none and are accepted as no-ops. Each index is
+// listed once, in the order first named.
 func ParseIndexes(list string) ([]Index, error) {
 	var out []Index
 	for _, name := range strings.Split(list, ",") {
+		var x Index
 		switch strings.TrimSpace(name) {
 		case "", "INE", "A*":
+			continue
 		case "PHL":
-			out = append(out, PHLIndex)
+			x = PHLIndex
 		case "GTree":
-			out = append(out, GTreeIndex)
-		case "CH":
-			out = append(out, CHIndex)
-		case "ALT":
-			out = append(out, ALTIndex)
+			x = GTreeIndex
 		default:
-			return nil, fmt.Errorf("unknown index %q (want PHL, GTree, CH or ALT)", name)
+			return nil, fmt.Errorf("unknown index %q (want PHL or GTree)", name)
+		}
+		if !slices.Contains(out, x) {
+			out = append(out, x)
 		}
 	}
 	return out, nil
@@ -57,9 +58,6 @@ type Indexes struct {
 	PHL Oracle
 	// GTree is a G-tree; every engine takes a querier of its own.
 	GTree *gtree.Tree
-	// CH and ALT mint one oracle per engine — a contraction-hierarchy
-	// querier, a landmark A* — since each carries search scratch.
-	CH, ALT func() Oracle
 }
 
 func (ix Indexes) has(x Index) bool {
@@ -68,10 +66,6 @@ func (ix Indexes) has(x Index) bool {
 		return ix.PHL != nil
 	case GTreeIndex:
 		return ix.GTree != nil
-	case CHIndex:
-		return ix.CH != nil
-	case ALTIndex:
-		return ix.ALT != nil
 	}
 	return true
 }
@@ -84,10 +78,6 @@ func (ix Indexes) oracle(g *graph.Graph, x Index) Oracle {
 		return ix.PHL
 	case GTreeIndex:
 		return ix.GTree.NewQuerier()
-	case CHIndex:
-		return ix.CH()
-	case ALTIndex:
-		return ix.ALT()
 	}
 	return sp.NewAStar(g)
 }
@@ -104,24 +94,20 @@ type engineSpec struct {
 	search func(g *graph.Graph, ix Indexes) GPhi
 }
 
-// catalogue is the paper's Table I plus the CH, ALT and G-tree
-// point-to-point extensions: every engine name a tier can serve, the
-// index it searches and how it is built. It is the only place that maps
-// an engine name to a constructor; its order is the order tiers register
-// engines in, so INE, which needs nothing, comes first.
+// catalogue is the paper's Table I plus the G-tree point-to-point
+// extension: every engine name a tier can serve, the index it searches
+// and how it is built. It is the only place that maps an engine name to
+// a constructor; its order is the order tiers register engines in, so
+// INE, which needs nothing, comes first.
 var catalogue = []engineSpec{
 	{name: "INE", search: func(g *graph.Graph, _ Indexes) GPhi { return NewINE(g) }},
 	{name: "A*"},
 	{name: "PHL", index: PHLIndex},
 	{name: "GTree-SPSP", index: GTreeIndex},
-	{name: "CH", index: CHIndex},
 	{name: "GTree", index: GTreeIndex, search: func(_ *graph.Graph, ix Indexes) GPhi { return NewGTreeGPhi(ix.GTree) }},
 	{name: "IER-A*", ier: true},
 	{name: "IER-PHL", index: PHLIndex, ier: true},
-	{name: "IER-CH", index: CHIndex, ier: true},
 	{name: "IER-GTree", index: GTreeIndex, ier: true},
-	{name: "ALT", index: ALTIndex},
-	{name: "IER-ALT", index: ALTIndex, ier: true},
 }
 
 func specOf(name string) (*engineSpec, error) {

@@ -223,9 +223,8 @@ type Answer struct {
 // points (e.g., P and Q in different components).
 var ErrNoResult = errors.New("fannr: no data point reaches ⌈φ|Q|⌉ query points")
 
-// Oracle answers exact network shortest-path distance queries. The sp
-// engines (AStar, BiDijkstra), phl.Index, and gtree.Querier all satisfy
-// it.
+// Oracle answers exact network shortest-path distance queries.
+// sp.AStar, phl.Index and gtree.Querier all satisfy it.
 type Oracle interface {
 	Dist(u, v graph.NodeID) float64
 }

@@ -6,7 +6,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"fannr/internal/ch"
 	"fannr/internal/graph"
 	"fannr/internal/gtree"
 	"fannr/internal/phl"
@@ -33,18 +32,11 @@ func newTestEnv(t testing.TB, nodes int, seed int64) *testEnv {
 	if err != nil {
 		t.Fatal(err)
 	}
-	chIx, err := ch.Build(g, ch.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
 	env := &testEnv{g: g}
 	env.engines = append(env.engines,
 		NewINE(g),
 		NewOracleGPhi("A*", sp.NewAStar(g)),
-		NewOracleGPhi("BiDijkstra", sp.NewBiDijkstra(g)),
 		NewOracleGPhi("PHL", ix),
-		NewOracleGPhi("CH", chIx.NewQuerier()),
-		NewOracleGPhi("ALT", sp.NewALT(g, 4)),
 		NewGTreeGPhi(tr),
 	)
 	for _, spec := range []struct {

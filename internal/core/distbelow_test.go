@@ -6,7 +6,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"fannr/internal/ch"
 	"fannr/internal/graph"
 	"fannr/internal/gtree"
 	"fannr/internal/phl"
@@ -31,16 +30,12 @@ func checkDistBelow(t testing.TB, gp GPhi, p graph.NodeID, k int, agg Aggregate,
 }
 
 // everyEngine is the engine suite difftest.NewEnv assembles, over g and
-// its hub labels ix: INE, the oracle engines over A*, PHL, the G-tree and
-// CH, the G-tree occurrence-list engine, and IER over A*, PHL and CH. g
-// must carry coordinates.
+// its hub labels ix: INE, the oracle engines over A*, PHL and the G-tree,
+// the G-tree occurrence-list engine, and IER over A* and PHL. g must
+// carry coordinates.
 func everyEngine(t testing.TB, g *graph.Graph, ix *phl.Index) []GPhi {
 	t.Helper()
 	tr, err := gtree.Build(g, gtree.Options{MaxLeafSize: 16})
-	if err != nil {
-		t.Fatal(err)
-	}
-	chIx, err := ch.Build(g, ch.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +44,6 @@ func everyEngine(t testing.TB, g *graph.Graph, ix *phl.Index) []GPhi {
 		NewOracleGPhi("A*", sp.NewAStar(g)),
 		NewOracleGPhi("PHL", ix),
 		NewOracleGPhi("GTree-SPSP", tr.NewQuerier()),
-		NewOracleGPhi("CH", chIx.NewQuerier()),
 		NewGTreeGPhi(tr),
 	}
 	for _, spec := range []struct {
@@ -58,7 +52,6 @@ func everyEngine(t testing.TB, g *graph.Graph, ix *phl.Index) []GPhi {
 	}{
 		{"IER-A*", sp.NewAStar(g)},
 		{"IER-PHL", ix},
-		{"IER-CH", chIx.NewQuerier()},
 	} {
 		e, err := NewIERGPhi(spec.name, g, spec.o)
 		if err != nil {

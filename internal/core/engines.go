@@ -375,8 +375,7 @@ type oracleEngine struct {
 func (e *oracleEngine) Name() string { return e.name }
 
 // BindStats attributes the oracle's settles to s when the oracle counts
-// them (A*, bidirectional Dijkstra, ALT and CH do; hub labels answer
-// from tables and settle nothing).
+// them (A* does; hub labels answer from tables and settle nothing).
 func (e *oracleEngine) BindStats(s *Stats) { e.stats = s }
 
 // Reset only records Q. A target-binding oracle indexes it on the first
@@ -567,8 +566,8 @@ func (e *gtreeEngine) nearest(p graph.NodeID, k int, _ Aggregate, tau float64) (
 // cannot improve the k-th best network distance. The graph must carry
 // coordinates.
 //
-// Restriction pays when each network distance is a search of its own (A*,
-// CH, ALT) or a border-matrix assembly (G-tree). An oracle that binds its
+// Restriction pays when each network distance is a search of its own (A*)
+// or a border-matrix assembly (G-tree). An oracle that binds its
 // targets (phl.Index, through the Batcher it mints) answers all of Q in
 // one walk over L(p) for less than the R-tree scan alone costs, so over
 // such an oracle the IER name gets NewOracleGPhi's neighbour search:

@@ -31,9 +31,9 @@ type PoolLimits struct {
 }
 
 // EngineFactory builds a fresh GPhi engine over shared immutable indexes
-// (graph, hub labels, G-tree, CH upward graph — all safe for concurrent
-// readers). Factories must be callable from any goroutine; everything the
-// returned engine mutates must belong to that engine alone.
+// (graph, hub labels, G-tree — all safe for concurrent readers).
+// Factories must be callable from any goroutine; everything the returned
+// engine mutates must belong to that engine alone.
 type EngineFactory func() GPhi
 
 // EnginePool is a named, bounded free-list of GPhi engines that lets many

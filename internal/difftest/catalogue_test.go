@@ -84,7 +84,7 @@ func TestCatalogueThreeTiers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	every := []core.Index{core.PHLIndex, core.GTreeIndex, core.CHIndex, core.ALTIndex}
+	every := []core.Index{core.PHLIndex, core.GTreeIndex}
 	full, err := server.BuildIndexes(g, every)
 	if err != nil {
 		t.Fatal(err)

@@ -30,7 +30,6 @@ import (
 	"os"
 	"path/filepath"
 
-	"fannr/internal/ch"
 	"fannr/internal/core"
 	"fannr/internal/graph"
 	"fannr/internal/gtree"
@@ -56,11 +55,10 @@ type Env struct {
 // suite names the engines every case runs through, in the order Engines
 // holds them: the case seed picks the top-k and sharded engine by
 // position, so the order fixes which engine a corpus seed exercises.
-var suite = []string{"INE", "A*", "PHL", "GTree-SPSP", "CH", "GTree", "IER-A*", "IER-PHL", "IER-CH"}
+var suite = []string{"INE", "A*", "PHL", "GTree-SPSP", "GTree", "IER-A*", "IER-PHL"}
 
 // NewEnv generates a connected random road network of roughly the given
-// node count and builds every engine of the paper's Table I (plus the CH
-// and ALT extensions) over it.
+// node count and builds every engine of the paper's Table I over it.
 func NewEnv(nodes int, seed int64) (*Env, error) {
 	g, err := graph.Generate(graph.GenConfig{Nodes: nodes, Seed: seed, Name: fmt.Sprintf("diff-%d", seed)})
 	if err != nil {
@@ -80,11 +78,7 @@ func NewEnv(nodes int, seed int64) (*Env, error) {
 // assembleEnv builds the engine suite shared by NewEnv and NewEnvLoaded
 // from a graph and its (built or loaded) indexes, through the catalogue.
 func assembleEnv(g *graph.Graph, labels *phl.Index, tr *gtree.Tree) (*Env, error) {
-	chIx, err := ch.Build(g, ch.Options{})
-	if err != nil {
-		return nil, err
-	}
-	ix := core.Indexes{PHL: labels, GTree: tr, CH: func() core.Oracle { return chIx.NewQuerier() }}
+	ix := core.Indexes{PHL: labels, GTree: tr}
 	env := &Env{G: g, Tree: tr}
 	for _, name := range suite {
 		f, err := core.Engine(name, g, ix)

@@ -8,8 +8,7 @@ import (
 )
 
 // envSpec fixes the deterministic graph fleet the harness sweeps. Sizes
-// differ so leaf/boundary behavior differs across G-tree depths and CH
-// hierarchies.
+// differ so leaf/boundary behavior differs across G-tree depths.
 var envSpecs = []struct {
 	nodes int
 	seed  int64

@@ -5,22 +5,21 @@ import (
 	"strconv"
 	"time"
 
-	"fannr/internal/ch"
 	"fannr/internal/gtree"
 	"fannr/internal/workload"
 )
 
-// BuildParallel — construction-time speedup of the Workers option: G-tree
-// and CH built at 1, 2, 4, ... workers on one dataset. The 1-worker tick
+// BuildParallel — construction-time speedup of the Workers option: the
+// G-tree built at 1, 2, 4, ... workers on one dataset. The 1-worker tick
 // is the paper's sequential construction cost (Fig. 9(b) methodology);
 // the remaining ticks show how the embarrassingly parallel passes (leaf
-// matrices, assembly rows, refinement rows, CH witness simulations)
-// scale. Speedups only materialize with spare cores — on a single-core
-// host every tick collapses to the sequential time.
+// matrices, assembly rows, refinement rows) scale. Speedups only
+// materialize with spare cores — on a single-core host every tick
+// collapses to the sequential time.
 //
 // Determinism is asserted, not assumed: the Workers=n G-tree must report
 // the same matrix-cell count and border total as the Workers=1 build
-// (the per-package tests check full bit-identity).
+// (gtree's tests check full bit-identity).
 func BuildParallel(cfg Config) ([]*Table, error) {
 	cfg = cfg.withDefaults()
 	g, err := workload.LoadDataset(cfg.Dataset, cfg.Scale)
@@ -32,7 +31,7 @@ func BuildParallel(cfg Config) ([]*Table, error) {
 		Title:  "index build seconds vs workers (" + g.Name() + ")",
 		XLabel: "workers",
 		YLabel: "build seconds",
-		Series: []Series{{Name: "G-tree"}, {Name: "CH"}},
+		Series: []Series{{Name: "G-tree"}},
 	}
 	tiers := []int{1, 2, 4}
 	if p := runtime.GOMAXPROCS(0); p > 4 {
@@ -54,12 +53,6 @@ func BuildParallel(cfg Config) ([]*Table, error) {
 		} else if stats.MatrixCells != refStats.MatrixCells || stats.Borders != refStats.Borders {
 			return nil, errNondeterministicBuild
 		}
-
-		start = time.Now()
-		if _, err := ch.Build(g, ch.Options{Workers: workers}); err != nil {
-			return nil, err
-		}
-		tbl.Series[1].Cells = append(tbl.Series[1].Cells, Cell{Value: time.Since(start).Seconds()})
 	}
 	return []*Table{tbl}, nil
 }

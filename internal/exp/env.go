@@ -9,12 +9,10 @@ import (
 	"fmt"
 	"time"
 
-	"fannr/internal/ch"
 	"fannr/internal/core"
 	"fannr/internal/graph"
 	"fannr/internal/gtree"
 	"fannr/internal/phl"
-	"fannr/internal/sp"
 	"fannr/internal/workload"
 )
 
@@ -90,19 +88,12 @@ type Env struct {
 	Gen   *workload.Generator
 
 	engines map[string]core.GPhi
-	// ix is what the catalogue builds engines over: PHL and GTree, and the
-	// extension indexes (CH, ALT) once an engine first needs them.
+	// ix is what the catalogue builds engines over: PHL and GTree.
 	ix core.Indexes
 }
 
 // EngineNames lists the g_φ engines of the paper's Table I, in its order.
 var EngineNames = []string{"INE", "A*", "GTree", "PHL", "IER-A*", "IER-GTree", "IER-PHL"}
-
-// ExtensionEngineNames lists the additional engines this implementation
-// provides beyond Table I: contraction hierarchies and landmark-based A*,
-// the two related-work accelerations the paper discusses but does not
-// evaluate.
-var ExtensionEngineNames = []string{"CH", "IER-CH", "ALT", "IER-ALT"}
 
 // NewEnv loads the dataset and builds every index.
 func NewEnv(cfg Config) (*Env, error) {
@@ -155,24 +146,9 @@ func (e *Env) Engine(name string) (core.GPhi, error) {
 // private instances per series because an over-budget run is abandoned
 // mid-flight, poisoning its engine's scratch state.
 func (e *Env) buildEngine(name string) (core.GPhi, error) {
-	x, err := core.EngineIndex(name)
-	if err != nil {
-		return nil, fmt.Errorf("exp: %w", err)
-	}
-	switch {
-	case x == core.CHIndex && e.ix.CH == nil:
-		c, err := ch.Build(e.G, ch.Options{})
-		if err != nil {
-			return nil, err
-		}
-		e.ix.CH = func() core.Oracle { return c.NewQuerier() }
-	case x == core.ALTIndex && e.ix.ALT == nil:
-		alt := sp.NewALT(e.G, sp.DefaultLandmarks)
-		e.ix.ALT = func() core.Oracle { return alt.Clone() }
-	}
 	f, err := core.Engine(name, e.G, e.ix)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("exp: %w", err)
 	}
 	return f(), nil
 }

@@ -84,7 +84,6 @@ func TestAllEnvDrivers(t *testing.T) {
 		{"appendixB", e.AppendixB},
 		{"appendixC", e.AppendixC},
 		{"ablation-bound", e.AblationBound},
-		{"extension-engines", e.ExtensionEngines},
 		{"diagnostics", e.Diagnostics},
 	}
 	for _, d := range drivers {
@@ -111,7 +110,7 @@ func TestRegistryComplete(t *testing.T) {
 		"fig3a", "fig3b", "fig4a", "fig4b", "fig5", "fig6", "fig7", "fig8",
 		"fig9", "fig10", "fig11", "fig12", "table5",
 		"appendixA", "appendixB", "appendixC",
-		"ablation-bound", "ablation-refine", "extension-engines", "diagnostics",
+		"ablation-bound", "ablation-refine", "diagnostics",
 		"build-parallel",
 	}
 	for _, id := range want {

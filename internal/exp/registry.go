@@ -27,13 +27,11 @@ var Registry = map[string]Driver{
 	"appendixA": AppendixA,
 	"appendixB": AppendixB,
 	"appendixC": AppendixC,
-	// Beyond the paper: ablations of this implementation's design choices
-	// and the related-work engines the paper discusses but does not run.
-	"ablation-bound":    AblationBound,
-	"ablation-refine":   AblationRefine,
-	"extension-engines": ExtensionEngines,
-	"diagnostics":       Diagnostics,
-	"build-parallel":    BuildParallel,
+	// Beyond the paper: ablations of this implementation's design choices.
+	"ablation-bound":  AblationBound,
+	"ablation-refine": AblationRefine,
+	"diagnostics":     Diagnostics,
+	"build-parallel":  BuildParallel,
 }
 
 // ExperimentIDs returns the registry keys sorted.

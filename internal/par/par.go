@@ -1,6 +1,6 @@
 // Package par provides the worker-pool primitive behind the repository's
-// parallel index-construction passes (G-tree matrix builds, CH witness
-// searches) and any other embarrassingly parallel loop.
+// parallel index-construction passes (the G-tree's matrix builds) and
+// any other embarrassingly parallel loop.
 //
 // Every parallel entry point in the repo exposes a `Workers int` option
 // with the same convention: 0 means one worker per GOMAXPROCS, 1 forces

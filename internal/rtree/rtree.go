@@ -1,10 +1,9 @@
 // Package rtree implements the 2-D R-tree used by the IER algorithms of
-// fannr: STR bulk loading, quadratic-split insertion, range search,
-// nearest-neighbor and incremental (distance-browsing) nearest-neighbor
-// queries, plus read access to the node structure so that higher layers
-// can run custom best-first traversals (the IER-kNN framework orders
-// entries by the flexible Euclidean aggregate g^ε_φ, not by plain
-// mindist).
+// fannr: STR bulk loading and incremental (distance-browsing)
+// nearest-neighbor queries, plus read access to the node structure so
+// that higher layers can run custom best-first traversals (the IER-kNN
+// framework orders entries by the flexible Euclidean aggregate g^ε_φ,
+// not by plain mindist).
 package rtree
 
 import (
@@ -43,16 +42,6 @@ func (r Rect) Union(o Rect) Rect {
 
 // Area returns the rectangle's area.
 func (r Rect) Area() float64 { return (r.MaxX - r.MinX) * (r.MaxY - r.MinY) }
-
-// Intersects reports whether two rectangles overlap.
-func (r Rect) Intersects(o Rect) bool {
-	return r.MinX <= o.MaxX && o.MinX <= r.MaxX && r.MinY <= o.MaxY && o.MinY <= r.MaxY
-}
-
-// ContainsPoint reports whether (x,y) lies inside r.
-func (r Rect) ContainsPoint(x, y float64) bool {
-	return x >= r.MinX && x <= r.MaxX && y >= r.MinY && y <= r.MaxY
-}
 
 // MinDist returns the minimum Euclidean distance from (x,y) to r — the
 // mdist(b, q) bound of the paper (0 when the point is inside).
@@ -122,21 +111,12 @@ func (n *Node) Points() []Point { return n.points }
 
 // Tree is an R-tree over 2-D points.
 type Tree struct {
-	root   *Node
-	fanout int
-	size   int
+	root *Node
+	size int
 }
 
 // DefaultFanout matches the paper's experimental setting (f = 4).
 const DefaultFanout = 4
-
-// New returns an empty tree with the given fanout (DefaultFanout if < 2).
-func New(fanout int) *Tree {
-	if fanout < 2 {
-		fanout = DefaultFanout
-	}
-	return &Tree{root: &Node{leaf: true, rect: EmptyRect()}, fanout: fanout}
-}
 
 // Len reports the number of indexed points.
 func (t *Tree) Len() int { return t.size }
@@ -151,7 +131,7 @@ func BulkLoad(pts []Point, fanout int) *Tree {
 	if fanout < 2 {
 		fanout = DefaultFanout
 	}
-	t := &Tree{fanout: fanout, size: len(pts)}
+	t := &Tree{size: len(pts)}
 	if len(pts) == 0 {
 		t.root = &Node{leaf: true, rect: EmptyRect()}
 		return t
@@ -257,200 +237,6 @@ func (n *Node) recompute() {
 		}
 	}
 	n.rect = r
-}
-
-// Insert adds a point using the classic least-enlargement descent with
-// quadratic split.
-func (t *Tree) Insert(p Point) {
-	t.size++
-	split := t.insert(t.root, p)
-	if split != nil {
-		newRoot := &Node{children: []*Node{t.root, split}}
-		newRoot.recompute()
-		t.root = newRoot
-	}
-}
-
-func (t *Tree) insert(n *Node, p Point) *Node {
-	if n.leaf {
-		n.points = append(n.points, p)
-		n.rect = n.rect.Union(PointRect(p.X, p.Y))
-		if len(n.points) > t.fanout {
-			return t.splitLeaf(n)
-		}
-		return nil
-	}
-	best := -1
-	bestEnlarge := math.Inf(1)
-	bestArea := math.Inf(1)
-	pr := PointRect(p.X, p.Y)
-	for i, c := range n.children {
-		enlarged := c.rect.Union(pr).Area() - c.rect.Area()
-		if enlarged < bestEnlarge || (enlarged == bestEnlarge && c.rect.Area() < bestArea) {
-			best, bestEnlarge, bestArea = i, enlarged, c.rect.Area()
-		}
-	}
-	split := t.insert(n.children[best], p)
-	n.rect = n.rect.Union(pr)
-	if split != nil {
-		n.children = append(n.children, split)
-		if len(n.children) > t.fanout {
-			return t.splitInternal(n)
-		}
-	}
-	return nil
-}
-
-func (t *Tree) splitLeaf(n *Node) *Node {
-	pts := n.points
-	// Quadratic pick-seeds: the pair wasting the most area.
-	s1, s2 := 0, 1
-	worst := math.Inf(-1)
-	for i := 0; i < len(pts); i++ {
-		for j := i + 1; j < len(pts); j++ {
-			waste := PointRect(pts[i].X, pts[i].Y).Union(PointRect(pts[j].X, pts[j].Y)).Area()
-			if waste > worst {
-				worst, s1, s2 = waste, i, j
-			}
-		}
-	}
-	a := &Node{leaf: true, points: []Point{pts[s1]}}
-	bn := &Node{leaf: true, points: []Point{pts[s2]}}
-	a.recompute()
-	bn.recompute()
-	for i, p := range pts {
-		if i == s1 || i == s2 {
-			continue
-		}
-		ga := a.rect.Union(PointRect(p.X, p.Y)).Area() - a.rect.Area()
-		gb := bn.rect.Union(PointRect(p.X, p.Y)).Area() - bn.rect.Area()
-		if ga < gb || (ga == gb && len(a.points) <= len(bn.points)) {
-			a.points = append(a.points, p)
-			a.rect = a.rect.Union(PointRect(p.X, p.Y))
-		} else {
-			bn.points = append(bn.points, p)
-			bn.rect = bn.rect.Union(PointRect(p.X, p.Y))
-		}
-	}
-	*n = *a
-	return bn
-}
-
-func (t *Tree) splitInternal(n *Node) *Node {
-	cs := n.children
-	s1, s2 := 0, 1
-	worst := math.Inf(-1)
-	for i := 0; i < len(cs); i++ {
-		for j := i + 1; j < len(cs); j++ {
-			waste := cs[i].rect.Union(cs[j].rect).Area() - cs[i].rect.Area() - cs[j].rect.Area()
-			if waste > worst {
-				worst, s1, s2 = waste, i, j
-			}
-		}
-	}
-	a := &Node{children: []*Node{cs[s1]}}
-	bn := &Node{children: []*Node{cs[s2]}}
-	a.recompute()
-	bn.recompute()
-	for i, c := range cs {
-		if i == s1 || i == s2 {
-			continue
-		}
-		ga := a.rect.Union(c.rect).Area() - a.rect.Area()
-		gb := bn.rect.Union(c.rect).Area() - bn.rect.Area()
-		if ga < gb || (ga == gb && len(a.children) <= len(bn.children)) {
-			a.children = append(a.children, c)
-			a.rect = a.rect.Union(c.rect)
-		} else {
-			bn.children = append(bn.children, c)
-			bn.rect = bn.rect.Union(c.rect)
-		}
-	}
-	*n = *a
-	return bn
-}
-
-// Delete removes one point with the given coordinates and id, reporting
-// whether it was found. Underfull nodes are tolerated (the tree stays
-// valid; packing quality degrades gracefully under churn) except that
-// empty non-root leaves are pruned and parent MBRs are tightened along
-// the deletion path.
-func (t *Tree) Delete(p Point) bool {
-	if t.size == 0 {
-		return false
-	}
-	var rec func(n *Node) (found, empty bool)
-	rec = func(n *Node) (bool, bool) {
-		if !n.rect.ContainsPoint(p.X, p.Y) {
-			return false, false
-		}
-		if n.leaf {
-			for i, q := range n.points {
-				if q == p {
-					n.points = append(n.points[:i], n.points[i+1:]...)
-					n.recompute()
-					return true, len(n.points) == 0
-				}
-			}
-			return false, false
-		}
-		for i, c := range n.children {
-			found, empty := rec(c)
-			if !found {
-				continue
-			}
-			if empty {
-				n.children = append(n.children[:i], n.children[i+1:]...)
-			}
-			n.recompute()
-			return true, len(n.children) == 0
-		}
-		return false, false
-	}
-	found, _ := rec(t.root)
-	if found {
-		t.size--
-		if t.size == 0 {
-			t.root = &Node{leaf: true, rect: EmptyRect()}
-		}
-	}
-	return found
-}
-
-// Search invokes fn for every point inside r; returning false stops the
-// search early.
-func (t *Tree) Search(r Rect, fn func(Point) bool) {
-	if t.size == 0 {
-		return
-	}
-	var rec func(n *Node) bool
-	rec = func(n *Node) bool {
-		if !n.rect.Intersects(r) {
-			return true
-		}
-		if n.leaf {
-			for _, p := range n.points {
-				if r.ContainsPoint(p.X, p.Y) && !fn(p) {
-					return false
-				}
-			}
-			return true
-		}
-		for _, c := range n.children {
-			if !rec(c) {
-				return false
-			}
-		}
-		return true
-	}
-	rec(t.root)
-}
-
-// NN returns the nearest indexed point to (x,y). ok is false on an empty
-// tree.
-func (t *Tree) NN(x, y float64) (Point, float64, bool) {
-	it := t.IncNN(x, y)
-	return it.Next()
 }
 
 // IncNN starts a distance-browsing (Hjaltason–Samet) incremental

@@ -82,7 +82,7 @@ func checkTreeInvariants(t *testing.T, tr *Tree) {
 	rec = func(n *Node) int {
 		if n.IsLeaf() {
 			for _, p := range n.Points() {
-				if !n.Rect().ContainsPoint(p.X, p.Y) {
+				if n.Rect().Union(PointRect(p.X, p.Y)) != n.Rect() {
 					t.Fatalf("leaf MBR %+v misses point %+v", n.Rect(), p)
 				}
 			}
@@ -150,54 +150,6 @@ func TestBulkLoadIgnoresInputOrder(t *testing.T) {
 	}
 }
 
-func TestInsertInvariants(t *testing.T) {
-	tr := New(4)
-	pts := randomPoints(500, 9)
-	for _, p := range pts {
-		tr.Insert(p)
-	}
-	if tr.Len() != len(pts) {
-		t.Fatalf("Len = %d, want %d", tr.Len(), len(pts))
-	}
-	checkTreeInvariants(t, tr)
-}
-
-func TestSearchMatchesBruteForce(t *testing.T) {
-	pts := randomPoints(400, 3)
-	tr := BulkLoad(append([]Point(nil), pts...), 4)
-	rng := rand.New(rand.NewSource(4))
-	for trial := 0; trial < 30; trial++ {
-		x1, y1 := rng.Float64()*1000, rng.Float64()*1000
-		r := Rect{x1, y1, x1 + rng.Float64()*300, y1 + rng.Float64()*300}
-		want := map[int32]bool{}
-		for _, p := range pts {
-			if r.ContainsPoint(p.X, p.Y) {
-				want[p.ID] = true
-			}
-		}
-		got := map[int32]bool{}
-		tr.Search(r, func(p Point) bool { got[p.ID] = true; return true })
-		if len(got) != len(want) {
-			t.Fatalf("search found %d, want %d", len(got), len(want))
-		}
-		for id := range want {
-			if !got[id] {
-				t.Fatalf("search missed id %d", id)
-			}
-		}
-	}
-}
-
-func TestSearchEarlyStop(t *testing.T) {
-	pts := randomPoints(100, 5)
-	tr := BulkLoad(pts, 4)
-	count := 0
-	tr.Search(Rect{-1, -1, 2000, 2000}, func(Point) bool { count++; return count < 5 })
-	if count != 5 {
-		t.Fatalf("early stop visited %d, want 5", count)
-	}
-}
-
 func TestNNMatchesBruteForce(t *testing.T) {
 	f := func(seed int64) bool {
 		pts := randomPoints(200, seed)
@@ -211,7 +163,7 @@ func TestNNMatchesBruteForce(t *testing.T) {
 					best = d
 				}
 			}
-			_, got, ok := tr.NN(x, y)
+			_, got, ok := tr.IncNN(x, y).Next()
 			if !ok || math.Abs(got-best) > 1e-9 {
 				return false
 			}
@@ -224,10 +176,7 @@ func TestNNMatchesBruteForce(t *testing.T) {
 }
 
 func TestNNEmptyTree(t *testing.T) {
-	tr := New(4)
-	if _, _, ok := tr.NN(0, 0); ok {
-		t.Fatal("NN on empty tree should report !ok")
-	}
+	tr := BulkLoad(nil, 4)
 	it := tr.IncNN(0, 0)
 	if _, _, ok := it.Next(); ok {
 		t.Fatal("IncNN on empty tree should report !ok")
@@ -261,82 +210,6 @@ func TestIncNNFullOrder(t *testing.T) {
 		if math.Abs(d-want[i]) > 1e-9 {
 			t.Fatalf("IncNN order %d = %v, want %v", i, d, want[i])
 		}
-	}
-}
-
-func TestIncNNOnInsertedTree(t *testing.T) {
-	tr := New(4)
-	pts := randomPoints(150, 8)
-	for _, p := range pts {
-		tr.Insert(p)
-	}
-	prev := -1.0
-	it := tr.IncNN(10, 20)
-	n := 0
-	for {
-		_, d, ok := it.Next()
-		if !ok {
-			break
-		}
-		if d < prev {
-			t.Fatalf("IncNN not monotone: %v after %v", d, prev)
-		}
-		prev = d
-		n++
-	}
-	if n != len(pts) {
-		t.Fatalf("IncNN yielded %d, want %d", n, len(pts))
-	}
-}
-
-func TestDelete(t *testing.T) {
-	pts := randomPoints(200, 11)
-	tr := BulkLoad(append([]Point(nil), pts...), 4)
-	// Delete half the points; NN answers must track the survivors.
-	for i := 0; i < 100; i++ {
-		if !tr.Delete(pts[i]) {
-			t.Fatalf("Delete(%+v) not found", pts[i])
-		}
-	}
-	if tr.Len() != 100 {
-		t.Fatalf("Len = %d, want 100", tr.Len())
-	}
-	checkTreeInvariants(t, tr)
-	rng := rand.New(rand.NewSource(12))
-	for trial := 0; trial < 20; trial++ {
-		x, y := rng.Float64()*1000, rng.Float64()*1000
-		best := math.Inf(1)
-		for _, p := range pts[100:] {
-			if d := math.Hypot(p.X-x, p.Y-y); d < best {
-				best = d
-			}
-		}
-		if _, got, ok := tr.NN(x, y); !ok || math.Abs(got-best) > 1e-9 {
-			t.Fatalf("NN after deletes = %v, want %v", got, best)
-		}
-	}
-	// Double-delete and absent point report false.
-	if tr.Delete(pts[0]) {
-		t.Fatal("double delete reported found")
-	}
-	if tr.Delete(Point{X: -999, Y: -999, ID: 12345}) {
-		t.Fatal("absent point reported found")
-	}
-	// Drain completely; the tree stays usable.
-	for _, p := range pts[100:] {
-		if !tr.Delete(p) {
-			t.Fatalf("drain: %+v not found", p)
-		}
-	}
-	if tr.Len() != 0 {
-		t.Fatalf("Len after drain = %d", tr.Len())
-	}
-	if _, _, ok := tr.NN(0, 0); ok {
-		t.Fatal("NN on drained tree should report !ok")
-	}
-	tr.Insert(Point{X: 1, Y: 2, ID: 7})
-	if p, _, ok := tr.NN(0, 0); !ok || p.ID != 7 {
-		t.Fatal("insert after drain broken")
 	}
 }
 

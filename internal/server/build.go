@@ -3,12 +3,10 @@ package server
 import (
 	"fmt"
 
-	"fannr/internal/ch"
 	"fannr/internal/core"
 	"fannr/internal/graph"
 	"fannr/internal/gtree"
 	"fannr/internal/phl"
-	"fannr/internal/sp"
 )
 
 // BuildIndexes builds each listed index over g in memory, as the
@@ -34,17 +32,6 @@ func BuildIndexes(g *graph.Graph, kinds []core.Index) (core.Indexes, error) {
 				return ix, err
 			}
 			ix.GTree = tr
-		case core.CHIndex:
-			fmt.Println("building contraction hierarchy...")
-			c, err := ch.Build(g, ch.Options{})
-			if err != nil {
-				return ix, err
-			}
-			ix.CH = func() core.Oracle { return c.NewQuerier() }
-		case core.ALTIndex:
-			fmt.Println("building ALT landmarks...")
-			alt := sp.NewALT(g, sp.DefaultLandmarks)
-			ix.ALT = func() core.Oracle { return alt.Clone() }
 		}
 	}
 	return ix, nil

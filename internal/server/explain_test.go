@@ -8,7 +8,6 @@ import (
 	"testing"
 	"time"
 
-	"fannr/internal/ch"
 	"fannr/internal/core"
 	"fannr/internal/graph"
 	"fannr/internal/gtree"
@@ -16,8 +15,8 @@ import (
 	"fannr/internal/phl"
 )
 
-// explainServer builds a server over hub labels, a CH and a G-tree,
-// serving every catalogue engine but the ALT pair.
+// explainServer builds a server over hub labels and a G-tree, serving
+// every catalogue engine.
 func explainServer(t *testing.T, opts Options) (*httptest.Server, *graph.Graph) {
 	t.Helper()
 	g, err := graph.Generate(graph.GenConfig{Nodes: 600, Seed: 17, Name: "exp"})
@@ -28,15 +27,11 @@ func explainServer(t *testing.T, opts Options) (*httptest.Server, *graph.Graph) 
 	if err != nil {
 		t.Fatal(err)
 	}
-	chIdx, err := ch.Build(g, ch.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
 	tr, err := gtree.Build(g, gtree.Options{MaxLeafSize: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts.Indexes = core.Indexes{PHL: labels, GTree: tr, CH: func() core.Oracle { return chIdx.NewQuerier() }}
+	opts.Indexes = core.Indexes{PHL: labels, GTree: tr}
 	srv, err := New(g, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -79,8 +74,6 @@ func TestExplainSpanCountsMatchCounters(t *testing.T) {
 		{"IER-A*", "ier", "algo:ierknn"},
 		{"PHL", "rlist", "algo:rlist"},
 		{"IER-PHL", "ier", "algo:ierknn"},
-		{"CH", "gd", "algo:gd"},
-		{"IER-CH", "ier", "algo:ierknn"},
 		{"GTree", "gd", "algo:gd"},
 		{"GTree-SPSP", "gd", "algo:gd"},
 		{"IER-GTree", "ier", "algo:ierknn"},

@@ -4,10 +4,10 @@
 // sets and get the optimal site with its flexible subset back as JSON.
 //
 // The request path is fully concurrent. Heavy shared state (graph, hub
-// labels, G-tree, CH upward graph) is immutable and built once at
-// startup; the stateful g_φ engines come from per-name core.EnginePool
-// free-lists, so each request checks out an exclusive engine instead of
-// serializing behind a process-wide lock. Engine registration freezes the
+// labels, G-tree) is immutable and built once at startup; the stateful
+// g_φ engines come from per-name core.EnginePool free-lists, so each
+// request checks out an exclusive engine instead of serializing behind a
+// process-wide lock. Engine registration freezes the
 // first time Handler is called, after which the pools map is never
 // written and is read without locking.
 package server

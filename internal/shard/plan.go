@@ -113,8 +113,8 @@ func (p *Plan) fingerprint() uint64 {
 	return h.Sum64()
 }
 
-// buildLandmarks picks sp.DefaultLandmarks landmarks as ALT does
-// (sp.Landmarks) and envelopes each distance vector per shard. More
+// buildLandmarks picks sp.DefaultLandmarks landmarks by farthest-point
+// sampling (sp.Landmarks) and envelopes each distance vector per shard. More
 // landmarks would tighten the bounds at |V|·L floats of memory.
 func (p *Plan) buildLandmarks() {
 	p.land = sp.Landmarks(p.g, sp.DefaultLandmarks)

@@ -1,8 +1,8 @@
-// Package sp implements the shortest-path engines of fannr: Dijkstra,
-// bidirectional Dijkstra, A* (goal-directed point-to-point search), INE
-// (incremental network expansion, the paper's default g_φ implementation),
-// and the switchable multi-source expansion that underlies the R-List and
-// Exact-max algorithms.
+// Package sp implements the shortest-path engines of fannr: Dijkstra, A*
+// (goal-directed point-to-point search), INE (incremental network
+// expansion, the paper's default g_φ implementation), and the switchable
+// multi-source expansion that underlies the R-List and Exact-max
+// algorithms, plus the landmark distance vectors shard plans bound with.
 //
 // All engines are stateful and reusable: they keep stamped scratch arrays
 // sized to the graph so that running thousands of queries allocates
@@ -271,15 +271,4 @@ func (d *Dijkstra) KNNAmong(src graph.NodeID, targets *graph.NodeSet, k int, dst
 		return true
 	})
 	return dst
-}
-
-// Eccentricity returns the maximum finite distance from src to any node —
-// the "radius" used by the paper's query-coverage workload generator.
-func (d *Dijkstra) Eccentricity(src graph.NodeID) float64 {
-	max := 0.0
-	d.Run(src, func(_ graph.NodeID, dv float64) bool {
-		max = dv
-		return true
-	})
-	return max
 }

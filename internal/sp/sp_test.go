@@ -198,40 +198,6 @@ func TestAStarScansNoMoreThanDijkstraOnAverage(t *testing.T) {
 	}
 }
 
-func TestBiDijkstraMatchesDijkstra(t *testing.T) {
-	f := func(seed int64) bool {
-		g := randomGraph(t, 80, seed)
-		d := NewDijkstra(g)
-		bi := NewBiDijkstra(g)
-		rng := rand.New(rand.NewSource(seed ^ 0xb1d))
-		for i := 0; i < 30; i++ {
-			u := graph.NodeID(rng.Intn(g.NumNodes()))
-			v := graph.NodeID(rng.Intn(g.NumNodes()))
-			if math.Abs(bi.Dist(u, v)-d.Dist(u, v)) > 1e-9 {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 10}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestBiDijkstraUnreachable(t *testing.T) {
-	b := graph.NewBuilder(4)
-	_ = b.AddEdge(0, 1, 1)
-	_ = b.AddEdge(2, 3, 1)
-	g, _ := b.Build()
-	bi := NewBiDijkstra(g)
-	if got := bi.Dist(0, 2); !math.IsInf(got, 1) {
-		t.Fatalf("Dist = %v, want +Inf", got)
-	}
-	if got := bi.Dist(1, 1); got != 0 {
-		t.Fatalf("Dist(v,v) = %v, want 0", got)
-	}
-}
-
 func TestKNNAmongMatchesBruteForce(t *testing.T) {
 	g := randomGraph(t, 120, 8)
 	d := NewDijkstra(g)
@@ -373,19 +339,5 @@ func TestExpanderSelfReport(t *testing.T) {
 	}
 	if _, ok := e.Next(); ok {
 		t.Fatal("expander should be exhausted")
-	}
-}
-
-func TestEccentricity(t *testing.T) {
-	b := graph.NewBuilder(3)
-	_ = b.AddEdge(0, 1, 2)
-	_ = b.AddEdge(1, 2, 3)
-	g, _ := b.Build()
-	d := NewDijkstra(g)
-	if got := d.Eccentricity(0); got != 5 {
-		t.Fatalf("Eccentricity(0) = %v, want 5", got)
-	}
-	if got := d.Eccentricity(1); got != 3 {
-		t.Fatalf("Eccentricity(1) = %v, want 3", got)
 	}
 }

@@ -386,16 +386,12 @@ func intern(s []byte) string {
 		return "PHL"
 	case "GTree":
 		return "GTree"
-	case "CH":
-		return "CH"
 	case "IER-A*":
 		return "IER-A*"
 	case "IER-PHL":
 		return "IER-PHL"
 	case "IER-GTree":
 		return "IER-GTree"
-	case "IER-CH":
-		return "IER-CH"
 	}
 	return string(s)
 }
