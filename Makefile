@@ -110,7 +110,7 @@ race: explain-smoke shard-smoke
 		./internal/phl/... ./internal/sp/... ./internal/rtree/... \
 		./internal/shard/... ./internal/wire/...
 
-## Explain/observability smoke under the race detector: the nine-engine
+## Explain/observability smoke under the race detector: the eight-engine
 ## span-vs-counter invariant, slow-query capture with exemplar linkage,
 ## the slow-log hammer, and the trace-disabled zero-alloc guard.
 explain-smoke:
@@ -173,4 +173,4 @@ chaos-load:
 	$(GO) test -race -v -run 'Retry|FileChaos|TransientErrors|ChaosLatencyCancel' ./internal/resil/
 	$(GO) test -race -v -run 'IndexFault|ReloadFailure|SwapStorm|Reload' ./internal/server/
 
-verify: build test vet race loc
+verify: build test vet race chaos-load loc

@@ -79,7 +79,8 @@ func (p *Pin) Release() {
 // State is a holder's observable lifecycle state, for /meta, /readyz
 // and metrics.
 type State struct {
-	// Generation of the live snapshot (0 when none has ever loaded).
+	// Generation of the live snapshot (0 when none has ever loaded, and
+	// for a Fixed holder's one generation).
 	Generation uint64
 	// Live reports whether Acquire would currently succeed.
 	Live bool
@@ -139,6 +140,16 @@ func New(name string, load func() (Resource, error), opts Options) (*Holder, err
 	return h, nil
 }
 
+// Fixed returns a holder whose one generation is res, loaded by the
+// caller: it is generation 0 and it is never reloaded — Reload fails.
+// Pins, Quarantine and Close work as on any holder.
+func Fixed(name string, res Resource) *Holder {
+	h := &Holder{name: name}
+	h.cur = &snapshot{val: res}
+	h.cur.refs.Store(1)
+	return h
+}
+
 // Name returns the index name the holder was created with.
 func (h *Holder) Name() string { return h.name }
 
@@ -176,8 +187,18 @@ func (h *Holder) install(res Resource) {
 // Acquire pins the current generation for one request. It fails with
 // ErrUnavailable while the index is quarantined (or its initial load
 // never happened) — callers degrade to the fallback ladder rather than
-// block on a reload.
+// block on a reload. It is small enough to inline, so a caller that keeps
+// its pin to itself holds it on the stack.
 func (h *Holder) Acquire() (*Pin, error) {
+	s, err := h.acquire()
+	if err != nil {
+		return nil, err
+	}
+	return &Pin{s: s}, nil
+}
+
+// acquire takes a reference on the live snapshot.
+func (h *Holder) acquire() (*snapshot, error) {
 	h.mu.Lock()
 	s := h.cur
 	if s == nil {
@@ -190,7 +211,7 @@ func (h *Holder) Acquire() (*Pin, error) {
 	}
 	s.refs.Add(1)
 	h.mu.Unlock()
-	return &Pin{s: s}, nil
+	return s, nil
 }
 
 // Reload loads a fresh resource (outside the lock, with retry+backoff)
@@ -200,6 +221,9 @@ func (h *Holder) Acquire() (*Pin, error) {
 // half-written file never replaces a good index. Concurrent Reloads
 // coalesce: the loser returns immediately with nil.
 func (h *Holder) Reload(ctx context.Context) error {
+	if h.load == nil {
+		return fmt.Errorf("lifecycle: %s is fixed: it has nothing to reload", h.name)
+	}
 	h.mu.Lock()
 	if h.reloading {
 		h.mu.Unlock()

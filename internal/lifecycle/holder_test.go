@@ -88,6 +88,35 @@ func TestHolderAcquireReloadRelease(t *testing.T) {
 	}
 }
 
+// TestHolderFixed: a fixed holder serves the caller's resource as
+// generation 0, refuses to reload it, and closes it like any other
+// generation once the holder and the last pin let go.
+func TestHolderFixed(t *testing.T) {
+	res := &fakeResource{}
+	h := Fixed("ix", res)
+	pin, err := h.Acquire()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pin.Generation() != 0 || pin.Value() != res {
+		t.Fatalf("fixed pin: gen %d resource %v", pin.Generation(), pin.Value())
+	}
+	if err := h.Reload(context.Background()); err == nil {
+		t.Fatal("Reload of a fixed holder succeeded")
+	}
+	if st := h.State(); st.Generation != 0 || !st.Live || st.Reloads != 0 || st.ReloadFailures != 0 {
+		t.Fatalf("fixed state = %+v", st)
+	}
+	h.Close()
+	if got := res.closed.Load(); got != 0 {
+		t.Fatalf("fixed resource closed %d times with a pin outstanding", got)
+	}
+	pin.Release()
+	if got := res.closed.Load(); got != 1 {
+		t.Fatalf("fixed resource closed %d times after the last release, want 1", got)
+	}
+}
+
 func TestHolderQuarantine(t *testing.T) {
 	load, made := newLoader()
 	h, err := New("ix", load, Options{})

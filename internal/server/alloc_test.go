@@ -16,55 +16,73 @@ import (
 // TestFANNHandlerAllocs pins what one /fann request allocates through
 // Server.Handler() under fannr-server's default acceleration (result
 // cache and coalescing on): an exact cache hit, and a PHL query that
-// computes (every request a Q the cache has not seen). The limits are the
-// counts measured at the commit before the request path was cut into
-// stages; the split must not add an allocation to either.
+// computes (every request a Q the cache has not seen), over a built index
+// and over a file-backed, mmap'd one. The limits are the counts measured
+// before the request path was cut into stages (built) and before every
+// engine was served from a generation (file-backed); neither change may
+// add an allocation.
 func TestFANNHandlerAllocs(t *testing.T) {
-	const (
-		maxExactHit = 80 // measured at the parent commit
-		maxComputed = 130
-	)
 	if raceEnabled {
 		t.Skip("allocation counts under the race detector are not the shipped path's")
 	}
-	g, err := graph.Generate(graph.GenConfig{Nodes: 400, Seed: 29, Name: "allocs"})
-	if err != nil {
-		t.Fatal(err)
+	opts := Options{CacheEntries: 4096, Coalesce: true}
+	rows := []struct {
+		name                     string
+		maxExactHit, maxComputed float64
+		server                   func() (*Server, *graph.Graph)
+	}{
+		{"built", 80, 130, func() (*Server, *graph.Graph) {
+			g, err := graph.Generate(graph.GenConfig{Nodes: 400, Seed: 29, Name: "allocs"})
+			if err != nil {
+				t.Fatal(err)
+			}
+			labels, err := phl.Build(g, phl.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			opts := opts
+			opts.Indexes = core.Indexes{PHL: labels}
+			srv, err := New(g, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return srv, g
+		}},
+		{"file-backed", 82, 135, func() (*Server, *graph.Graph) {
+			h := newReloadHarness(t, true, nil, opts)
+			return h.srv, h.g
+		}},
 	}
-	labels, err := phl.Build(g, phl.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv, err := New(g, Options{Indexes: core.Indexes{PHL: labels}, CacheEntries: 4096, Coalesce: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	h := srv.Handler()
-	const runs = 200
-	var bodies [][]byte
-	n := g.NumNodes()
-	for i := 0; i < runs+2; i++ {
-		bodies = append(bodies, []byte(fmt.Sprintf(
-			`{"p":[1,9,33,57,101,150,188,230,275,301],"q":[%d,%d,%d,%d],"phi":0.5,"agg":"max","algo":"gd","engine":"PHL"}`,
-			i%n, (i+97)%n, (i+211)%n, (i+293)%n)))
-	}
-	serve := func(body []byte) {
-		rr := httptest.NewRecorder()
-		h.ServeHTTP(rr, httptest.NewRequest(http.MethodPost, "/fann", bytes.NewReader(body)))
-		if rr.Code != http.StatusOK {
-			t.Fatalf("status %d: %s", rr.Code, rr.Body.String())
+	for _, row := range rows {
+		srv, g := row.server()
+		h := srv.Handler()
+		const runs = 200
+		var bodies [][]byte
+		n := g.NumNodes()
+		for i := 0; i < runs+2; i++ {
+			bodies = append(bodies, []byte(fmt.Sprintf(
+				`{"p":[1,9,33,57,101,150,188,230,275,301],"q":[%d,%d,%d,%d],"phi":0.5,"agg":"max","algo":"gd","engine":"PHL"}`,
+				i%n, (i+97)%n, (i+211)%n, (i+293)%n)))
 		}
-	}
-	defer debug.SetGCPercent(debug.SetGCPercent(-1)) // a GC empties the pools the path draws from
-	serve(bodies[0])
-	hit := testing.AllocsPerRun(runs, func() { serve(bodies[0]) })
-	i := 1
-	computed := testing.AllocsPerRun(runs, func() { serve(bodies[i]); i++ })
-	t.Logf("allocs/request: exact hit %.0f, computed %.0f", hit, computed)
-	if hit > maxExactHit {
-		t.Errorf("exact cache hit: %.0f allocs/request, want <= %d", hit, maxExactHit)
-	}
-	if computed > maxComputed {
-		t.Errorf("computed PHL query: %.0f allocs/request, want <= %d", computed, maxComputed)
+		serve := func(body []byte) {
+			rr := httptest.NewRecorder()
+			h.ServeHTTP(rr, httptest.NewRequest(http.MethodPost, "/fann", bytes.NewReader(body)))
+			if rr.Code != http.StatusOK {
+				t.Fatalf("%s: status %d: %s", row.name, rr.Code, rr.Body.String())
+			}
+		}
+		gc := debug.SetGCPercent(-1) // a GC empties the pools the path draws from
+		serve(bodies[0])
+		hit := testing.AllocsPerRun(runs, func() { serve(bodies[0]) })
+		i := 1
+		computed := testing.AllocsPerRun(runs, func() { serve(bodies[i]); i++ })
+		debug.SetGCPercent(gc)
+		t.Logf("%s: allocs/request: exact hit %.0f, computed %.0f", row.name, hit, computed)
+		if hit > row.maxExactHit {
+			t.Errorf("%s: exact cache hit: %.0f allocs/request, want <= %.0f", row.name, hit, row.maxExactHit)
+		}
+		if computed > row.maxComputed {
+			t.Errorf("%s: computed PHL query: %.0f allocs/request, want <= %.0f", row.name, computed, row.maxComputed)
+		}
 	}
 }

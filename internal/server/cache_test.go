@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -14,6 +15,8 @@ import (
 	"fannr/internal/graph"
 	"fannr/internal/obs"
 	"fannr/internal/phl"
+	"fannr/internal/qcache"
+	"fannr/internal/resil"
 )
 
 // cacheServer builds a server over a small generated graph with the
@@ -311,5 +314,48 @@ func TestIERPHLAnswersMatchPHL(t *testing.T) {
 					c.Algo, c.Agg, c.K, []string{"PHL warm", "IER-PHL cold", "IER-PHL warm"}[i], got[0], a)
 			}
 		}
+	}
+}
+
+// TestHalfOpenProbeFillsNoCache: a half-open probe bypasses the cache, so
+// it must not fill it either. The probe has no result key; an entry
+// stored under the zero key would take an LRU slot and its bytes, and
+// nothing could ever read it.
+func TestHalfOpenProbeFillsNoCache(t *testing.T) {
+	g, err := graph.Generate(graph.GenConfig{Nodes: 120, Seed: 37, Name: "probe"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const cooldown = 40 * time.Millisecond
+	srv, err := New(g, Options{CacheEntries: 128, BreakerThreshold: 1, BreakerCooldown: cooldown})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var mode atomic.Int32
+	mode.Store(1) // every evaluation panics
+	if err := srv.AddEngine("Flaky", func() core.GPhi {
+		return &modalINE{GPhi: core.NewINE(g), mode: &mode}
+	}); err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	body := []byte(`{"p":[1,20,40],"q":[5,55],"phi":0.5,"engine":"Flaky"}`)
+	if status, e := postRaw(t, ts.URL+"/fann", body); status != http.StatusInternalServerError {
+		t.Fatalf("panic request: status %d (%+v), want 500", status, e)
+	}
+	mode.Store(0)
+	time.Sleep(cooldown + 20*time.Millisecond)
+	if status, e := postRaw(t, ts.URL+"/fann", body); status != http.StatusOK {
+		t.Fatalf("probe: status %d (%+v), want 200", status, e)
+	}
+	if st := srv.breakers["Flaky"].State(); st != resil.Closed {
+		t.Fatalf("breaker %v after the probe, want closed: the request was not the probe", st)
+	}
+	if n := srv.qc.Metrics().Entries; n != 0 {
+		t.Fatalf("the probe left %d cache entries, want 0", n)
+	}
+	if _, ok := srv.qc.GetResult(qcache.ResultKey{}); ok {
+		t.Fatal("the probe's answers are cached under the zero key")
 	}
 }

@@ -160,7 +160,7 @@ func (s *Server) route(c *fannCall) error {
 		return fmt.Errorf("%w: engine %q unavailable: breaker open and no closed fallback", core.ErrSaturated, c.call.Engine)
 	}
 	c.em = s.metrics.engines[c.served]
-	c.gen = s.engineGeneration(c.served)
+	c.gen = s.engines[c.served].holder.State().Generation
 	root := c.tr.Root()
 	root.SetAttr("engine", c.call.Engine)
 	root.SetAttr("served", c.served)
@@ -176,7 +176,7 @@ func (s *Server) route(c *fannCall) error {
 	// would "prove" recovery without touching it.
 	c.accel = (s.qc != nil || s.flight != nil) && !c.probe
 	if c.accel {
-		// Reloadable engines stamp the index generation into the key: a
+		// A file-backed engine stamps its index generation into the key: a
 		// swap invalidates every result computed on the old index, and
 		// coalesced flights never pair queries across generations.
 		engine := c.served
@@ -197,11 +197,11 @@ func (s *Server) route(c *fannCall) error {
 // open.
 func (s *Server) routeEngine(requested string) (served string, degraded, probe, ok bool) {
 	name := requested
-	for hops := 0; hops <= len(s.pools)+len(s.engineIndex); hops++ {
-		// A quarantined (or mid-initial-load) reloadable index skips its
-		// engines entirely — same degrade semantics as an open breaker,
-		// but gated on the index's lifecycle state, not failure counts.
-		if s.hasEngine(name) && s.engineAvailable(name) {
+	for hops := 0; hops <= len(s.engines); hops++ {
+		// A quarantined index skips its engines entirely — same degrade
+		// semantics as an open breaker, but gated on the index's lifecycle
+		// state, not failure counts.
+		if r := s.engines[name]; r != nil && r.holder.State().Live {
 			if admitted, isProbe := s.breakers[name].Admit(); admitted {
 				return name, name != requested, isProbe, true
 			}
@@ -312,24 +312,26 @@ func (s *Server) compute(c *fannCall) (answers []core.Answer, err error) {
 	// error.)
 	defer s.ranges.Guard(s.noteIndexFault)(&err)
 
-	// Admission waits in the pool's queue up to the deadline; saturation
-	// beyond the queue sheds with 503 + Retry-After. For a reloadable
-	// engine the checkout pins the index generation: released last, after
-	// the engine is back in the generation's pool, the pin is what keeps
-	// the mapping alive while this request computes, however many swaps
-	// land meanwhile.
+	// The checkout pins the generation that holds the engine's pool:
+	// released last, after the engine is back in that pool, the pin is what
+	// keeps a file-backed mapping alive while this request computes,
+	// however many swaps land meanwhile. Admission then waits in the pool's
+	// queue up to the deadline; saturation beyond the queue sheds with
+	// 503 + Retry-After.
 	endAdmit := c.tr.Start("admit")
 	pinSp := c.tr.StartSpan("pin")
-	pool, pin, err := s.checkout(c.served)
-	if pin != nil {
-		pinSp.SetAttr("generation", pin.Generation())
-		defer pin.Release()
-	}
-	pinSp.End()
+	pin, err := s.engines[c.served].holder.Acquire()
 	if err != nil {
+		pinSp.End()
 		endAdmit()
 		return nil, err
 	}
+	defer pin.Release()
+	if gen := pin.Generation(); gen != 0 {
+		pinSp.SetAttr("generation", gen)
+	}
+	pinSp.End()
+	pool := pin.Value().(*generation).pools[c.served]
 	stop := c.call.BindContext(c.ctx)
 	defer stop()
 	defer c.em.flush(c.stats)
@@ -363,7 +365,9 @@ func (s *Server) compute(c *fannCall) (answers []core.Answer, err error) {
 	elapsed := time.Since(began)
 	c.computeMicros = elapsed.Microseconds()
 	c.em.compute.ObserveEx(elapsed.Seconds(), c.tr.ID)
-	if err == nil {
+	// Only a request that may use the cache fills it: a half-open probe
+	// has no result key.
+	if err == nil && c.accel {
 		s.qc.PutResult(c.rkey, answers)
 	}
 	return answers, err
@@ -468,7 +472,7 @@ func (s *Server) record(c *fannCall) {
 	}, c.outcome != "ok" || c.degraded)
 }
 
-// generationKey is the engine member of a reloadable engine's cache key,
+// generationKey is the engine member of a file-backed engine's cache key,
 // engine@generation. Appended into a stack buffer: the string is the only
 // allocation, on a path every request of such an engine takes, cache hits
 // included.

@@ -177,18 +177,18 @@ func slowServer(t *testing.T, opts Options, delay time.Duration) (*Server, *http
 	return srv, ts, eng, req
 }
 
-// waitIdle polls an engine pool until one engine is idle (i.e. the handler
-// finished and returned it) or the deadline passes.
-func waitIdle(t *testing.T, pool *core.EnginePool, deadline time.Duration) {
+// waitIdle polls an engine's pool until one engine is idle (i.e. the
+// handler finished and returned it) or the deadline passes.
+func waitIdle(t *testing.T, srv *Server, engine string, deadline time.Duration) {
 	t.Helper()
 	stop := time.Now().Add(deadline)
 	for time.Now().Before(stop) {
-		if _, _, idle := pool.Stats(); idle >= 1 {
+		if _, _, idle := srv.engines[engine].poolStats(engine); idle >= 1 {
 			return
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
-	created, reused, idle := pool.Stats()
+	created, reused, idle := srv.engines[engine].poolStats(engine)
 	t.Fatalf("engine never returned to pool (created=%d reused=%d idle=%d)", created, reused, idle)
 }
 
@@ -213,7 +213,7 @@ func TestQueryTimeoutIs504(t *testing.T) {
 	if calls := eng.calls.Load(); calls >= int64(len(req.P)) {
 		t.Fatalf("engine evaluated all %d points despite the deadline", calls)
 	}
-	waitIdle(t, srv.pools["Slow"], 2*time.Second)
+	waitIdle(t, srv, "Slow", 2*time.Second)
 }
 
 // TestClientDisconnectAbortsQuery is the acceptance test for request
@@ -264,7 +264,7 @@ func TestClientDisconnectAbortsQuery(t *testing.T) {
 
 	// The handler must notice at its next loop boundary and put the engine
 	// back; a full scan would take len(P)*delay = 400ms.
-	waitIdle(t, srv.pools["Slow"], 2*time.Second)
+	waitIdle(t, srv, "Slow", 2*time.Second)
 	aborted := time.Since(start)
 	full := time.Duration(len(req.P)) * delay
 	if aborted > full/2 {
@@ -325,7 +325,7 @@ func TestPanicDropsEngine(t *testing.T) {
 	if status != http.StatusInternalServerError || e.Code != "internal" {
 		t.Fatalf("panicking engine: status %d code %q, want 500 internal", status, e.Code)
 	}
-	if _, _, idle := srv.pools["Fragile"].Stats(); idle != 0 {
+	if _, _, idle := srv.engines["Fragile"].poolStats("Fragile"); idle != 0 {
 		t.Fatalf("panicked engine returned to pool (idle=%d)", idle)
 	}
 
@@ -336,7 +336,7 @@ func TestPanicDropsEngine(t *testing.T) {
 	if got := builds.Load(); got != 2 {
 		t.Fatalf("factory built %d engines, want 2 (replacement after drop)", got)
 	}
-	if _, _, idle := srv.pools["Fragile"].Stats(); idle != 1 {
+	if _, _, idle := srv.engines["Fragile"].poolStats("Fragile"); idle != 1 {
 		t.Fatalf("healthy engine not pooled (idle=%d)", idle)
 	}
 }

@@ -51,7 +51,7 @@ const (
 	// counters. Not fannr_cache_*: the result cache's hit rate and
 	// eviction count must keep meaning what they meant.
 	mSetsPrefix = "fannr_sets"
-	// Lifecycle series (reloadable indexes only): memory faults contained
+	// Lifecycle series (file-backed indexes only): memory faults contained
 	// on an index's mapping, reload attempts by outcome, the serving
 	// generation, and whether the index is currently quarantined.
 	mIndexFaults      = "fannr_index_faults_total"
@@ -97,7 +97,7 @@ type serverMetrics struct {
 	requestSeconds map[string]*obs.Histogram // by route label
 	coalesced      *obs.Counter              // nil when coalescing is off
 	// indexFaults is incremented by noteIndexFault for every contained
-	// memory fault, keyed by index name (reloadable indexes only).
+	// memory fault, keyed by index name (file-backed indexes only).
 	indexFaults map[string]*obs.Counter
 }
 
@@ -149,26 +149,27 @@ func routeLabel(path string) string {
 }
 
 // newServerMetrics builds the full metric surface over a frozen server:
-// op counters and compute histograms per engine, Func gauges mirroring
-// the pools, the /dist gate, the breakers and the drain flag, and the
-// breaker trip counters wired through OnTransition. Called exactly once,
-// from Handler, after registration froze — the pools map is immutable
-// from here on, so the closures read it lock-free like the request path.
+// op counters, compute histograms, breaker series and pool series per
+// engine, the /dist gate, the drain flag, and the breaker trip counters
+// wired through OnTransition. Called exactly once, from Handler, after
+// registration froze — the registry is immutable from here on, so the
+// closures read it lock-free like the request path.
 func newServerMetrics(s *Server, reg *obs.Registry) *serverMetrics {
 	m := &serverMetrics{
 		reg:            reg,
-		engines:        make(map[string]*engineMetrics, len(s.pools)+len(s.engineIndex)),
+		engines:        make(map[string]*engineMetrics, len(s.engines)),
 		requestSeconds: make(map[string]*obs.Histogram, len(knownRoutes)+1),
-		indexFaults:    make(map[string]*obs.Counter, len(s.reload)),
+		indexFaults:    make(map[string]*obs.Counter, len(s.indexes)),
 	}
 	for _, route := range []string{"fann", "dist", "meta", "healthz", "readyz", "metrics", "admin_reload", "debug_slow", "other"} {
 		m.requestSeconds[route] = reg.Histogram(mRequestSeconds,
 			"HTTP request latency by route.", obs.DefBuckets, obs.L("route", route))
 	}
-	// registerEngine builds one engine's op-counter handles and breaker
-	// series — shared by static pools and reloadable engines (whose pool
-	// gauges differ: they read through the live index generation).
-	registerEngine := func(name string) *engineMetrics {
+	// Pool series read through the live generation, plus the totals folded
+	// from closed generations, so the counter-shaped series stay
+	// cumulative across swaps (a scrape racing a swap may observe a
+	// transient dip, never a loss).
+	for name, r := range s.engines {
 		el := obs.L("engine", name)
 		em := &engineMetrics{
 			compute: reg.Histogram(mComputeSeconds,
@@ -204,45 +205,18 @@ func newServerMetrics(s *Server, reg *obs.Registry) *serverMetrics {
 				em.trips.Inc()
 			}
 		})
-		return em
-	}
-	for name, pool := range s.pools {
-		registerEngine(name)
-		el := obs.L("engine", name)
-		p := pool
 		reg.GaugeFunc(mPoolInflight, "Engines of this kind checked out right now.",
-			func() float64 { inflight, _, _ := p.Gauges(); return float64(inflight) }, el)
+			func() float64 { inflight, _, _ := r.poolGauges(name); return float64(inflight) }, el)
 		reg.GaugeFunc(mPoolQueued, "Requests waiting for an engine of this kind.",
-			func() float64 { _, queued, _ := p.Gauges(); return float64(queued) }, el)
+			func() float64 { _, queued, _ := r.poolGauges(name); return float64(queued) }, el)
 		reg.CounterFunc(mPoolShed, "Requests shed at this pool's admission gate.",
-			func() float64 { _, _, shed := p.Gauges(); return float64(shed) }, el)
+			func() float64 { _, _, shed := r.poolGauges(name); return float64(shed) }, el)
 		reg.CounterFunc(mPoolCreated, "Engines of this kind ever constructed.",
-			func() float64 { created, _, _ := p.Stats(); return float64(created) }, el)
+			func() float64 { created, _, _ := r.poolStats(name); return float64(created) }, el)
 		reg.CounterFunc(mPoolReused, "Checkouts served from the free list.",
-			func() float64 { _, reused, _ := p.Stats(); return float64(reused) }, el)
+			func() float64 { _, reused, _ := r.poolStats(name); return float64(reused) }, el)
 		reg.GaugeFunc(mPoolIdle, "Engines of this kind idle on the free list.",
-			func() float64 { _, _, idle := p.Stats(); return float64(idle) }, el)
-	}
-	// Reloadable engines read their pool series through the live
-	// generation (plus retired totals folded from closed generations, so
-	// the counter-shaped series stay cumulative across swaps; a scrape
-	// racing a swap may observe a transient dip, never a loss).
-	for name, idx := range s.engineIndex {
-		registerEngine(name)
-		el := obs.L("engine", name)
-		engine, r := name, s.reload[idx]
-		reg.GaugeFunc(mPoolInflight, "Engines of this kind checked out right now.",
-			func() float64 { inflight, _, _ := r.poolGauges(engine); return float64(inflight) }, el)
-		reg.GaugeFunc(mPoolQueued, "Requests waiting for an engine of this kind.",
-			func() float64 { _, queued, _ := r.poolGauges(engine); return float64(queued) }, el)
-		reg.CounterFunc(mPoolShed, "Requests shed at this pool's admission gate.",
-			func() float64 { _, _, shed := r.poolGauges(engine); return float64(shed) }, el)
-		reg.CounterFunc(mPoolCreated, "Engines of this kind ever constructed.",
-			func() float64 { created, _, _ := r.poolStats(engine); return float64(created) }, el)
-		reg.CounterFunc(mPoolReused, "Checkouts served from the free list.",
-			func() float64 { _, reused, _ := r.poolStats(engine); return float64(reused) }, el)
-		reg.GaugeFunc(mPoolIdle, "Engines of this kind idle on the free list.",
-			func() float64 { _, _, idle := r.poolStats(engine); return float64(idle) }, el)
+			func() float64 { _, _, idle := r.poolStats(name); return float64(idle) }, el)
 	}
 	reg.GaugeFunc(mDistInflight, "In-flight /dist computations.",
 		func() float64 { inflight, _, _ := s.distGate.Gauges(); return float64(inflight) })
@@ -282,22 +256,17 @@ func newServerMetrics(s *Server, reg *obs.Registry) *serverMetrics {
 			func() float64 { return float64(qc.Metrics().Bytes) })
 	}
 	s.tier.Sets.RegisterMetrics(reg, mSetsPrefix)
-	for name, sz := range s.indexSizes {
-		sz := sz
-		reg.GaugeFunc(mIndexBytes, "Bytes of a preprocessing index by backing memory (heap vs mmap).",
-			func() float64 { return float64(sz.heap) }, obs.L("index", name), obs.L("mem", "heap"))
-		reg.GaugeFunc(mIndexBytes, "Bytes of a preprocessing index by backing memory (heap vs mmap).",
-			func() float64 { return float64(sz.mapped) }, obs.L("index", name), obs.L("mem", "mapped"))
-	}
-	// Reloadable indexes: sizes read through a short-lived pin on the
-	// live generation (0 while quarantined), plus the lifecycle series.
-	for name, r := range s.reload {
-		r := r
+	// Index sizes read through a short-lived pin on the live generation
+	// (0 while quarantined); file-backed indexes add the lifecycle series.
+	for name, r := range s.indexes {
 		il := obs.L("index", name)
 		reg.GaugeFunc(mIndexBytes, "Bytes of a preprocessing index by backing memory (heap vs mmap).",
-			func() float64 { heap, _ := r.indexBytes(); return float64(heap) }, il, obs.L("mem", "heap"))
+			func() float64 { heap, _, _ := r.footprint(); return float64(heap) }, il, obs.L("mem", "heap"))
 		reg.GaugeFunc(mIndexBytes, "Bytes of a preprocessing index by backing memory (heap vs mmap).",
-			func() float64 { _, mapped := r.indexBytes(); return float64(mapped) }, il, obs.L("mem", "mapped"))
+			func() float64 { _, mapped, _ := r.footprint(); return float64(mapped) }, il, obs.L("mem", "mapped"))
+		if !r.reloadable() {
+			continue
+		}
 		m.indexFaults[name] = reg.Counter(mIndexFaults,
 			"Memory faults (SIGBUS/SIGSEGV) contained on this index's mapping.", il)
 		reg.CounterFunc(mIndexReloads, "Index reload attempts by outcome.",

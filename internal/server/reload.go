@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"sort"
 	"sync/atomic"
 	"time"
 
@@ -48,25 +47,25 @@ type IndexSource struct {
 	Indexes func(ReloadableIndex) core.Indexes
 }
 
-// snapshotSet is one loaded generation: the index plus the engine pools
-// minted over it and the fault-range registration for its mapping. It is
-// the lifecycle.Resource the holder refcounts; Close runs when the last
-// pin drops — folding the pools' counters into the reloadable's retired
+// generation is one generation of a source: its index (nil for the
+// engines that search the graph alone) and the engine pools minted over
+// it. It is the lifecycle.Resource the holder refcounts. Only a
+// generation loaded from a file has a release, which runs when its last
+// pin drops: it folds the pools' counters into the source's retired
 // totals (so fannr_pool_* stay roughly cumulative across swaps), then
-// dropping the fault range and the mapping.
-type snapshotSet struct {
-	ix         ReloadableIndex
-	pools      map[string]*core.EnginePool
-	unregister func()
-	retire     func(*snapshotSet)
+// drops the fault range and the mapping. Any other generation's index
+// stays its caller's.
+type generation struct {
+	ix      ReloadableIndex
+	pools   map[string]*core.EnginePool
+	release func()
 }
 
-func (ss *snapshotSet) Close() error {
-	if ss.retire != nil {
-		ss.retire(ss)
+func (g *generation) Close() error {
+	if g.release != nil {
+		g.release()
 	}
-	ss.unregister()
-	return ss.ix.Close()
+	return nil
 }
 
 // retiredCounters accumulates the monotone counters of closed
@@ -75,20 +74,27 @@ type retiredCounters struct {
 	created, reused, shed atomic.Int64
 }
 
-// reloadable is the server's handle on one hot-swappable index: the
-// lifecycle holder plus per-engine retired counters and cached
-// provenance.
-type reloadable struct {
-	src     IndexSource
+// source is the server's handle on one index — or on none, for the
+// engines that search the graph alone and for AddEngine's — and the
+// engines it serves: the lifecycle holder of its generations plus
+// per-engine retired counters and cached provenance. A file-backed source
+// (AddReloadable) loads a new generation on every reload; every other
+// source serves the one generation it was registered with, generation 0,
+// and is never reloaded, quarantined or closed.
+type source struct {
+	src     IndexSource // Load is nil unless file-backed
 	holder  *lifecycle.Holder
-	engines []string // sorted engine names, fixed at registration
 	retired map[string]*retiredCounters
 	prov    atomic.Pointer[binio.Provenance]
 }
 
+// reloadable reports whether the source was loaded from a file: only
+// such a source reloads, and only it reports lifecycle state.
+func (r *source) reloadable() bool { return r.src.Load != nil }
+
 // refreshProvenance re-stats the backing file (best-effort: a vanished
 // file keeps the previous provenance rather than erasing it).
-func (r *reloadable) refreshProvenance() {
+func (r *source) refreshProvenance() {
 	if r.src.Path == "" {
 		return
 	}
@@ -97,67 +103,53 @@ func (r *reloadable) refreshProvenance() {
 	}
 }
 
-// pin acquires the live generation, or nil when quarantined/unloaded.
-func (r *reloadable) pin() *lifecycle.Pin {
-	p, err := r.holder.Acquire()
-	if err != nil {
-		return nil
+// read runs f on the live generation under a short-lived pin; it does
+// nothing while the source has none (quarantined).
+func (r *source) read(f func(*generation)) {
+	if p, err := r.holder.Acquire(); err == nil {
+		defer p.Release()
+		f(p.Value().(*generation))
 	}
-	return p
 }
 
 // poolGauges reads one engine's admission gauges across generations:
-// live snapshot values plus retired shed counts. Inflight/queued are
+// live values plus retired shed counts. Inflight/queued are
 // instantaneous and die with their generation; shed is monotone.
-func (r *reloadable) poolGauges(engine string) (inflight, queued, shed int64) {
-	rc := r.retired[engine]
-	shed = rc.shed.Load()
-	if p := r.pin(); p != nil {
-		defer p.Release()
-		i, q, sh := p.Value().(*snapshotSet).pools[engine].Gauges()
-		inflight, queued = i, q
-		shed += sh
-	}
+func (r *source) poolGauges(engine string) (inflight, queued, shed int64) {
+	shed = r.retired[engine].shed.Load()
+	r.read(func(g *generation) {
+		i, q, sh := g.pools[engine].Gauges()
+		inflight, queued, shed = i, q, shed+sh
+	})
 	return
 }
 
 // poolStats reads one engine's pool counters across generations, like
 // poolGauges: created/reused are monotone (retired + live), idle is
 // instantaneous.
-func (r *reloadable) poolStats(engine string) (created, reused int64, idle int) {
-	rc := r.retired[engine]
-	created, reused = rc.created.Load(), rc.reused.Load()
-	if p := r.pin(); p != nil {
-		defer p.Release()
-		c, ru, id := p.Value().(*snapshotSet).pools[engine].Stats()
-		created += c
-		reused += ru
-		idle = id
-	}
+func (r *source) poolStats(engine string) (created, reused int64, idle int) {
+	created, reused = r.retired[engine].created.Load(), r.retired[engine].reused.Load()
+	r.read(func(g *generation) {
+		c, ru, id := g.pools[engine].Stats()
+		created, reused, idle = created+c, reused+ru, id
+	})
 	return
 }
 
-// indexBytes reads the live generation's footprint split (0/0 while
-// quarantined — the mapping is gone or going).
-func (r *reloadable) indexBytes() (heap, mapped int64) {
-	if p := r.pin(); p != nil {
-		defer p.Release()
-		ix := p.Value().(*snapshotSet).ix
-		return ix.MemoryBytes(), ix.MappedBytes()
-	}
-	return 0, 0
-}
-
-// labelEntries reads the live generation's label count: 0 while
-// quarantined, and for an index that is not a hub labeling.
-func (r *reloadable) labelEntries() int64 {
-	if p := r.pin(); p != nil {
-		defer p.Release()
-		if lc, ok := p.Value().(*snapshotSet).ix.(labelCounted); ok {
-			return lc.Entries()
+// footprint reads the live generation's index: heap and mmap-backed
+// bytes, and its label count when it is a hub labeling. All are 0 while
+// quarantined.
+func (r *source) footprint() (heap, mapped, entries int64) {
+	r.read(func(g *generation) {
+		if g.ix == nil {
+			return
 		}
-	}
-	return 0
+		heap, mapped = g.ix.MemoryBytes(), g.ix.MappedBytes()
+		if lc, ok := g.ix.(labelCounted); ok {
+			entries = lc.Entries()
+		}
+	})
+	return
 }
 
 // reloadRetry is the backoff schedule for index loads: a reload racing a
@@ -172,6 +164,56 @@ func reloadRetry() resil.RetryPolicy {
 		Jitter:   0.2,
 		Seed:     time.Now().UnixNano(),
 	}
+}
+
+// mint builds one generation's pools: an engine for every catalogue entry
+// that searches ix's index or, when ix holds none, for every entry that
+// searches the graph alone.
+func (s *Server) mint(ix core.Indexes) map[string]*core.EnginePool {
+	pools := map[string]*core.EnginePool{}
+	graphOnly := ix.PHL == nil && ix.GTree == nil
+	for _, e := range core.Catalogue(s.g, ix) {
+		if (e.Index == core.NoIndex) == graphOnly {
+			pools[e.Name] = s.newPool(e.Name, e.New)
+		}
+	}
+	return pools
+}
+
+// addFixed registers a source whose one generation serves pools over ix,
+// an index the caller owns (nil for none), under the index name name (""
+// for none).
+func (s *Server) addFixed(name string, ix ReloadableIndex, pools map[string]*core.EnginePool) error {
+	r := &source{src: IndexSource{Name: name}}
+	r.holder = lifecycle.Fixed(name, &generation{ix: ix, pools: pools})
+	return s.register(r, pools)
+}
+
+// register makes r serve the engines of its first generation, whose
+// pools are pools. The caller holds s.mu; on an error nothing is
+// registered, and r's retired counters are complete either way, for the
+// generation's release.
+func (s *Server) register(r *source, pools map[string]*core.EnginePool) error {
+	r.retired = make(map[string]*retiredCounters, len(pools))
+	for name := range pools {
+		r.retired[name] = &retiredCounters{}
+	}
+	if len(pools) == 0 {
+		return fmt.Errorf("server: index %q serves no engine", r.src.Name)
+	}
+	for name := range pools {
+		if s.hasEngine(name) {
+			return fmt.Errorf("server: engine %q already registered", name)
+		}
+	}
+	for name := range pools {
+		s.engines[name] = r
+		s.breakers[name] = s.newBreaker()
+	}
+	if r.src.Name != "" {
+		s.indexes[r.src.Name] = r
+	}
+	return nil
 }
 
 // AddReloadable registers a hot-swappable index and its engines. The
@@ -191,129 +233,60 @@ func (s *Server) AddReloadable(src IndexSource) error {
 	if src.Name == "" || src.Load == nil || src.Indexes == nil {
 		return errors.New("server: AddReloadable needs a name, a loader and the index it loads")
 	}
-	if _, dup := s.reload[src.Name]; dup {
+	if _, dup := s.indexes[src.Name]; dup {
 		return fmt.Errorf("server: index %q already registered", src.Name)
 	}
 
-	r := &reloadable{src: src, retired: map[string]*retiredCounters{}}
+	r := &source{src: src}
 	load := func() (lifecycle.Resource, error) {
 		ix, err := src.Load()
 		if err != nil {
 			return nil, err
 		}
-		ss := &snapshotSet{
-			ix:    ix,
-			pools: map[string]*core.EnginePool{},
-			// The mapping joins the fault registry for exactly its serving
-			// lifetime: registered before any engine can touch it,
-			// unregistered in Close after the last pin drops.
-			unregister: s.ranges.Register(src.Name, ix.MappedData()),
-			retire: func(ss *snapshotSet) {
-				for name, p := range ss.pools {
-					created, reused, _ := p.Stats()
-					_, _, shed := p.Gauges()
-					rc := r.retired[name]
-					rc.created.Add(created)
-					rc.reused.Add(reused)
-					rc.shed.Add(shed)
-				}
-			},
-		}
-		for _, e := range core.Catalogue(s.g, src.Indexes(ix)) {
-			if e.Index != core.NoIndex {
-				ss.pools[e.Name] = s.newPool(e.Name, e.New)
+		// The mapping joins the fault registry for exactly its serving
+		// lifetime: registered before any engine can touch it, unregistered
+		// after the last pin drops.
+		unregister := s.ranges.Register(src.Name, ix.MappedData())
+		g := &generation{ix: ix, pools: s.mint(src.Indexes(ix))}
+		g.release = func() {
+			for name, p := range g.pools {
+				created, reused, _ := p.Stats()
+				_, _, shed := p.Gauges()
+				rc := r.retired[name]
+				rc.created.Add(created)
+				rc.reused.Add(reused)
+				rc.shed.Add(shed)
 			}
+			unregister()
+			ix.Close()
 		}
 		r.refreshProvenance()
-		return ss, nil
+		return g, nil
 	}
 
 	holder, err := lifecycle.New(src.Name, load, lifecycle.Options{Retry: reloadRetry()})
 	if err != nil {
 		return err
 	}
+	r.holder = holder
 	// The engine names are the initial generation's; every later one
 	// loads the same kind of index and serves the same names.
 	pin, err := holder.Acquire()
+	if err == nil {
+		err = s.register(r, pin.Value().(*generation).pools)
+		pin.Release()
+	}
 	if err != nil {
 		holder.Close()
-		return err
 	}
-	for name := range pin.Value().(*snapshotSet).pools {
-		r.engines = append(r.engines, name)
-		r.retired[name] = &retiredCounters{}
-	}
-	pin.Release()
-	sort.Strings(r.engines)
-	if len(r.engines) == 0 {
-		holder.Close()
-		return fmt.Errorf("server: index %q serves no engine", src.Name)
-	}
-	for _, name := range r.engines {
-		if s.hasEngine(name) {
-			holder.Close()
-			return fmt.Errorf("server: engine %q already registered", name)
-		}
-	}
-
-	r.holder = holder
-	s.reload[src.Name] = r
-	for _, name := range r.engines {
-		s.engineIndex[name] = src.Name
-		s.breakers[name] = s.newBreaker()
-	}
-	return nil
+	return err
 }
 
-// hasEngine reports whether name is a registered engine, static or
-// reloadable. Both maps are frozen before serving, so the request path
-// reads them lock-free.
+// hasEngine reports whether name is a registered engine. The engine map
+// is frozen before serving, so the request path reads it lock-free.
 func (s *Server) hasEngine(name string) bool {
-	if _, ok := s.pools[name]; ok {
-		return true
-	}
-	_, ok := s.engineIndex[name]
+	_, ok := s.engines[name]
 	return ok
-}
-
-// engineAvailable reports whether name can serve right now: static
-// engines always can (their breaker is consulted separately); a
-// reloadable engine cannot while its index is quarantined or mid-initial
-// load. routeEngine consults this before the breaker so a quarantined
-// index falls through the fallback ladder exactly like an open breaker.
-func (s *Server) engineAvailable(name string) bool {
-	idx, ok := s.engineIndex[name]
-	if !ok {
-		return true
-	}
-	return s.reload[idx].holder.State().Live
-}
-
-// engineGeneration returns the live generation of the index behind a
-// reloadable engine (0 for static engines) — stamped into cache keys so
-// a swap invalidates cached results computed on the old index.
-func (s *Server) engineGeneration(name string) uint64 {
-	idx, ok := s.engineIndex[name]
-	if !ok {
-		return 0
-	}
-	return s.reload[idx].holder.State().Generation
-}
-
-// checkout resolves the pool serving engine name, pinning the index
-// generation for reloadable engines. The returned pin (nil for static
-// engines) must be released after the engine goes back to its pool —
-// the pin is what keeps the pool's backing mapping alive.
-func (s *Server) checkout(name string) (*core.EnginePool, *lifecycle.Pin, error) {
-	if pool, ok := s.pools[name]; ok {
-		return pool, nil, nil
-	}
-	r := s.reload[s.engineIndex[name]]
-	pin, err := r.holder.Acquire()
-	if err != nil {
-		return nil, nil, err
-	}
-	return pin.Value().(*snapshotSet).pools[name], pin, nil
 }
 
 // noteIndexFault is the Guard callback: quarantine the faulting index
@@ -321,7 +294,7 @@ func (s *Server) checkout(name string) (*core.EnginePool, *lifecycle.Pin, error)
 // "index_fault" from the classified error; every later request routes
 // down the fallback ladder until a reload restores the index.
 func (s *Server) noteIndexFault(f *lifecycle.IndexFault) {
-	r, ok := s.reload[f.Index]
+	r, ok := s.indexes[f.Index]
 	if !ok {
 		return
 	}
@@ -336,14 +309,17 @@ func (s *Server) noteIndexFault(f *lifecycle.IndexFault) {
 	}
 }
 
-// Reload swaps every reloadable index to a freshly loaded generation,
+// Reload swaps every file-backed index to a freshly loaded generation,
 // returning per-index errors (nil entries are successes). In-flight
 // requests finish on their pinned generations; a failed load keeps the
 // serving generation untouched. The CLI calls this on SIGHUP; HTTP
 // clients POST /admin/reload.
 func (s *Server) Reload(ctx context.Context) map[string]error {
-	results := make(map[string]error, len(s.reload))
-	for name, r := range s.reload {
+	results := map[string]error{}
+	for name, r := range s.indexes {
+		if !r.reloadable() {
+			continue
+		}
 		err := r.holder.Reload(ctx)
 		results[name] = err
 		st := r.holder.State()
@@ -358,16 +334,18 @@ func (s *Server) Reload(ctx context.Context) map[string]error {
 	return results
 }
 
-// CloseIndexes releases the server's reference to every reloadable
+// CloseIndexes releases the server's reference to every file-backed
 // index. Call after the HTTP server has shut down; generations still
 // pinned by straggling requests close when those requests finish.
 func (s *Server) CloseIndexes() {
-	for _, r := range s.reload {
-		r.holder.Close()
+	for _, r := range s.indexes {
+		if r.reloadable() {
+			r.holder.Close()
+		}
 	}
 }
 
-// handleReload is POST /admin/reload: swap all reloadable indexes and
+// handleReload is POST /admin/reload: swap all file-backed indexes and
 // report per-index outcomes. 200 when every index reloaded; 500 with
 // per-index detail when any failed (the serving generations are
 // unchanged in that case).
@@ -376,7 +354,7 @@ func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
 	status := http.StatusOK
 	body := make(map[string]any, len(results))
 	for name, err := range results {
-		st := s.reload[name].holder.State()
+		st := s.indexes[name].holder.State()
 		entry := map[string]any{"generation": st.Generation, "quarantined": st.Quarantined}
 		if err != nil {
 			status = http.StatusInternalServerError

@@ -10,6 +10,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -18,6 +19,7 @@ import (
 	"fannr/internal/core"
 	"fannr/internal/graph"
 	"fannr/internal/gtree"
+	"fannr/internal/obs"
 	"fannr/internal/phl"
 	"fannr/internal/resil"
 )
@@ -493,5 +495,183 @@ func TestMetaReportsLabelEntries(t *testing.T) {
 	h := newReloadHarness(t, true, nil, Options{})
 	if got := labelEntries(h.ts.URL); got["phl"] != want {
 		t.Fatalf("file-backed index: /meta label_entries = %v, want phl %v", got, want)
+	}
+}
+
+// TestMixedServerOneRegistry serves a built G-tree, a file-backed mmap'd
+// PHL index and an AddEngine fake from one server. /meta lists both
+// indexes with lifecycle state on the file-backed one only, every
+// engine's pool entry is the registry's number, a reload swaps the
+// file-backed index alone while the G-tree engines keep serving, and
+// CloseIndexes leaves the built tree the caller's.
+func TestMixedServerOneRegistry(t *testing.T) {
+	if runtime.GOOS != "linux" && runtime.GOOS != "darwin" {
+		t.Skip("the file-backed index needs a POSIX mmap host")
+	}
+	g, err := graph.Generate(graph.GenConfig{Nodes: 800, Seed: 5, Name: "srv"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	labels, err := phl.Build(g, phl.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "phl.v4")
+	var buf bytes.Buffer
+	if err := labels.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	tr, err := gtree.Build(g, gtree.Options{MaxLeafSize: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := New(g, Options{Indexes: core.Indexes{GTree: tr}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.AddReloadable(IndexSource{
+		Name: "phl",
+		Path: path,
+		Load: func() (ReloadableIndex, error) { return phl.Load(path, phl.LoadOptions{Mmap: true}) },
+		Indexes: func(ix ReloadableIndex) core.Indexes {
+			return core.Indexes{PHL: ix.(*phl.Index)}
+		},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.AddEngine("Fake", func() core.GPhi { return core.NewINE(g) }); err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	q := core.Query{P: []graph.NodeID{10, 50, 100, 200, 400, 700}, Q: []graph.NodeID{5, 25, 125, 325}, Phi: 0.5, Agg: core.Max}
+	want, err := core.Brute(g, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	query := func(engine string) {
+		t.Helper()
+		status, resp := post[FANNResponse](t, ts.URL+"/fann", FANNRequest{P: q.P, Q: q.Q, Phi: q.Phi, Agg: "max", Algo: "gd", Engine: engine})
+		if status != http.StatusOK || len(resp.Answers) != 1 || math.Abs(resp.Answers[0].Dist-want.Dist) > 1e-6 {
+			t.Fatalf("%s: status %d answers %+v, want dist %v", engine, status, resp.Answers, want.Dist)
+		}
+	}
+	for _, engine := range []string{"PHL", "IER-PHL", "GTree", "GTree-SPSP", "Fake", "INE", "PHL"} {
+		query(engine)
+	}
+
+	var meta struct {
+		Engines []string                  `json:"engines"`
+		Pools   map[string]map[string]any `json:"pools"`
+		Indexes map[string]map[string]any `json:"indexes"`
+	}
+	resp, err := http.Get(ts.URL + "/meta")
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = json.NewDecoder(resp.Body).Decode(&meta)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(meta.Indexes) != 2 || meta.Indexes["phl"] == nil || meta.Indexes["gtree"] == nil {
+		t.Fatalf("/meta indexes %v, want phl and gtree", meta.Indexes)
+	}
+	for _, key := range []string{"generation", "quarantined", "reloads", "reload_failures", "faults", "reloadable", "path"} {
+		if _, ok := meta.Indexes["phl"][key]; !ok {
+			t.Errorf("/meta indexes.phl lacks %q: %v", key, meta.Indexes["phl"])
+		}
+		if _, ok := meta.Indexes["gtree"][key]; ok {
+			t.Errorf("/meta indexes.gtree, a built index, carries %q: %v", key, meta.Indexes["gtree"])
+		}
+	}
+	if total, _ := meta.Indexes["gtree"]["total"].(float64); total <= 0 {
+		t.Errorf("/meta indexes.gtree total %v, want the built tree's bytes", meta.Indexes["gtree"]["total"])
+	}
+
+	sc := scrapeMetrics(t, ts.URL)
+	series := map[string]string{
+		"created": mPoolCreated, "reused": mPoolReused, "idle": mPoolIdle,
+		"inflight": mPoolInflight, "queued": mPoolQueued, "shed": mPoolShed,
+	}
+	if len(meta.Pools) != len(meta.Engines) {
+		t.Fatalf("/meta pools %d entries for %d engines", len(meta.Pools), len(meta.Engines))
+	}
+	for _, engine := range meta.Engines {
+		for key, name := range series {
+			got, ok := sc.Value(name, obs.L("engine", engine))
+			if !ok || meta.Pools[engine][key] != got {
+				t.Errorf("%s: /meta pools.%s = %v, /metrics %s = %v (ok=%v)", engine, key, meta.Pools[engine][key], name, got, ok)
+			}
+		}
+	}
+	if created := meta.Pools["GTree"]["created"]; created != 1.0 {
+		t.Errorf("/meta pools.GTree.created = %v, want 1", created)
+	}
+
+	status, rr := postReload(t, ts.URL)
+	if e, ok := rr.Indexes["phl"]; status != http.StatusOK || len(rr.Indexes) != 1 || !ok || e.Generation != 2 {
+		t.Fatalf("reload: status %d body %+v, want phl alone at generation 2", status, rr)
+	}
+	for _, engine := range []string{"GTree", "IER-GTree", "PHL"} {
+		query(engine)
+	}
+
+	srv.CloseIndexes()
+	got, err := core.Dispatch(g, "gd", core.NewGTreeGPhi(tr), q, 1)
+	if err != nil || len(got) != 1 || math.Abs(got[0].Dist-want.Dist) > 1e-6 {
+		t.Fatalf("built tree after CloseIndexes: %+v, %v; want dist %v", got, err, want.Dist)
+	}
+}
+
+// TestAddReloadableDuplicateEngineClosesIndex: a file-backed index whose
+// engines another source already serves is refused, and the generation
+// it loaded is closed, not leaked.
+func TestAddReloadableDuplicateEngineClosesIndex(t *testing.T) {
+	if runtime.GOOS != "linux" && runtime.GOOS != "darwin" {
+		t.Skip("the file-backed index needs a POSIX mmap host")
+	}
+	g, err := graph.Generate(graph.GenConfig{Nodes: 300, Seed: 5, Name: "dup"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	labels, err := phl.Build(g, phl.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "phl.v4")
+	var buf bytes.Buffer
+	if err := labels.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	srv, err := New(g, Options{Indexes: core.Indexes{PHL: labels}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var loads, closes atomic.Int64
+	err = srv.AddReloadable(IndexSource{
+		Name: "phl-file",
+		Load: func() (ReloadableIndex, error) {
+			ix, err := phl.Load(path, phl.LoadOptions{Mmap: true})
+			if err != nil {
+				return nil, err
+			}
+			loads.Add(1)
+			return &countingIndex{Index: ix, closes: &closes}, nil
+		},
+		Indexes: func(ix ReloadableIndex) core.Indexes { return core.Indexes{PHL: ix.(*countingIndex).Index} },
+	})
+	if err == nil || !strings.Contains(err.Error(), "already registered") {
+		t.Fatalf("AddReloadable over served engines: %v, want already registered", err)
+	}
+	if loads.Load() != 1 || closes.Load() != 1 {
+		t.Fatalf("%d loads, %d closes: the refused generation must be closed", loads.Load(), closes.Load())
 	}
 }

@@ -7,9 +7,10 @@
 // labels, G-tree) is immutable and built once at startup; the stateful
 // g_φ engines come from per-name core.EnginePool free-lists, so each
 // request checks out an exclusive engine instead of serializing behind a
-// process-wide lock. Engine registration freezes the
-// first time Handler is called, after which the pools map is never
-// written and is read without locking.
+// process-wide lock. Every pool lives in a generation of the source that
+// serves its engine, and every request pins that generation. Engine
+// registration freezes the first time Handler is called, after which the
+// registry is never written and is read without locking.
 package server
 
 import (
@@ -40,11 +41,10 @@ import (
 
 // Options configures the server.
 type Options struct {
-	// Indexes are the in-memory indexes to serve over: every engine of the
-	// catalogue they support gets a pool (core.Catalogue) — INE and A*
-	// always, IER-A* on a graph with coordinates. File-backed indexes
-	// register with AddReloadable instead, and further engines with
-	// AddEngine.
+	// Indexes are the built indexes to serve every catalogue engine over
+	// (core.Catalogue); INE and A* are always served, IER-A* on a graph
+	// with coordinates. Each is a generation the server never reloads or
+	// closes. File-backed indexes register with AddReloadable instead.
 	Indexes core.Indexes
 	// QueryTimeout bounds how long one /fann request may compute (0 = no
 	// limit). Each request derives a deadline context that the query's
@@ -114,12 +114,16 @@ const slowLogEntries = 64
 // Server answers FANN_R queries over HTTP.
 type Server struct {
 	g *graph.Graph
-	// mu guards pools during registration; once frozen (first Handler
-	// call) the map is immutable and the request path reads it lock-free.
-	mu     sync.Mutex
-	frozen bool
-	pools  map[string]*core.EnginePool
-	// breakers parallels pools: one consecutive-failure breaker per
+	// mu guards the registry during registration; once frozen (first
+	// Handler call) it is immutable and the request path reads it
+	// lock-free. engines maps every engine name to the source whose
+	// generations hold its pool; indexes maps each index name — built or
+	// file-backed — to its source.
+	mu      sync.Mutex
+	frozen  bool
+	engines map[string]*source
+	indexes map[string]*source
+	// breakers parallels engines: one consecutive-failure breaker per
 	// engine kind, fed by panics and internal errors on that engine.
 	breakers map[string]*resil.Breaker
 	fallback map[string]string
@@ -157,19 +161,8 @@ type Server struct {
 	// already packed (core/sets.go). The registry is always on: its bounds
 	// are core's constants and a list nobody repeats stores nothing.
 	tier wire.Tier
-	// indexSizes records the size of each preprocessing index for the
-	// fannr_index_bytes gauge and /meta, split into heap-resident bytes
-	// and mmap-backed bytes (zero for heap-loaded or built indexes) so
-	// the two are never double-counted. Written only by New.
-	indexSizes map[string]indexSize
-	// reload holds the hot-swappable indexes (AddReloadable) by index
-	// name; engineIndex maps each reloadable engine name to its index.
-	// Both are frozen with the pools map, so the request path reads them
-	// lock-free.
-	reload      map[string]*reloadable
-	engineIndex map[string]string
-	// ranges registers every live index mapping so the fault guard can
-	// attribute SIGBUS page-ins to the index that owns the page.
+	// ranges registers every live file-backed index mapping so the fault
+	// guard can attribute SIGBUS page-ins to the index that owns the page.
 	ranges *lifecycle.Ranges
 	// slow is the always-on slow-query log behind /debug/slow: full
 	// traces of the N slowest requests plus a ring of recent
@@ -187,18 +180,6 @@ func (discardLogs) Handle(context.Context, slog.Record) error { return nil }
 func (d discardLogs) WithAttrs([]slog.Attr) slog.Handler      { return d }
 func (d discardLogs) WithGroup(string) slog.Handler           { return d }
 
-// indexSize splits an index's footprint by where the bytes live;
-// entries is its label count, for the one kind of index that has one.
-type indexSize struct{ heap, mapped, entries int64 }
-
-// memorySized is implemented by indexes that report their resident size
-// (phl.Index, gtree.Tree via Stats, ...).
-type memorySized interface{ MemoryBytes() int64 }
-
-// mappedSized is additionally implemented by indexes that may be
-// mmap-backed (phl.Index); MappedBytes is 0 for heap-loaded instances.
-type mappedSized interface{ MappedBytes() int64 }
-
 // labelCounted is implemented by hub-label indexes (phl.Index). The
 // count depends only on the graph and the hub order the file was built
 // under, so /meta's label_entries tells two builds of one network apart
@@ -209,7 +190,8 @@ type labelCounted interface{ Entries() int64 }
 func New(g *graph.Graph, opts Options) (*Server, error) {
 	s := &Server{
 		g:                g,
-		pools:            map[string]*core.EnginePool{},
+		engines:          map[string]*source{},
+		indexes:          map[string]*source{},
 		breakers:         map[string]*resil.Breaker{},
 		fallback:         map[string]string{},
 		limits:           core.PoolLimits{MaxInFlight: opts.MaxInFlight, QueueDepth: opts.QueueDepth},
@@ -220,19 +202,10 @@ func New(g *graph.Graph, opts Options) (*Server, error) {
 		reg:              opts.Metrics,
 		logger:           opts.Logger,
 		pprof:            opts.Pprof,
-		indexSizes:       map[string]indexSize{},
-		reload:           map[string]*reloadable{},
-		engineIndex:      map[string]string{},
 		ranges:           lifecycle.NewRanges(),
 		slow:             obs.NewSlowLog(slowLogEntries),
 	}
 	s.tier = wire.Tier{Graph: g, Sets: core.NewSetRegistry(), DefaultEngine: wire.DefaultEngine, HasEngine: s.hasEngine}
-	if ix := opts.Indexes.PHL; ix != nil {
-		s.indexSizes["phl"] = sizeOf(ix)
-	}
-	if ix := opts.Indexes.GTree; ix != nil {
-		s.indexSizes["gtree"] = sizeOf(ix)
-	}
 	if s.reg == nil {
 		s.reg = obs.NewRegistry()
 	}
@@ -252,26 +225,20 @@ func New(g *graph.Graph, opts Options) (*Server, error) {
 			return errors.Is(err, core.ErrInvalid) || errors.Is(err, core.ErrNoResult)
 		})
 	}
-	for _, e := range core.Catalogue(g, opts.Indexes) {
-		s.pools[e.Name] = s.newPool(e.Name, e.New)
-		s.breakers[e.Name] = s.newBreaker()
+	// The graph, for the engines that search no index, and each built
+	// index are sources whose one generation is never reloaded.
+	err := s.addFixed("", nil, s.mint(core.Indexes{}))
+	if ix := opts.Indexes.PHL; ix != nil && err == nil {
+		sized, _ := ix.(ReloadableIndex) // an oracle that is not reports no size
+		err = s.addFixed("phl", sized, s.mint(core.Indexes{PHL: ix}))
+	}
+	if ix := opts.Indexes.GTree; ix != nil && err == nil {
+		err = s.addFixed("gtree", ix, s.mint(core.Indexes{GTree: ix}))
+	}
+	if err != nil {
+		return nil, err
 	}
 	return s, nil
-}
-
-// sizeOf reads an index's footprint, split as indexSize keeps it.
-func sizeOf(ix any) indexSize {
-	var sz indexSize
-	if m, ok := ix.(memorySized); ok {
-		sz.heap = m.MemoryBytes()
-	}
-	if m, ok := ix.(mappedSized); ok {
-		sz.mapped = m.MappedBytes()
-	}
-	if lc, ok := ix.(labelCounted); ok {
-		sz.entries = lc.Entries()
-	}
-	return sz
 }
 
 // newPool builds one engine pool under the server's admission limits.
@@ -289,11 +256,12 @@ func (s *Server) newBreaker() *resil.Breaker {
 	return resil.NewBreaker(s.breakerThreshold, s.breakerCooldown)
 }
 
-// AddEngine registers an additional named engine (e.g., a G-tree engine
-// built by the caller). The factory is invoked once per pooled engine and
-// must be safe to call from any goroutine. Registration is rejected once
-// Handler has been called: the pools map must never be mutated while
-// requests are in flight.
+// AddEngine registers an additional named engine, a source of its own
+// whose one generation is never reloaded (tests put fakes in this way).
+// The factory is invoked once per pooled engine and must be safe to call
+// from any goroutine. Registration is rejected once Handler has been
+// called: the registry must never be mutated while requests are in
+// flight.
 func (s *Server) AddEngine(name string, factory core.EngineFactory) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -303,28 +271,16 @@ func (s *Server) AddEngine(name string, factory core.EngineFactory) error {
 	if name == "" || factory == nil {
 		return errors.New("server: AddEngine needs a name and a factory")
 	}
-	if _, dup := s.pools[name]; dup {
-		return fmt.Errorf("server: engine %q already registered", name)
-	}
-	if _, dup := s.engineIndex[name]; dup {
-		return fmt.Errorf("server: engine %q already registered", name)
-	}
-	s.pools[name] = s.newPool(name, factory)
-	s.breakers[name] = s.newBreaker()
-	return nil
+	return s.addFixed("", nil, map[string]*core.EnginePool{name: s.newPool(name, factory)})
 }
 
-// Engines lists the registered engine names — static pools and
-// reloadable engines — sorted. Callers wiring a fallback ladder can
-// validate it against this set before serving.
+// Engines lists the registered engine names, sorted. Callers wiring a
+// fallback ladder can validate it against this set before serving.
 func (s *Server) Engines() []string {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	names := make([]string, 0, len(s.pools)+len(s.engineIndex))
-	for name := range s.pools {
-		names = append(names, name)
-	}
-	for name := range s.engineIndex {
+	names := make([]string, 0, len(s.engines))
+	for name := range s.engines {
 		names = append(names, name)
 	}
 	sort.Strings(names)
@@ -451,7 +407,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 }
 
 // handleReadyz is readiness: 503 while draining, while any engine's
-// breaker is open, or while any reloadable index is quarantined (the
+// breaker is open, or while any file-backed index is quarantined (the
 // server answers, but degraded), naming the broken pools and evicted
 // indexes so operators see exactly what tripped.
 func (s *Server) handleReadyz(w http.ResponseWriter, _ *http.Request) {
@@ -462,7 +418,7 @@ func (s *Server) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 		}
 	}
 	quarantined := map[string]string{}
-	for name, r := range s.reload {
+	for name, r := range s.indexes {
 		if st := r.holder.State(); !st.Live {
 			reason := st.Reason
 			if reason == "" {
@@ -541,40 +497,31 @@ func (s *Server) handleMeta(w http.ResponseWriter, _ *http.Request) {
 	// Index sizes are read back from the gauge like everything else so
 	// /meta and /metrics cannot disagree. Each index reports heap and
 	// mmap-backed bytes separately (they never overlap) plus their sum;
-	// reloadable indexes add lifecycle state and file provenance so
+	// file-backed indexes add lifecycle state and file provenance so
 	// operators can tell which artifact generation is actually serving.
-	indexes := make(map[string]any, len(s.indexSizes)+len(s.reload))
-	for name, sz := range s.indexSizes {
+	indexes := make(map[string]any, len(s.indexes))
+	for name, r := range s.indexes {
 		heap := val(mIndexBytes, obs.L("index", name), obs.L("mem", "heap"))
 		mapped := val(mIndexBytes, obs.L("index", name), obs.L("mem", "mapped"))
 		entry := map[string]any{"heap": heap, "mapped": mapped, "total": heap + mapped}
-		if sz.entries > 0 {
-			entry["label_entries"] = sz.entries
-		}
-		indexes[name] = entry
-	}
-	for name, rl := range s.reload {
-		heap := val(mIndexBytes, obs.L("index", name), obs.L("mem", "heap"))
-		mapped := val(mIndexBytes, obs.L("index", name), obs.L("mem", "mapped"))
-		st := rl.holder.State()
-		entry := map[string]any{
-			"heap": heap, "mapped": mapped, "total": heap + mapped,
-			"generation": st.Generation, "quarantined": st.Quarantined,
-			"reloads": st.Reloads, "reload_failures": st.ReloadFailures,
-			"faults": st.Faults, "reloadable": true,
-		}
-		if st.Reason != "" {
-			entry["quarantine_reason"] = st.Reason
-		}
-		if n := rl.labelEntries(); n > 0 {
+		if _, _, n := r.footprint(); n > 0 {
 			entry["label_entries"] = n
 		}
-		if p := rl.prov.Load(); p != nil {
-			entry["path"] = p.Path
-			entry["file_bytes"] = p.Bytes
-			entry["file_mtime"] = p.ModTime.UTC().Format(time.RFC3339)
-			if p.Family != "" {
-				entry["format"] = fmt.Sprintf("%s v%d", p.Family, p.Version)
+		if r.reloadable() {
+			st := r.holder.State()
+			entry["generation"], entry["quarantined"] = st.Generation, st.Quarantined
+			entry["reloads"], entry["reload_failures"] = st.Reloads, st.ReloadFailures
+			entry["faults"], entry["reloadable"] = st.Faults, true
+			if st.Reason != "" {
+				entry["quarantine_reason"] = st.Reason
+			}
+			if p := r.prov.Load(); p != nil {
+				entry["path"] = p.Path
+				entry["file_bytes"] = p.Bytes
+				entry["file_mtime"] = p.ModTime.UTC().Format(time.RFC3339)
+				if p.Family != "" {
+					entry["format"] = fmt.Sprintf("%s v%d", p.Family, p.Version)
+				}
 			}
 		}
 		indexes[name] = entry
