@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: verify build test vet loc bench bench-gate figures microbench race race-full fuzz-smoke chaos chaos-load explain-smoke shard-smoke
+.PHONY: verify build test allocs vet loc bench bench-gate figures microbench race race-full fuzz-smoke chaos chaos-load explain-smoke shard-smoke
 
 ## Tier 1 — compile + unit/integration tests (the seed contract).
 build:
@@ -16,6 +16,12 @@ build:
 test:
 	$(GO) test ./...
 	$(GO) test -C bench ./...
+
+## Every allocation guard three times in one process: a count that
+## drifts with process state (a counter past a boxing threshold, a pool
+## filled by an earlier run) shows on the second or third run only.
+allocs:
+	$(GO) test -count=3 -run 'Alloc' ./internal/...
 
 ## Tier 2 — static analysis; any file gofmt would rewrite fails it.
 vet:
@@ -173,4 +179,4 @@ chaos-load:
 	$(GO) test -race -v -run 'Retry|FileChaos|TransientErrors|ChaosLatencyCancel' ./internal/resil/
 	$(GO) test -race -v -run 'IndexFault|ReloadFailure|SwapStorm|Reload' ./internal/server/
 
-verify: build test vet race chaos-load loc
+verify: build test allocs vet race chaos-load loc

@@ -127,19 +127,6 @@ func BenchmarkAppendixC(b *testing.B) {
 
 // Beyond-paper experiments.
 
-func BenchmarkAblationBound(b *testing.B) {
-	runFigure(b, func(e *exp.Env) ([]*exp.Table, error) { return e.AblationBound() })
-}
-
-func BenchmarkAblationRefine(b *testing.B) {
-	cfg := benchConfig()
-	for i := 0; i < b.N; i++ {
-		if _, err := exp.AblationRefine(cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkDiagnostics(b *testing.B) {
 	runFigure(b, func(e *exp.Env) ([]*exp.Table, error) { return e.Diagnostics() })
 }
@@ -235,14 +222,7 @@ func BenchmarkAlgoRList_PHL(b *testing.B) {
 
 func BenchmarkAlgoIERKNN_PHL(b *testing.B) {
 	benchAlgo(b, "PHL", func(e *exp.Env, gp core.GPhi, bq benchQuery) error {
-		_, err := core.IERKNN(e.G, bq.rtP, gp, bq.q, core.IEROptions{})
-		return err
-	})
-}
-
-func BenchmarkAlgoIERKNNCheapBound_PHL(b *testing.B) {
-	benchAlgo(b, "PHL", func(e *exp.Env, gp core.GPhi, bq benchQuery) error {
-		_, err := core.IERKNN(e.G, bq.rtP, gp, bq.q, core.IEROptions{CheapBound: true})
+		_, err := core.IERKNN(e.G, bq.rtP, gp, bq.q)
 		return err
 	})
 }

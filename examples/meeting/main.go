@@ -49,7 +49,7 @@ func main() {
 		{1.0, "full attendance"},
 	} {
 		q := fannr.Query{P: venues, Q: members, Phi: scenario.phi, Agg: fannr.Sum}
-		ans, err := fannr.IERKNN(g, rtP, gp, q, fannr.IEROptions{})
+		ans, err := fannr.IERKNN(g, rtP, gp, q)
 		if err != nil {
 			log.Fatal(err)
 		}

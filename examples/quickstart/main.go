@@ -43,7 +43,7 @@ func main() {
 		log.Fatal(err)
 	}
 	rtP := fannr.BuildPTree(g, q.P)
-	ans2, err := fannr.IERKNN(g, rtP, fannr.NewOracleGPhi("PHL", labels), q, fannr.IEROptions{})
+	ans2, err := fannr.IERKNN(g, rtP, fannr.NewOracleGPhi("PHL", labels), q)
 	if err != nil {
 		log.Fatal(err)
 	}

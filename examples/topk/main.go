@@ -47,7 +47,7 @@ func main() {
 		{"KGD (PHL)", func() ([]fannr.Answer, error) { return fannr.KGD(g, phlGD, q, k) }},
 		{"KRList (PHL)", func() ([]fannr.Answer, error) { return fannr.KRList(g, phlRL, q, k) }},
 		{"KIERKNN (PHL)", func() ([]fannr.Answer, error) {
-			return fannr.KIERKNN(g, rtP, phlIER, q, k, fannr.IEROptions{})
+			return fannr.KIERKNN(g, rtP, phlIER, q, k)
 		}},
 		{"KExactMax (INE)", func() ([]fannr.Answer, error) { return fannr.KExactMax(g, ine, q, k) }},
 	}

@@ -92,8 +92,6 @@ type (
 	GPhi = core.GPhi
 	// Oracle answers exact shortest-path distance queries.
 	Oracle = core.Oracle
-	// IEROptions tunes the IER-kNN framework.
-	IEROptions = core.IEROptions
 )
 
 // Aggregates.

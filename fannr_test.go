@@ -64,10 +64,10 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 			return fannr.RList(g, fannr.NewOracleGPhi("PHL", labels), q)
 		}},
 		{"IERKNN/GTree", func() (fannr.Answer, error) {
-			return fannr.IERKNN(g, rtP, fannr.NewGTreeGPhi(tree), q, fannr.IEROptions{})
+			return fannr.IERKNN(g, rtP, fannr.NewGTreeGPhi(tree), q)
 		}},
 		{"IERKNN/IER-PHL", func() (fannr.Answer, error) {
-			return fannr.IERKNN(g, rtP, ierPHL, q, fannr.IEROptions{})
+			return fannr.IERKNN(g, rtP, ierPHL, q)
 		}},
 		{"ExactMax/A*", func() (fannr.Answer, error) {
 			return fannr.ExactMax(g, fannr.NewOracleGPhi("A*", sp.NewAStar(g)), q)

@@ -12,7 +12,7 @@ import (
 // 3-approximation; Theorem 2 tightens it to 2 when Q ⊆ P. In the paper's
 // experiments the observed ratio never exceeds 1.2.
 func APXSum(g *graph.Graph, gp GPhi, q Query) (Answer, error) {
-	return solveOne(g, gp, q, algoAPXSum, nil, IEROptions{})
+	return solveOne(g, gp, q, algoAPXSum, nil)
 }
 
 // KAPXSum extends APX-sum to k-FANN_R queries. The paper notes (§V) that
@@ -28,7 +28,7 @@ func APXSum(g *graph.Graph, gp GPhi, q Query) (Answer, error) {
 // which is why the paper stopped at k = 1. Results may contain fewer than
 // kAns entries when the pool is smaller.
 func KAPXSum(g *graph.Graph, gp GPhi, q Query, kAns int) ([]Answer, error) {
-	return solve(g, gp, q, algoAPXSum, kAns, false, nil, IEROptions{}, nil)
+	return solve(g, gp, q, algoAPXSum, kAns, false, nil, nil)
 }
 
 // apxCandidates is APX-sum's reduction: the per network-nearest data

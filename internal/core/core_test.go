@@ -147,16 +147,14 @@ func TestAllAlgorithmsMatchBruteForce(t *testing.T) {
 			}
 			checkAnswer(t, env.g, q, got, "RList/"+gp.Name())
 
-			for _, cheap := range []bool{false, true} {
-				got, err = IERKNN(env.g, rtP, gp, q, IEROptions{CheapBound: cheap})
-				if err != nil {
-					t.Fatalf("IERKNN/%s cheap=%v: %v", gp.Name(), cheap, err)
-				}
-				if math.Abs(got.Dist-want.Dist) > 1e-6 {
-					t.Fatalf("IERKNN/%s cheap=%v: dist %v, want %v", gp.Name(), cheap, got.Dist, want.Dist)
-				}
-				checkAnswer(t, env.g, q, got, "IERKNN/"+gp.Name())
+			got, err = IERKNN(env.g, rtP, gp, q)
+			if err != nil {
+				t.Fatalf("IERKNN/%s: %v", gp.Name(), err)
 			}
+			if math.Abs(got.Dist-want.Dist) > 1e-6 {
+				t.Fatalf("IERKNN/%s: dist %v, want %v", gp.Name(), got.Dist, want.Dist)
+			}
+			checkAnswer(t, env.g, q, got, "IERKNN/"+gp.Name())
 
 			if agg == Max {
 				got, err = ExactMax(env.g, gp, q)
@@ -352,7 +350,7 @@ func TestKFANNMatchesBruteForce(t *testing.T) {
 		got, err = KRList(env.g, gp, q, kAns)
 		check("KRList", got, err)
 		rtP := BuildPTree(env.g, q.P)
-		got, err = KIERKNN(env.g, rtP, gp, q, kAns, IEROptions{})
+		got, err = KIERKNN(env.g, rtP, gp, q, kAns)
 		check("KIERKNN", got, err)
 		if agg == Max {
 			got, err = KExactMax(env.g, gp, q, kAns)
@@ -435,7 +433,7 @@ func TestDisconnectedNoResult(t *testing.T) {
 		t.Fatalf("APXSum err = %v, want ErrNoResult", err)
 	}
 	rtP := BuildPTree(g, q.P)
-	if _, err := IERKNN(g, rtP, gp, q, IEROptions{}); !errors.Is(err, ErrNoResult) {
+	if _, err := IERKNN(g, rtP, gp, q); !errors.Is(err, ErrNoResult) {
 		t.Fatalf("IERKNN err = %v, want ErrNoResult", err)
 	}
 }

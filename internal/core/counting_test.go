@@ -53,7 +53,7 @@ func TestInvocationCounts(t *testing.T) {
 			t.Fatal("R-List reported no settles")
 		}
 
-		ier := counted(q, func(q Query) (Answer, error) { return IERKNN(env.g, rtP, gp, q, IEROptions{}) })
+		ier := counted(q, func(q Query) (Answer, error) { return IERKNN(env.g, rtP, gp, q) })
 		if ier.GPhiEvals > int64(len(q.P)) {
 			t.Fatalf("IER-kNN evaluated %d > |P| = %d points", ier.GPhiEvals, len(q.P))
 		}
@@ -80,7 +80,7 @@ func TestIERPrunesAgainstGD(t *testing.T) {
 	for trial := 0; trial < 8; trial++ {
 		q := env.randomQuery(rng, 120, 10, 0.5, Max)
 		q.Stats = &ier
-		if _, err := IERKNN(env.g, BuildPTree(env.g, q.P), gp, q, IEROptions{}); err != nil {
+		if _, err := IERKNN(env.g, BuildPTree(env.g, q.P), gp, q); err != nil {
 			t.Fatal(err)
 		}
 		totalGD += int64(len(q.P))

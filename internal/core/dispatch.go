@@ -40,7 +40,7 @@ func Dispatch(g *graph.Graph, algo string, gp GPhi, q Query, k int) ([]Answer, e
 		}
 		rtP = q.pTree(g)
 	}
-	return solve(g, gp, q, a, k, k <= 1, rtP, IEROptions{}, nil)
+	return solve(g, gp, q, a, k, k <= 1, rtP, nil)
 }
 
 // CheckAlgo reports, wrapped in ErrInvalid, every fault of a request

@@ -15,14 +15,14 @@ import "fannr/internal/graph"
 // The aggregate must be Max: the §IV-A counter-example (reproduced in the
 // tests) shows the counting argument is unsound for Sum.
 func ExactMax(g *graph.Graph, gp GPhi, q Query) (Answer, error) {
-	return solveOne(g, gp, q, algoExactMax, nil, IEROptions{})
+	return solveOne(g, gp, q, algoExactMax, nil)
 }
 
 // KExactMax answers a k-max-FANN_R query with the Exact-max adaptation:
 // expansion continues until kAns distinct counters reach ⌈φ|Q|⌉; the
 // saturation order is exactly ascending flexible max distance.
 func KExactMax(g *graph.Graph, gp GPhi, q Query, kAns int) ([]Answer, error) {
-	return solve(g, gp, q, algoExactMax, kAns, false, nil, IEROptions{}, nil)
+	return solve(g, gp, q, algoExactMax, kAns, false, nil, nil)
 }
 
 // exactMax is Exact-max's search loop: pop (q, p) pairs in global distance

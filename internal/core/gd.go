@@ -7,13 +7,13 @@ import "fannr/internal/graph"
 // paper calls the INE instantiation "Baseline" and the family "GD"; any
 // engine plugs in.
 func GD(g *graph.Graph, gp GPhi, q Query) (Answer, error) {
-	return solveOne(g, gp, q, algoGD, nil, IEROptions{})
+	return solveOne(g, gp, q, algoGD, nil)
 }
 
 // KGD answers a k-FANN_R query by enumerating P and keeping the kAns best
 // (§V: "update the queue when enumerating the P").
 func KGD(g *graph.Graph, gp GPhi, q Query, kAns int) ([]Answer, error) {
-	return solve(g, gp, q, algoGD, kAns, false, nil, IEROptions{}, nil)
+	return solve(g, gp, q, algoGD, kAns, false, nil, nil)
 }
 
 // scanAll is GD's search loop: every data point is a candidate. It still

@@ -408,11 +408,11 @@ func TestIERKNNZeroAllocSteadyState(t *testing.T) {
 	g, ix, q := hotpathEnv(t)
 	gp := NewOracleGPhi("PHL", ix)
 	rtP := BuildPTree(g, q.P)
-	if _, err := IERKNN(g, rtP, gp, q, IEROptions{}); err != nil {
+	if _, err := IERKNN(g, rtP, gp, q); err != nil {
 		t.Fatal(err)
 	}
 	allocs := testing.AllocsPerRun(20, func() {
-		if _, err := IERKNN(g, rtP, gp, q, IEROptions{}); err != nil {
+		if _, err := IERKNN(g, rtP, gp, q); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -434,7 +434,7 @@ func TestKIERKNNWarmAlloc(t *testing.T) {
 	q.Agg = Sum
 	rtP := BuildPTree(g, q.P)
 	const kAns = 10
-	ans, err := KIERKNN(g, rtP, gp, q, kAns, IEROptions{})
+	ans, err := KIERKNN(g, rtP, gp, q, kAns)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -442,7 +442,7 @@ func TestKIERKNNWarmAlloc(t *testing.T) {
 		t.Fatalf("warm-up returned %d answers, want %d", len(ans), kAns)
 	}
 	allocs := testing.AllocsPerRun(20, func() {
-		if _, err := KIERKNN(g, rtP, gp, q, kAns, IEROptions{}); err != nil {
+		if _, err := KIERKNN(g, rtP, gp, q, kAns); err != nil {
 			t.Fatal(err)
 		}
 	})

@@ -8,15 +8,6 @@ import (
 	"fannr/internal/rtree"
 )
 
-// IEROptions tunes the IER-kNN framework.
-type IEROptions struct {
-	// CheapBound replaces the flexible Euclidean aggregate g^ε_φ(e, Q)
-	// with the cheaper d(e, Q) bound of §III-C: mdist to the MBR of Q for
-	// max, k·mdist for sum. It is looser but costs O(1) instead of O(|Q|)
-	// per entry; the paper suggests it for the IER² engines.
-	CheapBound bool
-}
-
 // BuildPTree indexes the data points of a query in an R-tree so repeated
 // IERKNN calls over the same P can share it. P is deduplicated first,
 // matching Query.Validate's canonicalization — a duplicated entry would
@@ -111,11 +102,9 @@ func past(lb, tau float64) bool { return lb >= tau+roundSlack*tau }
 // priority queue of R-tree entries ordered by bound.
 type ierSearch struct {
 	euclidQ
-	qRect rtree.Rect
-	k     int
-	agg   Aggregate
-	opts  IEROptions
-	pq    *pqueue.Heap[ierEntry]
+	k   int
+	agg Aggregate
+	pq  *pqueue.Heap[ierEntry]
 }
 
 type ierEntry struct {
@@ -126,7 +115,7 @@ type ierEntry struct {
 // newIERSearch binds a frontier to a query, reusing the Scratch-held
 // state (coordinate buffers, bound scratch, frontier heap) when the query
 // carries one so warm IER-kNN runs allocate nothing.
-func newIERSearch(g *graph.Graph, rtP *rtree.Tree, q Query, opts IEROptions) *ierSearch {
+func newIERSearch(g *graph.Graph, rtP *rtree.Tree, q Query) *ierSearch {
 	var s *ierSearch
 	if q.Scratch != nil {
 		if q.Scratch.search == nil {
@@ -139,17 +128,12 @@ func newIERSearch(g *graph.Graph, rtP *rtree.Tree, q Query, opts IEROptions) *ie
 	s.g = g
 	s.reset(q.Q)
 	s.coords()
-	s.qRect = rtree.EmptyRect()
 	s.k = q.K()
 	s.agg = q.Agg
-	s.opts = opts
 	if s.pq == nil {
 		s.pq = pqueue.NewHeap[ierEntry](64)
 	} else {
 		s.pq.Reset()
-	}
-	for i := range s.qx {
-		s.qRect = s.qRect.Union(rtree.PointRect(s.qx[i], s.qy[i]))
 	}
 	if rtP.Len() > 0 {
 		root := rtP.Root()
@@ -159,16 +143,8 @@ func newIERSearch(g *graph.Graph, rtP *rtree.Tree, q Query, opts IEROptions) *ie
 }
 
 // boundNode computes the admissible network-distance lower bound for an
-// R-tree node: either the flexible Euclidean aggregate g^ε_φ(e, Q)
-// (Lemma 1) or the cheap d(e, Q) bound.
+// R-tree node: the flexible Euclidean aggregate g^ε_φ(e, Q) of Lemma 1.
 func (s *ierSearch) boundNode(n *rtree.Node) float64 {
-	if s.opts.CheapBound {
-		d := s.g.ScaleEuclid(n.Rect().MinDistRect(s.qRect))
-		if s.agg == Sum {
-			d *= float64(s.k)
-		}
-		return d
-	}
 	r := n.Rect()
 	for i := range s.qx {
 		s.scratch[i] = r.MinDist(s.qx[i], s.qy[i])
@@ -178,13 +154,6 @@ func (s *ierSearch) boundNode(n *rtree.Node) float64 {
 
 // boundPoint is boundNode for a single data point.
 func (s *ierSearch) boundPoint(x, y float64) float64 {
-	if s.opts.CheapBound {
-		d := s.g.ScaleEuclid(s.qRect.MinDist(x, y))
-		if s.agg == Sum {
-			d *= float64(s.k)
-		}
-		return d
-	}
 	return s.point(x, y, s.k, s.agg)
 }
 
@@ -192,23 +161,23 @@ func (s *ierSearch) boundPoint(x, y float64) float64 {
 // a best-first scan of the R-tree over P ordered by the flexible Euclidean
 // aggregate, evaluating the network g_φ only on surviving data points. The
 // graph must carry coordinates.
-func IERKNN(g *graph.Graph, rtP *rtree.Tree, gp GPhi, q Query, opts IEROptions) (Answer, error) {
-	return solveOne(g, gp, q, algoIERKNN, rtP, opts)
+func IERKNN(g *graph.Graph, rtP *rtree.Tree, gp GPhi, q Query) (Answer, error) {
+	return solveOne(g, gp, q, algoIERKNN, rtP)
 }
 
 // KIERKNN answers a k-FANN_R query with the IER-kNN adaptation: the
 // best-first scan terminates when the head bound reaches the kAns-th
 // smallest incumbent distance.
-func KIERKNN(g *graph.Graph, rtP *rtree.Tree, gp GPhi, q Query, kAns int, opts IEROptions) ([]Answer, error) {
-	return solve(g, gp, q, algoIERKNN, kAns, false, rtP, opts, nil)
+func KIERKNN(g *graph.Graph, rtP *rtree.Tree, gp GPhi, q Query, kAns int) ([]Answer, error) {
+	return solve(g, gp, q, algoIERKNN, kAns, false, rtP, nil)
 }
 
 // ierknn is IER-kNN's search loop (Algorithm 1): pop R-tree entries in
 // bound order, stop as soon as the head bound cannot beat the k-th
 // incumbent, expand nodes, and evaluate g_φ on surfaced data points.
-func (s *solver) ierknn(rtP *rtree.Tree, opts IEROptions) error {
+func (s *solver) ierknn(rtP *rtree.Tree) error {
 	q := &s.q
-	f := newIERSearch(s.g, rtP, s.q, opts)
+	f := newIERSearch(s.g, rtP, s.q)
 	// Guard against the same data point surfacing twice (an rtP built over
 	// a duplicate-containing P): one point must never hold two ranks. A
 	// scalar incumbent needs no guard — a repeat never beats itself.

@@ -138,21 +138,10 @@ func TestLemma1Admissibility(t *testing.T) {
 		q := Query{P: pick(rng, g.NumNodes(), 10), Q: Q, Phi: 0.5, Agg: Max}
 		gp.Reset(Q)
 		k := q.K()
-		rtP := BuildPTree(g, q.P)
-		s := newIERSearch(g, rtP, q, IEROptions{})
+		s := newIERSearch(g, BuildPTree(g, q.P), q)
 		for _, p := range q.P {
 			x, y := g.Coord(p)
 			lb := s.boundPoint(x, y)
-			d, ok := gp.Dist(p, k, q.Agg)
-			if ok && lb > d+1e-9 {
-				return false
-			}
-		}
-		// The cheap bound of §III-C is admissible too.
-		sCheap := newIERSearch(g, rtP, q, IEROptions{CheapBound: true})
-		for _, p := range q.P {
-			x, y := g.Coord(p)
-			lb := sCheap.boundPoint(x, y)
 			d, ok := gp.Dist(p, k, q.Agg)
 			if ok && lb > d+1e-9 {
 				return false
@@ -218,16 +207,15 @@ func distTo(g *graph.Graph, u, v graph.NodeID) (float64, bool) {
 // FuzzIERBoundAdmissible is Lemma 1 over the whole packed P-tree, the
 // inequality IER-kNN's early stop rests on: for any road-like graph or
 // the unit grid (distances tie, the chain is out of reach), any P and Q,
-// any φ, either aggregate and either bound — the flexible Euclidean
-// aggregate or §III-C's cheap one — boundPoint of a data point is at
-// most Brute's g_φ of it, and boundNode of every R-tree node at most the
+// any φ and either aggregate, boundPoint of a data point is at most
+// Brute's g_φ of it, and boundNode of every R-tree node at most the
 // smallest g_φ among the data points beneath it.
 func FuzzIERBoundAdmissible(f *testing.F) {
-	f.Add(int64(1), uint8(40), false, []byte{0, 1, 2, 3, 90, 91, 200}, []byte{5, 6, 77}, uint8(49), false, false)
-	f.Add(int64(2), uint8(7), true, []byte{0, 11, 22, 33, 44, 55, 66, 77, 88, 99, 101, 120}, []byte{3, 50, 52, 102}, uint8(99), true, false)
-	f.Add(int64(3), uint8(200), false, []byte{9, 8, 7, 6, 5, 4, 3, 2, 1, 0, 100, 150, 250}, []byte{1, 2, 3, 4, 5, 6, 7, 8}, uint8(0), true, true)
-	f.Add(int64(4), uint8(3), true, []byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 20}, []byte{20, 40}, uint8(50), false, true)
-	f.Fuzz(func(t *testing.T, seed int64, size uint8, grid bool, rawP, rawQ []byte, phiRaw uint8, sum, cheap bool) {
+	f.Add(int64(1), uint8(40), false, []byte{0, 1, 2, 3, 90, 91, 200}, []byte{5, 6, 77}, uint8(49), false)
+	f.Add(int64(2), uint8(7), true, []byte{0, 11, 22, 33, 44, 55, 66, 77, 88, 99, 101, 120}, []byte{3, 50, 52, 102}, uint8(99), true)
+	f.Add(int64(3), uint8(200), false, []byte{9, 8, 7, 6, 5, 4, 3, 2, 1, 0, 100, 150, 250}, []byte{1, 2, 3, 4, 5, 6, 7, 8}, uint8(0), true)
+	f.Add(int64(4), uint8(3), true, []byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 20}, []byte{20, 40}, uint8(50), false)
+	f.Fuzz(func(t *testing.T, seed int64, size uint8, grid bool, rawP, rawQ []byte, phiRaw uint8, sum bool) {
 		var g *graph.Graph
 		if grid {
 			g = unitGrid(t, 3+int(size)%10)
@@ -267,11 +255,11 @@ func FuzzIERBoundAdmissible(f *testing.F) {
 			}
 		}
 		rtP := buildPTree(g, q.P)
-		s := newIERSearch(g, rtP, q, IEROptions{CheapBound: cheap})
+		s := newIERSearch(g, rtP, q)
 		admissible := func(what string, lb, d float64) {
 			t.Helper()
 			if !(lb >= 0) || lb > d+1e-9*(1+d) {
-				t.Fatalf("%s: bound %v over g_φ %v (k = %d of %d, %v, cheap %v)", what, lb, d, q.K(), len(q.Q), q.Agg, cheap)
+				t.Fatalf("%s: bound %v over g_φ %v (k = %d of %d, %v)", what, lb, d, q.K(), len(q.Q), q.Agg)
 			}
 		}
 		var walk func(n *rtree.Node) float64

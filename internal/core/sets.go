@@ -50,12 +50,10 @@ const (
 	// pointers, allocator rounding — ≈ 64 B.
 	setBytesPerID    = 80
 	setEntryOverhead = 256
-	// setSeenSlots sizes each role's table of first sights (8 B a slot,
-	// in buckets of setSeenWays): twice maxSetEntries, so a layer is
-	// still remembered when it comes round again in any rotation the
-	// entry bound can hold.
+	// setSeenSlots sizes each role's table of first sights (8 B a slot):
+	// twice maxSetEntries, so a layer is still remembered when it comes
+	// round again in any rotation the entry bound can hold.
 	setSeenSlots = 1024
-	setSeenWays  = 4
 )
 
 // SetSight says what the registry did with a set Validate canonicalised.
@@ -105,14 +103,17 @@ type SetRegistry struct {
 	lru    SetEntry // ring sentinel: lru.next is the most recently used
 	bytes  int64
 
-	seen [2][setSeenSlots]atomic.Uint64
+	seen [2]SeenTable
 
 	hits, fills, skips, evictions atomic.Int64
 }
 
 // NewSetRegistry returns an empty registry.
 func NewSetRegistry() *SetRegistry {
-	r := &SetRegistry{byHash: make(map[uint64]*SetEntry)}
+	r := &SetRegistry{
+		byHash: make(map[uint64]*SetEntry),
+		seen:   [2]SeenTable{make(SeenTable, setSeenSlots), make(SeenTable, setSeenSlots)},
+	}
 	r.lru.next, r.lru.prev = &r.lru, &r.lru
 	return r
 }
@@ -226,7 +227,7 @@ func (r *SetRegistry) lookup(h uint64, ids []graph.NodeID, nodes int) *SetEntry 
 // seen and nil returned.
 func (r *SetRegistry) admit(role setRole, h uint64, ids, out []graph.NodeID, fp Fingerprint, nodes int) *SetEntry {
 	cost := setEntryOverhead + int64(len(ids))*setBytesPerID
-	if cost > maxSetBytes || !r.seenBefore(role, h) {
+	if cost > maxSetBytes || !r.seen[role].SeenBefore(h) {
 		r.skips.Add(1)
 		return nil
 	}
@@ -252,14 +253,24 @@ func (r *SetRegistry) admit(role setRole, h uint64, ids, out []graph.NodeID, fp 
 	return e
 }
 
-// seenBefore reports whether h is in the role's table of first sights,
-// and puts it at the head of its bucket. Forgetting a list (a full
-// bucket, two racing writers) delays its entry by one request.
-func (r *SetRegistry) seenBefore(role setRole, h uint64) bool {
-	d := h | 1 // 0 is an empty slot
-	tab := &r.seen[role]
-	bucket := int(h>>8) & (setSeenSlots/setSeenWays - 1)
-	b := tab[bucket*setSeenWays:][:setSeenWays]
+// SeenWays is a SeenTable's bucket width.
+const SeenWays = 4
+
+// SeenTable is a doorkeeper: a fixed table of 64-bit digests in buckets
+// of SeenWays slots, most recent first, that says whether a digest has
+// been shown to it before. The set registry and the query cache's list
+// layer admit an entry on its second sight through one. Forgetting a
+// digest (a full bucket, two racing writers) delays an admission by one
+// sight; it never affects an answer. Its length is a power of two no
+// smaller than SeenWays; the zero digest is stored as 1.
+type SeenTable []atomic.Uint64
+
+// SeenBefore reports whether d is in the table, and puts it at the head
+// of its bucket.
+func (t SeenTable) SeenBefore(d uint64) bool {
+	d |= 1 // 0 is an empty slot
+	bucket := int(d>>8) & (len(t)/SeenWays - 1)
+	b := t[bucket*SeenWays:][:SeenWays]
 	prev := d
 	for i := range b {
 		prev = b[i].Swap(prev) // shift the bucket down behind d

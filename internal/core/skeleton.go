@@ -156,7 +156,7 @@ func (s *solver) eval(p graph.NodeID) {
 // is 1, the span carries the unprefixed name, and the subset is built in
 // the query's Scratch (see the aliasing contract on Scratch); the K* form
 // checks kAns, stamps top_k on its span and returns detached subsets.
-func solve(g *graph.Graph, gp GPhi, q Query, a algo, kAns int, one bool, rtP *rtree.Tree, opts IEROptions, dst []Answer) ([]Answer, error) {
+func solve(g *graph.Graph, gp GPhi, q Query, a algo, kAns int, one bool, rtP *rtree.Tree, dst []Answer) ([]Answer, error) {
 	span := algoSpans[a][1]
 	if one {
 		span, kAns = algoSpans[a][0], 1
@@ -190,7 +190,7 @@ func solve(g *graph.Graph, gp GPhi, q Query, a algo, kAns int, one bool, rtP *rt
 		// The candidates are this request's own list, not one anybody
 		// sends: they stay out of the set registry.
 		q.P, q.Sets = candidates, nil
-		return solve(g, gp, q, algoGD, kAns, one, nil, opts, dst)
+		return solve(g, gp, q, algoGD, kAns, one, nil, dst)
 	}
 	s := solver{g: g, gp: gp, q: q, k: q.K(), top: q.newTopK(kAns)}
 	s.below, _ = gp.(DistBelower)
@@ -202,7 +202,7 @@ func solve(g *graph.Graph, gp GPhi, q Query, a algo, kAns int, one bool, rtP *rt
 	case algoRList:
 		err = s.rlist()
 	case algoIERKNN:
-		err = s.ierknn(rtP, opts)
+		err = s.ierknn(rtP)
 	case algoExactMax:
 		err = s.exactMax()
 	}
@@ -234,9 +234,9 @@ func solve(g *graph.Graph, gp GPhi, q Query, a algo, kAns int, one bool, rtP *rt
 
 // solveOne is solve in its single-answer form. The answer list lives in
 // this frame, so the path every k = 1 query takes allocates nothing.
-func solveOne(g *graph.Graph, gp GPhi, q Query, a algo, rtP *rtree.Tree, opts IEROptions) (Answer, error) {
+func solveOne(g *graph.Graph, gp GPhi, q Query, a algo, rtP *rtree.Tree) (Answer, error) {
 	var one [1]Answer
-	out, err := solve(g, gp, q, a, 1, true, rtP, opts, one[:0])
+	out, err := solve(g, gp, q, a, 1, true, rtP, one[:0])
 	if err != nil {
 		return Answer{}, err
 	}

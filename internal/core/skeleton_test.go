@@ -26,9 +26,9 @@ func TestTopKOneIsSingleAnswer(t *testing.T) {
 			func(gp GPhi, q Query) (Answer, error) { return RList(g, gp, q) },
 			func(gp GPhi, q Query) ([]Answer, error) { return KRList(g, gp, q, 1) }},
 		{"IERKNN", Sum,
-			func(gp GPhi, q Query) (Answer, error) { return IERKNN(g, BuildPTree(g, q.P), gp, q, IEROptions{}) },
+			func(gp GPhi, q Query) (Answer, error) { return IERKNN(g, BuildPTree(g, q.P), gp, q) },
 			func(gp GPhi, q Query) ([]Answer, error) {
-				return KIERKNN(g, BuildPTree(g, q.P), gp, q, 1, IEROptions{})
+				return KIERKNN(g, BuildPTree(g, q.P), gp, q, 1)
 			}},
 		{"ExactMax", Max,
 			func(gp GPhi, q Query) (Answer, error) { return ExactMax(g, gp, q) },

@@ -74,7 +74,7 @@ func TestExplainSpanPerAlgorithm(t *testing.T) {
 			run: func(q Query, gp GPhi) error { _, err := RList(g, gp, q); return err }},
 		{name: "IERKNN", span: "algo:ierknn", agg: Max,
 			run: func(q Query, gp GPhi) error {
-				_, err := IERKNN(g, BuildPTree(g, q.P), gp, q, IEROptions{})
+				_, err := IERKNN(g, BuildPTree(g, q.P), gp, q)
 				return err
 			}},
 		{name: "ExactMax", span: "algo:exactmax", agg: Max,
@@ -87,7 +87,7 @@ func TestExplainSpanPerAlgorithm(t *testing.T) {
 			run: func(q Query, gp GPhi) error { _, err := KRList(g, gp, q, 3); return err }},
 		{name: "KIERKNN", span: "algo:kierknn", agg: Max,
 			run: func(q Query, gp GPhi) error {
-				_, err := KIERKNN(g, BuildPTree(g, q.P), gp, q, 3, IEROptions{})
+				_, err := KIERKNN(g, BuildPTree(g, q.P), gp, q, 3)
 				return err
 			}},
 		{name: "KExactMax", span: "algo:kexactmax", agg: Max,

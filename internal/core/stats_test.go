@@ -99,7 +99,7 @@ func TestStatsIERKNNCounts(t *testing.T) {
 	BindStats(gp, st)
 	defer BindStats(gp, nil)
 	rtP := BuildPTree(g, q.P)
-	if _, err := IERKNN(g, rtP, gp, q, IEROptions{}); err != nil {
+	if _, err := IERKNN(g, rtP, gp, q); err != nil {
 		t.Fatal(err)
 	}
 	if st.GPhiEvals == 0 || st.GPhiEvals > int64(len(q.P)) {

@@ -307,13 +307,8 @@ func (env *Env) RunCase(c Case) error {
 			return err
 		}
 		if env.G.HasCoords() {
-			rtP := core.BuildPTree(env.G, q.P)
-			ans, err = core.IERKNN(env.G, rtP, gp, q, core.IEROptions{})
+			ans, err = core.IERKNN(env.G, core.BuildPTree(env.G, q.P), gp, q)
 			if err := check("IER/"+name, ans, err); err != nil {
-				return err
-			}
-			ans, err = core.IERKNN(env.G, rtP, gp, q, core.IEROptions{CheapBound: true})
-			if err := check("IER-cheap/"+name, ans, err); err != nil {
 				return err
 			}
 		}
@@ -410,7 +405,7 @@ func (env *Env) runTopK(c Case, q core.Query) error {
 		return err
 	}
 	if env.G.HasCoords() {
-		got, err = core.KIERKNN(env.G, core.BuildPTree(env.G, q.P), gp, q, c.KAns, core.IEROptions{})
+		got, err = core.KIERKNN(env.G, core.BuildPTree(env.G, q.P), gp, q, c.KAns)
 		if err := checkList("KIER/"+name, got, err); err != nil {
 			return err
 		}

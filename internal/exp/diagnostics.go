@@ -35,7 +35,7 @@ func (e *Env) Diagnostics() ([]*Table, error) {
 			return err
 		}},
 		{"IER-kNN", core.Max, func(gp core.GPhi, inst *workloadInstance) error {
-			_, err := core.IERKNN(e.G, inst.rtP, gp, inst.query, core.IEROptions{})
+			_, err := core.IERKNN(e.G, inst.rtP, gp, inst.query)
 			return err
 		}},
 		{"Exact-max", core.Max, func(gp core.GPhi, inst *workloadInstance) error {

@@ -83,7 +83,6 @@ func TestAllEnvDrivers(t *testing.T) {
 		{"appendixA", e.AppendixA},
 		{"appendixB", e.AppendixB},
 		{"appendixC", e.AppendixC},
-		{"ablation-bound", e.AblationBound},
 		{"diagnostics", e.Diagnostics},
 	}
 	for _, d := range drivers {
@@ -110,8 +109,7 @@ func TestRegistryComplete(t *testing.T) {
 		"fig3a", "fig3b", "fig4a", "fig4b", "fig5", "fig6", "fig7", "fig8",
 		"fig9", "fig10", "fig11", "fig12", "table5",
 		"appendixA", "appendixB", "appendixC",
-		"ablation-bound", "ablation-refine", "diagnostics",
-		"build-parallel",
+		"diagnostics",
 	}
 	for _, id := range want {
 		if _, ok := Registry[id]; !ok {
@@ -133,16 +131,6 @@ func TestRegistryComplete(t *testing.T) {
 func TestRunDispatch(t *testing.T) {
 	tables, err := Run("fig4b", tinyConfig())
 	checkTables(t, "fig4b", tables, err)
-}
-
-func TestAblationRefine(t *testing.T) {
-	tables, err := AblationRefine(tinyConfig())
-	checkTables(t, "ablation-refine", tables, err)
-	// The refined variant must never overestimate.
-	rate := tables[0].Series[2].Cells[0].Value
-	if rate != 0 {
-		t.Fatalf("refined G-tree overestimate rate = %v, want 0", rate)
-	}
 }
 
 func TestEngines(t *testing.T) {

@@ -47,7 +47,7 @@ func (e *Env) measureRatios(insts []workloadInstance, exact, apx core.GPhi) []fl
 	for qi := range insts {
 		q := insts[qi].query
 		q.Agg = core.Sum
-		want, err := core.IERKNN(e.G, insts[qi].rtP, exact, q, core.IEROptions{})
+		want, err := core.IERKNN(e.G, insts[qi].rtP, exact, q)
 		if err != nil {
 			continue
 		}

@@ -27,11 +27,8 @@ var Registry = map[string]Driver{
 	"appendixA": AppendixA,
 	"appendixB": AppendixB,
 	"appendixC": AppendixC,
-	// Beyond the paper: ablations of this implementation's design choices.
-	"ablation-bound":  AblationBound,
-	"ablation-refine": AblationRefine,
-	"diagnostics":     Diagnostics,
-	"build-parallel":  BuildParallel,
+	// Beyond the paper: g_φ evaluations per algorithm.
+	"diagnostics": Diagnostics,
 }
 
 // ExperimentIDs returns the registry keys sorted.

@@ -188,7 +188,7 @@ func (e *Env) ierAlgos() ([]algoSpec, error) {
 			name: name,
 			agg:  core.Max,
 			run: func(inst *workloadInstance, _ tickSpec) error {
-				_, err := core.IERKNN(e.G, inst.rtP, gp, inst.query, core.IEROptions{})
+				_, err := core.IERKNN(e.G, inst.rtP, gp, inst.query)
 				return err
 			},
 		})
@@ -225,7 +225,7 @@ func (e *Env) mainAlgos() ([]algoSpec, error) {
 			return err
 		}},
 		{name: "IER-PHL", agg: core.Max, run: func(inst *workloadInstance, _ tickSpec) error {
-			_, err := core.IERKNN(e.G, inst.rtP, ierPHL, inst.query, core.IEROptions{})
+			_, err := core.IERKNN(e.G, inst.rtP, ierPHL, inst.query)
 			return err
 		}},
 		{name: "Exact-max", agg: core.Max, run: func(inst *workloadInstance, _ tickSpec) error {
@@ -301,7 +301,7 @@ func (e *Env) kAlgos() ([]algoSpec, error) {
 			return err
 		}},
 		{name: "IER-PHL", agg: core.Max, run: func(inst *workloadInstance, tick tickSpec) error {
-			_, err := core.KIERKNN(e.G, inst.rtP, ierPHL, inst.query, tick.kAns, core.IEROptions{})
+			_, err := core.KIERKNN(e.G, inst.rtP, ierPHL, inst.query, tick.kAns)
 			return err
 		}},
 		{name: "Exact-max", agg: core.Max, run: func(inst *workloadInstance, tick tickSpec) error {
@@ -344,7 +344,7 @@ func (e *Env) sumMaxAlgos() ([]algoSpec, error) {
 				return err
 			}},
 			algoSpec{name: "IER-PHL-" + agg.String(), agg: agg, run: func(inst *workloadInstance, _ tickSpec) error {
-				_, err := core.IERKNN(e.G, inst.rtP, ier, inst.query, core.IEROptions{})
+				_, err := core.IERKNN(e.G, inst.rtP, ier, inst.query)
 				return err
 			}},
 		)

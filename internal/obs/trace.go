@@ -4,6 +4,7 @@ import (
 	"crypto/rand"
 	"encoding/hex"
 	"fmt"
+	"strconv"
 	"sync/atomic"
 	"time"
 )
@@ -230,8 +231,11 @@ var (
 )
 
 // NewRequestID returns a process-unique request id ("d3adbeef-42").
-// It is cheap (one atomic add) and collision-resistant across processes
-// via the random per-process prefix.
+// It is cheap (one atomic add, one allocation for the string at any
+// sequence number) and collision-resistant across processes via the
+// random per-process prefix.
 func NewRequestID() string {
-	return fmt.Sprintf("%s-%d", reqPrefix, reqSeq.Add(1))
+	var b [32]byte // 8-hex prefix, '-', at most 20 digits
+	id := append(append(b[:0], reqPrefix...), '-')
+	return string(strconv.AppendUint(id, reqSeq.Add(1), 10))
 }

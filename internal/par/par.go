@@ -4,9 +4,9 @@
 //
 // Every parallel entry point in the repo exposes a `Workers int` option
 // with the same convention: 0 means one worker per GOMAXPROCS, 1 forces
-// the sequential path (kept for ablation and determinism baselines), and
-// any other positive value is taken literally. Resolve implements the
-// convention in one place.
+// the sequential path (the determinism tests' baseline), and any other
+// positive value is taken literally. Resolve implements the convention
+// in one place.
 package par
 
 import (

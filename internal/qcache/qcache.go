@@ -27,8 +27,8 @@ type Cache struct {
 	shards   [numShards]shard
 
 	// bound is the list layer's doorkeeper: digests of the (engine, Q)
-	// pairs a wrapper was bound to, in 4-slot buckets, most recent first.
-	bound []atomic.Uint64
+	// pairs a wrapper was bound to.
+	bound core.SeenTable
 
 	hitsExact   atomic.Int64
 	hitsSubsume atomic.Int64
@@ -49,22 +49,19 @@ func New(cfg Config) *Cache {
 	if per < 1 {
 		per = 1
 	}
-	c := &Cache{perShard: per, bound: make([]atomic.Uint64, boundSlots(cfg.MaxEntries))}
+	c := &Cache{perShard: per, bound: make(core.SeenTable, boundSlots(cfg.MaxEntries))}
 	for i := range c.shards {
 		c.shards[i].entries = make(map[cacheKey]*entry)
 	}
 	return c
 }
 
-// boundWays is the doorkeeper's bucket width.
-const boundWays = 4
-
 // boundSlots sizes the doorkeeper from the entry budget: one digest per
 // entry the cache may hold (a Q whose lists are resident occupies at
 // least one), rounded up to a power of two of whole buckets. 8 bytes a
 // slot — 1/6 of the smallest list entry's accounted size.
 func boundSlots(maxEntries int) int {
-	n := 16 * boundWays
+	n := 16 * core.SeenWays
 	for n < maxEntries {
 		n *= 2
 	}
@@ -83,17 +80,7 @@ func (c *Cache) seenBound(engine string, fp Fingerprint) bool {
 	for i := 0; i < len(engine); i++ {
 		d = (d ^ uint64(engine[i])) * 0x100000001B3
 	}
-	d |= 1 // 0 is an empty slot
-	bucket := int(d>>8) & (len(c.bound)/boundWays - 1)
-	b := c.bound[bucket*boundWays:][:boundWays]
-	prev := d
-	for i := range b {
-		prev = b[i].Swap(prev) // shift the bucket down behind d
-		if prev == d {
-			return true
-		}
-	}
-	return false
+	return c.bound.SeenBefore(d)
 }
 
 // resultVal is the stored shape of the result layer: the answers only.

@@ -61,24 +61,6 @@ func (r Rect) MinDist(x, y float64) float64 {
 	return math.Hypot(dx, dy)
 }
 
-// MinDistRect returns the minimum distance between two rectangles — the
-// mdist(b, b') bound of the paper.
-func (r Rect) MinDistRect(o Rect) float64 {
-	dx := 0.0
-	if o.MaxX < r.MinX {
-		dx = r.MinX - o.MaxX
-	} else if o.MinX > r.MaxX {
-		dx = o.MinX - r.MaxX
-	}
-	dy := 0.0
-	if o.MaxY < r.MinY {
-		dy = r.MinY - o.MaxY
-	} else if o.MinY > r.MaxY {
-		dy = o.MinY - r.MaxY
-	}
-	return math.Hypot(dx, dy)
-}
-
 // Point is an indexed 2-D point carrying an application id (a node id in
 // fannr).
 type Point struct {

@@ -36,16 +36,6 @@ func TestRectMinDist(t *testing.T) {
 	}
 }
 
-func TestRectMinDistRect(t *testing.T) {
-	a := Rect{0, 0, 10, 10}
-	if d := a.MinDistRect(Rect{5, 5, 20, 20}); d != 0 {
-		t.Fatalf("overlapping rects dist = %v, want 0", d)
-	}
-	if d := a.MinDistRect(Rect{13, 14, 20, 20}); math.Abs(d-5) > 1e-12 {
-		t.Fatalf("diagonal rect dist = %v, want 5", d)
-	}
-}
-
 func TestRectUnionArea(t *testing.T) {
 	u := Rect{0, 0, 1, 1}.Union(Rect{2, 3, 4, 5})
 	if u != (Rect{0, 0, 4, 5}) {
