@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: verify build test allocs vet loc bench bench-gate figures microbench race race-full fuzz-smoke chaos chaos-load explain-smoke shard-smoke
+.PHONY: verify build test allocs vet docs-lint loc bench bench-gate figures microbench race race-full fuzz-smoke chaos chaos-load explain-smoke shard-smoke
 
 ## Tier 1 — compile + unit/integration tests (the seed contract).
 build:
@@ -28,6 +28,13 @@ vet:
 	$(GO) vet ./...
 	$(GO) vet -C bench ./...
 	@fmt="$$(gofmt -l .)"; test -z "$$fmt" || { echo "gofmt -l:"; echo "$$fmt"; exit 1; }
+
+## The hand-written docs name only code that exists: every backticked
+## pkg.Name / pkg.Type.Method on a repository package and every
+## Test*/Benchmark*/Fuzz* name in README, DESIGN, EXPERIMENTS and the
+## verify skill must resolve (docs_test.go).
+docs-lint:
+	$(GO) test -count=1 -run '^TestDocs' .
 
 ## Report-only size of the code: non-test Go lines outside bench/, flag
 ## registrations per binary, exported names of the fannr facade, then
@@ -179,4 +186,4 @@ chaos-load:
 	$(GO) test -race -v -run 'Retry|FileChaos|TransientErrors|ChaosLatencyCancel' ./internal/resil/
 	$(GO) test -race -v -run 'IndexFault|ReloadFailure|SwapStorm|Reload' ./internal/server/
 
-verify: build test allocs vet race chaos-load loc
+verify: build test allocs vet docs-lint race chaos-load loc

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"math"
+
 	"fannr/internal/graph"
 	"fannr/internal/sp"
 )
@@ -32,30 +34,30 @@ func KAPXSum(g *graph.Graph, gp GPhi, q Query, kAns int) ([]Answer, error) {
 }
 
 // apxCandidates is APX-sum's reduction: the per network-nearest data
-// points of every q ∈ Q, each listed once. The GD loop ranks them. The
-// |Q| expansions run strictly one after another, so they share one
-// graph-sized Dijkstra (held in the Scratch) instead of running an
-// sp.Expander lane each — those, with their sparse label tables, are for
-// R-List and Exact-max, which keep all |Q| expansions live at once.
+// points of every q ∈ Q, each listed once. The GD loop ranks them. They
+// come from the INE stream over P, one q after another, so the |Q|
+// expansions share one graph-sized Dijkstra (held in the Scratch)
+// instead of running an sp.Expander lane each — those, with their sparse
+// label tables, are for R-List and Exact-max, which keep all |Q|
+// expansions live at once.
 func apxCandidates(g *graph.Graph, q *Query, per int) ([]graph.NodeID, error) {
 	pSet := q.countSet(g.NumNodes())
 	pSet.AddAll(q.P)
 	seen := q.seenSet(g.NumNodes())
-	d := q.dijkstra(g)
+	ine := &ineEngine{d: q.dijkstra(g), targets: pSet, stats: q.Stats}
 	candidates := make([]graph.NodeID, 0, per*len(q.Q))
 	var near [2]sp.Neighbor // per ≤ 2
 	for _, src := range q.Q {
 		if q.canceled() {
 			return nil, ErrCanceled
 		}
-		before := d.NodesScanned()
-		for _, nb := range d.KNNAmong(src, pSet, per, near[:0]) {
+		nbrs, _ := fold(ine, src, per, Max, math.Inf(1), near[:0])
+		for _, nb := range nbrs {
 			if !seen.Contains(nb.Node) {
 				seen.Add(nb.Node, 0)
 				candidates = append(candidates, nb.Node)
 			}
 		}
-		q.Stats.CountSettled(d.NodesScanned() - before)
 	}
 	if len(candidates) == 0 {
 		return nil, ErrNoResult

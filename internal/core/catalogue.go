@@ -103,6 +103,11 @@ var catalogue = []engineSpec{
 	{name: "INE", search: func(g *graph.Graph, _ Indexes) GPhi { return NewINE(g) }},
 	{name: "A*"},
 	{name: "PHL", index: PHLIndex},
+	// GTree-SPSP resolves all of Q, which beats GTree's stream where all
+	// of Q is wanted: GD on NW 1/64 at φ = 1, max, in 0.82–0.92 of its
+	// time at every d ∈ {0.001, 0.01}, M ∈ {8, 64, 256}, and at M = 8,
+	// d = 0.001 at every φ (0.46–0.86). Everywhere else GTree leads, by
+	// up to 1.33× at φ = 0.1.
 	{name: "GTree-SPSP", index: GTreeIndex},
 	{name: "GTree", index: GTreeIndex, search: func(_ *graph.Graph, ix Indexes) GPhi { return NewGTreeGPhi(ix.GTree) }},
 	{name: "IER-A*", ier: true},

@@ -173,49 +173,70 @@ func TestDistBelowOnlyWhereItPays(t *testing.T) {
 }
 
 // TestGDAbandonsAndAnswersTheSame runs GD, IER-kNN and R-List, single
-// answer and top-3, through the PHL engine and through the same engine
-// with DistBelow hidden: the answers are equal bit for bit, the count of
-// evaluations is the same, and only the first arm abandons any.
+// answer and top-3, through an engine and through the same engine with
+// DistBelow hidden: the answers are equal bit for bit, the count of
+// evaluations is the same, and only the first arm abandons any — GD
+// some, under either aggregate. The engines are PHL, which bounds off
+// its label walk, and GTree on a copy of the graph without coordinates,
+// where the Euclidean pre-bound cannot fire and every abandonment is the
+// fold's stop rule on the G-tree stream.
 func TestGDAbandonsAndAnswersTheSame(t *testing.T) {
 	g, ix, q := hotpathEnv(t)
 	q.Scratch = nil
 	rtP := BuildPTree(g, q.P)
-	for _, agg := range []Aggregate{Max, Sum} {
-		for _, kAns := range []int{1, 3} {
-			for name, run := range map[string]func(GPhi, Query) ([]Answer, error){
-				"gd":    func(gp GPhi, q Query) ([]Answer, error) { return KGD(g, gp, q, kAns) },
-				"ier":   func(gp GPhi, q Query) ([]Answer, error) { return KIERKNN(g, rtP, gp, q, kAns) },
-				"rlist": func(gp GPhi, q Query) ([]Answer, error) { return KRList(g, gp, q, kAns) },
-			} {
-				var with, without Stats
-				bounded, plain := NewOracleGPhi("PHL", ix), NewOracleGPhi("PHL", ix)
-				BindStats(bounded, &with)
-				BindStats(plain, &without)
-				qa, qb := q, q
-				qa.Agg, qa.Stats = agg, &with
-				qb.Agg, qb.Stats = agg, &without
-				got, err := run(bounded, qa)
-				if err != nil {
-					t.Fatal(err)
-				}
-				want, err := run(distOnly{plain}, qb)
-				if err != nil {
-					t.Fatal(err)
-				}
-				label := fmt.Sprintf("%s/%v/top-%d", name, agg, kAns)
-				if len(got) != len(want) {
-					t.Fatalf("%s: %d answers with DistBelow, %d without", label, len(got), len(want))
-				}
-				for i := range got {
-					if got[i].P != want[i].P || math.Float64bits(got[i].Dist) != math.Float64bits(want[i].Dist) {
-						t.Fatalf("%s: answer %d is (%d, %v) with DistBelow, (%d, %v) without", label, i, got[i].P, got[i].Dist, want[i].P, want[i].Dist)
+	b := graph.NewBuilder(g.NumNodes())
+	for _, e := range g.Edges(nil) {
+		_ = b.AddEdge(e.U, e.V, e.W)
+	}
+	bare, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, err := gtree.Build(bare, gtree.Options{MaxLeafSize: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for engine, newGP := range map[string]func() GPhi{
+		"PHL":   func() GPhi { return NewOracleGPhi("PHL", ix) },
+		"GTree": func() GPhi { return NewGTreeGPhi(tr) },
+	} {
+		for _, agg := range []Aggregate{Max, Sum} {
+			for _, kAns := range []int{1, 3} {
+				for name, run := range map[string]func(GPhi, Query) ([]Answer, error){
+					"gd":    func(gp GPhi, q Query) ([]Answer, error) { return KGD(g, gp, q, kAns) },
+					"ier":   func(gp GPhi, q Query) ([]Answer, error) { return KIERKNN(g, rtP, gp, q, kAns) },
+					"rlist": func(gp GPhi, q Query) ([]Answer, error) { return KRList(g, gp, q, kAns) },
+				} {
+					var with, without Stats
+					bounded, plain := newGP(), newGP()
+					BindStats(bounded, &with)
+					BindStats(plain, &without)
+					qa, qb := q, q
+					qa.Agg, qa.Stats = agg, &with
+					qb.Agg, qb.Stats = agg, &without
+					got, err := run(bounded, qa)
+					if err != nil {
+						t.Fatal(err)
 					}
-				}
-				if with.GPhiEvals != without.GPhiEvals || without.GPhiAbandoned != 0 {
-					t.Fatalf("%s: evals %d / abandoned %d with DistBelow, %d / %d without", label, with.GPhiEvals, with.GPhiAbandoned, without.GPhiEvals, without.GPhiAbandoned)
-				}
-				if name == "gd" && with.GPhiAbandoned == 0 {
-					t.Fatalf("%s: GD over %d points abandoned none", label, len(q.P))
+					want, err := run(distOnly{plain}, qb)
+					if err != nil {
+						t.Fatal(err)
+					}
+					label := fmt.Sprintf("%s/%s/%v/top-%d", engine, name, agg, kAns)
+					if len(got) != len(want) {
+						t.Fatalf("%s: %d answers with DistBelow, %d without", label, len(got), len(want))
+					}
+					for i := range got {
+						if got[i].P != want[i].P || math.Float64bits(got[i].Dist) != math.Float64bits(want[i].Dist) {
+							t.Fatalf("%s: answer %d is (%d, %v) with DistBelow, (%d, %v) without", label, i, got[i].P, got[i].Dist, want[i].P, want[i].Dist)
+						}
+					}
+					if with.GPhiEvals != without.GPhiEvals || without.GPhiAbandoned != 0 {
+						t.Fatalf("%s: evals %d / abandoned %d with DistBelow, %d / %d without", label, with.GPhiEvals, with.GPhiAbandoned, without.GPhiEvals, without.GPhiAbandoned)
+					}
+					if name == "gd" && with.GPhiAbandoned == 0 {
+						t.Fatalf("%s: GD over %d points abandoned none", label, len(q.P))
+					}
 				}
 			}
 		}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"slices"
@@ -24,14 +25,16 @@ import (
 //	             and the search is the oracle engine's: one label walk
 //	             prices all of Q, so restricting it saves nothing.
 //
-// Every engine also takes the incumbent a value is to be compared with
-// (DistBelower) and stops an evaluation that cannot come in under it.
-// PHL and IER-PHL bound off the first hubs of their label walk. The
-// others stop their own search — G-tree and IER once the k-th neighbour
-// cannot be under the incumbent, INE once its frontier says so — and,
-// on a graph with coordinates, first ask the flexible Euclidean
-// aggregate of Lemma 1 (euclidQ.rejects), which turns far candidates
-// away before any index or graph node is touched.
+// INE, GTree and IER over a non-binding oracle are one thing: a stream
+// that yields the members of Q nearest first (neighborSearch), folded by
+// fold, the one place that stops. It ends a stream at the k-th member,
+// or once the stream's floor shows that the value cannot come in under
+// the incumbent it is compared with (DistBelower), for max and sum
+// alike. PHL and IER-PHL resolve all of Q and bound off the first hubs
+// of their label walk instead. On a graph with coordinates every engine
+// but those two first asks the flexible Euclidean aggregate of Lemma 1
+// (euclidQ.rejects), which turns far candidates away before any index or
+// graph node is touched.
 
 // NeighborSearcher is the optional engine capability the query cache
 // (internal/qcache) builds on: the paper's "Revisitation of g_φ"
@@ -94,16 +97,52 @@ func SubsetSorted(nbrs []sp.Neighbor, k int, dst []graph.NodeID) []graph.NodeID 
 }
 
 // neighborSearch is all a built-in engine implements: its binding to Q
-// and its neighbour search. nearest returns the (at most) k
-// network-nearest members of the bound Q sorted ascending by distance,
-// in a buffer the engine owns and reuses on the next call, and true. A
-// finite tau allows it to stop once the aggregate of those k cannot be
-// under tau, and return false instead.
+// and a nearest-neighbour stream over it. start begins a stream at p;
+// next takes one step of it and returns the step's floor — no member of
+// Q the stream has not yet yielded is nearer than floor — and either the
+// member the step yields, at distance floor, or -1. ok is false once
+// every reachable member has been yielded. A floor is compared as it
+// stands, so one computed apart from the distances it bounds (IER's
+// Euclidean one) comes lowered by roundSlack.
 type neighborSearch interface {
 	Name() string
 	Reset(Q []graph.NodeID)
 	BindStats(*Stats)
-	nearest(p graph.NodeID, k int, agg Aggregate, tau float64) ([]sp.Neighbor, bool)
+	start(p graph.NodeID)
+	next() (member graph.NodeID, floor float64, ok bool)
+}
+
+// fold is the one consumer of a stream: it draws s from p until k
+// members have come and appends them, ascending, to dst, with true.
+// Under a finite tau it also stops, returning false, once the floor says
+// the k cannot fold to under tau: with f found summing to found, the
+// k-th is at least the floor (max) and the sum at least found + (k − f)
+// · floor. AggSorted adds those k − f terms one at a time, which can
+// round differently from one product, so the sum rule must clear tau by
+// roundSlack (past); the max rule compares a floor with tau and is exact
+// as it stands. Both rules run on every step, so an INE stream is held
+// to them on every settle.
+func fold(s neighborSearch, p graph.NodeID, k int, agg Aggregate, tau float64, dst []sp.Neighbor) ([]sp.Neighbor, bool) {
+	if k <= 0 {
+		return dst, true
+	}
+	s.start(p)
+	found, f := 0.0, 0
+	for f < k {
+		v, floor, ok := s.next()
+		if !ok {
+			break
+		}
+		if agg == Max && floor >= tau || agg == Sum && past(found+float64(k-f)*floor, tau) {
+			return dst, false
+		}
+		if v >= 0 {
+			dst = append(dst, sp.Neighbor{Node: v, Dist: floor})
+			found += floor
+			f++
+		}
+	}
+	return dst, true
 }
 
 // engine makes a GPhi out of a neighbour search through the fold and the
@@ -113,6 +152,7 @@ type neighborSearch interface {
 type engine struct {
 	neighborSearch
 	lb    euclidQ
+	buf   []sp.Neighbor // the latest fold, reused by the next
 	stats *Stats
 }
 
@@ -132,27 +172,32 @@ func (e *engine) BindStats(s *Stats) {
 	e.neighborSearch.BindStats(s)
 }
 
+func (e *engine) nearest(p graph.NodeID, k int, agg Aggregate, tau float64) ([]sp.Neighbor, bool) {
+	nbrs, ok := fold(e.neighborSearch, p, k, agg, tau, e.buf[:0])
+	e.buf = nbrs
+	return nbrs, ok
+}
+
 func (e *engine) Dist(p graph.NodeID, k int, agg Aggregate) (float64, bool) {
 	return e.DistBelow(p, k, agg, math.Inf(1))
 }
 
-// DistBelow asks the Euclidean bound first and the search second; either
-// may end the evaluation, which is then counted as abandoned. A search
-// that runs to the end folds exactly what Dist folds.
+// DistBelow asks the Euclidean bound first and the stream's fold second;
+// either may end the evaluation, which is then counted as abandoned. A
+// fold that runs to the end holds exactly what Dist folds.
 // BenchmarkGDAbandon (make microbench) prices both steps — GD through
 // Dispatch on NW 1/64, fresh Q per request, µs per query at -cpu 1
 // (medians of 5 interleaved runs), and the share of evaluations
 // abandoned:
 //
 //	shape (|P| × M, aggregate)          bare Dist   native exit   + pre-bound
-//	GTree, gd-gtree-max's, 17 × 128, max    2 453     1 272 (88 %)    475 (88 %)
-//	the same, sum                           1 998     1 837 (0 %)     409 (76 %)
-//	INE, rlist-ine-sum's, 169 × 32, max   220 525    10 822 (98 %)  1 878 (98 %)
-//	the same, sum                         225 089     6 677 (98 %)  1 592 (98 %)
+//	GTree, gd-gtree-max's, 17 × 128, max    2 417     1 558 (88 %)    553 (88 %)
+//	the same, sum                           2 559     1 717 (88 %)    641 (88 %)
+//	INE, rlist-ine-sum's, 169 × 32, max   320 304    14 568 (98 %)  2 648 (98 %)
+//	the same, sum                         333 042     8 294 (98 %)  2 001 (98 %)
 //
-// G-tree's exit is on the k-th distance alone, which a sum of 64 rarely
-// lets reach the incumbent; the pre-bound is what rejects those, before
-// the chain climb the exit would still pay.
+// G-tree's native sum exit is the fold's sum rule; when G-tree bounded
+// only the k-th distance it abandoned none (2 522 µs, same runs).
 func (e *engine) DistBelow(p graph.NodeID, k int, agg Aggregate, tau float64) (float64, bool) {
 	if e.lb.rejects(p, k, agg, tau) {
 		e.stats.CountAbandoned()
@@ -231,31 +276,19 @@ func growF(buf []float64, n int) []float64 {
 	return buf[:n]
 }
 
-// cmpNeighbor orders neighbors by ascending distance (a package-level
-// func so slices.SortFunc does not allocate a closure).
-func cmpNeighbor(a, b sp.Neighbor) int {
-	switch {
-	case a.Dist < b.Dist:
-		return -1
-	case a.Dist > b.Dist:
-		return 1
-	default:
-		return 0
-	}
-}
-
 // cmpNeighborNode orders neighbors by ascending distance, then node id: a
 // total order on a duplicate-free Q, so the k-prefix is one fixed set
-// whatever subset of Q was sorted to find it.
+// whatever subset of Q was sorted to find it. (A package-level func, so
+// slices.SortFunc does not allocate a closure.)
 func cmpNeighborNode(a, b sp.Neighbor) int {
-	if c := cmpNeighbor(a, b); c != 0 {
+	if c := cmp.Compare(a.Dist, b.Dist); c != 0 {
 		return c
 	}
 	return int(a.Node) - int(b.Node)
 }
 
-// NewINE returns the INE engine: a Dijkstra expansion from p that stops
-// once k query points settle.
+// NewINE returns the INE engine: a Dijkstra expansion from p, one settle
+// per step, yielding the members of Q as they settle.
 func NewINE(g *graph.Graph) GPhi {
 	return newEngine(&ineEngine{
 		d:       sp.NewDijkstra(g),
@@ -266,7 +299,6 @@ func NewINE(g *graph.Graph) GPhi {
 type ineEngine struct {
 	d       *sp.Dijkstra
 	targets *graph.NodeSet
-	buf     []sp.Neighbor
 	stats   *Stats
 }
 
@@ -280,34 +312,20 @@ func (e *ineEngine) Reset(Q []graph.NodeID) {
 	e.targets.AddAll(Q)
 }
 
-// nearest settles nodes from p until k members of Q have settled — or,
-// under a finite tau, until the frontier says they cannot fold to under
-// it. Every member still to settle is at least the key r being settled,
-// so with f found the k-th is at least r (max) and the sum at least the
-// found sum plus (k − f)·r. AggSorted adds those k − f terms one at a
-// time, which can round differently from one product, so the sum rule
-// must clear tau by roundSlack (past); the max rule compares a key with
-// tau and is exact as it stands.
-func (e *ineEngine) nearest(p graph.NodeID, k int, agg Aggregate, tau float64) ([]sp.Neighbor, bool) {
-	before := e.d.NodesScanned()
-	e.buf = e.buf[:0]
-	under, found := true, 0.0
-	if k > 0 {
-		e.d.Run(p, func(v graph.NodeID, r float64) bool {
-			if agg == Max && r >= tau || agg == Sum && past(found+float64(k-len(e.buf))*r, tau) {
-				under = false
-				return false
-			}
-			if e.targets.Contains(v) {
-				e.buf = append(e.buf, sp.Neighbor{Node: v, Dist: r})
-				found += r
-				return len(e.buf) < k
-			}
-			return true
-		})
+func (e *ineEngine) start(p graph.NodeID) { e.d.Start(p) }
+
+// next settles one node. Its key is the frontier minimum, the floor of
+// every member still to settle.
+func (e *ineEngine) next() (graph.NodeID, float64, bool) {
+	v, r, ok := e.d.Step()
+	if !ok {
+		return -1, r, false
 	}
-	e.stats.CountSettled(e.d.NodesScanned() - before)
-	return e.buf, under
+	e.stats.CountSettled(1)
+	if !e.targets.Contains(v) {
+		v = -1
+	}
+	return v, r, true
 }
 
 // NewOracleGPhi returns an engine that evaluates g_φ by computing the
@@ -528,13 +546,12 @@ type gtreeEngine struct {
 	q     *gtree.Querier
 	objs  *gtree.ObjectSet
 	lastQ []graph.NodeID
-	buf   []sp.Neighbor
 	stats *Stats
 }
 
 func (e *gtreeEngine) Name() string { return "GTree" }
 
-// BindStats counts each occurrence-list kNN as one index visit; the
+// BindStats counts each occurrence-list search as one index visit; the
 // G-tree querier answers from border matrices and settles no graph nodes.
 func (e *gtreeEngine) BindStats(s *Stats) { e.stats = s }
 
@@ -549,22 +566,18 @@ func (e *gtreeEngine) Reset(Q []graph.NodeID) {
 	e.objs.Reset(Q)
 }
 
-// nearest hands tau to the search as its limit: either aggregate of k
-// neighbours under tau has all k under tau (distances are not negative),
-// so when fewer than k come back the value cannot be under it. The
-// limit is compared with the same sums the search forms, so it is exact.
-func (e *gtreeEngine) nearest(p graph.NodeID, k int, _ Aggregate, tau float64) ([]sp.Neighbor, bool) {
+func (e *gtreeEngine) start(p graph.NodeID) {
 	e.stats.CountVisit()
-	e.buf = e.q.KNNBelow(p, e.objs, k, tau, e.buf[:0])
-	return e.buf, len(e.buf) == k || math.IsInf(tau, 1)
+	e.q.Start(p, e.objs)
 }
+
+func (e *gtreeEngine) next() (graph.NodeID, float64, bool) { return e.q.Next() }
 
 // NewIERGPhi returns an engine that evaluates g_φ with incremental
 // Euclidean restriction over an R-tree built on Q: query points surface in
-// Euclidean order, their network distances come from the oracle, and the
-// scan stops when the scaled Euclidean lower bound of the next candidate
-// cannot improve the k-th best network distance. The graph must carry
-// coordinates.
+// Euclidean order, their network distances come from the oracle, and a
+// resolved one is yielded once the scaled Euclidean lower bound of the
+// next candidate is not under it. The graph must carry coordinates.
 //
 // Restriction pays when each network distance is a search of its own (A*)
 // or a border-matrix assembly (G-tree). An oracle that binds its
@@ -586,7 +599,7 @@ func NewIERGPhi(name string, g *graph.Graph, o Oracle) (GPhi, error) {
 		g:    g,
 		o:    oe.o,
 		b:    oe.b,
-		best: pqueue.NewMaxHeap[graph.NodeID](16),
+		got:  pqueue.NewHeap[graph.NodeID](16),
 	}, g), nil
 }
 
@@ -597,12 +610,13 @@ type ierEngine struct {
 	b     BatchOracle // non-nil when o supports one-to-many lookups
 	rt    *rtree.Tree
 	it    rtree.IncNN
-	best  *pqueue.MaxHeap[graph.NodeID]
+	p     graph.NodeID
+	got   *pqueue.Heap[graph.NodeID] // resolved, not yet yielded
+	due   bool                       // the next step resolves first
 	lastQ []graph.NodeID
 	pts   []rtree.Point
-	tbuf  []graph.NodeID
-	dbuf  []float64
-	buf   []sp.Neighbor
+	tgt   [1]graph.NodeID // resolve's DistBatch target
+	dst   [1]float64      // and its distance
 	stats *Stats
 }
 
@@ -629,100 +643,61 @@ func (e *ierEngine) Reset(Q []graph.NodeID) {
 	e.rt = rtree.BulkLoad(e.pts, rtree.DefaultFanout)
 }
 
-// ierChunk bounds how many candidates a batched IER continuation resolves
-// per oracle pass. Larger chunks amortize the per-call cost further but
-// widen the window in which a mid-chunk incumbent improvement cannot
-// prune; 16 keeps the wasted-evaluation bound small against typical k.
-const ierChunk = 16
-
-// nearest runs the IER scan, leaving the k nearest query points sorted
-// ascending in e.buf. The scan stops where the next Euclidean bound
-// reaches the k-th network distance resolved so far, or tau: either
-// aggregate of k distances under tau has all k under it, so a member
-// past tau cannot be among the k of a value under tau. If the k-th
-// resolved is then still past tau the value cannot be under it. The
-// bound is held against tau by roundSlack (past), as the k-th is not.
-func (e *ierEngine) nearest(p graph.NodeID, k int, _ Aggregate, tau float64) ([]sp.Neighbor, bool) {
+func (e *ierEngine) start(p graph.NodeID) {
 	px, py := e.g.Coord(p)
 	e.it.Reset(e.rt, px, py)
-	e.best.Reset()
-	top := topK{k: k, h: e.best} // the k nearest resolved so far
-	limit := tau + roundSlack*tau
+	e.got.Reset()
+	e.p, e.due = p, false
+}
+
+// next yields the nearest resolved member once the next Euclidean bound
+// is not under it. Otherwise the step's floor is that bound, lowered by
+// roundSlack, and the step resolves the next candidate when the next one
+// is asked for — so a fold that stops on the floor never pays for it.
+func (e *ierEngine) next() (graph.NodeID, float64, bool) {
+	if e.due {
+		e.resolve()
+		e.due = false
+	}
+	// The scan's end is read off the iterator: on a graph whose edges
+	// set no speed, ScaleEuclid(+Inf) is NaN.
+	peek := e.it.Peek()
+	end := math.IsInf(peek, 1)
+	lb := e.g.ScaleEuclid(peek)
+	if e.got.Len() > 0 && (end || e.got.Min().Key <= lb) {
+		it := e.got.Pop()
+		return it.Value, it.Key, true
+	}
+	if end {
+		return -1, peek, false
+	}
+	e.due = true
+	return -1, lb - roundSlack*lb, true
+}
+
+// resolve surfaces the next candidate and gets its network distance from
+// the oracle: through DistBatch when the oracle batches, as its
+// substrates keep per-source state across calls (a resumed Dijkstra
+// frontier, cached G-tree chain vectors), so one candidate at a time
+// costs what a chunk would — and a chunk would resolve candidates past
+// where the fold stops.
+func (e *ierEngine) resolve() {
 	before := int64(0)
 	if e.stats != nil {
 		before = scanOf(e.o)
 	}
+	pt, _, _ := e.it.Next()
+	e.stats.CountVisit()
 	if e.b != nil {
-		// Batched scan. Seeding first: the initial k surfaced points are
-		// evaluated unconditionally either way — the incumbent heap must
-		// fill to k before the Euclidean bound can prune — so their
-		// network distances resolve in one one-to-many oracle pass. The
-		// continuation then drains candidates in chunks: each chunk
-		// gathers up to ierChunk points admissible under the incumbent at
-		// gather time and resolves them with one more DistBatch from the
-		// same source, which the batching substrates answer from memoized
-		// per-source state (a resumed Dijkstra frontier, cached G-tree
-		// chain vectors, a kept PHL scatter table). A chunk may evaluate
-		// candidates a strictly serial scan would have pruned after an
-		// incumbent improvement mid-chunk; that is bounded extra work,
-		// never a wrong answer — exact extra distances cannot change
-		// which k members of Q are nearest.
-		e.tbuf = e.tbuf[:0]
-		for len(e.tbuf) < k && e.g.ScaleEuclid(e.it.Peek()) < limit {
-			pt, _, ok := e.it.Next()
-			if !ok {
-				break
-			}
-			e.stats.CountVisit()
-			e.tbuf = append(e.tbuf, pt.ID)
-		}
-		for len(e.tbuf) > 0 {
-			e.dbuf = growF(e.dbuf, len(e.tbuf))
-			e.b.DistBatch(p, e.tbuf, e.dbuf)
-			for i, id := range e.tbuf {
-				if nd := e.dbuf[i]; !math.IsInf(nd, 1) {
-					top.offer(id, nd)
-				}
-			}
-			e.tbuf = e.tbuf[:0]
-			for len(e.tbuf) < ierChunk {
-				lb := e.g.ScaleEuclid(e.it.Peek())
-				if lb >= min(top.kth(), limit) {
-					break
-				}
-				pt, _, ok := e.it.Next()
-				if !ok {
-					break
-				}
-				e.stats.CountVisit()
-				e.tbuf = append(e.tbuf, pt.ID)
-			}
-		}
+		e.tgt[0] = pt.ID
+		e.b.DistBatch(e.p, e.tgt[:], e.dst[:])
 	} else {
-		for {
-			lb := e.g.ScaleEuclid(e.it.Peek())
-			if lb >= min(top.kth(), limit) {
-				break
-			}
-			pt, _, ok := e.it.Next()
-			if !ok {
-				break
-			}
-			e.stats.CountVisit()
-			nd := e.o.Dist(p, pt.ID)
-			if math.IsInf(nd, 1) {
-				continue
-			}
-			top.offer(pt.ID, nd)
-		}
+		e.dst[0] = e.o.Dist(e.p, pt.ID)
+	}
+	if !math.IsInf(e.dst[0], 1) {
+		e.got.Push(e.dst[0], pt.ID)
 	}
 	if e.stats != nil {
 		e.stats.CountSettled(scanOf(e.o) - before)
 	}
-	e.buf = e.buf[:0]
-	for _, it := range e.best.Items() {
-		e.buf = append(e.buf, sp.Neighbor{Node: it.Value, Dist: it.Key})
-	}
-	slices.SortFunc(e.buf, cmpNeighborNode)
-	return e.buf, top.kth() <= limit
 }

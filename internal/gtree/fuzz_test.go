@@ -93,8 +93,8 @@ func FuzzRead(f *testing.F) {
 
 // FuzzKNNMatchesDijkstra derives a road network, a tree shape, an object
 // set, a source and k from the fuzz input and holds KNN and DistBatch to
-// Dijkstra, and KNNBelow to KNN on either side of the k-th distance. The
-// seeds replay under plain `go test`.
+// Dijkstra, and the stream under KNN to its floor contract. The seeds
+// replay under plain `go test`.
 func FuzzKNNMatchesDijkstra(f *testing.F) {
 	f.Add(int64(1), uint8(0), uint8(7), uint8(3))
 	f.Add(int64(2), uint8(0x25), uint8(31), uint8(31))  // fanout 7, tau 12
@@ -134,7 +134,7 @@ func FuzzKNNMatchesDijkstra(f *testing.F) {
 		}
 		k := 1 + int(kk)%len(distinct)
 		got := q.KNN(src, tr.NewObjectSet(distinct), k, nil)
-		want := ref.KNNAmong(src, targets, k, nil)
+		want := nearestByDijkstra(ref, src, targets, k)
 		if len(got) != len(want) {
 			t.Fatalf("KNN(%d, k=%d) returned %d neighbours, want %d", src, k, len(got), len(want))
 		}
@@ -143,22 +143,20 @@ func FuzzKNNMatchesDijkstra(f *testing.F) {
 				t.Fatalf("KNN(%d, k=%d)[%d] = %v, want %v", src, k, i, got[i].Dist, want[i].Dist)
 			}
 		}
-		// KNNBelow at a limit just past the k-th distance returns KNN's
-		// distances bit for bit; at the k-th itself, fewer than k.
-		if len(got) == k {
-			kth := got[k-1].Dist
-			os := tr.NewObjectSet(distinct)
-			below := q.KNNBelow(src, os, k, math.Nextafter(kth, math.Inf(1)), nil)
-			if len(below) != k {
-				t.Fatalf("KNNBelow(%d, k=%d) just past the k-th returned %d neighbours", src, k, len(below))
+		// Drained to the end, the stream yields KNN's distances bit for
+		// bit, each at its step's floor, and its floor never falls.
+		q.Start(src, tr.NewObjectSet(distinct))
+		prev, n := 0.0, 0
+		for o, floor, ok := q.Next(); ok; o, floor, ok = q.Next() {
+			if floor < prev {
+				t.Fatalf("stream from %d: floor fell from %v to %v", src, prev, floor)
 			}
-			for i := range below {
-				if math.Float64bits(below[i].Dist) != math.Float64bits(got[i].Dist) {
-					t.Fatalf("KNNBelow(%d, k=%d)[%d] = %v, KNN %v", src, k, i, below[i].Dist, got[i].Dist)
+			prev = floor
+			if o >= 0 && n < len(got) {
+				if math.Float64bits(floor) != math.Float64bits(got[n].Dist) {
+					t.Fatalf("stream from %d: yield %d at %v, KNN %v", src, n, floor, got[n].Dist)
 				}
-			}
-			if at := q.KNNBelow(src, os, k, kth, nil); len(at) >= k {
-				t.Fatalf("KNNBelow(%d, k=%d) at the k-th distance %v returned %d neighbours", src, k, kth, len(at))
+				n++
 			}
 		}
 	})

@@ -80,101 +80,104 @@ func (os *ObjectSet) MemoryBytes() int64 {
 // order (fewer when the reachable object set is smaller). Results are
 // appended to dst. Warm Queriers allocate nothing beyond dst's growth.
 func (q *Querier) KNN(src graph.NodeID, objs *ObjectSet, k int, dst []sp.Neighbor) []sp.Neighbor {
-	return q.KNNBelow(src, objs, k, math.Inf(1), dst)
+	q.Start(src, objs)
+	for n := 0; n < k; {
+		o, d, ok := q.Next()
+		if !ok {
+			break
+		}
+		if o >= 0 {
+			dst = append(dst, sp.Neighbor{Node: o, Dist: d})
+			n++
+		}
+	}
+	return dst
 }
 
-// KNNBelow is KNN for a caller that only needs neighbours nearer than
-// limit: an object at or past it is never offered and a subtree whose
-// border lower bound reaches it is never descended. When the k-th
-// nearest object is under limit it returns KNN's neighbours (ties at one
-// distance possibly in another order); otherwise it returns fewer than k.
-func (q *Querier) KNNBelow(src graph.NodeID, objs *ObjectSet, k int, limit float64, dst []sp.Neighbor) []sp.Neighbor {
-	if k <= 0 || objs.Len() == 0 {
-		return dst
-	}
+// Start begins an incremental nearest-object search from src over objs;
+// Next then yields the reachable objects in nondecreasing network
+// distance. The search is best-first over one min-heap that holds tree
+// nodes keyed by the smallest distance to their borders and objects keyed
+// by their exact distance. Only nodes that contain objects enter it, and
+// a node's border vector is built when its parent is opened.
+func (q *Querier) Start(src graph.NodeID, objs *ObjectSet) {
 	t := q.t
 	q.setSource(src)
-	// best keeps the k nearest objects seen; kth is its admission bar,
-	// limit until k are held.
-	best := q.best
-	best.Reset()
-	kth := limit
-	offer := func(o graph.NodeID, d float64) {
-		if d >= kth {
-			return
-		}
-		if best.Len() == k {
-			best.Pop()
-		}
-		best.Push(d, o)
-		if best.Len() == k {
-			kth = best.Max().Key
-		}
-	}
-
-	// Best-first over tree nodes by the smallest distance to their
-	// borders. Only children that contain objects get a border vector.
-	srcLeaf := t.leafOf[src]
-	pq := q.pq
-	pq.Reset()
-	if t.nodes[0].isLeaf() {
+	q.objs = objs
+	q.pq.Reset()
+	q.due = -1
+	switch {
+	case objs.Len() == 0:
+	case t.nodes[0].isLeaf():
 		// Degenerate single-leaf tree: the leaf subgraph is the graph.
 		local := q.srcLocalDists()
 		for _, o := range objs.objs {
-			offer(o, local[t.posInLeaf[o]])
+			q.push(local[t.posInLeaf[o]], -1-o)
 		}
-	} else {
-		pq.Push(0, 0)
+	default:
+		q.pq.Push(0, 0)
 	}
-	for pq.Len() > 0 {
-		it := pq.Pop()
-		lb, ni := it.Key, it.Value
-		if lb >= kth {
-			break
-		}
-		n := &t.nodes[ni]
-		if n.isLeaf() {
-			v := q.borderVec(ni)
-			for _, o := range objs.leafObjects(ni) {
-				pos := int(t.posInLeaf[o])
-				d := leafTargetDist(n, v, pos)
-				if ni == srcLeaf {
-					if w := q.srcLocalDists()[pos]; w < d {
-						d = w
-					}
-				}
-				offer(o, d)
+}
+
+// Next takes one step of the search and returns its floor: no object
+// not yet yielded is nearer than floor. A step either yields object o,
+// at distance floor, or takes the nearest tree node off the heap and
+// yields none (o = -1); that node is opened when the next step is asked
+// for, so a caller that stops on the floor never pays for it. The floor
+// is formed from the same sums as the distances it bounds, so it is
+// exact. ok is false once every reachable object has been yielded.
+func (q *Querier) Next() (o graph.NodeID, floor float64, ok bool) {
+	if q.due >= 0 {
+		q.open(q.due)
+		q.due = -1
+	}
+	if q.pq.Len() == 0 {
+		return -1, math.Inf(1), false
+	}
+	it := q.pq.Pop()
+	if it.Value < 0 {
+		return -1 - it.Value, it.Key, true
+	}
+	q.due = it.Value
+	return -1, it.Key, true
+}
+
+// open pushes the objects of leaf ni at their distances, or the children
+// of inner node ni that hold objects at their border lower bounds.
+func (q *Querier) open(ni int32) {
+	t := q.t
+	n := &t.nodes[ni]
+	if n.isLeaf() {
+		v := q.borderVec(ni)
+		for _, o := range q.objs.leafObjects(ni) {
+			pos := int(t.posInLeaf[o])
+			d := leafTargetDist(n, v, pos)
+			if ni == t.leafOf[q.bu] {
+				d = min(d, q.srcLocalDists()[pos])
 			}
+			q.push(d, -1-o)
+		}
+		return
+	}
+	for _, ci := range n.children {
+		if q.objs.count[ci] == 0 {
 			continue
 		}
-		for _, ci := range n.children {
-			if objs.count[ci] == 0 {
-				continue
-			}
-			lbChild := 0.0
-			if q.chain[n.depth+1] != ci {
-				lbChild = math.Inf(1)
-				for _, d := range q.borderVec(ci) {
-					if d < lbChild {
-						lbChild = d
-					}
-				}
-			}
-			if lbChild < kth {
-				pq.Push(lbChild, ci)
+		lb := 0.0
+		if q.chain[n.depth+1] != ci {
+			lb = math.Inf(1)
+			for _, d := range q.borderVec(ci) {
+				lb = min(lb, d)
 			}
 		}
+		q.push(lb, ci)
 	}
+}
 
-	// Drain the max-heap straight into dst (descending) and reverse the
-	// appended region in place — no intermediate slice.
-	base := len(dst)
-	for best.Len() > 0 {
-		it := best.Pop()
-		dst = append(dst, sp.Neighbor{Node: it.Value, Dist: it.Key})
+// push queues a tree node (v >= 0) or an object o (v = -1-o) at key d
+// unless d says it cannot be reached.
+func (q *Querier) push(d float64, v int32) {
+	if !math.IsInf(d, 1) {
+		q.pq.Push(d, v)
 	}
-	for i, j := base, len(dst)-1; i < j; i, j = i+1, j-1 {
-		dst[i], dst[j] = dst[j], dst[i]
-	}
-	return dst
 }

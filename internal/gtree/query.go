@@ -31,9 +31,12 @@ type Querier struct {
 	bsrc    []float64    // within-source-leaf distance scratch
 	bsrcOK  bool         // bsrc holds the distances for source bu
 
-	// KNN scratch.
-	best *pqueue.MaxHeap[graph.NodeID]
+	// The nearest-object search: its heap (tree node n as n, object o as
+	// -1-o), the object set it runs over and the node it opens next (-1
+	// for none).
 	pq   *pqueue.Heap[int32]
+	objs *ObjectSet
+	due  int32
 	// query counters for the experiment harness
 	queries int64
 }
@@ -60,7 +63,6 @@ func (t *Tree) NewQuerier() *Querier {
 		bu:    -1,
 		chain: make([]int32, height),
 		bsrc:  make([]float64, maxLeaf),
-		best:  pqueue.NewMaxHeap[graph.NodeID](16),
 		pq:    pqueue.NewHeap[int32](16),
 	}
 }
@@ -280,9 +282,9 @@ func (q *Querier) srcLocalDists() []float64 {
 //     borders, columns of its own block, and the parent's borders that
 //     fall inside that block overwritten with their known values.
 //
-// The caller decides which nodes matter — KNN asks only for children
-// whose occurrence count is non-zero, DistBatch only for target leaves —
-// so no vector over a whole X set is ever built.
+// The caller decides which nodes matter — the nearest-object search asks
+// only for children whose occurrence count is non-zero, DistBatch only
+// for target leaves — so no vector over a whole X set is ever built.
 func (q *Querier) borderVec(ni int32) []float64 {
 	if v := q.vecs[ni]; v != nil {
 		return v

@@ -43,7 +43,7 @@ func TestSerializeRoundTrip(t *testing.T) {
 	targets := graph.NewNodeSet(g.NumNodes())
 	targets.AddAll([]graph.NodeID{3, 100, 400, 600})
 	got := q2.KNN(50, objs, 2, nil)
-	want := sp.NewDijkstra(g).KNNAmong(50, targets, 2, nil)
+	want := nearestByDijkstra(sp.NewDijkstra(g), 50, targets, 2)
 	for i := range want {
 		if math.Abs(got[i].Dist-want[i].Dist) > 1e-9 {
 			t.Fatalf("loaded-tree KNN dist %d = %v, want %v", i, got[i].Dist, want[i].Dist)

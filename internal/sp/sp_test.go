@@ -149,18 +149,6 @@ func TestDijkstraSettleOrderMonotone(t *testing.T) {
 	})
 }
 
-func TestDijkstraDistanceAfterRun(t *testing.T) {
-	g := randomGraph(t, 50, 5)
-	d := NewDijkstra(g)
-	want := d.All(7)
-	d.Run(7, func(graph.NodeID, float64) bool { return true })
-	for v := 0; v < g.NumNodes(); v++ {
-		if got := d.Distance(graph.NodeID(v)); math.Abs(got-want[v]) > 1e-12 {
-			t.Fatalf("Distance(%d) = %v, want %v", v, got, want[v])
-		}
-	}
-}
-
 func TestAStarMatchesDijkstra(t *testing.T) {
 	f := func(seed int64) bool {
 		g := randomGraph(t, 80, seed)
@@ -198,7 +186,24 @@ func TestAStarScansNoMoreThanDijkstraOnAverage(t *testing.T) {
 	}
 }
 
-func TestKNNAmongMatchesBruteForce(t *testing.T) {
+// nearestAmong draws the stepping search from src until k members of
+// targets have settled: the stream the INE engine and APX-sum fold.
+func nearestAmong(d *Dijkstra, src graph.NodeID, targets *graph.NodeSet, k int) []Neighbor {
+	var dst []Neighbor
+	d.Start(src)
+	for len(dst) < k {
+		v, dv, ok := d.Step()
+		if !ok {
+			break
+		}
+		if targets.Contains(v) {
+			dst = append(dst, Neighbor{Node: v, Dist: dv})
+		}
+	}
+	return dst
+}
+
+func TestStepMembersMatchBruteForce(t *testing.T) {
 	g := randomGraph(t, 120, 8)
 	d := NewDijkstra(g)
 	rng := rand.New(rand.NewSource(17))
@@ -216,7 +221,7 @@ func TestKNNAmongMatchesBruteForce(t *testing.T) {
 		}
 		src := graph.NodeID(rng.Intn(g.NumNodes()))
 		k := 1 + rng.Intn(m)
-		got := d.KNNAmong(src, targets, k, nil)
+		got := nearestAmong(d, src, targets, k)
 
 		all := d.All(src)
 		dists := make([]float64, len(members))
@@ -225,7 +230,7 @@ func TestKNNAmongMatchesBruteForce(t *testing.T) {
 		}
 		sort.Float64s(dists)
 		if len(got) != k {
-			t.Fatalf("KNNAmong returned %d, want %d", len(got), k)
+			t.Fatalf("stream yielded %d, want %d", len(got), k)
 		}
 		for i := range got {
 			if math.Abs(got[i].Dist-dists[i]) > 1e-9 {
@@ -238,21 +243,21 @@ func TestKNNAmongMatchesBruteForce(t *testing.T) {
 	}
 }
 
-func TestKNNAmongEdgeCases(t *testing.T) {
+func TestStepMembersEdgeCases(t *testing.T) {
 	g := randomGraph(t, 30, 9)
 	d := NewDijkstra(g)
 	targets := graph.NewNodeSet(g.NumNodes())
 	targets.Add(3, 0)
-	if got := d.KNNAmong(0, targets, 0, nil); len(got) != 0 {
+	if got := nearestAmong(d, 0, targets, 0); len(got) != 0 {
 		t.Fatal("k=0 should return nothing")
 	}
 	// k larger than target set: return what is reachable.
-	if got := d.KNNAmong(0, targets, 5, nil); len(got) != 1 {
+	if got := nearestAmong(d, 0, targets, 5); len(got) != 1 {
 		t.Fatalf("got %d results, want 1", len(got))
 	}
 	// Source inside the target set reports itself at distance 0.
 	targets.Add(0, 1)
-	got := d.KNNAmong(0, targets, 1, nil)
+	got := nearestAmong(d, 0, targets, 1)
 	if len(got) != 1 || got[0].Node != 0 || got[0].Dist != 0 {
 		t.Fatalf("got %+v, want self at 0", got)
 	}
