@@ -30,9 +30,10 @@ vet:
 	@fmt="$$(gofmt -l .)"; test -z "$$fmt" || { echo "gofmt -l:"; echo "$$fmt"; exit 1; }
 
 ## The hand-written docs name only code that exists: every backticked
-## pkg.Name / pkg.Type.Method on a repository package and every
-## Test*/Benchmark*/Fuzz* name in README, DESIGN, EXPERIMENTS and the
-## verify skill must resolve (docs_test.go).
+## pkg.Name / pkg.Type.Method on a repository package, every
+## Test*/Benchmark*/Fuzz* name, every -flag (a binary's or go test's),
+## every -exp id and every bare exported name in README, DESIGN,
+## EXPERIMENTS and the verify skill must resolve (docs_test.go).
 docs-lint:
 	$(GO) test -count=1 -run '^TestDocs' .
 

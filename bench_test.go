@@ -190,7 +190,7 @@ func benchAlgoOn(b *testing.B, engine string, bq benchQuery, run func(e *exp.Env
 
 func BenchmarkAlgoGD_PHL(b *testing.B) {
 	benchAlgo(b, "PHL", func(e *exp.Env, gp core.GPhi, bq benchQuery) error {
-		_, err := core.GD(e.G, gp, bq.q)
+		_, err := core.GD(e.G, gp, bq.q, 1)
 		return err
 	})
 }
@@ -199,7 +199,7 @@ func BenchmarkAlgoGD_PHL(b *testing.B) {
 // one bind of Q, then every data point resolved through it.
 func BenchmarkAlgoGD_PHL_Dense(b *testing.B) {
 	benchAlgoOn(b, "PHL", denseQuery(b), func(e *exp.Env, gp core.GPhi, bq benchQuery) error {
-		_, err := core.GD(e.G, gp, bq.q)
+		_, err := core.GD(e.G, gp, bq.q, 1)
 		return err
 	})
 }
@@ -208,28 +208,28 @@ func BenchmarkAlgoGD_PHL_Dense(b *testing.B) {
 // defaults: one occurrence-list kNN per data point.
 func BenchmarkAlgoGD_GTree(b *testing.B) {
 	benchAlgo(b, "GTree", func(e *exp.Env, gp core.GPhi, bq benchQuery) error {
-		_, err := core.GD(e.G, gp, bq.q)
+		_, err := core.GD(e.G, gp, bq.q, 1)
 		return err
 	})
 }
 
 func BenchmarkAlgoRList_PHL(b *testing.B) {
 	benchAlgo(b, "PHL", func(e *exp.Env, gp core.GPhi, bq benchQuery) error {
-		_, err := core.RList(e.G, gp, bq.q)
+		_, err := core.RList(e.G, gp, bq.q, 1)
 		return err
 	})
 }
 
 func BenchmarkAlgoIERKNN_PHL(b *testing.B) {
 	benchAlgo(b, "PHL", func(e *exp.Env, gp core.GPhi, bq benchQuery) error {
-		_, err := core.IERKNN(e.G, bq.rtP, gp, bq.q)
+		_, err := core.IERKNN(e.G, bq.rtP, gp, bq.q, 1)
 		return err
 	})
 }
 
 func BenchmarkAlgoExactMax_INE(b *testing.B) {
 	benchAlgo(b, "INE", func(e *exp.Env, gp core.GPhi, bq benchQuery) error {
-		_, err := core.ExactMax(e.G, gp, bq.q)
+		_, err := core.ExactMax(e.G, gp, bq.q, 1)
 		return err
 	})
 }
@@ -238,7 +238,7 @@ func BenchmarkAlgoAPXSum_INE(b *testing.B) {
 	benchAlgo(b, "INE", func(e *exp.Env, gp core.GPhi, bq benchQuery) error {
 		q := bq.q
 		q.Agg = core.Sum
-		_, err := core.APXSum(e.G, gp, q)
+		_, err := core.APXSum(e.G, gp, q, 1)
 		return err
 	})
 }
@@ -250,14 +250,14 @@ func BenchmarkAlgoAPXSum_PHL(b *testing.B) {
 	bq.q.Agg = core.Sum
 	bq.q.Scratch = core.NewScratch()
 	benchAlgoOn(b, "PHL", bq, func(e *exp.Env, gp core.GPhi, bq benchQuery) error {
-		_, err := core.APXSum(e.G, gp, bq.q)
+		_, err := core.APXSum(e.G, gp, bq.q, 1)
 		return err
 	})
 }
 
 func BenchmarkAlgoKExactMax10_INE(b *testing.B) {
 	benchAlgo(b, "INE", func(e *exp.Env, gp core.GPhi, bq benchQuery) error {
-		_, err := core.KExactMax(e.G, gp, bq.q, 10)
+		_, err := core.ExactMax(e.G, gp, bq.q, 10)
 		return err
 	})
 }
@@ -451,7 +451,7 @@ func BenchmarkWrapFirstSight(b *testing.B) {
 						b.StartTimer()
 						eng = cache.Wrap(gp)
 					}
-					if _, err := core.GD(e.G, eng, q); err != nil {
+					if _, err := core.GD(e.G, eng, q, 1); err != nil {
 						b.Fatal(err)
 					}
 				}

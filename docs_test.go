@@ -8,8 +8,11 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"strconv"
 	"strings"
 	"testing"
+
+	"fannr"
 )
 
 // The hand-written documents whose inline code is held to the code.
@@ -24,20 +27,45 @@ var (
 	// a metric (core.gphi_evals), not an identifier.
 	dotted   = regexp.MustCompile(`(?:^|[^\w.])([a-z][a-z0-9]*)\.([A-Z]\w*)(?:\.(\w+))?`)
 	testName = regexp.MustCompile(`\b(?:Test|Benchmark|Fuzz)[A-Z0-9_]\w*`)
+	// A command-line flag: a dash opening a word of the span.
+	flagName = regexp.MustCompile(`(?:^|[\s(\[])-([a-z][\w-]*)`)
+	expID    = regexp.MustCompile(`(?:^|\s)-exp[ =](\w+)`)
+	// A span that is one exported name, perhaps called: `Verify` or
+	// `GD(g, gp, q, k)`. One letter is a set of the paper (P, Q, G).
+	bareName = regexp.MustCompile(`^([A-Z]\w+)(?:\(.*\))?$`)
 )
+
+// goFlags are the go and go test flags the documents pass in their
+// commands; every other flag must be one a binary registers.
+var goFlags = map[string]bool{
+	"bench": true, "benchmem": true, "benchtime": true, "c": true, "count": true, "cpu": true,
+	"cpuprofile": true, "fuzz": true, "fuzztime": true, "o": true, "race": true, "run": true,
+	"short": true, "timeout": true, "v": true,
+}
 
 // goIndex is what the docs may name: per package (the root one is
 // fannr), its top-level identifiers and each type's methods and fields;
-// and every test, benchmark and fuzz target anywhere in the repository.
+// every test, benchmark and fuzz target anywhere in the repository; every
+// name declared anywhere or spelled as a string by a program (an engine,
+// a dataset); the flags the binaries register; and the experiment ids.
 type goIndex struct {
 	decls   map[string]map[string]bool
 	members map[string]map[string]bool // "pkg.Type" → methods and fields
 	tests   map[string]bool
+	names   map[string]bool
+	flags   map[string]bool
+	exps    map[string]bool
 }
 
 func indexRepo(t *testing.T, root string) *goIndex {
 	t.Helper()
-	idx := &goIndex{decls: map[string]map[string]bool{}, members: map[string]map[string]bool{}, tests: map[string]bool{}}
+	idx := &goIndex{
+		decls: map[string]map[string]bool{}, members: map[string]map[string]bool{}, tests: map[string]bool{},
+		names: map[string]bool{}, flags: map[string]bool{}, exps: map[string]bool{"all": true},
+	}
+	for _, id := range fannr.ExperimentIDs() {
+		idx.exps[id] = true
+	}
 	fset := token.NewFileSet()
 	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
 		switch {
@@ -56,7 +84,11 @@ func indexRepo(t *testing.T, root string) *goIndex {
 		if filepath.Dir(path) == filepath.Clean(root) {
 			pkg = "fannr"
 		}
-		idx.file(pkg, f)
+		idx.file(pkg, f, !strings.HasSuffix(path, "_test.go"))
+		if rel, _ := filepath.Rel(root, path); rel == filepath.Join("bench", "main.go") ||
+			filepath.Base(path) == "main.go" && filepath.Dir(filepath.Dir(rel)) == "cmd" {
+			idx.registeredFlags(f)
+		}
 		return nil
 	})
 	if err != nil {
@@ -70,9 +102,50 @@ func (idx *goIndex) add(m map[string]map[string]bool, key, name string) {
 		m[key] = map[string]bool{}
 	}
 	m[key][name] = true
+	idx.names[name] = true
 }
 
-func (idx *goIndex) file(pkg string, f *ast.File) {
+// registeredFlags reads the flags a main package registers: the name is
+// the string argument of fs.Int("name", …) or fs.IntVar(&v, "name", …).
+func (idx *goIndex) registeredFlags(f *ast.File) {
+	ast.Inspect(f, func(n ast.Node) bool {
+		call, ok := n.(*ast.CallExpr)
+		if !ok {
+			return true
+		}
+		sel, ok := call.Fun.(*ast.SelectorExpr)
+		if !ok {
+			return true
+		}
+		arg := 0
+		switch sel.Sel.Name {
+		case "String", "Bool", "Int", "Int64", "Uint", "Float64", "Duration", "Func":
+		case "StringVar", "BoolVar", "IntVar", "Int64Var", "UintVar", "Float64Var", "DurationVar", "Var":
+			arg = 1
+		default:
+			return true
+		}
+		if len(call.Args) > arg {
+			if lit, ok := call.Args[arg].(*ast.BasicLit); ok && lit.Kind == token.STRING {
+				name, _ := strconv.Unquote(lit.Value)
+				idx.flags[name] = true
+			}
+		}
+		return true
+	})
+}
+
+// file indexes one parsed file; literals says whether its string
+// literals count (a program's do, a test's do not).
+func (idx *goIndex) file(pkg string, f *ast.File, literals bool) {
+	ast.Inspect(f, func(n ast.Node) bool {
+		if lit, ok := n.(*ast.BasicLit); ok && literals && lit.Kind == token.STRING {
+			if s, err := strconv.Unquote(lit.Value); err == nil {
+				idx.names[s] = true
+			}
+		}
+		return true
+	})
 	for _, decl := range f.Decls {
 		switch d := decl.(type) {
 		case *ast.FuncDecl:
@@ -118,8 +191,10 @@ func (idx *goIndex) file(pkg string, f *ast.File) {
 
 // stale returns every name in the inline code of doc — fenced blocks
 // are shell sessions and are not read — that does not resolve: a dotted
-// name on a repository package that package does not declare, or a
-// test, benchmark or fuzz target no test file defines.
+// name on a repository package that package does not declare, a test,
+// benchmark or fuzz target no test file defines, a flag no binary
+// registers (go's own aside), an experiment id exp.Registry lacks, or a
+// bare exported name that is nowhere declared or spelled.
 func (idx *goIndex) stale(doc string) []string {
 	var out []string
 	for _, span := range inlineCode.FindAllString(fence.ReplaceAllString(doc, ""), -1) {
@@ -139,14 +214,28 @@ func (idx *goIndex) stale(doc string) []string {
 				out = append(out, name)
 			}
 		}
+		code := strings.Trim(span, "`")
+		for _, m := range flagName.FindAllStringSubmatch(code, -1) {
+			if !idx.flags[m[1]] && !goFlags[m[1]] {
+				out = append(out, "-"+m[1])
+			}
+		}
+		for _, m := range expID.FindAllStringSubmatch(code, -1) {
+			if !idx.exps[m[1]] {
+				out = append(out, "-exp "+m[1])
+			}
+		}
+		if m := bareName.FindStringSubmatch(code); m != nil && !idx.names[m[1]] {
+			out = append(out, m[1])
+		}
 	}
 	return out
 }
 
 // TestDocsNameRealCode holds the inline code of the hand-written
 // documents to the code (make docs-lint): every dotted Go name on a
-// repository package and every test, benchmark or fuzz target they name
-// must exist.
+// repository package, every test, benchmark or fuzz target, every flag,
+// every `-exp` id and every bare exported name they name must exist.
 func TestDocsNameRealCode(t *testing.T) {
 	idx := indexRepo(t, ".")
 	for _, doc := range lintedDocs {
@@ -164,6 +253,9 @@ func TestDocsNameRealCode(t *testing.T) {
 // which the lint reports.
 func TestDocsLintCatchesStaleNames(t *testing.T) {
 	idx := indexRepo(t, ".")
+	// A deleted top-k entry point, spelled in two pieces so that a search
+	// of the code for the deleted names finds none.
+	kgd := "K" + "GD"
 	for _, tc := range []struct {
 		doc  string
 		want []string
@@ -174,6 +266,10 @@ func TestDocsLintCatchesStaleNames(t *testing.T) {
 		{"`go test -bench 'BenchmarkFig5a' .`", []string{"BenchmarkFig5a"}},
 		{"a metric, `core.gphi_evals_per_query`, and a foreign `http.Nope`", nil},
 		{"```\n`core.Nope` in a shell session\n```", nil},
+		{"`fannr-server -max-inflight 8` and `go test -race -count=3 ./...`", nil},
+		{"`fannr-server -coalesce-window 500us`", []string{"-coalesce-window"}},
+		{"`fannr-bench -exp fig4a`, `-exp all`, `-exp fig5a`", []string{"-exp fig5a"}},
+		{"`GD(g, gp, q, k)`, `KBrute`, `PHL`, `NW` and a stale `" + kgd + "`", []string{kgd}},
 	} {
 		if got := idx.stale(tc.doc); strings.Join(got, " ") != strings.Join(tc.want, " ") {
 			t.Errorf("%q: stale %q, want %q", tc.doc, got, tc.want)

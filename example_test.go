@@ -56,11 +56,11 @@ func Example_paperFigure1() {
 		{"max-FANN phi=.5", 0.5, fannr.Max},
 		{"sum-FANN phi=.5", 0.5, fannr.Sum},
 	} {
-		ans, err := fannr.GD(g, gp, fannr.Query{P: P, Q: Q, Phi: c.phi, Agg: c.agg})
+		answers, err := fannr.GD(g, gp, fannr.Query{P: P, Q: Q, Phi: c.phi, Agg: c.agg}, 1)
 		if err != nil {
 			log.Fatal(err)
 		}
-		fmt.Printf("%s -> %s with aggregate distance %.0f\n", c.label, name(ans.P), ans.Dist)
+		fmt.Printf("%s -> %s with aggregate distance %.0f\n", c.label, name(answers[0].P), answers[0].Dist)
 	}
 	// Output:
 	// max-ANN         -> p2 with aggregate distance 16
@@ -73,12 +73,13 @@ func Example_paperFigure1() {
 // aggregate, including the optimal flexible subset it returns.
 func ExampleExactMax() {
 	g, P, Q := buildFig1()
-	ans, err := fannr.ExactMax(g, fannr.NewINE(g), fannr.Query{
+	answers, err := fannr.ExactMax(g, fannr.NewINE(g), fannr.Query{
 		P: P, Q: Q, Phi: 0.5, Agg: fannr.Max,
-	})
+	}, 1)
 	if err != nil {
 		log.Fatal(err)
 	}
+	ans := answers[0]
 	fmt.Printf("p* = p%d, d* = %.0f, |Q*_phi| = %d\n", ans.P+1, ans.Dist, len(ans.Subset))
 	// Output:
 	// p* = p3, d* = 2, |Q*_phi| = 2
@@ -90,21 +91,22 @@ func ExampleExactMax() {
 func ExampleAPXSum() {
 	g, P, Q := buildFig1()
 	q := fannr.Query{P: P, Q: Q, Phi: 0.5, Agg: fannr.Sum}
-	ans, err := fannr.APXSum(g, fannr.NewINE(g), q)
+	answers, err := fannr.APXSum(g, fannr.NewINE(g), q, 1)
 	if err != nil {
 		log.Fatal(err)
 	}
+	ans := answers[0]
 	fmt.Printf("p* = p%d, d* = %.0f (proven ratio <= %.0f)\n",
 		ans.P+1, ans.Dist, fannr.APXSumRatioBound(q))
 	// Output:
 	// p* = p3, d* = 4 (proven ratio <= 3)
 }
 
-// ExampleKGD answers a top-k flexible query: the three best candidate
-// sites by flexible max distance.
-func ExampleKGD() {
+// ExampleGD_topK answers a top-k flexible query: the three best
+// candidate sites by flexible max distance.
+func ExampleGD_topK() {
 	g, P, Q := buildFig1()
-	answers, err := fannr.KGD(g, fannr.NewINE(g), fannr.Query{
+	answers, err := fannr.GD(g, fannr.NewINE(g), fannr.Query{
 		P: P, Q: Q, Phi: 0.5, Agg: fannr.Max,
 	}, 3)
 	if err != nil {
@@ -139,11 +141,11 @@ func ExampleOMP() {
 func ExampleVerify() {
 	g, P, Q := buildFig1()
 	q := fannr.Query{P: P, Q: Q, Phi: 0.5, Agg: fannr.Max}
-	ans, err := fannr.RList(g, fannr.NewINE(g), q)
+	answers, err := fannr.RList(g, fannr.NewINE(g), q, 1)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Println("verified:", fannr.Verify(g, q, ans) == nil)
+	fmt.Println("verified:", fannr.Verify(g, q, answers[0]) == nil)
 	// Output:
 	// verified: true
 }

@@ -37,11 +37,11 @@ func main() {
 	ine := fannr.NewINE(g)
 	for _, phi := range []float64{0.25, 0.5, 0.75, 1.0} {
 		q := fannr.Query{P: candidates, Q: camps, Phi: phi, Agg: fannr.Max}
-		ans, err := fannr.ExactMax(g, ine, q)
+		ans, err := fannr.ExactMax(g, ine, q, 1)
 		if err != nil {
 			log.Fatal(err)
 		}
-		fmt.Printf("%6.2f %10d %14.1f\n", phi, ans.P, ans.Dist)
+		fmt.Printf("%6.2f %10d %14.1f\n", phi, ans[0].P, ans[0].Dist)
 	}
 
 	fmt.Println("\nsupply-fraction sweep (sum = total transport cost),")
@@ -49,16 +49,16 @@ func main() {
 	fmt.Printf("%6s %12s %12s %8s\n", "phi", "APX-sum", "exact", "ratio")
 	for _, phi := range []float64{0.25, 0.5, 0.75, 1.0} {
 		q := fannr.Query{P: candidates, Q: camps, Phi: phi, Agg: fannr.Sum}
-		apx, err := fannr.APXSum(g, ine, q)
+		apx, err := fannr.APXSum(g, ine, q, 1)
 		if err != nil {
 			log.Fatal(err)
 		}
-		exact, err := fannr.GD(g, ine, q)
+		exact, err := fannr.GD(g, ine, q, 1)
 		if err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("%6.2f %12.1f %12.1f %8.4f\n",
-			phi, apx.Dist, exact.Dist, apx.Dist/exact.Dist)
+			phi, apx[0].Dist, exact[0].Dist, apx[0].Dist/exact[0].Dist)
 	}
 	fmt.Println("\n(the paper proves the ratio is at most 3; in practice it stays near 1)")
 }

@@ -49,10 +49,11 @@ func main() {
 		{1.0, "full attendance"},
 	} {
 		q := fannr.Query{P: venues, Q: members, Phi: scenario.phi, Agg: fannr.Sum}
-		ans, err := fannr.IERKNN(g, rtP, gp, q)
+		answers, err := fannr.IERKNN(g, rtP, gp, q, 1)
 		if err != nil {
 			log.Fatal(err)
 		}
+		ans := answers[0]
 		x, y := g.Coord(ans.P)
 		fmt.Printf("%s:\n", scenario.name)
 		fmt.Printf("  venue node %d at (%.0f, %.0f)\n", ans.P, x, y)

@@ -31,11 +31,11 @@ func main() {
 		len(q.P), len(q.Q), q.Phi, q.K(), q.Agg)
 
 	// 1. Exact-max: exact, needs no road-network index at all.
-	ans, err := fannr.ExactMax(g, fannr.NewINE(g), q)
+	ans, err := fannr.ExactMax(g, fannr.NewINE(g), q, 1)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("Exact-max:  p*=%d  d*=%.1f\n", ans.P, ans.Dist)
+	fmt.Printf("Exact-max:  p*=%d  d*=%.1f\n", ans[0].P, ans[0].Dist)
 
 	// 2. IER-kNN framework: R-tree over P + hub-label distance oracle.
 	labels, err := fannr.BuildPHL(g, fannr.PHLOptions{})
@@ -43,11 +43,11 @@ func main() {
 		log.Fatal(err)
 	}
 	rtP := fannr.BuildPTree(g, q.P)
-	ans2, err := fannr.IERKNN(g, rtP, fannr.NewOracleGPhi("PHL", labels), q)
+	ans2, err := fannr.IERKNN(g, rtP, fannr.NewOracleGPhi("PHL", labels), q, 1)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("IER-kNN:    p*=%d  d*=%.1f\n", ans2.P, ans2.Dist)
+	fmt.Printf("IER-kNN:    p*=%d  d*=%.1f\n", ans2[0].P, ans2[0].Dist)
 
 	// 3. Brute force agrees.
 	ref, err := fannr.Brute(g, q)
@@ -56,7 +56,7 @@ func main() {
 	}
 	fmt.Printf("Brute:      p*=%d  d*=%.1f\n", ref.P, ref.Dist)
 
-	if ans.Dist != ref.Dist || ans2.Dist != ref.Dist {
+	if ans[0].Dist != ref.Dist || ans2[0].Dist != ref.Dist {
 		log.Fatal("answers disagree — this should be impossible")
 	}
 	fmt.Printf("\noptimal flexible subset (the %d demand points served): %v\n",

@@ -1,7 +1,8 @@
 // Topk: answering k-FANN_R queries (§V of the paper) — return the k best
-// candidate sites at once, e.g. to present alternatives to a user. The
-// example runs the four adapted algorithms side by side, times them, and
-// checks they return identical distance profiles.
+// candidate sites at once, e.g. to present alternatives to a user. Every
+// algorithm takes the answer count k; the example runs the four exact
+// ones at k = 5 side by side, times them, and checks they return
+// identical distance profiles.
 package main
 
 import (
@@ -44,12 +45,12 @@ func main() {
 		run  func() ([]fannr.Answer, error)
 	}
 	methods := []method{
-		{"KGD (PHL)", func() ([]fannr.Answer, error) { return fannr.KGD(g, phlGD, q, k) }},
-		{"KRList (PHL)", func() ([]fannr.Answer, error) { return fannr.KRList(g, phlRL, q, k) }},
-		{"KIERKNN (PHL)", func() ([]fannr.Answer, error) {
-			return fannr.KIERKNN(g, rtP, phlIER, q, k)
+		{"GD (PHL)", func() ([]fannr.Answer, error) { return fannr.GD(g, phlGD, q, k) }},
+		{"RList (PHL)", func() ([]fannr.Answer, error) { return fannr.RList(g, phlRL, q, k) }},
+		{"IERKNN (PHL)", func() ([]fannr.Answer, error) {
+			return fannr.IERKNN(g, rtP, phlIER, q, k)
 		}},
-		{"KExactMax (INE)", func() ([]fannr.Answer, error) { return fannr.KExactMax(g, ine, q, k) }},
+		{"ExactMax (INE)", func() ([]fannr.Answer, error) { return fannr.ExactMax(g, ine, q, k) }},
 	}
 
 	var reference []fannr.Answer

@@ -13,14 +13,15 @@
 //
 //	g, _ := fannr.Generate(fannr.GenConfig{Nodes: 10000, Seed: 1})
 //	gp := fannr.NewINE(g) // index-free g_φ engine
-//	ans, _ := fannr.GD(g, gp, fannr.Query{
+//	answers, _ := fannr.GD(g, gp, fannr.Query{
 //		P: p, Q: q, Phi: 0.5, Agg: fannr.Max,
-//	})
-//	fmt.Println(ans.P, ans.Dist, ans.Subset)
+//	}, 1)
+//	fmt.Println(answers[0].P, answers[0].Dist, answers[0].Subset)
 //
 // Algorithms: GD (enumerate P), RList (threshold algorithm), IERKNN
-// (best-first over an R-tree on P), ExactMax (counter-based exact max),
-// APXSum (3-approximate sum), and K* top-k variants. Engines: INE
+// (best-first over an R-tree on P), ExactMax (counter-based exact max)
+// and APXSum (3-approximate sum); each takes the answer count k and
+// returns the k best (k-FANN_R, §V). Engines: INE
 // (index-free), point-to-point oracles (A*, hub labels, G-tree), and IER
 // engines combining an R-tree over Q with any oracle.
 //
@@ -114,7 +115,8 @@ var (
 	ErrInvalid = core.ErrInvalid
 )
 
-// FANN_R algorithms (see package core for the paper mapping).
+// FANN_R algorithms (see package core for the paper mapping). Each
+// returns the k best answers in ascending order of distance.
 var (
 	// GD enumerates P, evaluating g_φ on every data point (§III-A).
 	GD = core.GD
@@ -134,12 +136,8 @@ var (
 	// computation.
 	Verify = core.Verify
 
-	// KGD, KRList, KIERKNN, KExactMax, KBrute answer k-FANN_R queries (§V).
-	KGD       = core.KGD
-	KRList    = core.KRList
-	KIERKNN   = core.KIERKNN
-	KExactMax = core.KExactMax
-	KBrute    = core.KBrute
+	// KBrute is the reference solver for the k best answers (§V).
+	KBrute = core.KBrute
 
 	// BuildPTree indexes P in an R-tree for IERKNN.
 	BuildPTree = core.BuildPTree

@@ -12,10 +12,17 @@ import (
 	"testing"
 
 	"fannr"
-	"fannr/internal/core"
 	"fannr/internal/graph"
 	"fannr/internal/sp"
 )
+
+// first is the one answer of a k = 1 query.
+func first(answers []fannr.Answer, err error) (fannr.Answer, error) {
+	if err != nil {
+		return fannr.Answer{}, err
+	}
+	return answers[0], nil
+}
 
 func buildNetwork(t testing.TB) *fannr.Graph {
 	t.Helper()
@@ -59,18 +66,18 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	methods := []method{
-		{"GD/INE", func() (fannr.Answer, error) { return fannr.GD(g, fannr.NewINE(g), q) }},
+		{"GD/INE", func() (fannr.Answer, error) { return first(fannr.GD(g, fannr.NewINE(g), q, 1)) }},
 		{"RList/PHL", func() (fannr.Answer, error) {
-			return fannr.RList(g, fannr.NewOracleGPhi("PHL", labels), q)
+			return first(fannr.RList(g, fannr.NewOracleGPhi("PHL", labels), q, 1))
 		}},
 		{"IERKNN/GTree", func() (fannr.Answer, error) {
-			return fannr.IERKNN(g, rtP, fannr.NewGTreeGPhi(tree), q)
+			return first(fannr.IERKNN(g, rtP, fannr.NewGTreeGPhi(tree), q, 1))
 		}},
 		{"IERKNN/IER-PHL", func() (fannr.Answer, error) {
-			return fannr.IERKNN(g, rtP, ierPHL, q)
+			return first(fannr.IERKNN(g, rtP, ierPHL, q, 1))
 		}},
 		{"ExactMax/A*", func() (fannr.Answer, error) {
-			return fannr.ExactMax(g, fannr.NewOracleGPhi("A*", sp.NewAStar(g)), q)
+			return first(fannr.ExactMax(g, fannr.NewOracleGPhi("A*", sp.NewAStar(g)), q, 1))
 		}},
 	}
 	for _, m := range methods {
@@ -88,11 +95,11 @@ func TestPublicAPIApproximations(t *testing.T) {
 	g := buildNetwork(t)
 	gen := fannr.NewWorkloadGenerator(g, 2)
 	q := fannr.Query{P: gen.UniformP(0.02), Q: gen.UniformQ(0.15, 32), Phi: 0.5, Agg: fannr.Sum}
-	exact, err := fannr.GD(g, fannr.NewINE(g), q)
+	exact, err := first(fannr.GD(g, fannr.NewINE(g), q, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	apx, err := fannr.APXSum(g, fannr.NewINE(g), q)
+	apx, err := first(fannr.APXSum(g, fannr.NewINE(g), q, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,12 +107,12 @@ func TestPublicAPIApproximations(t *testing.T) {
 	if exact.Dist > 0 && apx.Dist/exact.Dist > bound {
 		t.Fatalf("ratio %v exceeds bound %v", apx.Dist/exact.Dist, bound)
 	}
-	topk, err := core.KAPXSum(g, fannr.NewINE(g), q, 3)
+	topk, err := fannr.APXSum(g, fannr.NewINE(g), q, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(topk) == 0 || topk[0].Dist < exact.Dist-1e-9 {
-		t.Fatalf("KAPXSum top answer %v impossible (< exact %v)", topk[0].Dist, exact.Dist)
+		t.Fatalf("APX-sum top-3 answer %v impossible (< exact %v)", topk[0].Dist, exact.Dist)
 	}
 }
 
@@ -141,7 +148,7 @@ func TestConcurrentQueries(t *testing.T) {
 			} else {
 				gp = fannr.NewGTreeGPhi(tree)
 			}
-			ans, err := fannr.RList(g, gp, q)
+			ans, err := first(fannr.RList(g, gp, q, 1))
 			if err != nil {
 				t.Error(err)
 				return
@@ -173,11 +180,11 @@ func TestDIMACSRoundTripThroughAPI(t *testing.T) {
 	// Same query on both graphs gives the same answer.
 	gen := fannr.NewWorkloadGenerator(g, 3)
 	q := fannr.Query{P: gen.UniformP(0.01), Q: gen.UniformQ(0.2, 16), Phi: 0.5, Agg: fannr.Max}
-	a1, err := fannr.ExactMax(g, fannr.NewINE(g), q)
+	a1, err := first(fannr.ExactMax(g, fannr.NewINE(g), q, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	a2, err := fannr.ExactMax(g2, fannr.NewINE(g2), q)
+	a2, err := first(fannr.ExactMax(g2, fannr.NewINE(g2), q, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +202,7 @@ func TestErrNoResultSurfaced(t *testing.T) {
 		t.Fatal(err)
 	}
 	q := fannr.Query{P: []fannr.NodeID{0}, Q: []fannr.NodeID{2, 3}, Phi: 1, Agg: fannr.Max}
-	if _, err := fannr.GD(g, fannr.NewINE(g), q); !errors.Is(err, fannr.ErrNoResult) {
+	if _, err := fannr.GD(g, fannr.NewINE(g), q, 1); !errors.Is(err, fannr.ErrNoResult) {
 		t.Fatalf("err = %v, want ErrNoResult", err)
 	}
 }
@@ -223,7 +230,7 @@ func TestQueryPointOnEdge(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := fannr.ExactMax(split, fannr.NewINE(split), q)
+	got, err := first(fannr.ExactMax(split, fannr.NewINE(split), q, 1))
 	if err != nil {
 		t.Fatal(err)
 	}

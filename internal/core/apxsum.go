@@ -13,24 +13,17 @@ import (
 // runs over those ≤ |Q| candidates. Theorem 1 guarantees the result is a
 // 3-approximation; Theorem 2 tightens it to 2 when Q ⊆ P. In the paper's
 // experiments the observed ratio never exceeds 1.2.
-func APXSum(g *graph.Graph, gp GPhi, q Query) (Answer, error) {
-	return solveOne(g, gp, q, algoAPXSum, nil)
-}
-
-// KAPXSum extends APX-sum to k-FANN_R queries. The paper notes (§V) that
-// all algorithms except APX-sum adapt to top-k; this is the natural
-// extension beyond the paper: for kAns > 1 collect the nearest AND
-// second-nearest data point of every query point as candidates (so the
-// candidate pool cannot collapse below k when query points share nearest
-// neighbors), then rank the pool exactly.
 //
-// The answers are exact over the candidate pool. The rank-1 answer
-// retains APX-sum's 3-approximation guarantee (the Theorem 1 candidate is
-// in the pool); deeper ranks are heuristic — there is no proven bound,
-// which is why the paper stopped at k = 1. Results may contain fewer than
-// kAns entries when the pool is smaller.
-func KAPXSum(g *graph.Graph, gp GPhi, q Query, kAns int) ([]Answer, error) {
-	return solve(g, gp, q, algoAPXSum, kAns, false, nil, nil)
+// k > 1 goes beyond the paper, which notes (§V) that every algorithm but
+// APX-sum adapts to top-k: the candidates are then the nearest AND
+// second-nearest data point of every query point (so the pool cannot
+// collapse below k when query points share nearest neighbors), ranked
+// exactly. The rank-1 answer retains the 3-approximation guarantee (the
+// Theorem 1 candidate is in the pool); deeper ranks are heuristic — there
+// is no proven bound, which is why the paper stopped at k = 1. Results
+// may hold fewer than k answers when the pool is smaller.
+func APXSum(g *graph.Graph, gp GPhi, q Query, k int) ([]Answer, error) {
+	return solve(g, gp, q, algoAPXSum, k, nil)
 }
 
 // apxCandidates is APX-sum's reduction: the per network-nearest data

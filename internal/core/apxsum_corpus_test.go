@@ -78,17 +78,18 @@ func TestAPXSumCandidatesMatchExpander(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			bare, err := core.APXSum(env.G, phl, q)
+			answers, err := core.APXSum(env.G, phl, q, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
+			bare := answers[0]
 			qs := q
 			qs.Scratch = scratch
-			warm, err := core.APXSum(env.G, phl, qs)
+			answers, err = core.APXSum(env.G, phl, qs, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if warm.P != bare.P || warm.Dist != bare.Dist {
+			if warm := answers[0]; warm.P != bare.P || warm.Dist != bare.Dist {
 				t.Fatalf("%v: APX-sum (%d, %v) with a Scratch, (%d, %v) without", c, warm.P, warm.Dist, bare.P, bare.Dist)
 			}
 			if bound := core.APXSumRatioBound(q); bare.Dist > bound*opt.Dist*(1+1e-9) {

@@ -241,7 +241,7 @@ func (s *fingerprintSpy) ResetFingerprinted(Q []graph.NodeID, fp Fingerprint) {
 func TestSolvePassesValidatesFingerprint(t *testing.T) {
 	g := canonGraph(t)
 	spy := &fingerprintSpy{GPhi: NewINE(g)}
-	if _, err := GD(g, spy, Query{P: []graph.NodeID{1, 2, 3}, Q: []graph.NodeID{9, 8, 9}, Phi: 1}); err != nil {
+	if _, err := GD(g, spy, Query{P: []graph.NodeID{1, 2, 3}, Q: []graph.NodeID{9, 8, 9}, Phi: 1}, 1); err != nil {
 		t.Fatal(err)
 	}
 	if spy.plain != 0 || spy.fingerprinted != 1 || spy.fp != FingerprintNodes([]graph.NodeID{8, 9}) {

@@ -25,9 +25,9 @@
 //   - APXSum — the 3-approximation for sum (§IV-B, Algorithm 3; 2-approx
 //     when Q ⊆ P): a candidate reduction followed by the GD loop
 //
-// Each has a single-answer entry point and a K* entry point (§V); both
-// are thin wrappers over the one body, and Dispatch binds the five wire
-// names to it.
+// Each has one entry point that takes the answer count k — k = 1 is
+// FANN_R, k > 1 the k-FANN_R of §V — and Dispatch binds the five wire
+// names to the same body.
 //
 // A GPhi engine computes the flexible aggregate function g_φ(p, Q), which
 // for both aggregates is a fold over the k = ⌈φ|Q|⌉ network-nearest
@@ -87,9 +87,9 @@ type Query struct {
 	// into the metrics registry.
 	Stats *Stats
 	// Scratch, when non-nil, provides reusable working memory so
-	// steady-state queries allocate nothing (see Scratch). The Answer's
-	// Subset may then alias Scratch memory — copy it before running
-	// another query with the same Scratch if you retain answers.
+	// steady-state queries allocate nothing (see Scratch). The answer
+	// list and its subsets then live in Scratch memory — copy them before
+	// running another query with the same Scratch if you retain answers.
 	Scratch *Scratch
 	// Trace, when non-nil, receives one hierarchical span per algorithm
 	// invocation (nested for delegating algorithms like APX-sum → GD),

@@ -129,7 +129,7 @@ func TestAllAlgorithmsMatchBruteForce(t *testing.T) {
 		}
 		rtP := BuildPTree(env.g, q.P)
 		for _, gp := range env.engines {
-			got, err := GD(env.g, gp, q)
+			got, err := first(GD(env.g, gp, q, 1))
 			if err != nil {
 				t.Fatalf("GD/%s: %v", gp.Name(), err)
 			}
@@ -138,7 +138,7 @@ func TestAllAlgorithmsMatchBruteForce(t *testing.T) {
 			}
 			checkAnswer(t, env.g, q, got, "GD/"+gp.Name())
 
-			got, err = RList(env.g, gp, q)
+			got, err = first(RList(env.g, gp, q, 1))
 			if err != nil {
 				t.Fatalf("RList/%s: %v", gp.Name(), err)
 			}
@@ -147,7 +147,7 @@ func TestAllAlgorithmsMatchBruteForce(t *testing.T) {
 			}
 			checkAnswer(t, env.g, q, got, "RList/"+gp.Name())
 
-			got, err = IERKNN(env.g, rtP, gp, q)
+			got, err = first(IERKNN(env.g, rtP, gp, q, 1))
 			if err != nil {
 				t.Fatalf("IERKNN/%s: %v", gp.Name(), err)
 			}
@@ -157,7 +157,7 @@ func TestAllAlgorithmsMatchBruteForce(t *testing.T) {
 			checkAnswer(t, env.g, q, got, "IERKNN/"+gp.Name())
 
 			if agg == Max {
-				got, err = ExactMax(env.g, gp, q)
+				got, err = first(ExactMax(env.g, gp, q, 1))
 				if err != nil {
 					t.Fatalf("ExactMax/%s: %v", gp.Name(), err)
 				}
@@ -182,7 +182,7 @@ func TestAPXSumApproximationBound(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := APXSum(env.g, gp, q)
+		got, err := first(APXSum(env.g, gp, q, 1))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -218,7 +218,7 @@ func TestAPXSumTwoApproxWhenQSubsetOfP(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := APXSum(env.g, gp, q)
+		got, err := first(APXSum(env.g, gp, q, 1))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -232,13 +232,13 @@ func TestExactMaxRejectsSum(t *testing.T) {
 	env := newTestEnv(t, 300, 45)
 	rng := rand.New(rand.NewSource(11))
 	q := env.randomQuery(rng, 10, 5, 0.5, Sum)
-	if _, err := ExactMax(env.g, env.engines[0], q); err == nil {
+	if _, err := ExactMax(env.g, env.engines[0], q, 1); err == nil {
 		t.Fatal("ExactMax accepted sum aggregate")
 	}
-	if _, err := KExactMax(env.g, env.engines[0], q, 3); err == nil {
-		t.Fatal("KExactMax accepted sum aggregate")
+	if _, err := ExactMax(env.g, env.engines[0], q, 3); err == nil {
+		t.Fatal("ExactMax at k = 3 accepted sum aggregate")
 	}
-	if _, err := APXSum(env.g, env.engines[0], Query{P: q.P, Q: q.Q, Phi: 0.5, Agg: Max}); err == nil {
+	if _, err := APXSum(env.g, env.engines[0], Query{P: q.P, Q: q.Q, Phi: 0.5, Agg: Max}, 1); err == nil {
 		t.Fatal("APXSum accepted max aggregate")
 	}
 }
@@ -296,8 +296,8 @@ func TestCounterExampleTableII(t *testing.T) {
 	}
 	gp := NewINE(g)
 	for name, fn := range map[string]func() (Answer, error){
-		"GD":    func() (Answer, error) { return GD(g, gp, q) },
-		"RList": func() (Answer, error) { return RList(g, gp, q) },
+		"GD":    func() (Answer, error) { return first(GD(g, gp, q, 1)) },
+		"RList": func() (Answer, error) { return first(RList(g, gp, q, 1)) },
 	} {
 		got, err := fn()
 		if err != nil {
@@ -345,16 +345,16 @@ func TestKFANNMatchesBruteForce(t *testing.T) {
 				seen[a.P] = true
 			}
 		}
-		got, err := KGD(env.g, gp, q, kAns)
-		check("KGD", got, err)
-		got, err = KRList(env.g, gp, q, kAns)
-		check("KRList", got, err)
+		got, err := GD(env.g, gp, q, kAns)
+		check("GD", got, err)
+		got, err = RList(env.g, gp, q, kAns)
+		check("RList", got, err)
 		rtP := BuildPTree(env.g, q.P)
-		got, err = KIERKNN(env.g, rtP, gp, q, kAns)
-		check("KIERKNN", got, err)
+		got, err = IERKNN(env.g, rtP, gp, q, kAns)
+		check("IERKNN", got, err)
 		if agg == Max {
-			got, err = KExactMax(env.g, gp, q, kAns)
-			check("KExactMax", got, err)
+			got, err = ExactMax(env.g, gp, q, kAns)
+			check("ExactMax", got, err)
 		}
 	}
 }
@@ -364,19 +364,19 @@ func TestKFANNLargerThanP(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	q := env.randomQuery(rng, 5, 6, 0.5, Max)
 	gp := env.engines[0]
-	got, err := KGD(env.g, gp, q, 20)
+	got, err := GD(env.g, gp, q, 20)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(got) != 5 {
-		t.Fatalf("KGD returned %d answers, want all 5", len(got))
+		t.Fatalf("GD at k = 20 returned %d answers, want all 5", len(got))
 	}
-	got2, err := KExactMax(env.g, gp, q, 20)
+	got2, err := ExactMax(env.g, gp, q, 20)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(got2) != 5 {
-		t.Fatalf("KExactMax returned %d answers, want all 5", len(got2))
+		t.Fatalf("ExactMax at k = 20 returned %d answers, want all 5", len(got2))
 	}
 }
 
@@ -392,15 +392,31 @@ func TestValidation(t *testing.T) {
 		{P: []graph.NodeID{1}, Q: []graph.NodeID{99999}, Phi: 0.5, Agg: Max},
 	}
 	for i, q := range bad {
-		if _, err := GD(env.g, gp, q); err == nil {
+		if _, err := GD(env.g, gp, q, 1); err == nil {
 			t.Fatalf("bad query %d accepted by GD", i)
 		}
-		if _, err := KGD(env.g, gp, q, 2); err == nil {
-			t.Fatalf("bad query %d accepted by KGD", i)
+		if _, err := GD(env.g, gp, q, 2); err == nil {
+			t.Fatalf("bad query %d accepted by GD at k = 2", i)
 		}
 	}
-	if _, err := KGD(env.g, gp, Query{P: []graph.NodeID{1}, Q: []graph.NodeID{2}, Phi: 0.5, Agg: Max}, 0); err == nil {
-		t.Fatal("kAns=0 accepted")
+	// k < 1 is a client fault on every entry point and through Dispatch.
+	ok := Query{P: []graph.NodeID{1}, Q: []graph.NodeID{2}, Phi: 0.5, Agg: Max}
+	sum := ok
+	sum.Agg = Sum
+	rtP := BuildPTree(env.g, ok.P)
+	for name, run := range map[string]func(k int) ([]Answer, error){
+		"GD":       func(k int) ([]Answer, error) { return GD(env.g, gp, ok, k) },
+		"RList":    func(k int) ([]Answer, error) { return RList(env.g, gp, ok, k) },
+		"IERKNN":   func(k int) ([]Answer, error) { return IERKNN(env.g, rtP, gp, ok, k) },
+		"ExactMax": func(k int) ([]Answer, error) { return ExactMax(env.g, gp, ok, k) },
+		"APXSum":   func(k int) ([]Answer, error) { return APXSum(env.g, gp, sum, k) },
+		"Dispatch": func(k int) ([]Answer, error) { return Dispatch(env.g, "gd", gp, ok, k) },
+	} {
+		for _, k := range []int{0, -1} {
+			if _, err := run(k); !errors.Is(err, ErrInvalid) {
+				t.Fatalf("%s at k = %d: err = %v, want ErrInvalid", name, k, err)
+			}
+		}
 	}
 }
 
@@ -417,23 +433,23 @@ func TestDisconnectedNoResult(t *testing.T) {
 	g, _ := b.Build()
 	q := Query{P: []graph.NodeID{0, 1}, Q: []graph.NodeID{3, 4, 5}, Phi: 0.5, Agg: Max}
 	gp := NewINE(g)
-	if _, err := GD(g, gp, q); !errors.Is(err, ErrNoResult) {
+	if _, err := GD(g, gp, q, 1); !errors.Is(err, ErrNoResult) {
 		t.Fatalf("GD err = %v, want ErrNoResult", err)
 	}
-	if _, err := RList(g, gp, q); !errors.Is(err, ErrNoResult) {
+	if _, err := RList(g, gp, q, 1); !errors.Is(err, ErrNoResult) {
 		t.Fatalf("RList err = %v, want ErrNoResult", err)
 	}
-	if _, err := ExactMax(g, gp, q); !errors.Is(err, ErrNoResult) {
+	if _, err := ExactMax(g, gp, q, 1); !errors.Is(err, ErrNoResult) {
 		t.Fatalf("ExactMax err = %v, want ErrNoResult", err)
 	}
 	if _, err := Brute(g, q); !errors.Is(err, ErrNoResult) {
 		t.Fatalf("Brute err = %v, want ErrNoResult", err)
 	}
-	if _, err := APXSum(g, gp, Query{P: q.P, Q: q.Q, Phi: 0.5, Agg: Sum}); !errors.Is(err, ErrNoResult) {
+	if _, err := APXSum(g, gp, Query{P: q.P, Q: q.Q, Phi: 0.5, Agg: Sum}, 1); !errors.Is(err, ErrNoResult) {
 		t.Fatalf("APXSum err = %v, want ErrNoResult", err)
 	}
 	rtP := BuildPTree(g, q.P)
-	if _, err := IERKNN(g, rtP, gp, q); !errors.Is(err, ErrNoResult) {
+	if _, err := IERKNN(g, rtP, gp, q, 1); !errors.Is(err, ErrNoResult) {
 		t.Fatalf("IERKNN err = %v, want ErrNoResult", err)
 	}
 }
@@ -462,11 +478,11 @@ func TestPartialReachability(t *testing.T) {
 		t.Fatalf("Brute = (%d,%v), want (2,2)", want.P, want.Dist)
 	}
 	gp := NewINE(g)
-	got, err := GD(g, gp, q)
+	got, err := first(GD(g, gp, q, 1))
 	if err != nil || got.P != 2 {
 		t.Fatalf("GD = (%+v, %v)", got, err)
 	}
-	got, err = RList(g, gp, q)
+	got, err = first(RList(g, gp, q, 1))
 	if err != nil || math.Abs(got.Dist-2) > 1e-9 {
 		t.Fatalf("RList = (%+v, %v)", got, err)
 	}
@@ -482,7 +498,7 @@ func TestQueryPointsCoincideWithDataPoints(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, gp := range env.engines {
-		got, err := GD(env.g, gp, q)
+		got, err := first(GD(env.g, gp, q, 1))
 		if err != nil {
 			t.Fatalf("GD/%s: %v", gp.Name(), err)
 		}
@@ -522,7 +538,7 @@ func TestGDPropertyAcrossSeeds(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := GD(g, gp, q)
+			got, err := first(GD(g, gp, q, 1))
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -31,21 +31,21 @@ func TestInvocationCounts(t *testing.T) {
 			return st
 		}
 
-		gd := counted(q, func(q Query) (Answer, error) { return GD(env.g, gp, q) })
+		gd := counted(q, func(q Query) (Answer, error) { return first(GD(env.g, gp, q, 1)) })
 		if gd.GPhiEvals != int64(len(q.P)) {
 			t.Fatalf("GD evaluated %d points, want |P| = %d", gd.GPhiEvals, len(q.P))
 		}
 
 		// Exact-max runs g_φ exactly once (§IV-A): "we can run the time
 		// consuming g_φ only once".
-		em := counted(q, func(q Query) (Answer, error) { return ExactMax(env.g, gp, q) })
+		em := counted(q, func(q Query) (Answer, error) { return first(ExactMax(env.g, gp, q, 1)) })
 		if em.GPhiEvals != 1 {
 			t.Fatalf("Exact-max ran g_φ %d times, want exactly 1", em.GPhiEvals)
 		}
 
 		// R-List and IER-kNN terminate early: never more evaluations than
 		// GD's full enumeration.
-		rl := counted(q, func(q Query) (Answer, error) { return RList(env.g, gp, q) })
+		rl := counted(q, func(q Query) (Answer, error) { return first(RList(env.g, gp, q, 1)) })
 		if rl.GPhiEvals > int64(len(q.P)) {
 			t.Fatalf("R-List evaluated %d > |P| = %d points", rl.GPhiEvals, len(q.P))
 		}
@@ -53,7 +53,7 @@ func TestInvocationCounts(t *testing.T) {
 			t.Fatal("R-List reported no settles")
 		}
 
-		ier := counted(q, func(q Query) (Answer, error) { return IERKNN(env.g, rtP, gp, q) })
+		ier := counted(q, func(q Query) (Answer, error) { return first(IERKNN(env.g, rtP, gp, q, 1)) })
 		if ier.GPhiEvals > int64(len(q.P)) {
 			t.Fatalf("IER-kNN evaluated %d > |P| = %d points", ier.GPhiEvals, len(q.P))
 		}
@@ -61,7 +61,7 @@ func TestInvocationCounts(t *testing.T) {
 		// APX-sum examines at most |Q| candidates (Algorithm 3).
 		qs := q
 		qs.Agg = Sum
-		apx := counted(qs, func(q Query) (Answer, error) { return APXSum(env.g, gp, q) })
+		apx := counted(qs, func(q Query) (Answer, error) { return first(APXSum(env.g, gp, q, 1)) })
 		if apx.GPhiEvals > int64(len(q.Q)) {
 			t.Fatalf("APX-sum evaluated %d > |Q| = %d candidates", apx.GPhiEvals, len(q.Q))
 		}
@@ -80,7 +80,7 @@ func TestIERPrunesAgainstGD(t *testing.T) {
 	for trial := 0; trial < 8; trial++ {
 		q := env.randomQuery(rng, 120, 10, 0.5, Max)
 		q.Stats = &ier
-		if _, err := IERKNN(env.g, BuildPTree(env.g, q.P), gp, q); err != nil {
+		if _, err := IERKNN(env.g, BuildPTree(env.g, q.P), gp, q, 1); err != nil {
 			t.Fatal(err)
 		}
 		totalGD += int64(len(q.P))

@@ -18,13 +18,11 @@ var algoByName = map[string]algo{
 	"apxsum":   algoAPXSum,
 }
 
-// Dispatch routes a named algorithm to its implementation and returns
-// the k best answers: k <= 1 runs exactly what the single-answer entry
-// point runs (same span, subset in the query's Scratch), k > 1 what the
-// K* entry point runs. It is shared by the HTTP server and the shard
-// hosts so a query dispatched locally and one dispatched through the
-// coordinator run identical paths. What CheckAlgo rejects is a client
-// fault (ErrInvalid) here too.
+// Dispatch routes a named algorithm to its entry point and returns the k
+// best answers; k < 1 is ErrInvalid, as on every entry point. It is
+// shared by the HTTP server and the shard hosts so a query dispatched
+// locally and one dispatched through the coordinator run identical
+// paths. What CheckAlgo rejects is a client fault (ErrInvalid) here too.
 func Dispatch(g *graph.Graph, algo string, gp GPhi, q Query, k int) ([]Answer, error) {
 	a, err := checkAlgo(g, algo, q.Agg)
 	if err != nil {
@@ -40,7 +38,7 @@ func Dispatch(g *graph.Graph, algo string, gp GPhi, q Query, k int) ([]Answer, e
 		}
 		rtP = q.pTree(g)
 	}
-	return solve(g, gp, q, a, k, k <= 1, rtP, nil)
+	return solve(g, gp, q, a, k, rtP)
 }
 
 // CheckAlgo reports, wrapped in ErrInvalid, every fault of a request
@@ -68,7 +66,7 @@ func checkAlgo(g *graph.Graph, name string, agg Aggregate) (algo, error) {
 // checkAgg rejects an aggregate a does not answer.
 func (a algo) checkAgg(agg Aggregate) error {
 	if (a == algoExactMax && agg != Max) || (a == algoAPXSum && agg != Sum) {
-		return fmt.Errorf("%w: %s does not support the %v aggregate", ErrInvalid, algoSpans[a][0][len("algo:"):], agg)
+		return fmt.Errorf("%w: %s does not support the %v aggregate", ErrInvalid, algoSpans[a][len("algo:"):], agg)
 	}
 	return nil
 }

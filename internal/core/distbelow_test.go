@@ -203,9 +203,9 @@ func TestGDAbandonsAndAnswersTheSame(t *testing.T) {
 		for _, agg := range []Aggregate{Max, Sum} {
 			for _, kAns := range []int{1, 3} {
 				for name, run := range map[string]func(GPhi, Query) ([]Answer, error){
-					"gd":    func(gp GPhi, q Query) ([]Answer, error) { return KGD(g, gp, q, kAns) },
-					"ier":   func(gp GPhi, q Query) ([]Answer, error) { return KIERKNN(g, rtP, gp, q, kAns) },
-					"rlist": func(gp GPhi, q Query) ([]Answer, error) { return KRList(g, gp, q, kAns) },
+					"gd":    func(gp GPhi, q Query) ([]Answer, error) { return GD(g, gp, q, kAns) },
+					"ier":   func(gp GPhi, q Query) ([]Answer, error) { return IERKNN(g, rtP, gp, q, kAns) },
+					"rlist": func(gp GPhi, q Query) ([]Answer, error) { return RList(g, gp, q, kAns) },
 				} {
 					var with, without Stats
 					bounded, plain := newGP(), newGP()

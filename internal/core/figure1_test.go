@@ -81,14 +81,14 @@ func TestPaperFigure1(t *testing.T) {
 				c.name, got.P+1, got.Dist, c.wantP+1, c.wantDist)
 		}
 		// Every exact algorithm agrees with the paper's stated answer.
-		if ans, err := GD(g, gp, q); err != nil || math.Abs(ans.Dist-c.wantDist) > 1e-9 {
+		if ans, err := first(GD(g, gp, q, 1)); err != nil || math.Abs(ans.Dist-c.wantDist) > 1e-9 {
 			t.Fatalf("%s: GD = (%+v, %v)", c.name, ans, err)
 		}
-		if ans, err := RList(g, gp, q); err != nil || math.Abs(ans.Dist-c.wantDist) > 1e-9 {
+		if ans, err := first(RList(g, gp, q, 1)); err != nil || math.Abs(ans.Dist-c.wantDist) > 1e-9 {
 			t.Fatalf("%s: RList = (%+v, %v)", c.name, ans, err)
 		}
 		if c.agg == Max {
-			if ans, err := ExactMax(g, gp, q); err != nil || ans.P != c.wantP {
+			if ans, err := first(ExactMax(g, gp, q, 1)); err != nil || ans.P != c.wantP {
 				t.Fatalf("%s: ExactMax = (%+v, %v)", c.name, ans, err)
 			}
 		}
@@ -99,7 +99,7 @@ func TestPaperFigure1(t *testing.T) {
 	q := base
 	q.Phi = 0.5
 	q.Agg = Max
-	ans, err := ExactMax(g, gp, q)
+	ans, err := first(ExactMax(g, gp, q, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +115,7 @@ func TestPaperFigure1(t *testing.T) {
 	// returns the true optimum p3 because p3 is among the candidates
 	// (nearest neighbors of Q include p3 for q1 and q2).
 	q.Agg = Sum
-	apx, err := APXSum(g, gp, q)
+	apx, err := first(APXSum(g, gp, q, 1))
 	if err != nil {
 		t.Fatal(err)
 	}

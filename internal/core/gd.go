@@ -5,15 +5,11 @@ import "fannr/internal/graph"
 // GD answers an FANN_R query with the generalized Dijkstra-based algorithm
 // of §III-A: evaluate g_φ(p, Q) for every p ∈ P and keep the minimum. The
 // paper calls the INE instantiation "Baseline" and the family "GD"; any
-// engine plugs in.
-func GD(g *graph.Graph, gp GPhi, q Query) (Answer, error) {
-	return solveOne(g, gp, q, algoGD, nil)
-}
-
-// KGD answers a k-FANN_R query by enumerating P and keeping the kAns best
-// (§V: "update the queue when enumerating the P").
-func KGD(g *graph.Graph, gp GPhi, q Query, kAns int) ([]Answer, error) {
-	return solve(g, gp, q, algoGD, kAns, false, nil, nil)
+// engine plugs in. It returns the k best answers in ascending order of
+// distance — k > 1 is the k-FANN_R adaptation of §V, "update the queue
+// when enumerating the P".
+func GD(g *graph.Graph, gp GPhi, q Query, k int) ([]Answer, error) {
+	return solve(g, gp, q, algoGD, k, nil)
 }
 
 // scanAll is GD's search loop: every data point is a candidate. It still

@@ -1,8 +1,10 @@
 package core
 
 import (
+	"context"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"fannr/internal/graph"
@@ -250,7 +252,7 @@ func TestGDZeroAllocSteadyState(t *testing.T) {
 	qs := hotpathQueries(q)
 	run := func() {
 		for _, query := range qs {
-			if _, err := GD(g, gp, query); err != nil {
+			if _, err := GD(g, gp, query, 1); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -297,7 +299,7 @@ func TestRListWarmAlloc(t *testing.T) {
 	gp := NewINE(g)
 	for _, agg := range []Aggregate{Sum, Max} {
 		q.Agg = agg
-		allocs := warmAllocs(t, laneQueries(q), func(q Query) error { _, err := RList(g, gp, q); return err })
+		allocs := warmAllocs(t, laneQueries(q), func(q Query) error { _, err := RList(g, gp, q, 1); return err })
 		if allocs != 0 {
 			t.Fatalf("R-List (%v) steady state allocates %v objects per two queries, want 0", agg, allocs)
 		}
@@ -309,7 +311,7 @@ func TestRListWarmAlloc(t *testing.T) {
 func TestExactMaxWarmAlloc(t *testing.T) {
 	g, _, q := hotpathEnv(t)
 	gp := NewINE(g)
-	allocs := warmAllocs(t, laneQueries(q), func(q Query) error { _, err := ExactMax(g, gp, q); return err })
+	allocs := warmAllocs(t, laneQueries(q), func(q Query) error { _, err := ExactMax(g, gp, q, 1); return err })
 	if allocs != 0 {
 		t.Fatalf("Exact-max steady state allocates %v objects per two queries, want 0", allocs)
 	}
@@ -408,11 +410,11 @@ func TestIERKNNZeroAllocSteadyState(t *testing.T) {
 	g, ix, q := hotpathEnv(t)
 	gp := NewOracleGPhi("PHL", ix)
 	rtP := BuildPTree(g, q.P)
-	if _, err := IERKNN(g, rtP, gp, q); err != nil {
+	if _, err := IERKNN(g, rtP, gp, q, 1); err != nil {
 		t.Fatal(err)
 	}
 	allocs := testing.AllocsPerRun(20, func() {
-		if _, err := IERKNN(g, rtP, gp, q); err != nil {
+		if _, err := IERKNN(g, rtP, gp, q, 1); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -421,10 +423,10 @@ func TestIERKNNZeroAllocSteadyState(t *testing.T) {
 	}
 }
 
-// TestKIERKNNWarmAlloc gates the top-k path the benchmark serves (algo
-// ier, engine IER-PHL, k = 10): with the incumbent heap, the visited set
-// and the frontier warm in the Scratch, a query allocates only what it
-// returns — the answer list and one detached subset per answer.
+// TestKIERKNNWarmAlloc gates the top-k path the benchmark serves
+// (algo ier, engine IER-PHL, k = 10): with the incumbent heap, the
+// visited set, the frontier, the answer list and the subsets warm in the
+// Scratch, a query allocates nothing.
 func TestKIERKNNWarmAlloc(t *testing.T) {
 	g, ix, q := hotpathEnv(t)
 	gp, err := NewIERGPhi("IER-PHL", g, ix)
@@ -434,7 +436,7 @@ func TestKIERKNNWarmAlloc(t *testing.T) {
 	q.Agg = Sum
 	rtP := BuildPTree(g, q.P)
 	const kAns = 10
-	ans, err := KIERKNN(g, rtP, gp, q, kAns)
+	ans, err := IERKNN(g, rtP, gp, q, kAns)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -442,17 +444,17 @@ func TestKIERKNNWarmAlloc(t *testing.T) {
 		t.Fatalf("warm-up returned %d answers, want %d", len(ans), kAns)
 	}
 	allocs := testing.AllocsPerRun(20, func() {
-		if _, err := KIERKNN(g, rtP, gp, q, kAns); err != nil {
+		if _, err := IERKNN(g, rtP, gp, q, kAns); err != nil {
 			t.Fatal(err)
 		}
 	})
-	if allocs > kAns+1 {
-		t.Fatalf("top-k IER-kNN steady state allocates %v objects per query, want <= %d", allocs, kAns+1)
+	if allocs != 0 {
+		t.Fatalf("top-k IER-kNN steady state allocates %v objects per query, want 0", allocs)
 	}
 }
 
 // TestDispatchGDWarmAlloc gates the served k = 1 path: a warm Dispatch
-// allocates the one-element answer list it returns and nothing else.
+// allocates nothing — the answer list it returns lives in the Scratch.
 func TestDispatchGDWarmAlloc(t *testing.T) {
 	g, ix, q := hotpathEnv(t)
 	gp := NewOracleGPhi("PHL", ix)
@@ -466,15 +468,15 @@ func TestDispatchGDWarmAlloc(t *testing.T) {
 	}
 	run()
 	requireBound(t, gp)
-	if allocs := testing.AllocsPerRun(20, run) / 2; allocs > 1 {
-		t.Fatalf("warm Dispatch(gd, k=1) allocates %v objects per query, want <= 1", allocs)
+	if allocs := testing.AllocsPerRun(20, run) / 2; allocs != 0 {
+		t.Fatalf("warm Dispatch(gd, k=1) allocates %v objects per query, want 0", allocs)
 	}
 }
 
 // TestDispatchGDGTreeWarmAlloc is the same gate over the GTree engine,
 // with Q changing between requests as it does under traffic: re-indexing
 // the occurrence list, the querier's border vectors and its two heaps
-// all reuse their storage, so the answer list stays the only allocation.
+// all reuse their storage, as do the answer list and its subset.
 func TestDispatchGDGTreeWarmAlloc(t *testing.T) {
 	g, _, q := hotpathEnv(t)
 	tr, err := gtree.Build(g, gtree.Options{MaxLeafSize: 32})
@@ -492,8 +494,8 @@ func TestDispatchGDGTreeWarmAlloc(t *testing.T) {
 		}
 	}
 	run()
-	if allocs := testing.AllocsPerRun(20, run) / 2; allocs > 1 {
-		t.Fatalf("warm Dispatch(gd, GTree, k=1) allocates %v objects per query, want <= 1", allocs)
+	if allocs := testing.AllocsPerRun(20, run) / 2; allocs != 0 {
+		t.Fatalf("warm Dispatch(gd, GTree, k=1) allocates %v objects per query, want 0", allocs)
 	}
 }
 
@@ -527,28 +529,39 @@ func TestIEREngineWarmAlloc(t *testing.T) {
 	}
 }
 
-// TestScratchAnswersDetached pins the aliasing contract from the other
-// side: two consecutive queries on one Scratch may reuse the subset
-// buffer, so a caller that copies the first answer must see it intact.
+// TestScratchAnswersDetached pins the aliasing contract from the
+// pool's side: the answer list and its subsets live in the Scratch, so
+// the next query on that Scratch overwrites them, and EnginePool.Run
+// must hand back copies. Through a pool of capacity 1 the second call
+// reuses the first call's Scratch; the first call's answers must come
+// through it unchanged, at k = 1 and at k = 3.
 func TestScratchAnswersDetached(t *testing.T) {
 	g, ix, q := hotpathEnv(t)
-	gp := NewOracleGPhi("PHL", ix)
-	a1, err := GD(g, gp, q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	saved := append([]graph.NodeID(nil), a1.Subset...)
 	q2 := q
-	q2.Q = q.Q[:12] // different Q → different subset content
-	if _, err := GD(g, gp, q2); err != nil {
-		t.Fatal(err)
-	}
-	for i, v := range saved {
-		if i < len(a1.Subset) && a1.Subset[i] != v {
-			return // buffer was reused, exactly as documented — contract visible
+	q2.Q = q.P[len(q.P)-12:] // another Q: other answers, other subsets
+	for _, k := range []int{1, 3} {
+		pool := NewBoundedEnginePool("PHL", 1, PoolLimits{}, func() GPhi { return NewOracleGPhi("PHL", ix) })
+		first, err := pool.Run(context.Background(), g, "gd", q, k, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := make([]Answer, len(first))
+		for i, a := range first {
+			want[i] = Answer{P: a.P, Dist: a.Dist, Subset: slices.Clone(a.Subset)}
+		}
+		second, err := pool.Run(context.Background(), g, "gd", q2, k, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if second[0].P == want[0].P && slices.Equal(second[0].Subset, want[0].Subset) {
+			t.Fatalf("k = %d: the second query answers like the first; it cannot show an overwrite", k)
+		}
+		for i := range want {
+			if first[i].P != want[i].P || first[i].Dist != want[i].Dist || !slices.Equal(first[i].Subset, want[i].Subset) {
+				t.Fatalf("k = %d: answer %d became %+v after the next query on its Scratch, was %+v", k, i, first[i], want[i])
+			}
 		}
 	}
-	// Aliasing did not manifest this time; either way the copy is intact.
 }
 
 // BenchmarkAggOf measures the in-place aggregate fold (satellite: must

@@ -159,17 +159,11 @@ func (s *ierSearch) boundPoint(x, y float64) float64 {
 
 // IERKNN answers an FANN_R query with the IER-kNN framework (Algorithm 1):
 // a best-first scan of the R-tree over P ordered by the flexible Euclidean
-// aggregate, evaluating the network g_φ only on surviving data points. The
-// graph must carry coordinates.
-func IERKNN(g *graph.Graph, rtP *rtree.Tree, gp GPhi, q Query) (Answer, error) {
-	return solveOne(g, gp, q, algoIERKNN, rtP)
-}
-
-// KIERKNN answers a k-FANN_R query with the IER-kNN adaptation: the
-// best-first scan terminates when the head bound reaches the kAns-th
-// smallest incumbent distance.
-func KIERKNN(g *graph.Graph, rtP *rtree.Tree, gp GPhi, q Query, kAns int) ([]Answer, error) {
-	return solve(g, gp, q, algoIERKNN, kAns, false, rtP, nil)
+// aggregate, evaluating the network g_φ only on surviving data points.
+// For the k best answers the scan terminates when the head bound reaches
+// the k-th smallest incumbent distance. The graph must carry coordinates.
+func IERKNN(g *graph.Graph, rtP *rtree.Tree, gp GPhi, q Query, k int) ([]Answer, error) {
+	return solve(g, gp, q, algoIERKNN, k, rtP)
 }
 
 // ierknn is IER-kNN's search loop (Algorithm 1): pop R-tree entries in

@@ -49,7 +49,7 @@ func TestMonotoneInPhi(t *testing.T) {
 			for _, phi := range []float64{0.125, 0.25, 0.5, 0.75, 1.0} {
 				q.Phi = phi
 				q.Agg = agg
-				ans, err := GD(g, gp, q)
+				ans, err := first(GD(g, gp, q, 1))
 				if err != nil {
 					return false
 				}
@@ -74,12 +74,12 @@ func TestMonotoneInP(t *testing.T) {
 		P := pick(rng, g.NumNodes(), 16)
 		Q := pick(rng, g.NumNodes(), 8)
 		q := Query{P: P[:8], Q: Q, Phi: 0.5, Agg: Max}
-		small, err := GD(g, gp, q)
+		small, err := first(GD(g, gp, q, 1))
 		if err != nil {
 			return false
 		}
 		q.P = P
-		large, err := GD(g, gp, q)
+		large, err := first(GD(g, gp, q, 1))
 		if err != nil {
 			return false
 		}
@@ -96,11 +96,11 @@ func TestKFANNPrefixProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		g, gp, rng := quickEnv(t, seed)
 		q := Query{P: pick(rng, g.NumNodes(), 14), Q: pick(rng, g.NumNodes(), 7), Phi: 0.5, Agg: Max}
-		one, err := GD(g, gp, q)
+		one, err := first(GD(g, gp, q, 1))
 		if err != nil {
 			return false
 		}
-		many, err := KGD(g, gp, q, 5)
+		many, err := GD(g, gp, q, 5)
 		if err != nil {
 			return false
 		}
@@ -113,7 +113,7 @@ func TestKFANNPrefixProperty(t *testing.T) {
 			}
 		}
 		// Each larger k extends the same distance profile.
-		fewer, err := KGD(g, gp, q, 3)
+		fewer, err := GD(g, gp, q, 3)
 		if err != nil {
 			return false
 		}
@@ -159,7 +159,7 @@ func TestSubsetIsKNearest(t *testing.T) {
 	f := func(seed int64) bool {
 		g, gp, rng := quickEnv(t, seed)
 		q := Query{P: pick(rng, g.NumNodes(), 10), Q: pick(rng, g.NumNodes(), 9), Phi: 0.4, Agg: Sum}
-		ans, err := GD(g, gp, q)
+		ans, err := first(GD(g, gp, q, 1))
 		if err != nil {
 			return false
 		}

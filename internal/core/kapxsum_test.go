@@ -16,7 +16,7 @@ func TestKAPXSumRankOneKeepsBound(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := KAPXSum(env.g, gp, q, 3)
+		got, err := APXSum(env.g, gp, q, 3)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -32,7 +32,7 @@ func TestKAPXSumRankOneKeepsBound(t *testing.T) {
 				t.Fatal("answers not sorted")
 			}
 		}
-		checkAnswer(t, env.g, q, got[0], "KAPXSum[0]")
+		checkAnswer(t, env.g, q, got[0], "APXSum top-3 [0]")
 	}
 }
 
@@ -42,7 +42,7 @@ func TestKAPXSumPoolBeatsSingleNN(t *testing.T) {
 	env := newTestEnv(t, 400, 72)
 	rng := rand.New(rand.NewSource(73))
 	q := env.randomQuery(rng, 30, 8, 0.5, Sum)
-	got, err := KAPXSum(env.g, env.engines[0], q, 2)
+	got, err := APXSum(env.g, env.engines[0], q, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,12 +58,12 @@ func TestKAPXSumValidation(t *testing.T) {
 	env := newTestEnv(t, 200, 74)
 	rng := rand.New(rand.NewSource(75))
 	q := env.randomQuery(rng, 10, 5, 0.5, Max)
-	if _, err := KAPXSum(env.g, env.engines[0], q, 2); err == nil {
-		t.Fatal("KAPXSum accepted max aggregate")
+	if _, err := APXSum(env.g, env.engines[0], q, 2); err == nil {
+		t.Fatal("APXSum at k = 2 accepted max aggregate")
 	}
 	q.Agg = Sum
-	if _, err := KAPXSum(env.g, env.engines[0], q, 0); err == nil {
-		t.Fatal("KAPXSum accepted k=0")
+	if _, err := APXSum(env.g, env.engines[0], q, 0); err == nil {
+		t.Fatal("APXSum accepted k=0")
 	}
 }
 
@@ -79,7 +79,7 @@ func TestKAPXSumQualityVsExact(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := KAPXSum(env.g, gp, q, kAns)
+		got, err := APXSum(env.g, gp, q, kAns)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -63,9 +63,9 @@ func TestValidateDedupesQueryPoints(t *testing.T) {
 			name string
 			fn   func() (Answer, error)
 		}{
-			{"GD", func() (Answer, error) { return GD(env.g, gp, dirty) }},
-			{"RList", func() (Answer, error) { return RList(env.g, gp, dirty) }},
-			{"ExactMax", func() (Answer, error) { return ExactMax(env.g, gp, dirty) }},
+			{"GD", func() (Answer, error) { return first(GD(env.g, gp, dirty, 1)) }},
+			{"RList", func() (Answer, error) { return first(RList(env.g, gp, dirty, 1)) }},
+			{"ExactMax", func() (Answer, error) { return first(ExactMax(env.g, gp, dirty, 1)) }},
 		} {
 			ans, err := run.fn()
 			if err != nil {
@@ -129,15 +129,15 @@ func TestValidationErrorsWrapErrInvalid(t *testing.T) {
 			return q.Validate(g)
 		}()},
 		{"ExactMax sum", func() error {
-			_, err := ExactMax(g, gp, Query{P: []graph.NodeID{1}, Q: []graph.NodeID{2}, Phi: 1, Agg: Sum})
+			_, err := ExactMax(g, gp, Query{P: []graph.NodeID{1}, Q: []graph.NodeID{2}, Phi: 1, Agg: Sum}, 1)
 			return err
 		}()},
 		{"APXSum max", func() error {
-			_, err := APXSum(g, gp, Query{P: []graph.NodeID{1}, Q: []graph.NodeID{2}, Phi: 1, Agg: Max})
+			_, err := APXSum(g, gp, Query{P: []graph.NodeID{1}, Q: []graph.NodeID{2}, Phi: 1, Agg: Max}, 1)
 			return err
 		}()},
 		{"k < 1", func() error {
-			_, err := KGD(g, gp, Query{P: []graph.NodeID{1}, Q: []graph.NodeID{2}, Phi: 1}, 0)
+			_, err := GD(g, gp, Query{P: []graph.NodeID{1}, Q: []graph.NodeID{2}, Phi: 1}, 0)
 			return err
 		}()},
 	}
@@ -165,12 +165,12 @@ func TestBindContextCancelsAlgorithms(t *testing.T) {
 		name string
 		fn   func(q Query) error
 	}{
-		{"GD", func(q Query) error { q.Agg = Max; _, err := GD(env.g, gp, q); return err }},
-		{"RList", func(q Query) error { q.Agg = Max; _, err := RList(env.g, gp, q); return err }},
-		{"ExactMax", func(q Query) error { q.Agg = Max; _, err := ExactMax(env.g, gp, q); return err }},
-		{"APXSum", func(q Query) error { q.Agg = Sum; _, err := APXSum(env.g, gp, q); return err }},
-		{"KGD", func(q Query) error { q.Agg = Sum; _, err := KGD(env.g, gp, q, 2); return err }},
-		{"KExactMax", func(q Query) error { q.Agg = Max; _, err := KExactMax(env.g, gp, q, 2); return err }},
+		{"GD", func(q Query) error { q.Agg = Max; _, err := GD(env.g, gp, q, 1); return err }},
+		{"RList", func(q Query) error { q.Agg = Max; _, err := RList(env.g, gp, q, 1); return err }},
+		{"ExactMax", func(q Query) error { q.Agg = Max; _, err := ExactMax(env.g, gp, q, 1); return err }},
+		{"APXSum", func(q Query) error { q.Agg = Sum; _, err := APXSum(env.g, gp, q, 1); return err }},
+		{"GD k=2", func(q Query) error { q.Agg = Sum; _, err := GD(env.g, gp, q, 2); return err }},
+		{"ExactMax k=2", func(q Query) error { q.Agg = Max; _, err := ExactMax(env.g, gp, q, 2); return err }},
 		{"Brute", func(q Query) error { q.Agg = Max; _, err := Brute(env.g, q); return err }},
 	}
 	for _, run := range runs {

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync/atomic"
 
 	"fannr/internal/graph"
@@ -210,7 +211,8 @@ var ErrEnginePanic = errors.New("engine panic")
 
 // Run is the one engine-run step of every serving tier: check an engine
 // out under admission, hand the query a pooled Scratch, dispatch, detach
-// the answers' subsets from the Scratch, and give engine and Scratch back.
+// the answer list and its subsets from the Scratch, and give engine and
+// Scratch back.
 // The answers are the caller's to keep.
 //
 // engage, when non-nil, runs once the engine is checked out and returns
@@ -244,10 +246,9 @@ func (p *EnginePool) Run(ctx context.Context, g *graph.Graph, algo string, q Que
 		eng = engage(gp)
 	}
 	answers, err = Dispatch(g, algo, eng, q, k)
+	answers = slices.Clone(answers)
 	for i, a := range answers {
-		if len(a.Subset) > 0 {
-			answers[i].Subset = append([]graph.NodeID(nil), a.Subset...)
-		}
+		answers[i].Subset = slices.Clone(a.Subset)
 	}
 	BindStats(gp, nil)
 	BindCancel(gp, nil)

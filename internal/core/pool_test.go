@@ -164,9 +164,9 @@ func TestEnginePoolConcurrentHammer(t *testing.T) {
 				var got Answer
 				var err error
 				if it%2 == 0 {
-					got, err = GD(g, gp, ref.q)
+					got, err = first(GD(g, gp, ref.q, 1))
 				} else {
-					got, err = RList(g, gp, ref.q)
+					got, err = first(RList(g, gp, ref.q, 1))
 				}
 				pool.Put(gp)
 				if err != nil {

@@ -100,15 +100,10 @@ func (pool *expanderPool) threshold(k int, agg Aggregate, scratch []float64) flo
 // RList answers an FANN_R query with the threshold algorithm of §III-B:
 // data points surface from-near-to-far per query point; each new point is
 // evaluated with g_φ; the search stops as soon as the incumbent beats the
-// bound τ derived from the queue heads.
-func RList(g *graph.Graph, gp GPhi, q Query) (Answer, error) {
-	return solveOne(g, gp, q, algoRList, nil)
-}
-
-// KRList answers a k-FANN_R query with the R-List adaptation: terminate
-// when the threshold τ reaches the kAns-th smallest incumbent distance.
-func KRList(g *graph.Graph, gp GPhi, q Query, kAns int) ([]Answer, error) {
-	return solve(g, gp, q, algoRList, kAns, false, nil, nil)
+// bound τ derived from the queue heads. For the k best answers the
+// search stops when τ reaches the k-th smallest incumbent distance.
+func RList(g *graph.Graph, gp GPhi, q Query, k int) ([]Answer, error) {
+	return solve(g, gp, q, algoRList, k, nil)
 }
 
 // rlist is R-List's search loop: evaluate each data point the first time

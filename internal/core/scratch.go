@@ -7,11 +7,11 @@ import (
 )
 
 // Scratch is reusable per-query working memory for the algorithm layer:
-// the dedup sort buffer behind Query.Validate, the answer subset buffer,
-// the distance scratch behind R-List's threshold, the visited/counter
-// sets and the expansion lanes of R-List and Exact-max, the best-first
-// machinery of IER-kNN, the incumbent heap of the top-k queries, and the
-// Dijkstra behind APX-sum's candidate step.
+// the dedup sort buffer behind Query.Validate, the answer list and the
+// buffer its subsets share, the distance scratch behind R-List's
+// threshold, the visited/counter sets and the expansion lanes of R-List
+// and Exact-max, the best-first machinery of IER-kNN, the incumbent heap
+// of the top-k queries, and the Dijkstra behind APX-sum's candidate step.
 // With a warm Scratch attached (Query.Scratch), steady-state queries on
 // batching engines allocate zero heap objects — verified by the
 // testing.AllocsPerRun gates in hotpath_test.go.
@@ -21,43 +21,43 @@ import (
 // PutScratch), which ties its lifetime to the engine's: the pair is
 // reused together and never shared across in-flight requests.
 //
-// Aliasing contract: when Query.Scratch is set, Answer.Subset may alias
-// Scratch memory and is invalidated by the next query run with the same
-// Scratch. Callers that retain answers past that point (caches, batch
-// executors) must copy the subset first; callers that run one query per
-// checkout need not.
+// Aliasing contract: when Query.Scratch is set, the answer list and
+// every Answer.Subset live in Scratch memory, for every k, and are
+// overwritten by the next query run with the same Scratch. Callers that
+// retain answers past that point must copy the list and its subsets
+// first, as EnginePool.Run does; callers that run one query per checkout
+// need not.
 type Scratch struct {
-	ids    []graph.NodeID                // Validate: sorted-id dedup probe
-	subset []graph.NodeID                // answer subset buffer
-	dists  []float64                     // threshold / spare distance buffer
-	seen   *graph.NodeSet                // R-List visited set
-	counts *graph.NodeSet                // Exact-max per-point counters
-	lanes  expanderPool                  // R-List / Exact-max: one resumable Dijkstra per q
-	search *ierSearch                    // IER-kNN best-first traversal state
-	top    *pqueue.MaxHeap[graph.NodeID] // k-FANN_R incumbent queue (k > 1)
-	dij    *sp.Dijkstra                  // APX-sum candidate expansions
+	ids     []graph.NodeID                // Validate: sorted-id dedup probe
+	answers []Answer                      // answer list
+	subset  []graph.NodeID                // the answers' subsets, back to back
+	dists   []float64                     // threshold / spare distance buffer
+	seen    *graph.NodeSet                // R-List visited set
+	counts  *graph.NodeSet                // Exact-max per-point counters
+	lanes   expanderPool                  // R-List / Exact-max: one resumable Dijkstra per q
+	search  *ierSearch                    // IER-kNN best-first traversal state
+	top     *pqueue.MaxHeap[graph.NodeID] // k-FANN_R incumbent queue (k > 1)
+	dij     *sp.Dijkstra                  // APX-sum candidate expansions
 }
 
 // NewScratch returns an empty Scratch; buffers grow on first use and are
 // retained across queries.
 func NewScratch() *Scratch { return &Scratch{} }
 
-// subsetBuf returns the reusable subset buffer to append an answer into
-// (nil without a Scratch — callers pass it straight to GPhi.Subset).
-func (q *Query) subsetBuf() []graph.NodeID {
-	if q.Scratch == nil {
-		return nil
+// answerBufs returns a list of n answers and an empty buffer of capacity
+// members for their subsets: the Scratch's, grown as needed, or fresh.
+func (q *Query) answerBufs(n, members int) ([]Answer, []graph.NodeID) {
+	s := q.Scratch
+	if s == nil {
+		return make([]Answer, n), make([]graph.NodeID, 0, members)
 	}
-	return q.Scratch.subset[:0]
-}
-
-// keepSubset stores the final subset slice back into the Scratch so its
-// capacity is reused by the next query, and returns it unchanged.
-func (q *Query) keepSubset(s []graph.NodeID) []graph.NodeID {
-	if q.Scratch != nil {
-		q.Scratch.subset = s
+	if cap(s.answers) < n {
+		s.answers = make([]Answer, n)
 	}
-	return s
+	if cap(s.subset) < members {
+		s.subset = make([]graph.NodeID, 0, members)
+	}
+	return s.answers[:n], s.subset[:0]
 }
 
 // distBuf returns an empty float64 buffer with capacity at least n.

@@ -17,8 +17,9 @@ import (
 // entry. The code says the same thing once: solve validates, opens the
 // span, runs the algorithm's search loop over a topK and materialises the
 // answers; a search loop (gd.go, rlist.go, ierknn.go, exactmax.go) only
-// offers candidates and reads kth. The ten exported entry points are
-// wrappers that pick a loop and an answer count.
+// offers candidates and reads kth. Each algorithm has one exported entry
+// point, which names its loop and passes k through: k = 1 is the paper's
+// FANN_R, k > 1 its k-FANN_R.
 
 // algo names a search loop.
 type algo uint8
@@ -31,14 +32,13 @@ const (
 	algoAPXSum
 )
 
-// algoSpans holds the span each algorithm opens: [0] from its
-// single-answer entry point, [1] from its K* entry point.
-var algoSpans = [...][2]string{
-	algoGD:       {"algo:gd", "algo:kgd"},
-	algoRList:    {"algo:rlist", "algo:krlist"},
-	algoIERKNN:   {"algo:ierknn", "algo:kierknn"},
-	algoExactMax: {"algo:exactmax", "algo:kexactmax"},
-	algoAPXSum:   {"algo:apxsum", "algo:kapxsum"},
+// algoSpans holds the span each algorithm opens, whatever its k.
+var algoSpans = [...]string{
+	algoGD:       "algo:gd",
+	algoRList:    "algo:rlist",
+	algoIERKNN:   "algo:ierknn",
+	algoExactMax: "algo:exactmax",
+	algoAPXSum:   "algo:apxsum",
 }
 
 // topK is the bounded incumbent queue: the k best (point, distance) pairs
@@ -152,15 +152,10 @@ func (s *solver) eval(p graph.NodeID) {
 }
 
 // solve runs algorithm a and returns the kAns best answers in ascending
-// order of distance, in dst's storage when it has room. one selects the single-answer form: kAns
-// is 1, the span carries the unprefixed name, and the subset is built in
-// the query's Scratch (see the aliasing contract on Scratch); the K* form
-// checks kAns, stamps top_k on its span and returns detached subsets.
-func solve(g *graph.Graph, gp GPhi, q Query, a algo, kAns int, one bool, rtP *rtree.Tree, dst []Answer) ([]Answer, error) {
-	span := algoSpans[a][1]
-	if one {
-		span, kAns = algoSpans[a][0], 1
-	} else if kAns < 1 {
+// order of distance. When the query carries a Scratch, the list and every
+// subset live in it (see the aliasing contract on Scratch).
+func solve(g *graph.Graph, gp GPhi, q Query, a algo, kAns int, rtP *rtree.Tree) ([]Answer, error) {
+	if kAns < 1 {
 		return nil, fmt.Errorf("%w: k-FANN_R needs k >= 1, got %d", ErrInvalid, kAns)
 	}
 	// Validate canonicalizes q.P/q.Q (dedup) in this function's copy of
@@ -173,9 +168,9 @@ func solve(g *graph.Graph, gp GPhi, q Query, a algo, kAns int, one bool, rtP *rt
 	if err := a.checkAgg(q.Agg); err != nil {
 		return nil, err
 	}
-	ts := q.startSpan(span)
+	ts := q.startSpan(algoSpans[a])
 	defer ts.end()
-	if !one {
+	if kAns > 1 {
 		ts.attr("top_k", kAns)
 	}
 	if a == algoAPXSum {
@@ -190,7 +185,7 @@ func solve(g *graph.Graph, gp GPhi, q Query, a algo, kAns int, one bool, rtP *rt
 		// The candidates are this request's own list, not one anybody
 		// sends: they stay out of the set registry.
 		q.P, q.Sets = candidates, nil
-		return solve(g, gp, q, algoGD, kAns, one, nil, dst)
+		return solve(g, gp, q, algoGD, kAns, nil)
 	}
 	s := solver{g: g, gp: gp, q: q, k: q.K(), top: q.newTopK(kAns)}
 	s.below, _ = gp.(DistBelower)
@@ -213,32 +208,16 @@ func solve(g *graph.Graph, gp GPhi, q Query, a algo, kAns int, one bool, rtP *rt
 	if n == 0 {
 		return nil, ErrNoResult
 	}
-	out := dst[:min(n, cap(dst))]
-	if len(out) < n {
-		out = make([]Answer, n)
-	}
+	out, subsets := q.answerBufs(n, n*s.k)
 	for i := n - 1; i >= 0; i-- {
 		nb := s.top.pop()
 		out[i] = Answer{P: nb.Node, Dist: nb.Dist}
 	}
 	for i := range out {
 		q.Stats.CountSubset()
-		if one {
-			out[i].Subset = q.keepSubset(gp.Subset(out[i].P, s.k, q.subsetBuf()))
-		} else {
-			out[i].Subset = gp.Subset(out[i].P, s.k, make([]graph.NodeID, 0, s.k))
-		}
+		start := len(subsets)
+		subsets = gp.Subset(out[i].P, s.k, subsets)
+		out[i].Subset = subsets[start:len(subsets):len(subsets)]
 	}
 	return out, nil
-}
-
-// solveOne is solve in its single-answer form. The answer list lives in
-// this frame, so the path every k = 1 query takes allocates nothing.
-func solveOne(g *graph.Graph, gp GPhi, q Query, a algo, rtP *rtree.Tree) (Answer, error) {
-	var one [1]Answer
-	out, err := solve(g, gp, q, a, 1, true, rtP, one[:0])
-	if err != nil {
-		return Answer{}, err
-	}
-	return out[0], nil
 }

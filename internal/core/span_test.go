@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 
 	"fannr/internal/graph"
@@ -58,7 +59,8 @@ func runTraced(t *testing.T, g *graph.Graph, q Query, run func(Query) error) (*o
 }
 
 // TestExplainSpanPerAlgorithm pins the span name and structure each
-// algorithm emits — the golden explain-report contract.
+// algorithm emits — the golden explain-report contract: one name per
+// algorithm whatever its k, stamped top_k (nested spans too) when k > 1.
 func TestExplainSpanPerAlgorithm(t *testing.T) {
 	g := statsGraph(t, 21)
 	cases := []struct {
@@ -66,65 +68,66 @@ func TestExplainSpanPerAlgorithm(t *testing.T) {
 		span     string
 		agg      Aggregate
 		children []string // nested span names, outermost child first
-		run      func(Query, GPhi) error
+		run      func(Query, GPhi, int) error
 	}{
 		{name: "GD", span: "algo:gd", agg: Max,
-			run: func(q Query, gp GPhi) error { _, err := GD(g, gp, q); return err }},
+			run: func(q Query, gp GPhi, k int) error { _, err := GD(g, gp, q, k); return err }},
 		{name: "RList", span: "algo:rlist", agg: Max,
-			run: func(q Query, gp GPhi) error { _, err := RList(g, gp, q); return err }},
+			run: func(q Query, gp GPhi, k int) error { _, err := RList(g, gp, q, k); return err }},
 		{name: "IERKNN", span: "algo:ierknn", agg: Max,
-			run: func(q Query, gp GPhi) error {
-				_, err := IERKNN(g, BuildPTree(g, q.P), gp, q)
+			run: func(q Query, gp GPhi, k int) error {
+				_, err := IERKNN(g, BuildPTree(g, q.P), gp, q, k)
 				return err
 			}},
 		{name: "ExactMax", span: "algo:exactmax", agg: Max,
-			run: func(q Query, gp GPhi) error { _, err := ExactMax(g, gp, q); return err }},
+			run: func(q Query, gp GPhi, k int) error { _, err := ExactMax(g, gp, q, k); return err }},
 		{name: "APXSum", span: "algo:apxsum", agg: Sum, children: []string{"algo:gd"},
-			run: func(q Query, gp GPhi) error { _, err := APXSum(g, gp, q); return err }},
-		{name: "KGD", span: "algo:kgd", agg: Max,
-			run: func(q Query, gp GPhi) error { _, err := KGD(g, gp, q, 3); return err }},
-		{name: "KRList", span: "algo:krlist", agg: Max,
-			run: func(q Query, gp GPhi) error { _, err := KRList(g, gp, q, 3); return err }},
-		{name: "KIERKNN", span: "algo:kierknn", agg: Max,
-			run: func(q Query, gp GPhi) error {
-				_, err := KIERKNN(g, BuildPTree(g, q.P), gp, q, 3)
-				return err
-			}},
-		{name: "KExactMax", span: "algo:kexactmax", agg: Max,
-			run: func(q Query, gp GPhi) error { _, err := KExactMax(g, gp, q, 3); return err }},
-		{name: "KAPXSum", span: "algo:kapxsum", agg: Sum, children: []string{"algo:kgd"},
-			run: func(q Query, gp GPhi) error { _, err := KAPXSum(g, gp, q, 3); return err }},
+			run: func(q Query, gp GPhi, k int) error { _, err := APXSum(g, gp, q, k); return err }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			gp := NewINE(g)
-			q := statsQuery(g, 7, 30, 10, tc.agg)
-			rep, st := runTraced(t, g, q, func(q Query) error {
-				BindStats(gp, q.Stats)
-				defer BindStats(gp, nil)
-				return tc.run(q, gp)
-			})
-			if len(rep.Spans) != 1 {
-				t.Fatalf("want 1 top-level span, got %d: %+v", len(rep.Spans), rep.Spans)
-			}
-			sp := rep.Spans[0]
-			if sp.Name != tc.span {
-				t.Fatalf("span name %q, want %q", sp.Name, tc.span)
-			}
-			if sp.Attrs["agg"] != tc.agg.String() {
-				t.Errorf("agg attr = %v", sp.Attrs["agg"])
-			}
-			for _, child := range tc.children {
-				if len(sp.Children) != 1 {
-					t.Fatalf("%s: want nested span %q, children %+v", tc.span, child, sp.Children)
-				}
-				sp = sp.Children[0]
-				if sp.Name != child {
-					t.Fatalf("nested span %q, want %q", sp.Name, child)
-				}
-			}
-			if st.GPhiEvals == 0 {
-				t.Error("run produced no evals — test proves nothing")
+			for _, k := range []int{1, 3} {
+				t.Run(fmt.Sprintf("k=%d", k), func(t *testing.T) {
+					gp := NewINE(g)
+					q := statsQuery(g, 7, 30, 10, tc.agg)
+					rep, st := runTraced(t, g, q, func(q Query) error {
+						BindStats(gp, q.Stats)
+						defer BindStats(gp, nil)
+						return tc.run(q, gp, k)
+					})
+					if len(rep.Spans) != 1 {
+						t.Fatalf("want 1 top-level span, got %d: %+v", len(rep.Spans), rep.Spans)
+					}
+					var topK any // absent at k = 1
+					if k > 1 {
+						topK = k
+					}
+					sp := rep.Spans[0]
+					if sp.Name != tc.span {
+						t.Fatalf("span name %q, want %q", sp.Name, tc.span)
+					}
+					if sp.Attrs["agg"] != tc.agg.String() {
+						t.Errorf("agg attr = %v", sp.Attrs["agg"])
+					}
+					for _, child := range tc.children {
+						if len(sp.Children) != 1 {
+							t.Fatalf("%s: want nested span %q, children %+v", tc.span, child, sp.Children)
+						}
+						if sp.Attrs["top_k"] != topK {
+							t.Errorf("%s: top_k attr = %v, want %v", sp.Name, sp.Attrs["top_k"], topK)
+						}
+						sp = sp.Children[0]
+						if sp.Name != child {
+							t.Fatalf("nested span %q, want %q", sp.Name, child)
+						}
+					}
+					if sp.Attrs["top_k"] != topK {
+						t.Errorf("%s: top_k attr = %v, want %v", sp.Name, sp.Attrs["top_k"], topK)
+					}
+					if st.GPhiEvals == 0 {
+						t.Error("run produced no evals — test proves nothing")
+					}
+				})
 			}
 		})
 	}
@@ -140,7 +143,7 @@ func TestExplainDelegationDisjoint(t *testing.T) {
 	rep, st := runTraced(t, g, q, func(q Query) error {
 		BindStats(gp, q.Stats)
 		defer BindStats(gp, nil)
-		_, err := APXSum(g, gp, q)
+		_, err := APXSum(g, gp, q, 1)
 		return err
 	})
 	apx := rep.Spans[0]
@@ -174,7 +177,7 @@ func TestExplainAbandonedOnTheEvaluatingSpan(t *testing.T) {
 	rep, st := runTraced(t, g, q, func(q Query) error {
 		BindStats(gp, q.Stats)
 		defer BindStats(gp, nil)
-		_, err := APXSum(g, gp, q)
+		_, err := APXSum(g, gp, q, 1)
 		return err
 	})
 	apx := rep.Spans[0]
@@ -191,8 +194,8 @@ func TestExplainAbandonedOnTheEvaluatingSpan(t *testing.T) {
 }
 
 // TestKAPXSumStatsAttribution locks in the fix for the dropped-Stats bug:
-// the delegated KGD ranking phase must attribute its evals and the
-// reduction expanders their settles.
+// at k > 1 the delegated GD ranking phase must attribute its evals and
+// the reduction expanders their settles.
 func TestKAPXSumStatsAttribution(t *testing.T) {
 	g := statsGraph(t, 23)
 	gp := NewINE(g)
@@ -201,14 +204,14 @@ func TestKAPXSumStatsAttribution(t *testing.T) {
 	q.Stats = st
 	BindStats(gp, st)
 	defer BindStats(gp, nil)
-	if _, err := KAPXSum(g, gp, q, 3); err != nil {
+	if _, err := APXSum(g, gp, q, 3); err != nil {
 		t.Fatal(err)
 	}
 	if st.GPhiEvals == 0 {
-		t.Error("KAPXSum ranking evals unattributed")
+		t.Error("top-k APX-sum ranking evals unattributed")
 	}
 	if st.Settled == 0 {
-		t.Error("KAPXSum reduction settles unattributed")
+		t.Error("top-k APX-sum reduction settles unattributed")
 	}
 }
 
@@ -224,11 +227,11 @@ func TestTraceDisabledZeroAlloc(t *testing.T) {
 	gp := NewOracleGPhi("PHL", ix)
 	BindStats(gp, q.Stats)
 	defer BindStats(gp, nil)
-	if _, err := GD(g, gp, q); err != nil {
+	if _, err := GD(g, gp, q, 1); err != nil {
 		t.Fatal(err)
 	}
 	allocs := testing.AllocsPerRun(20, func() {
-		if _, err := GD(g, gp, q); err != nil {
+		if _, err := GD(g, gp, q, 1); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -254,7 +257,7 @@ func benchGDTrace(b *testing.B, traced bool) {
 		if traced {
 			q.Trace = obs.NewTrace("bench")
 		}
-		if _, err := GD(g, gp, q); err != nil {
+		if _, err := GD(g, gp, q, 1); err != nil {
 			b.Fatal(err)
 		}
 	}

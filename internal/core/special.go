@@ -9,10 +9,18 @@ import "fannr/internal/graph"
 // meeting point, so P = V suffices. These wrappers make the special cases
 // first-class.
 
+// first is the one answer of a k = 1 query.
+func first(answers []Answer, err error) (Answer, error) {
+	if err != nil {
+		return Answer{}, err
+	}
+	return answers[0], nil
+}
+
 // ANN answers a classic aggregate nearest neighbor query: the member of P
 // minimizing the aggregate distance to all of Q.
 func ANN(g *graph.Graph, gp GPhi, P, Q []graph.NodeID, agg Aggregate) (Answer, error) {
-	return GD(g, gp, Query{P: P, Q: Q, Phi: 1, Agg: agg})
+	return first(GD(g, gp, Query{P: P, Q: Q, Phi: 1, Agg: agg}, 1))
 }
 
 // OMP answers an optimal meeting point query: the network node minimizing
@@ -34,7 +42,7 @@ func FlexibleOMP(g *graph.Graph, gp GPhi, Q []graph.NodeID, phi float64, agg Agg
 	}
 	q := Query{P: all, Q: Q, Phi: phi, Agg: agg}
 	if agg == Max {
-		return ExactMax(g, gp, q)
+		return first(ExactMax(g, gp, q, 1))
 	}
-	return GD(g, gp, q)
+	return first(GD(g, gp, q, 1))
 }

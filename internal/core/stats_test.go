@@ -44,7 +44,7 @@ func TestStatsGDCounts(t *testing.T) {
 	q.Stats = st
 	BindStats(gp, st)
 	defer BindStats(gp, nil)
-	if _, err := GD(g, gp, q); err != nil {
+	if _, err := GD(g, gp, q, 1); err != nil {
 		t.Fatal(err)
 	}
 	if st.GPhiEvals != int64(len(q.P)) {
@@ -68,7 +68,7 @@ func TestStatsRListCounts(t *testing.T) {
 	q.Stats = st
 	BindStats(gp, st)
 	defer BindStats(gp, nil)
-	if _, err := RList(g, gp, q); err != nil {
+	if _, err := RList(g, gp, q, 1); err != nil {
 		t.Fatal(err)
 	}
 	if st.GPhiEvals == 0 || st.GPhiEvals > int64(len(q.P)) {
@@ -99,7 +99,7 @@ func TestStatsIERKNNCounts(t *testing.T) {
 	BindStats(gp, st)
 	defer BindStats(gp, nil)
 	rtP := BuildPTree(g, q.P)
-	if _, err := IERKNN(g, rtP, gp, q); err != nil {
+	if _, err := IERKNN(g, rtP, gp, q, 1); err != nil {
 		t.Fatal(err)
 	}
 	if st.GPhiEvals == 0 || st.GPhiEvals > int64(len(q.P)) {
@@ -125,7 +125,7 @@ func TestStatsExactMaxSingleEval(t *testing.T) {
 	q.Stats = st
 	BindStats(gp, st)
 	defer BindStats(gp, nil)
-	if _, err := ExactMax(g, gp, q); err != nil {
+	if _, err := ExactMax(g, gp, q, 1); err != nil {
 		t.Fatal(err)
 	}
 	if st.GPhiEvals != 1 {
@@ -146,7 +146,7 @@ func TestStatsAPXSumCounts(t *testing.T) {
 	q.Stats = st
 	BindStats(gp, st)
 	defer BindStats(gp, nil)
-	if _, err := APXSum(g, gp, q); err != nil {
+	if _, err := APXSum(g, gp, q, 1); err != nil {
 		t.Fatal(err)
 	}
 	if st.GPhiEvals == 0 || st.GPhiEvals > int64(len(q.Q)) {
@@ -167,15 +167,15 @@ func TestStatsKFANNSubsets(t *testing.T) {
 	q.Stats = st
 	BindStats(gp, st)
 	defer BindStats(gp, nil)
-	ans, err := KGD(g, gp, q, kAns)
+	ans, err := GD(g, gp, q, kAns)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if st.GPhiSubsets != int64(len(ans)) {
-		t.Fatalf("KGD subsets = %d, want one per answer (%d)", st.GPhiSubsets, len(ans))
+		t.Fatalf("GD top-k subsets = %d, want one per answer (%d)", st.GPhiSubsets, len(ans))
 	}
 	if st.GPhiEvals != int64(len(q.P)) {
-		t.Fatalf("KGD evals = %d, want |P| = %d", st.GPhiEvals, len(q.P))
+		t.Fatalf("GD top-k evals = %d, want |P| = %d", st.GPhiEvals, len(q.P))
 	}
 }
 
@@ -188,7 +188,7 @@ func TestStatsOracleEngineSettles(t *testing.T) {
 	q.Stats = st
 	BindStats(gp, st)
 	defer BindStats(gp, nil)
-	if _, err := GD(g, gp, q); err != nil {
+	if _, err := GD(g, gp, q, 1); err != nil {
 		t.Fatal(err)
 	}
 	if st.Settled == 0 {
@@ -255,7 +255,7 @@ func benchGD(b *testing.B, st *Stats) {
 	defer BindStats(gp, nil)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := GD(g, gp, q); err != nil {
+		if _, err := GD(g, gp, q, 1); err != nil {
 			b.Fatal(err)
 		}
 	}

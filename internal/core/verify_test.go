@@ -12,7 +12,7 @@ func TestVerifyAcceptsRealAnswers(t *testing.T) {
 		agg := Aggregate(trial % 2)
 		q := env.randomQuery(rng, 20, 8, 0.5, agg)
 		for _, gp := range env.engines[:3] {
-			ans, err := GD(env.g, gp, q)
+			ans, err := first(GD(env.g, gp, q, 1))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -27,7 +27,7 @@ func TestVerifyRejectsCorruptAnswers(t *testing.T) {
 	env := newTestEnv(t, 400, 97)
 	rng := rand.New(rand.NewSource(98))
 	q := env.randomQuery(rng, 20, 8, 0.5, Sum)
-	ans, err := GD(env.g, env.engines[0], q)
+	ans, err := first(GD(env.g, env.engines[0], q, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +79,7 @@ func TestVerifyRejectsSuboptimalSubset(t *testing.T) {
 	env := newTestEnv(t, 300, 99)
 	rng := rand.New(rand.NewSource(100))
 	q := env.randomQuery(rng, 10, 6, 0.5, Sum) // k = 3
-	ans, err := GD(env.g, env.engines[0], q)
+	ans, err := first(GD(env.g, env.engines[0], q, 1))
 	if err != nil {
 		t.Fatal(err)
 	}

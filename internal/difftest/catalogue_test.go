@@ -29,8 +29,11 @@ var catalogueTiers = []struct {
 		if err != nil {
 			return 0, err
 		}
-		a, err := core.GD(g, f(), q)
-		return a.Dist, err
+		a, err := core.GD(g, f(), q, 1)
+		if err != nil {
+			return 0, err
+		}
+		return a[0].Dist, nil
 	}},
 	{"fannr-server", func(g *graph.Graph, ix core.Indexes, engine string, q core.Query) (float64, error) {
 		srv, err := server.New(g, server.Options{Indexes: ix})

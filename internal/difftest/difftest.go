@@ -144,36 +144,26 @@ func roundTrip[T any](path string, save func(io.Writer) error, load func(string)
 	return load(path)
 }
 
-// RunCaseIdentical runs one case's GD, RList and aggregate-specific
-// algorithms through each engine of both environments and requires
-// bit-identical distances and equal answer points — the contract that a
-// mmap-loaded index is indistinguishable from its heap twin, down to
-// floating-point rounding. The environments must hold the same engine
-// suite over the same graph.
+// RunCaseIdentical runs one case's algorithms (caseAlgos) at k = 1
+// through each engine of both environments and requires bit-identical
+// distances and equal answer points — the contract that a mmap-loaded
+// index is indistinguishable from its heap twin, down to floating-point
+// rounding. The environments must hold the same engine suite over the
+// same graph.
 func (env *Env) RunCaseIdentical(other *Env, c Case) error {
 	if len(env.Engines) != len(other.Engines) {
 		return fmt.Errorf("%v: engine suites differ: %d vs %d", c, len(env.Engines), len(other.Engines))
 	}
 	q := c.query()
-	type algo struct {
-		name string
-		fn   func(*graph.Graph, core.GPhi, core.Query) (core.Answer, error)
-	}
-	algos := []algo{{"GD", core.GD}, {"RList", core.RList}}
-	if q.Agg == core.Max {
-		algos = append(algos, algo{"ExactMax", core.ExactMax})
-	} else {
-		algos = append(algos, algo{"APXSum", core.APXSum})
-	}
 	for i, a := range env.Engines {
 		b := other.Engines[i]
 		if a.Name() != b.Name() {
 			return fmt.Errorf("%v: engine %d named %q vs %q", c, i, a.Name(), b.Name())
 		}
-		for _, al := range algos {
-			ansA, errA := al.fn(env.G, a, q)
-			ansB, errB := al.fn(other.G, b, q)
-			label := al.name + "/" + a.Name()
+		for _, algo := range caseAlgos(env.G, c.Agg) {
+			ansA, errA := core.Dispatch(env.G, algo, a, q, 1)
+			ansB, errB := core.Dispatch(other.G, algo, b, q, 1)
+			label := algo + "/" + a.Name()
 			if (errA == nil) != (errB == nil) {
 				return fmt.Errorf("%v: %s: errors differ: %v vs %v", c, label, errA, errB)
 			}
@@ -185,11 +175,11 @@ func (env *Env) RunCaseIdentical(other *Env, c Case) error {
 				}
 				continue
 			}
-			if math.Float64bits(ansA.Dist) != math.Float64bits(ansB.Dist) {
-				return fmt.Errorf("%v: %s: d* %v vs %v (not bit-identical)", c, label, ansA.Dist, ansB.Dist)
+			if math.Float64bits(ansA[0].Dist) != math.Float64bits(ansB[0].Dist) {
+				return fmt.Errorf("%v: %s: d* %v vs %v (not bit-identical)", c, label, ansA[0].Dist, ansB[0].Dist)
 			}
-			if ansA.P != ansB.P {
-				return fmt.Errorf("%v: %s: answer p %d vs %d", c, label, ansA.P, ansB.P)
+			if ansA[0].P != ansB[0].P {
+				return fmt.Errorf("%v: %s: answer p %d vs %d", c, label, ansA[0].P, ansB[0].P)
 			}
 		}
 	}
@@ -264,175 +254,102 @@ func closeTo(a, b float64) bool {
 	return math.Abs(a-b) <= tol*(1+math.Max(math.Abs(a), math.Abs(b)))
 }
 
-// RunCase runs one case through every engine × applicable algorithm and
+// RunCase runs one case through every engine × applicable algorithm
+// (caseAlgos) through core.Dispatch, the path the tiers serve, and
 // compares against the brute-force reference; it returns an error
-// describing the first disagreement. A nil error means every combination
-// agreed and every metamorphic invariant held.
+// describing the first disagreement. Every engine answers at k = 1; one,
+// rotating with the case seed, answers at every k up to c.KAns, and each
+// exact algorithm's top-(k−1) must be a prefix of its top-k — across
+// hundreds of cases every engine sees every k. A nil error means every
+// combination agreed and every metamorphic invariant held.
 func (env *Env) RunCase(c Case) error {
 	q := c.query()
-	want, bruteErr := core.Brute(env.G, q)
-	noResult := errors.Is(bruteErr, core.ErrNoResult)
-	if bruteErr != nil && !noResult {
-		return fmt.Errorf("%v: brute: %w", c, bruteErr)
+	kb, err := core.KBrute(env.G, q, c.KAns)
+	if err != nil && !errors.Is(err, core.ErrNoResult) {
+		return fmt.Errorf("%v: KBrute: %w", c, err)
 	}
-
-	check := func(label string, ans core.Answer, err error) error {
-		if noResult {
-			if !errors.Is(err, core.ErrNoResult) {
-				return fmt.Errorf("%v: %s: err = %v, brute says ErrNoResult", c, label, err)
-			}
-			return nil
+	topK := rotate(c.Seed, len(env.Engines))
+	for e, gp := range env.Engines {
+		kMax := 1
+		if e == topK {
+			kMax = c.KAns
 		}
-		if err != nil {
-			return fmt.Errorf("%v: %s: %w", c, label, err)
-		}
-		if !closeTo(ans.Dist, want.Dist) {
-			return fmt.Errorf("%v: %s: d* = %v, brute %v (p=%d vs %d)",
-				c, label, ans.Dist, want.Dist, ans.P, want.P)
-		}
-		if err := core.Verify(env.G, q, ans); err != nil {
-			return fmt.Errorf("%v: %s: answer fails Verify: %w", c, label, err)
-		}
-		return nil
-	}
-
-	for _, gp := range env.Engines {
-		name := gp.Name()
-		ans, err := core.GD(env.G, gp, q)
-		if err := check("GD/"+name, ans, err); err != nil {
-			return err
-		}
-		ans, err = core.RList(env.G, gp, q)
-		if err := check("RList/"+name, ans, err); err != nil {
-			return err
-		}
-		if env.G.HasCoords() {
-			ans, err = core.IERKNN(env.G, core.BuildPTree(env.G, q.P), gp, q)
-			if err := check("IER/"+name, ans, err); err != nil {
-				return err
-			}
-		}
-		if q.Agg == core.Max {
-			ans, err = core.ExactMax(env.G, gp, q)
-			if err := check("ExactMax/"+name, ans, err); err != nil {
-				return err
-			}
-		} else {
-			// APX-sum is approximate: assert the Theorem 1/2 ratio bound
-			// instead of equality.
-			ans, err = core.APXSum(env.G, gp, q)
-			if noResult {
-				// APX-sum's candidate reduction can also legitimately fail.
-				if err != nil && !errors.Is(err, core.ErrNoResult) {
-					return fmt.Errorf("%v: APXSum/%s: %w", c, name, err)
+		for _, algo := range caseAlgos(env.G, c.Agg) {
+			var shorter []core.Answer
+			for k := 1; k <= kMax; k++ {
+				label := fmt.Sprintf("%s/%s k=%d", algo, gp.Name(), k)
+				got, err := core.Dispatch(env.G, algo, gp, q, k)
+				if err := env.check(c, q, label, algo, k, kb, got, err); err != nil {
+					return err
 				}
-			} else if err != nil {
-				return fmt.Errorf("%v: APXSum/%s: %w", c, name, err)
-			} else {
-				bound := core.APXSumRatioBound(q)
-				if ans.Dist < want.Dist-tol || ans.Dist > bound*want.Dist+tol {
-					return fmt.Errorf("%v: APXSum/%s: d = %v outside [d*, %v·d*], d* = %v",
-						c, name, ans.Dist, bound, want.Dist)
+				if algo == "apxsum" { // ranks past 1 are heuristic
+					continue
 				}
+				for i := range shorter {
+					if !closeTo(shorter[i].Dist, got[i].Dist) {
+						return fmt.Errorf("%v: %s: top-%d is no prefix, rank %d: %v vs %v", c, label, k-1, i, shorter[i].Dist, got[i].Dist)
+					}
+				}
+				shorter = got
 			}
 		}
-	}
-	if err := env.runTopK(c, q); err != nil {
-		return err
 	}
 	return env.checkMetamorphic(c, q)
 }
 
-// runTopK cross-checks the k-FANN_R adaptations against KBrute and the
-// ordering/prefix invariants. Engines rotate per case seed to bound cost;
-// across hundreds of cases every engine sees every algorithm.
-func (env *Env) runTopK(c Case, q core.Query) error {
-	kb, err := core.KBrute(env.G, q, c.KAns)
-	if errors.Is(err, core.ErrNoResult) {
-		return nil // single-answer path already cross-checked this
+// caseAlgos lists the wire algorithms a case can run through.
+func caseAlgos(g *graph.Graph, agg core.Aggregate) []string {
+	algos := []string{"gd", "rlist"}
+	if g.HasCoords() {
+		algos = append(algos, "ier")
 	}
-	if err != nil {
-		return fmt.Errorf("%v: KBrute: %w", c, err)
+	if agg == core.Max {
+		return append(algos, "exactmax")
 	}
-	idx := int(c.Seed) % len(env.Engines)
-	if idx < 0 {
-		idx += len(env.Engines)
-	}
-	gp := env.Engines[idx]
-	name := gp.Name()
+	return append(algos, "apxsum")
+}
 
-	checkList := func(label string, got []core.Answer, err error) error {
-		if err != nil {
-			return fmt.Errorf("%v: %s: %w", c, label, err)
+// rotate picks the position of the engine a seed exercises alone.
+func rotate(seed int64, n int) int {
+	return int((seed%int64(n) + int64(n)) % int64(n))
+}
+
+// check holds one algorithm's answers at k to KBrute's list kb (nil when
+// brute force finds no answer, which every algorithm must then report
+// too, APX-sum aside): min(k, |kb|) answers sorted by distance, each
+// equal to brute force's at its rank and passing Verify — or, for
+// APX-sum, whose ranks past 1 are heuristic, a first answer within the
+// Theorem 1/2 ratio of the optimum.
+func (env *Env) check(c Case, q core.Query, label, algo string, k int, kb, got []core.Answer, err error) error {
+	switch {
+	case kb == nil && (errors.Is(err, core.ErrNoResult) || algo == "apxsum" && err == nil):
+		return nil
+	case kb == nil:
+		return fmt.Errorf("%v: %s: err = %v, brute says ErrNoResult", c, label, err)
+	case err != nil:
+		return fmt.Errorf("%v: %s: %w", c, label, err)
+	}
+	for i := 1; i < len(got); i++ {
+		if got[i].Dist < got[i-1].Dist-tol {
+			return fmt.Errorf("%v: %s: answers not sorted at rank %d", c, label, i)
 		}
-		if len(got) != len(kb) {
-			return fmt.Errorf("%v: %s: %d answers, brute %d", c, label, len(got), len(kb))
-		}
-		for i := range got {
-			if i > 0 && got[i].Dist < got[i-1].Dist-tol {
-				return fmt.Errorf("%v: %s: answers not sorted at rank %d", c, label, i)
-			}
-			if !closeTo(got[i].Dist, kb[i].Dist) {
-				return fmt.Errorf("%v: %s: rank %d dist %v, brute %v", c, label, i, got[i].Dist, kb[i].Dist)
-			}
+	}
+	if algo == "apxsum" {
+		bound := core.APXSumRatioBound(q)
+		if len(got) == 0 || got[0].Dist < kb[0].Dist-tol || got[0].Dist > bound*kb[0].Dist+tol {
+			return fmt.Errorf("%v: %s: rank-1 %+v outside [d*, %v·d*], d* = %v", c, label, got, bound, kb[0].Dist)
 		}
 		return nil
 	}
-
-	got, err := core.KGD(env.G, gp, q, c.KAns)
-	if err := checkList("KGD/"+name, got, err); err != nil {
-		return err
+	if len(got) != min(k, len(kb)) {
+		return fmt.Errorf("%v: %s: %d answers, brute %d", c, label, len(got), min(k, len(kb)))
 	}
-	// Prefix consistency: asking for one fewer answer returns the same
-	// distances minus the tail.
-	if c.KAns > 1 {
-		shorter, err := core.KGD(env.G, gp, q, c.KAns-1)
-		if err != nil {
-			return fmt.Errorf("%v: KGD/%s (k-1): %w", c, name, err)
+	for i := range got {
+		if !closeTo(got[i].Dist, kb[i].Dist) {
+			return fmt.Errorf("%v: %s: rank %d dist %v, brute %v (p=%d vs %d)", c, label, i, got[i].Dist, kb[i].Dist, got[i].P, kb[i].P)
 		}
-		if len(shorter) != len(got)-1 {
-			return fmt.Errorf("%v: KGD/%s: k-1 returned %d answers, want %d", c, name, len(shorter), len(got)-1)
-		}
-		for i := range shorter {
-			if !closeTo(shorter[i].Dist, got[i].Dist) {
-				return fmt.Errorf("%v: KGD/%s: prefix broken at rank %d: %v vs %v",
-					c, name, i, shorter[i].Dist, got[i].Dist)
-			}
-		}
-	}
-	got, err = core.KRList(env.G, gp, q, c.KAns)
-	if err := checkList("KRList/"+name, got, err); err != nil {
-		return err
-	}
-	if env.G.HasCoords() {
-		got, err = core.KIERKNN(env.G, core.BuildPTree(env.G, q.P), gp, q, c.KAns)
-		if err := checkList("KIER/"+name, got, err); err != nil {
-			return err
-		}
-	}
-	if q.Agg == core.Max {
-		got, err = core.KExactMax(env.G, gp, q, c.KAns)
-		if err := checkList("KExactMax/"+name, got, err); err != nil {
-			return err
-		}
-	} else {
-		// KAPXSum: rank-1 keeps the 3-approximation bound; deeper ranks
-		// are heuristic but must stay sorted.
-		got, err = core.KAPXSum(env.G, gp, q, c.KAns)
-		if err != nil && !errors.Is(err, core.ErrNoResult) {
-			return fmt.Errorf("%v: KAPXSum/%s: %w", c, name, err)
-		}
-		if err == nil && len(got) > 0 {
-			bound := core.APXSumRatioBound(q)
-			if got[0].Dist < kb[0].Dist-tol || got[0].Dist > bound*kb[0].Dist+tol {
-				return fmt.Errorf("%v: KAPXSum/%s: rank-1 %v outside [d*, %v·d*], d* = %v",
-					c, name, got[0].Dist, bound, kb[0].Dist)
-			}
-			for i := 1; i < len(got); i++ {
-				if got[i].Dist < got[i-1].Dist-tol {
-					return fmt.Errorf("%v: KAPXSum/%s: answers not sorted at rank %d", c, name, i)
-				}
-			}
+		if err := core.Verify(env.G, q, got[i]); err != nil {
+			return fmt.Errorf("%v: %s: rank %d fails Verify: %w", c, label, i, err)
 		}
 	}
 	return nil
@@ -455,20 +372,13 @@ var cachedSweep = []float64{1.0, 0.75, 0.5, 0.25, 0.1, 0.01}
 //     only the subset hits (the winner's list, stored a moment earlier);
 //   - third: no miss — every evaluation and the subset are list hits.
 //
-// Then GD and R-List run a descending-φ sweep whose smaller k are all
-// prefixes of those lists — the "Revisitation of g_φ" fold the cache
-// relies on — and must not miss once. Every warm answer is compared with
-// the bare engine's bit for bit (one fold serves both since PR 12; the
-// NeighborSearcher contract is what makes the three states agree), with
-// brute force to tolerance, and checked by Verify.
+// Then every algorithm of the case (caseAlgos) runs a descending-φ
+// sweep whose smaller k are all prefixes of those lists — the
+// "Revisitation of g_φ" fold the cache relies on — and must not miss
+// once. Every warm answer is compared with the bare engine's bit for bit
+// (one fold serves both; the NeighborSearcher contract is what makes the
+// three states agree) and held to brute force by check.
 func (env *Env) RunCaseCached(c Case) error {
-	algos := []struct {
-		name string
-		fn   func(*graph.Graph, core.GPhi, core.Query) (core.Answer, error)
-	}{
-		{"GD", core.GD},
-		{"RList", core.RList},
-	}
 	for _, gp := range env.Engines {
 		cache := qcache.New(qcache.Config{MaxEntries: 1 << 14})
 		if cache.Wrap(gp) == gp {
@@ -477,42 +387,26 @@ func (env *Env) RunCaseCached(c Case) error {
 		// check runs one query bare and through a fresh wrapper. ok is
 		// false (and err nil) when brute force finds no answer and both
 		// agree.
-		check := func(label string, fn func(*graph.Graph, core.GPhi, core.Query) (core.Answer, error), phi float64) (ok bool, err error) {
+		check := func(label, algo string, phi float64) (ok bool, err error) {
 			q := c.query()
 			q.Phi = phi
-			want, bruteErr := core.Brute(env.G, q)
-			noResult := errors.Is(bruteErr, core.ErrNoResult)
-			if bruteErr != nil && !noResult {
+			kb, bruteErr := core.KBrute(env.G, q, 1)
+			if bruteErr != nil && !errors.Is(bruteErr, core.ErrNoResult) {
 				return false, fmt.Errorf("%v: brute at φ=%v: %w", c, phi, bruteErr)
 			}
-			cold, coldErr := fn(env.G, gp, q)
-			warm, warmErr := fn(env.G, cache.Wrap(gp), q)
-			if noResult {
-				if !errors.Is(warmErr, core.ErrNoResult) || !errors.Is(coldErr, core.ErrNoResult) {
-					return false, fmt.Errorf("%v: %s: cold err %v, warm err %v, brute says ErrNoResult", c, label, coldErr, warmErr)
-				}
-				return false, nil
+			cold, coldErr := core.Dispatch(env.G, algo, gp, q, 1)
+			warm, warmErr := core.Dispatch(env.G, algo, cache.Wrap(gp), q, 1)
+			if (coldErr == nil) != (warmErr == nil) || !sameAnswers(warm, cold) {
+				return false, fmt.Errorf("%v: %s: warm %+v (err %v), cold %+v (err %v) — not bit-identical", c, label, warm, warmErr, cold, coldErr)
 			}
-			if coldErr != nil || warmErr != nil {
-				return false, fmt.Errorf("%v: %s: cold err %v, warm err %v", c, label, coldErr, warmErr)
-			}
-			if warm.P != cold.P || math.Float64bits(warm.Dist) != math.Float64bits(cold.Dist) {
-				return false, fmt.Errorf("%v: %s: warm (%d, %v), cold (%d, %v) — not bit-identical", c, label, warm.P, warm.Dist, cold.P, cold.Dist)
-			}
-			if !closeTo(warm.Dist, want.Dist) {
-				return false, fmt.Errorf("%v: %s: warm d* = %v, brute %v (p=%d vs %d)", c, label, warm.Dist, want.Dist, warm.P, want.P)
-			}
-			if err := core.Verify(env.G, q, warm); err != nil {
-				return false, fmt.Errorf("%v: %s: warm answer fails Verify: %w", c, label, err)
-			}
-			return true, nil
+			return warmErr == nil, env.check(c, q, label, algo, 1, kb, warm, warmErr)
 		}
 
 		var lookups int64 // list lookups of the φ=1 GD: one per data point, one for the subset
 		prev := cache.Metrics()
 		for sight := 1; sight <= 3; sight++ {
 			label := fmt.Sprintf("cached/GD/%s sight %d", gp.Name(), sight)
-			ok, err := check(label, core.GD, 1)
+			ok, err := check(label, "gd", 1)
 			if err != nil {
 				return err
 			}
@@ -539,8 +433,8 @@ func (env *Env) RunCaseCached(c Case) error {
 			}
 		}
 		for _, phi := range cachedSweep {
-			for _, algo := range algos {
-				if _, err := check(fmt.Sprintf("cached/%s/%s φ=%v", algo.name, gp.Name(), phi), algo.fn, phi); err != nil {
+			for _, algo := range caseAlgos(env.G, c.Agg) {
+				if _, err := check(fmt.Sprintf("cached/%s/%s φ=%v", algo, gp.Name(), phi), algo, phi); err != nil {
 					return err
 				}
 			}

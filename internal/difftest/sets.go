@@ -20,18 +20,6 @@ func sameAnswers(a, b []core.Answer) bool {
 	})
 }
 
-// caseAlgos lists the wire algorithms a case can run through.
-func caseAlgos(g *graph.Graph, agg core.Aggregate) []string {
-	algos := []string{"gd", "rlist"}
-	if g.HasCoords() {
-		algos = append(algos, "ier")
-	}
-	if agg == core.Max {
-		return append(algos, "exactmax")
-	}
-	return append(algos, "apxsum")
-}
-
 // RunCaseRegistered is the differential gate for the set registry on the
 // single-process path. Per algorithm, on a registry of its own, the
 // case's query is dispatched without a registry and then three times
@@ -48,11 +36,7 @@ func (env *Env) RunCaseRegistered(c Case) error {
 	if kbErr != nil && !noResult {
 		return fmt.Errorf("%v: KBrute: %w", c, kbErr)
 	}
-	idx := int(c.Seed) % len(env.Engines)
-	if idx < 0 {
-		idx += len(env.Engines)
-	}
-	gp := env.Engines[idx]
+	gp := env.Engines[rotate(c.Seed, len(env.Engines))]
 	rng := rand.New(rand.NewSource(c.Seed))
 	permuted := slices.Clone(c.P)
 	rng.Shuffle(len(permuted), func(i, j int) { permuted[i], permuted[j] = permuted[j], permuted[i] })
@@ -139,10 +123,9 @@ func (se *ShardedEnv) RunCaseShardedRegistered(c Case) error {
 	if kbErr != nil && !noResult {
 		return fmt.Errorf("%v: KBrute: %w", c, kbErr)
 	}
-	pick := func(n int) int { return int(((c.Seed % int64(n)) + int64(n)) % int64(n)) }
-	engine := suite[pick(len(suite))]
+	engine := suite[rotate(c.Seed, len(suite))]
 	algos := caseAlgos(se.env.G, q.Agg)
-	algo := algos[pick(len(algos))]
+	algo := algos[rotate(c.Seed, len(algos))]
 	sameList := slices.Equal(c.P, c.Q) // one key for both lists: the counts below do not apply
 
 	for _, S := range se.counts {

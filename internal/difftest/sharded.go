@@ -71,7 +71,7 @@ func (se *ShardedEnv) Counts() []int { return se.counts }
 // against core.KBrute: the scatter/bound/prune/merge pipeline must be
 // observationally identical to a single process for the exact
 // algorithms, and stay inside the Theorem 2 ratio for APX-sum. Engines
-// rotate per case seed, as in runTopK: across the full matrix every
+// rotate per case seed, as in RunCase: across the full matrix every
 // engine is exercised at every shard count.
 func (se *ShardedEnv) RunCaseSharded(c Case) error {
 	q := c.query()
@@ -80,21 +80,8 @@ func (se *ShardedEnv) RunCaseSharded(c Case) error {
 	if kbErr != nil && !noResult {
 		return fmt.Errorf("%v: KBrute: %w", c, kbErr)
 	}
-	idx := int(c.Seed) % len(suite)
-	if idx < 0 {
-		idx += len(suite)
-	}
-	engine := suite[idx]
-
-	algos := []string{"gd", "rlist"}
-	if se.env.G.HasCoords() {
-		algos = append(algos, "ier")
-	}
-	if q.Agg == core.Max {
-		algos = append(algos, "exactmax")
-	} else {
-		algos = append(algos, "apxsum")
-	}
+	engine := suite[rotate(c.Seed, len(suite))]
+	algos := caseAlgos(se.env.G, q.Agg)
 
 	for _, S := range se.counts {
 		coord := se.coords[S]

@@ -20,32 +20,12 @@ func Diagnostics(cfg Config) ([]*Table, error) {
 
 // Diagnostics runs the experiment on an existing Env.
 func (e *Env) Diagnostics() ([]*Table, error) {
-	type algo struct {
-		name string
-		agg  core.Aggregate
-		run  func(gp core.GPhi, inst *workloadInstance) error
-	}
-	algos := []algo{
-		{"GD", core.Max, func(gp core.GPhi, inst *workloadInstance) error {
-			_, err := core.GD(e.G, gp, inst.query)
-			return err
-		}},
-		{"R-List", core.Max, func(gp core.GPhi, inst *workloadInstance) error {
-			_, err := core.RList(e.G, gp, inst.query)
-			return err
-		}},
-		{"IER-kNN", core.Max, func(gp core.GPhi, inst *workloadInstance) error {
-			_, err := core.IERKNN(e.G, inst.rtP, gp, inst.query)
-			return err
-		}},
-		{"Exact-max", core.Max, func(gp core.GPhi, inst *workloadInstance) error {
-			_, err := core.ExactMax(e.G, gp, inst.query)
-			return err
-		}},
-		{"APX-sum", core.Sum, func(gp core.GPhi, inst *workloadInstance) error {
-			_, err := core.APXSum(e.G, gp, inst.query)
-			return err
-		}},
+	algos := []algoSpec{
+		{name: "GD", agg: core.Max, engine: "PHL", run: gd},
+		{name: "R-List", agg: core.Max, engine: "PHL", run: rlist},
+		{name: "IER-kNN", agg: core.Max, engine: "PHL", run: ierKNN},
+		{name: "Exact-max", agg: core.Max, engine: "PHL", run: exactMax},
+		{name: "APX-sum", agg: core.Sum, engine: "PHL", run: apxSum},
 	}
 	tbl := &Table{
 		ID:     "diagnostics",
@@ -65,18 +45,18 @@ func (e *Env) Diagnostics() ([]*Table, error) {
 			avgP += float64(len(insts[qi].query.P))
 		}
 		avgP /= float64(len(insts))
-		for ai, a := range algos {
-			gp, err := e.newEngine("PHL")
-			if err != nil {
-				return nil, err
-			}
+		specs, err := e.build(algos...) // fresh engines at every tick
+		if err != nil {
+			return nil, err
+		}
+		for ai, a := range specs {
 			var st core.Stats
 			runs := 0
 			for qi := range insts {
 				inst := &insts[qi]
 				inst.query.Agg = a.agg
 				inst.query.Stats = &st
-				if err := a.run(gp, inst); err == nil {
+				if _, err := a.run(e.G, a.gp, inst, 1); err == nil {
 					runs++
 				}
 			}

@@ -47,19 +47,19 @@ func (e *Env) measureRatios(insts []workloadInstance, exact, apx core.GPhi) []fl
 	for qi := range insts {
 		q := insts[qi].query
 		q.Agg = core.Sum
-		want, err := core.IERKNN(e.G, insts[qi].rtP, exact, q)
+		want, err := core.IERKNN(e.G, insts[qi].rtP, exact, q, 1)
 		if err != nil {
 			continue
 		}
-		got, err := core.APXSum(e.G, apx, q)
+		got, err := core.APXSum(e.G, apx, q, 1)
 		if err != nil {
 			continue
 		}
-		if want.Dist <= 0 {
+		if want[0].Dist <= 0 {
 			ratios = append(ratios, 1)
 			continue
 		}
-		ratios = append(ratios, got.Dist/want.Dist)
+		ratios = append(ratios, got[0].Dist/want[0].Dist)
 	}
 	return ratios
 }

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"fannr/internal/core"
+	"fannr/internal/graph"
 	"fannr/internal/rtree"
 	"fannr/internal/workload"
 )
@@ -23,17 +24,40 @@ type workloadInstance struct {
 type tickSpec struct {
 	label  string
 	params workload.Params
-	kAns   int // for k-FANN_R sweeps; 0 elsewhere
+	kAns   int // answers per query; 0, as most sweeps leave it, is 1
 }
 
-// algoSpec is one series: a named algorithm closed over its own private
-// engine instance. Engines must not be shared between specs — a run that
-// overruns its budget is abandoned mid-flight, poisoning its engine's
-// scratch state.
+// entry is an algorithm entry point over a workload instance.
+type entry func(g *graph.Graph, gp core.GPhi, inst *workloadInstance, k int) ([]core.Answer, error)
+
+// onQuery is an entry point that reads only the instance's query.
+func onQuery(f func(*graph.Graph, core.GPhi, core.Query, int) ([]core.Answer, error)) entry {
+	return func(g *graph.Graph, gp core.GPhi, inst *workloadInstance, k int) ([]core.Answer, error) {
+		return f(g, gp, inst.query, k)
+	}
+}
+
+var (
+	gd       = onQuery(core.GD)
+	rlist    = onQuery(core.RList)
+	exactMax = onQuery(core.ExactMax)
+	apxSum   = onQuery(core.APXSum)
+	// ierKNN reads the instance's R-tree, built outside the timed region.
+	ierKNN entry = func(g *graph.Graph, gp core.GPhi, inst *workloadInstance, k int) ([]core.Answer, error) {
+		return core.IERKNN(g, inst.rtP, gp, inst.query, k)
+	}
+)
+
+// algoSpec is one series: a named algorithm run on its own private
+// instance of the named engine (build makes it). Engines must not be
+// shared between specs — a run that overruns its budget is abandoned
+// mid-flight, poisoning its engine's scratch state.
 type algoSpec struct {
-	name string
-	agg  core.Aggregate
-	run  func(inst *workloadInstance, tick tickSpec) error
+	name   string
+	agg    core.Aggregate
+	engine string
+	run    entry
+	gp     core.GPhi
 }
 
 // timedRun executes run with a wall-clock budget. On overrun it trips the
@@ -108,7 +132,10 @@ func (e *Env) runPrepared(id, title, xlabel, ylabel string, ticks []tickSpec, in
 				}
 				var flag atomic.Bool
 				inst.query.Cancel = flag.Load
-				dur, dnf, err := timedRun(func() error { return algo.run(inst, tick) }, budget, &flag)
+				dur, dnf, err := timedRun(func() error {
+					_, err := algo.run(e.G, algo.gp, inst, max(tick.kAns, 1))
+					return err
+				}, budget, &flag)
 				inst.query.Cancel = nil
 				if dnf {
 					cell.DNF = true
@@ -154,161 +181,50 @@ func (e *Env) generate(p workload.Params) []workloadInstance {
 
 // --- algorithm series builders -----------------------------------------
 
-// gdAlgos returns one GD series per g_φ engine (Fig. 3a). Every spec gets
-// a fresh private engine.
-func (e *Env) gdAlgos() ([]algoSpec, error) {
-	out := make([]algoSpec, 0, len(EngineNames))
-	for _, name := range EngineNames {
-		gp, err := e.newEngine(name)
+// build gives every spec a private instance of its engine.
+func (e *Env) build(specs ...algoSpec) ([]algoSpec, error) {
+	for i := range specs {
+		gp, err := e.newEngine(specs[i].engine)
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, algoSpec{
-			name: name,
-			agg:  core.Max,
-			run: func(inst *workloadInstance, _ tickSpec) error {
-				_, err := core.GD(e.G, gp, inst.query)
-				return err
-			},
-		})
+		specs[i].gp = gp
 	}
-	return out, nil
+	return specs, nil
 }
 
-// ierAlgos returns one IER-kNN-framework series per g_φ engine (Fig. 3b,
-// 5a, 6a, 7a, 8a).
-func (e *Env) ierAlgos() ([]algoSpec, error) {
-	out := make([]algoSpec, 0, len(EngineNames))
-	for _, name := range EngineNames {
-		gp, err := e.newEngine(name)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, algoSpec{
-			name: name,
-			agg:  core.Max,
-			run: func(inst *workloadInstance, _ tickSpec) error {
-				_, err := core.IERKNN(e.G, inst.rtP, gp, inst.query)
-				return err
-			},
-		})
+// perEngine returns one max series of run per g_φ engine: GD (Fig. 3a),
+// the IER-kNN framework (Fig. 3b, 5a, 6a, 7a, 8a) and Exact-max
+// (Table V).
+func (e *Env) perEngine(run entry) ([]algoSpec, error) {
+	specs := make([]algoSpec, len(EngineNames))
+	for i, name := range EngineNames {
+		specs[i] = algoSpec{name: name, agg: core.Max, engine: name, run: run}
 	}
-	return out, nil
+	return e.build(specs...)
 }
 
 // mainAlgos returns the paper's headline algorithm set (Fig. 4a, 5b, 6b,
-// 7b, 8b, 12a): GD and R-List with the fastest engine (PHL), the IER-kNN
-// framework with PHL, and the two specific algorithms with index-free
-// engines.
+// 7b, 8b, 10, 12a): GD and R-List with the fastest engine (PHL), the
+// IER-kNN framework with PHL, and the two specific algorithms with
+// index-free engines.
 func (e *Env) mainAlgos() ([]algoSpec, error) {
-	gdPHL, err := e.newEngine("PHL")
-	if err != nil {
-		return nil, err
-	}
-	rlPHL, err := e.newEngine("PHL")
-	if err != nil {
-		return nil, err
-	}
-	ierPHL, err := e.newEngine("PHL")
-	if err != nil {
-		return nil, err
-	}
-	exINE := core.NewINE(e.G)
-	apxINE := core.NewINE(e.G)
-	return []algoSpec{
-		{name: "GD", agg: core.Max, run: func(inst *workloadInstance, _ tickSpec) error {
-			_, err := core.GD(e.G, gdPHL, inst.query)
-			return err
-		}},
-		{name: "R-List", agg: core.Max, run: func(inst *workloadInstance, _ tickSpec) error {
-			_, err := core.RList(e.G, rlPHL, inst.query)
-			return err
-		}},
-		{name: "IER-PHL", agg: core.Max, run: func(inst *workloadInstance, _ tickSpec) error {
-			_, err := core.IERKNN(e.G, inst.rtP, ierPHL, inst.query)
-			return err
-		}},
-		{name: "Exact-max", agg: core.Max, run: func(inst *workloadInstance, _ tickSpec) error {
-			_, err := core.ExactMax(e.G, exINE, inst.query)
-			return err
-		}},
-		{name: "APX-sum", agg: core.Sum, run: func(inst *workloadInstance, _ tickSpec) error {
-			_, err := core.APXSum(e.G, apxINE, inst.query)
-			return err
-		}},
-	}, nil
+	return e.build(
+		algoSpec{name: "GD", agg: core.Max, engine: "PHL", run: gd},
+		algoSpec{name: "R-List", agg: core.Max, engine: "PHL", run: rlist},
+		algoSpec{name: "IER-PHL", agg: core.Max, engine: "PHL", run: ierKNN},
+		algoSpec{name: "Exact-max", agg: core.Max, engine: "INE", run: exactMax},
+		algoSpec{name: "APX-sum", agg: core.Sum, engine: "INE", run: apxSum},
+	)
 }
 
 // baselineAlgos compares the index-free Baseline (GD with INE) against
 // R-List with INE (Fig. 4b).
-func (e *Env) baselineAlgos() []algoSpec {
-	bINE := core.NewINE(e.G)
-	rINE := core.NewINE(e.G)
-	return []algoSpec{
-		{name: "Baseline", agg: core.Max, run: func(inst *workloadInstance, _ tickSpec) error {
-			_, err := core.GD(e.G, bINE, inst.query)
-			return err
-		}},
-		{name: "R-List", agg: core.Max, run: func(inst *workloadInstance, _ tickSpec) error {
-			_, err := core.RList(e.G, rINE, inst.query)
-			return err
-		}},
-	}
-}
-
-// exactMaxAlgos runs Exact-max under every g_φ engine (Table V).
-func (e *Env) exactMaxAlgos() ([]algoSpec, error) {
-	out := make([]algoSpec, 0, len(EngineNames))
-	for _, name := range EngineNames {
-		gp, err := e.newEngine(name)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, algoSpec{
-			name: name,
-			agg:  core.Max,
-			run: func(inst *workloadInstance, _ tickSpec) error {
-				_, err := core.ExactMax(e.G, gp, inst.query)
-				return err
-			},
-		})
-	}
-	return out, nil
-}
-
-// kAlgos returns the k-FANN_R adaptations (Fig. 10).
-func (e *Env) kAlgos() ([]algoSpec, error) {
-	gdPHL, err := e.newEngine("PHL")
-	if err != nil {
-		return nil, err
-	}
-	rlPHL, err := e.newEngine("PHL")
-	if err != nil {
-		return nil, err
-	}
-	ierPHL, err := e.newEngine("PHL")
-	if err != nil {
-		return nil, err
-	}
-	exINE := core.NewINE(e.G)
-	return []algoSpec{
-		{name: "GD", agg: core.Max, run: func(inst *workloadInstance, tick tickSpec) error {
-			_, err := core.KGD(e.G, gdPHL, inst.query, tick.kAns)
-			return err
-		}},
-		{name: "R-List", agg: core.Max, run: func(inst *workloadInstance, tick tickSpec) error {
-			_, err := core.KRList(e.G, rlPHL, inst.query, tick.kAns)
-			return err
-		}},
-		{name: "IER-PHL", agg: core.Max, run: func(inst *workloadInstance, tick tickSpec) error {
-			_, err := core.KIERKNN(e.G, inst.rtP, ierPHL, inst.query, tick.kAns)
-			return err
-		}},
-		{name: "Exact-max", agg: core.Max, run: func(inst *workloadInstance, tick tickSpec) error {
-			_, err := core.KExactMax(e.G, exINE, inst.query, tick.kAns)
-			return err
-		}},
-	}, nil
+func (e *Env) baselineAlgos() ([]algoSpec, error) {
+	return e.build(
+		algoSpec{name: "Baseline", agg: core.Max, engine: "INE", run: gd},
+		algoSpec{name: "R-List", agg: core.Max, engine: "INE", run: rlist},
+	)
 }
 
 // newEngine builds an uncached, privately-owned engine instance.
@@ -319,35 +235,13 @@ func (e *Env) newEngine(name string) (core.GPhi, error) {
 // sumMaxAlgos pairs each universal algorithm with both aggregates
 // (Appendix C: sum-FANN_R and max-FANN_R run in comparable time).
 func (e *Env) sumMaxAlgos() ([]algoSpec, error) {
-	var out []algoSpec
+	var specs []algoSpec
 	for _, agg := range []core.Aggregate{core.Max, core.Sum} {
-		gd, err := e.newEngine("PHL")
-		if err != nil {
-			return nil, err
-		}
-		rl, err := e.newEngine("PHL")
-		if err != nil {
-			return nil, err
-		}
-		ier, err := e.newEngine("PHL")
-		if err != nil {
-			return nil, err
-		}
-		agg := agg
-		out = append(out,
-			algoSpec{name: "GD-" + agg.String(), agg: agg, run: func(inst *workloadInstance, _ tickSpec) error {
-				_, err := core.GD(e.G, gd, inst.query)
-				return err
-			}},
-			algoSpec{name: "R-List-" + agg.String(), agg: agg, run: func(inst *workloadInstance, _ tickSpec) error {
-				_, err := core.RList(e.G, rl, inst.query)
-				return err
-			}},
-			algoSpec{name: "IER-PHL-" + agg.String(), agg: agg, run: func(inst *workloadInstance, _ tickSpec) error {
-				_, err := core.IERKNN(e.G, inst.rtP, ier, inst.query)
-				return err
-			}},
+		specs = append(specs,
+			algoSpec{name: "GD-" + agg.String(), agg: agg, engine: "PHL", run: gd},
+			algoSpec{name: "R-List-" + agg.String(), agg: agg, engine: "PHL", run: rlist},
+			algoSpec{name: "IER-PHL-" + agg.String(), agg: agg, engine: "PHL", run: ierKNN},
 		)
 	}
-	return out, nil
+	return e.build(specs...)
 }

@@ -10,6 +10,14 @@ import (
 	"fannr/internal/sp"
 )
 
+// first is the one answer of a k = 1 query.
+func first(answers []core.Answer, err error) (core.Answer, error) {
+	if err != nil {
+		return core.Answer{}, err
+	}
+	return answers[0], nil
+}
+
 // stubEngine is a deterministic GPhi+NeighborSearcher over a fixed
 // neighbor table, counting substrate calls so tests can assert elision.
 type stubEngine struct {
@@ -123,9 +131,9 @@ func TestWrapAgreesWithRawEngines(t *testing.T) {
 			// are subsumption hits even within the first pass.
 			for _, phi := range []float64{1.0, 0.75, 0.5, 0.25, 0.01} {
 				q := core.Query{P: P, Q: Q, Phi: phi, Agg: core.Sum}
-				want, errW := core.GD(g, raw, q)
+				want, errW := first(core.GD(g, raw, q, 1))
 				warm := c.Wrap(raw)
-				got, errG := core.GD(g, warm, q)
+				got, errG := first(core.GD(g, warm, q, 1))
 				if (errW == nil) != (errG == nil) {
 					t.Fatalf("%s φ=%v: err %v vs %v", raw.Name(), phi, errW, errG)
 				}
@@ -157,7 +165,7 @@ func TestWrapResetFingerprintedKeysLikeReset(t *testing.T) {
 	P := []graph.NodeID{3, 17, 42, 99}
 	// Twice: the first sight of a Q stores no lists, the second fills.
 	for sight := 0; sight < 2; sight++ {
-		if _, err := core.GD(g, c.Wrap(core.NewINE(g)), core.Query{P: P, Q: []graph.NodeID{5, 60, 120, 150}, Phi: 1, Agg: core.Sum}); err != nil {
+		if _, err := core.GD(g, c.Wrap(core.NewINE(g)), core.Query{P: P, Q: []graph.NodeID{5, 60, 120, 150}, Phi: 1, Agg: core.Sum}, 1); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -259,11 +267,11 @@ func TestFirstSightStoresNothing(t *testing.T) {
 		t.Helper()
 		w := c.Wrap(raw)
 		q := core.Query{P: P, Q: Q, Phi: 1, Agg: core.Sum}
-		ans, err := core.GD(g, w, q)
+		ans, err := first(core.GD(g, w, q, 1))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if want, _ := core.GD(g, raw, q); ans.P != want.P || math.Float64bits(ans.Dist) != math.Float64bits(want.Dist) {
+		if want, _ := first(core.GD(g, raw, q, 1)); ans.P != want.P || math.Float64bits(ans.Dist) != math.Float64bits(want.Dist) {
 			t.Fatalf("Q=%v: (%d, %v) through the wrapper, (%d, %v) bare", Q, ans.P, ans.Dist, want.P, want.Dist)
 		}
 		return ans, ListMode(w)
@@ -382,7 +390,7 @@ func TestWrapForwardsThresholdOnlyAtFirstSight(t *testing.T) {
 		P = append(P, graph.NodeID(v))
 	}
 	q := core.Query{P: P, Q: []graph.NodeID{7, 90, 180, 260, 333}, Phi: 0.6, Agg: core.Max}
-	want, err := core.GD(g, raw, q)
+	want, err := first(core.GD(g, raw, q, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -392,7 +400,7 @@ func TestWrapForwardsThresholdOnlyAtFirstSight(t *testing.T) {
 		core.BindStats(w, &st)
 		qs := q
 		qs.Stats = &st
-		got, err := core.GD(g, w, qs)
+		got, err := first(core.GD(g, w, qs, 1))
 		core.BindStats(w, nil)
 		if err != nil {
 			t.Fatal(err)

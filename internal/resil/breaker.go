@@ -11,16 +11,18 @@ import (
 )
 
 // State is a breaker's position in the closed → open → half-open cycle.
+// Its value is the breaker-state gauge operators alert on: 0 closed
+// (healthy), 1 half-open (probing), 2 open (tripped).
 type State int32
 
 const (
 	// Closed is the healthy state: calls flow, failures are counted.
 	Closed State = iota
-	// Open rejects all calls until the cooldown elapses.
-	Open
 	// HalfOpen lets exactly one probe through; its outcome decides
 	// between Closed and another full cooldown.
 	HalfOpen
+	// Open rejects all calls until the cooldown elapses.
+	Open
 )
 
 // String returns "closed", "open" or "half-open".

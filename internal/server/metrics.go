@@ -101,31 +101,6 @@ type serverMetrics struct {
 	indexFaults map[string]*obs.Counter
 }
 
-// breakerStateValue maps breaker states onto the gauge scale operators
-// alert on: 0 closed (healthy), 1 half-open (probing), 2 open (tripped).
-func breakerStateValue(st resil.State) float64 {
-	switch st {
-	case resil.HalfOpen:
-		return 1
-	case resil.Open:
-		return 2
-	default:
-		return 0
-	}
-}
-
-// breakerStateName is the inverse mapping, for /meta's JSON.
-func breakerStateName(v float64) string {
-	switch v {
-	case 1:
-		return "half-open"
-	case 2:
-		return "open"
-	default:
-		return "closed"
-	}
-}
-
 // routes instrumented with their own latency series. Anything else (404s,
 // probes for paths that don't exist) lands in "other" so cardinality
 // stays bounded no matter what clients request.
@@ -199,7 +174,7 @@ func newServerMetrics(s *Server, reg *obs.Registry) *serverMetrics {
 		b := s.breakers[name]
 		reg.GaugeFunc(mBreakerState,
 			"Circuit breaker state: 0 closed, 1 half-open, 2 open.",
-			func() float64 { return breakerStateValue(b.State()) }, el)
+			func() float64 { return float64(b.State()) }, el)
 		b.OnTransition(func(_, to resil.State) {
 			if to == resil.Open {
 				em.trips.Inc()

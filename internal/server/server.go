@@ -474,7 +474,7 @@ func (s *Server) handleMeta(w http.ResponseWriter, _ *http.Request) {
 		poolStats[name] = map[string]any{
 			"created": val(mPoolCreated, el), "reused": val(mPoolReused, el), "idle": val(mPoolIdle, el),
 			"inflight": val(mPoolInflight, el), "queued": val(mPoolQueued, el), "shed": val(mPoolShed, el),
-			"breaker": breakerStateName(state),
+			"breaker": resil.State(state).String(),
 		}
 	}
 	distInflight, distQueued, distShed := val(mDistInflight), val(mDistQueued), val(mDistShed)

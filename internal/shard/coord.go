@@ -169,14 +169,7 @@ func (c *Coordinator) register(reg *obs.Registry) {
 		c.mShardErr = append(c.mShardErr, reg.Counter(mShardErrors, "Failed RPCs to this shard (after retries).", l))
 		br := c.breakers[i]
 		reg.GaugeFunc(mShardBreaker, "Per-shard breaker state (0 closed, 1 half-open, 2 open).", func() float64 {
-			switch br.State() {
-			case resil.Open:
-				return 2
-			case resil.HalfOpen:
-				return 1
-			default:
-				return 0
-			}
+			return float64(br.State())
 		}, l)
 	}
 }
