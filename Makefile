@@ -82,7 +82,9 @@ figures:
 ## set against the map + sort.Slice sequence it replaced, Validate with
 ## the set registry (no registry / first sight / hit at 128, 169 and 844
 ## ids, 64 permutations in rotation), and one shard call's two bodies
-## appended and scanned against encoding/json (211 + 8 ids). The last two
+## appended and scanned against encoding/json (211 + 8 ids), then
+## fannr-server's reply at cache_zipf's shapes (1 or 5 answers of 64 or
+## 128 ids) appended against json.Encoder. The last two
 ## price what PR 25 took out of algo_mix's tail: 64 expansion lanes on
 ## pooled label tables against the map-backed lane they replaced
 ## (allocs/op), and GD through qcache.Wrap at a Q's first sight (nothing
@@ -105,7 +107,7 @@ microbench:
 	$(GO) test -run - -bench 'GPhiPHLBound|GPhiIERPHLBound|IERPHLRegimes' -cpu 1 -benchtime 500x .
 	$(GO) test -run - -bench DecodeFANN -cpu 1 -benchtime 2000x ./internal/wire/
 	$(GO) test -run - -bench 'Canonicalise|ValidateRegistry' -cpu 1 -benchtime 2000x ./internal/core/
-	$(GO) test -run - -bench ShardCodec -cpu 1 -benchtime 2000x ./internal/wire/
+	$(GO) test -run - -bench 'ShardCodec|FANNReply' -cpu 1 -benchtime 2000x ./internal/wire/
 	$(GO) test -run - -bench 'ExpanderLanes|WrapFirstSight' -cpu 1 -benchtime 200x .
 	$(GO) test -run - -bench 'GDAbandon/(shard4|dense|sparse|gtree)' -cpu 1 -benchtime 300x ./internal/core/
 	$(GO) test -run - -bench 'GDAbandon/ine' -cpu 1 -benchtime 10x ./internal/core/

@@ -1,10 +1,14 @@
 package fannr_test
 
 import (
+	"bufio"
+	"bytes"
 	"go/ast"
 	"go/parser"
 	"go/token"
 	"io/fs"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -13,6 +17,13 @@ import (
 	"testing"
 
 	"fannr"
+	"fannr/internal/core"
+	"fannr/internal/graph"
+	"fannr/internal/gtree"
+	"fannr/internal/obs"
+	"fannr/internal/phl"
+	"fannr/internal/server"
+	"fannr/internal/shard"
 )
 
 // The hand-written documents whose inline code is held to the code.
@@ -33,6 +44,10 @@ var (
 	// A span that is one exported name, perhaps called: `Verify` or
 	// `GD(g, gp, q, k)`. One letter is a set of the paper (P, Q, G).
 	bareName = regexp.MustCompile(`^([A-Z]\w+)(?:\(.*\))?$`)
+	// A metric family, a set of them or a prefix: `fannr_cache_bytes`,
+	// `fannr_sets_{hits,fills}_total`, `fannr_pool_*`. Labels after the
+	// name (`fannr_index_bytes{index,mem}`) are not part of it.
+	metricName = regexp.MustCompile(`fannr(?:_(?:[a-z0-9]+|\{[a-z0-9_,\s]+\}|\*))+`)
 )
 
 // goFlags are the go and go test flags the documents pass in their
@@ -55,6 +70,7 @@ type goIndex struct {
 	names   map[string]bool
 	flags   map[string]bool
 	exps    map[string]bool
+	metrics []string // the families of scrapedFamilies
 }
 
 func indexRepo(t *testing.T, root string) *goIndex {
@@ -62,6 +78,7 @@ func indexRepo(t *testing.T, root string) *goIndex {
 	idx := &goIndex{
 		decls: map[string]map[string]bool{}, members: map[string]map[string]bool{}, tests: map[string]bool{},
 		names: map[string]bool{}, flags: map[string]bool{}, exps: map[string]bool{"all": true},
+		metrics: scrapedFamilies(t),
 	}
 	for _, id := range fannr.ExperimentIDs() {
 		idx.exps[id] = true
@@ -189,12 +206,116 @@ func (idx *goIndex) file(pkg string, f *ast.File, literals bool) {
 	}
 }
 
+// scrapedFamilies is every metric family named by a # TYPE line in the
+// /metrics scrape of a test fannr-server — cache and coalescing on, its
+// PHL index loaded from a file — after one /fann and one /dist, or in the
+// scrape of a test coordinator over two in-process shards.
+func scrapedFamilies(t *testing.T) []string {
+	t.Helper()
+	g, err := graph.Generate(graph.GenConfig{Nodes: 300, Seed: 3, Name: "lint"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	labels, err := phl.Build(g, phl.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var file bytes.Buffer
+	if err := labels.Save(&file); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "lint.phl")
+	if err := os.WriteFile(path, file.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	srv, err := server.New(g, server.Options{CacheEntries: 64, Coalesce: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = srv.AddReloadable(server.IndexSource{Name: "phl", Path: path,
+		Load:    func() (server.ReloadableIndex, error) { return phl.Load(path, phl.LoadOptions{Mmap: true}) },
+		Indexes: func(ix server.ReloadableIndex) core.Indexes { return core.Indexes{PHL: ix.(*phl.Index)} },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := srv.Handler()
+	for _, call := range [][2]string{
+		{"/fann", `{"p":[1,5,9,200],"q":[10,20,30],"phi":0.5,"engine":"PHL"}`},
+		{"/dist", `{"u":3,"v":40}`},
+	} {
+		rr := httptest.NewRecorder()
+		h.ServeHTTP(rr, httptest.NewRequest(http.MethodPost, call[0], strings.NewReader(call[1])))
+		if rr.Code != http.StatusOK {
+			t.Fatalf("%s: %d %s", call[0], rr.Code, rr.Body)
+		}
+	}
+	scrape := httptest.NewRecorder()
+	h.ServeHTTP(scrape, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+
+	tree, err := gtree.Build(g, gtree.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := shard.NewPlan(g, tree, shard.PlanOptions{Shards: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	transports := []shard.Transport{shard.InProc{Host: shard.NewHost(0, g, shard.HostOptions{})},
+		shard.InProc{Host: shard.NewHost(1, g, shard.HostOptions{})}}
+	reg := obs.NewRegistry()
+	if _, err := shard.NewCoordinator(plan, transports, shard.CoordinatorOptions{Registry: reg}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := reg.WriteTo(scrape.Body); err != nil {
+		t.Fatal(err)
+	}
+
+	var families []string
+	for lines := bufio.NewScanner(scrape.Body); lines.Scan(); {
+		if f := strings.Fields(lines.Text()); len(f) == 4 && f[0] == "#" && f[1] == "TYPE" {
+			families = append(families, f[2])
+		}
+	}
+	return families
+}
+
+// scraped reports whether a backticked metric name matches a family the
+// scrape exposes: every family of a set, and at least one family a
+// prefix or a wildcard spans.
+func (idx *goIndex) scraped(name string) bool {
+	var pattern strings.Builder
+	for _, part := range regexp.MustCompile(`\{[^}]*\}|\*|[^{*]+`).FindAllString(name, -1) {
+		switch {
+		case part == "*":
+			pattern.WriteString(`\w*`)
+		case part[0] == '{':
+			for _, alt := range strings.Split(strings.Trim(part, "{}"), ",") {
+				if !idx.scraped(strings.Replace(name, part, strings.TrimSpace(alt), 1)) {
+					return false
+				}
+			}
+			return true
+		default:
+			pattern.WriteString(regexp.QuoteMeta(part))
+		}
+	}
+	re := regexp.MustCompile("^" + pattern.String() + "$")
+	for _, family := range idx.metrics {
+		if re.MatchString(family) {
+			return true
+		}
+	}
+	return false
+}
+
 // stale returns every name in the inline code of doc — fenced blocks
 // are shell sessions and are not read — that does not resolve: a dotted
 // name on a repository package that package does not declare, a test,
 // benchmark or fuzz target no test file defines, a flag no binary
-// registers (go's own aside), an experiment id exp.Registry lacks, or a
-// bare exported name that is nowhere declared or spelled.
+// registers (go's own aside), an experiment id exp.Registry lacks, a
+// bare exported name that is nowhere declared or spelled, or a metric
+// family no scrape exposes.
 func (idx *goIndex) stale(doc string) []string {
 	var out []string
 	for _, span := range inlineCode.FindAllString(fence.ReplaceAllString(doc, ""), -1) {
@@ -228,6 +349,11 @@ func (idx *goIndex) stale(doc string) []string {
 		if m := bareName.FindStringSubmatch(code); m != nil && !idx.names[m[1]] {
 			out = append(out, m[1])
 		}
+		for _, name := range metricName.FindAllString(code, -1) {
+			if !idx.scraped(name) {
+				out = append(out, name)
+			}
+		}
 	}
 	return out
 }
@@ -235,7 +361,8 @@ func (idx *goIndex) stale(doc string) []string {
 // TestDocsNameRealCode holds the inline code of the hand-written
 // documents to the code (make docs-lint): every dotted Go name on a
 // repository package, every test, benchmark or fuzz target, every flag,
-// every `-exp` id and every bare exported name they name must exist.
+// every `-exp` id, every bare exported name and every metric family they
+// name must exist.
 func TestDocsNameRealCode(t *testing.T) {
 	idx := indexRepo(t, ".")
 	for _, doc := range lintedDocs {
@@ -270,6 +397,10 @@ func TestDocsLintCatchesStaleNames(t *testing.T) {
 		{"`fannr-server -coalesce-window 500us`", []string{"-coalesce-window"}},
 		{"`fannr-bench -exp fig4a`, `-exp all`, `-exp fig5a`", []string{"-exp fig5a"}},
 		{"`GD(g, gp, q, k)`, `KBrute`, `PHL`, `NW` and a stale `" + kgd + "`", []string{kgd}},
+		{"`fannr_cache_bytes`, `fannr_index_bytes{index,mem}`, `fannr_pool_*`, `fannr_*_total` and `fannr_shard_fanout`", nil},
+		{"`fannr_sets_{hits,\nfills}_total` and `fannr_requests_total{route=\"fann\"}`", nil},
+		{"a stale `fannr_batch_wait_seconds`", []string{"fannr_batch_wait_seconds"}},
+		{"`fannr_sets_{hits,waits}_total`, `fannr_batch_*`", []string{"fannr_sets_{hits,waits}_total", "fannr_batch_*"}},
 	} {
 		if got := idx.stale(tc.doc); strings.Join(got, " ") != strings.Join(tc.want, " ") {
 			t.Errorf("%q: stale %q, want %q", tc.doc, got, tc.want)

@@ -214,9 +214,9 @@ func (q *Query) Validate(g *graph.Graph) error {
 
 // Answer is the result triple (p*, Q*_φ, d*) of Definition 2.
 type Answer struct {
-	P      graph.NodeID
-	Dist   float64
-	Subset []graph.NodeID // the optimal flexible subset Q*_φ
+	P      graph.NodeID   `json:"p"`
+	Dist   float64        `json:"dist"`
+	Subset []graph.NodeID `json:"subset"` // the optimal flexible subset Q*_φ
 }
 
 // ErrNoResult is returned when no data point can reach ⌈φ|Q|⌉ query

@@ -49,6 +49,12 @@ func NewSlowLog(n int) *SlowLog {
 	return &SlowLog{cap: n}
 }
 
+// Keeps reports, in one atomic load, whether Record would retain an
+// unerrored request of durMicros: a caller asks before building a trace.
+func (l *SlowLog) Keeps(durMicros int64) bool {
+	return l != nil && durMicros > l.floor.Load()
+}
+
 // Record offers a completed request to the log. Errored or degraded
 // requests always enter the error ring; every request competes for the
 // slow set. Safe on nil and for concurrent use.
@@ -69,7 +75,7 @@ func (l *SlowLog) Record(e SlowEntry, errored bool) {
 	}
 	// Fast path: the slow set is full and this request is not slower
 	// than the floor — one atomic load, no lock.
-	if e.DurMicros <= l.floor.Load() {
+	if !l.Keeps(e.DurMicros) {
 		return
 	}
 	l.mu.Lock()

@@ -21,7 +21,8 @@ import (
 // and over a file-backed, mmap'd one. The limits are the counts measured
 // once a request id cost one allocation at any sequence number. The
 // process first hands out 1 000 request ids, so the counts are those of a
-// server that has been up a while, not of its first few hundred requests.
+// server that has been up a while, not of its first few hundred requests,
+// and its slow log is full of requests slower than any here.
 func TestFANNHandlerAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts under the race detector are not the shipped path's")
@@ -35,7 +36,7 @@ func TestFANNHandlerAllocs(t *testing.T) {
 		maxExactHit, maxComputed float64
 		server                   func() (*Server, *graph.Graph)
 	}{
-		{"built", 79, 128, func() (*Server, *graph.Graph) {
+		{"built", 56, 91, func() (*Server, *graph.Graph) {
 			g, err := graph.Generate(graph.GenConfig{Nodes: 400, Seed: 29, Name: "allocs"})
 			if err != nil {
 				t.Fatal(err)
@@ -52,7 +53,7 @@ func TestFANNHandlerAllocs(t *testing.T) {
 			}
 			return srv, g
 		}},
-		{"file-backed", 80, 132, func() (*Server, *graph.Graph) {
+		{"file-backed", 57, 93, func() (*Server, *graph.Graph) {
 			h := newReloadHarness(t, true, nil, opts)
 			return h.srv, h.g
 		}},
@@ -60,6 +61,12 @@ func TestFANNHandlerAllocs(t *testing.T) {
 	for _, row := range rows {
 		srv, g := row.server()
 		h := srv.Handler()
+		// A full slow set whose floor no request beats: which requests beat
+		// a live floor, and so pay for a trace report, is a matter of
+		// timing, and the counts here are of the code.
+		for i := 0; i < slowLogEntries; i++ {
+			srv.slow.Record(obs.SlowEntry{RequestID: "floor", DurMicros: 1 << 40}, false)
+		}
 		const runs = 200
 		var bodies [][]byte
 		n := g.NumNodes()

@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"fannr/internal/core"
-	"fannr/internal/graph"
 	"fannr/internal/obs"
 	"fannr/internal/qcache"
 	"fannr/internal/wire"
@@ -21,26 +20,10 @@ import (
 type FANNRequest = wire.FANNRequest
 
 // FANNAnswer is one result of a /fann call.
-type FANNAnswer struct {
-	P      graph.NodeID   `json:"p"`
-	Dist   float64        `json:"dist"`
-	Subset []graph.NodeID `json:"subset"`
-}
+type FANNAnswer = wire.FANNAnswer
 
-// FANNResponse is the /fann response body. Engine is the pool that
-// actually answered; Degraded is set when that differs from the
-// requested engine because its breaker was open and the fallback ladder
-// was followed.
-type FANNResponse struct {
-	Answers  []FANNAnswer `json:"answers"`
-	Micros   int64        `json:"micros"`
-	Engine   string       `json:"engine"`
-	Degraded bool         `json:"degraded,omitempty"`
-	// Explain carries the hierarchical trace report when the request
-	// asked for it (?explain=1 or X-Fannr-Explain) — the EXPLAIN ANALYZE
-	// view of the answer above it.
-	Explain *obs.Report `json:"explain,omitempty"`
-}
+// FANNResponse is the /fann response body.
+type FANNResponse = wire.FANNResponse
 
 // maxFANNBody bounds the /fann request body (point sets can be large but
 // not unbounded); maxDistBody bounds /dist.
@@ -92,17 +75,6 @@ func (s *Server) handleFANN(w http.ResponseWriter, r *http.Request) {
 		s.fail(&c, err)
 		return
 	}
-	// The query lifecycle is bounded by the request: the context ends when
-	// the client disconnects, and -query-timeout adds a server-side
-	// deadline on top — covering the admission queue wait as well as the
-	// compute. The Cancel hook polls an atomic the context watcher flips,
-	// so every algorithm aborts at its next loop boundary.
-	c.ctx = r.Context()
-	if s.queryTimeout > 0 {
-		var cancel context.CancelFunc
-		c.ctx, cancel = context.WithTimeout(c.ctx, s.queryTimeout)
-		defer cancel()
-	}
 	if err := s.route(&c); err != nil {
 		s.fail(&c, err)
 		return
@@ -110,6 +82,18 @@ func (s *Server) handleFANN(w http.ResponseWriter, r *http.Request) {
 	defer s.settleProbe(&c)
 	if s.cached(&c) {
 		return
+	}
+	// The query lifecycle is bounded by the request: the context ends when
+	// the client disconnects, and -query-timeout adds a server-side
+	// deadline on top — covering the coalesce and admission waits as well
+	// as the compute; a cache hit reads no context. The Cancel hook polls
+	// an atomic the context watcher flips, so every algorithm aborts at
+	// its next loop boundary.
+	c.ctx = r.Context()
+	if s.queryTimeout > 0 {
+		var cancel context.CancelFunc
+		c.ctx, cancel = context.WithTimeout(c.ctx, s.queryTimeout)
+		defer cancel()
 	}
 	answers, err := s.coalesce(&c)
 	if err != nil {
@@ -412,13 +396,13 @@ func (s *Server) reply(c *fannCall, answers []core.Answer, micros int64) {
 		c.em.degraded.Inc()
 	}
 	resp := FANNResponse{Micros: micros, Engine: c.served, Degraded: c.degraded}
-	for _, a := range answers {
-		resp.Answers = append(resp.Answers, FANNAnswer{P: a.P, Dist: a.Dist, Subset: a.Subset})
+	if len(answers) > 0 { // no answers encode as null
+		resp.Answers = answers
 	}
-	if c.r.URL.Query().Get("explain") == "1" || c.r.Header.Get("X-Fannr-Explain") != "" {
+	if c.r.URL.RawQuery != "" && c.r.URL.Query().Get("explain") == "1" || c.r.Header.Get("X-Fannr-Explain") != "" {
 		resp.Explain = c.tr.Report()
 	}
-	wire.WriteJSON(c.w, http.StatusOK, resp)
+	wire.WriteFANNResponse(c.w, &resp)
 }
 
 // record ends the request's trace and logs it: one structured record
@@ -460,6 +444,11 @@ func (s *Server) record(c *fannCall) {
 	root := c.tr.Root()
 	root.SetAttr("outcome", c.outcome)
 	root.End()
+	// A fast ok request costs the slow log one atomic load, and no report.
+	errored, dur := c.outcome != "ok" || c.degraded, elapsed.Microseconds()
+	if !errored && !s.slow.Keeps(dur) {
+		return
+	}
 	s.slow.Record(obs.SlowEntry{
 		RequestID: c.tr.ID,
 		Algo:      c.req.Algo,
@@ -467,9 +456,9 @@ func (s *Server) record(c *fannCall) {
 		Outcome:   c.outcome,
 		Degraded:  c.degraded,
 		Start:     c.start,
-		DurMicros: elapsed.Microseconds(),
+		DurMicros: dur,
 		Trace:     c.tr.Report(),
-	}, c.outcome != "ok" || c.degraded)
+	}, errored)
 }
 
 // generationKey is the engine member of a file-backed engine's cache key,

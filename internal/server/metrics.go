@@ -4,6 +4,7 @@ import (
 	"context"
 	"net/http"
 	"strconv"
+	"sync"
 	"time"
 
 	"fannr/internal/core"
@@ -95,6 +96,7 @@ type serverMetrics struct {
 	reg            *obs.Registry
 	engines        map[string]*engineMetrics
 	requestSeconds map[string]*obs.Histogram // by route label
+	requests       map[string]*sync.Map      // by route label: status → *obs.Counter
 	coalesced      *obs.Counter              // nil when coalescing is off
 	// indexFaults is incremented by noteIndexFault for every contained
 	// memory fault, keyed by index name (file-backed indexes only).
@@ -134,11 +136,13 @@ func newServerMetrics(s *Server, reg *obs.Registry) *serverMetrics {
 		reg:            reg,
 		engines:        make(map[string]*engineMetrics, len(s.engines)),
 		requestSeconds: make(map[string]*obs.Histogram, len(knownRoutes)+1),
+		requests:       make(map[string]*sync.Map, len(knownRoutes)+1),
 		indexFaults:    make(map[string]*obs.Counter, len(s.indexes)),
 	}
 	for _, route := range []string{"fann", "dist", "meta", "healthz", "readyz", "metrics", "admin_reload", "debug_slow", "other"} {
 		m.requestSeconds[route] = reg.Histogram(mRequestSeconds,
 			"HTTP request latency by route.", obs.DefBuckets, obs.L("route", route))
+		m.requests[route] = new(sync.Map)
 	}
 	// Pool series read through the live generation, plus the totals folded
 	// from closed generations, so the counter-shaped series stay
@@ -266,13 +270,17 @@ func newServerMetrics(s *Server, reg *obs.Registry) *serverMetrics {
 }
 
 // observeRequest records one finished HTTP request. The status counter is
-// fetched through the registry (one mutex-guarded lookup per request —
-// cheap next to JSON decoding); the latency histogram is prefetched. id
-// tags the latency bucket with an exemplar, linking a /metrics p99 spike
-// back to the request trace captured at /debug/slow.
+// registered the first time its route answers with that status, and read
+// lock-free after; the latency histogram is prefetched. id tags the
+// latency bucket with an exemplar, linking a /metrics p99 spike back to
+// the request trace captured at /debug/slow.
 func (m *serverMetrics) observeRequest(route string, status int, elapsed time.Duration, id string) {
-	m.reg.Counter(mRequestsTotal, "HTTP requests by route and status code.",
-		obs.L("route", route), obs.L("code", strconv.Itoa(status))).Inc()
+	c, ok := m.requests[route].Load(status)
+	if !ok {
+		c, _ = m.requests[route].LoadOrStore(status, m.reg.Counter(mRequestsTotal,
+			"HTTP requests by route and status code.", obs.L("route", route), obs.L("code", strconv.Itoa(status))))
+	}
+	c.(*obs.Counter).Inc()
 	if h, ok := m.requestSeconds[route]; ok {
 		h.ObserveEx(elapsed.Seconds(), id)
 	}

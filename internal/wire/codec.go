@@ -2,10 +2,14 @@ package wire
 
 import (
 	"encoding/json"
+	"fmt"
 	"math"
+	"net/http"
 	"strconv"
 
+	"fannr/internal/core"
 	"fannr/internal/graph"
+	"fannr/internal/obs"
 )
 
 // The shard RPC's two bodies — the coordinator sends a FANNRequest, the
@@ -16,7 +20,8 @@ import (
 // value it cannot (a string that needs escaping, a float encoding/json
 // writes with an exponent or refuses), and a scanner for exactly the
 // shape the appender writes that hands anything else, untouched, to
-// json.Unmarshal. FuzzShardBodies holds each to its encoding/json twin.
+// json.Unmarshal. fannr-server's /fann reply is appended the same way.
+// FuzzShardBodies holds each to its encoding/json twin.
 
 // ShardAnswer mirrors the public FANN answer shape.
 type ShardAnswer struct {
@@ -94,6 +99,75 @@ func AppendShardResponse(dst []byte, r *ShardResponse) (out []byte, ok bool) {
 		dst = append(dst, `,"cache_hit":true`...)
 	}
 	return append(dst, '}'), true
+}
+
+// FANNAnswer is one result of a /fann call: an answer as core returns it.
+type FANNAnswer = core.Answer
+
+// FANNResponse is fannr-server's /fann reply: Engine is the pool that
+// answered, Degraded marks a fallback answer, Explain the asked-for trace.
+type FANNResponse struct {
+	Answers  []FANNAnswer `json:"answers"`
+	Micros   int64        `json:"micros"`
+	Engine   string       `json:"engine"`
+	Degraded bool         `json:"degraded,omitempty"`
+	Explain  *obs.Report  `json:"explain,omitempty"`
+}
+
+// AppendFANNResponse appends r as json.NewEncoder(w).Encode writes it,
+// trailing newline included, the explain report through json.Marshal. It
+// declines where the shard appenders do, or if the report does not encode.
+func AppendFANNResponse(dst []byte, r *FANNResponse) (out []byte, ok bool) {
+	dst = append(dst, `{"answers":`...)
+	if r.Answers == nil {
+		dst = append(dst, "null"...)
+	} else {
+		dst = append(dst, '[')
+		for i := range r.Answers {
+			a := &r.Answers[i]
+			if i > 0 {
+				dst = append(dst, ',')
+			}
+			dst = strconv.AppendInt(append(dst, `{"p":`...), int64(a.P), 10)
+			if dst, ok = appendFloat(append(dst, `,"dist":`...), a.Dist); !ok {
+				return dst, false
+			}
+			dst = append(appendIDs(append(dst, `,"subset":`...), a.Subset), '}')
+		}
+		dst = append(dst, ']')
+	}
+	dst = strconv.AppendInt(append(dst, `,"micros":`...), r.Micros, 10)
+	if dst, ok = appendString(append(dst, `,"engine":`...), r.Engine); !ok {
+		return dst, false
+	}
+	if r.Degraded {
+		dst = append(dst, `,"degraded":true`...)
+	}
+	if r.Explain != nil {
+		report, err := json.Marshal(r.Explain)
+		if err != nil {
+			return dst, false
+		}
+		dst = append(append(dst, `,"explain":`...), report...)
+	}
+	return append(dst, "}\n"...), true
+}
+
+// WriteFANNResponse answers 200 with r appended into a pooled buffer, sent
+// in one Write with its Content-Length; a reply that cannot encode is 500.
+func WriteFANNResponse(w http.ResponseWriter, r *FANNResponse) {
+	body := bodyPool.Get().(*Body)
+	defer body.Release()
+	if b, ok := AppendFANNResponse(body.buf.AvailableBuffer(), r); ok {
+		body.buf.Write(b) // in place, or keeps the grown buffer for the next reply
+	} else if err := json.NewEncoder(&body.buf).Encode(*r); err != nil {
+		WriteError(w, fmt.Errorf("encoding reply: %w", err))
+		return
+	}
+	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Length", strconv.Itoa(body.buf.Len()))
+	w.WriteHeader(http.StatusOK)
+	_, _ = w.Write(body.Bytes())
 }
 
 func appendIDs(dst []byte, ids []graph.NodeID) []byte {

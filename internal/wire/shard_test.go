@@ -45,7 +45,7 @@ func checkResponseAgainstJSON(t *testing.T, data []byte) {
 }
 
 // checkAppendAgainstJSON is the encoding half: whatever request and
-// reply the bytes decode to, each appender either writes json.Marshal's
+// replies the bytes decode to, each appender either writes encoding/json's
 // bytes or declines — and never declines a value of the common shape.
 func checkAppendAgainstJSON(t *testing.T, data []byte) {
 	t.Helper()
@@ -56,6 +56,10 @@ func checkAppendAgainstJSON(t *testing.T, data []byte) {
 	var resp ShardResponse
 	if json.Unmarshal(data, &resp) == nil {
 		checkResponseAppend(t, &resp)
+	}
+	var reply FANNResponse
+	if json.Unmarshal(data, &reply) == nil {
+		checkReplyAppend(t, &reply)
 	}
 }
 
@@ -160,13 +164,19 @@ func TestShardAppendEdges(t *testing.T) {
 		math.MaxFloat64, math.SmallestNonzeroFloat64, math.NaN(), math.Inf(1), math.Inf(-1), 1.0 / 3} {
 		checkRequestAppend(t, &FANNRequest{P: []graph.NodeID{1}, Q: []graph.NodeID{}, Phi: f, K: -4})
 		checkResponseAppend(t, &ShardResponse{Answers: []ShardAnswer{{P: -7, Dist: f, Subset: []graph.NodeID{3}}}})
+		checkReplyAppend(t, &FANNResponse{Answers: []FANNAnswer{{P: -7, Dist: f}}, Degraded: true})
 	}
 	for _, s := range []string{"", "PHL", "IER-A*", "a b", `a"b`, `a\b`, "<x>", "a&b", "é", "a\x00b", "a\x7fb", "\xff"} {
 		checkRequestAppend(t, &FANNRequest{Agg: s, Algo: s, Engine: s})
 		checkResponseAppend(t, &ShardResponse{Engine: s})
+		checkReplyAppend(t, &FANNResponse{Engine: s})
 	}
 	checkRequestAppend(t, &FANNRequest{})
 	checkResponseAppend(t, &ShardResponse{})
+	checkReplyAppend(t, &FANNResponse{})
+	for _, r := range replySeeds() {
+		checkReplyAppend(t, r)
+	}
 	checkResponseAppend(t, &ShardResponse{Answers: []ShardAnswer{}, CacheHit: true, GPhiEvals: -1, Micros: math.MaxInt64})
 }
 
@@ -180,6 +190,13 @@ func FuzzShardBodies(f *testing.F) {
 		f.Add([]byte(tc.body))
 	}
 	f.Add(shapedBody(rand.New(rand.NewSource(1)), 211, 8))
+	for _, r := range replySeeds() {
+		body, err := json.Marshal(r)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(body)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		checkResponseAgainstJSON(t, data)
 		checkAppendAgainstJSON(t, data)

@@ -1,8 +1,9 @@
 // Package wire is the /fann request as every serving tier reads it: one
 // struct and one decoder, shared by the single-process server, the shard
 // coordinator and the shard hosts' frame codec; one normalise step that
-// makes it a validated query (call.go); and one error table with the HTTP
-// surface that writes it (errors.go).
+// makes it a validated query (call.go); the bodies written on every call,
+// appended without reflection (codec.go); and one error table with the
+// HTTP surface that writes it (errors.go).
 //
 // The decoder is two paths over the same bytes. A hand-written scanner
 // accepts exactly the shape clients send — one flat object of the seven
