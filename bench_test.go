@@ -1,7 +1,7 @@
 package fannr
 
-// One testing.B benchmark per table and figure of the paper's evaluation
-// (§VI), wrapping the drivers in internal/exp at a reduced scale so the
+// One testing.B sub-benchmark per experiment of the paper's evaluation
+// (§VI), running internal/exp's registry at a reduced scale so the
 // whole suite stays laptop-sized, plus per-algorithm and per-engine
 // micro-benchmarks at the paper's default parameters (d=0.001, A=10%,
 // M=128, C=1, φ=0.5).
@@ -52,83 +52,21 @@ func sharedEnv(b *testing.B) *exp.Env {
 	return benchEnv
 }
 
-func runFigure(b *testing.B, run func(e *exp.Env) ([]*exp.Table, error)) {
-	e := sharedEnv(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tables, err := run(e)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(tables) == 0 {
-			b.Fatal("no tables produced")
-		}
+// BenchmarkExperiment runs every experiment of the paper's evaluation,
+// one sub-benchmark per registry id, on the shared Env (Fig. 9 builds its
+// own graphs at Scale/8 and reads only the Env's config).
+func BenchmarkExperiment(b *testing.B) {
+	for _, id := range exp.ExperimentIDs() {
+		b.Run(id, func(b *testing.B) {
+			e := sharedEnv(b)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if tables, err := e.Run(id); err != nil || len(tables) == 0 {
+					b.Fatalf("%d tables, error %v", len(tables), err)
+				}
+			}
+		})
 	}
-}
-
-// Figure and table benchmarks — one per experiment in the paper.
-
-func BenchmarkFig3a(b *testing.B) {
-	runFigure(b, func(e *exp.Env) ([]*exp.Table, error) { return e.Fig3a() })
-}
-func BenchmarkFig3b(b *testing.B) {
-	runFigure(b, func(e *exp.Env) ([]*exp.Table, error) { return e.Fig3b() })
-}
-func BenchmarkFig4a(b *testing.B) {
-	runFigure(b, func(e *exp.Env) ([]*exp.Table, error) { return e.Fig4a() })
-}
-func BenchmarkFig4b(b *testing.B) {
-	runFigure(b, func(e *exp.Env) ([]*exp.Table, error) { return e.Fig4b() })
-}
-func BenchmarkFig5(b *testing.B) {
-	runFigure(b, func(e *exp.Env) ([]*exp.Table, error) { return e.Fig5() })
-}
-func BenchmarkFig6(b *testing.B) {
-	runFigure(b, func(e *exp.Env) ([]*exp.Table, error) { return e.Fig6() })
-}
-func BenchmarkFig7(b *testing.B) {
-	runFigure(b, func(e *exp.Env) ([]*exp.Table, error) { return e.Fig7() })
-}
-func BenchmarkFig8(b *testing.B) {
-	runFigure(b, func(e *exp.Env) ([]*exp.Table, error) { return e.Fig8() })
-}
-
-func BenchmarkFig9(b *testing.B) {
-	cfg := benchConfig()
-	cfg.Scale = 1.0 / 64 // Fig9 loads all seven datasets at Scale/8
-	for i := 0; i < b.N; i++ {
-		if _, err := exp.Fig9(cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkFig10(b *testing.B) {
-	runFigure(b, func(e *exp.Env) ([]*exp.Table, error) { return e.Fig10() })
-}
-func BenchmarkFig11(b *testing.B) {
-	runFigure(b, func(e *exp.Env) ([]*exp.Table, error) { return e.Fig11() })
-}
-func BenchmarkFig12(b *testing.B) {
-	runFigure(b, func(e *exp.Env) ([]*exp.Table, error) { return e.Fig12() })
-}
-func BenchmarkTableV(b *testing.B) {
-	runFigure(b, func(e *exp.Env) ([]*exp.Table, error) { return e.TableV() })
-}
-func BenchmarkAppendixA(b *testing.B) {
-	runFigure(b, func(e *exp.Env) ([]*exp.Table, error) { return e.AppendixA() })
-}
-func BenchmarkAppendixB(b *testing.B) {
-	runFigure(b, func(e *exp.Env) ([]*exp.Table, error) { return e.AppendixB() })
-}
-func BenchmarkAppendixC(b *testing.B) {
-	runFigure(b, func(e *exp.Env) ([]*exp.Table, error) { return e.AppendixC() })
-}
-
-// Beyond-paper experiments.
-
-func BenchmarkDiagnostics(b *testing.B) {
-	runFigure(b, func(e *exp.Env) ([]*exp.Table, error) { return e.Diagnostics() })
 }
 
 // Per-algorithm micro-benchmarks at the paper's default parameters.

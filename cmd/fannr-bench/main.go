@@ -1,6 +1,8 @@
 // Command fannr-bench regenerates the tables and figures of the paper's
 // evaluation section (§VI). Each experiment prints the same series the
 // paper plots; see EXPERIMENTS.md for the paper-vs-measured comparison.
+// A run builds the dataset's indexes once, reported as the step "env",
+// and every experiment after it reuses them (Fig. 9 builds its own).
 //
 // Examples:
 //
@@ -61,13 +63,7 @@ func main() {
 	if cfg.exp == "all" {
 		ids = fannr.ExperimentIDs()
 	}
-	for _, id := range ids {
-		start := time.Now()
-		tables, err := fannr.RunExperiment(id, cfg.run)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "fannr-bench: %s: %v\n", id, err)
-			os.Exit(1)
-		}
+	err := fannr.RunExperiments(ids, cfg.run, func(id string, tables []*fannr.ExpTable, took time.Duration) {
 		for _, tbl := range tables {
 			tbl.Render(os.Stdout)
 			fmt.Println()
@@ -82,7 +78,11 @@ func main() {
 				}
 			}
 		}
-		fmt.Printf("[%s completed in %s]\n\n", id, time.Since(start).Round(time.Millisecond))
+		fmt.Printf("[%s completed in %s]\n\n", id, took.Round(time.Millisecond))
+	})
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "fannr-bench: %v\n", err)
+		os.Exit(1)
 	}
 }
 

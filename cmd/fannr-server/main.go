@@ -20,7 +20,7 @@
 // With -pprof, net/http/pprof is mounted under /debug/pprof/. With -log,
 // every /fann request emits one structured JSON log line to stderr
 // (request id, engine, outcome, stage timings, op counts); the
-// X-Request-ID response header carries the same id either way.
+// X-Request-Id response header carries the same id either way.
 //
 // Request lifecycle: every /fann query is bounded by -query-timeout and
 // by its client — a disconnect or deadline aborts the search promptly and

@@ -32,6 +32,7 @@ package fannr
 
 import (
 	"io"
+	"time"
 
 	"fannr/internal/binio"
 	"fannr/internal/core"
@@ -251,9 +252,15 @@ type (
 	ExpTable = exp.Table
 )
 
-// RunExperiment regenerates one of the paper's figures or tables by id
-// (e.g. "fig4a", "table5"); ExperimentIDs lists them.
-func RunExperiment(id string, cfg ExpConfig) ([]*ExpTable, error) { return exp.Run(id, cfg) }
+// RunExperiments regenerates the paper's figures and tables named by ids
+// (e.g. "fig4a", "table5"; ExperimentIDs lists them), in order, over one
+// dataset whose indexes are built at most once. each receives every
+// experiment's tables and wall time, and, before the first experiment
+// that needs the indexes, the id "env" with no tables and their build
+// time.
+func RunExperiments(ids []string, cfg ExpConfig, each func(id string, tables []*ExpTable, took time.Duration)) error {
+	return exp.Run(ids, cfg, each)
+}
 
 // ExperimentIDs lists the available experiment ids.
 func ExperimentIDs() []string { return exp.ExperimentIDs() }

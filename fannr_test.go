@@ -10,6 +10,7 @@ import (
 	"math"
 	"sync"
 	"testing"
+	"time"
 
 	"fannr"
 	"fannr/internal/graph"
@@ -246,7 +247,10 @@ func TestExperimentIDsExposed(t *testing.T) {
 	if len(ids) < 16 {
 		t.Fatalf("only %d experiment ids", len(ids))
 	}
-	if _, err := fannr.RunExperiment("not-a-figure", fannr.ExpConfig{}); err == nil {
-		t.Fatal("unknown experiment accepted")
+	ran := false
+	err := fannr.RunExperiments([]string{"fig4a", "not-a-figure"}, fannr.ExpConfig{},
+		func(string, []*fannr.ExpTable, time.Duration) { ran = true })
+	if err == nil || ran {
+		t.Fatalf("unknown experiment: error %v, ran before it %v", err, ran)
 	}
 }

@@ -1,8 +1,8 @@
 // Package exp is the benchmark harness that regenerates every table and
-// figure of the paper's evaluation (§VI). Each experiment has a driver
-// returning a Table whose series mirror the paper's plot lines; the
-// fannr-bench CLI and the repository-level testing.B benchmarks both call
-// into this package.
+// figure of the paper's evaluation (§VI). Each experiment is one Registry
+// row run on a shared Env, returning Tables whose series mirror the
+// paper's plot lines; the fannr-bench CLI and the repository-level
+// testing.B benchmark both run the rows through Run and Env.Run.
 package exp
 
 import (

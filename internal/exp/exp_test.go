@@ -3,6 +3,8 @@ package exp
 import (
 	"bytes"
 	"errors"
+	"reflect"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -56,45 +58,71 @@ func checkTables(t *testing.T, id string, tables []*Table, err error) {
 	}
 }
 
-// One shared Env exercises every Env-based driver without rebuilding
-// indexes per figure.
-func TestAllEnvDrivers(t *testing.T) {
-	e, err := NewEnv(tinyConfig())
+// TestExperimentSmoke runs every registry id through Run on one shared
+// Env at 1/1024 scale: the Env is built once, every table is well formed
+// with no errored cell, and the count-valued diagnostics table is the
+// same run alone on a fresh Env, after fig5 on that Env, and inside the
+// full run, so each experiment re-seeds its draws.
+func TestExperimentSmoke(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs every experiment")
+	}
+	cfg := Config{Scale: 1.0 / 1024, Queries: 1, Seed: 1, Timeout: 2 * time.Second}
+	envs := 0
+	var diag *Table
+	err := Run(ExperimentIDs(), cfg, func(id string, tables []*Table, took time.Duration) {
+		if id == "env" {
+			envs++
+			return
+		}
+		checkTables(t, id, tables, nil)
+		if id == "diagnostics" {
+			diag = tables[0]
+		}
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	type namedDriver struct {
-		id  string
-		run func() ([]*Table, error)
+	if envs != 1 {
+		t.Fatalf("built the Env %d times, want once", envs)
 	}
-	drivers := []namedDriver{
-		{"fig3a", e.Fig3a},
-		{"fig3b", e.Fig3b},
-		{"fig4a", e.Fig4a},
-		{"fig4b", e.Fig4b},
-		{"fig5", e.Fig5},
-		{"fig6", e.Fig6},
-		{"fig7", e.Fig7},
-		{"fig8", e.Fig8},
-		{"fig10", e.Fig10},
-		{"fig11", e.Fig11},
-		{"fig12", e.Fig12},
-		{"table5", e.TableV},
-		{"appendixA", e.AppendixA},
-		{"appendixB", e.AppendixB},
-		{"appendixC", e.AppendixC},
-		{"diagnostics", e.Diagnostics},
+
+	e, err := NewEnv(cfg)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, d := range drivers {
-		tables, err := d.run()
-		checkTables(t, d.id, tables, err)
+	alone, err := e.Run("diagnostics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.Run("fig5"); err != nil {
+		t.Fatal(err)
+	}
+	after, err := e.Run("diagnostics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(alone[0], after[0]) || !reflect.DeepEqual(alone[0], diag) {
+		var a, b, c bytes.Buffer
+		alone[0].Render(&a)
+		after[0].Render(&b)
+		diag.Render(&c)
+		t.Fatalf("diagnostics differ:\nalone\n%s\nafter fig5\n%s\nin the full run\n%s", &a, &b, &c)
 	}
 }
 
+// TestFig9 runs Fig. 9 alone: it loads its own seven datasets and builds
+// no Env.
 func TestFig9(t *testing.T) {
 	cfg := tinyConfig()
 	cfg.Scale = 0.008 // fig9 loads every dataset at Scale/8
-	tables, err := Fig9(cfg)
+	var tables []*Table
+	err := Run([]string{"fig9"}, cfg, func(id string, tbls []*Table, _ time.Duration) {
+		if id != "fig9" {
+			t.Fatalf("fig9 alone reported step %q", id)
+		}
+		tables = tbls
+	})
 	checkTables(t, "fig9", tables, err)
 	if len(tables) != 2 {
 		t.Fatalf("fig9 returned %d tables, want 2", len(tables))
@@ -123,14 +151,30 @@ func TestRegistryComplete(t *testing.T) {
 	if len(ids) != len(want) {
 		t.Fatal("ExperimentIDs incomplete")
 	}
-	if _, err := Run("nope", tinyConfig()); err == nil {
+	if _, err := (&Env{}).Run("nope"); err == nil {
 		t.Fatal("unknown experiment accepted")
 	}
 }
 
+// TestRunDispatch: Run refuses an unknown id before running anything, and
+// otherwise reports the Env build, then each experiment in order.
 func TestRunDispatch(t *testing.T) {
-	tables, err := Run("fig4b", tinyConfig())
-	checkTables(t, "fig4b", tables, err)
+	var steps []string
+	record := func(id string, tables []*Table, _ time.Duration) {
+		steps = append(steps, id)
+		if id != "env" {
+			checkTables(t, id, tables, nil)
+		}
+	}
+	if err := Run([]string{"fig4b", "nope"}, tinyConfig(), record); err == nil || len(steps) != 0 {
+		t.Fatalf("unknown id: error %v after steps %q", err, steps)
+	}
+	if err := Run([]string{"fig4b", "appendixA", "fig4b"}, tinyConfig(), record); err != nil {
+		t.Fatal(err)
+	}
+	if want := []string{"env", "fig4b", "appendixA", "fig4b"}; !slices.Equal(steps, want) {
+		t.Fatalf("steps %q, want %q", steps, want)
+	}
 }
 
 func TestEngines(t *testing.T) {
@@ -261,6 +305,20 @@ func TestRenderChart(t *testing.T) {
 	empty.RenderChart(&buf)
 	if !strings.Contains(buf.String(), "no plottable values") {
 		t.Fatal("degenerate chart not handled")
+	}
+}
+
+// TestPushRatios: a tick with no measured ratio is a skip in every series
+// of a quality table, never a zero ratio.
+func TestPushRatios(t *testing.T) {
+	tbl := newTable("q", "quality", "x", "ratio", []tickSpec{{label: "a"}, {label: "b"}}, "mean", "std", "worst")
+	tbl.pushRatios(nil)
+	tbl.pushRatios([]float64{1, 3})
+	want := [][]Cell{{{Skip: true}, {Value: 2}}, {{Skip: true}, {Value: 1}}, {{Skip: true}, {Value: 3}}}
+	for i, s := range tbl.Series {
+		if !slices.Equal(s.Cells, want[i]) {
+			t.Fatalf("%s: cells %+v, want %+v", s.Name, s.Cells, want[i])
+		}
 	}
 }
 

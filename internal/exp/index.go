@@ -2,7 +2,6 @@ package exp
 
 import (
 	"errors"
-	"strconv"
 	"time"
 
 	"fannr/internal/gtree"
@@ -11,97 +10,62 @@ import (
 	"fannr/internal/workload"
 )
 
-// Fig9 — index construction time and size of G-tree vs hub labeling (the
+// fig9 — index construction time and size of G-tree vs hub labeling (the
 // paper's PHL) across the Table III datasets. PHL exceeds its memory
 // budget on the largest datasets (the paper: "PHL only can build index
 // for the first 5 datasets before exceeding the memory capacity"), which
 // the entry budget reproduces.
 //
-// Datasets are loaded at cfg.Scale/8 so the full seven-network sweep stays
-// laptop-sized; relative ordering is what the figure is about.
-func Fig9(cfg Config) ([]*Table, error) {
-	cfg = cfg.withDefaults()
-	scale := cfg.Scale / 8
-	timeTbl := &Table{
-		ID:     "fig9b",
-		Title:  "index construction time across datasets",
-		XLabel: "dataset",
-		YLabel: "build seconds",
-		Series: []Series{{Name: "G-tree"}, {Name: "PHL"}},
+// Datasets are loaded at Cfg.Scale/8 so the full seven-network sweep stays
+// laptop-sized; relative ordering is what the figure is about. It reads
+// nothing of e but Cfg.
+func fig9(e *Env) ([]*Table, error) {
+	scale := e.Cfg.Scale / 8
+	ticks := make([]tickSpec, len(workload.TableIII))
+	for i, spec := range workload.TableIII {
+		ticks[i].label = spec.Name
 	}
-	sizeTbl := &Table{
-		ID:     "fig9a",
-		Title:  "index size across datasets",
-		XLabel: "dataset",
-		YLabel: "index MB",
-		Series: []Series{{Name: "G-tree"}, {Name: "PHL"}},
-	}
+	sizeTbl := newTable("fig9a", "index size across datasets", "dataset", "index MB", ticks, "G-tree", "PHL")
+	timeTbl := newTable("fig9b", "index construction time across datasets", "dataset", "build seconds", ticks, "G-tree", "PHL")
 	for _, spec := range workload.TableIII {
 		g, err := workload.LoadDataset(spec.Name, scale)
 		if err != nil {
 			return nil, err
 		}
-		timeTbl.Ticks = append(timeTbl.Ticks, spec.Name)
-		sizeTbl.Ticks = append(sizeTbl.Ticks, spec.Name)
-
 		start := time.Now()
 		tr, err := gtree.Build(g, gtree.Options{MaxLeafSize: gtreeLeafFor(spec.Name)})
 		if err != nil {
 			return nil, err
 		}
-		timeTbl.Series[0].Cells = append(timeTbl.Series[0].Cells, Cell{Value: time.Since(start).Seconds()})
-		sizeTbl.Series[0].Cells = append(sizeTbl.Series[0].Cells, Cell{Value: float64(tr.Stats().MemoryBytes) / 1e6})
+		gtTime, gtSize := Cell{Value: time.Since(start).Seconds()}, Cell{Value: float64(tr.Stats().MemoryBytes) / 1e6}
 
 		start = time.Now()
-		ix, err := phl.Build(g, phl.Options{MaxEntries: cfg.PHLBudget})
+		ix, err := phl.Build(g, phl.Options{MaxEntries: e.Cfg.PHLBudget})
 		switch {
 		case errors.Is(err, phl.ErrBudget):
-			timeTbl.Series[1].Cells = append(timeTbl.Series[1].Cells, Cell{Note: "OOM", Skip: true})
-			sizeTbl.Series[1].Cells = append(sizeTbl.Series[1].Cells, Cell{Note: "OOM", Skip: true})
+			oom := Cell{Note: "OOM", Skip: true}
+			timeTbl.push(gtTime, oom)
+			sizeTbl.push(gtSize, oom)
 		case err != nil:
 			return nil, err
 		default:
-			timeTbl.Series[1].Cells = append(timeTbl.Series[1].Cells, Cell{Value: time.Since(start).Seconds()})
-			sizeTbl.Series[1].Cells = append(sizeTbl.Series[1].Cells, Cell{Value: float64(ix.MemoryBytes()) / 1e6})
+			timeTbl.push(gtTime, Cell{Value: time.Since(start).Seconds()})
+			sizeTbl.push(gtSize, Cell{Value: float64(ix.MemoryBytes()) / 1e6})
 		}
 	}
 	return []*Table{sizeTbl, timeTbl}, nil
 }
 
-// AppendixA — index cost of the R-tree over Q vs the G-tree occurrence
+// appendixA — index cost of the R-tree over Q vs the G-tree occurrence
 // list (Occ), varying M. The paper's conclusion: both are negligible next
 // to query cost, so the choice between GTree and IER-GTree is not driven
 // by Q-side index cost.
-func AppendixA(cfg Config) ([]*Table, error) {
-	e, err := NewEnv(cfg)
-	if err != nil {
-		return nil, err
-	}
-	return e.AppendixA()
-}
-
-// AppendixA runs the experiment on an existing Env.
-func (e *Env) AppendixA() ([]*Table, error) {
-	timeTbl := &Table{
-		ID:     "appendixA-time",
-		Title:  "Q-side index build time: R-tree vs Occ",
-		XLabel: "M",
-		YLabel: "build microseconds",
-		Series: []Series{{Name: "R-tree"}, {Name: "Occ"}},
-	}
-	sizeTbl := &Table{
-		ID:     "appendixA-size",
-		Title:  "Q-side index size: R-tree vs Occ",
-		XLabel: "M",
-		YLabel: "KB",
-		Series: []Series{{Name: "R-tree"}, {Name: "Occ"}},
-	}
-	p := workload.DefaultParams()
+func appendixA(e *Env) ([]*Table, error) {
+	timeTbl := newTable("appendixA-time", "Q-side index build time: R-tree vs Occ", "M", "build microseconds", size.ticks, "R-tree", "Occ")
+	sizeTbl := newTable("appendixA-size", "Q-side index size: R-tree vs Occ", "M", "KB", size.ticks, "R-tree", "Occ")
 	const reps = 16
-	for _, m := range sizeTicks {
-		timeTbl.Ticks = append(timeTbl.Ticks, tickLabelM(m))
-		sizeTbl.Ticks = append(sizeTbl.Ticks, tickLabelM(m))
-		Q := e.Gen.UniformQ(p.A, m)
+	for _, tick := range size.ticks {
+		Q := e.Gen.UniformQ(tick.params.A, tick.params.M)
 		pts := make([]rtree.Point, len(Q))
 		for i, q := range Q {
 			x, y := e.G.Coord(q)
@@ -120,14 +84,8 @@ func (e *Env) AppendixA() ([]*Table, error) {
 			occ = e.GTree.NewObjectSet(Q)
 		}
 		occTime := time.Since(start) / reps
-		timeTbl.Series[0].Cells = append(timeTbl.Series[0].Cells, Cell{Value: float64(rtTime.Microseconds())})
-		timeTbl.Series[1].Cells = append(timeTbl.Series[1].Cells, Cell{Value: float64(occTime.Microseconds())})
-		sizeTbl.Series[0].Cells = append(sizeTbl.Series[0].Cells, Cell{Value: float64(rt.Stats().MemoryBytes) / 1024})
-		sizeTbl.Series[1].Cells = append(sizeTbl.Series[1].Cells, Cell{Value: float64(occ.MemoryBytes()) / 1024})
+		timeTbl.push(Cell{Value: float64(rtTime.Microseconds())}, Cell{Value: float64(occTime.Microseconds())})
+		sizeTbl.push(Cell{Value: float64(rt.Stats().MemoryBytes) / 1024}, Cell{Value: float64(occ.MemoryBytes()) / 1024})
 	}
 	return []*Table{timeTbl, sizeTbl}, nil
-}
-
-func tickLabelM(m int) string {
-	return "M=" + strconv.Itoa(m)
 }

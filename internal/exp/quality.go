@@ -7,39 +7,39 @@ import (
 	"fannr/internal/workload"
 )
 
-// ratioSweep measures the APX-sum approximation ratio (Fig. 11, Fig. 12b,
+// quality is the panel of the APX-sum approximation ratio along x (Fig. 11,
+// Appendix B).
+func quality(id string, x axis) panel {
+	return panel{id: id, title: "APX-sum quality, varying " + x.phrase,
+		ylabel: "APX-sum approximation ratio (mean, std over queries)", x: x}
+}
+
+// ratioTable measures the APX-sum approximation ratio (Fig. 11, Fig. 12b,
 // Appendix B): per tick it runs APX-sum and an exact sum-FANN_R reference
-// (IER-kNN with PHL) on the same instances and reports the mean ratio and
-// its standard deviation (the paper's error bars).
-func (e *Env) ratioSweep(id, title, xlabel string, ticks []tickSpec) (*Table, error) {
-	exact, err := e.newEngine("PHL")
+// (IER-kNN with PHL) on the same instances and reports the mean ratio,
+// its standard deviation (the paper's error bars) and the worst ratio.
+func (e *Env) ratioTable(id, title, xlabel, ylabel string, ticks []tickSpec, instsPerTick [][]workloadInstance) (*Table, error) {
+	exact, err := e.buildEngine("PHL")
 	if err != nil {
 		return nil, err
 	}
 	apx := core.NewINE(e.G)
-	tbl := &Table{
-		ID:     id,
-		Title:  title,
-		XLabel: xlabel,
-		YLabel: "APX-sum approximation ratio (mean, std over queries)",
-		Series: []Series{{Name: "mean"}, {Name: "std"}, {Name: "worst"}},
-	}
-	for _, tick := range ticks {
-		tbl.Ticks = append(tbl.Ticks, tick.label)
-		insts := e.generate(tick.params)
-		ratios := e.measureRatios(insts, exact, apx)
-		mean, std, worst := summarize(ratios)
-		if len(ratios) == 0 {
-			for i := range tbl.Series {
-				tbl.Series[i].Cells = append(tbl.Series[i].Cells, Cell{Skip: true})
-			}
-			continue
-		}
-		tbl.Series[0].Cells = append(tbl.Series[0].Cells, Cell{Value: mean})
-		tbl.Series[1].Cells = append(tbl.Series[1].Cells, Cell{Value: std})
-		tbl.Series[2].Cells = append(tbl.Series[2].Cells, Cell{Value: worst})
+	tbl := newTable(id, title, xlabel, ylabel, ticks, "mean", "std", "worst")
+	for _, insts := range instsPerTick {
+		tbl.pushRatios(e.measureRatios(insts, exact, apx))
 	}
 	return tbl, nil
+}
+
+// pushRatios appends one tick of a ratio table: the mean, std and worst
+// of ratios, or a skip in all three when no instance gave a ratio.
+func (t *Table) pushRatios(ratios []float64) {
+	if len(ratios) == 0 {
+		t.push(Cell{Skip: true}, Cell{Skip: true}, Cell{Skip: true})
+		return
+	}
+	mean, std, worst := summarize(ratios)
+	t.push(Cell{Value: mean}, Cell{Value: std}, Cell{Value: worst})
 }
 
 func (e *Env) measureRatios(insts []workloadInstance, exact, apx core.GPhi) []float64 {
@@ -82,80 +82,21 @@ func summarize(vals []float64) (mean, std, worst float64) {
 	return mean, std, worst
 }
 
-// Fig11 — approximation quality of APX-sum varying d and φ.
-func Fig11(cfg Config) ([]*Table, error) {
-	e, err := NewEnv(cfg)
-	if err != nil {
-		return nil, err
-	}
-	return e.Fig11()
-}
-
-// Fig11 runs the experiment on an existing Env.
-func (e *Env) Fig11() ([]*Table, error) {
-	a, err := e.ratioSweep("fig11a", "APX-sum quality, varying density d", "d", densitySweep())
-	if err != nil {
-		return nil, err
-	}
-	b, err := e.ratioSweep("fig11b", "APX-sum quality, varying flexibility phi", "phi", phiSweep())
-	if err != nil {
-		return nil, err
-	}
-	return []*Table{a, b}, nil
-}
-
-// AppendixB — APX-sum quality varying the remaining factors A, M, C.
-func AppendixB(cfg Config) ([]*Table, error) {
-	e, err := NewEnv(cfg)
-	if err != nil {
-		return nil, err
-	}
-	return e.AppendixB()
-}
-
-// AppendixB runs the experiment on an existing Env.
-func (e *Env) AppendixB() ([]*Table, error) {
-	var out []*Table
-	for _, s := range []struct {
-		id, title, xlabel string
-		ticks             []tickSpec
-	}{
-		{"appendixB-A", "APX-sum quality, varying coverage A", "A", coverageSweep()},
-		{"appendixB-M", "APX-sum quality, varying |Q| = M", "M", sizeSweep()},
-		{"appendixB-C", "APX-sum quality, varying clusters C", "C", clusterSweep()},
-	} {
-		tbl, err := e.ratioSweep(s.id, s.title, s.xlabel, s.ticks)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, tbl)
-	}
-	return out, nil
-}
-
-// Fig12 — real-world POIs: P ∈ {FF, PO}, Q ∈ {HOS, UNI}. Panel (a) is
-// algorithm efficiency, panel (b) the APX-sum ratio, per layer pair.
-func Fig12(cfg Config) ([]*Table, error) {
-	e, err := NewEnv(cfg)
-	if err != nil {
-		return nil, err
-	}
-	return e.Fig12()
-}
-
-// Fig12 runs the experiment on an existing Env.
-func (e *Env) Fig12() ([]*Table, error) {
+// fig12 — real-world POIs: P ∈ {FF, PO}, Q ∈ {HOS, UNI}. Panel (a) is
+// algorithm efficiency, panel (b) the APX-sum ratio, per layer pair, both
+// over the same instances.
+func fig12(e *Env) ([]*Table, error) {
 	pairs := []struct{ pLayer, qLayer string }{
 		{"FF", "HOS"}, {"FF", "UNI"}, {"PO", "HOS"}, {"PO", "UNI"},
 	}
 	ticks := make([]tickSpec, 0, len(pairs))
 	instsPerTick := make([][]workloadInstance, 0, len(pairs))
 	for _, pr := range pairs {
-		pSpec, err := findLayer(pr.pLayer)
+		pSpec, err := workload.FindPOILayer(pr.pLayer)
 		if err != nil {
 			return nil, err
 		}
-		qSpec, err := findLayer(pr.qLayer)
+		qSpec, err := workload.FindPOILayer(pr.qLayer)
 		if err != nil {
 			return nil, err
 		}
@@ -172,36 +113,16 @@ func (e *Env) Fig12() ([]*Table, error) {
 		instsPerTick = append(instsPerTick, insts)
 	}
 
-	algos, err := e.mainAlgos()
+	algos, err := e.build(mainAlgos)
 	if err != nil {
 		return nil, err
 	}
-	effTbl := e.runPrepared("fig12a", "efficiency on real-world POI layers",
-		"P,Q layers", "avg seconds per query", ticks, instsPerTick, algos)
-
-	exact, err := e.newEngine("PHL")
+	effTbl := e.timeTable("fig12a", "efficiency on real-world POI layers",
+		"P,Q layers", secondsY, ticks, instsPerTick, algos)
+	qualTbl, err := e.ratioTable("fig12b", "APX-sum quality on real-world POI layers",
+		"P,Q layers", "APX-sum approximation ratio", ticks, instsPerTick)
 	if err != nil {
 		return nil, err
-	}
-	apx := core.NewINE(e.G)
-	qualTbl := &Table{
-		ID:     "fig12b",
-		Title:  "APX-sum quality on real-world POI layers",
-		XLabel: "P,Q layers",
-		YLabel: "APX-sum approximation ratio",
-		Series: []Series{{Name: "mean"}, {Name: "std"}, {Name: "worst"}},
-	}
-	for ti := range ticks {
-		qualTbl.Ticks = append(qualTbl.Ticks, ticks[ti].label)
-		ratios := e.measureRatios(instsPerTick[ti], exact, apx)
-		mean, std, worst := summarize(ratios)
-		qualTbl.Series[0].Cells = append(qualTbl.Series[0].Cells, Cell{Value: mean})
-		qualTbl.Series[1].Cells = append(qualTbl.Series[1].Cells, Cell{Value: std})
-		qualTbl.Series[2].Cells = append(qualTbl.Series[2].Cells, Cell{Value: worst})
 	}
 	return []*Table{effTbl, qualTbl}, nil
-}
-
-func findLayer(name string) (workload.POILayer, error) {
-	return workload.FindPOILayer(name)
 }

@@ -33,6 +33,25 @@ type Table struct {
 	Series []Series
 }
 
+// newTable returns a table over ticks with one empty series per name.
+func newTable(id, title, xlabel, ylabel string, ticks []tickSpec, names ...string) *Table {
+	t := &Table{ID: id, Title: title, XLabel: xlabel, YLabel: ylabel}
+	for _, tick := range ticks {
+		t.Ticks = append(t.Ticks, tick.label)
+	}
+	for _, name := range names {
+		t.Series = append(t.Series, Series{Name: name})
+	}
+	return t
+}
+
+// push appends one tick's cells, one per series in order.
+func (t *Table) push(cells ...Cell) {
+	for i, c := range cells {
+		t.Series[i].Cells = append(t.Series[i].Cells, c)
+	}
+}
+
 // Render writes the table as aligned text.
 func (t *Table) Render(w io.Writer) {
 	fmt.Fprintf(w, "%s — %s\n", t.ID, t.Title)

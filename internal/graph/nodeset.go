@@ -8,7 +8,7 @@ type NodeSet struct {
 	stamp   []uint32
 	payload []int32
 	epoch   uint32
-	ids     []NodeID
+	n       int // members since the last Reset
 }
 
 // NewNodeSet returns a set over ids in [0, n).
@@ -26,7 +26,7 @@ func (s *NodeSet) Cap() int { return len(s.stamp) }
 // Reset empties the set in O(1).
 func (s *NodeSet) Reset() {
 	s.epoch++
-	s.ids = s.ids[:0]
+	s.n = 0
 	if s.epoch == 0 {
 		for i := range s.stamp {
 			s.stamp[i] = 0
@@ -40,7 +40,7 @@ func (s *NodeSet) Reset() {
 func (s *NodeSet) Add(id NodeID, value int32) {
 	if s.stamp[id] != s.epoch {
 		s.stamp[id] = s.epoch
-		s.ids = append(s.ids, id)
+		s.n++
 	}
 	s.payload[id] = value
 }
@@ -57,11 +57,7 @@ func (s *NodeSet) Value(id NodeID) (int32, bool) {
 }
 
 // Len reports the number of members.
-func (s *NodeSet) Len() int { return len(s.ids) }
-
-// Members returns the member ids in insertion order. The slice aliases the
-// set's storage and is invalidated by Reset.
-func (s *NodeSet) Members() []NodeID { return s.ids }
+func (s *NodeSet) Len() int { return s.n }
 
 // AddAll inserts each id with its slice index as payload.
 func (s *NodeSet) AddAll(ids []NodeID) {

@@ -110,15 +110,6 @@ func (h *Histogram) Count() int64 { return h.count.Load() }
 // Sum returns the sum of all observed values.
 func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sumBits.Load()) }
 
-// Mean returns the average observed value (0 with no observations).
-func (h *Histogram) Mean() float64 {
-	n := h.Count()
-	if n == 0 {
-		return 0
-	}
-	return h.Sum() / float64(n)
-}
-
 // bucketCounts snapshots the per-bucket (non-cumulative) counts; the
 // last entry is the +Inf overflow bucket.
 func (h *Histogram) bucketCounts() []int64 {

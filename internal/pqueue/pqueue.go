@@ -150,8 +150,3 @@ func (h *MaxHeap[T]) Pop() Item[T] {
 	}
 	return top
 }
-
-// Items returns the underlying item slice in heap order. The slice is owned
-// by the heap and must not be modified; it is invalidated by the next
-// mutating call.
-func (h *MaxHeap[T]) Items() []Item[T] { return h.items }

@@ -40,9 +40,6 @@ func (r Rect) Union(o Rect) Rect {
 	}
 }
 
-// Area returns the rectangle's area.
-func (r Rect) Area() float64 { return (r.MaxX - r.MinX) * (r.MaxY - r.MinY) }
-
 // MinDist returns the minimum Euclidean distance from (x,y) to r — the
 // mdist(b, q) bound of the paper (0 when the point is inside).
 func (r Rect) MinDist(x, y float64) float64 {

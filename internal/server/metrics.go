@@ -310,15 +310,17 @@ func requestID(ctx context.Context) string {
 
 // instrument wraps the whole route tree (outside panic recovery, so a
 // recovered panic's 500 is still counted): it assigns or echoes
-// X-Request-ID, times the request, and records the route/status series.
+// X-Request-Id, times the request, and records the route/status series.
+// The header name is spelled canonically, so Get and Set use it as is
+// instead of canonicalising a copy on every request.
 func (s *Server) instrument(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
-		id := r.Header.Get("X-Request-ID")
+		id := r.Header.Get("X-Request-Id")
 		if id == "" {
 			id = obs.NewRequestID()
 		}
-		w.Header().Set("X-Request-ID", id)
+		w.Header().Set("X-Request-Id", id)
 		rec := &statusRecorder{ResponseWriter: w, status: http.StatusOK}
 		next.ServeHTTP(rec, r.WithContext(context.WithValue(r.Context(), requestIDKey{}, id)))
 		s.metrics.observeRequest(routeLabel(r.URL.Path), rec.status, time.Since(start), id)
