@@ -311,10 +311,11 @@ func BenchmarkIERPHLRegimes(b *testing.B) {
 
 // BenchmarkExpanderLanes is what R-List and Exact-max pay for their
 // switchable expansion, without the search around it: 64 lanes (Q at the
-// default A = 10 %) over d = 0.01, each run to its 8th report. The table
-// arm re-arms one pooled set of lanes per op, as a Scratch does; the map
-// arm is the map-backed lane this replaced (difftest.MapExpander), which
-// could only be minted per request. Both settle the same nodes.
+// default A = 10 %) over d = 0.01, each stepped (Start, then Step) until
+// its 8th member of P settles. The table arm re-arms one pooled set of
+// lanes per op, as a Scratch does; the map arm is the map-backed lane
+// this replaced (difftest.MapExpander), which could only be minted per
+// request. Both settle the same nodes.
 func BenchmarkExpanderLanes(b *testing.B) {
 	e := sharedEnv(b)
 	gen := NewWorkloadGenerator(e.G, 99)
@@ -322,14 +323,25 @@ func BenchmarkExpanderLanes(b *testing.B) {
 	pSet := graph.NewNodeSet(e.G.NumNodes())
 	pSet.AddAll(gen.UniformP(0.01))
 	const reports = 8
+	// drain steps a lane until its 8th member of P, or its end.
+	drain := func(step func() (graph.NodeID, float64, bool)) {
+		for r := 0; r < reports; {
+			v, _, ok := step()
+			if !ok {
+				return
+			}
+			if pSet.Contains(v) {
+				r++
+			}
+		}
+	}
 	b.Run("table", func(b *testing.B) {
 		lanes := make([]sp.Expander, len(Q))
 		pass := func() {
 			for j := range lanes {
-				lanes[j].Reset(e.G, Q[j], pSet)
-				for r := 0; r < reports; r++ {
-					lanes[j].Next()
-				}
+				lanes[j].Reset(e.G)
+				lanes[j].Start(Q[j])
+				drain(lanes[j].Step)
 			}
 		}
 		pass() // grows the tables
@@ -343,10 +355,7 @@ func BenchmarkExpanderLanes(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			for _, src := range Q {
-				lane := difftest.NewMapExpander(e.G, src, pSet)
-				for r := 0; r < reports; r++ {
-					lane.Next()
-				}
+				drain(difftest.NewMapExpander(e.G, src).Step)
 			}
 		}
 	})

@@ -29,10 +29,10 @@ func APXSum(g *graph.Graph, gp GPhi, q Query, k int) ([]Answer, error) {
 // apxCandidates is APX-sum's reduction: the per network-nearest data
 // points of every q ∈ Q, each listed once. The GD loop ranks them. They
 // come from the INE stream over P, one q after another, so the |Q|
-// expansions share one graph-sized Dijkstra (held in the Scratch)
-// instead of running an sp.Expander lane each — those, with their sparse
-// label tables, are for R-List and Exact-max, which keep all |Q|
-// expansions live at once.
+// expansions share one graph-sized Dijkstra (held in the Scratch). The
+// same stream over an sp.Expander, with its sparse label table, is a
+// lane of R-List and Exact-max, which keep all |Q| expansions live at
+// once; here it would swap arrays for hashing on every settle.
 func apxCandidates(g *graph.Graph, q *Query, per int) ([]graph.NodeID, error) {
 	pSet := q.countSet(g.NumNodes())
 	pSet.AddAll(q.P)

@@ -19,15 +19,19 @@ func expanderCandidates(g *graph.Graph, q core.Query, per int) (candidates []gra
 	pSet.AddAll(q.P)
 	seen := graph.NewNodeSet(g.NumNodes())
 	for _, src := range q.Q {
-		ex := difftest.NewMapExpander(g, src, pSet)
-		for picked := 0; picked < per; picked++ {
-			nb, ok := ex.Next()
+		ex := difftest.NewMapExpander(g, src)
+		for picked := 0; picked < per; {
+			v, _, ok := ex.Step()
 			if !ok {
 				break
 			}
-			if !seen.Contains(nb.Node) {
-				seen.Add(nb.Node, 0)
-				candidates = append(candidates, nb.Node)
+			if !pSet.Contains(v) {
+				continue
+			}
+			picked++
+			if !seen.Contains(v) {
+				seen.Add(v, 0)
+				candidates = append(candidates, v)
 			}
 		}
 		settled += ex.NodesScanned()

@@ -3,6 +3,8 @@ package core
 import (
 	"math/rand"
 	"testing"
+
+	"fannr/internal/graph"
 )
 
 // These tests turn the paper's efficiency arguments into assertions on
@@ -90,4 +92,58 @@ func TestIERPrunesAgainstGD(t *testing.T) {
 	}
 	t.Logf("IER-kNN evaluated %d of %d candidates (%.0f%% pruned)",
 		ier.GPhiEvals, totalGD, 100*(1-float64(ier.GPhiEvals)/float64(totalGD)))
+}
+
+// TestLaneCountsPinned pins the work of the two lane algorithms over INE
+// — settles, pops and g_φ evaluations — on fixed seeded queries, so a
+// change to how the lanes expand shows here and not only in the
+// benchmark's traced run. Each case runs cold and again on a Scratch
+// whose lanes the other cases have armed; both must spend the same.
+// Half the cases put a query point on a data point, which its lane
+// reports first, at distance 0.
+func TestLaneCountsPinned(t *testing.T) {
+	g, err := graph.Generate(graph.GenConfig{Nodes: 1500, Seed: 90, Name: "lanes"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	env := &testEnv{g: g}
+	gp := NewINE(g)
+	scratch := NewScratch()
+	cases := []struct {
+		exactMax bool
+		k        int
+		seed     int64
+		want     [3]int64 // Settled, HeapPops, GPhiEvals
+	}{
+		{false, 1, 1, [3]int64{1169, 48, 34}},
+		{false, 1, 2, [3]int64{835, 32, 25}},
+		{false, 3, 1, [3]int64{1224, 51, 35}},
+		{false, 3, 2, [3]int64{1344, 55, 34}},
+		{true, 1, 1, [3]int64{2392, 109, 1}},
+		{true, 1, 2, [3]int64{1943, 82, 1}},
+		{true, 3, 1, [3]int64{2874, 135, 3}},
+		{true, 3, 2, [3]int64{2201, 97, 3}},
+	}
+	for _, c := range cases {
+		rng := rand.New(rand.NewSource(c.seed))
+		q := env.randomQuery(rng, 80, 10, 0.5, Sum)
+		if c.seed%2 == 0 {
+			q.Q[0] = q.P[0]
+		}
+		run, name := RList, "R-List"
+		if c.exactMax {
+			run, name, q.Agg = ExactMax, "Exact-max", Max
+		}
+		for _, sc := range []*Scratch{nil, scratch} {
+			var st Stats
+			q.Stats, q.Scratch = &st, sc
+			if _, err := run(g, gp, q, c.k); err != nil {
+				t.Fatal(err)
+			}
+			got := [3]int64{st.Settled, st.HeapPops, st.GPhiEvals}
+			if got != c.want {
+				t.Errorf("%s k=%d seed %d scratch=%v: settled, pops, evals = %v, want %v", name, c.k, c.seed, sc != nil, got, c.want)
+			}
+		}
+	}
 }

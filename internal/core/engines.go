@@ -296,8 +296,14 @@ func NewINE(g *graph.Graph) GPhi {
 	}, g)
 }
 
+// ineEngine is the INE stream. It steps d, an sp.Dijkstra over
+// graph-sized arrays, for g_φ and APX-sum; it steps lane instead, an
+// sp.Expander over sparse labels, when it is one of the |Q| lanes that
+// R-List and Exact-max keep live at once. Both are concrete: a call
+// through an interface costs INE's g_φ measurably on every settle.
 type ineEngine struct {
 	d       *sp.Dijkstra
+	lane    *sp.Expander
 	targets *graph.NodeSet
 	stats   *Stats
 }
@@ -312,12 +318,22 @@ func (e *ineEngine) Reset(Q []graph.NodeID) {
 	e.targets.AddAll(Q)
 }
 
-func (e *ineEngine) start(p graph.NodeID) { e.d.Start(p) }
+func (e *ineEngine) start(p graph.NodeID) {
+	if e.lane != nil {
+		e.lane.Start(p)
+	} else {
+		e.d.Start(p)
+	}
+}
 
-// next settles one node. Its key is the frontier minimum, the floor of
-// every member still to settle.
-func (e *ineEngine) next() (graph.NodeID, float64, bool) {
-	v, r, ok := e.d.Step()
+// next settles one node and yields it when it is a target. Its key is
+// the frontier minimum, the floor of every target still to settle.
+func (e *ineEngine) next() (v graph.NodeID, r float64, ok bool) {
+	if e.lane != nil {
+		v, r, ok = e.lane.Step()
+	} else {
+		v, r, ok = e.d.Step()
+	}
 	if !ok {
 		return -1, r, false
 	}
@@ -677,9 +693,9 @@ func (e *ierEngine) next() (graph.NodeID, float64, bool) {
 
 // resolve surfaces the next candidate and gets its network distance from
 // the oracle: through DistBatch when the oracle batches, as its
-// substrates keep per-source state across calls (a resumed Dijkstra
-// frontier, cached G-tree chain vectors), so one candidate at a time
-// costs what a chunk would — and a chunk would resolve candidates past
+// substrates keep per-source state across calls (cached G-tree chain
+// vectors, a scattered hub label), so one candidate at a time costs what
+// a batch of them would — and a batch would resolve candidates past
 // where the fold stops.
 func (e *ierEngine) resolve() {
 	before := int64(0)

@@ -29,9 +29,6 @@ func (s *solver) exactMax() error {
 	q := &s.q
 	n := s.g.NumNodes()
 	pool := q.expanders(s.g, q.seenSet(n))
-	if q.Stats != nil {
-		defer func() { q.Stats.CountSettled(pool.settled()) }()
-	}
 	counts := q.countSet(n)
 	for s.top.len() < s.top.k {
 		if q.canceled() {

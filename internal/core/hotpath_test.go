@@ -87,11 +87,12 @@ func TestDistBatchMatchesDist(t *testing.T) {
 }
 
 // TestDistBatchSameSourceResume pins the per-source memoization: a run of
-// consecutive DistBatch calls from one source — the shape IER's chunked
-// candidate scan produces — must return the same distances as a cold
-// batch, whether the memo is warm (consecutive calls), invalidated by an
-// interleaved point-to-point Dist, or redirected to another source and
-// back. Expected values come from independent substrate instances so the
+// consecutive DistBatch calls from one source — the shape IER produces
+// as it resolves one candidate at a time — must return the same
+// distances as a cold batch, whether the memo is warm (consecutive
+// calls), crossed by an interleaved point-to-point Dist, or redirected
+// to another source and back. Dijkstra keeps no memo and must agree all
+// the same. Expected values come from independent substrate instances so the
 // memo under test is never perturbed by the check itself.
 func TestDistBatchSameSourceResume(t *testing.T) {
 	g, err := graph.Generate(graph.GenConfig{Nodes: 400, Seed: 11, Name: "resume"})
@@ -136,8 +137,8 @@ func TestDistBatchSameSourceResume(t *testing.T) {
 				sub.b.DistBatch(u, ts, out)
 				check(round, u, ts, out[:len(ts)])
 			}
-			// Round 6: interleaved point-to-point Dist (invalidates the
-			// Dijkstra frontier), then a same-source batch again.
+			// Round 6: interleaved point-to-point Dist, then a same-source
+			// batch again.
 			_ = sub.o.Dist(u, other)
 			ts := draw()
 			sub.b.DistBatch(u, ts, out)

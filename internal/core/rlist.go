@@ -8,24 +8,26 @@ import (
 	"fannr/internal/sp"
 )
 
-// expanderPool is the shared machinery of R-List and Exact-max: one
-// resumable Dijkstra per q ∈ Q reporting members of P from near to far,
-// plus a meta-heap that always surfaces the lane whose head data point is
-// globally nearest (the paper's "switchable" multi-source expansion). A
-// Scratch keeps one and re-arms it per request: the lanes with their
-// label tables and frontiers, heads and the meta-heap are all reused. A
-// lane gives up an outsized table when it is next armed (sp.Expander.Reset),
-// so the pool holds at most one small table per lane it arms; a lane
-// left idle by a smaller Q keeps what it last held until then.
+// expanderPool is the shared machinery of R-List and Exact-max: one INE
+// stream per q ∈ Q over an sp.Expander lane, all bound to one shared set
+// of P, plus a meta-heap that always surfaces the lane whose head — its
+// nearest data point not yet popped, drawn one ahead — is globally
+// nearest (the paper's "switchable" multi-source expansion). A Scratch
+// keeps one and re-arms it per request: the lanes with their label
+// tables and frontiers, heads and the meta-heap are all reused. A lane
+// gives up an outsized table when it is next started
+// (sp.Expander.Start), so the pool holds at most one small table per
+// lane it arms; a lane left idle by a smaller Q keeps what it last held
+// until then.
 type expanderPool struct {
-	all   []*sp.Expander // every lane minted so far; lanes is its prefix
-	lanes []*sp.Expander // one per member of the armed Q
-	heads []float64      // current head distance per lane (Inf when exhausted)
+	all   []*sp.Expander // every lane minted so far; lanes streams its prefix
+	lanes []ineEngine    // one per member of the armed Q
+	heads []sp.Neighbor  // each lane's head (Dist +Inf when exhausted)
 	meta  *pqueue.Heap[int]
 }
 
 // expanders returns the lane pool armed for q: one lane per member of Q
-// reporting the members of P, from the Scratch when the query has one.
+// streaming the members of P, from the Scratch when the query has one.
 // pSet is an empty graph-sized set the pool fills with P and reads until
 // the search ends; the caller picks one its own loop does not use.
 func (q *Query) expanders(g *graph.Graph, pSet *graph.NodeSet) *expanderPool {
@@ -43,49 +45,49 @@ func (q *Query) expanders(g *graph.Graph, pSet *graph.NodeSet) *expanderPool {
 	for len(pool.all) < len(q.Q) {
 		pool.all = append(pool.all, new(sp.Expander))
 	}
-	pool.lanes = pool.all[:len(q.Q)]
-	pool.heads = growF(pool.heads, len(q.Q))
+	if cap(pool.lanes) < len(q.Q) {
+		pool.lanes = make([]ineEngine, len(q.Q))
+		pool.heads = make([]sp.Neighbor, len(q.Q))
+	}
+	pool.lanes, pool.heads = pool.lanes[:len(q.Q)], pool.heads[:len(q.Q)]
 	for i, src := range q.Q {
-		pool.lanes[i].Reset(g, src, pSet)
-		if nb, ok := pool.lanes[i].Peek(); ok {
-			pool.heads[i] = nb.Dist
-			pool.meta.Push(nb.Dist, i)
-		} else {
-			pool.heads[i] = math.Inf(1)
-		}
+		pool.all[i].Reset(g)
+		pool.lanes[i] = ineEngine{lane: pool.all[i], targets: pSet, stats: q.Stats}
+		pool.lanes[i].start(src)
+		pool.draw(i)
 	}
 	return pool
 }
 
-// pop removes the globally nearest queue head and returns the data point
-// it surfaced. ok is false when every lane is exhausted.
-func (pool *expanderPool) pop() (p graph.NodeID, ok bool) {
-	for pool.meta.Len() > 0 {
-		it := pool.meta.Pop()
-		lane := it.Value
-		if it.Key != pool.heads[lane] {
-			continue // stale entry from an earlier head
+// draw steps lane i until its next member of P comes, which becomes the
+// lane's head, and queues the lane by it.
+func (pool *expanderPool) draw(i int) {
+	lane := &pool.lanes[i]
+	for {
+		v, dist, ok := lane.next()
+		if !ok {
+			pool.heads[i] = sp.Neighbor{Node: -1, Dist: math.Inf(1)}
+			return
 		}
-		nb, _ := pool.lanes[lane].Next()
-		if next, ok2 := pool.lanes[lane].Peek(); ok2 {
-			pool.heads[lane] = next.Dist
-			pool.meta.Push(next.Dist, lane)
-		} else {
-			pool.heads[lane] = math.Inf(1)
+		if v >= 0 {
+			pool.heads[i] = sp.Neighbor{Node: v, Dist: dist}
+			pool.meta.Push(dist, i)
+			return
 		}
-		return nb.Node, true
 	}
-	return 0, false
 }
 
-// settled sums the nodes settled across every lane — the shortest-path
-// work the expansion spent, attributed to Stats by the algorithms.
-func (pool *expanderPool) settled() int64 {
-	var n int64
-	for _, lane := range pool.lanes {
-		n += lane.NodesScanned()
+// pop removes the globally nearest head and returns the data point it
+// surfaced, drawing its lane's next. ok is false when every lane is
+// exhausted.
+func (pool *expanderPool) pop() (p graph.NodeID, ok bool) {
+	if pool.meta.Len() == 0 {
+		return 0, false
 	}
-	return n
+	lane := pool.meta.Pop().Value // a lane is queued once, by its head
+	p = pool.heads[lane].Node
+	pool.draw(lane)
+	return p, true
 }
 
 // threshold computes the paper's early-termination bound τ: any data point
@@ -93,7 +95,10 @@ func (pool *expanderPool) settled() int64 {
 // flexible aggregate distance is at least the aggregate of the k smallest
 // head distances. scratch must have capacity |Q|.
 func (pool *expanderPool) threshold(k int, agg Aggregate, scratch []float64) float64 {
-	scratch = append(scratch[:0], pool.heads...)
+	scratch = scratch[:0]
+	for _, h := range pool.heads {
+		scratch = append(scratch, h.Dist)
+	}
 	return flexAgg(scratch, k, agg)
 }
 
@@ -112,9 +117,6 @@ func (s *solver) rlist() error {
 	q := &s.q
 	n := s.g.NumNodes()
 	pool := q.expanders(s.g, q.countSet(n))
-	if q.Stats != nil {
-		defer func() { q.Stats.CountSettled(pool.settled()) }()
-	}
 	seen := q.seenSet(n)
 	scratch := q.distBuf(len(q.Q))
 	for {

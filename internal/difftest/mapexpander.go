@@ -8,7 +8,7 @@ import (
 
 // MapExpander is sp.Expander as it was first written — tentative
 // distances and the settled set in two Go maps — kept as the reference
-// the table-backed lane must reproduce report for report
+// the table-backed lane must reproduce step for step
 // (TestExpanderMatchesReference), and as the reference behind APX-sum's
 // candidate corpus test. Only tests and benchmarks construct it.
 type MapExpander struct {
@@ -16,22 +16,16 @@ type MapExpander struct {
 	h       *pqueue.Heap[graph.NodeID] // lazy-deletion frontier
 	dist    map[graph.NodeID]float64
 	settled map[graph.NodeID]struct{}
-	report  *graph.NodeSet
-	head    sp.Neighbor
-	hasHead bool
-	done    bool
 	scanned int64
 }
 
-// NewMapExpander starts a resumable expansion from src that reports
-// members of report.
-func NewMapExpander(g *graph.Graph, src graph.NodeID, report *graph.NodeSet) *MapExpander {
+// NewMapExpander starts a search from src over g.
+func NewMapExpander(g *graph.Graph, src graph.NodeID) *MapExpander {
 	e := &MapExpander{
 		g:       g,
 		h:       pqueue.NewHeap[graph.NodeID](16),
 		dist:    make(map[graph.NodeID]float64, 64),
 		settled: make(map[graph.NodeID]struct{}, 64),
-		report:  report,
 	}
 	e.dist[src] = 0
 	e.h.Push(0, src)
@@ -41,7 +35,9 @@ func NewMapExpander(g *graph.Graph, src graph.NodeID, report *graph.NodeSet) *Ma
 // NodesScanned returns the number of nodes settled so far.
 func (e *MapExpander) NodesScanned() int64 { return e.scanned }
 
-func (e *MapExpander) advance() {
+// Step settles the nearest node not yet settled and returns it with its
+// distance; ok is false once every reachable node has settled.
+func (e *MapExpander) Step() (graph.NodeID, float64, bool) {
 	for e.h.Len() > 0 {
 		it := e.h.Pop()
 		v := it.Value
@@ -62,35 +58,7 @@ func (e *MapExpander) advance() {
 				e.h.Push(du, u)
 			}
 		}
-		if e.report.Contains(v) {
-			e.head = sp.Neighbor{Node: v, Dist: dv}
-			e.hasHead = true
-			return
-		}
+		return v, dv, true
 	}
-	e.done = true
-}
-
-// Peek returns the nearest not-yet-consumed report-set member.
-func (e *MapExpander) Peek() (sp.Neighbor, bool) {
-	if !e.hasHead && !e.done {
-		e.advance()
-	}
-	return e.head, e.hasHead
-}
-
-// Next consumes and returns the nearest not-yet-consumed report-set
-// member; ok is false once the reachable report set is exhausted.
-func (e *MapExpander) Next() (sp.Neighbor, bool) {
-	head, ok := e.Peek()
-	e.hasHead = false
-	return head, ok
-}
-
-// SettledDist returns the final distance to v once v has settled.
-func (e *MapExpander) SettledDist(v graph.NodeID) (float64, bool) {
-	if _, ok := e.settled[v]; !ok {
-		return 0, false
-	}
-	return e.dist[v], true
+	return -1, sp.Inf, false
 }

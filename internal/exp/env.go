@@ -77,7 +77,7 @@ func gtreeLeafFor(name string) int {
 	}
 }
 
-// Env holds one dataset with all indexes and engines built, ready to run
+// Env holds one dataset with all indexes built, ready to run
 // experiments. Building an Env is the index-construction cost the paper
 // reports separately (Fig. 9) and excludes from query timings.
 type Env struct {
@@ -87,7 +87,6 @@ type Env struct {
 	GTree *gtree.Tree
 	Gen   *workload.Generator
 
-	engines map[string]core.GPhi
 	// ix is what the catalogue builds engines over: PHL and GTree.
 	ix core.Indexes
 }
@@ -117,35 +116,20 @@ func NewEnvOn(cfg Config, g *graph.Graph) (*Env, error) {
 		return nil, fmt.Errorf("exp: building G-tree: %w", err)
 	}
 	e := &Env{
-		Cfg:     cfg,
-		G:       g,
-		PHL:     ix,
-		GTree:   tr,
-		Gen:     workload.NewGenerator(g, cfg.Seed),
-		engines: make(map[string]core.GPhi, len(EngineNames)),
-		ix:      core.Indexes{PHL: ix, GTree: tr},
+		Cfg:   cfg,
+		G:     g,
+		PHL:   ix,
+		GTree: tr,
+		Gen:   workload.NewGenerator(g, cfg.Seed),
+		ix:    core.Indexes{PHL: ix, GTree: tr},
 	}
 	return e, nil
 }
 
-// Engine returns the named g_φ engine (Table I), constructing it on first
-// use. Engines are stateful; the harness is single-threaded per Env.
+// Engine returns a fresh instance of the named g_φ engine (Table I).
+// Engines are stateful, so every series takes its own: an over-budget
+// run is abandoned mid-flight, poisoning its engine's scratch state.
 func (e *Env) Engine(name string) (core.GPhi, error) {
-	if gp, ok := e.engines[name]; ok {
-		return gp, nil
-	}
-	gp, err := e.buildEngine(name)
-	if err != nil {
-		return nil, err
-	}
-	e.engines[name] = gp
-	return gp, nil
-}
-
-// buildEngine constructs a fresh, uncached engine. Experiment sweeps use
-// private instances per series because an over-budget run is abandoned
-// mid-flight, poisoning its engine's scratch state.
-func (e *Env) buildEngine(name string) (core.GPhi, error) {
 	f, err := core.Engine(name, e.G, e.ix)
 	if err != nil {
 		return nil, fmt.Errorf("exp: %w", err)

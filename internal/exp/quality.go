@@ -19,7 +19,7 @@ func quality(id string, x axis) panel {
 // (IER-kNN with PHL) on the same instances and reports the mean ratio,
 // its standard deviation (the paper's error bars) and the worst ratio.
 func (e *Env) ratioTable(id, title, xlabel, ylabel string, ticks []tickSpec, instsPerTick [][]workloadInstance) (*Table, error) {
-	exact, err := e.buildEngine("PHL")
+	exact, err := e.Engine("PHL")
 	if err != nil {
 		return nil, err
 	}

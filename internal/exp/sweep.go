@@ -264,7 +264,7 @@ func (e *Env) generate(p workload.Params) []workloadInstance {
 func (e *Env) build(set []algoSpec) ([]algoSpec, error) {
 	specs := slices.Clone(set)
 	for i := range specs {
-		gp, err := e.buildEngine(specs[i].engine)
+		gp, err := e.Engine(specs[i].engine)
 		if err != nil {
 			return nil, err
 		}

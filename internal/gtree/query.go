@@ -22,7 +22,8 @@ type Querier struct {
 	// until borderVec is asked for it), backed by the arena; touched lists
 	// the filled slots so a new source clears only those. While the source
 	// repeats, vectors accumulate across calls, so an incremental caller
-	// (IER's chunked candidate scan) pays each tree node at most once.
+	// (IER resolving its candidates one at a time) pays each tree node at
+	// most once.
 	vecs    [][]float64
 	touched []int32
 	arena   []float64

@@ -270,9 +270,9 @@ type Batcher struct {
 	stamp []uint32
 	epoch uint32
 	// u/uvalid memoize the scattered source: consecutive same-source
-	// batches (IER's chunked candidate scan) skip the re-scatter and go
-	// straight to the per-target probes. Nothing else writes tab/stamp,
-	// so the memo only expires when the source changes.
+	// batches (IER resolving its candidates one at a time) skip the
+	// re-scatter and go straight to the per-target probes. Nothing else
+	// writes tab/stamp, so the memo only expires when the source changes.
 	u      graph.NodeID
 	uvalid bool
 	// Target-bound mode (BindTargets, then DistBound — or the same walk in

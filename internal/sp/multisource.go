@@ -8,47 +8,37 @@ import (
 )
 
 // Expander is one lane of the paper's "switchable" multi-source Dijkstra
-// (§IV-A implementation details): a resumable Dijkstra from a single
-// source that surfaces the members of a report set (the data points P)
-// from near to far. R-List and Exact-max run |Q| expanders side by side,
-// advancing whichever has the globally nearest unreported data point, so
-// the per-lane search state must survive being switched away from — hence
-// sparse labels (one open-addressed labelTable per lane) rather than
-// graph-sized arrays, keeping the total footprint proportional to the
-// visited region, not O(|Q||V|). A lane is re-armed with Reset, so a
-// caller that pools its lanes allocates none in steady state.
+// (§IV-A implementation details): Dijkstra's Start and Step, over
+// sparse labels (one open-addressed labelTable) instead of graph-sized
+// arrays. R-List and Exact-max keep |Q| lanes live at once and switch
+// between them, so the total footprint is the visited region, not
+// O(|Q||V|). A lane is bound to its graph by Reset and re-armed by
+// Start, so a caller that pools its lanes allocates none in steady
+// state.
 type Expander struct {
 	g       *graph.Graph
-	src     graph.NodeID
 	h       *pqueue.Heap[graph.NodeID] // lazy-deletion frontier
 	labels  labelTable
-	report  *graph.NodeSet // shared read-only membership of P
-	head    Neighbor
-	hasHead bool
-	done    bool
 	scanned int64
 }
 
-// NewExpander starts a resumable expansion from src that reports members
-// of report. The report set must not be mutated while the expander is
-// live.
-func NewExpander(g *graph.Graph, src graph.NodeID, report *graph.NodeSet) *Expander {
-	e := &Expander{}
-	e.Reset(g, src, report)
-	return e
-}
+// Reset binds the lane to g; Start then searches it.
+func (e *Expander) Reset(g *graph.Graph) { e.g = g }
 
-// Reset re-arms the lane for a fresh expansion from src over g, reusing
-// its label table and frontier. A lane whose last expansion outgrew
-// maxRetainedSlots hands that memory back here and starts small again,
-// so what a pooled lane keeps between queries is bounded by a constant.
-func (e *Expander) Reset(g *graph.Graph, src graph.NodeID, report *graph.NodeSet) {
+// NodesScanned returns the number of nodes settled since Start.
+func (e *Expander) NodesScanned() int64 { return e.scanned }
+
+// Start begins a search from src, discarding any search in progress and
+// reusing its label table and frontier. A lane whose last search
+// outgrew maxRetainedSlots hands that memory back here and starts small
+// again, so what a pooled lane keeps between queries is bounded by a
+// constant.
+func (e *Expander) Start(src graph.NodeID) {
 	if e.h == nil || len(e.labels.slots) > maxRetainedSlots {
 		e.h = pqueue.NewHeap[graph.NodeID](16)
 		e.labels = labelTable{}
 	}
-	e.g, e.src, e.report = g, src, report
-	e.head, e.hasHead, e.done, e.scanned = Neighbor{}, false, false, 0
+	e.scanned = 0
 	e.h.Reset()
 	e.labels.reset()
 	l, _ := e.labels.slot(src)
@@ -56,69 +46,33 @@ func (e *Expander) Reset(g *graph.Graph, src graph.NodeID, report *graph.NodeSet
 	e.h.Push(0, src)
 }
 
-// Source returns the source node of this expander.
-func (e *Expander) Source() graph.NodeID { return e.src }
-
-// NodesScanned returns the number of nodes settled so far.
-func (e *Expander) NodesScanned() int64 { return e.scanned }
-
-// advance runs the underlying Dijkstra until the next report-set member
-// settles, parking it in head.
-func (e *Expander) advance() {
+// Step settles the nearest node not yet settled, relaxes its edges and
+// returns it with its distance, as Dijkstra.Step does. ok is false once
+// every node reachable from the source has settled.
+func (e *Expander) Step() (v graph.NodeID, dist float64, ok bool) {
 	for e.h.Len() > 0 {
 		it := e.h.Pop()
-		v := it.Value
+		v, dist = it.Value, it.Key
 		lv := e.labels.find(v) // every pushed node is labelled
 		if lv.tag&settledBit != 0 {
 			continue // stale lazy-deletion entry
 		}
 		lv.tag |= settledBit
 		e.scanned++
-		dv := it.Key
 		nbrs, ws := e.g.Neighbors(v)
 		for i, u := range nbrs {
 			lu, fresh := e.labels.slot(u)
 			if lu.tag&settledBit != 0 {
 				continue
 			}
-			if du := dv + ws[i]; fresh || du < lu.dist {
+			if du := dist + ws[i]; fresh || du < lu.dist {
 				lu.dist = du
 				e.h.Push(du, u)
 			}
 		}
-		if e.report.Contains(v) {
-			e.head = Neighbor{Node: v, Dist: dv}
-			e.hasHead = true
-			return
-		}
+		return v, dist, true
 	}
-	e.done = true
-}
-
-// Peek returns the nearest not-yet-consumed report-set member without
-// consuming it. ok is false once the reachable report set is exhausted.
-func (e *Expander) Peek() (Neighbor, bool) {
-	if !e.hasHead && !e.done {
-		e.advance()
-	}
-	return e.head, e.hasHead
-}
-
-// Next consumes and returns the nearest not-yet-consumed report-set
-// member. ok is false once the reachable report set is exhausted.
-func (e *Expander) Next() (Neighbor, bool) {
-	head, ok := e.Peek()
-	e.hasHead = false
-	return head, ok
-}
-
-// SettledDist returns the final distance from the source to v if v has
-// already been settled by this expander.
-func (e *Expander) SettledDist(v graph.NodeID) (float64, bool) {
-	if l := e.labels.find(v); l != nil && l.tag&settledBit != 0 {
-		return l.dist, true
-	}
-	return 0, false
+	return -1, Inf, false
 }
 
 // label is one slot of a labelTable: a node, its tentative (once settled,

@@ -1,9 +1,9 @@
 // Package sp implements the shortest-path engines of fannr: Dijkstra,
-// whose one-settle Step is what the INE g_φ engine (incremental network
-// expansion) streams, A* (goal-directed point-to-point search), and the
-// switchable multi-source expansion that underlies the R-List and
-// Exact-max algorithms, plus the landmark distance vectors shard plans
-// bound with.
+// whose one-settle Step is what the INE stream (incremental network
+// expansion) draws from, Expander, the same Start and Step over sparse
+// labels, one lane per query point of R-List and Exact-max, A*
+// (goal-directed point-to-point search), and the landmark distance
+// vectors shard plans bound with.
 //
 // All engines are stateful and reusable: they keep stamped scratch arrays
 // sized to the graph so that running thousands of queries allocates
@@ -34,21 +34,6 @@ type Dijkstra struct {
 	dist  []float64
 	stamp []uint32
 	epoch uint32
-	// bdist/bstamp record final (settled) distances for DistBatch. dist
-	// cannot serve as the record: it holds tentative values for
-	// reached-but-unsettled nodes when the search truncates early.
-	// bdist[v] is the settled distance when >= 0 and "requested target,
-	// not yet settled" when -1; bstamp gates both on bepoch, which
-	// advances once per batch *source*, not per call, so consecutive
-	// same-source batches resume one search. bsrc/brun identify that live
-	// search: brun is the d.epoch it runs under, so any interleaved Start
-	// (which bumps d.epoch) invalidates the resume and the next batch
-	// starts fresh.
-	bdist  []float64
-	bstamp []uint32
-	bepoch uint32
-	bsrc   graph.NodeID
-	brun   uint32
 	// nodesScanned counts settled nodes since construction; used by the
 	// experiment harness to report search effort.
 	nodesScanned int64
@@ -147,62 +132,23 @@ func (d *Dijkstra) All(src graph.NodeID) []float64 {
 	return out
 }
 
-// DistBatch computes shortest-path distances from src to every member of
-// targets in one search truncated when the last distinct target settles,
-// writing out[i] for targets[i] (+Inf for unreachable). It replaces
-// len(targets) independent Dist calls with a single frontier expansion —
-// and consecutive calls with the same src resume that expansion where it
-// stopped, so an incremental caller (IER's chunked candidate scan) pays
-// one progressive search total, not one truncated search per chunk. Any
-// interleaved Start discards the resumable frontier; the next batch then
-// starts fresh. targets may contain duplicates and src itself; len(out)
-// must be at least len(targets). Warm engines allocate nothing.
+// DistBatch writes to out[i] the distance from src to targets[i] (+Inf
+// when unreachable), from one search truncated once the last target
+// settles. targets may contain duplicates and src itself; len(out) must
+// be at least len(targets).
 func (d *Dijkstra) DistBatch(src graph.NodeID, targets []graph.NodeID, out []float64) {
-	if len(targets) == 0 {
-		return
-	}
-	_ = out[len(targets)-1]
-	if d.bstamp == nil {
-		d.bdist = make([]float64, len(d.stamp))
-		d.bstamp = make([]uint32, len(d.stamp))
-	}
-	if d.brun == 0 || d.brun != d.epoch || d.bsrc != src {
-		d.bepoch++
-		if d.bepoch == 0 {
-			clear(d.bstamp)
-			d.bepoch = 1
+	d.Start(src)
+	for i := 0; i < len(targets); {
+		if _, open := d.h.Key(targets[i]); d.stamp[targets[i]] == d.epoch && !open {
+			i++ // settled
+		} else if _, _, ok := d.Step(); !ok {
+			break // every reachable node has settled
 		}
-		d.Start(src)
-		d.bsrc = src
-		d.brun = d.epoch
-	}
-	pending := 0
-	for _, t := range targets {
-		if d.bstamp[t] != d.bepoch {
-			d.bstamp[t] = d.bepoch
-			d.bdist[t] = -1 // requested, not yet settled
-			pending++
-		}
-	}
-	// Every settled node is recorded — not just targets — so a later
-	// same-source call can serve any already-settled target without
-	// touching the heap.
-	for pending > 0 {
-		v, dv, ok := d.Step()
-		if !ok {
-			break
-		}
-		if d.bstamp[v] == d.bepoch && d.bdist[v] < 0 {
-			pending--
-		}
-		d.bstamp[v] = d.bepoch
-		d.bdist[v] = dv
 	}
 	for i, t := range targets {
-		if d.bstamp[t] == d.bepoch && d.bdist[t] >= 0 {
-			out[i] = d.bdist[t]
-		} else {
-			out[i] = Inf // frontier exhausted: t is unreachable from src
+		out[i] = Inf
+		if d.stamp[t] == d.epoch {
+			out[i] = d.dist[t]
 		}
 	}
 }

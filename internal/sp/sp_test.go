@@ -262,87 +262,3 @@ func TestStepMembersEdgeCases(t *testing.T) {
 		t.Fatalf("got %+v, want self at 0", got)
 	}
 }
-
-func TestExpanderReportsInOrder(t *testing.T) {
-	g := randomGraph(t, 150, 10)
-	rng := rand.New(rand.NewSource(20))
-	report := graph.NewNodeSet(g.NumNodes())
-	var members []graph.NodeID
-	for len(members) < 25 {
-		v := graph.NodeID(rng.Intn(g.NumNodes()))
-		if !report.Contains(v) {
-			report.Add(v, 0)
-			members = append(members, v)
-		}
-	}
-	src := graph.NodeID(3)
-	e := NewExpander(g, src, report)
-
-	d := NewDijkstra(g)
-	all := d.All(src)
-	want := make([]float64, len(members))
-	for i, v := range members {
-		want[i] = all[v]
-	}
-	sort.Float64s(want)
-
-	seen := map[graph.NodeID]bool{}
-	prev := -1.0
-	for i := 0; ; i++ {
-		nb, ok := e.Next()
-		if !ok {
-			if i != len(members) {
-				t.Fatalf("expander exhausted after %d, want %d", i, len(members))
-			}
-			break
-		}
-		if seen[nb.Node] {
-			t.Fatalf("node %d reported twice", nb.Node)
-		}
-		seen[nb.Node] = true
-		if nb.Dist < prev {
-			t.Fatalf("report order not monotone: %v after %v", nb.Dist, prev)
-		}
-		if math.Abs(nb.Dist-want[i]) > 1e-9 {
-			t.Fatalf("report %d dist = %v, want %v", i, nb.Dist, want[i])
-		}
-		if math.Abs(nb.Dist-all[nb.Node]) > 1e-9 {
-			t.Fatalf("reported dist %v != true dist %v", nb.Dist, all[nb.Node])
-		}
-		prev = nb.Dist
-	}
-}
-
-func TestExpanderPeekIdempotent(t *testing.T) {
-	g := randomGraph(t, 50, 11)
-	report := graph.NewNodeSet(g.NumNodes())
-	report.Add(40, 0)
-	report.Add(20, 0)
-	e := NewExpander(g, 0, report)
-	p1, ok1 := e.Peek()
-	p2, ok2 := e.Peek()
-	if !ok1 || !ok2 || p1 != p2 {
-		t.Fatalf("Peek not idempotent: %+v/%v vs %+v/%v", p1, ok1, p2, ok2)
-	}
-	n, _ := e.Next()
-	if n != p1 {
-		t.Fatalf("Next %+v != peeked %+v", n, p1)
-	}
-	if d, ok := e.SettledDist(n.Node); !ok || d != n.Dist {
-		t.Fatalf("SettledDist = (%v,%v), want (%v,true)", d, ok, n.Dist)
-	}
-}
-
-func TestExpanderSelfReport(t *testing.T) {
-	g := randomGraph(t, 30, 12)
-	report := graph.NewNodeSet(g.NumNodes())
-	report.Add(5, 0)
-	e := NewExpander(g, 5, report)
-	nb, ok := e.Next()
-	if !ok || nb.Node != 5 || nb.Dist != 0 {
-		t.Fatalf("source in report set: got %+v,%v", nb, ok)
-	}
-	if _, ok := e.Next(); ok {
-		t.Fatal("expander should be exhausted")
-	}
-}
