@@ -84,12 +84,9 @@ figures:
 ## ids, 64 permutations in rotation), and one shard call's two bodies
 ## appended and scanned against encoding/json (211 + 8 ids), then
 ## fannr-server's reply at cache_zipf's shapes (1 or 5 answers of 64 or
-## 128 ids) appended against json.Encoder. The last two
-## price what PR 25 took out of algo_mix's tail: 64 expansion lanes on
+## 128 ids) appended against json.Encoder. Then 64 expansion lanes on
 ## pooled label tables against the map-backed lane they replaced
-## (allocs/op), and GD through qcache.Wrap at a Q's first sight (nothing
-## stored) against its second (every list built, sorted, stored) and the
-## bare engine. The last two are the evidence for core's boundHubs: GD
+## (allocs/op). The last two are the evidence for core's boundHubs: GD
 ## through Dispatch at the three shapes bench/ serves through PHL with the
 ## bound walk stopped after 2, 4 and 8 hubs against bare Dist
 ## (abandoned/eval is the share of evaluations the bounds ended), and
@@ -108,7 +105,7 @@ microbench:
 	$(GO) test -run - -bench DecodeFANN -cpu 1 -benchtime 2000x ./internal/wire/
 	$(GO) test -run - -bench 'Canonicalise|ValidateRegistry' -cpu 1 -benchtime 2000x ./internal/core/
 	$(GO) test -run - -bench 'ShardCodec|FANNReply' -cpu 1 -benchtime 2000x ./internal/wire/
-	$(GO) test -run - -bench 'ExpanderLanes|WrapFirstSight' -cpu 1 -benchtime 200x .
+	$(GO) test -run - -bench 'ExpanderLanes' -cpu 1 -benchtime 200x .
 	$(GO) test -run - -bench 'GDAbandon/(shard4|dense|sparse|gtree)' -cpu 1 -benchtime 300x ./internal/core/
 	$(GO) test -run - -bench 'GDAbandon/ine' -cpu 1 -benchtime 10x ./internal/core/
 	$(GO) test -run - -bench 'DistBoundPrefix|BindTargets' -cpu 1 -benchtime 20000x ./internal/phl/

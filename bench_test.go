@@ -20,7 +20,6 @@ import (
 	"fannr/internal/exp"
 	"fannr/internal/graph"
 	"fannr/internal/phl"
-	"fannr/internal/qcache"
 	"fannr/internal/sp"
 	"fannr/internal/workload"
 )
@@ -111,12 +110,16 @@ func benchAlgo(b *testing.B, engine string, run func(e *exp.Env, gp core.GPhi, b
 	benchAlgoOn(b, engine, defaultQuery(b), run)
 }
 
+// benchAlgoOn times run over one engine and a Scratch of the benchmark's
+// own, which keeps R-List's and Exact-max's lanes warm from one op to the
+// next as the engine pool's Scratch does from one request to the next.
 func benchAlgoOn(b *testing.B, engine string, bq benchQuery, run func(e *exp.Env, gp core.GPhi, bq benchQuery) error) {
 	e := sharedEnv(b)
 	gp, err := e.Engine(engine)
 	if err != nil {
 		b.Fatal(err)
 	}
+	bq.q.Scratch = core.NewScratch()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -186,7 +189,6 @@ func BenchmarkAlgoAPXSum_INE(b *testing.B) {
 func BenchmarkAlgoAPXSum_PHL(b *testing.B) {
 	bq := denseQuery(b)
 	bq.q.Agg = core.Sum
-	bq.q.Scratch = core.NewScratch()
 	benchAlgoOn(b, "PHL", bq, func(e *exp.Env, gp core.GPhi, bq benchQuery) error {
 		_, err := core.APXSum(e.G, gp, bq.q, 1)
 		return err
@@ -359,50 +361,4 @@ func BenchmarkExpanderLanes(b *testing.B) {
 			}
 		}
 	})
-}
-
-// BenchmarkWrapFirstSight prices the list layer's admission rule on the
-// shape that owned algo_mix's tail: GD over the 169 data points of
-// d = 0.01 against M = 256 query points, PHL behind qcache.Wrap. "first"
-// is a request whose Q the cache has never been bound to (evaluated
-// through the engine, nothing stored), "second" one whose Q it has seen
-// once (every evaluation builds, sorts and stores its list — what every
-// request paid before the rule), "bare" the engine with no cache. The
-// cache is purged outside the timer before each op, so no arm ever
-// finds a list or evicts one.
-func BenchmarkWrapFirstSight(b *testing.B) {
-	e := sharedEnv(b)
-	gen := NewWorkloadGenerator(e.G, 99)
-	P, Q := gen.UniformP(0.01), gen.UniformQ(workload.DefaultParams().A, 256)
-	for _, phi := range []float64{0.1, 1} {
-		q := core.Query{P: P, Q: Q, Phi: phi, Agg: core.Max, Scratch: core.NewScratch()}
-		for _, sights := range []struct {
-			name   string
-			before int // bindings of Q the cache has seen when the op starts; < 0: no cache
-		}{{"first", 0}, {"second", 1}, {"bare", -1}} {
-			b.Run(fmt.Sprintf("phi=%g/%s", phi, sights.name), func(b *testing.B) {
-				gp, err := e.Engine("PHL")
-				if err != nil {
-					b.Fatal(err)
-				}
-				cache := qcache.New(qcache.Config{MaxEntries: 4096})
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					eng := gp
-					if sights.before >= 0 {
-						b.StopTimer()
-						cache.Purge()
-						for s := 0; s < sights.before; s++ {
-							cache.Wrap(gp).Reset(Q)
-						}
-						b.StartTimer()
-						eng = cache.Wrap(gp)
-					}
-					if _, err := core.GD(e.G, eng, q, 1); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
-	}
 }

@@ -30,11 +30,10 @@
 // -breaker-threshold set, an engine that fails that many times in a row
 // has its circuit opened and requests fall back along the -fallback
 // ladder (answers are stamped "degraded":true); without a fallback they
-// shed. With -cache-entries (default 4096) /fann answers repeat queries
-// from a semantic cache: exact repeats skip the engine entirely, and
-// queries sharing the same Q reuse cached per-candidate neighbor lists
-// across φ and k (subsumption). -coalesce (default on) collapses
-// concurrent identical queries onto one computation.
+// shed. With -cache-entries (default 4096) /fann answers exact repeats
+// of a query from a result cache without touching the engine. -coalesce
+// (default on) collapses concurrent identical queries onto one
+// computation.
 // Startup cost: -phl-index and -gtree-index point at files written by
 // fannr-index so the server loads instead of rebuilding; each needs its
 // index listed in -engines. -mmap auto or on (the same thing) memory-maps

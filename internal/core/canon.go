@@ -166,19 +166,3 @@ func dedupeNodes(ids []graph.NodeID) []graph.NodeID {
 	}
 	return ids
 }
-
-// fingerprintResetter is implemented by engine wrappers that key state
-// on Q's fingerprint (the query cache's). solve hands them the digest
-// Validate took instead of having them sort Q again in Reset.
-type fingerprintResetter interface {
-	ResetFingerprinted(Q []graph.NodeID, fp Fingerprint)
-}
-
-// resetEngine binds gp to the validated query's Q.
-func (q *Query) resetEngine(gp GPhi) {
-	if fr, ok := gp.(fingerprintResetter); ok {
-		fr.ResetFingerprinted(q.Q, q.canonQ.fingerprintOf(q.Q))
-		return
-	}
-	gp.Reset(q.Q)
-}

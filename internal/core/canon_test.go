@@ -222,33 +222,6 @@ func TestBuildPTreeStillDedupes(t *testing.T) {
 	}
 }
 
-// fingerprintSpy records how solve resets a fingerprint-keyed wrapper.
-type fingerprintSpy struct {
-	GPhi
-	plain, fingerprinted int
-	fp                   Fingerprint
-}
-
-func (s *fingerprintSpy) Reset(Q []graph.NodeID) { s.plain++; s.GPhi.Reset(Q) }
-func (s *fingerprintSpy) ResetFingerprinted(Q []graph.NodeID, fp Fingerprint) {
-	s.fingerprinted++
-	s.fp = fp
-	s.GPhi.Reset(Q)
-}
-
-// solve hands a fingerprint-keyed engine the digest of the Q it resets
-// it to — the deduplicated one.
-func TestSolvePassesValidatesFingerprint(t *testing.T) {
-	g := canonGraph(t)
-	spy := &fingerprintSpy{GPhi: NewINE(g)}
-	if _, err := GD(g, spy, Query{P: []graph.NodeID{1, 2, 3}, Q: []graph.NodeID{9, 8, 9}, Phi: 1}, 1); err != nil {
-		t.Fatal(err)
-	}
-	if spy.plain != 0 || spy.fingerprinted != 1 || spy.fp != FingerprintNodes([]graph.NodeID{8, 9}) {
-		t.Fatalf("plain resets %d, fingerprinted %d, digest ok = %v", spy.plain, spy.fingerprinted, spy.fp == FingerprintNodes([]graph.NodeID{8, 9}))
-	}
-}
-
 // BenchmarkCanonicalise prices what one request's two sets cost to
 // canonicalise and fingerprint (169 + 128 ids, hot_ier's shape): the one
 // sort per set Validate does now, against the sequence it replaced — a

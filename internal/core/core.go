@@ -32,11 +32,10 @@
 // A GPhi engine computes the flexible aggregate function g_φ(p, Q), which
 // for both aggregates is a fold over the k = ⌈φ|Q|⌉ network-nearest
 // members of Q. So an engine (INE, A*, PHL, GTree, IER-A*/PHL/GTree —
-// the paper's Table I) is only its neighbour search; Dist, Subset and
-// KNearest derive from it through one fold (AggSorted) and one projection
-// (SubsetSorted), which makes the NeighborSearcher contract —
-// Dist(p,k,agg) == AggSorted(KNearest(p,k,nil),k,agg), bit for bit — hold
-// by construction on every engine and through the query cache.
+// the paper's Table I) is only its neighbour search; Dist and Subset
+// derive from the k-nearest list it yields through one fold (aggSorted)
+// and one projection (subsetSorted), so Dist(p,k,agg) is bit for bit the
+// fold of the list Subset projects, on every engine.
 package core
 
 import (
@@ -251,7 +250,7 @@ type GPhi interface {
 // dists[:k], no sorting, no allocation. The prefix may be fully sorted or
 // merely partially selected (partialSelect): the max does not depend on
 // the order and neither does a bound, but a sum that must agree bit for
-// bit with AggSorted needs the prefix ascending (oracleEngine.Dist).
+// bit with aggSorted needs the prefix ascending (oracleEngine.Dist).
 func aggOf(dists []float64, k int, agg Aggregate) float64 {
 	if agg == Max {
 		return maxOfFirst(dists, k)

@@ -36,28 +36,12 @@ import (
 // (euclidQ.rejects), which turns far candidates away before any index or
 // graph node is touched.
 
-// NeighborSearcher is the optional engine capability the query cache
-// (internal/qcache) builds on: the paper's "Revisitation of g_φ"
-// observes that every flexible aggregate is a fold over the k nearest
-// members of Q, so an engine that can hand out that sorted list lets a
-// cache answer every φ' ≤ φ (k' ≤ k) from one computation. All built-in
-// engines implement it; a GPhi without it simply cannot be wrapped.
-type NeighborSearcher interface {
-	// KNearest appends the k network-nearest members of the bound Q to
-	// dst, sorted ascending by distance, and returns the extended slice.
-	// Fewer than k neighbors mean fewer than k members of Q are
-	// reachable from p. The result must agree with Dist/Subset:
-	// Dist(p,k,agg) == AggSorted(KNearest(p,k,nil), k, agg) and
-	// Subset(p,k,nil) lists the same nodes in the same order.
-	KNearest(p graph.NodeID, k int, dst []sp.Neighbor) []sp.Neighbor
-}
-
 // DistBelower is the optional engine capability the search loops build
 // on: every algorithm uses g_φ(p, Q) for one thing, comparing it with the
 // incumbent, so an engine that can tell early that the value will not be
 // under the incumbent need not finish computing it. Every built-in
-// engine implements it (see the top of this file); the cache and chaos
-// wrappers forward it.
+// engine implements it (see the top of this file); the chaos wrapper
+// forwards it.
 type DistBelower interface {
 	// DistBelow returns exactly what Dist returns whenever that value is
 	// under tau. Otherwise it may return ok = false without finishing the
@@ -66,13 +50,13 @@ type DistBelower interface {
 	DistBelow(p graph.NodeID, k int, agg Aggregate, tau float64) (float64, bool)
 }
 
-// AggSorted is the fold: it reduces a sorted ascending neighbor list to
+// aggSorted is the fold: it reduces a sorted ascending neighbor list to
 // the aggregate of its k-prefix, reporting ok=false when fewer than k
 // neighbors exist. Every engine's Dist is this function over its
-// neighbour search, and it is exported so cached neighbor lists
-// aggregate bit-identically to a live engine. The sum runs in ascending
-// order; a per-query-point weight would enter here and nowhere else.
-func AggSorted(nbrs []sp.Neighbor, k int, agg Aggregate) (float64, bool) {
+// neighbour search, or agrees with it bit for bit. The sum runs in
+// ascending order; a per-query-point weight would enter here and nowhere
+// else.
+func aggSorted(nbrs []sp.Neighbor, k int, agg Aggregate) (float64, bool) {
 	if len(nbrs) < k {
 		return math.Inf(1), false
 	}
@@ -86,10 +70,10 @@ func AggSorted(nbrs []sp.Neighbor, k int, agg Aggregate) (float64, bool) {
 	return total, true
 }
 
-// SubsetSorted is the projection: it appends the nodes of the k-prefix
+// subsetSorted is the projection: it appends the nodes of the k-prefix
 // of a sorted ascending neighbor list (all of it when shorter) to dst.
 // Every engine's Subset is this function over its neighbour search.
-func SubsetSorted(nbrs []sp.Neighbor, k int, dst []graph.NodeID) []graph.NodeID {
+func subsetSorted(nbrs []sp.Neighbor, k int, dst []graph.NodeID) []graph.NodeID {
 	for _, nb := range nbrs[:min(k, len(nbrs))] {
 		dst = append(dst, nb.Node)
 	}
@@ -117,7 +101,7 @@ type neighborSearch interface {
 // Under a finite tau it also stops, returning false, once the floor says
 // the k cannot fold to under tau: with f found summing to found, the
 // k-th is at least the floor (max) and the sum at least found + (k − f)
-// · floor. AggSorted adds those k − f terms one at a time, which can
+// · floor. aggSorted adds those k − f terms one at a time, which can
 // round differently from one product, so the sum rule must clear tau by
 // roundSlack (past); the max rule compares a floor with tau and is exact
 // as it stands. Both rules run on every step, so an INE stream is held
@@ -146,9 +130,8 @@ func fold(s neighborSearch, p graph.NodeID, k int, agg Aggregate, tau float64, d
 }
 
 // engine makes a GPhi out of a neighbour search through the fold and the
-// projection above, so the NeighborSearcher contract holds by
-// construction for every built-in engine, and puts the Euclidean
-// pre-bound in front of its DistBelow.
+// projection above, so Dist and Subset agree by construction, and puts
+// the Euclidean pre-bound in front of its DistBelow.
 type engine struct {
 	neighborSearch
 	lb    euclidQ
@@ -208,17 +191,12 @@ func (e *engine) DistBelow(p graph.NodeID, k int, agg Aggregate, tau float64) (f
 		e.stats.CountAbandoned()
 		return math.Inf(1), false
 	}
-	return AggSorted(nbrs, k, agg)
+	return aggSorted(nbrs, k, agg)
 }
 
 func (e *engine) Subset(p graph.NodeID, k int, dst []graph.NodeID) []graph.NodeID {
 	nbrs, _ := e.nearest(p, k, Max, math.Inf(1))
-	return SubsetSorted(nbrs, k, dst)
-}
-
-func (e *engine) KNearest(p graph.NodeID, k int, dst []sp.Neighbor) []sp.Neighbor {
-	nbrs, _ := e.nearest(p, k, Max, math.Inf(1))
-	return append(dst, nbrs...)
+	return subsetSorted(nbrs, k, dst)
 }
 
 // BatchOracle is the optional oracle capability behind batched g_φ
@@ -487,9 +465,8 @@ func boundsReach(lb []float64, k int, agg Aggregate, tau float64) bool {
 
 // nearest orders only what its callers read: it selects the k-th
 // smallest resolved distance, collects the reachable members of Q at or
-// under it and sorts those — the k-prefix of the full sort (KNearest,
-// Subset and the cache's list layer never look past it), without
-// ordering the other |Q| − k. Ties at the k-th place go to the lower
+// under it and sorts those — the k-prefix of the full sort (Subset never
+// looks past it), without ordering the other |Q| − k. Ties at the k-th place go to the lower
 // node id, so a list found at k is a prefix of the one found at any
 // larger k.
 func (e *oracleEngine) nearest(p graph.NodeID, k int) []sp.Neighbor {
@@ -516,15 +493,12 @@ func (e *oracleEngine) Dist(p graph.NodeID, k int, agg Aggregate) (float64, bool
 	return e.DistBelow(p, k, agg, math.Inf(1))
 }
 
-// DistBelow is the engine's one evaluation body. It is what the search
-// loops call for every candidate when no cache wraps the engine, and
-// behind qcache.Wrap for a Q the cache sees for the first time; only a Q
-// seen before arrives through KNearest, whose list the cache keeps. It
-// selects the k smallest distances and, for the sum, orders just that
-// prefix, so it adds the same values in the same ascending order as
-// AggSorted does and agrees with it bit for bit
-// (TestNeighborSearcherContract). An evaluation the bounds end early — a
-// binding oracle's hub prefix, or else the Euclidean pre-bound, which
+// DistBelow is the engine's one evaluation body, the one the search
+// loops call for every candidate. It selects the k smallest distances
+// and, for the sum, orders just that prefix, so it adds the same values
+// in the same ascending order as aggSorted over nearest's list and
+// agrees with it bit for bit (TestNeighborSearcherContract). An
+// evaluation the bounds end early — a binding oracle's hub prefix, or else the Euclidean pre-bound, which
 // spares a non-binding oracle all |Q| of its searches — is counted as
 // abandoned and reports ok = false, which a caller holding tau as its
 // incumbent treats as it would the value: not an improvement.
@@ -545,11 +519,7 @@ func (e *oracleEngine) DistBelow(p graph.NodeID, k int, agg Aggregate, tau float
 }
 
 func (e *oracleEngine) Subset(p graph.NodeID, k int, dst []graph.NodeID) []graph.NodeID {
-	return SubsetSorted(e.nearest(p, k), k, dst)
-}
-
-func (e *oracleEngine) KNearest(p graph.NodeID, k int, dst []sp.Neighbor) []sp.Neighbor {
-	return append(dst, e.nearest(p, k)...)
+	return subsetSorted(e.nearest(p, k), k, dst)
 }
 
 // NewGTreeGPhi returns the "GTree" engine: occurrence-list kNN search over

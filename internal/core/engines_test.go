@@ -68,7 +68,6 @@ func TestOracleNearestIsPrefixOfFullSort(t *testing.T) {
 	}
 	for _, gp := range []GPhi{NewOracleGPhi("PHL", ix), ierPHL, NewOracleGPhi("Dijkstra", sp.NewDijkstra(g))} {
 		rng := rand.New(rand.NewSource(5))
-		ns := gp.(NeighborSearcher)
 		for trial := 0; trial < 40; trial++ {
 			m := 1 + rng.Intn(40)
 			Q := make([]graph.NodeID, 0, m)
@@ -84,25 +83,25 @@ func TestOracleNearestIsPrefixOfFullSort(t *testing.T) {
 				}
 			}
 			slices.Sort(full)
-			all := ns.KNearest(p, m, nil)
+			all := kNearest(gp, p, m)
 			ks := []int{1, (m + 9) / 10, (m + 3) / 4, (m + 1) / 2, m - 1, m, m + 3}
 			for _, k := range ks {
 				if k < 1 {
 					continue
 				}
-				got := ns.KNearest(p, k, nil)
+				got := kNearest(gp, p, k)
 				if len(got) != min(k, len(full)) {
-					t.Fatalf("%s trial %d: KNearest(%d, k=%d) has %d entries, want min(k, %d reachable)", gp.Name(), trial, p, k, len(got), len(full))
+					t.Fatalf("%s trial %d: kNearest(%d, k=%d) has %d entries, want min(k, %d reachable)", gp.Name(), trial, p, k, len(got), len(full))
 				}
 				for i, nb := range got {
 					if math.Float64bits(nb.Dist) != math.Float64bits(full[i]) {
-						t.Fatalf("%s trial %d: KNearest(%d, k=%d)[%d].Dist = %v, full sort has %v", gp.Name(), trial, p, k, i, nb.Dist, full[i])
+						t.Fatalf("%s trial %d: kNearest(%d, k=%d)[%d].Dist = %v, full sort has %v", gp.Name(), trial, p, k, i, nb.Dist, full[i])
 					}
 					if d := ix.Dist(p, nb.Node); d != nb.Dist || !slices.Contains(Q, nb.Node) {
-						t.Fatalf("%s trial %d: KNearest(%d, k=%d)[%d] = %v, but d(p, node) = %v", gp.Name(), trial, p, k, i, nb, d)
+						t.Fatalf("%s trial %d: kNearest(%d, k=%d)[%d] = %v, but d(p, node) = %v", gp.Name(), trial, p, k, i, nb, d)
 					}
 					if nb != all[i] {
-						t.Fatalf("%s trial %d: KNearest(%d, k=%d)[%d] = %v is not the prefix of k=%d, which has %v", gp.Name(), trial, p, k, i, nb, m, all[i])
+						t.Fatalf("%s trial %d: kNearest(%d, k=%d)[%d] = %v is not the prefix of k=%d, which has %v", gp.Name(), trial, p, k, i, nb, m, all[i])
 					}
 				}
 			}
@@ -156,7 +155,7 @@ func islandGraph(t *testing.T) (*graph.Graph, *phl.Index, []graph.NodeID) {
 }
 
 // TestIERPHLSharesPHLBody pins what IER-PHL is once the oracle binds Q:
-// KNearest, Dist and Subset agree bit for bit with the PHL engine over
+// the k-nearest list, Dist and Subset agree bit for bit with the PHL engine over
 // the same index, and carry the same distances as the Euclidean
 // restriction the name used to run (the same index with its binding
 // hidden) — for k = 1, ⌈φM⌉, M and M+1, both aggregates, data points on
@@ -194,20 +193,20 @@ func TestIERPHLSharesPHLBody(t *testing.T) {
 		ps := []graph.NodeID{graph.NodeID(rng.Intn(mainland)), island[4], Q[3+rng.Intn(m-3)], island[1]}
 		for _, k := range []int{1, (m + 1) / 2, m, m + 1} {
 			for _, p := range ps {
-				want := pl.(NeighborSearcher).KNearest(p, k, nil)
-				if got := ierPHL.(NeighborSearcher).KNearest(p, k, nil); !slices.Equal(got, want) {
-					t.Fatalf("trial %d: IER-PHL KNearest(%d, k=%d) = %v, PHL has %v", trial, p, k, got, want)
+				want := kNearest(pl, p, k)
+				if got := kNearest(ierPHL, p, k); !slices.Equal(got, want) {
+					t.Fatalf("trial %d: IER-PHL kNearest(%d, k=%d) = %v, PHL has %v", trial, p, k, got, want)
 				}
 				if got, sub := ierPHL.Subset(p, k, nil), pl.Subset(p, k, nil); !slices.Equal(got, sub) {
 					t.Fatalf("trial %d: IER-PHL Subset(%d, k=%d) = %v, PHL has %v", trial, p, k, got, sub)
 				}
-				old := restricted.(NeighborSearcher).KNearest(p, k, nil)
+				old := kNearest(restricted, p, k)
 				if len(old) != len(want) {
-					t.Fatalf("trial %d: restriction KNearest(%d, k=%d) has %d neighbours, bound path %d", trial, p, k, len(old), len(want))
+					t.Fatalf("trial %d: restriction kNearest(%d, k=%d) has %d neighbours, bound path %d", trial, p, k, len(old), len(want))
 				}
 				for i := range want {
 					if math.Float64bits(old[i].Dist) != math.Float64bits(want[i].Dist) {
-						t.Fatalf("trial %d: restriction KNearest(%d, k=%d)[%d].Dist = %v, bound path %v", trial, p, k, i, old[i].Dist, want[i].Dist)
+						t.Fatalf("trial %d: restriction kNearest(%d, k=%d)[%d].Dist = %v, bound path %v", trial, p, k, i, old[i].Dist, want[i].Dist)
 					}
 				}
 				for _, agg := range []Aggregate{Max, Sum} {

@@ -154,7 +154,9 @@ func TestLemma1Admissibility(t *testing.T) {
 	}
 }
 
-// The reported subset is exactly the k network-nearest query points.
+// The reported subset is exactly the k network-nearest query points: the
+// engine's k-nearest list, in its order, and no excluded member of Q is
+// nearer than the subset's farthest.
 func TestSubsetIsKNearest(t *testing.T) {
 	f := func(seed int64) bool {
 		g, gp, rng := quickEnv(t, seed)
@@ -163,9 +165,18 @@ func TestSubsetIsKNearest(t *testing.T) {
 		if err != nil {
 			return false
 		}
+		gp.Reset(q.Q)
+		nbrs := kNearest(gp, ans.P, q.K())
+		if len(nbrs) != len(ans.Subset) {
+			return false
+		}
+		for i, nb := range nbrs {
+			if nb.Node != ans.Subset[i] {
+				return false
+			}
+		}
 		// Recompute distances from ans.P to all of Q; the subset's worst
 		// member must be no farther than any excluded member.
-		gp.Reset(q.Q)
 		worstIn := 0.0
 		inSubset := map[graph.NodeID]bool{}
 		for _, v := range ans.Subset {

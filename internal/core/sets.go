@@ -258,8 +258,8 @@ const SeenWays = 4
 
 // SeenTable is a doorkeeper: a fixed table of 64-bit digests in buckets
 // of SeenWays slots, most recent first, that says whether a digest has
-// been shown to it before. The set registry and the query cache's list
-// layer admit an entry on its second sight through one. Forgetting a
+// been shown to it before. The set registry admits an entry on its
+// second sight through one. Forgetting a
 // digest (a full bucket, two racing writers) delays an admission by one
 // sight; it never affects an answer. Its length is a power of two no
 // smaller than SeenWays; the zero digest is stored as 1.

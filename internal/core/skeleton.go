@@ -189,7 +189,7 @@ func solve(g *graph.Graph, gp GPhi, q Query, a algo, kAns int, rtP *rtree.Tree) 
 	}
 	s := solver{g: g, gp: gp, q: q, k: q.K(), top: q.newTopK(kAns)}
 	s.below, _ = gp.(DistBelower)
-	q.resetEngine(gp)
+	gp.Reset(q.Q)
 	var err error
 	switch a {
 	case algoGD:

@@ -61,8 +61,6 @@ func (ts *traceSpan) end() {
 		ts.count("index_visits", d.IndexVisits-ts.before.IndexVisits)
 		ts.count("pruned", d.Pruned-ts.before.Pruned)
 		ts.count("settled", d.Settled-ts.before.Settled)
-		ts.count("cache_hits", d.CacheHits-ts.before.CacheHits)
-		ts.count("cache_misses", d.CacheMisses-ts.before.CacheMisses)
 	}
 	ts.sp.End()
 }

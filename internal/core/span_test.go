@@ -12,7 +12,7 @@ import (
 // statNames are the counter names spans report, in Stats field order.
 var statNames = []string{
 	"gphi_evals", "gphi_subsets", "heap_pops", "index_visits",
-	"pruned", "settled", "cache_hits", "cache_misses",
+	"pruned", "settled",
 }
 
 func statByName(st *Stats, name string) int64 {
@@ -29,10 +29,6 @@ func statByName(st *Stats, name string) int64 {
 		return st.Pruned
 	case "settled":
 		return st.Settled
-	case "cache_hits":
-		return st.CacheHits
-	case "cache_misses":
-		return st.CacheMisses
 	}
 	return -1
 }

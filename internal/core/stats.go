@@ -39,12 +39,9 @@ type Stats struct {
 	// Settled counts network nodes settled inside the engine (Dijkstra/
 	// A*/expander settles), the shortest-path work behind the evals.
 	Settled int64
-	// CacheHits counts evaluations answered from a cached neighbor list
-	// (qcache subsumption hits, plus one per request served as an exact
-	// result hit) — evaluations that touched no shortest-path substrate.
+	// CacheHits counts requests answered without a compute: one for an
+	// exact result hit, one for a coalesced follower.
 	CacheHits int64
-	// CacheMisses counts evaluations the cache had to compute and fill.
-	CacheMisses int64
 }
 
 // CountEval records one g_φ evaluation. All Count methods are safe on a
@@ -97,17 +94,10 @@ func (s *Stats) CountSettled(n int64) {
 	}
 }
 
-// CountCacheHit records one evaluation served from cache.
+// CountCacheHit records one request served from the cache.
 func (s *Stats) CountCacheHit() {
 	if s != nil {
 		s.CacheHits++
-	}
-}
-
-// CountCacheMiss records one evaluation the cache had to compute.
-func (s *Stats) CountCacheMiss() {
-	if s != nil {
-		s.CacheMisses++
 	}
 }
 
@@ -124,7 +114,6 @@ func (s *Stats) Add(o Stats) {
 	s.Pruned += o.Pruned
 	s.Settled += o.Settled
 	s.CacheHits += o.CacheHits
-	s.CacheMisses += o.CacheMisses
 }
 
 // StatsSink is implemented by g_φ engines that can attribute internal

@@ -34,7 +34,6 @@ import (
 	"fannr/internal/graph"
 	"fannr/internal/gtree"
 	"fannr/internal/phl"
-	"fannr/internal/qcache"
 )
 
 // Env is one road network with the full engine suite built over it.
@@ -350,97 +349,6 @@ func (env *Env) check(c Case, q core.Query, label, algo string, k int, kb, got [
 		}
 		if err := core.Verify(env.G, q, got[i]); err != nil {
 			return fmt.Errorf("%v: %s: rank %d fails Verify: %w", c, label, i, err)
-		}
-	}
-	return nil
-}
-
-// cachedSweep is the descending-φ ladder RunCaseCached ends with: every
-// k it asks for fits the lists the φ=1 query filled.
-var cachedSweep = []float64{1.0, 0.75, 0.5, 0.25, 0.1, 0.01}
-
-// RunCaseCached is the differential gate for the qcache list layer and
-// its admission rule. Per engine, on a cache of its own, the case's
-// query at φ=1 is answered by GD three times, each through a fresh
-// wrapper as the server makes one per request, and the cache's counters
-// are pinned after each so that neither a pass-through nor an
-// always-fill wrapper can fake agreement:
-//
-//   - first sight of Q: every evaluation and the winner's subset miss,
-//     are computed by the engine directly, and nothing is stored;
-//   - second sight: the same evaluations miss and each stores its list;
-//     only the subset hits (the winner's list, stored a moment earlier);
-//   - third: no miss — every evaluation and the subset are list hits.
-//
-// Then every algorithm of the case (caseAlgos) runs a descending-φ
-// sweep whose smaller k are all prefixes of those lists — the
-// "Revisitation of g_φ" fold the cache relies on — and must not miss
-// once. Every warm answer is compared with the bare engine's bit for bit
-// (one fold serves both; the NeighborSearcher contract is what makes the
-// three states agree) and held to brute force by check.
-func (env *Env) RunCaseCached(c Case) error {
-	for _, gp := range env.Engines {
-		cache := qcache.New(qcache.Config{MaxEntries: 1 << 14})
-		if cache.Wrap(gp) == gp {
-			return fmt.Errorf("%v: %s lacks neighbor extraction; cache wrap was a no-op", c, gp.Name())
-		}
-		// check runs one query bare and through a fresh wrapper. ok is
-		// false (and err nil) when brute force finds no answer and both
-		// agree.
-		check := func(label, algo string, phi float64) (ok bool, err error) {
-			q := c.query()
-			q.Phi = phi
-			kb, bruteErr := core.KBrute(env.G, q, 1)
-			if bruteErr != nil && !errors.Is(bruteErr, core.ErrNoResult) {
-				return false, fmt.Errorf("%v: brute at φ=%v: %w", c, phi, bruteErr)
-			}
-			cold, coldErr := core.Dispatch(env.G, algo, gp, q, 1)
-			warm, warmErr := core.Dispatch(env.G, algo, cache.Wrap(gp), q, 1)
-			if (coldErr == nil) != (warmErr == nil) || !sameAnswers(warm, cold) {
-				return false, fmt.Errorf("%v: %s: warm %+v (err %v), cold %+v (err %v) — not bit-identical", c, label, warm, warmErr, cold, coldErr)
-			}
-			return warmErr == nil, env.check(c, q, label, algo, 1, kb, warm, warmErr)
-		}
-
-		var lookups int64 // list lookups of the φ=1 GD: one per data point, one for the subset
-		prev := cache.Metrics()
-		for sight := 1; sight <= 3; sight++ {
-			label := fmt.Sprintf("cached/GD/%s sight %d", gp.Name(), sight)
-			ok, err := check(label, "gd", 1)
-			if err != nil {
-				return err
-			}
-			m := cache.Metrics()
-			misses, hits, skips := m.MissesList-prev.MissesList, m.HitsSubsume-prev.HitsSubsume, m.ListSkips-prev.ListSkips
-			prev = m
-			if !ok {
-				// No answer at φ=1: nothing reached Subset, so the counts
-				// below do not apply; the sweep's smaller φ still run.
-				continue
-			}
-			var want [4]int64 // misses, hits, skips, entries
-			switch sight {
-			case 1:
-				lookups = misses
-				want = [4]int64{lookups, 0, lookups, 0}
-			case 2:
-				want = [4]int64{lookups - 1, 1, 0, lookups - 1}
-			case 3:
-				want = [4]int64{0, lookups, 0, lookups - 1}
-			}
-			if got := [4]int64{misses, hits, skips, m.Entries}; got != want || lookups < 2 {
-				return fmt.Errorf("%v: %s: list misses/hits/skips/entries = %v, want %v", c, label, got, want)
-			}
-		}
-		for _, phi := range cachedSweep {
-			for _, algo := range caseAlgos(env.G, c.Agg) {
-				if _, err := check(fmt.Sprintf("cached/%s/%s φ=%v", algo, gp.Name(), phi), algo, phi); err != nil {
-					return err
-				}
-			}
-		}
-		if m := cache.Metrics(); lookups > 0 && (m.MissesList != prev.MissesList || m.Entries != prev.Entries || m.HitsSubsume == prev.HitsSubsume) {
-			return fmt.Errorf("%v: %s: sweep below the filled k was not served from lists: %+v, before it %+v", c, gp.Name(), m, prev)
 		}
 	}
 	return nil

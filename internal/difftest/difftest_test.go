@@ -130,34 +130,6 @@ func TestDifferentialMmapVsHeap(t *testing.T) {
 	}
 }
 
-// TestDifferentialCachedWarmCold is the qcache acceptance gate: seeded
-// cases run bare and cache-wrapped through every engine — the first,
-// second and third sight of one query (nothing stored, lists stored,
-// lists served), then a descending-φ sweep served from those lists as
-// subsumption hits — and every warm answer must match the bare engine's
-// bit for bit, and brute force.
-func TestDifferentialCachedWarmCold(t *testing.T) {
-	casesPerEnv := 12
-	if testing.Short() {
-		casesPerEnv = 4
-	}
-	for _, spec := range envSpecs[:2] {
-		t.Run(string(rune('A'+spec.seed-11)), func(t *testing.T) {
-			t.Parallel()
-			env, err := NewEnv(spec.nodes, spec.seed)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i := 0; i < casesPerEnv; i++ {
-				c := GenCase(spec.seed*20_000+int64(i), env.G)
-				if err := env.RunCaseCached(c); err != nil {
-					t.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // TestDifferentialSetRegistry is the set registry's acceptance gate: the
 // full corpus, every case walked through first sight, fill and hit on
 // the single-process path (every algorithm) and through the coordinator

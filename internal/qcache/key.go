@@ -1,18 +1,18 @@
 // Package qcache is the query-acceleration subsystem: a semantic result
-// cache over FANN answers, a per-candidate neighbor-list cache that
-// exploits the paper's "Revisitation of g_φ" (every flexible aggregate
-// is a fold over the k nearest members of Q, so one cached sorted list
-// answers every φ' ≤ φ), and in-flight coalescing of identical
-// concurrent queries. Stdlib only.
+// cache over FANN answers, keyed by the query's parameters and the
+// order- and duplicate-insensitive fingerprints of P and Q, and in-flight
+// coalescing of identical concurrent queries. Stdlib only.
 package qcache
 
 import (
+	"math"
+
 	"fannr/internal/core"
 	"fannr/internal/graph"
 )
 
 // Fingerprint is the 128-bit order- and duplicate-insensitive digest of
-// a node set that keys both cache layers. It is core's: Query.Validate
+// a node set that keys the cache. It is core's: Query.Validate
 // takes it from the sort that canonicalizes the set, so a validated
 // query's Fingerprints cost nothing more.
 type Fingerprint = core.Fingerprint
@@ -22,8 +22,8 @@ type Fingerprint = core.Fingerprint
 // Validate, read Query.Fingerprints instead.
 func FingerprintNodes(ids []graph.NodeID) Fingerprint { return core.FingerprintNodes(ids) }
 
-// ResultKey identifies one fully specified FANN query for the result
-// layer and the coalescing group: the engine that will serve it, the
+// ResultKey identifies one fully specified FANN query for the cache and
+// the coalescing group: the engine that will serve it, the
 // algorithm, every query parameter, and the canonical fingerprints of P
 // and Q. Two requests with permuted-but-equal P/Q build equal ResultKeys.
 type ResultKey struct {
@@ -44,7 +44,7 @@ func NewResultKey(engine, algo string, q *core.Query, k int) ResultKey {
 	return ResultKey{Engine: engine, Algo: algo, Agg: q.Agg, Phi: q.Phi, K: k, P: p, Q: qq}
 }
 
-// entryKind discriminates the two value shapes sharing the LRU.
+// entryKind discriminates the value shapes sharing the LRU.
 type entryKind uint8
 
 const (
@@ -52,12 +52,9 @@ const (
 	kindList
 )
 
-// cacheKey is the internal comparable key covering both layers. For
-// results, p/q are the P/Q fingerprints and the query parameters are
-// set; for neighbor lists, p carries the candidate node id and the
-// parameter fields are zero (the list is independent of g, φ and k — it
-// is the kNN list the paper's g_φ revisitation reduces every aggregate
-// to).
+// cacheKey is the internal comparable key. For results, p/q are the P/Q
+// fingerprints and the query parameters are set; for PutList's entries,
+// p carries the candidate node id and the parameter fields are zero.
 type cacheKey struct {
 	kind   entryKind
 	engine string
@@ -90,11 +87,13 @@ func listKeyOf(engine string, q Fingerprint, p graph.NodeID) cacheKey {
 	}
 }
 
-// shardOf folds the fingerprints into a shard index. List keys for one Q
-// spread by candidate id; result keys spread by the P fingerprint.
+// shardOf hashes a key to a shard: the fingerprints, and φ, k and the
+// aggregate as well, so the many queries asked over one (P, Q) pair
+// spread over every shard instead of all filling one. The finish is
+// SplitMix64's, which lets every input bit reach the kept low bits.
 func shardOf(k cacheKey) int {
-	h := k.p.Hi ^ k.p.Lo ^ k.q.Hi ^ k.q.Lo
-	h ^= h >> 32
-	h ^= h >> 16
-	return int(h & (numShards - 1))
+	h := k.p.Hi ^ k.p.Lo ^ k.q.Hi ^ k.q.Lo ^ math.Float64bits(k.phi) ^ uint64(k.k)<<8 ^ uint64(k.agg)
+	h = (h ^ h>>30) * 0xBF58476D1CE4E5B9
+	h = (h ^ h>>27) * 0x94D049BB133111EB
+	return int((h ^ h>>31) & (numShards - 1))
 }

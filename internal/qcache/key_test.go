@@ -65,7 +65,8 @@ func sameSet(a, b []graph.NodeID) bool {
 func TestShardOfInRange(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	for i := 0; i < 1000; i++ {
-		k := listKeyOf("INE", Fingerprint{Hi: rng.Uint64(), Lo: rng.Uint64()}, graph.NodeID(rng.Intn(1<<20)))
+		fp := Fingerprint{Hi: rng.Uint64(), Lo: rng.Uint64()}
+		k := resultKeyOf(ResultKey{Engine: "INE", Agg: core.Aggregate(rng.Intn(2)), Phi: rng.Float64(), K: 1 + rng.Intn(20), P: fp, Q: fp})
 		if s := shardOf(k); s < 0 || s >= numShards {
 			t.Fatalf("shard %d out of range", s)
 		}
@@ -75,7 +76,7 @@ func TestShardOfInRange(t *testing.T) {
 // The digests a validated query carries are FingerprintNodes of the raw
 // ids, so a result key built from Query.Fingerprints equals one built
 // the long way — the property that keeps cache behaviour (hits,
-// subsumption, evictions) what it was.
+// evictions) what it was.
 func TestFingerprintsOfValidatedQueryMatch(t *testing.T) {
 	g, err := graph.Generate(graph.GenConfig{Nodes: 600, Seed: 3, Name: "fp"})
 	if err != nil {

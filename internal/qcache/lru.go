@@ -76,19 +76,12 @@ func (c *Cache) get(k cacheKey) (any, bool) {
 	return e.val, true
 }
 
-// put inserts or replaces the value under k. keep, when non-nil, is
-// consulted under the shard lock with the existing value: returning true
-// aborts the write (the resident value is better — e.g. a longer
-// neighbor list racing with a shorter one).
-func (c *Cache) put(k cacheKey, val any, size int64, keep func(old any) bool) {
+// put inserts or replaces the value under k.
+func (c *Cache) put(k cacheKey, val any, size int64) {
 	s := &c.shards[shardOf(k)]
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if e := s.entries[k]; e != nil {
-		if keep != nil && keep(e.val) {
-			s.moveToFront(e)
-			return
-		}
 		c.bytes.Add(size - e.size)
 		e.val, e.size = val, size
 		s.moveToFront(e)
@@ -108,8 +101,7 @@ func (c *Cache) put(k cacheKey, val any, size int64, keep func(old any) bool) {
 	}
 }
 
-// Purge drops every entry and forgets every bound Q — the manual
-// invalidation hook. The indexes a
+// Purge drops every entry — the manual invalidation hook. The indexes a
 // cache fronts are immutable for the life of the process, so purging is
 // only needed when an operator swaps datasets in tests or tooling.
 func (c *Cache) Purge() {
@@ -129,8 +121,5 @@ func (c *Cache) Purge() {
 		s.mu.Unlock()
 		c.entries.Add(-n)
 		c.bytes.Add(-freed)
-	}
-	for i := range c.bound {
-		c.bound[i].Store(0)
 	}
 }

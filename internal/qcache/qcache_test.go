@@ -1,6 +1,7 @@
 package qcache
 
 import (
+	"math/rand"
 	"testing"
 
 	"fannr/internal/core"
@@ -21,9 +22,6 @@ func TestNilCacheIsSafe(t *testing.T) {
 		t.Fatalf("nil cache hit")
 	}
 	c.PutResult(rkey("e", 0.5, 1, Fingerprint{}, Fingerprint{}), nil)
-	if _, ok := c.GetList("e", Fingerprint{}, 0, 1); ok {
-		t.Fatalf("nil cache list hit")
-	}
 	c.PutList("e", Fingerprint{}, 0, nil, false)
 	c.Purge()
 	if m := c.Metrics(); m != (Metrics{}) {
@@ -68,72 +66,59 @@ func TestResultRoundTripAndIsolation(t *testing.T) {
 	}
 }
 
-// TestPutListCopiesOwnedPutDoesNot pins the two list puts: the exported
-// one copies, so its caller may reuse the slice; the owning one stores
-// the very slice it was handed.
-func TestPutListCopiesOwnedPutDoesNot(t *testing.T) {
+// TestPutListCopies: PutList stores a copy, so its caller may reuse the
+// slice.
+func TestPutListCopies(t *testing.T) {
 	c := New(Config{MaxEntries: 64})
 	q := FingerprintNodes([]graph.NodeID{1, 2})
 	nbrs := []sp.Neighbor{{Node: 1, Dist: 1}, {Node: 2, Dist: 2}}
 	c.PutList("E", q, 10, nbrs, true)
 	nbrs[0].Dist = 99 // caller mutation must not reach the cache
-	if got, ok := c.GetList("E", q, 10, 2); !ok || got[0].Dist != 1 {
+	if got, ok := c.get(listKeyOf("E", q, 10)); !ok || got.([]sp.Neighbor)[0].Dist != 1 {
 		t.Fatalf("PutList did not copy: got %v ok=%v", got, ok)
 	}
-	own := []sp.Neighbor{{Node: 1, Dist: 1}, {Node: 2, Dist: 2}}
-	c.putListOwned("E", q, 11, own, true)
-	if got, ok := c.GetList("E", q, 11, 2); !ok || &got[0] != &own[0] {
-		t.Fatalf("putListOwned copied the list it was given (ok=%v)", ok)
+	if m := c.Metrics(); m.Entries != 1 || m.Bytes != 48+2*16 {
+		t.Fatalf("one list of two: %+v", m)
 	}
 }
 
-func TestListSubsumptionAndCompleteness(t *testing.T) {
-	c := New(Config{MaxEntries: 64})
-	q := FingerprintNodes([]graph.NodeID{1, 2, 3, 4})
-	nbrs := []sp.Neighbor{{Node: 1, Dist: 1}, {Node: 2, Dist: 2}, {Node: 3, Dist: 3}}
-
-	c.PutList("INE", q, 10, nbrs, false)
-	for k := 1; k <= 3; k++ {
-		got, ok := c.GetList("INE", q, 10, k)
-		if !ok || len(got) != k || got[k-1].Node != graph.NodeID(k) {
-			t.Fatalf("k=%d got %v ok=%v", k, got, ok)
+// TestResultsOfOnePairSpreadOverShards: the 20 φ/agg/k queries a Zipf
+// workload asks over one (P, Q) pair do not share one shard's budget.
+func TestResultsOfOnePairSpreadOverShards(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for pair := 0; pair < 50; pair++ {
+		p := Fingerprint{Hi: rng.Uint64(), Lo: rng.Uint64()}
+		q := Fingerprint{Hi: rng.Uint64(), Lo: rng.Uint64()}
+		used := map[int]int{}
+		for _, phi := range []float64{0.1, 0.3, 0.5, 0.7, 1} {
+			for _, agg := range []core.Aggregate{core.Max, core.Sum} {
+				for _, k := range []int{1, 5} {
+					used[shardOf(resultKeyOf(ResultKey{Engine: "IER-PHL@1", Algo: "ier", Agg: agg, Phi: phi, K: k, P: p, Q: q}))]++
+				}
+			}
 		}
-	}
-	if _, ok := c.GetList("INE", q, 10, 4); ok {
-		t.Fatalf("k=4 should miss an incomplete 3-list")
-	}
-	if _, ok := c.GetList("PHL", q, 10, 1); ok {
-		t.Fatalf("list leaked across engines")
-	}
-	if _, ok := c.GetList("INE", q, 11, 1); ok {
-		t.Fatalf("list leaked across candidates")
-	}
-
-	// A complete list answers any k with what is reachable.
-	c.PutList("INE", q, 10, nbrs, true)
-	got, ok := c.GetList("INE", q, 10, 9)
-	if !ok || len(got) != 3 {
-		t.Fatalf("complete list: got %v ok=%v", got, ok)
-	}
-
-	// A shorter racing fill must not downgrade the resident list.
-	c.PutList("INE", q, 10, nbrs[:1], false)
-	if got, ok := c.GetList("INE", q, 10, 3); !ok || len(got) != 3 {
-		t.Fatalf("shorter fill downgraded the entry: %v ok=%v", got, ok)
+		most := 0
+		for _, n := range used {
+			most = max(most, n)
+		}
+		if len(used) < numShards/2 || most > 5 {
+			t.Fatalf("pair %d: 20 queries in %d shards, %d in the fullest: %v", pair, len(used), most, used)
+		}
 	}
 }
 
 func TestLRUEvictionAndGauges(t *testing.T) {
 	c := New(Config{MaxEntries: numShards}) // one entry per shard
 	q := FingerprintNodes([]graph.NodeID{1})
-	// Two list entries that land in the same shard: same q, candidate ids
-	// differing only above the shard mask spacing. Find two colliding ids.
-	var a, b graph.NodeID
+	// Two result keys that land in the same shard: same P and Q, k
+	// differing. Find two colliding ks.
+	key := func(k int) ResultKey { return rkey("E", 0.5, k, q, q) }
+	var a, b int
 	found := false
 	for i := 1; i < 1000 && !found; i++ {
 		for j := i + 1; j < 1000; j++ {
-			if shardOf(listKeyOf("E", q, graph.NodeID(i))) == shardOf(listKeyOf("E", q, graph.NodeID(j))) {
-				a, b, found = graph.NodeID(i), graph.NodeID(j), true
+			if shardOf(resultKeyOf(key(i))) == shardOf(resultKeyOf(key(j))) {
+				a, b, found = i, j, true
 				break
 			}
 		}
@@ -141,13 +126,13 @@ func TestLRUEvictionAndGauges(t *testing.T) {
 	if !found {
 		t.Fatalf("no shard collision found")
 	}
-	one := []sp.Neighbor{{Node: 1, Dist: 1}}
-	c.PutList("E", q, a, one, true)
-	c.PutList("E", q, b, one, true) // evicts a (LRU, per-shard cap 1)
-	if _, ok := c.GetList("E", q, a, 1); ok {
+	one := []core.Answer{{P: 1, Dist: 1}}
+	c.PutResult(key(a), one)
+	c.PutResult(key(b), one) // evicts a (LRU, per-shard cap 1)
+	if _, ok := c.GetResult(key(a)); ok {
 		t.Fatalf("evicted entry still present")
 	}
-	if _, ok := c.GetList("E", q, b, 1); !ok {
+	if _, ok := c.GetResult(key(b)); !ok {
 		t.Fatalf("newest entry evicted")
 	}
 	m := c.Metrics()

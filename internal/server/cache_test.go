@@ -2,7 +2,6 @@ package server
 
 import (
 	"encoding/json"
-	"math"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -91,93 +90,6 @@ func TestCacheExactHit(t *testing.T) {
 	}
 }
 
-// TestCacheSubsumeAcrossPhi: after a φ=1.0 query fills the per-candidate
-// neighbor lists, lower-φ queries over the same P/Q are answered with
-// subsumption hits and still agree with brute force exactly.
-func TestCacheSubsumeAcrossPhi(t *testing.T) {
-	_, ts, g := cacheServer(t, Options{CacheEntries: 4096})
-	P := []graph.NodeID{3, 17, 42, 99, 140, 181}
-	Q := []graph.NodeID{5, 60, 120, 150, 199}
-	for _, phi := range []float64{1.0, 0.75, 0.5, 0.25} {
-		req := FANNRequest{P: P, Q: Q, Phi: phi, Agg: "sum", Engine: "INE"}
-		status, got := post[FANNResponse](t, ts.URL+"/fann", req)
-		if status != http.StatusOK {
-			t.Fatalf("φ=%v status %d", phi, status)
-		}
-		want, err := core.Brute(g, core.Query{P: P, Q: Q, Phi: phi, Agg: core.Sum})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(got.Answers) != 1 || got.Answers[0].P != want.P ||
-			math.Abs(got.Answers[0].Dist-want.Dist) > 1e-6*(1+want.Dist) {
-			t.Fatalf("φ=%v: got %+v, want (%d, %v)", phi, got.Answers, want.P, want.Dist)
-		}
-	}
-	sc := scrapeMetrics(t, ts.URL)
-	if v, ok := sc.Value(mCacheHits, obs.L("kind", "subsume")); !ok || v == 0 {
-		t.Fatalf("%s{kind=subsume} = %v (ok=%v), want > 0", mCacheHits, v, ok)
-	}
-}
-
-// TestCacheListAdmissionSurfaces walks one Q through its first three
-// sights and reads the admission rule off every operator surface: the
-// ?explain=1 compute span says which way misses went ("first-sight",
-// then "fill"), fannr_cache_list_skips_total moves only at first sight
-// (one per evaluation and one for the subset) and /meta's cache block
-// carries the same number, list entries appear only at the second sight,
-// and the third is served from them.
-func TestCacheListAdmissionSurfaces(t *testing.T) {
-	_, ts, _ := cacheServer(t, Options{CacheEntries: 4096})
-	P := []graph.NodeID{3, 17, 42, 99, 140, 181}
-	Q := []graph.NodeID{5, 60, 120, 150, 199}
-	metric := func(sc obs.Scrape, name string, labels ...obs.Label) float64 {
-		v, _ := sc.Value(name, labels...)
-		return v
-	}
-	prev := scrapeMetrics(t, ts.URL)
-	if _, ok := prev.Value(mCacheListSkips); !ok {
-		t.Fatalf("%s not exposed with the cache on", mCacheListSkips)
-	}
-	for sight, want := range []struct {
-		lists                string
-		skips, entries, hits float64
-		phi                  float64
-	}{
-		{"first-sight", float64(len(P) + 1), 1, 0, 1}, // the result only
-		{"fill", 0, float64(len(P) + 1), 1, 0.8},      // |P| lists + the result; the subset reads its own list back
-		{"fill", 0, 1, float64(len(P) + 1), 0.6},      // the result; every lookup a list hit
-	} {
-		req := FANNRequest{P: P, Q: Q, Phi: want.phi, Agg: "sum", Engine: "INE"}
-		status, resp := post[FANNResponse](t, ts.URL+"/fann?explain=1", req)
-		if status != http.StatusOK || resp.Explain == nil {
-			t.Fatalf("sight %d: status %d, explain %v", sight+1, status, resp.Explain)
-		}
-		var lists any
-		for _, sp := range collectSpans(resp.Explain.Spans) {
-			if sp.Name == "compute" {
-				lists = sp.Attrs["lists"]
-			}
-		}
-		if lists != want.lists {
-			t.Fatalf("sight %d: compute span lists = %v, want %q", sight+1, lists, want.lists)
-		}
-		sc := scrapeMetrics(t, ts.URL)
-		got := [3]float64{
-			metric(sc, mCacheListSkips) - metric(prev, mCacheListSkips),
-			metric(sc, mCacheEntries) - metric(prev, mCacheEntries),
-			metric(sc, mCacheHits, obs.L("kind", "subsume")) - metric(prev, mCacheHits, obs.L("kind", "subsume")),
-		}
-		if got != [3]float64{want.skips, want.entries, want.hits} {
-			t.Fatalf("sight %d: list skips / new entries / list hits = %v, want %v", sight+1, got, [3]float64{want.skips, want.entries, want.hits})
-		}
-		prev = sc
-	}
-	_, meta := getJSON(t, ts.URL+"/meta")
-	if got := meta["cache"].(map[string]any)["list_skips"]; got != metric(prev, mCacheListSkips) {
-		t.Fatalf("/meta cache.list_skips = %v, /metrics says %v", got, metric(prev, mCacheListSkips))
-	}
-}
-
 // TestCoalesceCollapsesDuplicates: concurrent identical requests against
 // a slow engine share one computation — every response carries the same
 // answer, the engine evaluated each candidate once, and the coalesced
@@ -235,13 +147,7 @@ func TestCoalesceCollapsesDuplicates(t *testing.T) {
 
 // TestIERPHLAnswersMatchPHL: over one PHL index the two engine names are
 // one neighbour search, so the same (P, Q, φ, agg, algo, k) returns
-// byte-identical answers under either name — computed cold, and again on
-// a server whose neighbour lists were filled beforehand, so the request
-// is served from the list cache: every evaluation a list hit, not one
-// miss. The fill is two GD requests over the same Q — lists are stored
-// from a Q's second sight on, and GD at φ = 1 then stores every data
-// point's complete list (it was one φ = 1 request before the admission
-// rule, which the subset's self-read alone would still satisfy).
+// byte-identical answers under either name.
 func TestIERPHLAnswersMatchPHL(t *testing.T) {
 	g, err := graph.Generate(graph.GenConfig{Nodes: 600, Seed: 33, Name: "twin"})
 	if err != nil {
@@ -251,15 +157,12 @@ func TestIERPHLAnswersMatchPHL(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	serve := func() string {
-		srv, err := New(g, Options{Indexes: core.Indexes{PHL: labels}, CacheEntries: 8192})
-		if err != nil {
-			t.Fatal(err)
-		}
-		ts := httptest.NewServer(srv.Handler())
-		t.Cleanup(ts.Close)
-		return ts.URL
+	srv, err := New(g, Options{Indexes: core.Indexes{PHL: labels}})
+	if err != nil {
+		t.Fatal(err)
 	}
+	ts := httptest.NewServer(srv.Handler())
+	t.Cleanup(ts.Close)
 	rng := rand.New(rand.NewSource(33))
 	var P, Q []graph.NodeID
 	for _, v := range rng.Perm(g.NumNodes())[:80] {
@@ -272,9 +175,9 @@ func TestIERPHLAnswersMatchPHL(t *testing.T) {
 	type answers struct {
 		Answers json.RawMessage `json:"answers"`
 	}
-	ask := func(url string, req FANNRequest) string {
+	ask := func(req FANNRequest) string {
 		t.Helper()
-		status, got := post[answers](t, url+"/fann", req)
+		status, got := post[answers](t, ts.URL+"/fann", req)
 		if status != http.StatusOK || len(got.Answers) == 0 {
 			t.Fatalf("%s/%s φ=%v: status %d, answers %q", req.Engine, req.Algo, req.Phi, status, got.Answers)
 		}
@@ -285,34 +188,11 @@ func TestIERPHLAnswersMatchPHL(t *testing.T) {
 		{Algo: "ier", Agg: "sum", K: 10},
 	} {
 		c.P, c.Q, c.Phi = P, Q, 0.5
-		cold, warm := serve(), serve()
-		var got []string
-		for _, engine := range []string{"PHL", "IER-PHL"} {
-			c.Engine = engine
-			got = append(got, ask(cold, c))
-			fill := c
-			fill.Algo, fill.K = "gd", 1
-			fill.Phi = 0.9
-			ask(warm, fill) // first sight of Q under this engine: nothing stored
-			fill.Phi = 1
-			ask(warm, fill) // second: stores
-			before := scrapeMetrics(t, warm)
-			got = append(got, ask(warm, c))
-			after := scrapeMetrics(t, warm)
-			delta := func(name string) float64 {
-				a, _ := after.Value(name, obs.L("kind", "subsume"))
-				b, _ := before.Value(name, obs.L("kind", "subsume"))
-				return a - b
-			}
-			if hits, misses := delta(mCacheHits), delta(mCacheMisses); misses != 0 || hits < float64(c.K+1) {
-				t.Fatalf("%s %s/%s on the pre-filled server: %v list hits, %v list misses, want it served from lists alone", engine, c.Algo, c.Agg, hits, misses)
-			}
-		}
-		for i, a := range got[1:] {
-			if a != got[0] {
-				t.Fatalf("%s/%s k=%d: answers differ between PHL cold and %s:\n%s\n%s",
-					c.Algo, c.Agg, c.K, []string{"PHL warm", "IER-PHL cold", "IER-PHL warm"}[i], got[0], a)
-			}
+		c.Engine = "PHL"
+		want := ask(c)
+		c.Engine = "IER-PHL"
+		if ier := ask(c); ier != want {
+			t.Fatalf("%s/%s k=%d: answers differ between PHL and IER-PHL:\n%s\n%s", c.Algo, c.Agg, c.K, want, ier)
 		}
 	}
 }

@@ -56,7 +56,7 @@ type fannCall struct {
 
 	// How it ended, for the log record and the slow-query log.
 	outcome       string
-	cacheKind     string // "exact" | "coalesced" | "subsume" | "" (computed or cache off)
+	cacheKind     string // "exact" | "coalesced" | "" (computed or cache off)
 	leaderID      string // coalesce leader this request's answer came from
 	coalesced     bool
 	computeMicros int64
@@ -106,11 +106,6 @@ func (s *Server) handleFANN(w http.ResponseWriter, r *http.Request) {
 	micros := c.computeMicros
 	if c.coalesced {
 		micros = time.Since(c.start).Microseconds()
-	}
-	// A computed request whose only cache traffic was partial-list reuse
-	// answered from subsumption: surface that as the cache outcome.
-	if c.cacheKind == "" && c.accel && c.stats.CacheHits > 0 {
-		c.cacheKind = "subsume"
 	}
 	if c.cacheKind != "" {
 		c.tr.Root().SetAttr("cache", c.cacheKind)
@@ -284,9 +279,9 @@ func (s *Server) coalesce(c *fannCall) ([]core.Answer, error) {
 }
 
 // compute is one engine run: the admit stage (bounded admission, with
-// the pin stage inside it), then the compute stage through the cache
-// wrapper, then the result-cache fill. It runs on the request's goroutine
-// — directly, or as a flight leader on behalf of coalesced followers.
+// the pin stage inside it), then the compute stage, then the result-cache
+// fill. It runs on the request's goroutine — directly, or as a flight
+// leader on behalf of coalesced followers.
 func (s *Server) compute(c *fannCall) (answers []core.Answer, err error) {
 	// Fault containment is armed first, so its recover runs last. Every
 	// step below may touch a mapped index — engine factories inside the
@@ -320,30 +315,20 @@ func (s *Server) compute(c *fannCall) (answers []core.Answer, err error) {
 	defer stop()
 	defer c.em.flush(c.stats)
 
-	var eng core.GPhi
 	var sp *obs.Span
 	var began time.Time
 	answers, err = pool.Run(c.ctx, s.g, c.call.Algo, c.call.Query, c.call.K, func(gp core.GPhi) core.GPhi {
 		endAdmit()
-		// The cache wrapper is per-request state around the pooled
-		// engine; a probe skips it so every evaluation exercises the real
-		// substrate. The engine's settles count into this request's Stats.
-		eng = gp
-		if c.accel {
-			eng = s.qc.Wrap(gp)
-		}
-		core.BindStats(eng, c.stats)
-		core.BindCancel(eng, c.ctx.Done())
+		// The engine's settles count into this request's Stats.
+		core.BindStats(gp, c.stats)
+		core.BindCancel(gp, c.ctx.Done())
 		began = time.Now()
 		sp = c.tr.StartSpan("compute")
-		return eng
+		return gp
 	})
 	if sp == nil { // admission refused: no engine was checked out
 		endAdmit()
 		return nil, err
-	}
-	if mode := qcache.ListMode(eng); mode != "" {
-		sp.SetAttr("lists", mode)
 	}
 	sp.End()
 	elapsed := time.Since(began)
@@ -438,7 +423,6 @@ func (s *Server) record(c *fannCall) {
 			slog.String("cache", c.cacheKind),
 			slog.String("leader", c.leaderID),
 			slog.Int64("cache_hits", c.stats.CacheHits),
-			slog.Int64("cache_misses", c.stats.CacheMisses),
 		)
 	}
 	root := c.tr.Root()

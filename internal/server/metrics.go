@@ -43,7 +43,6 @@ const (
 	mCacheHits      = "fannr_cache_hits_total"
 	mCacheMisses    = "fannr_cache_misses_total"
 	mCacheEvictions = "fannr_cache_evictions_total"
-	mCacheListSkips = "fannr_cache_list_skips_total"
 	mCacheEntries   = "fannr_cache_entries"
 	mCacheBytes     = "fannr_cache_bytes"
 	mCoalesced      = "fannr_coalesced_total"
@@ -217,19 +216,13 @@ func newServerMetrics(s *Server, reg *obs.Registry) *serverMetrics {
 	// matching layer is on, so a cache-less deployment's scrape is
 	// byte-identical to PR 4's.
 	if qc := s.qc; qc != nil {
-		reg.CounterFunc(mCacheHits, "Cache hits by kind: exact result reuse or neighbor-list subsumption.",
+		reg.CounterFunc(mCacheHits, "Cache hits by kind: exact result reuse.",
 			func() float64 { return float64(qc.Metrics().HitsExact) }, obs.L("kind", "exact"))
-		reg.CounterFunc(mCacheHits, "Cache hits by kind: exact result reuse or neighbor-list subsumption.",
-			func() float64 { return float64(qc.Metrics().HitsSubsume) }, obs.L("kind", "subsume"))
 		reg.CounterFunc(mCacheMisses, "Cache misses by kind (lookups that had to compute).",
 			func() float64 { return float64(qc.Metrics().MissesExact) }, obs.L("kind", "exact"))
-		reg.CounterFunc(mCacheMisses, "Cache misses by kind (lookups that had to compute).",
-			func() float64 { return float64(qc.Metrics().MissesList) }, obs.L("kind", "subsume"))
 		reg.CounterFunc(mCacheEvictions, "Cache entries evicted by the LRU.",
 			func() float64 { return float64(qc.Metrics().Evictions) })
-		reg.CounterFunc(mCacheListSkips, "Evaluations computed at first sight of a query set and deliberately not stored as neighbor lists.",
-			func() float64 { return float64(qc.Metrics().ListSkips) })
-		reg.GaugeFunc(mCacheEntries, "Live cache entries (results + neighbor lists).",
+		reg.GaugeFunc(mCacheEntries, "Live cache entries (results).",
 			func() float64 { return float64(qc.Metrics().Entries) })
 		reg.GaugeFunc(mCacheBytes, "Approximate bytes held by live cache entries.",
 			func() float64 { return float64(qc.Metrics().Bytes) })

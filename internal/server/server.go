@@ -87,9 +87,8 @@ type Options struct {
 	// id, engine, outcome, stage timings). nil disables them — the
 	// default logger reports every level off, so no record is even built.
 	Logger *slog.Logger
-	// CacheEntries enables the query-acceleration cache (internal/qcache)
-	// with this many entries shared between final results and per-
-	// candidate neighbor lists; 0 disables caching entirely. The cache
+	// CacheEntries enables the result cache (internal/qcache) with room
+	// for this many answers; 0 disables caching entirely. The cache
 	// sits between admission and engine compute: shed, breaker and
 	// degraded semantics are unchanged, and half-open probes always
 	// bypass it so a cache hit can never fake an engine recovery. Entries
@@ -446,15 +445,14 @@ func (s *Server) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 	}
 }
 
-// cacheHitRate folds a cache snapshot into the fraction of lookups (both
-// layers) answered from memory; 0 before any lookup.
+// cacheHitRate folds a cache snapshot into the fraction of lookups
+// answered from memory; 0 before any lookup.
 func cacheHitRate(cm qcache.Metrics) float64 {
-	hits := cm.HitsExact + cm.HitsSubsume
-	total := hits + cm.MissesExact + cm.MissesList
+	total := cm.HitsExact + cm.MissesExact
 	if total == 0 {
 		return 0
 	}
-	return float64(hits) / float64(total)
+	return float64(cm.HitsExact) / float64(total)
 }
 
 func (s *Server) handleMeta(w http.ResponseWriter, _ *http.Request) {
@@ -488,10 +486,9 @@ func (s *Server) handleMeta(w http.ResponseWriter, _ *http.Request) {
 	if cm := s.qc.Metrics(); s.qc != nil {
 		cache["entries"] = cm.Entries
 		cache["bytes"] = cm.Bytes
-		cache["hits"] = cm.HitsExact + cm.HitsSubsume
-		cache["misses"] = cm.MissesExact + cm.MissesList
+		cache["hits"] = cm.HitsExact
+		cache["misses"] = cm.MissesExact
 		cache["evictions"] = cm.Evictions
-		cache["list_skips"] = cm.ListSkips
 		cache["hit_rate"] = cacheHitRate(cm)
 	}
 	// Index sizes are read back from the gauge like everything else so
