@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: verify build test allocs vet docs-lint loc bench bench-gate figures microbench race race-full fuzz-smoke chaos chaos-load explain-smoke shard-smoke
+.PHONY: verify build test allocs vet docs-lint reach loc bench bench-gate figures microbench race race-full fuzz-smoke chaos chaos-load explain-smoke shard-smoke
 
 ## Tier 1 — compile + unit/integration tests (the seed contract).
 build:
@@ -36,6 +36,13 @@ vet:
 ## EXPERIMENTS and the verify skill must resolve (docs_test.go).
 docs-lint:
 	$(GO) test -count=1 -run '^TestDocs' .
+
+## No code that nothing runs: every package-level func, type, var and
+## const, and every method, outside bench/ that no program code reaches
+## (tests do not count; an interface that has the method does) fails,
+## unless reach_test.go's allowlist names it with a reason (TestReachable).
+reach:
+	$(GO) test -count=1 -run '^TestReachable' .
 
 ## Report-only size of the code: non-test Go lines outside bench/, flag
 ## registrations per binary, exported names of the fannr facade, then
@@ -186,4 +193,4 @@ chaos-load:
 	$(GO) test -race -v -run 'Retry|FileChaos|TransientErrors|ChaosLatencyCancel' ./internal/resil/
 	$(GO) test -race -v -run 'IndexFault|ReloadFailure|SwapStorm|Reload' ./internal/server/
 
-verify: build test allocs vet docs-lint race chaos-load loc
+verify: build test allocs vet docs-lint reach race chaos-load loc

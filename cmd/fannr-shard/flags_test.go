@@ -2,8 +2,10 @@ package main
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"flag"
+	"net/http/httptest"
 	"slices"
 	"testing"
 
@@ -53,7 +55,8 @@ func (downTransport) Call(context.Context, *shard.Request) (*shard.Response, err
 func (downTransport) Target() string { return "down" }
 
 // TestBreakerFlags: -breaker-threshold means on fannr-shard what it means
-// on fannr-server — 0 disables the breakers — and the default trips.
+// on fannr-server — 0 disables the breakers — and the default trips, as
+// /readyz reports it.
 func TestBreakerFlags(t *testing.T) {
 	g, err := graph.Generate(graph.GenConfig{Nodes: 200, Seed: 3, Name: "flags"})
 	if err != nil {
@@ -85,7 +88,13 @@ func TestBreakerFlags(t *testing.T) {
 			t.Fatal(err)
 		}
 		coord.TripShard(0)
-		if got := coord.BreakerState(0); got != tc.want {
+		rr := httptest.NewRecorder()
+		coord.Handler().ServeHTTP(rr, httptest.NewRequest("GET", "/readyz", nil))
+		var ready struct{ Shards []struct{ Breaker string } }
+		if err := json.Unmarshal(rr.Body.Bytes(), &ready); err != nil || len(ready.Shards) != 2 {
+			t.Fatalf("%q: /readyz body %s: %v", tc.args, rr.Body, err)
+		}
+		if got := ready.Shards[0].Breaker; got != tc.want.String() {
 			t.Errorf("%q: shard breaker %v after a trip, want %v", tc.args, got, tc.want)
 		}
 	}

@@ -368,6 +368,24 @@ func newOracleEngine(name string, o Oracle) *oracleEngine {
 // before the constant follows it.
 const boundHubs = 4
 
+// heldQ is an engine's copy of the Q it last built per-Q state from — a
+// bind, an occurrence list, an R-tree — and the one rule by which every
+// engine decides to keep that state.
+type heldQ struct {
+	ids  []graph.NodeID
+	held bool
+}
+
+// same reports whether Q is the held set, in the same order. When it is
+// not, Q is held from now on and the caller rebuilds from it.
+func (h *heldQ) same(Q []graph.NodeID) bool {
+	if h.held && slices.Equal(h.ids, Q) {
+		return true
+	}
+	h.ids, h.held = append(h.ids[:0], Q...), true
+	return false
+}
+
 type oracleEngine struct {
 	name  string
 	o     Oracle
@@ -375,7 +393,7 @@ type oracleEngine struct {
 	tb    boundOracle // non-nil when o can bind Q once; preferred over b
 	bound bool        // tb holds the current Q
 	hubs  int         // boundHubs; a field so BenchmarkGDAbandon can vary it
-	q     []graph.NodeID
+	q     heldQ
 	dbuf  []float64
 	lbuf  []float64 // DistBelow: lower bounds beside dbuf
 	sbuf  []float64 // nearest: the copy of dbuf that selection permutes
@@ -390,16 +408,21 @@ func (e *oracleEngine) Name() string { return e.name }
 // them (A* does; hub labels answer from tables and settle nothing).
 func (e *oracleEngine) BindStats(s *Stats) { e.stats = s }
 
-// Reset only records Q. A target-binding oracle indexes it on the first
-// resolve, not here: a request answered entirely from cached neighbour
-// lists resets the engine and never evaluates it, and must not pay a
-// bind: it is the first touch of Q's labels and the dearest single step
-// of a request that evaluates a handful of points — ≈ 70 µs at |Q| = 128
-// in a warm in-process loop (more in a server, where those labels are
-// cold), against ≈ 9 µs for each evaluation through it.
+// Reset records Q. A target-binding oracle keeps its bind while Q is the
+// set it holds, so a pooled engine handed the same Q again pays the
+// selection phase of Buchhold & Wagner (arXiv 2103.10359) once per set.
+// A new Q is indexed on the first resolve, not here: a request that ends
+// before it evaluates anything (canceled, or lanes that reach no
+// candidate) pays no bind. The bind is the first touch of Q's labels and
+// the dearest single step of a request that evaluates a handful of
+// points — ≈ 70 µs at |Q| = 128 in a warm in-process loop (more in a
+// server, where those labels are cold), against ≈ 9 µs for each
+// evaluation through it.
 func (e *oracleEngine) Reset(Q []graph.NodeID) {
-	e.q, e.bound = Q, false
-	e.lb.reset(Q)
+	if !e.q.same(Q) {
+		e.bound = false
+	}
+	e.lb.reset(e.q.ids)
 }
 
 // resolve fills e.dbuf with the distance from p to every member of Q:
@@ -414,27 +437,27 @@ func (e *oracleEngine) resolve(p graph.NodeID, k int, agg Aggregate, tau float64
 	if e.stats != nil {
 		before = scanOf(e.o)
 	}
-	e.dbuf = growF(e.dbuf, len(e.q))
+	e.dbuf = growF(e.dbuf, len(e.q.ids))
 	under := true
 	switch {
 	case e.tb != nil:
 		if !e.bound {
-			e.tb.BindTargets(e.q)
+			e.tb.BindTargets(e.q.ids)
 			e.bound = true
 		}
 		if math.IsInf(tau, 1) {
 			e.tb.DistBound(p, e.dbuf)
 			break
 		}
-		e.lbuf = growF(e.lbuf, len(e.q))
+		e.lbuf = growF(e.lbuf, len(e.q.ids))
 		pos := e.tb.DistBoundPrefix(p, e.hubs, e.dbuf, e.lbuf)
 		if under = !boundsReach(e.lbuf, k, agg, tau); under {
 			e.tb.DistBoundResume(p, pos, e.dbuf)
 		}
 	case e.b != nil:
-		e.b.DistBatch(p, e.q, e.dbuf)
+		e.b.DistBatch(p, e.q.ids, e.dbuf)
 	default:
-		for i, q := range e.q {
+		for i, q := range e.q.ids {
 			e.dbuf[i] = e.o.Dist(p, q)
 		}
 	}
@@ -472,13 +495,13 @@ func boundsReach(lb []float64, k int, agg Aggregate, tau float64) bool {
 func (e *oracleEngine) nearest(p graph.NodeID, k int) []sp.Neighbor {
 	e.resolve(p, k, Max, math.Inf(1))
 	kth := math.Inf(1)
-	if 0 < k && k < len(e.q) {
+	if 0 < k && k < len(e.q.ids) {
 		e.sbuf = append(e.sbuf[:0], e.dbuf...)
 		partialSelect(e.sbuf, k)
 		kth = maxOfFirst(e.sbuf, k)
 	}
 	e.nbuf = e.nbuf[:0]
-	for i, q := range e.q {
+	for i, q := range e.q.ids {
 		if d := e.dbuf[i]; d <= kth && !math.IsInf(d, 1) {
 			e.nbuf = append(e.nbuf, sp.Neighbor{Node: q, Dist: d})
 		}
@@ -503,7 +526,7 @@ func (e *oracleEngine) Dist(p graph.NodeID, k int, agg Aggregate) (float64, bool
 // abandoned and reports ok = false, which a caller holding tau as its
 // incumbent treats as it would the value: not an improvement.
 func (e *oracleEngine) DistBelow(p graph.NodeID, k int, agg Aggregate, tau float64) (float64, bool) {
-	if k > len(e.q) {
+	if k > len(e.q.ids) {
 		return math.Inf(1), false
 	}
 	if e.lb.rejects(p, k, agg, tau) || !e.resolve(p, k, agg, tau) {
@@ -531,7 +554,7 @@ func NewGTreeGPhi(t *gtree.Tree) GPhi {
 type gtreeEngine struct {
 	q     *gtree.Querier
 	objs  *gtree.ObjectSet
-	lastQ []graph.NodeID
+	held  heldQ
 	stats *Stats
 }
 
@@ -541,15 +564,12 @@ func (e *gtreeEngine) Name() string { return "GTree" }
 // G-tree querier answers from border matrices and settles no graph nodes.
 func (e *gtreeEngine) BindStats(s *Stats) { e.stats = s }
 
+// Reset re-indexes the one ObjectSet in place for a new Q; the
+// occurrence list depends on the set alone, so the same Q skips it.
 func (e *gtreeEngine) Reset(Q []graph.NodeID) {
-	// Rebinding to the same Q is free: the occurrence list only depends on
-	// the set, so repeated queries over one Q skip the rebuild entirely. A
-	// new Q re-indexes the one ObjectSet in place.
-	if slices.Equal(e.lastQ, Q) {
-		return
+	if !e.held.same(Q) {
+		e.objs.Reset(Q)
 	}
-	e.lastQ = append(e.lastQ[:0], Q...)
-	e.objs.Reset(Q)
 }
 
 func (e *gtreeEngine) start(p graph.NodeID) {
@@ -599,7 +619,7 @@ type ierEngine struct {
 	p     graph.NodeID
 	got   *pqueue.Heap[graph.NodeID] // resolved, not yet yielded
 	due   bool                       // the next step resolves first
-	lastQ []graph.NodeID
+	held  heldQ
 	pts   []rtree.Point
 	tgt   [1]graph.NodeID // resolve's DistBatch target
 	dst   [1]float64      // and its distance
@@ -613,14 +633,13 @@ func (e *ierEngine) Name() string { return e.name }
 // settles when that oracle counts them.
 func (e *ierEngine) BindStats(s *Stats) { e.stats = s }
 
+// Reset bulk-loads the R-tree over a new Q. The bulk load is the only
+// per-Reset allocation, so the same Q skips it and repeated queries over
+// one Q run allocation-free.
 func (e *ierEngine) Reset(Q []graph.NodeID) {
-	// Rebinding to the same Q skips the R-tree rebuild — the bulk load is
-	// the only per-Reset allocation, so repeated queries over one Q run
-	// allocation-free.
-	if e.rt != nil && slices.Equal(e.lastQ, Q) {
+	if e.held.same(Q) {
 		return
 	}
-	e.lastQ = append(e.lastQ[:0], Q...)
 	e.pts = e.pts[:0]
 	for _, q := range Q {
 		x, y := e.g.Coord(q)

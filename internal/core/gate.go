@@ -33,11 +33,6 @@ func NewGate(name string, limits PoolLimits) *Gate {
 	return g
 }
 
-// Limits reports the admission bounds (zero MaxInFlight = unbounded).
-func (g *Gate) Limits() PoolLimits {
-	return PoolLimits{MaxInFlight: cap(g.sem), QueueDepth: g.queueDepth}
-}
-
 // Acquire admits the caller or reports why not. Below the in-flight cap
 // it admits immediately; at the cap it waits in the bounded queue until
 // a slot frees or ctx ends (returning ctx's error); with the queue also

@@ -365,9 +365,9 @@ func (c *countingBinder) BindTargets(Q []graph.NodeID) {
 }
 
 // TestBindOnFirstEvaluation pins when the engine binds Q: never in Reset
-// (a request served from cached lists evaluates nothing and must bind
-// nothing), once on the first evaluation after it — which is already
-// exact — and not again until the next Reset.
+// (a request that ends before its first evaluation must bind nothing),
+// once on the first evaluation of a new Q — which is already exact — and
+// not again while Resets hand it an equal Q, in whatever slice.
 func TestBindOnFirstEvaluation(t *testing.T) {
 	_, ix, q := hotpathEnv(t)
 	cb := &countingBinder{Batcher: ix.NewBatcher()}
@@ -394,8 +394,16 @@ func TestBindOnFirstEvaluation(t *testing.T) {
 			t.Fatalf("%d binds after %d evaluations of one Q, want 1", cb.binds, i+1)
 		}
 	}
-	gp.Reset(q.Q[:12])
 	p := q.P[7]
+	gp.Reset(slices.Clone(q.Q))
+	if got, ok := gp.Dist(p, k, Max); !ok || math.Float64bits(got) != math.Float64bits(want(p, q.Q, k)) {
+		t.Fatalf("evaluation after a Reset to an equal Q: Dist(%d) = %v, want %v", p, got, want(p, q.Q, k))
+	}
+	if cb.binds != 1 {
+		t.Fatalf("%d binds after a Reset to an equal Q in a fresh slice, want 1", cb.binds)
+	}
+	gp.Reset(slices.Clone(q.Q))
+	gp.Reset(q.Q[:12])
 	if got, ok := gp.Dist(p, 6, Max); !ok || math.Float64bits(got) != math.Float64bits(want(p, q.Q[:12], 6)) {
 		t.Fatalf("first evaluation of the next Q: Dist(%d) = %v, want %v", p, got, want(p, q.Q[:12], 6))
 	}

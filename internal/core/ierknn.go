@@ -47,8 +47,8 @@ func withCoords(g *graph.Graph) *graph.Graph {
 	return g
 }
 
-// reset binds Q without reading it: a request served from cached lists
-// resets an engine and never asks for a bound.
+// reset binds Q without reading it: an engine that binds Q itself never
+// asks for a bound, and a request may end before its first one.
 func (b *euclidQ) reset(Q []graph.NodeID) { b.q, b.qx = Q, b.qx[:0] }
 
 // coords reads Q's coordinates if this binding has not yet.

@@ -52,7 +52,6 @@ type EngineFactory func() GPhi
 // bounded wait queue; Get/Put bypass admission and remain for callers
 // outside the serving path (tests).
 type EnginePool struct {
-	name      string
 	factory   EngineFactory
 	free      chan GPhi
 	scratches chan *Scratch
@@ -79,19 +78,12 @@ func NewBoundedEnginePool(name string, capacity int, limits PoolLimits, factory 
 		capacity = runtime.GOMAXPROCS(0)
 	}
 	return &EnginePool{
-		name:      name,
 		factory:   factory,
 		free:      make(chan GPhi, capacity),
 		scratches: make(chan *Scratch, capacity),
 		gate:      NewGate(name, limits),
 	}
 }
-
-// Name identifies the pool's engine ("INE", "PHL", ...).
-func (p *EnginePool) Name() string { return p.name }
-
-// Capacity returns the free-list bound.
-func (p *EnginePool) Capacity() int { return cap(p.free) }
 
 // Get checks an engine out of the pool. The caller owns it exclusively
 // until Put; it must not be shared across goroutines or retained after
@@ -145,11 +137,6 @@ func (p *EnginePool) PutScratch(s *Scratch) {
 	case p.scratches <- s:
 	default:
 	}
-}
-
-// Limits reports the admission bounds (zero MaxInFlight = unbounded).
-func (p *EnginePool) Limits() PoolLimits {
-	return p.gate.Limits()
 }
 
 // Acquire checks an engine out under admission control. When the pool is

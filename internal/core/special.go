@@ -6,8 +6,9 @@ import "fannr/internal/graph"
 // (§I): the aggregate nearest neighbor query is FANN_R at φ = 1, and the
 // optimal meeting point query is FANN_R with P implicit — by Yan et
 // al. [5] and Xu & Jacobsen [10], V ∪ Q always contains an optimal
-// meeting point, so P = V suffices. These wrappers make the special cases
-// first-class.
+// meeting point, so P = V suffices. OMP and FlexibleOMP make the second
+// first-class; the first needs no wrapper, since every algorithm answers
+// it at φ = 1.
 
 // first is the one answer of a k = 1 query.
 func first(answers []Answer, err error) (Answer, error) {
@@ -15,12 +16,6 @@ func first(answers []Answer, err error) (Answer, error) {
 		return Answer{}, err
 	}
 	return answers[0], nil
-}
-
-// ANN answers a classic aggregate nearest neighbor query: the member of P
-// minimizing the aggregate distance to all of Q.
-func ANN(g *graph.Graph, gp GPhi, P, Q []graph.NodeID, agg Aggregate) (Answer, error) {
-	return first(GD(g, gp, Query{P: P, Q: Q, Phi: 1, Agg: agg}, 1))
 }
 
 // OMP answers an optimal meeting point query: the network node minimizing

@@ -9,23 +9,35 @@ import (
 	"fannr/internal/sp"
 )
 
+// At φ = 1 an FANN_R query is the classic aggregate nearest neighbor
+// query: the member of P minimizing the aggregate distance to all of Q.
 func TestANNEqualsPhiOneFANN(t *testing.T) {
 	env := newTestEnv(t, 400, 80)
 	rng := rand.New(rand.NewSource(81))
 	gp := env.engines[0]
+	d := sp.NewDijkstra(env.g)
 	for trial := 0; trial < 4; trial++ {
 		agg := Aggregate(trial % 2)
 		q := env.randomQuery(rng, 25, 8, 1.0, agg)
-		want, err := Brute(env.g, q)
+		want := math.Inf(1)
+		for _, p := range q.P {
+			all := d.All(p)
+			val := 0.0
+			for _, m := range q.Q {
+				if agg == Max {
+					val = math.Max(val, all[m])
+				} else {
+					val += all[m]
+				}
+			}
+			want = math.Min(want, val)
+		}
+		got, err := first(GD(env.g, gp, q, 1))
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := ANN(env.g, gp, q.P, q.Q, agg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if math.Abs(got.Dist-want.Dist) > 1e-9 {
-			t.Fatalf("ANN = %v, want %v", got.Dist, want.Dist)
+		if math.Abs(got.Dist-want) > 1e-9 {
+			t.Fatalf("FANN at φ = 1 gives %v, the ANN is %v", got.Dist, want)
 		}
 	}
 }

@@ -14,6 +14,7 @@ import (
 	"fannr/internal/graph"
 	"fannr/internal/server"
 	"fannr/internal/shard"
+	"fannr/internal/wire"
 )
 
 // catalogueTiers are the three ways a binary turns an engine name into a
@@ -44,7 +45,7 @@ var catalogueTiers = []struct {
 		rec := httptest.NewRecorder()
 		srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/fann", bytes.NewReader(body)))
 		if rec.Code != http.StatusOK {
-			var e server.ErrorResponse
+			var e wire.ErrorResponse
 			_ = json.NewDecoder(rec.Body).Decode(&e)
 			return 0, errors.New(e.Error)
 		}

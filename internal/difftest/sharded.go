@@ -63,9 +63,6 @@ func NewShardedEnv(env *Env, counts ...int) (*ShardedEnv, error) {
 	return se, nil
 }
 
-// Counts returns the shard counts the env deploys.
-func (se *ShardedEnv) Counts() []int { return se.counts }
-
 // RunCaseSharded runs one case through the coordinator at every shard
 // count × every applicable algorithm and compares the merged top-k lists
 // against core.KBrute: the scatter/bound/prune/merge pipeline must be

@@ -158,11 +158,8 @@ func TestNodeSet(t *testing.T) {
 	if v, ok := s.Value(3); !ok || v != 9 {
 		t.Fatalf("Value(3) = (%d,%v), want (9,true)", v, ok)
 	}
-	if s.Len() != 2 {
-		t.Fatalf("Len = %d, want 2", s.Len())
-	}
 	s.Reset()
-	if s.Len() != 0 || s.Contains(3) {
+	if s.Contains(3) || s.Contains(5) {
 		t.Fatal("Reset did not clear set")
 	}
 	s.AddAll([]NodeID{8, 2})

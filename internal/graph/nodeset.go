@@ -8,7 +8,6 @@ type NodeSet struct {
 	stamp   []uint32
 	payload []int32
 	epoch   uint32
-	n       int // members since the last Reset
 }
 
 // NewNodeSet returns a set over ids in [0, n).
@@ -26,7 +25,6 @@ func (s *NodeSet) Cap() int { return len(s.stamp) }
 // Reset empties the set in O(1).
 func (s *NodeSet) Reset() {
 	s.epoch++
-	s.n = 0
 	if s.epoch == 0 {
 		for i := range s.stamp {
 			s.stamp[i] = 0
@@ -35,13 +33,9 @@ func (s *NodeSet) Reset() {
 	}
 }
 
-// Add inserts id with payload value. Re-adding overwrites the payload but
-// does not duplicate membership.
+// Add inserts id with payload value; re-adding overwrites the payload.
 func (s *NodeSet) Add(id NodeID, value int32) {
-	if s.stamp[id] != s.epoch {
-		s.stamp[id] = s.epoch
-		s.n++
-	}
+	s.stamp[id] = s.epoch
 	s.payload[id] = value
 }
 
@@ -55,9 +49,6 @@ func (s *NodeSet) Value(id NodeID) (int32, bool) {
 	}
 	return s.payload[id], true
 }
-
-// Len reports the number of members.
-func (s *NodeSet) Len() int { return s.n }
 
 // AddAll inserts each id with its slice index as payload.
 func (s *NodeSet) AddAll(ids []NodeID) {

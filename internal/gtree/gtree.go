@@ -16,8 +16,8 @@
 //     each subtree's subgraph), a top-down "global-matrix refinement" pass
 //     folds in detours that leave and re-enter each subtree through its
 //     borders. Every internal matrix then holds true global distances,
-//     which makes Dist and KNN provably exact — tests verify them against
-//     Dijkstra.
+//     which makes Dist and the nearest-object search provably exact —
+//     tests verify them against Dijkstra.
 package gtree
 
 import (
@@ -173,12 +173,6 @@ func (n *node) leafDist(borderIdx, vertIdx int) float64 {
 
 func (n *node) matDist(i, j int32) float64 {
 	return n.mat[int(i)*len(n.X)+int(j)]
-}
-
-// contains reports whether graph vertex v lies in this tree node.
-func (t *Tree) contains(n *node, v graph.NodeID) bool {
-	s := t.leafSeq[v]
-	return s >= n.lo && s < n.hi
 }
 
 // Graph returns the indexed graph.

@@ -352,7 +352,7 @@ func TestTreeShape(t *testing.T) {
 			nbrs, _ := g.Neighbors(b)
 			out := false
 			for _, u := range nbrs {
-				if !tr.contains(n, u) {
+				if s := tr.leafSeq[u]; s < n.lo || s >= n.hi {
 					out = true
 					break
 				}

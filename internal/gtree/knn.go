@@ -4,14 +4,13 @@ import (
 	"math"
 
 	"fannr/internal/graph"
-	"fannr/internal/sp"
 )
 
 // ObjectSet is the occurrence list ("Occ" in the paper's Table I) over a
 // set of objects: per tree node, how many objects its subtree contains,
 // and per leaf, which objects — a CSR over tree nodes, objs[start[n]:
 // start[n+1]] being leaf n's objects in the order they were given. Build
-// one per query object set and reuse it across many KNN calls; Reset
+// one per query object set and reuse it across many searches; Reset
 // rebinds it to another set without allocating.
 type ObjectSet struct {
 	t     *Tree
@@ -74,24 +73,6 @@ func (os *ObjectSet) Len() int { return len(os.objs) }
 // paper compares it against the R-tree over Q).
 func (os *ObjectSet) MemoryBytes() int64 {
 	return int64(len(os.count)+len(os.start)+len(os.objs)) * 4
-}
-
-// KNN returns the k nearest objects to src in ascending network-distance
-// order (fewer when the reachable object set is smaller). Results are
-// appended to dst. Warm Queriers allocate nothing beyond dst's growth.
-func (q *Querier) KNN(src graph.NodeID, objs *ObjectSet, k int, dst []sp.Neighbor) []sp.Neighbor {
-	q.Start(src, objs)
-	for n := 0; n < k; {
-		o, d, ok := q.Next()
-		if !ok {
-			break
-		}
-		if o >= 0 {
-			dst = append(dst, sp.Neighbor{Node: o, Dist: d})
-			n++
-		}
-	}
-	return dst
 }
 
 // Start begins an incremental nearest-object search from src over objs;

@@ -17,7 +17,7 @@ type Querier struct {
 	// that upVector ping-pongs between.
 	cur, next []float64
 
-	// Per-source memo shared by DistBatch and KNN. vecs[n] holds the
+	// Per-source memo shared by DistBatch and Start/Next. vecs[n] holds the
 	// global distances from source bu to the borders of tree node n (nil
 	// until borderVec is asked for it), backed by the arena; touched lists
 	// the filled slots so a new source clears only those. While the source
@@ -38,8 +38,6 @@ type Querier struct {
 	pq   *pqueue.Heap[int32]
 	objs *ObjectSet
 	due  int32
-	// query counters for the experiment harness
-	queries int64
 }
 
 // NewQuerier returns a querier with scratch sized to the tree.
@@ -70,9 +68,6 @@ func (t *Tree) NewQuerier() *Querier {
 
 // Graph returns the graph the querier's tree is built over.
 func (q *Querier) Graph() *graph.Graph { return q.t.g }
-
-// Queries returns the number of Dist calls served.
-func (q *Querier) Queries() int64 { return q.queries }
 
 // relax folds one min-plus row into out: out[j] = min(out[j], d+row[j]).
 // Every query kernel below is a sequence of these over contiguous matrix
@@ -105,7 +100,6 @@ func fillInf(v []float64) {
 // Dist returns the exact global shortest-path distance between u and v
 // (+Inf when disconnected).
 func (q *Querier) Dist(u, v graph.NodeID) float64 {
-	q.queries++
 	if u == v {
 		return 0
 	}
@@ -362,7 +356,7 @@ func leafTargetDist(n *node, vec []float64, pos int) float64 {
 // border vectors from u are shared by all targets and memoized while u
 // repeats: each target then costs a fold over its own leaf's border
 // vector, instead of the two upVector climbs plus border-pair double loop
-// that per-pair Dist pays. Like KNN this relies on the refined (global)
+// that per-pair Dist pays. Like Start/Next this relies on the refined (global)
 // matrices. len(out) must be at least len(targets); warm Queriers
 // allocate nothing.
 func (q *Querier) DistBatch(u graph.NodeID, targets []graph.NodeID, out []float64) {
@@ -370,7 +364,6 @@ func (q *Querier) DistBatch(u graph.NodeID, targets []graph.NodeID, out []float6
 		return
 	}
 	_ = out[len(targets)-1]
-	q.queries += int64(len(targets))
 	t := q.t
 	q.setSource(u)
 	if t.nodes[0].isLeaf() {

@@ -13,9 +13,9 @@ import (
 // followed by 64-byte-aligned raw sections (leafOf, posInLeaf, leafSeq,
 // per-node metadata, islab, fslab), the same layout the in-memory Tree
 // uses after flatten(). A loader can mmap the file read-only and point
-// every node's views at the page cache (Load); Read decodes the
-// sections onto the heap. Only the node headers live on the heap after
-// a load: X is addressed positionally (child c's borders are
+// every node's views at the page cache (Load with Mmap); a heap load
+// decodes the sections onto the heap. Only the node headers live on the
+// heap after a load: X is addressed positionally (child c's borders are
 // X[c.xoff:][:len(c.borders)]), and xoff is recomputed from the stored
 // lengths, so the file carries no lookup structure at all. Every other
 // version, the v3 stream included, fails with a rebuild hint.
@@ -27,7 +27,7 @@ const magic = "FANNRGT4\n"
 const nodeMetaFields = 13
 
 // Save serializes the tree in the v4 section format. The graph itself is
-// not embedded — reattach the same graph in Read or Load.
+// not embedded — reattach the same graph in Load.
 func (t *Tree) Save(w io.Writer) error {
 	sw := binio.NewSectionWriter(magic)
 	sw.HeaderI64(int64(t.g.NumNodes()))
@@ -63,24 +63,6 @@ func (t *Tree) Save(w io.Writer) error {
 type nodeLens struct {
 	children, verts, borders, x, borderX, ladjStart, ladjNode int32
 	mat, ladjW                                                int64
-}
-
-// Read deserializes a v4 tree from a stream onto the heap and
-// reattaches it to g, which must be the graph the tree was built on —
-// use Load for a zero-copy mmap of a file.
-func Read(r io.Reader, g *graph.Graph) (*Tree, error) {
-	data, err := io.ReadAll(r)
-	if err != nil {
-		return nil, fmt.Errorf("gtree: reading stream: %w", err)
-	}
-	sf, err := binio.ParseSections(data, magic)
-	if err != nil {
-		return nil, fmt.Errorf("gtree: %w", err)
-	}
-	if err := sf.VerifySections(); err != nil {
-		return nil, fmt.Errorf("gtree: verifying index: %w", err)
-	}
-	return fromSections(sf, g, true)
 }
 
 // LoadOptions configures Load.
@@ -385,7 +367,7 @@ func (t *Tree) validate() error {
 	}
 	// Vertex tables: every graph vertex must map to a real leaf, a valid
 	// position inside it, and a leaf-sequence number inside that leaf's
-	// interval — the O(1) membership test contains() trusts all three.
+	// interval — the O(1) membership test childOf trusts all three.
 	for v := int32(0); v < nNodes; v++ {
 		lf := t.leafOf[v]
 		if lf < 0 || lf >= count || !t.nodes[lf].isLeaf() {

@@ -150,9 +150,6 @@ func Fixed(name string, res Resource) *Holder {
 	return h
 }
 
-// Name returns the index name the holder was created with.
-func (h *Holder) Name() string { return h.name }
-
 func (h *Holder) loadWithRetry(ctx context.Context) (Resource, error) {
 	var res Resource
 	err := h.retry.Do(ctx, func() error {

@@ -19,10 +19,8 @@ var DefBuckets = []float64{
 }
 
 // Histogram is a fixed-bucket histogram with lock-free observation:
-// per-bucket atomic counts plus an atomic sum. Quantiles are estimated
-// by linear interpolation inside the covering bucket, which is exact
-// enough for bench trajectories and overload dashboards (the error is
-// bounded by the bucket width).
+// per-bucket atomic counts plus an atomic sum, rendered as the
+// cumulative buckets a scraper estimates quantiles from.
 type Histogram struct {
 	bounds  []float64 // ascending upper bounds; +Inf bucket is implicit
 	counts  []atomic.Int64
@@ -118,56 +116,4 @@ func (h *Histogram) bucketCounts() []int64 {
 		out[i] = h.counts[i].Load()
 	}
 	return out
-}
-
-// Quantile estimates the q-quantile (q in [0,1]) by linear interpolation
-// within the bucket containing the target rank; q=0 reports from the
-// bucket holding the smallest observation. Observations in the +Inf
-// bucket report the largest finite bound (there is no upper edge to
-// interpolate toward). Returns 0 with no observations.
-func (h *Histogram) Quantile(q float64) float64 {
-	counts := h.bucketCounts()
-	total := int64(0)
-	for _, c := range counts {
-		total += c
-	}
-	if total == 0 {
-		return 0
-	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	rank := q * float64(total)
-	if rank < 1 {
-		// Rank 0 means the smallest observation: target rank 1 so the
-		// search lands in the bucket actually holding the minimum
-		// rather than reporting the upper bound of a leading empty
-		// bucket.
-		rank = 1
-	}
-	cum := int64(0)
-	for i, c := range counts {
-		// Empty buckets contain no observation the rank could name;
-		// skip them so interpolation always happens inside a bucket
-		// with data.
-		if c == 0 || float64(cum+c) < rank {
-			cum += c
-			continue
-		}
-		if i == len(h.bounds) {
-			// Overflow bucket: no finite upper edge.
-			return h.bounds[len(h.bounds)-1]
-		}
-		lo := 0.0
-		if i > 0 {
-			lo = h.bounds[i-1]
-		}
-		hi := h.bounds[i]
-		frac := (rank - float64(cum)) / float64(c)
-		return lo + (hi-lo)*frac
-	}
-	return h.bounds[len(h.bounds)-1]
 }

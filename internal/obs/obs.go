@@ -64,7 +64,6 @@ func (k metricKind) String() string {
 type series struct {
 	labels []Label
 	ctr    *Counter
-	gauge  *Gauge
 	fn     func() float64 // CounterFunc / GaugeFunc
 	hist   *Histogram
 }
@@ -79,7 +78,7 @@ type family struct {
 
 // Registry holds metric families and renders them as Prometheus text
 // exposition. All methods are safe for concurrent use; handle updates
-// (Counter.Add, Gauge.Set, Histogram.Observe) are lock-free.
+// (Counter.Add, Histogram.Observe) are lock-free.
 type Registry struct {
 	mu       sync.Mutex
 	families map[string]*family
@@ -106,17 +105,6 @@ func (c *Counter) Inc() { c.v.Add(1) }
 
 // Value returns the current count.
 func (c *Counter) Value() int64 { return c.v.Load() }
-
-// Gauge is a settable instantaneous value.
-type Gauge struct {
-	bits atomic.Uint64
-}
-
-// Set replaces the gauge value.
-func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
-
-// Value returns the current value.
-func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
 
 // labelSig is the canonical map key for a label set: labels sorted by
 // key, joined escaped. It doubles as the exposition form.
@@ -192,24 +180,6 @@ func (r *Registry) CounterFunc(name, help string, fn func() float64, labels ...L
 	r.registerFunc(name, help, kindCounter, fn, labels)
 }
 
-// Gauge returns the settable gauge for name+labels, creating it on first
-// use.
-func (r *Registry) Gauge(name, help string, labels ...Label) *Gauge {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	f := r.getFamily(name, help, kindGauge)
-	sig := labelSig(labels)
-	if s, ok := f.series[sig]; ok {
-		if s.gauge == nil {
-			panic(fmt.Sprintf("obs: series %s%s already registered as a func", name, sig))
-		}
-		return s.gauge
-	}
-	s := &series{labels: labels, gauge: &Gauge{}}
-	f.series[sig] = s
-	return s.gauge
-}
-
 // GaugeFunc registers a gauge whose value is read from fn at exposition
 // time — for instantaneous values owned elsewhere (pool in-flight
 // counts, breaker states).
@@ -244,7 +214,7 @@ func (r *Registry) Histogram(name, help string, buckets []float64, labels ...Lab
 	return s.hist
 }
 
-// Value returns the current value of a counter or gauge series, and
+// Value returns the current value of a counter or func series, and
 // whether it exists — the programmatic read /meta uses so the registry
 // stays the single source of truth for every exported number.
 func (r *Registry) Value(name string, labels ...Label) (float64, bool) {
@@ -261,8 +231,6 @@ func (r *Registry) Value(name string, labels ...Label) (float64, bool) {
 	switch {
 	case s.ctr != nil:
 		return float64(s.ctr.Value()), true
-	case s.gauge != nil:
-		return s.gauge.Value(), true
 	case s.fn != nil:
 		return s.fn(), true
 	default:
@@ -276,7 +244,7 @@ func (r *Registry) Value(name string, labels ...Label) (float64, bool) {
 // deterministic for a fixed registry state, which the golden test pins.
 func (r *Registry) WriteTo(w io.Writer) (int64, error) {
 	// Snapshot family metadata AND series pointers under the lock:
-	// Counter/Gauge/Histogram/registerFunc insert into f.series
+	// Counter/Histogram/registerFunc insert into f.series
 	// concurrently, so the render below must never touch those maps
 	// after unlocking. Handle updates stay lock-free either way.
 	r.mu.Lock()
@@ -321,8 +289,6 @@ func (r *Registry) WriteTo(w io.Writer) (int64, error) {
 				writeHistogram(&b, rw.name, s.labels, s.hist)
 			case s.ctr != nil:
 				fmt.Fprintf(&b, "%s%s %s\n", rw.name, sig, formatValue(float64(s.ctr.Value())))
-			case s.gauge != nil:
-				fmt.Fprintf(&b, "%s%s %s\n", rw.name, sig, formatValue(s.gauge.Value()))
 			case s.fn != nil:
 				fmt.Fprintf(&b, "%s%s %s\n", rw.name, sig, formatValue(s.fn()))
 			}

@@ -18,8 +18,7 @@ func TestExpositionGolden(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("fannr_requests_total", "Requests served.", L("route", "/fann"), L("code", "ok")).Add(3)
 	r.Counter("fannr_requests_total", "Requests served.", L("route", "/fann"), L("code", "invalid")).Add(1)
-	g := r.Gauge("fannr_draining", "1 while draining.")
-	g.Set(0)
+	r.GaugeFunc("fannr_draining", "1 while draining.", func() float64 { return 0 })
 	r.GaugeFunc("fannr_pool_inflight", "Engines checked out.", func() float64 { return 2 }, L("engine", "INE"))
 	h := r.Histogram("fannr_request_seconds", "Request latency.", []float64{0.001, 0.01, 0.1}, L("route", "/fann"))
 	h.Observe(0.0005)
@@ -88,7 +87,7 @@ func TestDefBucketsResolveSubMillisecondHits(t *testing.T) {
 	r := NewRegistry()
 	h := r.Histogram("req_seconds", "", nil, L("route", "/fann"))
 	h.Observe(0.000004) // 4µs: exact cache hit
-	h.Observe(0.00003)  // 30µs: subsumption hit
+	h.Observe(0.00003)  // 30µs: exact hit on a larger reply
 	h.Observe(0.0008)   // 800µs: cold compute
 	var b strings.Builder
 	if _, err := r.WriteTo(&b); err != nil {
@@ -103,9 +102,6 @@ func TestDefBucketsResolveSubMillisecondHits(t *testing.T) {
 		if !strings.Contains(b.String(), line+"\n") {
 			t.Errorf("exposition missing %q:\n%s", line, b.String())
 		}
-	}
-	if q := h.Quantile(0.5); q <= 0 || q > 0.00005 {
-		t.Errorf("p50 of two cache hits + one compute = %v, want within the fine buckets", q)
 	}
 }
 
@@ -173,50 +169,6 @@ func TestHistogramBuckets(t *testing.T) {
 	}
 }
 
-func TestHistogramQuantile(t *testing.T) {
-	h := NewHistogram([]float64{1, 2, 4})
-	if q := h.Quantile(0.5); q != 0 {
-		t.Errorf("empty histogram quantile %v, want 0", q)
-	}
-	// 100 observations uniformly in (0,1]: every quantile interpolates
-	// inside the first bucket.
-	for i := 0; i < 100; i++ {
-		h.Observe(0.5)
-	}
-	if q := h.Quantile(0.5); math.Abs(q-0.5) > 1e-9 {
-		t.Errorf("p50 %v, want 0.5 (rank 50 of 100 in bucket (0,1])", q)
-	}
-	if q := h.Quantile(1); math.Abs(q-1) > 1e-9 {
-		t.Errorf("p100 %v, want 1 (top of bucket)", q)
-	}
-	// Push 100 more into (2,4]: p75 now interpolates inside that bucket.
-	for i := 0; i < 100; i++ {
-		h.Observe(3)
-	}
-	if q := h.Quantile(0.75); !(q > 2 && q <= 4) {
-		t.Errorf("p75 %v, want within (2,4]", q)
-	}
-	// Overflow observations clamp to the largest finite bound.
-	h2 := NewHistogram([]float64{1})
-	h2.Observe(100)
-	if q := h2.Quantile(0.99); q != 1 {
-		t.Errorf("overflow quantile %v, want clamp to 1", q)
-	}
-	// q=0 with leading empty buckets must report from the bucket that
-	// actually holds the minimum observation, not the upper bound of an
-	// empty first bucket (regression: all obs in (2,4] used to yield 1).
-	h3 := NewHistogram([]float64{1, 2, 4})
-	for i := 0; i < 10; i++ {
-		h3.Observe(3)
-	}
-	if q := h3.Quantile(0); !(q > 2 && q <= 4) {
-		t.Errorf("q=0 with leading empty buckets: %v, want within (2,4]", q)
-	}
-	if q := h3.Quantile(0.5); !(q > 2 && q <= 4) {
-		t.Errorf("p50 with leading empty buckets: %v, want within (2,4]", q)
-	}
-}
-
 func TestHistogramRejectsUnsortedBuckets(t *testing.T) {
 	defer func() {
 		if recover() == nil {
@@ -274,7 +226,6 @@ func TestRegistryConcurrentHammer(t *testing.T) {
 				e := engines[i%len(engines)]
 				r.Counter("h_evals_total", "", L("engine", e)).Inc()
 				r.Histogram("h_seconds", "", nil, L("engine", e)).Observe(float64(i%10) / 1000)
-				r.Gauge("h_gauge", "", L("engine", e)).Set(float64(i))
 				if i%64 == 0 {
 					id := strconv.FormatInt(fresh.Add(1), 10)
 					r.Counter("h_fresh_total", "", L("id", id)).Inc()

@@ -114,19 +114,6 @@ func (s *Span) SetAttr(key string, value any) {
 	s.attrs = append(s.attrs, Attr{Key: key, Value: value})
 }
 
-// Attr returns the value of an attribute and whether it is present.
-func (s *Span) Attr(key string) (any, bool) {
-	if s == nil {
-		return nil, false
-	}
-	for _, a := range s.attrs {
-		if a.Key == key {
-			return a.Value, true
-		}
-	}
-	return nil, false
-}
-
 // Count attributes a named op-count delta to this span. Zero deltas are
 // dropped so reports only list counters the span actually moved. Safe
 // on nil.
@@ -178,27 +165,6 @@ func (s *Span) ChildrenCount(name string) int64 {
 		v += c.SubtreeCount(name)
 	}
 	return v
-}
-
-// Children returns the span's direct children.
-func (s *Span) Children() []*Span {
-	if s == nil {
-		return nil
-	}
-	return s.children
-}
-
-// Spans returns the completed spans in completion order — the flat view
-// the per-request log line reads stage durations from.
-func (t *Trace) Spans() []Span {
-	if t == nil {
-		return nil
-	}
-	out := make([]Span, len(t.done))
-	for i, sp := range t.done {
-		out[i] = *sp
-	}
-	return out
 }
 
 // Dur returns the recorded duration of the first completed span with

@@ -317,8 +317,9 @@ func TestEpochWrap(t *testing.T) {
 	}
 }
 
-// TestBatcherMemoryCountsBuckets: the bind tables and slabs appear in
-// MemoryBytes once they exist, and not before.
+// TestBatcherMemoryCountsBuckets: a Batcher holds no bind tables or
+// slabs until its first bind, and then three rank-indexed 4-byte tables
+// and 12 bytes per label entry of Q.
 func TestBatcherMemoryCountsBuckets(t *testing.T) {
 	g := randomGraph(t, 100, 39)
 	ix, err := Build(g, Options{})
@@ -326,7 +327,12 @@ func TestBatcherMemoryCountsBuckets(t *testing.T) {
 		t.Fatal(err)
 	}
 	b := ix.NewBatcher()
-	before := b.MemoryBytes()
+	bindBytes := func() int64 {
+		return int64(len(b.bstamp)+len(b.bcnt)+len(b.bend))*4 + int64(cap(b.bqi))*4 + int64(cap(b.bd))*8
+	}
+	if got := bindBytes(); got != 0 {
+		t.Fatalf("unbound Batcher holds %d bytes of bind tables", got)
+	}
 	Q := allNodes(g)[:10]
 	b.BindTargets(Q)
 	entries := int64(0)
@@ -334,8 +340,8 @@ func TestBatcherMemoryCountsBuckets(t *testing.T) {
 		h, _ := ix.label(q)
 		entries += int64(len(h))
 	}
-	if got, want := b.MemoryBytes()-before, 3*4*int64(g.NumNodes())+12*entries; got != want {
-		t.Fatalf("bind added %d bytes to MemoryBytes, want 3·4n + 12 per entry = %d", got, want)
+	if got, want := bindBytes(), 3*4*int64(g.NumNodes())+12*entries; got != want {
+		t.Fatalf("bind allocated %d bytes, want 3·4n + 12 per entry = %d", got, want)
 	}
 }
 

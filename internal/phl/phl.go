@@ -307,19 +307,6 @@ func (ix *Index) NewBatchOracle() any { return ix.NewBatcher() }
 // Dist delegates to the shared index's label merge.
 func (b *Batcher) Dist(u, v graph.NodeID) float64 { return b.ix.Dist(u, v) }
 
-// Entries reports the underlying index's label count (forwarded so a
-// Batcher can stand in for the Index wherever size is probed).
-func (b *Batcher) Entries() int64 { return b.ix.Entries() }
-
-// MemoryBytes reports the underlying index footprint plus the scatter
-// table and, once a target list has been bound, the bucket tables and
-// slabs.
-func (b *Batcher) MemoryBytes() int64 {
-	return b.ix.MemoryBytes() + int64(len(b.tab))*8 + int64(len(b.stamp))*4 +
-		int64(len(b.bstamp)+len(b.bcnt)+len(b.bend))*4 +
-		int64(cap(b.bqi))*4 + int64(cap(b.bd))*8
-}
-
 // DistBatch computes distances from u to every target in one pass over
 // u's hub label: the label is scattered into the rank-indexed table once
 // (O(|L(u)|)), after which each target costs a single scan of its own

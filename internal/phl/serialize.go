@@ -10,8 +10,8 @@ import (
 // magic v4: a binio section file — page-alignable section table followed
 // by four 64-byte-aligned raw sections (rank, off, hubSlab, distSlab),
 // exactly the in-memory Index layout. A loader can therefore mmap the
-// file read-only and point the slab fields at zero-copy views (Load);
-// Read decodes the same sections onto the heap. The section table
+// file read-only and point the slab fields at zero-copy views (Load with
+// Mmap); a heap load decodes the same sections onto the heap. The section table
 // carries its own CRC32 and one per section: metadata is always
 // verified, payloads are verified on heap loads and on demand for mmap
 // loads. Every other version, the v3 stream included, fails with a
@@ -28,23 +28,6 @@ func (ix *Index) Save(w io.Writer) error {
 	sw.F64Section(ix.distSlab)
 	_, err := sw.WriteTo(w)
 	return err
-}
-
-// Read deserializes a v4 index from a stream onto the heap — use Load
-// for a zero-copy mmap of a file.
-func Read(r io.Reader) (*Index, error) {
-	data, err := io.ReadAll(r)
-	if err != nil {
-		return nil, fmt.Errorf("phl: reading stream: %w", err)
-	}
-	sf, err := binio.ParseSections(data, magic)
-	if err != nil {
-		return nil, fmt.Errorf("phl: %w", err)
-	}
-	if err := sf.VerifySections(); err != nil {
-		return nil, fmt.Errorf("phl: verifying index: %w", err)
-	}
-	return fromSections(sf, true)
 }
 
 // LoadOptions configures Load.

@@ -65,13 +65,6 @@ func (h *IndexedHeap) Update(id int32, key float64) bool {
 	return true
 }
 
-// Min returns the id and key at the top of the heap without removing it.
-// It must not be called on an empty heap.
-func (h *IndexedHeap) Min() (int32, float64) {
-	id := h.heap[0]
-	return id, h.keys[id]
-}
-
 // Pop removes and returns the id with the minimum key.
 // It must not be called on an empty heap.
 func (h *IndexedHeap) Pop() (int32, float64) {

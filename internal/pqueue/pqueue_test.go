@@ -127,9 +127,6 @@ func TestIndexedHeapBasic(t *testing.T) {
 	h.Update(3, 5)
 	h.Update(7, 2)
 	h.Update(1, 8)
-	if id, key := h.Min(); id != 7 || key != 2 {
-		t.Fatalf("Min = (%d,%v), want (7,2)", id, key)
-	}
 	if !h.Update(1, 1) {
 		t.Fatal("decrease of id 1 should report change")
 	}

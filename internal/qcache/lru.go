@@ -100,26 +100,3 @@ func (c *Cache) put(k cacheKey, val any, size int64) {
 		c.evictions.Add(1)
 	}
 }
-
-// Purge drops every entry — the manual invalidation hook. The indexes a
-// cache fronts are immutable for the life of the process, so purging is
-// only needed when an operator swaps datasets in tests or tooling.
-func (c *Cache) Purge() {
-	if c == nil {
-		return
-	}
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.Lock()
-		n := int64(len(s.entries))
-		var freed int64
-		for _, e := range s.entries {
-			freed += e.size
-		}
-		s.entries = make(map[cacheKey]*entry)
-		s.head, s.tail = nil, nil
-		s.mu.Unlock()
-		c.entries.Add(-n)
-		c.bytes.Add(-freed)
-	}
-}

@@ -23,7 +23,6 @@ func TestNilCacheIsSafe(t *testing.T) {
 	}
 	c.PutResult(rkey("e", 0.5, 1, Fingerprint{}, Fingerprint{}), nil)
 	c.PutList("e", Fingerprint{}, 0, nil, false)
-	c.Purge()
 	if m := c.Metrics(); m != (Metrics{}) {
 		t.Fatalf("nil cache metrics %+v", m)
 	}
@@ -139,9 +138,7 @@ func TestLRUEvictionAndGauges(t *testing.T) {
 	if m.Evictions != 1 || m.Entries != 1 {
 		t.Fatalf("metrics %+v", m)
 	}
-	c.Purge()
-	m = c.Metrics()
-	if m.Entries != 0 || m.Bytes != 0 {
-		t.Fatalf("purge left %+v", m)
+	if n, bytes := c.held(); m.Entries != n || m.Bytes != bytes {
+		t.Fatalf("metrics %+v, shards hold %d entries of %d bytes", m, n, bytes)
 	}
 }

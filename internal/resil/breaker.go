@@ -90,13 +90,6 @@ func NewBreaker(threshold int, cooldown time.Duration) *Breaker {
 // Enabled reports whether the breaker counts failures at all.
 func (b *Breaker) Enabled() bool { return b != nil && b.threshold > 0 }
 
-// Allow reports whether a call may proceed — Admit without the probe
-// flag, for callers that report every outcome unconditionally.
-func (b *Breaker) Allow() bool {
-	ok, _ := b.Admit()
-	return ok
-}
-
 // Admit reports whether a call may proceed and whether that caller was
 // admitted as the half-open recovery probe. In Open state it flips to
 // HalfOpen once the cooldown has elapsed, admitting that caller as the
@@ -189,7 +182,7 @@ func (b *Breaker) notify(from, to State) {
 }
 
 // State returns the current state without advancing it (an elapsed
-// cooldown still reports Open until some caller's Allow flips it).
+// cooldown still reports Open until some caller's Admit flips it).
 func (b *Breaker) State() State {
 	if !b.Enabled() {
 		return Closed

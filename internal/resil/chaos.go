@@ -57,9 +57,6 @@ func (in *Injector) Arm() { in.armed.Store(true) }
 // Disarm stops fault injection; wrapped engines behave normally again.
 func (in *Injector) Disarm() { in.armed.Store(false) }
 
-// Armed reports whether faults are currently being raised.
-func (in *Injector) Armed() bool { return in.armed.Load() }
-
 // Wrap returns gp with this injector's faults layered over Dist. Each
 // wrap gets its own deterministic fault stream, so a pool factory can
 // call Wrap per engine without the streams aliasing. Like any GPhi, the

@@ -29,6 +29,12 @@ func (c *fakeClock) advance(d time.Duration) {
 	c.t = c.t.Add(d)
 }
 
+// admitted reports whether b admits a call, probe or not.
+func admitted(b *Breaker) bool {
+	ok, _ := b.Admit()
+	return ok
+}
+
 // TestBreakerCycle walks the full state machine: failures below the
 // threshold keep it closed, the threshold-th opens it, the cooldown
 // admits a single half-open probe, a failed probe reopens, a successful
@@ -38,7 +44,7 @@ func TestBreakerCycle(t *testing.T) {
 	b := NewBreaker(3, 10*time.Second)
 	b.now = clk.now
 
-	if !b.Allow() || b.State() != Closed {
+	if !admitted(b) || b.State() != Closed {
 		t.Fatal("new breaker must be closed")
 	}
 	b.Failure()
@@ -56,22 +62,22 @@ func TestBreakerCycle(t *testing.T) {
 	if b.State() != Open {
 		t.Fatalf("state %v after 3 consecutive failures, want open", b.State())
 	}
-	if b.Allow() {
+	if admitted(b) {
 		t.Fatal("open breaker allowed a call before cooldown")
 	}
 
 	clk.advance(9 * time.Second)
-	if b.Allow() {
+	if admitted(b) {
 		t.Fatal("open breaker allowed a call 1s before cooldown elapsed")
 	}
 	clk.advance(2 * time.Second)
-	if !b.Allow() {
+	if !admitted(b) {
 		t.Fatal("cooldown elapsed but probe rejected")
 	}
 	if b.State() != HalfOpen {
 		t.Fatalf("state %v after probe admitted, want half-open", b.State())
 	}
-	if b.Allow() {
+	if admitted(b) {
 		t.Fatal("second caller admitted while probe in flight")
 	}
 
@@ -80,11 +86,11 @@ func TestBreakerCycle(t *testing.T) {
 		t.Fatalf("state %v after failed probe, want open", b.State())
 	}
 	clk.advance(11 * time.Second)
-	if !b.Allow() {
+	if !admitted(b) {
 		t.Fatal("second probe rejected after another cooldown")
 	}
 	b.Success()
-	if b.State() != Closed || !b.Allow() {
+	if b.State() != Closed || !admitted(b) {
 		t.Fatal("successful probe did not close the breaker")
 	}
 }
@@ -156,7 +162,7 @@ func TestBreakerDisabled(t *testing.T) {
 		for i := 0; i < 100; i++ {
 			b.Failure()
 		}
-		if !b.Allow() || b.State() != Closed {
+		if !admitted(b) || b.State() != Closed {
 			t.Fatal("disabled breaker tripped")
 		}
 		b.Success()
@@ -174,7 +180,7 @@ func TestBreakerConcurrent(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			for j := 0; j < 500; j++ {
-				if b.Allow() {
+				if admitted(b) {
 					if (i+j)%3 == 0 {
 						b.Failure()
 					} else {

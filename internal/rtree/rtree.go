@@ -218,24 +218,14 @@ func (n *Node) recompute() {
 	n.rect = r
 }
 
-// IncNN starts a distance-browsing (Hjaltason–Samet) incremental
-// nearest-neighbor scan from (x,y). Each Next call returns the next
-// nearest point; the iterator is the backbone of every IER algorithm in
-// fannr.
-func (t *Tree) IncNN(x, y float64) *IncNN {
-	it := &IncNN{x: x, y: y, h: pqueue.NewHeap[incEntry](16)}
-	if t.size > 0 {
-		it.h.Push(t.root.rect.MinDist(x, y), incEntry{node: t.root})
-	}
-	return it
-}
-
 type incEntry struct {
 	node  *Node // nil for point entries
 	point Point
 }
 
-// IncNN is an incremental nearest-neighbor iterator. The zero value is
+// IncNN is a distance-browsing (Hjaltason–Samet) incremental
+// nearest-neighbor iterator: each Next returns the next nearest point.
+// It is the backbone of every IER algorithm in fannr. The zero value is
 // usable after Reset; hot paths keep one per goroutine and Reset it per
 // scan so the frontier heap's storage is reused allocation-free.
 type IncNN struct {

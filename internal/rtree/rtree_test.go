@@ -150,7 +150,7 @@ func TestNNMatchesBruteForce(t *testing.T) {
 					best = d
 				}
 			}
-			_, got, ok := tr.IncNN(x, y).Next()
+			_, got, ok := incNN(tr, x, y).Next()
 			if !ok || math.Abs(got-best) > 1e-9 {
 				return false
 			}
@@ -162,9 +162,16 @@ func TestNNMatchesBruteForce(t *testing.T) {
 	}
 }
 
+// incNN starts a scan from (x, y) on a fresh iterator.
+func incNN(t *Tree, x, y float64) *IncNN {
+	it := new(IncNN)
+	it.Reset(t, x, y)
+	return it
+}
+
 func TestNNEmptyTree(t *testing.T) {
 	tr := BulkLoad(nil, 4)
-	it := tr.IncNN(0, 0)
+	it := incNN(tr, 0, 0)
 	if _, _, ok := it.Next(); ok {
 		t.Fatal("IncNN on empty tree should report !ok")
 	}
@@ -182,7 +189,7 @@ func TestIncNNFullOrder(t *testing.T) {
 		want[i] = math.Hypot(p.X-x, p.Y-y)
 	}
 	sort.Float64s(want)
-	it := tr.IncNN(x, y)
+	it := incNN(tr, x, y)
 	for i := 0; ; i++ {
 		if peek := it.Peek(); !math.IsInf(peek, 1) && math.Abs(peek-want[i]) > 1e-9 {
 			t.Fatalf("Peek %d = %v, want %v", i, peek, want[i])
@@ -225,8 +232,9 @@ func BenchmarkIncNN(b *testing.B) {
 	tr := BulkLoad(randomPoints(10000, 1), 8)
 	b.ReportAllocs()
 	b.ResetTimer()
+	var it IncNN
 	for i := 0; i < b.N; i++ {
-		it := tr.IncNN(500, 500)
+		it.Reset(tr, 500, 500)
 		for j := 0; j < 10; j++ {
 			it.Next()
 		}

@@ -19,9 +19,6 @@ import (
 // one definition and the one decoder every tier shares.
 type FANNRequest = wire.FANNRequest
 
-// FANNAnswer is one result of a /fann call.
-type FANNAnswer = wire.FANNAnswer
-
 // FANNResponse is the /fann response body.
 type FANNResponse = wire.FANNResponse
 

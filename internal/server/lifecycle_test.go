@@ -16,18 +16,19 @@ import (
 
 	"fannr/internal/core"
 	"fannr/internal/graph"
+	"fannr/internal/wire"
 )
 
 // postRaw posts a raw body and returns the status plus the decoded error
 // shape (zero-valued on 2xx or non-JSON bodies).
-func postRaw(t *testing.T, url string, body []byte) (int, ErrorResponse) {
+func postRaw(t *testing.T, url string, body []byte) (int, wire.ErrorResponse) {
 	t.Helper()
 	resp, err := http.Post(url, "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var e ErrorResponse
+	var e wire.ErrorResponse
 	_ = json.NewDecoder(resp.Body).Decode(&e)
 	return resp.StatusCode, e
 }
@@ -389,7 +390,7 @@ func checkFuzzResponse(t *testing.T, url string, body []byte) {
 		return
 	case http.StatusBadRequest, http.StatusNotFound,
 		http.StatusRequestEntityTooLarge, http.StatusGatewayTimeout:
-		var e ErrorResponse
+		var e wire.ErrorResponse
 		if err := json.NewDecoder(resp.Body).Decode(&e); err != nil {
 			t.Fatalf("status %d: error body is not the stable JSON shape: %v", resp.StatusCode, err)
 		}

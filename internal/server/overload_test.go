@@ -16,6 +16,7 @@ import (
 	"fannr/internal/graph"
 	"fannr/internal/obs"
 	"fannr/internal/resil"
+	"fannr/internal/wire"
 )
 
 // postResp posts a body and returns the raw response with its decoded
@@ -118,7 +119,7 @@ func TestOverloadHammer(t *testing.T) {
 					}
 					oks.Add(1)
 				case http.StatusServiceUnavailable:
-					var e ErrorResponse
+					var e wire.ErrorResponse
 					if err := json.NewDecoder(resp.Body).Decode(&e); err != nil || e.Code != "overloaded" {
 						t.Errorf("503 body %+v (decode err %v), want code overloaded", e, err)
 					}
@@ -220,9 +221,6 @@ func TestDrainFlipsHealthEndpoints(t *testing.T) {
 		}
 	}
 	srv.BeginDrain()
-	if !srv.Draining() {
-		t.Fatal("Draining() false after BeginDrain")
-	}
 	for _, ep := range []string{"/health", "/healthz", "/readyz"} {
 		status, body := getJSON(t, ts.URL+ep)
 		if status != http.StatusServiceUnavailable {
@@ -285,12 +283,12 @@ func TestChaosBreakerFallbackRecovery(t *testing.T) {
 	}
 	raw, _ := json.Marshal(FANNRequest{P: q.P, Q: q.Q, Phi: q.Phi, Algo: "gd", Engine: "Chaos"})
 
-	fann := func() (int, FANNResponse, ErrorResponse) {
+	fann := func() (int, FANNResponse, wire.ErrorResponse) {
 		t.Helper()
 		resp := postResp(t, ts.URL+"/fann", raw)
 		defer resp.Body.Close()
 		var fr FANNResponse
-		var er ErrorResponse
+		var er wire.ErrorResponse
 		if resp.StatusCode == http.StatusOK {
 			if err := json.NewDecoder(resp.Body).Decode(&fr); err != nil {
 				t.Fatal(err)
@@ -565,7 +563,7 @@ func TestDistAdmissionSheds(t *testing.T) {
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("saturated /dist: status %d, want 503", resp.StatusCode)
 	}
-	var e ErrorResponse
+	var e wire.ErrorResponse
 	if err := json.NewDecoder(resp.Body).Decode(&e); err != nil || e.Code != "overloaded" {
 		t.Fatalf("503 body %+v (err %v), want code overloaded", e, err)
 	}
@@ -626,7 +624,7 @@ func TestLadderExhaustedSheds(t *testing.T) {
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("open breaker with no fallback: status %d, want 503", resp.StatusCode)
 	}
-	var e ErrorResponse
+	var e wire.ErrorResponse
 	if err := json.NewDecoder(resp.Body).Decode(&e); err != nil || e.Code != "overloaded" {
 		t.Fatalf("503 body %+v (err %v), want code overloaded", e, err)
 	}

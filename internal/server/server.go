@@ -316,9 +316,6 @@ func (s *Server) SetFallback(ladder map[string]string) error {
 // shutdown starts; it is idempotent.
 func (s *Server) BeginDrain() { s.draining.Store(true) }
 
-// Draining reports whether BeginDrain has been called.
-func (s *Server) Draining() bool { return s.draining.Load() }
-
 // ListenAndDrain serves h on addr until SIGINT or SIGTERM, then calls
 // onDrain (if set), stops accepting connections and waits up to drain
 // for in-flight requests before returning. A second signal during the
@@ -388,11 +385,6 @@ func (s *Server) Handler() http.Handler {
 	// still lands in the request series.
 	return s.instrument(wire.Recover(mux))
 }
-
-// ErrorResponse is the stable JSON error shape every non-2xx response
-// carries, the same on all three tiers: Code is the row of the one error
-// table (wire.Classify) and maps 1:1 to the HTTP status.
-type ErrorResponse = wire.ErrorResponse
 
 // handleHealthz is liveness (also served as the legacy /health): 200
 // while the process should keep receiving traffic, 503 once graceful

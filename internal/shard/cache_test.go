@@ -77,7 +77,7 @@ func TestCoordinatorCacheEngineFormat(t *testing.T) {
 			}
 			mask := make([]byte, (shards+7)/8)
 			for s := 0; s < shards; s++ {
-				if cl.coord.BreakerState(s) != resil.Open {
+				if cl.coord.breakers[s].State() != resil.Open {
 					mask[s/8] |= 1 << (s % 8)
 				}
 			}

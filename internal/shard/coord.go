@@ -174,15 +174,9 @@ func (c *Coordinator) register(reg *obs.Registry) {
 	}
 }
 
-// Plan returns the coordinator's partition plan.
-func (c *Coordinator) Plan() *Plan { return c.plan }
-
 // SetMetrics snapshots the coordinator's set registry (for /meta and
 // the differential harness).
 func (c *Coordinator) SetMetrics() core.SetMetrics { return c.plan.sets.Metrics() }
-
-// BreakerState exposes a shard's breaker state (for /readyz and tests).
-func (c *Coordinator) BreakerState(s int) resil.State { return c.breakers[s].State() }
 
 // TripShard force-opens a shard's breaker by feeding it failures — the
 // chaos hook tests and operators use to take a shard out of rotation. A

@@ -227,7 +227,7 @@ func TestCoordinatorBreakerOpensAndReadyz(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if st := cl.coord.BreakerState(dead); st != resil.Open {
+	if st := cl.coord.breakers[dead].State(); st != resil.Open {
 		t.Fatalf("dead shard breaker = %v, want Open", st)
 	}
 	rr := httptest.NewRecorder()

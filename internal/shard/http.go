@@ -26,9 +26,6 @@ type FANNResponse struct {
 	Explain         *obs.Report `json:"explain,omitempty"`
 }
 
-// ErrorResponse is the error body every tier writes (wire.WriteError).
-type ErrorResponse = wire.ErrorResponse
-
 // Handler serves the coordinator's public surface:
 //
 //	POST /fann     — coordinated FANN query (?explain=1 adds spans)

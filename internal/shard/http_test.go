@@ -13,21 +13,22 @@ import (
 	"fannr/internal/gtree"
 	"fannr/internal/lifecycle"
 	"fannr/internal/resil"
+	"fannr/internal/wire"
 )
 
 // postCoord posts a raw body to a coordinator handler and returns the
 // status, the Retry-After header, and the decoded error shape.
-func postCoord(t *testing.T, h http.Handler, body string) (int, string, ErrorResponse) {
+func postCoord(t *testing.T, h http.Handler, body string) (int, string, wire.ErrorResponse) {
 	t.Helper()
 	return postErr(t, h, "/fann", []byte(body))
 }
 
-func postErr(t *testing.T, h http.Handler, path string, body []byte) (int, string, ErrorResponse) {
+func postErr(t *testing.T, h http.Handler, path string, body []byte) (int, string, wire.ErrorResponse) {
 	t.Helper()
 	rr := httptest.NewRecorder()
 	req := httptest.NewRequest("POST", path, bytes.NewReader(body))
 	h.ServeHTTP(rr, req)
-	var e ErrorResponse
+	var e wire.ErrorResponse
 	_ = json.NewDecoder(rr.Body).Decode(&e)
 	return rr.Code, rr.Header().Get("Retry-After"), e
 }

@@ -156,9 +156,6 @@ func (p *Plan) buildBoxes() {
 // Shards returns S.
 func (p *Plan) Shards() int { return len(p.groups) }
 
-// Graph returns the partitioned graph.
-func (p *Plan) Graph() *graph.Graph { return p.g }
-
 // Group returns the vertices shard s owns (do not mutate).
 func (p *Plan) Group(s int) []graph.NodeID { return p.groups[s] }
 

@@ -173,9 +173,6 @@ func NewGenerator(g *graph.Graph, seed int64) *Generator {
 	return gen
 }
 
-// Radius returns the network radius used for coverage regions.
-func (gen *Generator) Radius() float64 { return gen.radius }
-
 // UniformP samples ⌈d·|V|⌉ distinct nodes uniformly (the paper's uniform
 // data points).
 func (gen *Generator) UniformP(d float64) []graph.NodeID {

@@ -134,7 +134,7 @@ func TestUniformQWithinRegion(t *testing.T) {
 	// All chosen nodes must lie within a·radius of the seed (possibly
 	// slightly beyond if the region had to expand, which cannot happen for
 	// this m on a 2000-node graph at 15%).
-	limit := a * gen.Radius()
+	limit := a * gen.radius
 	d := sp.NewDijkstra(g)
 	all := d.All(gen.seed)
 	for _, v := range q {
