@@ -32,15 +32,17 @@ vet:
 ## The hand-written docs name only code that exists: every backticked
 ## pkg.Name / pkg.Type.Method on a repository package, every
 ## Test*/Benchmark*/Fuzz* name, every -flag (a binary's or go test's),
-## every -exp id and every bare exported name in README, DESIGN,
-## EXPERIMENTS and the verify skill must resolve (docs_test.go).
+## every -exp id, every bare exported name and every benchmark metric
+## (BENCHMARK.json) in README, DESIGN, EXPERIMENTS and the verify skill
+## must resolve (docs_test.go).
 docs-lint:
 	$(GO) test -count=1 -run '^TestDocs' .
 
 ## No code that nothing runs: every package-level func, type, var and
 ## const, and every method, outside bench/ that no program code reaches
-## (tests do not count; an interface that has the method does) fails,
-## unless reach_test.go's allowlist names it with a reason (TestReachable).
+## (tests do not count; an interface that has the method does, for a type
+## whose values the programs put in that interface) fails, unless
+## reach_test.go's allowlist names it with a reason (TestReachable).
 reach:
 	$(GO) test -count=1 -run '^TestReachable' .
 

@@ -3,6 +3,7 @@ package fannr_test
 import (
 	"bufio"
 	"bytes"
+	"encoding/json"
 	"go/ast"
 	"go/parser"
 	"go/token"
@@ -48,6 +49,11 @@ var (
 	// `fannr_sets_{hits,fills}_total`, `fannr_pool_*`. Labels after the
 	// name (`fannr_index_bytes{index,mem}`) are not part of it.
 	metricName = regexp.MustCompile(`fannr(?:_(?:[a-z0-9]+|\{[a-z0-9_,\s]+\}|\*))+`)
+	// A benchmark metric: a lower-case name with an underscore after a
+	// package-like prefix, perhaps with dotted parts (`core.gphi_dist_us.ine`).
+	// A name right after a dot is a path into something else
+	// (`indexes.phl.label_entries` in /meta).
+	benchName = regexp.MustCompile(`(?:^|[^\w.])([a-z][a-z0-9]*)\.([a-z0-9]+_\w*(?:\.[\w-]+)*)`)
 )
 
 // goFlags are the go and go test flags the documents pass in their
@@ -71,6 +77,7 @@ type goIndex struct {
 	flags   map[string]bool
 	exps    map[string]bool
 	metrics []string // the families of scrapedFamilies
+	bench   []string // BENCHMARK.json's per_layer and end_to_end names
 }
 
 func indexRepo(t *testing.T, root string) *goIndex {
@@ -78,7 +85,7 @@ func indexRepo(t *testing.T, root string) *goIndex {
 	idx := &goIndex{
 		decls: map[string]map[string]bool{}, members: map[string]map[string]bool{}, tests: map[string]bool{},
 		names: map[string]bool{}, flags: map[string]bool{}, exps: map[string]bool{"all": true},
-		metrics: scrapedFamilies(t),
+		metrics: scrapedFamilies(t), bench: benchMetrics(t, root),
 	}
 	for _, id := range fannr.ExperimentIDs() {
 		idx.exps[id] = true
@@ -280,6 +287,42 @@ func scrapedFamilies(t *testing.T) []string {
 	return families
 }
 
+// benchMetrics is every per_layer and end_to_end metric name that
+// BENCHMARK.json declares.
+func benchMetrics(t *testing.T, root string) []string {
+	t.Helper()
+	b, err := os.ReadFile(filepath.Join(root, "BENCHMARK.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var decl struct {
+		PerLayer []struct{ Name string } `json:"per_layer"`
+		EndToEnd []struct{ Name string } `json:"end_to_end"`
+	}
+	if err := json.Unmarshal(b, &decl); err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, m := range append(decl.PerLayer, decl.EndToEnd...) {
+		names = append(names, m.Name)
+	}
+	return names
+}
+
+// benchStale reports whether pkg.name names no benchmark metric although
+// pkg prefixes one: it must be a metric or a dot-bounded prefix of one
+// (`core.gphi_dist_us` of `core.gphi_dist_us.ine`).
+func (idx *goIndex) benchStale(pkg, name string) bool {
+	full, prefixed := pkg+"."+name, false
+	for _, m := range idx.bench {
+		if m == full || strings.HasPrefix(m, full+".") {
+			return false
+		}
+		prefixed = prefixed || strings.HasPrefix(m, pkg+".")
+	}
+	return prefixed
+}
+
 // scraped reports whether a backticked metric name matches a family the
 // scrape exposes: every family of a set, and at least one family a
 // prefix or a wildcard spans.
@@ -314,8 +357,9 @@ func (idx *goIndex) scraped(name string) bool {
 // name on a repository package that package does not declare, a test,
 // benchmark or fuzz target no test file defines, a flag no binary
 // registers (go's own aside), an experiment id exp.Registry lacks, a
-// bare exported name that is nowhere declared or spelled, or a metric
-// family no scrape exposes.
+// bare exported name that is nowhere declared or spelled, a metric
+// family no scrape exposes, or a benchmark metric BENCHMARK.json does not
+// declare.
 func (idx *goIndex) stale(doc string) []string {
 	var out []string
 	for _, span := range inlineCode.FindAllString(fence.ReplaceAllString(doc, ""), -1) {
@@ -354,6 +398,11 @@ func (idx *goIndex) stale(doc string) []string {
 				out = append(out, name)
 			}
 		}
+		for _, m := range benchName.FindAllStringSubmatch(code, -1) {
+			if idx.benchStale(m[1], m[2]) {
+				out = append(out, m[1]+"."+m[2])
+			}
+		}
 	}
 	return out
 }
@@ -361,8 +410,8 @@ func (idx *goIndex) stale(doc string) []string {
 // TestDocsNameRealCode holds the inline code of the hand-written
 // documents to the code (make docs-lint): every dotted Go name on a
 // repository package, every test, benchmark or fuzz target, every flag,
-// every `-exp` id, every bare exported name and every metric family they
-// name must exist.
+// every `-exp` id, every bare exported name, every metric family and
+// every benchmark metric they name must exist.
 func TestDocsNameRealCode(t *testing.T) {
 	idx := indexRepo(t, ".")
 	for _, doc := range lintedDocs {
@@ -392,6 +441,8 @@ func TestDocsLintCatchesStaleNames(t *testing.T) {
 		{"`sp.Dijkstra.Path`, gone with the parent array", []string{"sp.Dijkstra.Path"}},
 		{"`go test -bench 'BenchmarkFig5a' .`", []string{"BenchmarkFig5a"}},
 		{"a metric, `core.gphi_evals_per_query`, and a foreign `http.Nope`", nil},
+		{"`core.gphi_dist_us.ine`, the rung family `core.gphi_dist_us` and `qcache.hit_rate`", nil},
+		{"a misspelt `core.gphi_evalz_per_query`, and `/meta`'s `indexes.phl.label_entries`", []string{"core.gphi_evalz_per_query"}},
 		{"```\n`core.Nope` in a shell session\n```", nil},
 		{"`fannr-server -max-inflight 8` and `go test -race -count=3 ./...`", nil},
 		{"`fannr-server -coalesce-window 500us`", []string{"-coalesce-window"}},

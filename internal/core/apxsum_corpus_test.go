@@ -25,6 +25,7 @@ func expanderCandidates(g *graph.Graph, q core.Query, per int) (candidates []gra
 			if !ok {
 				break
 			}
+			settled++
 			if !pSet.Contains(v) {
 				continue
 			}
@@ -34,7 +35,6 @@ func expanderCandidates(g *graph.Graph, q core.Query, per int) (candidates []gra
 				candidates = append(candidates, v)
 			}
 		}
-		settled += ex.NodesScanned()
 	}
 	return candidates, settled
 }

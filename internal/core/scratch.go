@@ -28,16 +28,16 @@ import (
 // first, as EnginePool.Run does; callers that run one query per checkout
 // need not.
 type Scratch struct {
-	ids     []graph.NodeID                // Validate: sorted-id dedup probe
-	answers []Answer                      // answer list
-	subset  []graph.NodeID                // the answers' subsets, back to back
-	dists   []float64                     // threshold / spare distance buffer
-	seen    *graph.NodeSet                // R-List visited set
-	counts  *graph.NodeSet                // Exact-max per-point counters
-	lanes   expanderPool                  // R-List / Exact-max: one resumable Dijkstra per q
-	search  *ierSearch                    // IER-kNN best-first traversal state
-	top     *pqueue.MaxHeap[graph.NodeID] // k-FANN_R incumbent queue (k > 1)
-	dij     *sp.Dijkstra                  // APX-sum candidate expansions
+	ids     []graph.NodeID             // Validate: sorted-id dedup probe
+	answers []Answer                   // answer list
+	subset  []graph.NodeID             // the answers' subsets, back to back
+	dists   []float64                  // threshold / spare distance buffer
+	seen    *graph.NodeSet             // R-List visited set
+	counts  *graph.NodeSet             // Exact-max per-point counters
+	lanes   expanderPool               // R-List / Exact-max: one resumable Dijkstra per q
+	search  *ierSearch                 // IER-kNN best-first traversal state
+	top     *pqueue.Heap[graph.NodeID] // k-FANN_R incumbent queue (k > 1), keyed by −distance
+	dij     *sp.Dijkstra               // APX-sum candidate expansions
 }
 
 // NewScratch returns an empty Scratch; buffers grow on first use and are

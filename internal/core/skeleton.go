@@ -44,10 +44,13 @@ var algoSpans = [...]string{
 // topK is the bounded incumbent queue: the k best (point, distance) pairs
 // offered so far. With k = 1 it is the paper's scalar incumbent — no
 // heap, no allocation — which is the path every single-answer query runs.
+// With k > 1 the incumbents sit in a min-heap keyed by −distance, so the
+// worst is on top; negation is exact, so the heap's order on the negated
+// keys is a max-heap's on the distances.
 type topK struct {
 	k    int
-	best sp.Neighbor                   // k == 1: the incumbent, Node < 0 while empty
-	h    *pqueue.MaxHeap[graph.NodeID] // k > 1: worst incumbent on top
+	best sp.Neighbor                // k == 1: the incumbent, Node < 0 while empty
+	h    *pqueue.Heap[graph.NodeID] // k > 1: keyed by −distance
 }
 
 // newTopK returns an empty queue of capacity k, reusing the Scratch-held
@@ -57,10 +60,10 @@ func (q *Query) newTopK(k int) topK {
 	switch {
 	case k == 1:
 	case q.Scratch == nil:
-		t.h = pqueue.NewMaxHeap[graph.NodeID](k)
+		t.h = pqueue.NewHeap[graph.NodeID](k)
 	default:
 		if q.Scratch.top == nil {
-			q.Scratch.top = pqueue.NewMaxHeap[graph.NodeID](k)
+			q.Scratch.top = pqueue.NewHeap[graph.NodeID](k)
 		}
 		t.h = q.Scratch.top
 		t.h.Reset()
@@ -76,10 +79,10 @@ func (t *topK) offer(p graph.NodeID, d float64) {
 			t.best = sp.Neighbor{Node: p, Dist: d}
 		}
 	case t.h.Len() < t.k:
-		t.h.Push(d, p)
-	case d < t.h.Max().Key:
+		t.h.Push(-d, p)
+	case d < -t.h.Min().Key:
 		t.h.Pop()
-		t.h.Push(d, p)
+		t.h.Push(-d, p)
 	}
 }
 
@@ -92,7 +95,7 @@ func (t *topK) kth() float64 {
 	case t.h.Len() < t.k:
 		return math.Inf(1)
 	}
-	return t.h.Max().Key
+	return -t.h.Min().Key
 }
 
 // len reports how many incumbents are held.
@@ -114,7 +117,7 @@ func (t *topK) pop() sp.Neighbor {
 		return nb
 	}
 	it := t.h.Pop()
-	return sp.Neighbor{Node: it.Value, Dist: it.Key}
+	return sp.Neighbor{Node: it.Value, Dist: -it.Key}
 }
 
 // solver is the state a search loop works on: the validated query, its

@@ -135,7 +135,7 @@ func BindStats(gp GPhi, s *Stats) {
 }
 
 // settleCounter is the optional interface sp engines and oracles expose
-// (sp.Dijkstra, sp.AStar, sp.Expander all have it); the
+// (sp.Dijkstra and sp.AStar have it); the
 // engine adapters read deltas around each evaluation to attribute
 // settles per query.
 type settleCounter interface {

@@ -16,7 +16,6 @@ type MapExpander struct {
 	h       *pqueue.Heap[graph.NodeID] // lazy-deletion frontier
 	dist    map[graph.NodeID]float64
 	settled map[graph.NodeID]struct{}
-	scanned int64
 }
 
 // NewMapExpander starts a search from src over g.
@@ -32,9 +31,6 @@ func NewMapExpander(g *graph.Graph, src graph.NodeID) *MapExpander {
 	return e
 }
 
-// NodesScanned returns the number of nodes settled so far.
-func (e *MapExpander) NodesScanned() int64 { return e.scanned }
-
 // Step settles the nearest node not yet settled and returns it with its
 // distance; ok is false once every reachable node has settled.
 func (e *MapExpander) Step() (graph.NodeID, float64, bool) {
@@ -45,7 +41,6 @@ func (e *MapExpander) Step() (graph.NodeID, float64, bool) {
 			continue // stale lazy-deletion entry
 		}
 		e.settled[v] = struct{}{}
-		e.scanned++
 		dv := it.Key
 		nbrs, ws := e.g.Neighbors(v)
 		for i, u := range nbrs {

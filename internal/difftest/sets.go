@@ -131,7 +131,7 @@ func (se *ShardedEnv) RunCaseShardedRegistered(c Case) error {
 	for _, S := range se.counts {
 		coord := se.coords[S]
 		label := fmt.Sprintf("sharded sets S=%d %s/%s", S, algo, engine)
-		var first []shard.Answer
+		var first []core.Answer
 		prev := coord.SetMetrics()
 		for sight := 1; sight <= 3; sight++ {
 			res, err := coord.Execute(context.Background(), &shard.Request{
@@ -167,7 +167,7 @@ func (se *ShardedEnv) RunCaseShardedRegistered(c Case) error {
 				}
 				continue
 			}
-			same := slices.EqualFunc(res.Answers, first, func(x, y shard.Answer) bool {
+			same := slices.EqualFunc(res.Answers, first, func(x, y core.Answer) bool {
 				return x.P == y.P && math.Float64bits(x.Dist) == math.Float64bits(y.Dist) && slices.Equal(x.Subset, y.Subset)
 			})
 			if !same {

@@ -60,3 +60,33 @@ func TestGoldenDistKNNBits(t *testing.T) {
 		t.Errorf("KNN bits hash = %#x, want %#x", got, uint64(goldenKNN))
 	}
 }
+
+// goldenMats is the FNV-1a hash of the float bits of every leaf and
+// internal matrix of the seeded Build below, in node order, recorded
+// before the build's searches moved onto pqueue.IndexedHeap. Sampled
+// answers read only some entries; this pins all of them.
+const goldenMats = 0xed93f865df6abc7e
+
+func TestGoldenMatrixBits(t *testing.T) {
+	g := roadNetwork(t, 2000, 41)
+	tr, err := Build(g, Options{Fanout: 4, MaxLeafSize: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := fnv.New64a()
+	var word [8]byte
+	cells := 0
+	for i := range tr.nodes {
+		for _, w := range tr.nodes[i].mat {
+			binary.LittleEndian.PutUint64(word[:], math.Float64bits(w))
+			h.Write(word[:])
+		}
+		cells += len(tr.nodes[i].mat)
+	}
+	if cells == 0 {
+		t.Fatal("tree has no matrix cells")
+	}
+	if got := h.Sum64(); got != goldenMats {
+		t.Errorf("matrix bits hash = %#x over %d cells, want %#x", got, cells, uint64(goldenMats))
+	}
+}

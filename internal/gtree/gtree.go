@@ -29,6 +29,7 @@ import (
 	"fannr/internal/binio"
 	"fannr/internal/graph"
 	"fannr/internal/par"
+	"fannr/internal/pqueue"
 )
 
 // Options configures construction.
@@ -528,15 +529,19 @@ func (t *Tree) computeBorders() {
 // worker reuses its own Dijkstra heap.
 func (t *Tree) buildLeafMatrices(workers int) {
 	var leaves []int
+	maxLeaf := 0
 	for i := range t.nodes {
 		if t.nodes[i].isLeaf() {
 			leaves = append(leaves, i)
+			maxLeaf = max(maxLeaf, len(t.nodes[i].verts))
 		}
 	}
-	heaps := make([]*localHeap, workers)
+	heaps := make([]*pqueue.IndexedHeap, workers)
 	par.Do(workers, len(leaves), func(w, li int) {
 		i := leaves[li]
-		h := heaps[w]
+		if heaps[w] == nil {
+			heaps[w] = pqueue.NewIndexedHeap(maxLeaf)
+		}
 		n := &t.nodes[i]
 		nv := len(n.verts)
 		deg := make([]int32, nv)
@@ -566,14 +571,10 @@ func (t *Tree) buildLeafMatrices(workers int) {
 				}
 			}
 		}
-		if h == nil || h.cap() < nv {
-			h = newLocalHeap(max(t.opt.MaxLeafSize*2, nv))
-			heaps[w] = h
-		}
 		n.mat = make([]float64, len(n.borders)*nv)
 		dist := make([]float64, nv)
 		for bi, b := range n.borders {
-			localSSSP(n.ladjStart, n.ladjNode, n.ladjW, int(t.posInLeaf[b]), dist, h)
+			localSSSP(n.ladjStart, n.ladjNode, n.ladjW, int(t.posInLeaf[b]), dist, heaps[w])
 			copy(n.mat[bi*nv:(bi+1)*nv], dist)
 		}
 	})
@@ -587,7 +588,11 @@ func (t *Tree) buildLeafMatrices(workers int) {
 // fans out across the worker pool (this also parallelizes the root, the
 // single most expensive matrix).
 func (t *Tree) assembleBottomUp(workers int) {
-	heaps := make([]*localHeap, workers)
+	maxX := 0
+	for i := range t.nodes {
+		maxX = max(maxX, len(t.nodes[i].X))
+	}
+	heaps := make([]*pqueue.IndexedHeap, workers)
 	dists := make([][]float64, workers)
 	// xpos[v] is v's index in the current node's X, -1 outside it.
 	xpos := make([]int32, t.g.NumNodes())
@@ -645,11 +650,9 @@ func (t *Tree) assembleBottomUp(workers int) {
 		}
 		n.mat = make([]float64, nx*nx)
 		par.Do(workers, nx, func(w, s int) {
-			if heaps[w] == nil || heaps[w].cap() < nx {
-				heaps[w] = newLocalHeap(nx)
-			}
-			if len(dists[w]) < nx {
-				dists[w] = make([]float64, nx)
+			if heaps[w] == nil {
+				heaps[w] = pqueue.NewIndexedHeap(maxX)
+				dists[w] = make([]float64, maxX)
 			}
 			assemblySSSP(adj, s, dists[w][:nx], heaps[w])
 			copy(n.mat[s*nx:(s+1)*nx], dists[w][:nx])
@@ -738,148 +741,44 @@ func (t *Tree) refineTopDown(workers int) {
 	}
 }
 
-// localHeap is a tiny indexed binary heap over local vertex indices used
-// by within-leaf and assembly-graph Dijkstra.
-type localHeap struct {
-	key  []float64
-	pos  []int32
-	heap []int32
-}
-
-func newLocalHeap(n int) *localHeap {
-	return &localHeap{key: make([]float64, n), pos: make([]int32, n)}
-}
-
-func (h *localHeap) cap() int { return len(h.key) }
-
-func (h *localHeap) reset(n int) {
-	if len(h.key) < n {
-		h.key = make([]float64, n)
-		h.pos = make([]int32, n)
-	}
-	for i := 0; i < n; i++ {
-		h.pos[i] = -1
-	}
-	h.heap = h.heap[:0]
-}
-
-func (h *localHeap) update(id int32, key float64) {
-	if h.pos[id] >= 0 {
-		if key >= h.key[id] {
-			return
-		}
-		h.key[id] = key
-		h.up(int(h.pos[id]))
-		return
-	}
-	h.key[id] = key
-	h.pos[id] = int32(len(h.heap))
-	h.heap = append(h.heap, id)
-	h.up(len(h.heap) - 1)
-}
-
-func (h *localHeap) pop() (int32, float64) {
-	id := h.heap[0]
-	key := h.key[id]
-	last := len(h.heap) - 1
-	moved := h.heap[last]
-	h.heap[0] = moved
-	h.pos[moved] = 0
-	h.heap = h.heap[:last]
-	h.pos[id] = -2 // settled
-	if last > 0 {
-		h.down(0)
-	}
-	return id, key
-}
-
-func (h *localHeap) up(i int) {
-	id := h.heap[i]
-	k := h.key[id]
-	for i > 0 {
-		p := (i - 1) / 2
-		pid := h.heap[p]
-		if h.key[pid] <= k {
-			break
-		}
-		h.heap[i] = pid
-		h.pos[pid] = int32(i)
-		i = p
-	}
-	h.heap[i] = id
-	h.pos[id] = int32(i)
-}
-
-func (h *localHeap) down(i int) {
-	id := h.heap[i]
-	k := h.key[id]
-	n := len(h.heap)
-	for {
-		l := 2*i + 1
-		if l >= n {
-			break
-		}
-		m := l
-		if r := l + 1; r < n && h.key[h.heap[r]] < h.key[h.heap[l]] {
-			m = r
-		}
-		if h.key[h.heap[m]] >= k {
-			break
-		}
-		mid := h.heap[m]
-		h.heap[i] = mid
-		h.pos[mid] = int32(i)
-		i = m
-	}
-	h.heap[i] = id
-	h.pos[id] = int32(i)
-}
-
 // localSSSP runs Dijkstra over a local CSR graph, filling dist (Inf for
 // unreachable).
-func localSSSP(start, nodes []int32, ws []float64, src int, dist []float64, h *localHeap) {
+func localSSSP(start, nodes []int32, ws []float64, src int, dist []float64, h *pqueue.IndexedHeap) {
 	n := len(start) - 1
 	for i := 0; i < n; i++ {
 		dist[i] = math.Inf(1)
 	}
-	h.reset(n)
-	h.update(int32(src), 0)
+	h.Reset()
+	h.Update(int32(src), 0)
 	dist[src] = 0
-	for len(h.heap) > 0 {
-		v, dv := h.pop()
-		dist[v] = dv
+	for h.Len() > 0 {
+		v, dv := h.Pop()
+		// Weights are non-negative, so a settled u has dist[u] <= dv and
+		// the test below refuses it without a settled mark.
 		for e := start[v]; e < start[v+1]; e++ {
 			u := nodes[e]
-			if h.pos[u] == -2 {
-				continue
-			}
 			if du := dv + ws[e]; du < dist[u] {
 				dist[u] = du
-				h.update(u, du)
+				h.Update(u, du)
 			}
 		}
 	}
 }
 
 // assemblySSSP runs Dijkstra over an adjacency-list assembly graph.
-func assemblySSSP(adj [][]arc, src int, dist []float64, h *localHeap) {
-	n := len(adj)
-	for i := 0; i < n; i++ {
+func assemblySSSP(adj [][]arc, src int, dist []float64, h *pqueue.IndexedHeap) {
+	for i := range adj {
 		dist[i] = math.Inf(1)
 	}
-	h.reset(n)
-	h.update(int32(src), 0)
+	h.Reset()
+	h.Update(int32(src), 0)
 	dist[src] = 0
-	for len(h.heap) > 0 {
-		v, dv := h.pop()
-		dist[v] = dv
+	for h.Len() > 0 {
+		v, dv := h.Pop()
 		for _, a := range adj[v] {
-			if h.pos[a.to] == -2 {
-				continue
-			}
 			if du := dv + a.w; du < dist[a.to] {
 				dist[a.to] = du
-				h.update(a.to, du)
+				h.Update(a.to, du)
 			}
 		}
 	}

@@ -11,7 +11,7 @@ import (
 // owns reusable scratch buffers; create one per goroutine.
 type Querier struct {
 	t    *Tree
-	h    *localHeap
+	h    *pqueue.IndexedHeap
 	dist []float64 // within-leaf Dijkstra scratch
 	// Dist's two climbing vectors; each holds two max-|borders| halves
 	// that upVector ping-pongs between.
@@ -53,7 +53,7 @@ func (t *Tree) NewQuerier() *Querier {
 	}
 	return &Querier{
 		t:     t,
-		h:     newLocalHeap(maxLeaf),
+		h:     pqueue.NewIndexedHeap(maxLeaf),
 		dist:  make([]float64, maxLeaf),
 		cur:   make([]float64, 2*maxB),
 		next:  make([]float64, 2*maxB),

@@ -265,16 +265,14 @@ func (ix *Index) AvgLabelSize() float64 {
 // the Index itself stays safe for concurrent readers. Mint one per engine
 // with NewBatcher; a Batcher must not be used from multiple goroutines.
 type Batcher struct {
-	ix    *Index
-	tab   []float64 // hub rank -> distance from the scattered source label
+	ix *Index
+	// DistBatch's scatter table: hub rank -> distance from the source
+	// label, live while stamp[h] == epoch. Allocated by the first
+	// DistBatch, as the bind tables below are by the first bind: the
+	// served engines take the bound path and never scatter.
+	tab   []float64
 	stamp []uint32
 	epoch uint32
-	// u/uvalid memoize the scattered source: consecutive same-source
-	// batches (IER resolving its candidates one at a time) skip the
-	// re-scatter and go straight to the per-target probes. Nothing else
-	// writes tab/stamp, so the memo only expires when the source changes.
-	u      graph.NodeID
-	uvalid bool
 	// Target-bound mode (BindTargets, then DistBound — or the same walk in
 	// two steps, DistBoundPrefix and DistBoundResume, for a caller that
 	// may not need it finished): the labels of a fixed target list
@@ -296,7 +294,7 @@ type Batcher struct {
 
 // NewBatcher returns a batching front-end bound to ix.
 func (ix *Index) NewBatcher() *Batcher {
-	return &Batcher{ix: ix, tab: make([]float64, ix.n), stamp: make([]uint32, ix.n)}
+	return &Batcher{ix: ix}
 }
 
 // NewBatchOracle lets engine constructors that only see an opaque distance
@@ -319,21 +317,20 @@ func (b *Batcher) DistBatch(u graph.NodeID, targets []graph.NodeID, out []float6
 		return
 	}
 	_ = out[len(targets)-1]
-	if !b.uvalid || b.u != u {
-		b.epoch++
-		if b.epoch == 0 {
-			for i := range b.stamp {
-				b.stamp[i] = 0
-			}
-			b.epoch = 1
+	if b.tab == nil {
+		b.tab, b.stamp = make([]float64, b.ix.n), make([]uint32, b.ix.n)
+	}
+	b.epoch++
+	if b.epoch == 0 {
+		for i := range b.stamp {
+			b.stamp[i] = 0
 		}
-		hu, du := b.ix.label(u)
-		for i, h := range hu {
-			b.tab[h] = du[i]
-			b.stamp[h] = b.epoch
-		}
-		b.u = u
-		b.uvalid = true
+		b.epoch = 1
+	}
+	hu, du := b.ix.label(u)
+	for i, h := range hu {
+		b.tab[h] = du[i]
+		b.stamp[h] = b.epoch
 	}
 	for i, v := range targets {
 		if v == u {
@@ -361,7 +358,7 @@ func (b *Batcher) DistBatch(u graph.NodeID, targets []graph.NodeID, out []float6
 // being claimed the first time the second pass meets its hub — over
 // epoch-stamped tables, so a bind costs O(Σ_t |L(t)|) whatever the graph
 // size. targets may repeat a node and may be empty; the binding holds
-// until the next BindTargets and is independent of DistBatch's memo.
+// until the next BindTargets and is independent of DistBatch.
 // Bucket offsets are int32: the labels of one target list must hold
 // fewer than 2³¹ entries (a 24 GiB slab).
 func (b *Batcher) BindTargets(targets []graph.NodeID) {

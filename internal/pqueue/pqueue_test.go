@@ -76,52 +76,6 @@ func TestHeapSortsProperty(t *testing.T) {
 	}
 }
 
-func TestMaxHeapOrdering(t *testing.T) {
-	h := NewMaxHeap[int](4)
-	for i, k := range []float64{3, 1, 4, 1, 5, 9, 2, 6} {
-		h.Push(k, i)
-	}
-	prev := 1e18
-	for h.Len() > 0 {
-		it := h.Pop()
-		if it.Key > prev {
-			t.Fatalf("max-heap pop out of order: %v after %v", it.Key, prev)
-		}
-		prev = it.Key
-	}
-}
-
-func TestMaxHeapTopKPattern(t *testing.T) {
-	// Typical usage: keep the k smallest of a stream using a max-heap.
-	const k = 5
-	rng := rand.New(rand.NewSource(7))
-	stream := make([]float64, 100)
-	for i := range stream {
-		stream[i] = rng.Float64()
-	}
-	h := NewMaxHeap[int](k)
-	for i, v := range stream {
-		if h.Len() < k {
-			h.Push(v, i)
-		} else if v < h.Max().Key {
-			h.Pop()
-			h.Push(v, i)
-		}
-	}
-	sorted := append([]float64(nil), stream...)
-	sort.Float64s(sorted)
-	got := make([]float64, 0, k)
-	for h.Len() > 0 {
-		got = append(got, h.Pop().Key)
-	}
-	sort.Float64s(got)
-	for i := 0; i < k; i++ {
-		if got[i] != sorted[i] {
-			t.Fatalf("k smallest mismatch at %d: got %v want %v", i, got[i], sorted[i])
-		}
-	}
-}
-
 func TestIndexedHeapBasic(t *testing.T) {
 	h := NewIndexedHeap(10)
 	h.Update(3, 5)

@@ -89,9 +89,6 @@ func DecodeFrame(data []byte) ([]byte, error) {
 // type and decoder both.
 type Request = wire.FANNRequest
 
-// Answer mirrors the public FANN answer shape.
-type Answer = wire.ShardAnswer
-
 // Response is a shard's reply. A shard that owns no candidate close
 // enough simply returns an empty Answers list — per-shard "no result" is
 // a successful empty reply, not an error; only the coordinator can

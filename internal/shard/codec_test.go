@@ -5,6 +5,7 @@ import (
 	"errors"
 	"testing"
 
+	"fannr/internal/core"
 	"fannr/internal/graph"
 )
 
@@ -24,7 +25,7 @@ func TestCodecRoundTrip(t *testing.T) {
 	if len(got.P) != 3 || got.P[0] != 3 || got.Phi != 0.5 || got.Engine != "INE" || got.K != 2 {
 		t.Fatalf("round trip mangled request: %+v", got)
 	}
-	resp := &Response{Answers: []Answer{{P: 7, Dist: 1.25}}, Engine: "INE", Micros: 42}
+	resp := &Response{Answers: []core.Answer{{P: 7, Dist: 1.25}}, Engine: "INE", Micros: 42}
 	rframe, err := EncodeResponse(resp)
 	if err != nil {
 		t.Fatal(err)

@@ -49,7 +49,8 @@ type CoordinatorOptions struct {
 
 // Result is one coordinated query's outcome.
 type Result struct {
-	Answers []Answer
+	// Answers are read-only: on a cache hit they are the cache's own.
+	Answers []core.Answer
 	Engine  string
 	// Degraded is set when at least one shard holding candidates could
 	// not be reached: the answers are exact over the reachable shards'
@@ -60,7 +61,6 @@ type Result struct {
 	Contacted  int
 	Pruned     int
 	CacheHit   bool
-	Micros     int64
 }
 
 // Coordinator fans FANN queries over the shard set: split P by
@@ -229,7 +229,6 @@ type shardCall struct {
 // scatter-gather as its compute stage. tr may be nil; when set, one span
 // per candidate-bearing shard lands under the current trace position.
 func (c *Coordinator) Execute(ctx context.Context, req *Request, tr *obs.Trace) (*Result, error) {
-	start := time.Now()
 	c.mQueries.Inc()
 	// Validated through the plan's registry: a P layer (or a Q) seen
 	// before is neither sorted again here nor, in scatter, cut again.
@@ -243,7 +242,7 @@ func (c *Coordinator) Execute(ctx context.Context, req *Request, tr *obs.Trace) 
 		rkey = qcache.NewResultKey(c.cacheEngine(call.Engine), call.Algo, &call.Query, call.K)
 		if answers, hit := c.cache.GetResult(rkey); hit {
 			c.mCacheHit.Inc()
-			return &Result{Engine: call.Engine, Answers: shardAnswers(answers), CacheHit: true, Micros: time.Since(start).Microseconds()}, nil
+			return &Result{Engine: call.Engine, Answers: answers, CacheHit: true}, nil
 		}
 		c.mCacheMiss.Inc()
 	}
@@ -251,13 +250,8 @@ func (c *Coordinator) Execute(ctx context.Context, req *Request, tr *obs.Trace) 
 	if res == nil {
 		return nil, err
 	}
-	res.Micros = time.Since(start).Microseconds()
 	if err == nil && c.cache != nil && !res.Degraded {
-		answers := make([]core.Answer, len(res.Answers))
-		for i, a := range res.Answers {
-			answers[i] = core.Answer{P: a.P, Dist: a.Dist, Subset: a.Subset}
-		}
-		c.cache.PutResult(rkey, answers)
+		c.cache.PutResult(rkey, res.Answers)
 	}
 	return res, err
 }
@@ -273,7 +267,7 @@ type cand struct {
 type gather struct {
 	k         int
 	kth       float64
-	merged    []Answer
+	merged    []core.Answer
 	calls     []shardCall
 	down      []int
 	downErrs  []*Error

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"testing"
 
+	"fannr/internal/core"
 	"fannr/internal/graph"
 )
 
@@ -20,7 +21,7 @@ func FuzzShardRPC(f *testing.F) {
 		Agg: "sum", Algo: "rlist", Engine: "PHL", K: 3,
 	})
 	seedResp, _ := EncodeResponse(&Response{
-		Answers: []Answer{{P: 9, Dist: 2.5, Subset: []graph.NodeID{4}}}, Engine: "PHL", Micros: 17,
+		Answers: []core.Answer{{P: 9, Dist: 2.5, Subset: []graph.NodeID{4}}}, Engine: "PHL", Micros: 17,
 	})
 	f.Add(seedReq)
 	f.Add(seedResp)

@@ -127,18 +127,7 @@ func (h *Host) Execute(ctx context.Context, req *Request) (*Response, error) {
 
 // respond is answers as the RPC ships them.
 func respond(engine string, answers []core.Answer, start time.Time) *Response {
-	return &Response{Engine: engine, Answers: shardAnswers(answers), Micros: time.Since(start).Microseconds()}
-}
-
-// shardAnswers is answers in the RPC's shape. The subsets are shared, not
-// copied: an engine run detaches them from its Scratch, and a cached
-// answer is never written again.
-func shardAnswers(answers []core.Answer) []Answer {
-	var out []Answer
-	for _, a := range answers {
-		out = append(out, Answer{P: a.P, Dist: a.Dist, Subset: a.Subset})
-	}
-	return out
+	return &Response{Engine: engine, Answers: answers, Micros: time.Since(start).Microseconds()}
 }
 
 // Handler serves the shard RPC:
@@ -198,8 +187,8 @@ func (h *Host) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 
 // sortAnswers keeps merged answer lists ordered by distance then node id
 // (shared by the coordinator's merge).
-func sortAnswers(answers []Answer) {
-	slices.SortFunc(answers, func(a, b Answer) int {
+func sortAnswers(answers []core.Answer) {
+	slices.SortFunc(answers, func(a, b core.Answer) int {
 		return cmp.Or(cmp.Compare(a.Dist, b.Dist), cmp.Compare(a.P, b.P))
 	})
 }

@@ -4,6 +4,7 @@ import (
 	"net/http"
 	"time"
 
+	"fannr/internal/core"
 	"fannr/internal/obs"
 	"fannr/internal/resil"
 	"fannr/internal/wire"
@@ -14,9 +15,9 @@ import (
 // answers are stamped, never silent), how many were contacted and how
 // many the bound pruned.
 type FANNResponse struct {
-	Answers []Answer `json:"answers"`
-	Micros  int64    `json:"micros"`
-	Engine  string   `json:"engine"`
+	Answers []core.Answer `json:"answers"`
+	Micros  int64         `json:"micros"`
+	Engine  string        `json:"engine"`
 
 	Degraded        bool        `json:"degraded,omitempty"`
 	DegradedShards  []int       `json:"degraded_shards,omitempty"`
@@ -68,7 +69,7 @@ func (c *Coordinator) handleFANN(w http.ResponseWriter, r *http.Request) {
 		ShardsContacted: res.Contacted, ShardsPruned: res.Pruned, CacheHit: res.CacheHit,
 	}
 	if resp.Answers == nil {
-		resp.Answers = []Answer{}
+		resp.Answers = []core.Answer{}
 	}
 	if tr != nil {
 		tr.Root().End()

@@ -11,9 +11,8 @@ import (
 )
 
 // checkLane steps a lane and the map-backed reference started from the
-// same source side by side, up to steps settles: the same node, the
-// same distance bits and the same settle count after every Step, and
-// the same exhaustion.
+// same source side by side, up to steps settles: the same node and the
+// same distance bits after every Step, and the same exhaustion.
 func checkLane(t *testing.T, label string, lane *sp.Expander, ref *difftest.MapExpander, steps int) {
 	t.Helper()
 	for i := 0; i < steps; i++ {
@@ -21,9 +20,6 @@ func checkLane(t *testing.T, label string, lane *sp.Expander, ref *difftest.MapE
 		wv, wd, wok := ref.Step()
 		if ok != wok || v != wv || math.Float64bits(d) != math.Float64bits(wd) {
 			t.Fatalf("%s: step %d = (%d, %v, %v), reference (%d, %v, %v)", label, i, v, d, ok, wv, wd, wok)
-		}
-		if lane.NodesScanned() != ref.NodesScanned() {
-			t.Fatalf("%s: %d nodes settled after step %d, reference %d", label, lane.NodesScanned(), i, ref.NodesScanned())
 		}
 		if !ok {
 			return
@@ -135,10 +131,12 @@ func TestExpanderHandsBackLargeTable(t *testing.T) {
 	lane := new(sp.Expander)
 	lane.Reset(g)
 	lane.Start(0)
+	settled := 0
 	for _, _, ok := lane.Step(); ok; _, _, ok = lane.Step() {
+		settled++
 	}
 	if lane.TableSlots() <= sp.MaxRetainedSlots {
-		t.Fatalf("whole-graph expansion of %d nodes fit %d slots; the test needs a larger graph", lane.NodesScanned(), lane.TableSlots())
+		t.Fatalf("whole-graph expansion of %d nodes fit %d slots; the test needs a larger graph", settled, lane.TableSlots())
 	}
 	lane.Start(1)
 	checkLane(t, "small expansion after a whole-graph one", lane, difftest.NewMapExpander(g, 1), 8)

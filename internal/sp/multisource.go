@@ -16,17 +16,13 @@ import (
 // Start, so a caller that pools its lanes allocates none in steady
 // state.
 type Expander struct {
-	g       *graph.Graph
-	h       *pqueue.Heap[graph.NodeID] // lazy-deletion frontier
-	labels  labelTable
-	scanned int64
+	g      *graph.Graph
+	h      *pqueue.Heap[graph.NodeID] // lazy-deletion frontier
+	labels labelTable
 }
 
 // Reset binds the lane to g; Start then searches it.
 func (e *Expander) Reset(g *graph.Graph) { e.g = g }
-
-// NodesScanned returns the number of nodes settled since Start.
-func (e *Expander) NodesScanned() int64 { return e.scanned }
 
 // Start begins a search from src, discarding any search in progress and
 // reusing its label table and frontier. A lane whose last search
@@ -38,7 +34,6 @@ func (e *Expander) Start(src graph.NodeID) {
 		e.h = pqueue.NewHeap[graph.NodeID](16)
 		e.labels = labelTable{}
 	}
-	e.scanned = 0
 	e.h.Reset()
 	e.labels.reset()
 	l, _ := e.labels.slot(src)
@@ -58,7 +53,6 @@ func (e *Expander) Step() (v graph.NodeID, dist float64, ok bool) {
 			continue // stale lazy-deletion entry
 		}
 		lv.tag |= settledBit
-		e.scanned++
 		nbrs, ws := e.g.Neighbors(v)
 		for i, u := range nbrs {
 			lu, fresh := e.labels.slot(u)

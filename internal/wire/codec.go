@@ -23,24 +23,15 @@ import (
 // json.Unmarshal. fannr-server's /fann reply is appended the same way.
 // FuzzShardBodies holds each to its encoding/json twin.
 
-// ShardAnswer mirrors the public FANN answer shape.
-type ShardAnswer struct {
-	P      graph.NodeID   `json:"p"`
-	Dist   float64        `json:"dist"`
-	Subset []graph.NodeID `json:"subset,omitempty"`
-}
-
 // ShardResponse is a shard's reply. A shard that owns no candidate close
 // enough simply returns an empty Answers list — per-shard "no result" is
 // a successful empty reply, not an error; only the coordinator can
 // decide the global query found nothing.
 type ShardResponse struct {
-	Answers []ShardAnswer `json:"answers"`
-	Engine  string        `json:"engine"`
-	Micros  int64         `json:"micros"`
-	// Stats the coordinator folds into EXPLAIN spans.
-	GPhiEvals int64 `json:"gphi_evals,omitempty"`
-	CacheHit  bool  `json:"cache_hit,omitempty"`
+	Answers  []core.Answer `json:"answers"`
+	Engine   string        `json:"engine"`
+	Micros   int64         `json:"micros"`
+	CacheHit bool          `json:"cache_hit,omitempty"`
 }
 
 // AppendFANNRequest appends r as json.Marshal encodes it. ok is false
@@ -67,34 +58,13 @@ func AppendFANNRequest(dst []byte, r *FANNRequest) (out []byte, ok bool) {
 
 // AppendShardResponse is AppendFANNRequest for the reply.
 func AppendShardResponse(dst []byte, r *ShardResponse) (out []byte, ok bool) {
-	dst = append(dst, `{"answers":`...)
-	if r.Answers == nil {
-		dst = append(dst, "null"...)
-	} else {
-		dst = append(dst, '[')
-		for i := range r.Answers {
-			a := &r.Answers[i]
-			if i > 0 {
-				dst = append(dst, ',')
-			}
-			dst = strconv.AppendInt(append(dst, `{"p":`...), int64(a.P), 10)
-			if dst, ok = appendFloat(append(dst, `,"dist":`...), a.Dist); !ok {
-				return dst, false
-			}
-			if len(a.Subset) > 0 {
-				dst = appendIDs(append(dst, `,"subset":`...), a.Subset)
-			}
-			dst = append(dst, '}')
-		}
-		dst = append(dst, ']')
+	if dst, ok = appendAnswers(append(dst, `{"answers":`...), r.Answers); !ok {
+		return dst, false
 	}
 	if dst, ok = appendString(append(dst, `,"engine":`...), r.Engine); !ok {
 		return dst, false
 	}
 	dst = strconv.AppendInt(append(dst, `,"micros":`...), r.Micros, 10)
-	if r.GPhiEvals != 0 {
-		dst = strconv.AppendInt(append(dst, `,"gphi_evals":`...), r.GPhiEvals, 10)
-	}
 	if r.CacheHit {
 		dst = append(dst, `,"cache_hit":true`...)
 	}
@@ -118,23 +88,8 @@ type FANNResponse struct {
 // trailing newline included, the explain report through json.Marshal. It
 // declines where the shard appenders do, or if the report does not encode.
 func AppendFANNResponse(dst []byte, r *FANNResponse) (out []byte, ok bool) {
-	dst = append(dst, `{"answers":`...)
-	if r.Answers == nil {
-		dst = append(dst, "null"...)
-	} else {
-		dst = append(dst, '[')
-		for i := range r.Answers {
-			a := &r.Answers[i]
-			if i > 0 {
-				dst = append(dst, ',')
-			}
-			dst = strconv.AppendInt(append(dst, `{"p":`...), int64(a.P), 10)
-			if dst, ok = appendFloat(append(dst, `,"dist":`...), a.Dist); !ok {
-				return dst, false
-			}
-			dst = append(appendIDs(append(dst, `,"subset":`...), a.Subset), '}')
-		}
-		dst = append(dst, ']')
+	if dst, ok = appendAnswers(append(dst, `{"answers":`...), r.Answers); !ok {
+		return dst, false
 	}
 	dst = strconv.AppendInt(append(dst, `,"micros":`...), r.Micros, 10)
 	if dst, ok = appendString(append(dst, `,"engine":`...), r.Engine); !ok {
@@ -168,6 +123,27 @@ func WriteFANNResponse(w http.ResponseWriter, r *FANNResponse) {
 	w.Header().Set("Content-Length", strconv.Itoa(body.buf.Len()))
 	w.WriteHeader(http.StatusOK)
 	_, _ = w.Write(body.Bytes())
+}
+
+// appendAnswers writes answers as encoding/json does, declining where
+// appendFloat does.
+func appendAnswers(dst []byte, answers []core.Answer) (out []byte, ok bool) {
+	if answers == nil {
+		return append(dst, "null"...), true
+	}
+	dst = append(dst, '[')
+	for i := range answers {
+		a := &answers[i]
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst = strconv.AppendInt(append(dst, `{"p":`...), int64(a.P), 10)
+		if dst, ok = appendFloat(append(dst, `,"dist":`...), a.Dist); !ok {
+			return dst, false
+		}
+		dst = append(appendIDs(append(dst, `,"subset":`...), a.Subset), '}')
+	}
+	return append(dst, ']'), true
 }
 
 func appendIDs(dst []byte, ids []graph.NodeID) []byte {
@@ -224,7 +200,6 @@ const (
 	keyAnswers = 1 << iota
 	keyRespEngine
 	keyMicros
-	keyEvals
 	keyCacheHit
 )
 
@@ -242,8 +217,6 @@ func responseKey(name []byte) uint8 {
 		return keyRespEngine
 	case "micros":
 		return keyMicros
-	case "gphi_evals":
-		return keyEvals
 	case "cache_hit":
 		return keyCacheHit
 	}
@@ -277,10 +250,6 @@ func scanResponse(data []byte, r *ShardResponse) bool {
 			var v int
 			v, i, ok = scanInt(data, i)
 			r.Micros = int64(v)
-		case keyEvals:
-			var v int
-			v, i, ok = scanInt(data, i)
-			r.GPhiEvals = int64(v)
 		case keyCacheHit:
 			r.CacheHit, i, ok = scanBool(data, i)
 		}
@@ -291,20 +260,20 @@ func scanResponse(data []byte, r *ShardResponse) bool {
 
 // scanAnswers reads null (nil, as encoding/json leaves it) or an array
 // of answer objects (empty, not nil, for "[]").
-func scanAnswers(data []byte, i int) (answers []ShardAnswer, next int, ok bool) {
+func scanAnswers(data []byte, i int) (answers []core.Answer, next int, ok bool) {
 	if hasPrefixAt(data, i, "null") {
 		return nil, i + 4, true
 	}
 	if i == len(data) || data[i] != '[' {
 		return nil, i, false
 	}
-	answers = []ShardAnswer{}
+	answers = []core.Answer{}
 	i = skipSpace(data, i+1)
 	if i < len(data) && data[i] == ']' {
 		return answers, i + 1, true
 	}
 	for {
-		var a ShardAnswer
+		var a core.Answer
 		i, ok = scanObject(data, i, answerKey, func(key uint8, i int) (int, bool) {
 			var ok bool
 			switch key {
@@ -315,6 +284,10 @@ func scanAnswers(data []byte, i int) (answers []ShardAnswer, next int, ok bool) 
 			case keyDist:
 				a.Dist, i, ok = scanFloat(data, i)
 			case keySubset:
+				if hasPrefixAt(data, i, "null") { // a nil subset, as appendAnswers writes it
+					i, ok = i+4, true
+					break
+				}
 				a.Subset, i, ok = scanIDs(data, i)
 			}
 			return i, ok

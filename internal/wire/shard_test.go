@@ -10,6 +10,7 @@ import (
 	"strings"
 	"testing"
 
+	"fannr/internal/core"
 	"fannr/internal/graph"
 )
 
@@ -31,7 +32,7 @@ func checkResponseAgainstJSON(t *testing.T, data []byte) {
 		}
 	}
 
-	got := ShardResponse{Engine: "stale", Micros: 9, Answers: []ShardAnswer{{P: 1}}}
+	got := ShardResponse{Engine: "stale", Micros: 9, Answers: []core.Answer{{P: 1}}}
 	err := DecodeShardResponse(data, &got)
 	if (err == nil) != (wantErr == nil) {
 		t.Fatalf("%q: decoder err %v, encoding/json err %v", data, err, wantErr)
@@ -92,7 +93,7 @@ func checkResponseAppend(t *testing.T, resp *ShardResponse) {
 	if ok {
 		checkResponseAgainstJSON(t, got[len("head"):]) // and it reads back
 		var back ShardResponse
-		if !scanResponse(got[len("head"):], &back) && resp.Micros < 1e9 && resp.Micros > -1e9 && resp.GPhiEvals < 1e9 && resp.GPhiEvals > -1e9 {
+		if !scanResponse(got[len("head"):], &back) && resp.Micros < 1e9 && resp.Micros > -1e9 {
 			t.Fatalf("the scanner declined the appender's own output %q", got)
 		}
 	}
@@ -118,14 +119,17 @@ var responseCases = []struct {
 	{"canonical", `{"answers":[{"p":9,"dist":2.5,"subset":[4,5]}],"engine":"PHL","micros":17}`, true, true},
 	{"empty reply", `{"answers":null,"engine":"PHL","micros":0}`, true, true},
 	{"empty array", `{"answers":[],"engine":"","micros":3}`, true, true},
-	{"top-k", `{"answers":[{"p":1,"dist":0},{"p":2,"dist":1e-7,"subset":[]}],"engine":"INE","micros":42,"gphi_evals":7,"cache_hit":true}`, true, true},
+	// gphi_evals is no longer a reply key: the scanner declines it as it
+	// does any unknown key.
+	{"top-k", `{"answers":[{"p":1,"dist":0},{"p":2,"dist":1e-7,"subset":[]}],"engine":"INE","micros":42,"gphi_evals":7,"cache_hit":true}`, false, true},
+	{"top-k cache hit", `{"answers":[{"p":1,"dist":0,"subset":[3]},{"p":2,"dist":1e-7,"subset":[]}],"engine":"INE","micros":42,"cache_hit":true}`, true, true},
 	{"whitespace and order", " {\n\"micros\" : 5 ,\t\"cache_hit\":false, \"answers\" : [ { \"dist\" : -0.0 , \"p\" : -3 } ] }\r\n", true, true},
 	{"empty object", `{}`, true, true},
 	{"request body", `{"p":[1,2,3],"q":[4,5],"phi":0.5,"agg":"max","algo":"ier","engine":"IER-PHL","k":1}`, false, true},
 	{"upper-case key", `{"Answers":[{"p":1,"dist":2}]}`, false, true},
 	{"repeated key", `{"micros":1,"micros":2}`, false, true},
 	{"repeated answer key", `{"answers":[{"p":1,"p":2,"dist":1}]}`, false, true},
-	{"null subset", `{"answers":[{"p":1,"dist":1,"subset":null}]}`, false, true},
+	{"null subset", `{"answers":[{"p":1,"dist":1,"subset":null}]}`, true, true},
 	{"null engine", `{"engine":null}`, false, true},
 	{"escaped engine", `{"engine":"P\u0048L"}`, false, true},
 	{"ten digit micros", `{"micros":1234567890}`, false, true},
@@ -163,7 +167,7 @@ func TestShardAppendEdges(t *testing.T) {
 	for _, f := range []float64{0, math.Copysign(0, -1), 0.5, 1e-6, 9.99e-7, 1e-7, 1e20, 1e21, 1.5e300, -2.75,
 		math.MaxFloat64, math.SmallestNonzeroFloat64, math.NaN(), math.Inf(1), math.Inf(-1), 1.0 / 3} {
 		checkRequestAppend(t, &FANNRequest{P: []graph.NodeID{1}, Q: []graph.NodeID{}, Phi: f, K: -4})
-		checkResponseAppend(t, &ShardResponse{Answers: []ShardAnswer{{P: -7, Dist: f, Subset: []graph.NodeID{3}}}})
+		checkResponseAppend(t, &ShardResponse{Answers: []core.Answer{{P: -7, Dist: f, Subset: []graph.NodeID{3}}}})
 		checkReplyAppend(t, &FANNResponse{Answers: []FANNAnswer{{P: -7, Dist: f}}, Degraded: true})
 	}
 	for _, s := range []string{"", "PHL", "IER-A*", "a b", `a"b`, `a\b`, "<x>", "a&b", "é", "a\x00b", "a\x7fb", "\xff"} {
@@ -177,7 +181,7 @@ func TestShardAppendEdges(t *testing.T) {
 	for _, r := range replySeeds() {
 		checkReplyAppend(t, r)
 	}
-	checkResponseAppend(t, &ShardResponse{Answers: []ShardAnswer{}, CacheHit: true, GPhiEvals: -1, Micros: math.MaxInt64})
+	checkResponseAppend(t, &ShardResponse{Answers: []core.Answer{}, CacheHit: true, Micros: math.MaxInt64})
 }
 
 // FuzzShardBodies is the differential gate between the shard RPC's
@@ -212,7 +216,7 @@ func BenchmarkShardCodec(b *testing.B) {
 	if err := json.Unmarshal(shapedBody(rand.New(rand.NewSource(4)), 211, 8), &req); err != nil {
 		b.Fatal(err)
 	}
-	resp := ShardResponse{Answers: []ShardAnswer{{P: 4711, Dist: 1234.5678901234, Subset: []graph.NodeID{5, 77, 901, 12004}}}, Engine: "PHL", Micros: 97}
+	resp := ShardResponse{Answers: []core.Answer{{P: 4711, Dist: 1234.5678901234, Subset: []graph.NodeID{5, 77, 901, 12004}}}, Engine: "PHL", Micros: 97}
 	reqBody, _ := json.Marshal(&req)
 	respBody, _ := json.Marshal(&resp)
 	for _, path := range []struct {

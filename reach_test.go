@@ -48,12 +48,11 @@ var unreachedAllowed = map[string]string{
 // and every method, of the module outside bench/ that no program code
 // reaches: code that is not run is code that is not tested as run. The
 // programs are the module's packages, cmd/, examples/ and bench/; tests
-// are not. A method is reached when it is named, or when its receiver
-// type implements an interface that has it: a named or literal interface
-// anywhere in the programs, or one a standard package they import
-// declares. A use inside the declaration itself (or, for a type, inside
-// its methods) does not count. The fannr facade's exports, main, init
-// and _ are exempt; unreachedAllowed holds the rest that stay, and an
+// are not. A method is reached when it is named, or when a value of its
+// receiver type can be in an interface that has the method (see
+// unreached). A use inside the declaration itself (or, for a type,
+// inside its methods) does not count. The fannr facade's exports, main,
+// init and _ are exempt; unreachedAllowed holds the rest that stay, and an
 // entry there that is reached, or names nothing, fails too.
 func TestReachable(t *testing.T) {
 	u := loadUniverse(t)
@@ -138,6 +137,7 @@ type universe struct {
 	mods  []*listed // module packages, dependencies first
 	pkgs  []*types.Package
 	infos []*types.Info
+	files [][]*ast.File // per package, as infos
 	decls map[types.Object]*decl
 	byKey map[string]*decl
 }
@@ -221,12 +221,12 @@ func (u *universe) parse(t *testing.T, dir string, names []string) []*ast.File {
 
 func (u *universe) check(t *testing.T, path string, files []*ast.File) (*types.Package, *types.Info) {
 	t.Helper()
-	info := &types.Info{Types: map[ast.Expr]types.TypeAndValue{}, Defs: map[*ast.Ident]types.Object{}, Uses: map[*ast.Ident]types.Object{}}
+	info := &types.Info{Types: map[ast.Expr]types.TypeAndValue{}, Defs: map[*ast.Ident]types.Object{}, Uses: map[*ast.Ident]types.Object{}, Instances: map[*ast.Ident]types.Instance{}}
 	pkg, err := (&types.Config{Importer: u.imp}).Check(path, u.fset, files, info)
 	if err != nil {
 		t.Fatalf("type-check %s: %v", path, err)
 	}
-	u.pkgs, u.infos = append(u.pkgs, pkg), append(u.infos, info)
+	u.pkgs, u.infos, u.files = append(u.pkgs, pkg), append(u.infos, info), append(u.files, files)
 	return pkg, info
 }
 
@@ -298,57 +298,64 @@ func origin(obj types.Object) types.Object {
 
 // unreached marks what the programs name and what their interfaces
 // call, then returns the rest, sorted by key.
+//
+// An interface call reaches a method only on a type whose values can be
+// in that interface. The flow is tracked by static interface type: a
+// value of a concrete type converted to an interface puts the type in
+// it; an interface value converted to, or asserted to, another interface
+// carries its types along. A method is reached when a type that is in an
+// interface with the method supplies it, or when a type that is in any
+// interface implements a standard library interface with the method
+// (the library's own assertions, such as fmt's to Stringer, are not in
+// the programs' source).
 func (u *universe) unreached() []*decl {
 	reached := map[types.Object]bool{}
-	ifaces := map[*types.Interface]bool{types.Universe.Lookup("error").Type().Underlying().(*types.Interface): true}
-	var named []*types.Named
-	for _, info := range u.infos {
+	f := newFlow()
+	for i, info := range u.infos {
+		conversions(info, u.files[i], f.convert)
 		for id, obj := range info.Uses {
 			if d := u.decls[origin(obj)]; d != nil && !d.self(id.Pos()) {
 				reached[d.obj] = true
 			}
 		}
-		for _, tv := range info.Types {
-			if it, ok := tv.Type.Underlying().(*types.Interface); ok && tv.IsType() {
-				ifaces[it] = true
-			}
-		}
-		for _, obj := range info.Defs {
-			if tn, ok := obj.(*types.TypeName); ok && !tn.IsAlias() {
-				if n, ok := tn.Type().(*types.Named); ok && n.TypeParams().Len() == 0 && !types.IsInterface(n) {
-					named = append(named, n)
-				}
-			}
-		}
 	}
-	std := map[*types.Package]bool{}
+	std := []*types.Interface{types.Universe.Lookup("error").Type().Underlying().(*types.Interface)}
+	seen := map[*types.Package]bool{}
 	for _, pkg := range u.pkgs {
 		for _, imp := range pkg.Imports() {
-			if _, mod := u.imp.loaded[imp.Path()]; !mod && !std[imp] {
-				std[imp] = true
+			if _, mod := u.imp.loaded[imp.Path()]; !mod && !seen[imp] {
+				seen[imp] = true
 				for _, name := range imp.Scope().Names() {
 					if tn, ok := imp.Scope().Lookup(name).(*types.TypeName); ok {
 						if it, ok := tn.Type().Underlying().(*types.Interface); ok {
-							ifaces[it] = true
+							std = append(std, it)
 						}
 					}
 				}
 			}
 		}
 	}
-	for _, n := range named {
-		for _, T := range []types.Type{n, types.NewPointer(n)} {
-			for it := range ifaces {
-				if it.NumMethods() == 0 || !it.IsMethodSet() || !types.Implements(T, it) {
-					continue
-				}
-				for i := 0; i < it.NumMethods(); i++ {
-					m := it.Method(i)
-					if obj, _, _ := types.LookupFieldOrMethod(T, true, m.Pkg(), m.Name()); obj != nil {
-						reached[origin(obj)] = true
-					}
-				}
+	supply := func(T types.Type, it *types.Interface) {
+		if it.NumMethods() == 0 || !it.IsMethodSet() || !types.Implements(T, it) {
+			return
+		}
+		for i := 0; i < it.NumMethods(); i++ {
+			m := it.Method(i)
+			if obj, _, _ := types.LookupFieldOrMethod(T, true, m.Pkg(), m.Name()); obj != nil {
+				reached[origin(obj)] = true
 			}
+		}
+	}
+	converted := map[string]types.Type{}
+	for key, held := range f.settle() {
+		for k, T := range held {
+			supply(T, f.iface[key])
+			converted[k] = T
+		}
+	}
+	for _, T := range converted {
+		for _, it := range std {
+			supply(T, it)
 		}
 	}
 	var out []*decl
@@ -359,6 +366,246 @@ func (u *universe) unreached() []*decl {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].key < out[j].key })
 	return out
+}
+
+// flow is which concrete types each interface type can hold. Types are
+// keyed by their string, so two spellings of one literal interface are
+// one node.
+type flow struct {
+	iface map[string]*types.Interface
+	holds map[string]map[string]types.Type // interface → concrete types put in it
+	edges map[string]map[string]bool       // interface → interfaces its values move to
+}
+
+func newFlow() *flow {
+	return &flow{iface: map[string]*types.Interface{}, holds: map[string]map[string]types.Type{}, edges: map[string]map[string]bool{}}
+}
+
+// node returns t's key when t is an interface (a type parameter stands
+// for its constraint).
+func (f *flow) node(t types.Type) (string, bool) {
+	if tp, ok := t.(*types.TypeParam); ok {
+		t = tp.Constraint()
+	}
+	it, ok := t.Underlying().(*types.Interface)
+	if !ok {
+		return "", false
+	}
+	key := types.TypeString(t, nil)
+	f.iface[key] = it
+	return key, true
+}
+
+// convert records that a value of type from becomes, or is asserted to,
+// a value of type to; a pair whose to is not an interface, or whose type
+// is unknown, says nothing.
+func (f *flow) convert(from, to types.Type) {
+	if from == nil || to == nil {
+		return
+	}
+	dst, ok := f.node(to)
+	if !ok {
+		return
+	}
+	if src, ok := f.node(from); ok {
+		if f.edges[src] == nil {
+			f.edges[src] = map[string]bool{}
+		}
+		f.edges[src][dst] = true
+		return
+	}
+	f.hold(dst, types.TypeString(from, nil), from)
+}
+
+// hold puts T, keyed k, in interface dst and reports whether it was not
+// there yet.
+func (f *flow) hold(dst, k string, T types.Type) bool {
+	if _, ok := f.holds[dst][k]; ok {
+		return false
+	}
+	if f.holds[dst] == nil {
+		f.holds[dst] = map[string]types.Type{}
+	}
+	f.holds[dst][k] = T
+	return true
+}
+
+// settle carries every interface's types along its edges until nothing
+// moves, and returns what each interface holds. A type moves only to an
+// interface it implements: an assertion to any other fails.
+func (f *flow) settle() map[string]map[string]types.Type {
+	for moved := true; moved; {
+		moved = false
+		for src, dsts := range f.edges {
+			for dst := range dsts {
+				for k, T := range f.holds[src] {
+					if types.Implements(T, f.iface[dst]) && f.hold(dst, k, T) {
+						moved = true
+					}
+				}
+			}
+		}
+	}
+	return f.holds
+}
+
+// conversions calls mark(from, to) for every value of type from that
+// becomes a value of type to in files: through an assignment, a typed
+// var, a call argument (variadic ones included), a return, a
+// composite-literal field, element, key or value, a channel send, an
+// explicit conversion or a type assertion (errors.As's included; the
+// programs have no type switch); and for every type argument of a
+// generic instantiation, against its type parameter's constraint.
+func conversions(info *types.Info, files []*ast.File, mark func(from, to types.Type)) {
+	for id, inst := range info.Instances {
+		var tparams *types.TypeParamList
+		switch obj := info.Uses[id].(type) {
+		case *types.Func:
+			tparams = obj.Type().(*types.Signature).TypeParams()
+		case *types.TypeName:
+			tparams = obj.Type().(*types.Named).TypeParams()
+		}
+		for i := 0; i < inst.TypeArgs.Len() && tparams != nil; i++ {
+			mark(inst.TypeArgs.At(i), tparams.At(i).Constraint())
+		}
+	}
+	typeOf := func(e ast.Expr) types.Type {
+		if tv, ok := info.Types[e]; ok {
+			return tv.Type
+		}
+		if id, ok := e.(*ast.Ident); ok {
+			if obj := info.ObjectOf(id); obj != nil {
+				return obj.Type()
+			}
+		}
+		return nil
+	}
+	conv := func(to types.Type, e ast.Expr) { mark(typeOf(e), to) }
+	// convAll converts values to the types to in order, spreading a
+	// single multi-value call across them.
+	convAll := func(to []types.Type, values []ast.Expr) {
+		if len(values) == 1 && len(to) > 1 {
+			if tup, ok := typeOf(values[0]).(*types.Tuple); ok {
+				for i := 0; i < tup.Len() && i < len(to); i++ {
+					mark(tup.At(i).Type(), to[i])
+				}
+				return
+			}
+		}
+		for i, v := range values {
+			if i < len(to) {
+				conv(to[i], v)
+			}
+		}
+	}
+	tupleTypes := func(tup *types.Tuple) []types.Type {
+		out := make([]types.Type, tup.Len())
+		for i := range out {
+			out[i] = tup.At(i).Type()
+		}
+		return out
+	}
+	returns := func(body *ast.BlockStmt, sig *types.Signature) {
+		ast.Inspect(body, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.FuncLit:
+				return false // its own returns, with its own signature
+			case *ast.ReturnStmt:
+				convAll(tupleTypes(sig.Results()), n.Results)
+			}
+			return true
+		})
+	}
+	for _, f := range files {
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.AssignStmt:
+				if n.Tok == token.ASSIGN || n.Tok == token.DEFINE {
+					to := make([]types.Type, len(n.Lhs))
+					for i, l := range n.Lhs {
+						to[i] = typeOf(l)
+					}
+					convAll(to, n.Rhs)
+				}
+			case *ast.ValueSpec:
+				if n.Type != nil {
+					for _, v := range n.Values {
+						conv(typeOf(n.Type), v)
+					}
+				}
+			case *ast.CallExpr:
+				tv := info.Types[n.Fun]
+				if tv.IsType() {
+					conv(tv.Type, n.Args[0])
+					break
+				}
+				sig, ok := tv.Type.(*types.Signature)
+				if !ok {
+					break
+				}
+				to := tupleTypes(sig.Params())
+				if sig.Variadic() && !n.Ellipsis.IsValid() {
+					last := to[len(to)-1].(*types.Slice).Elem()
+					for to = to[:len(to)-1]; len(to) < len(n.Args); {
+						to = append(to, last)
+					}
+				}
+				convAll(to, n.Args)
+				// errors.As(err, &target) asserts err to target's type.
+				if sel, ok := n.Fun.(*ast.SelectorExpr); ok && len(n.Args) == 2 {
+					if fn, ok := info.Uses[sel.Sel].(*types.Func); ok && fn.FullName() == "errors.As" {
+						if p, ok := typeOf(n.Args[1]).(*types.Pointer); ok {
+							mark(typeOf(n.Args[0]), p.Elem())
+						}
+					}
+				}
+			case *ast.TypeAssertExpr:
+				if n.Type != nil {
+					conv(typeOf(n.Type), n.X)
+				}
+			case *ast.SendStmt:
+				if ch, ok := typeOf(n.Chan).Underlying().(*types.Chan); ok {
+					conv(ch.Elem(), n.Value)
+				}
+			case *ast.CompositeLit:
+				t := typeOf(n)
+				if p, ok := t.Underlying().(*types.Pointer); ok { // an elided &T in a nested literal
+					t = p.Elem()
+				}
+				for i, e := range n.Elts {
+					kv, keyed := e.(*ast.KeyValueExpr)
+					switch u := t.Underlying().(type) {
+					case *types.Struct:
+						if keyed {
+							conv(info.Uses[kv.Key.(*ast.Ident)].Type(), kv.Value)
+						} else {
+							conv(u.Field(i).Type(), e)
+						}
+					case *types.Slice:
+						if keyed {
+							e = kv.Value
+						}
+						conv(u.Elem(), e)
+					case *types.Array:
+						if keyed {
+							e = kv.Value
+						}
+						conv(u.Elem(), e)
+					case *types.Map:
+						conv(u.Key(), kv.Key)
+						conv(u.Elem(), kv.Value)
+					}
+				}
+			case *ast.FuncDecl:
+				if n.Body != nil {
+					returns(n.Body, info.Defs[n.Name].Type().(*types.Signature))
+				}
+			case *ast.FuncLit:
+				returns(n.Body, typeOf(n).(*types.Signature))
+			}
+			return true
+		})
+	}
 }
 
 // testUses type-checks each package again with its tests and returns the
