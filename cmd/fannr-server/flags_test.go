@@ -33,7 +33,7 @@ func TestFlagSurface(t *testing.T) {
 		"gtree-index=",
 		"log=false",
 		"max-inflight=0",
-		"mmap=auto",
+		"mmap=on",
 		"phl-index=",
 		"pprof=false",
 		"query-timeout=10s",

@@ -36,9 +36,9 @@
 // computation.
 // Startup cost: -phl-index and -gtree-index point at files written by
 // fannr-index so the server loads instead of rebuilding; each needs its
-// index listed in -engines. -mmap auto or on (the same thing) memory-maps
-// the index files read-only for near-instant start independent of index
-// size; -mmap off reads them onto the heap. A file of any other format
+// index listed in -engines. -mmap on (the default) memory-maps the index
+// files read-only for near-instant start independent of index size;
+// -mmap off reads them onto the heap. A file of any other format
 // version fails at startup with a rebuild hint.
 // File-backed indexes are live: SIGHUP or POST /admin/reload atomically
 // swaps in a freshly loaded generation — in-flight requests finish on
@@ -105,7 +105,7 @@ func newFlags(cfg *config) *flag.FlagSet {
 	fs.StringVar(&cfg.engines, "engines", "PHL", "indexes to serve: comma-separated from PHL,GTree (INE and A* need none); every engine they support is served")
 	fs.StringVar(&cfg.phlIndex, "phl-index", "", "load the hub labels from this fannr-index file instead of building at startup")
 	fs.StringVar(&cfg.gtreeIndex, "gtree-index", "", "load the G-tree from this fannr-index file instead of building at startup")
-	fs.StringVar(&cfg.mmapMode, "mmap", "auto", "zero-copy index loading: auto or on (mmap the index files), off (heap-read them)")
+	fs.StringVar(&cfg.mmapMode, "mmap", "on", "zero-copy index loading: on (mmap the index files) or off (heap-read them)")
 	fs.DurationVar(&cfg.queryTimeout, "query-timeout", 10*time.Second, "per-request compute budget for /fann (0 = unlimited)")
 	fs.DurationVar(&cfg.drainTimeout, "drain-timeout", 15*time.Second, "graceful-shutdown drain budget after SIGINT/SIGTERM")
 	fs.IntVar(&cfg.maxInFlight, "max-inflight", 0, "per-engine cap on concurrent queries (0 = unbounded)")
@@ -152,12 +152,12 @@ func parseFallback(s string) (map[string]string, error) {
 // mmapOptions maps the -mmap mode onto load options.
 func mmapOptions(mode string) (fannr.LoadOptions, error) {
 	switch mode {
-	case "auto", "on":
+	case "on":
 		return fannr.LoadOptions{Mmap: true}, nil
 	case "off":
 		return fannr.LoadOptions{Mmap: false}, nil
 	default:
-		return fannr.LoadOptions{}, fmt.Errorf("-mmap must be auto, on, or off (got %q)", mode)
+		return fannr.LoadOptions{}, fmt.Errorf("-mmap must be on or off (got %q)", mode)
 	}
 }
 

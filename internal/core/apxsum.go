@@ -34,9 +34,9 @@ func APXSum(g *graph.Graph, gp GPhi, q Query, k int) ([]Answer, error) {
 // lane of R-List and Exact-max, which keep all |Q| expansions live at
 // once; here it would swap arrays for hashing on every settle.
 func apxCandidates(g *graph.Graph, q *Query, per int) ([]graph.NodeID, error) {
-	pSet := q.countSet(g.NumNodes())
+	pSet := emptySet(&q.Scratch.counts, g.NumNodes())
 	pSet.AddAll(q.P)
-	seen := q.seenSet(g.NumNodes())
+	seen := emptySet(&q.Scratch.seen, g.NumNodes())
 	ine := &ineEngine{d: q.dijkstra(g), targets: pSet, stats: q.Stats}
 	candidates := make([]graph.NodeID, 0, per*len(q.Q))
 	var near [2]sp.Neighbor // per ≤ 2

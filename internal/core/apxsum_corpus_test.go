@@ -42,9 +42,9 @@ func expanderCandidates(g *graph.Graph, q core.Query, per int) (candidates []gra
 // TestAPXSumCandidatesMatchExpander runs the candidate step over the
 // differential corpus (the four graphs and 320 seeded cases of
 // TestDifferentialVsBrute), with one Scratch carried across all four
-// graphs and without one, against the Expander reference; and APX-sum
-// itself over PHL, which must answer the same either way and within its
-// proven ratio of the optimum.
+// graphs and with a fresh one, against the Expander reference; and
+// APX-sum itself over PHL, which must answer the same with and without a
+// Scratch and within its proven ratio of the optimum.
 func TestAPXSumCandidatesMatchExpander(t *testing.T) {
 	scratch := core.NewScratch()
 	for _, spec := range []struct {
@@ -64,7 +64,7 @@ func TestAPXSumCandidatesMatchExpander(t *testing.T) {
 			}
 			for per := 1; per <= 2; per++ {
 				want, wantSettled := expanderCandidates(env.G, q, per)
-				for _, s := range []*core.Scratch{nil, scratch} {
+				for _, s := range []*core.Scratch{core.NewScratch(), scratch} {
 					var stats core.Stats
 					qs := q
 					qs.Scratch, qs.Stats = s, &stats
@@ -73,8 +73,8 @@ func TestAPXSumCandidatesMatchExpander(t *testing.T) {
 						t.Fatal(err)
 					}
 					if !slices.Equal(got, want) || stats.Settled != wantSettled {
-						t.Fatalf("%v per=%d scratch=%v: candidates %v (settled %d), Expander reference %v (settled %d)",
-							c, per, s != nil, got, stats.Settled, want, wantSettled)
+						t.Fatalf("%v per=%d carried scratch=%v: candidates %v (settled %d), Expander reference %v (settled %d)",
+							c, per, s == scratch, got, stats.Settled, want, wantSettled)
 					}
 				}
 			}

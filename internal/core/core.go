@@ -85,10 +85,11 @@ type Query struct {
 	// operation; the HTTP server binds one per request and flushes it
 	// into the metrics registry.
 	Stats *Stats
-	// Scratch, when non-nil, provides reusable working memory so
-	// steady-state queries allocate nothing (see Scratch). The answer
-	// list and its subsets then live in Scratch memory — copy them before
-	// running another query with the same Scratch if you retain answers.
+	// Scratch is the working memory the query runs on, reused so that
+	// steady-state queries allocate nothing (see Scratch); nil runs it on
+	// a fresh one. The answer list and its subsets live in Scratch memory
+	// — copy them before running another query with the same Scratch if
+	// you retain answers.
 	Scratch *Scratch
 	// Trace, when non-nil, receives one hierarchical span per algorithm
 	// invocation (nested for delegating algorithms like APX-sum → GD),

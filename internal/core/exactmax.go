@@ -28,8 +28,8 @@ func ExactMax(g *graph.Graph, gp GPhi, q Query, k int) ([]Answer, error) {
 func (s *solver) exactMax() error {
 	q := &s.q
 	n := s.g.NumNodes()
-	pool := q.expanders(s.g, q.seenSet(n))
-	counts := q.countSet(n)
+	pool := q.expanders(s.g, emptySet(&q.Scratch.seen, n))
+	counts := emptySet(&q.Scratch.counts, n)
 	for s.top.len() < s.top.k {
 		if q.canceled() {
 			return ErrCanceled

@@ -573,6 +573,48 @@ func TestScratchAnswersDetached(t *testing.T) {
 	}
 }
 
+// TestScratchlessAnswersDetached is TestScratchAnswersDetached for a
+// query that carries no Scratch: solve runs each call on a fresh one, so
+// two GD or IER-kNN calls at k = 3 on one engine hand back lists that
+// share nothing, and the first call's list and subsets come through the
+// second call unchanged.
+func TestScratchlessAnswersDetached(t *testing.T) {
+	g, ix, q := hotpathEnv(t)
+	q.Scratch = nil
+	q2 := q
+	q2.Q = q.P[len(q.P)-12:] // another Q: other answers, other subsets
+	rtP := BuildPTree(g, q.P)
+	for _, tc := range []struct {
+		name string
+		run  func(GPhi, Query) ([]Answer, error)
+	}{
+		{"GD", func(gp GPhi, q Query) ([]Answer, error) { return GD(g, gp, q, 3) }},
+		{"IERKNN", func(gp GPhi, q Query) ([]Answer, error) { return IERKNN(g, rtP, gp, q, 3) }},
+	} {
+		gp := NewOracleGPhi("PHL", ix)
+		first, err := tc.run(gp, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := make([]Answer, len(first))
+		for i, a := range first {
+			want[i] = Answer{P: a.P, Dist: a.Dist, Subset: slices.Clone(a.Subset)}
+		}
+		second, err := tc.run(gp, q2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if second[0].P == want[0].P && slices.Equal(second[0].Subset, want[0].Subset) {
+			t.Fatalf("%s: the second query answers like the first; it cannot show an overwrite", tc.name)
+		}
+		for i := range want {
+			if first[i].P != want[i].P || first[i].Dist != want[i].Dist || !slices.Equal(first[i].Subset, want[i].Subset) {
+				t.Fatalf("%s: answer %d became %+v after the next Scratch-less query, was %+v", tc.name, i, first[i], want[i])
+			}
+		}
+	}
+}
+
 // BenchmarkAggOf measures the in-place aggregate fold (satellite: must
 // not allocate).
 func BenchmarkAggOf(b *testing.B) {

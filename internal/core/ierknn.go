@@ -112,19 +112,14 @@ type ierEntry struct {
 	point graph.NodeID
 }
 
-// newIERSearch binds a frontier to a query, reusing the Scratch-held
-// state (coordinate buffers, bound scratch, frontier heap) when the query
-// carries one so warm IER-kNN runs allocate nothing.
+// newIERSearch binds the Scratch-held frontier (coordinate buffers,
+// bound scratch, frontier heap) to a query, so warm IER-kNN runs
+// allocate nothing.
 func newIERSearch(g *graph.Graph, rtP *rtree.Tree, q Query) *ierSearch {
-	var s *ierSearch
-	if q.Scratch != nil {
-		if q.Scratch.search == nil {
-			q.Scratch.search = &ierSearch{}
-		}
-		s = q.Scratch.search
-	} else {
-		s = &ierSearch{}
+	if q.Scratch.search == nil {
+		q.Scratch.search = &ierSearch{}
 	}
+	s := q.Scratch.search
 	s.g = g
 	s.reset(q.Q)
 	s.coords()
@@ -177,7 +172,7 @@ func (s *solver) ierknn(rtP *rtree.Tree) error {
 	// scalar incumbent needs no guard — a repeat never beats itself.
 	var seen *graph.NodeSet
 	if s.top.k > 1 {
-		seen = q.seenSet(s.g.NumNodes())
+		seen = emptySet(&q.Scratch.seen, s.g.NumNodes())
 	}
 	for f.pq.Len() > 0 {
 		if q.canceled() {

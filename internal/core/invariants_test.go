@@ -135,7 +135,7 @@ func TestLemma1Admissibility(t *testing.T) {
 	f := func(seed int64) bool {
 		g, gp, rng := quickEnv(t, seed)
 		Q := pick(rng, g.NumNodes(), 10)
-		q := Query{P: pick(rng, g.NumNodes(), 10), Q: Q, Phi: 0.5, Agg: Max}
+		q := Query{P: pick(rng, g.NumNodes(), 10), Q: Q, Phi: 0.5, Agg: Max, Scratch: NewScratch()}
 		gp.Reset(Q)
 		k := q.K()
 		s := newIERSearch(g, BuildPTree(g, q.P), q)
@@ -246,7 +246,7 @@ func FuzzIERBoundAdmissible(f *testing.F) {
 			}
 			return out
 		}
-		q := Query{P: nodes(rawP, 48), Q: nodes(rawQ, 16), Phi: float64(1+int(phiRaw)%100) / 100, Agg: Max}
+		q := Query{P: nodes(rawP, 48), Q: nodes(rawQ, 16), Phi: float64(1+int(phiRaw)%100) / 100, Agg: Max, Scratch: NewScratch()}
 		if sum {
 			q.Agg = Sum
 		}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -16,44 +17,99 @@ import (
 	"fannr/internal/sp"
 )
 
-func TestEnginePoolReuseAndBound(t *testing.T) {
+// holdINE is an INE engine whose evaluations wait until hold is closed:
+// a Run on it keeps its checkout, engine and Scratch, until the test lets
+// go.
+type holdINE struct {
+	GPhi
+	hold <-chan struct{}
+}
+
+func (e holdINE) Dist(p graph.NodeID, k int, agg Aggregate) (float64, bool) {
+	<-e.hold
+	return e.GPhi.Dist(p, k, agg)
+}
+
+// poolEnv is a small graph and a validated query over it.
+func poolEnv(t *testing.T) (*graph.Graph, Query) {
+	t.Helper()
 	g, err := graph.Generate(graph.GenConfig{Nodes: 60, Seed: 2, Name: "pool"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := NewBoundedEnginePool("INE", 2, PoolLimits{}, func() GPhi { return NewINE(g) })
-	a, b, c := p.Get(), p.Get(), p.Get()
-	if created, _, _ := p.Stats(); created != 3 {
-		t.Fatalf("created %d, want 3", created)
+	q := Query{P: []graph.NodeID{1, 2, 3}, Q: []graph.NodeID{4, 5}, Phi: 1}
+	if err := q.Validate(g); err != nil {
+		t.Fatal(err)
 	}
-	p.Put(a)
-	p.Put(b)
-	p.Put(c) // beyond capacity: dropped
-	if _, _, idle := p.Stats(); idle != 2 {
-		t.Fatalf("idle %d, want capacity 2", idle)
+	return g, q
+}
+
+// holdPool returns a pool of holdINE engines under limits and the channel
+// whose closing lets their Runs finish.
+func holdPool(g *graph.Graph, capacity int, limits PoolLimits) (*EnginePool, chan struct{}) {
+	hold := make(chan struct{})
+	return NewBoundedEnginePool("INE", capacity, limits, func() GPhi { return holdINE{NewINE(g), hold} }), hold
+}
+
+// runHeld starts n Runs of q on p, each in its own goroutine, and
+// returns a channel that yields each one's error.
+func runHeld(p *EnginePool, g *graph.Graph, q Query, n int) <-chan error {
+	errs := make(chan error, n)
+	for i := 0; i < n; i++ {
+		go func() {
+			_, err := p.Run(context.Background(), g, "gd", q, 1, nil)
+			errs <- err
+		}()
 	}
-	got := p.Get()
-	if got != b && got != a {
-		t.Fatal("Get did not reuse a pooled engine")
-	}
-	if _, reused, _ := p.Stats(); reused != 1 {
-		t.Fatalf("reused %d, want 1", reused)
-	}
-	p.Put(nil) // no-op
-	if _, _, idle := p.Stats(); idle != 1 {
-		t.Fatalf("idle after nil Put: %d, want 1", idle)
+	return errs
+}
+
+// waitRuns fails unless n Runs report no error.
+func waitRuns(t *testing.T, errs <-chan error, n int) {
+	t.Helper()
+	for i := 0; i < n; i++ {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 
-func TestEnginePoolDefaultCapacity(t *testing.T) {
-	g, err := graph.Generate(graph.GenConfig{Nodes: 60, Seed: 2, Name: "pool"})
-	if err != nil {
+// TestEnginePoolReuseAndBound: three Runs in flight at once build three
+// engines; when they end, the free list keeps capacity 2 of them and drops
+// the third, and the next Run reuses a kept one.
+func TestEnginePoolReuseAndBound(t *testing.T) {
+	g, q := poolEnv(t)
+	p, hold := holdPool(g, 2, PoolLimits{})
+	errs := runHeld(p, g, q, 3)
+	waitFor(t, func() bool { inflight, _, _ := p.Gauges(); return inflight == 3 })
+	if created, _, _ := p.Stats(); created != 3 {
+		t.Fatalf("created %d, want 3", created)
+	}
+	close(hold)
+	waitRuns(t, errs, 3)
+	if _, _, idle := p.Stats(); idle != 2 {
+		t.Fatalf("idle %d, want capacity 2", idle)
+	}
+	if _, err := p.Run(context.Background(), g, "gd", q, 1, nil); err != nil {
 		t.Fatal(err)
 	}
-	p := NewBoundedEnginePool("x", 0, PoolLimits{}, func() GPhi { return NewINE(g) })
-	p.Put(p.Get())
-	if _, _, idle := p.Stats(); idle != 1 {
-		t.Fatalf("capacity 0 kept %d idle engines, want the default to keep 1", idle)
+	if created, reused, idle := p.Stats(); created != 3 || reused != 1 || idle != 2 {
+		t.Fatalf("created %d reused %d idle %d, want 3, 1, 2", created, reused, idle)
+	}
+}
+
+// TestEnginePoolDefaultCapacity: capacity 0 keeps GOMAXPROCS idle
+// engines.
+func TestEnginePoolDefaultCapacity(t *testing.T) {
+	g, q := poolEnv(t)
+	p, hold := holdPool(g, 0, PoolLimits{})
+	n := runtime.GOMAXPROCS(0)
+	errs := runHeld(p, g, q, n+1)
+	waitFor(t, func() bool { inflight, _, _ := p.Gauges(); return inflight == int64(n+1) })
+	close(hold)
+	waitRuns(t, errs, n+1)
+	if _, _, idle := p.Stats(); idle != n {
+		t.Fatalf("capacity 0 kept %d idle engines, want GOMAXPROCS = %d", idle, n)
 	}
 }
 
@@ -67,14 +123,7 @@ func (panickyINE) Dist(graph.NodeID, int, Aggregate) (float64, bool) { panic("bo
 // and comes back as ErrEnginePanic with the panic's value and no stack,
 // and either way the admission slot is freed.
 func TestEnginePoolRunDiscardsOnPanic(t *testing.T) {
-	g, err := graph.Generate(graph.GenConfig{Nodes: 60, Seed: 2, Name: "pool"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	q := Query{P: []graph.NodeID{1, 2, 3}, Q: []graph.NodeID{4, 5}, Phi: 1}
-	if err := q.Validate(g); err != nil {
-		t.Fatal(err)
-	}
+	g, q := poolEnv(t)
 	limits := PoolLimits{MaxInFlight: 1}
 	ok := NewBoundedEnginePool("INE", 1, limits, func() GPhi { return NewINE(g) })
 	if _, err := ok.Run(context.Background(), g, "gd", q, 1, nil); err != nil {
@@ -96,8 +145,8 @@ func TestEnginePoolRunDiscardsOnPanic(t *testing.T) {
 }
 
 // TestEnginePoolConcurrentHammer is the concurrent-correctness test of the
-// pool architecture: many goroutines check engines out of shared pools and
-// run randomized FANN_R queries; every answer must match the sequential
+// pool architecture: many goroutines run randomized FANN_R queries through
+// shared pools; every answer must match the sequential
 // brute-force reference. Run it under -race to certify the checkout
 // contract (shared immutable indexes, exclusive per-checkout scratch).
 func TestEnginePoolConcurrentHammer(t *testing.T) {
@@ -163,15 +212,11 @@ func TestEnginePoolConcurrentHammer(t *testing.T) {
 				ref := refs[rng.Intn(len(refs))]
 				pi := rng.Intn(len(pools))
 				pool := pools[pi]
-				gp := pool.Get()
-				var got Answer
-				var err error
-				if it%2 == 0 {
-					got, err = first(GD(g, gp, ref.q, 1))
-				} else {
-					got, err = first(RList(g, gp, ref.q, 1))
+				algo := "gd"
+				if it%2 == 1 {
+					algo = "rlist"
 				}
-				pool.Put(gp)
+				got, err := first(pool.Run(context.Background(), g, algo, ref.q, 1, nil))
 				if err != nil {
 					errs <- err
 					return
@@ -209,92 +254,89 @@ func randomNodes(rng *rand.Rand, g *graph.Graph, count int) []graph.NodeID {
 }
 
 // TestBoundedAcquireShedsBeyondQueue pins the admission state machine on
-// a pool with cap 1 and queue depth 1: the first Acquire admits, the
-// second queues, the third sheds immediately with ErrSaturated, and a
-// Release promotes the queued caller.
+// a pool with cap 1 and queue depth 1: the first Run is admitted, the
+// second queues, the third sheds immediately with ErrSaturated, and the
+// first one's end admits the queued one.
 func TestBoundedAcquireShedsBeyondQueue(t *testing.T) {
-	g, err := graph.Generate(graph.GenConfig{Nodes: 60, Seed: 2, Name: "adm"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := NewBoundedEnginePool("INE", 1, PoolLimits{MaxInFlight: 1, QueueDepth: 1},
-		func() GPhi { return NewINE(g) })
+	g, q := poolEnv(t)
+	p, hold := holdPool(g, 1, PoolLimits{MaxInFlight: 1, QueueDepth: 1})
+	errs := runHeld(p, g, q, 1)
+	waitFor(t, func() bool { inflight, _, _ := p.Gauges(); return inflight == 1 })
+	errs2 := runHeld(p, g, q, 1)
+	waitFor(t, func() bool { _, queued, _ := p.Gauges(); return queued == 1 })
 
-	ctx := context.Background()
-	first, err := p.Acquire(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if inflight, _, _ := p.Gauges(); inflight != 1 {
-		t.Fatalf("inflight %d, want 1", inflight)
-	}
-
-	// Second caller occupies the one queue slot.
-	queuedGot := make(chan error, 1)
-	go func() {
-		gp, err := p.Acquire(ctx)
-		if err == nil {
-			p.Release(gp)
-		}
-		queuedGot <- err
-	}()
-	waitFor(t, func() bool { _, q, _ := p.Gauges(); return q == 1 })
-
-	// Third caller finds cap and queue full: shed, not blocked.
-	if _, err := p.Acquire(ctx); !errors.Is(err, ErrSaturated) {
-		t.Fatalf("third Acquire returned %v, want ErrSaturated", err)
+	// The third caller finds cap and queue full: shed, not blocked.
+	if _, err := p.Run(context.Background(), g, "gd", q, 1, nil); !errors.Is(err, ErrSaturated) {
+		t.Fatalf("third Run returned %v, want ErrSaturated", err)
 	}
 	if _, _, shed := p.Gauges(); shed != 1 {
 		t.Fatalf("shed gauge %d, want 1", shed)
 	}
 
-	p.Release(first)
-	if err := <-queuedGot; err != nil {
-		t.Fatalf("queued caller got %v after Release, want admission", err)
+	close(hold)
+	waitRuns(t, errs, 1)
+	waitRuns(t, errs2, 1)
+	if created, reused, _ := p.Stats(); created != 1 || reused != 1 {
+		t.Fatalf("created %d reused %d, want the queued Run on the first one's engine", created, reused)
 	}
 	waitFor(t, func() bool { inflight, q, _ := p.Gauges(); return inflight == 0 && q == 0 })
 }
 
-// TestBoundedAcquireHonorsDeadline pins that a queued caller gives up
-// with the context's error when its deadline fires before a slot frees.
+// TestBoundedAcquireHonorsDeadline pins that a queued Run gives up with
+// the context's error when its deadline fires before a slot frees.
 func TestBoundedAcquireHonorsDeadline(t *testing.T) {
-	g, err := graph.Generate(graph.GenConfig{Nodes: 60, Seed: 2, Name: "adm"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := NewBoundedEnginePool("INE", 1, PoolLimits{MaxInFlight: 1, QueueDepth: 4},
-		func() GPhi { return NewINE(g) })
-	held, err := p.Acquire(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer p.Release(held)
+	g, q := poolEnv(t)
+	p, hold := holdPool(g, 1, PoolLimits{MaxInFlight: 1, QueueDepth: 4})
+	errs := runHeld(p, g, q, 1)
+	defer waitRuns(t, errs, 1)
+	defer close(hold)
+	waitFor(t, func() bool { inflight, _, _ := p.Gauges(); return inflight == 1 })
 
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	if _, err := p.Acquire(ctx); !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("queued Acquire returned %v, want DeadlineExceeded", err)
+	if _, err := p.Run(ctx, g, "gd", q, 1, nil); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("queued Run returned %v, want DeadlineExceeded", err)
 	}
 	if time.Since(start) > 2*time.Second {
-		t.Fatal("queued Acquire did not give up at the deadline")
+		t.Fatal("queued Run did not give up at the deadline")
 	}
-	if _, q, _ := p.Gauges(); q != 0 {
-		t.Fatalf("queue gauge %d after deadline, want 0", q)
+	if _, queued, _ := p.Gauges(); queued != 0 {
+		t.Fatalf("queue gauge %d after deadline, want 0", queued)
 	}
 	// An already-dead context never even tries.
 	deadCtx, deadCancel := context.WithCancel(context.Background())
 	deadCancel()
-	if _, err := p.Acquire(deadCtx); !errors.Is(err, context.Canceled) {
-		t.Fatalf("dead-context Acquire returned %v, want Canceled", err)
+	if _, err := p.Run(deadCtx, g, "gd", q, 1, nil); !errors.Is(err, context.Canceled) {
+		t.Fatalf("dead-context Run returned %v, want Canceled", err)
 	}
 }
 
+// poison is the data point a discardINE panics on.
+const poison graph.NodeID = 7
+
+// discardINE is an INE engine that panics when it evaluates poison,
+// first taking itself off the live count: Run discards it, and the next
+// engine may be built as soon as Run frees the slot.
+type discardINE struct {
+	GPhi
+	live *atomic.Int64
+}
+
+func (e discardINE) Dist(p graph.NodeID, k int, agg Aggregate) (float64, bool) {
+	if p == poison {
+		e.live.Add(-1)
+		panic("discarded")
+	}
+	return e.GPhi.Dist(p, k, agg)
+}
+
 // TestBoundedPoolCapsEngineBuilds is the OOM-resistance property: a
-// hammer at 8x the in-flight cap must never cause the factory to build
-// more than MaxInFlight engines, because the factory only runs under an
-// admission token and the free list retains every released engine.
-// Discard is exercised too — a dropped engine frees its slot and the
+// hammer at 8x the in-flight cap must never hold more than MaxInFlight
+// live engines, because the factory only runs under an admission slot
+// and the free list (capacity MaxInFlight) keeps every engine a Run
+// hands back. Discards are exercised too — every seventh Run's query
+// holds the poison point, its engine panics and is dropped, and the
 // replacement build still counts against the same cap.
 func TestBoundedPoolCapsEngineBuilds(t *testing.T) {
 	g, err := graph.Generate(graph.GenConfig{Nodes: 120, Seed: 3, Name: "cap"})
@@ -317,34 +359,33 @@ func TestBoundedPoolCapsEngineBuilds(t *testing.T) {
 					break
 				}
 			}
-			return NewINE(g)
+			return discardINE{NewINE(g), &live}
 		})
 
 	var wg sync.WaitGroup
-	var admitted, shedCount atomic.Int64
+	var admitted, discarded, shedCount atomic.Int64
 	for i := 0; i < goroutines; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
 			for it := 0; it < 30; it++ {
+				q := Query{P: []graph.NodeID{graph.NodeID(10 + (i+it)%100)}, Q: []graph.NodeID{1, 5, 9}, Phi: 0.5}
+				if (i+it)%7 == 0 {
+					q.P = append(q.P, poison)
+				}
 				ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
-				gp, err := p.Acquire(ctx)
+				_, err := p.Run(ctx, g, "gd", q, 1, nil)
 				cancel()
 				switch {
 				case err == nil:
 					admitted.Add(1)
-					gp.Reset([]graph.NodeID{1, 5, 9})
-					_, _ = gp.Dist(graph.NodeID((i+it)%g.NumNodes()), 2, Max)
-					if (i+it)%7 == 0 {
-						live.Add(-1) // engine abandoned for the GC
-						p.Discard()
-					} else {
-						p.Release(gp)
-					}
+				case errors.Is(err, ErrEnginePanic):
+					admitted.Add(1)
+					discarded.Add(1)
 				case errors.Is(err, ErrSaturated) || errors.Is(err, context.DeadlineExceeded):
 					shedCount.Add(1)
 				default:
-					t.Errorf("unexpected Acquire error: %v", err)
+					t.Errorf("unexpected Run error: %v", err)
 					return
 				}
 			}
@@ -355,27 +396,28 @@ func TestBoundedPoolCapsEngineBuilds(t *testing.T) {
 	if got := peak.Load(); got > maxInFlight {
 		t.Fatalf("peak live engines %d, want <= cap %d", got, maxInFlight)
 	}
-	if admitted.Load() == 0 {
-		t.Fatal("hammer admitted nothing")
+	if admitted.Load() == 0 || discarded.Load() == 0 {
+		t.Fatalf("hammer admitted %d and discarded %d, want both", admitted.Load(), discarded.Load())
 	}
 	inflight, queued, _ := p.Gauges()
 	if inflight != 0 || queued != 0 {
 		t.Fatalf("gauges not drained: inflight=%d queued=%d", inflight, queued)
 	}
-	t.Logf("admitted=%d shed=%d peak=%d created=%d",
-		admitted.Load(), shedCount.Load(), peak.Load(), func() int64 { c, _, _ := p.Stats(); return c }())
+	created, _, idle := p.Stats()
+	if idle > maxInFlight || created-discarded.Load() != live.Load() {
+		t.Fatalf("created %d, discarded %d, live %d, idle %d: a discarded engine was kept or a kept one lost",
+			created, discarded.Load(), live.Load(), idle)
+	}
+	t.Logf("admitted=%d discarded=%d shed=%d peak=%d created=%d",
+		admitted.Load(), discarded.Load(), shedCount.Load(), peak.Load(), created)
 }
 
 // TestAcquireFactoryPanicReleasesSlot pins that a factory panic inside
-// Acquire does not leak the admission token or the inflight gauge: the
-// caller's Discard defer only exists after Acquire returns, so without
-// the in-Acquire release every factory panic would permanently shrink
-// MaxInFlight until the pool deadlocks.
+// Run goes on to the caller and does not leak the admission slot or the
+// inflight gauge: without the release every factory panic would
+// permanently shrink MaxInFlight until the pool deadlocks.
 func TestAcquireFactoryPanicReleasesSlot(t *testing.T) {
-	g, err := graph.Generate(graph.GenConfig{Nodes: 60, Seed: 2, Name: "fpanic"})
-	if err != nil {
-		t.Fatal(err)
-	}
+	g, q := poolEnv(t)
 	boom := true
 	p := NewBoundedEnginePool("INE", 1, PoolLimits{MaxInFlight: 1},
 		func() GPhi {
@@ -388,48 +430,36 @@ func TestAcquireFactoryPanicReleasesSlot(t *testing.T) {
 
 	func() {
 		defer func() {
-			if recover() == nil {
-				t.Fatal("Acquire swallowed the factory panic")
+			if rec := recover(); rec != "factory boom" {
+				t.Fatalf("Run recovered %v, want the factory panic to go on", rec)
 			}
 		}()
-		_, _ = p.Acquire(context.Background())
+		_, _ = p.Run(context.Background(), g, "gd", q, 1, nil)
 	}()
 
 	if inflight, _, _ := p.Gauges(); inflight != 0 {
 		t.Fatalf("inflight %d after factory panic, want 0", inflight)
 	}
-	// With QueueDepth 0, a leaked token would make this shed immediately.
-	gp, err := p.Acquire(context.Background())
-	if err != nil {
-		t.Fatalf("Acquire after factory panic: %v — admission slot leaked", err)
+	// With QueueDepth 0, a leaked slot would make this shed immediately.
+	if _, err := p.Run(context.Background(), g, "gd", q, 1, nil); err != nil {
+		t.Fatalf("Run after factory panic: %v — admission slot leaked", err)
 	}
-	p.Release(gp)
 }
 
-// TestUnboundedAcquireDelegates pins that an unbounded pool still
-// admits everything (legacy shape) while tracking the in-flight gauge.
+// TestUnboundedAcquireDelegates pins that an unbounded pool admits every
+// Run while tracking the in-flight gauge.
 func TestUnboundedAcquireDelegates(t *testing.T) {
-	g, err := graph.Generate(graph.GenConfig{Nodes: 60, Seed: 2, Name: "unb"})
-	if err != nil {
-		t.Fatal(err)
+	g, q := poolEnv(t)
+	p, hold := holdPool(g, 2, PoolLimits{})
+	errs := runHeld(p, g, q, 10)
+	waitFor(t, func() bool { inflight, _, _ := p.Gauges(); return inflight == 10 })
+	if _, _, shed := p.Gauges(); shed != 0 {
+		t.Fatalf("shed %d, want 0", shed)
 	}
-	p := NewBoundedEnginePool("INE", 2, PoolLimits{}, func() GPhi { return NewINE(g) })
-	var engines []GPhi
-	for i := 0; i < 10; i++ {
-		gp, err := p.Acquire(context.Background())
-		if err != nil {
-			t.Fatal(err)
-		}
-		engines = append(engines, gp)
-	}
-	if inflight, _, shed := p.Gauges(); inflight != 10 || shed != 0 {
-		t.Fatalf("gauges inflight=%d shed=%d, want 10, 0", inflight, shed)
-	}
-	for _, gp := range engines {
-		p.Release(gp)
-	}
+	close(hold)
+	waitRuns(t, errs, 10)
 	if inflight, _, _ := p.Gauges(); inflight != 0 {
-		t.Fatalf("inflight %d after releases, want 0", inflight)
+		t.Fatalf("inflight %d after the Runs, want 0", inflight)
 	}
 }
 

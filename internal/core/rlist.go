@@ -26,17 +26,12 @@ type expanderPool struct {
 	meta  *pqueue.Heap[int]
 }
 
-// expanders returns the lane pool armed for q: one lane per member of Q
-// streaming the members of P, from the Scratch when the query has one.
+// expanders returns the Scratch's lane pool armed for q: one lane per
+// member of Q streaming the members of P.
 // pSet is an empty graph-sized set the pool fills with P and reads until
 // the search ends; the caller picks one its own loop does not use.
 func (q *Query) expanders(g *graph.Graph, pSet *graph.NodeSet) *expanderPool {
-	var pool *expanderPool
-	if q.Scratch != nil {
-		pool = &q.Scratch.lanes
-	} else {
-		pool = &expanderPool{}
-	}
+	pool := &q.Scratch.lanes
 	if pool.meta == nil {
 		pool.meta = pqueue.NewHeap[int](len(q.Q))
 	}
@@ -116,8 +111,8 @@ func RList(g *graph.Graph, gp GPhi, q Query, k int) ([]Answer, error) {
 func (s *solver) rlist() error {
 	q := &s.q
 	n := s.g.NumNodes()
-	pool := q.expanders(s.g, q.countSet(n))
-	seen := q.seenSet(n)
+	pool := q.expanders(s.g, emptySet(&q.Scratch.counts, n))
+	seen := emptySet(&q.Scratch.seen, n)
 	scratch := q.distBuf(len(q.Q))
 	for {
 		if q.canceled() {

@@ -13,7 +13,7 @@ import (
 // returns the data points in pop order with the distance each was
 // surfaced at.
 func drainLanes(g *graph.Graph, P, Q []graph.NodeID) []sp.Neighbor {
-	q := Query{P: P, Q: Q}
+	q := Query{P: P, Q: Q, Scratch: NewScratch()}
 	pool := q.expanders(g, graph.NewNodeSet(g.NumNodes()))
 	var out []sp.Neighbor
 	for pool.meta.Len() > 0 {

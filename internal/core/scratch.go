@@ -16,17 +16,16 @@ import (
 // batching engines allocate zero heap objects — verified by the
 // testing.AllocsPerRun gates in hotpath_test.go.
 //
-// A Scratch belongs to one query at a time on one goroutine. EnginePool
-// hands one out per engine checkout (EnginePool.GetScratch /
-// PutScratch), which ties its lifetime to the engine's: the pair is
-// reused together and never shared across in-flight requests.
+// A Scratch belongs to one query at a time on one goroutine. An
+// EnginePool keeps one with each engine and Run hands it to the query,
+// so the pair is reused together and never shared across in-flight
+// requests; solve gives a query that carries none a fresh one.
 //
-// Aliasing contract: when Query.Scratch is set, the answer list and
-// every Answer.Subset live in Scratch memory, for every k, and are
-// overwritten by the next query run with the same Scratch. Callers that
-// retain answers past that point must copy the list and its subsets
-// first, as EnginePool.Run does; callers that run one query per checkout
-// need not.
+// Aliasing contract: the answer list and every Answer.Subset live in the
+// query's Scratch, for every k, and are overwritten by the next query run
+// with the same Scratch. Callers that retain answers past that point must
+// copy the list and its subsets first, as EnginePool.Run does; callers
+// that run one query per Scratch need not.
 type Scratch struct {
 	ids     []graph.NodeID             // Validate: sorted-id dedup probe
 	answers []Answer                   // answer list
@@ -45,12 +44,9 @@ type Scratch struct {
 func NewScratch() *Scratch { return &Scratch{} }
 
 // answerBufs returns a list of n answers and an empty buffer of capacity
-// members for their subsets: the Scratch's, grown as needed, or fresh.
+// members for their subsets: the Scratch's, grown as needed.
 func (q *Query) answerBufs(n, members int) ([]Answer, []graph.NodeID) {
 	s := q.Scratch
-	if s == nil {
-		return make([]Answer, n), make([]graph.NodeID, 0, members)
-	}
 	if cap(s.answers) < n {
 		s.answers = make([]Answer, n)
 	}
@@ -62,48 +58,27 @@ func (q *Query) answerBufs(n, members int) ([]Answer, []graph.NodeID) {
 
 // distBuf returns an empty float64 buffer with capacity at least n.
 func (q *Query) distBuf(n int) []float64 {
-	if q.Scratch == nil {
-		return make([]float64, 0, n)
-	}
 	if cap(q.Scratch.dists) < n {
 		q.Scratch.dists = make([]float64, 0, n)
 	}
 	return q.Scratch.dists[:0]
 }
 
-// seenSet returns an empty NodeSet over n nodes for visited-tracking.
-func (q *Query) seenSet(n int) *graph.NodeSet {
-	if q.Scratch == nil {
-		return graph.NewNodeSet(n)
+// emptySet returns *set emptied, or a fresh NodeSet over n nodes in its
+// place when it is missing or too small. The sets are the Scratch's seen
+// (visited-tracking) and counts (payloads as per-node counters).
+func emptySet(set **graph.NodeSet, n int) *graph.NodeSet {
+	if *set == nil || (*set).Cap() < n {
+		*set = graph.NewNodeSet(n)
+	} else {
+		(*set).Reset()
 	}
-	if q.Scratch.seen == nil || q.Scratch.seen.Cap() < n {
-		q.Scratch.seen = graph.NewNodeSet(n)
-		return q.Scratch.seen
-	}
-	q.Scratch.seen.Reset()
-	return q.Scratch.seen
+	return *set
 }
 
-// countSet returns an empty NodeSet over n nodes whose payloads serve as
-// per-node counters.
-func (q *Query) countSet(n int) *graph.NodeSet {
-	if q.Scratch == nil {
-		return graph.NewNodeSet(n)
-	}
-	if q.Scratch.counts == nil || q.Scratch.counts.Cap() < n {
-		q.Scratch.counts = graph.NewNodeSet(n)
-		return q.Scratch.counts
-	}
-	q.Scratch.counts.Reset()
-	return q.Scratch.counts
-}
-
-// dijkstra returns a single-source search bound to g: the Scratch's, when
-// there is one, minted on first use and again if the graph differs.
+// dijkstra returns the Scratch's single-source search bound to g, minted
+// on first use and again if the graph differs.
 func (q *Query) dijkstra(g *graph.Graph) *sp.Dijkstra {
-	if q.Scratch == nil {
-		return sp.NewDijkstra(g)
-	}
 	if q.Scratch.dij == nil || q.Scratch.dij.Graph() != g {
 		q.Scratch.dij = sp.NewDijkstra(g)
 	}

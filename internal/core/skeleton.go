@@ -53,15 +53,11 @@ type topK struct {
 	h    *pqueue.Heap[graph.NodeID] // k > 1: keyed by −distance
 }
 
-// newTopK returns an empty queue of capacity k, reusing the Scratch-held
-// heap when the query carries one.
+// newTopK returns an empty queue of capacity k over the Scratch-held
+// heap.
 func (q *Query) newTopK(k int) topK {
 	t := topK{k: k, best: sp.Neighbor{Node: -1, Dist: math.Inf(1)}}
-	switch {
-	case k == 1:
-	case q.Scratch == nil:
-		t.h = pqueue.NewHeap[graph.NodeID](k)
-	default:
+	if k > 1 {
 		if q.Scratch.top == nil {
 			q.Scratch.top = pqueue.NewHeap[graph.NodeID](k)
 		}
@@ -155,8 +151,9 @@ func (s *solver) eval(p graph.NodeID) {
 }
 
 // solve runs algorithm a and returns the kAns best answers in ascending
-// order of distance. When the query carries a Scratch, the list and every
-// subset live in it (see the aliasing contract on Scratch).
+// order of distance. The list and every subset live in the query's
+// Scratch (see the aliasing contract on Scratch); a query that carries
+// none runs on a fresh one, so its answers are its own.
 func solve(g *graph.Graph, gp GPhi, q Query, a algo, kAns int, rtP *rtree.Tree) ([]Answer, error) {
 	if kAns < 1 {
 		return nil, fmt.Errorf("%w: k-FANN_R needs k >= 1, got %d", ErrInvalid, kAns)
@@ -170,6 +167,9 @@ func solve(g *graph.Graph, gp GPhi, q Query, a algo, kAns int, rtP *rtree.Tree) 
 	}
 	if err := a.checkAgg(q.Agg); err != nil {
 		return nil, err
+	}
+	if q.Scratch == nil {
+		q.Scratch = NewScratch()
 	}
 	ts := q.startSpan(algoSpans[a])
 	defer ts.end()

@@ -13,7 +13,6 @@ import (
 	"fannr/internal/gtree"
 	"fannr/internal/obs"
 	"fannr/internal/phl"
-	"fannr/internal/wire"
 )
 
 // explainServer builds a server over hub labels and a G-tree, serving
@@ -387,7 +386,7 @@ func TestExplainAbandonedMatchesCounter(t *testing.T) {
 	for v := 3; v < g.NumNodes(); v += 7 {
 		req.P = append(req.P, graph.NodeID(v))
 	}
-	var best [2]wire.FANNAnswer
+	var best [2]core.Answer
 	for i, engine := range []string{"PHL", "INE"} {
 		el := obs.L("engine", engine)
 		before := scrapeMetrics(t, ts.URL)

@@ -103,6 +103,38 @@ func TestErrorTaxonomy(t *testing.T) {
 	}
 }
 
+// TestDistUnreachableIsNotFound pins /dist between two components: JSON
+// has no +Inf, so the pair answers the not_found row /fann uses when no
+// data point qualifies, with a body that parses, never a 200 whose body
+// the encoder refused.
+func TestDistUnreachableIsNotFound(t *testing.T) {
+	b := graph.NewBuilder(4)
+	_ = b.AddEdge(0, 1, 1)
+	_ = b.AddEdge(2, 3, 1)
+	g, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := New(g, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	resp, err := http.Post(ts.URL+"/dist", "application/json", strings.NewReader(`{"u":0,"v":3}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var e wire.ErrorResponse
+	if err := json.NewDecoder(resp.Body).Decode(&e); err != nil {
+		t.Fatalf("status %d, body does not parse: %v", resp.StatusCode, err)
+	}
+	if resp.StatusCode != http.StatusNotFound || e.Code != "not_found" || e.Error == "" {
+		t.Fatalf("status %d, body %+v; want 404 not_found with a message", resp.StatusCode, e)
+	}
+}
+
 // TestOversizedBodyIs413 pins the request-size limit: a body over the
 // /dist cap keeps its *http.MaxBytesError identity through decoding and
 // answers 413 with code "too_large", not 400.

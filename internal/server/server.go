@@ -19,6 +19,7 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
+	"math"
 	"net/http"
 	"net/http/pprof"
 	"os"
@@ -64,21 +65,12 @@ type Options struct {
 	QueueDepth int
 	// BreakerThreshold opens an engine's circuit breaker after that many
 	// consecutive failures (panics or internal errors); 0 disables
-	// breaking. While open, requests for that engine follow the Fallback
-	// ladder and /readyz reports 503.
+	// breaking. While open, requests for that engine follow the fallback
+	// ladder (Server.SetFallback) and /readyz reports 503.
 	BreakerThreshold int
 	// BreakerCooldown is how long an open breaker rejects before
 	// admitting a half-open probe (0 = resil.DefaultCooldown).
 	BreakerCooldown time.Duration
-	// Fallback maps an engine name to the next engine to serve from when
-	// its breaker is open (e.g. "PHL" -> "INE"). Chains are followed
-	// transitively; answers served off-ladder are stamped
-	// "degraded": true with the engine that actually answered.
-	Fallback map[string]string
-	// Metrics is the registry /metrics exposes (nil = a fresh private
-	// one). Inject a registry to scrape several servers together or to
-	// read gauges in tests.
-	Metrics *obs.Registry
 	// Pprof mounts net/http/pprof under /debug/pprof/ when set. Off by
 	// default: the profiling surface is for operators, not the open
 	// internet.
@@ -198,21 +190,15 @@ func New(g *graph.Graph, opts Options) (*Server, error) {
 		breakerCooldown:  opts.BreakerCooldown,
 		queryTimeout:     opts.QueryTimeout,
 		started:          time.Now(),
-		reg:              opts.Metrics,
+		reg:              obs.NewRegistry(),
 		logger:           opts.Logger,
 		pprof:            opts.Pprof,
 		ranges:           lifecycle.NewRanges(),
 		slow:             obs.NewSlowLog(slowLogEntries),
 	}
 	s.tier = wire.Tier{Graph: g, Sets: core.NewSetRegistry(), DefaultEngine: wire.DefaultEngine, HasEngine: s.hasEngine}
-	if s.reg == nil {
-		s.reg = obs.NewRegistry()
-	}
 	if s.logger == nil {
 		s.logger = slog.New(discardLogs{})
-	}
-	for from, to := range opts.Fallback {
-		s.fallback[from] = to
 	}
 	s.dist.New = func() any { return sp.NewDijkstra(g) }
 	s.distGate = core.NewGate("dist", s.limits)
@@ -286,9 +272,12 @@ func (s *Server) Engines() []string {
 	return names
 }
 
-// SetFallback replaces the fallback ladder. Every edge must point
-// between registered engines; like AddEngine it is rejected once
-// Handler has frozen the server.
+// SetFallback replaces the fallback ladder: each edge maps an engine
+// name to the next engine to serve from when its breaker is open (e.g.
+// "PHL" -> "INE"). Chains are followed transitively; answers served
+// off-ladder are stamped "degraded": true with the engine that actually
+// answered. Every edge must point between registered engines; like
+// AddEngine it is rejected once Handler has frozen the server.
 func (s *Server) SetFallback(ladder map[string]string) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -564,5 +553,11 @@ func (s *Server) handleDist(w http.ResponseWriter, r *http.Request) {
 	d := s.dist.Get().(*sp.Dijkstra)
 	dist := d.Dist(req.U, req.V)
 	s.dist.Put(d)
+	if math.IsInf(dist, 1) {
+		// JSON has no +Inf: an unreachable pair answers the not_found row,
+		// as a /fann request no data point can serve does.
+		wire.WriteError(w, fmt.Errorf("%w: node %d does not reach node %d", core.ErrNoResult, req.U, req.V))
+		return
+	}
 	wire.WriteJSON(w, http.StatusOK, map[string]float64{"dist": dist})
 }

@@ -71,17 +71,14 @@ func AppendShardResponse(dst []byte, r *ShardResponse) (out []byte, ok bool) {
 	return append(dst, '}'), true
 }
 
-// FANNAnswer is one result of a /fann call: an answer as core returns it.
-type FANNAnswer = core.Answer
-
 // FANNResponse is fannr-server's /fann reply: Engine is the pool that
 // answered, Degraded marks a fallback answer, Explain the asked-for trace.
 type FANNResponse struct {
-	Answers  []FANNAnswer `json:"answers"`
-	Micros   int64        `json:"micros"`
-	Engine   string       `json:"engine"`
-	Degraded bool         `json:"degraded,omitempty"`
-	Explain  *obs.Report  `json:"explain,omitempty"`
+	Answers  []core.Answer `json:"answers"`
+	Micros   int64         `json:"micros"`
+	Engine   string        `json:"engine"`
+	Degraded bool          `json:"degraded,omitempty"`
+	Explain  *obs.Report   `json:"explain,omitempty"`
 }
 
 // AppendFANNResponse appends r as json.NewEncoder(w).Encode writes it,

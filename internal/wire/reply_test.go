@@ -11,6 +11,7 @@ import (
 	"strconv"
 	"testing"
 
+	"fannr/internal/core"
 	"fannr/internal/graph"
 	"fannr/internal/obs"
 )
@@ -37,10 +38,10 @@ func checkReplyAppend(t *testing.T, resp *FANNResponse) {
 }
 
 // replyAnswers is k answers whose subsets hold m ids each.
-func replyAnswers(rng *rand.Rand, k, m int) []FANNAnswer {
-	out := make([]FANNAnswer, k)
+func replyAnswers(rng *rand.Rand, k, m int) []core.Answer {
+	out := make([]core.Answer, k)
 	for i := range out {
-		out[i] = FANNAnswer{P: graph.NodeID(rng.Intn(16865)), Dist: rng.Float64() * 1e5, Subset: make([]graph.NodeID, m)}
+		out[i] = core.Answer{P: graph.NodeID(rng.Intn(16865)), Dist: rng.Float64() * 1e5, Subset: make([]graph.NodeID, m)}
 		for j := range out[i].Subset {
 			out[i].Subset[j] = graph.NodeID(rng.Intn(16865))
 		}
@@ -62,10 +63,10 @@ func replySeeds() []*FANNResponse {
 	tr.Root().End()
 	return []*FANNResponse{
 		{Engine: "PHL", Micros: 3},
-		{Answers: []FANNAnswer{{P: 4, Dist: 12.5}, {P: 9, Dist: 0, Subset: []graph.NodeID{}}}, Engine: "INE", Micros: 40},
-		{Answers: []FANNAnswer{{P: 7, Dist: 1.0 / 3, Subset: []graph.NodeID{1, 2}}}, Engine: "INE", Micros: 88, Degraded: true},
+		{Answers: []core.Answer{{P: 4, Dist: 12.5}, {P: 9, Dist: 0, Subset: []graph.NodeID{}}}, Engine: "INE", Micros: 40},
+		{Answers: []core.Answer{{P: 7, Dist: 1.0 / 3, Subset: []graph.NodeID{1, 2}}}, Engine: "INE", Micros: 88, Degraded: true},
 		{Answers: replyAnswers(rand.New(rand.NewSource(5)), 5, 128), Engine: "IER-PHL", Micros: 61},
-		{Answers: []FANNAnswer{{P: 11, Dist: 250.75, Subset: []graph.NodeID{3}}}, Engine: "PHL", Micros: 9, Explain: tr.Report()},
+		{Answers: []core.Answer{{P: 11, Dist: 250.75, Subset: []graph.NodeID{3}}}, Engine: "PHL", Micros: 9, Explain: tr.Report()},
 	}
 }
 
@@ -75,8 +76,8 @@ func replySeeds() []*FANNResponse {
 // a 500, not a 200 with a cut body.
 func TestWriteFANNResponse(t *testing.T) {
 	for _, r := range append(replySeeds(),
-		&FANNResponse{Answers: []FANNAnswer{{P: 1, Dist: 1e-7}}, Engine: "PHL"},
-		&FANNResponse{Answers: []FANNAnswer{{P: 1, Dist: 2}}, Engine: "<PHL>"}) {
+		&FANNResponse{Answers: []core.Answer{{P: 1, Dist: 1e-7}}, Engine: "PHL"},
+		&FANNResponse{Answers: []core.Answer{{P: 1, Dist: 2}}, Engine: "<PHL>"}) {
 		var want bytes.Buffer
 		if err := json.NewEncoder(&want).Encode(r); err != nil {
 			t.Fatal(err)
@@ -94,7 +95,7 @@ func TestWriteFANNResponse(t *testing.T) {
 		}
 	}
 	rr := httptest.NewRecorder()
-	WriteFANNResponse(rr, &FANNResponse{Answers: []FANNAnswer{{P: 1, Dist: math.Inf(1)}}, Engine: "PHL"})
+	WriteFANNResponse(rr, &FANNResponse{Answers: []core.Answer{{P: 1, Dist: math.Inf(1)}}, Engine: "PHL"})
 	var e ErrorResponse
 	if err := json.Unmarshal(rr.Body.Bytes(), &e); rr.Code != http.StatusInternalServerError || err != nil || e.Code != "internal" {
 		t.Fatalf("unencodable reply: %d %q", rr.Code, rr.Body.Bytes())

@@ -168,7 +168,7 @@ func TestShardAppendEdges(t *testing.T) {
 		math.MaxFloat64, math.SmallestNonzeroFloat64, math.NaN(), math.Inf(1), math.Inf(-1), 1.0 / 3} {
 		checkRequestAppend(t, &FANNRequest{P: []graph.NodeID{1}, Q: []graph.NodeID{}, Phi: f, K: -4})
 		checkResponseAppend(t, &ShardResponse{Answers: []core.Answer{{P: -7, Dist: f, Subset: []graph.NodeID{3}}}})
-		checkReplyAppend(t, &FANNResponse{Answers: []FANNAnswer{{P: -7, Dist: f}}, Degraded: true})
+		checkReplyAppend(t, &FANNResponse{Answers: []core.Answer{{P: -7, Dist: f}}, Degraded: true})
 	}
 	for _, s := range []string{"", "PHL", "IER-A*", "a b", `a"b`, `a\b`, "<x>", "a&b", "é", "a\x00b", "a\x7fb", "\xff"} {
 		checkRequestAppend(t, &FANNRequest{Agg: s, Algo: s, Engine: s})

@@ -29,7 +29,7 @@ var unreachedAllowed = map[string]string{
 	"server.Server.AddEngine": "the seam tests use to inject fake and chaos engines into a running server",
 	"shard.codecError.Is":     "errors.Is calls it through an interface the standard library does not export",
 	"binio.mmapSupported":     "platform constant: true under unix, false elsewhere, read by the mapping tests",
-	"core.SetUntracked":       "the zero value of SetState: a result whose sets were never looked up",
+	"core.SetUntracked":       "the zero value of SetSight: a result whose sets were never looked up",
 	"graph.SplitEdge":         "the paper's §II-A convention that a point on an edge is a node; tests check it",
 	"obs.ParseExposition":     "the exposition parser other packages' tests import to scrape /metrics",
 	"obs.ParseExemplars":      "the exposition parser other packages' tests import to scrape /metrics",
