@@ -47,8 +47,10 @@ reach:
 	$(GO) test -count=1 -run '^TestReachable' .
 
 ## Report-only size of the code: non-test Go lines outside bench/, flag
-## registrations per binary, exported names of the fannr facade, then
-## every non-test function over 80 lines, longest first. The function
+## registrations per binary, exported names of the fannr facade, the
+## lines of the three documents that restate the design (README, DESIGN
+## and the verify skill), then every non-test function over 80 lines,
+## longest first. The function
 ## walk reads gofmt'd source, where a top-level func opens with "func "
 ## and ends at the first "}" in column one.
 GOSRC = find . -name '*.go' ! -name '*_test.go' -not -path './bench/*' | sort
@@ -56,6 +58,7 @@ loc:
 	@$(GOSRC) | xargs cat | wc -l | awk '{ print "non-test Go outside bench/: " $$1 " lines" }'
 	@for d in cmd/*/; do printf '%5d flags  %s\n' $$(cat $${d}main.go | grep -cE '(flag|fs)\.(String|Bool|Int|Int64|Float64|Duration)(Var)?\(') $$d; done
 	@$(GO) doc -all fannr | grep -cE '^(func|type|var|const) [A-Z]|^	[A-Z][A-Za-z0-9]* +=' | awk '{ print "fannr facade exports: " $$1 }'
+	@for f in README.md DESIGN.md .claude/skills/verify/SKILL.md; do printf '%5d doc lines  %s\n' $$(wc -l < $$f) $$f; done
 	@$(GOSRC) | xargs awk '/^func /{ start = FNR; name = $$0; sub(/ *\{$$/, "", name) } \
 		/^}/ && start { if (FNR - start >= 80) printf "%5d  %s:%d  %s\n", FNR - start + 1, FILENAME, start, name; start = 0 }' \
 		| sort -rn
@@ -81,7 +84,7 @@ figures:
 ## In-process microbenchmarks bench/ has no rung for: pooled lock-free
 ## request path vs the serialized baseline across core counts, parallel
 ## index-construction speedup, GD with the Stats hook disabled (nil
-## pointer tests only — the DESIGN §11 budget) vs enabled, and the bind of
+## pointer tests only — the DESIGN §15 budget) vs enabled, and the bind of
 ## Q kept in view: a PHL / IER-PHL evaluation as a request pays for it,
 ## and IER-PHL's whole dispatch over algo_mix's d × M × φ grid against
 ## the Euclidean restriction it replaced (evals/op says how few

@@ -54,6 +54,10 @@ var (
 	// A name right after a dot is a path into something else
 	// (`indexes.phl.label_entries` in /meta).
 	benchName = regexp.MustCompile(`(?:^|[^\w.])([a-z][a-z0-9]*)\.([a-z0-9]+_\w*(?:\.[\w-]+)*)`)
+	// A citation of a DESIGN section, `DESIGN §9` or `DESIGN.md §17`,
+	// perhaps broken over a comment line; and a section heading there.
+	designCite    = regexp.MustCompile(`DESIGN(?:\.md)?(?:\s|#)+§\s*(\d+)`)
+	designHeading = regexp.MustCompile(`(?m)^## (\d+)\. `)
 )
 
 // goFlags are the go and go test flags the documents pass in their
@@ -69,15 +73,19 @@ var goFlags = map[string]bool{
 // every test, benchmark and fuzz target anywhere in the repository; every
 // name declared anywhere or spelled as a string by a program (an engine,
 // a dataset); the flags the binaries register; and the experiment ids.
+// It also holds DESIGN.md's section numbers and the citations of them in
+// program comments that name none.
 type goIndex struct {
-	decls   map[string]map[string]bool
-	members map[string]map[string]bool // "pkg.Type" → methods and fields
-	tests   map[string]bool
-	names   map[string]bool
-	flags   map[string]bool
-	exps    map[string]bool
-	metrics []string // the families of scrapedFamilies
-	bench   []string // BENCHMARK.json's per_layer and end_to_end names
+	decls    map[string]map[string]bool
+	members  map[string]map[string]bool // "pkg.Type" → methods and fields
+	tests    map[string]bool
+	names    map[string]bool
+	flags    map[string]bool
+	exps     map[string]bool
+	metrics  []string        // the families of scrapedFamilies
+	bench    []string        // BENCHMARK.json's per_layer and end_to_end names
+	sections map[string]bool // the numbers of DESIGN.md's section headings
+	goCites  []string        // DESIGN § citations in program comments that head no section
 }
 
 func indexRepo(t *testing.T, root string) *goIndex {
@@ -85,13 +93,20 @@ func indexRepo(t *testing.T, root string) *goIndex {
 	idx := &goIndex{
 		decls: map[string]map[string]bool{}, members: map[string]map[string]bool{}, tests: map[string]bool{},
 		names: map[string]bool{}, flags: map[string]bool{}, exps: map[string]bool{"all": true},
-		metrics: scrapedFamilies(t), bench: benchMetrics(t, root),
+		metrics: scrapedFamilies(t), bench: benchMetrics(t, root), sections: map[string]bool{},
+	}
+	design, err := os.ReadFile(filepath.Join(root, "DESIGN.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, m := range designHeading.FindAllStringSubmatch(string(design), -1) {
+		idx.sections[m[1]] = true
 	}
 	for _, id := range fannr.ExperimentIDs() {
 		idx.exps[id] = true
 	}
 	fset := token.NewFileSet()
-	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+	err = filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
 		switch {
 		case err != nil:
 			return err
@@ -100,15 +115,23 @@ func indexRepo(t *testing.T, root string) *goIndex {
 		case d.IsDir() || !strings.HasSuffix(path, ".go"):
 			return nil
 		}
-		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		f, err := parser.ParseFile(fset, path, nil, parser.ParseComments|parser.SkipObjectResolution)
 		if err != nil {
 			return err
+		}
+		program := !strings.HasSuffix(path, "_test.go")
+		for _, cg := range f.Comments {
+			for _, cite := range idx.staleCitations(cg.Text()) {
+				if program {
+					idx.goCites = append(idx.goCites, fset.Position(cg.Pos()).String()+": "+cite)
+				}
+			}
 		}
 		pkg := strings.TrimSuffix(f.Name.Name, "_test")
 		if filepath.Dir(path) == filepath.Clean(root) {
 			pkg = "fannr"
 		}
-		idx.file(pkg, f, !strings.HasSuffix(path, "_test.go"))
+		idx.file(pkg, f, program)
 		if rel, _ := filepath.Rel(root, path); rel == filepath.Join("bench", "main.go") ||
 			filepath.Base(path) == "main.go" && filepath.Dir(filepath.Dir(rel)) == "cmd" {
 			idx.registeredFlags(f)
@@ -352,8 +375,21 @@ func (idx *goIndex) scraped(name string) bool {
 	return false
 }
 
-// stale returns every name in the inline code of doc — fenced blocks
-// are shell sessions and are not read — that does not resolve: a dotted
+// staleCitations returns every DESIGN § citation in text, prose and
+// code alike, whose number heads no section of DESIGN.md.
+func (idx *goIndex) staleCitations(text string) []string {
+	var out []string
+	for _, m := range designCite.FindAllStringSubmatch(text, -1) {
+		if !idx.sections[m[1]] {
+			out = append(out, "DESIGN §"+m[1])
+		}
+	}
+	return out
+}
+
+// stale returns every DESIGN § citation in doc that names no section, and
+// every name in its inline code — fenced blocks are shell sessions and
+// are not read — that does not resolve: a dotted
 // name on a repository package that package does not declare, a test,
 // benchmark or fuzz target no test file defines, a flag no binary
 // registers (go's own aside), an experiment id exp.Registry lacks, a
@@ -361,7 +397,7 @@ func (idx *goIndex) scraped(name string) bool {
 // family no scrape exposes, or a benchmark metric BENCHMARK.json does not
 // declare.
 func (idx *goIndex) stale(doc string) []string {
-	var out []string
+	out := idx.staleCitations(doc)
 	for _, span := range inlineCode.FindAllString(fence.ReplaceAllString(doc, ""), -1) {
 		for _, m := range dotted.FindAllStringSubmatch(span, -1) {
 			pkg, name, member := m[1], m[2], m[3]
@@ -407,11 +443,12 @@ func (idx *goIndex) stale(doc string) []string {
 	return out
 }
 
-// TestDocsNameRealCode holds the inline code of the hand-written
-// documents to the code (make docs-lint): every dotted Go name on a
-// repository package, every test, benchmark or fuzz target, every flag,
-// every `-exp` id, every bare exported name, every metric family and
-// every benchmark metric they name must exist.
+// TestDocsNameRealCode holds the hand-written documents to the code (make
+// docs-lint): every DESIGN § citation they make must head a section of
+// DESIGN.md, and every dotted Go name on a repository package, every
+// test, benchmark or fuzz target, every flag, every `-exp` id, every bare
+// exported name, every metric family and every benchmark metric their
+// inline code names must exist.
 func TestDocsNameRealCode(t *testing.T) {
 	idx := indexRepo(t, ".")
 	for _, doc := range lintedDocs {
@@ -422,6 +459,23 @@ func TestDocsNameRealCode(t *testing.T) {
 		for _, name := range idx.stale(string(b)) {
 			t.Errorf("%s: `%s` names nothing in the code", doc, name)
 		}
+	}
+}
+
+// TestDocsCiteRealSections holds the comments of the non-test Go files
+// and the Makefile to DESIGN.md's section numbers: a DESIGN § citation
+// there must head a section, as one in the documents must.
+func TestDocsCiteRealSections(t *testing.T) {
+	idx := indexRepo(t, ".")
+	makefile, err := os.ReadFile("Makefile")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, cite := range idx.staleCitations(string(makefile)) {
+		t.Errorf("Makefile: %s heads no section of DESIGN.md", cite)
+	}
+	for _, cite := range idx.goCites {
+		t.Errorf("%s heads no section of DESIGN.md", cite)
 	}
 }
 
@@ -452,6 +506,8 @@ func TestDocsLintCatchesStaleNames(t *testing.T) {
 		{"`fannr_sets_{hits,\nfills}_total` and `fannr_requests_total{route=\"fann\"}`", nil},
 		{"a stale `fannr_batch_wait_seconds`", []string{"fannr_batch_wait_seconds"}},
 		{"`fannr_sets_{hits,waits}_total`, `fannr_batch_*`", []string{"fannr_sets_{hits,waits}_total", "fannr_batch_*"}},
+		{"DESIGN §1, `DESIGN.md §2` and a DESIGN.md\n// §3 broken over a comment line", nil},
+		{"a stale DESIGN §99 beside DESIGN.md §1", []string{"DESIGN §99"}},
 	} {
 		if got := idx.stale(tc.doc); strings.Join(got, " ") != strings.Join(tc.want, " ") {
 			t.Errorf("%q: stale %q, want %q", tc.doc, got, tc.want)

@@ -242,7 +242,7 @@ func TestStatsDisabledZeroAlloc(t *testing.T) {
 // Benchmarks for the overhead guard (`make bench-overhead`): GD over the
 // same environment with the Stats hook disabled vs. enabled. The disabled
 // path is a handful of nil pointer tests per query and must stay within
-// the §11 budget (< 3% vs. an uninstrumented build; in practice ~0).
+// the DESIGN §15 budget (< 3% vs. an uninstrumented build; in practice ~0).
 func benchGD(b *testing.B, st *Stats) {
 	g, err := graph.Generate(graph.GenConfig{Nodes: 500, Seed: 99, Name: "bench"})
 	if err != nil {

@@ -36,10 +36,9 @@ func diagnostics(e *Env) ([]*Table, error) {
 			var st core.Stats
 			runs := 0
 			for qi := range insts {
-				inst := &insts[qi]
-				inst.query.Agg = a.agg
-				inst.query.Stats = &st
-				if _, err := a.run(e.G, a.gp, inst, 1); err == nil {
+				q := insts[qi].query
+				q.Agg, q.Scratch, q.Stats = a.agg, a.scratch, &st
+				if _, err := a.run(e.G, a.gp, insts[qi].rtP, q, 1); err == nil {
 					runs++
 				}
 			}

@@ -6,11 +6,11 @@ import (
 	"reflect"
 	"slices"
 	"strings"
-	"sync/atomic"
 	"testing"
 	"time"
 
 	"fannr/internal/core"
+	"fannr/internal/workload"
 )
 
 func tinyConfig() Config {
@@ -197,31 +197,52 @@ func TestEngines(t *testing.T) {
 }
 
 func TestTimedRun(t *testing.T) {
-	var flag atomic.Bool
-	d, dnf, err := timedRun(func() error { return nil }, time.Second, &flag)
+	var q core.Query
+	d, dnf, err := timedRun(&q, time.Second, func() error { return nil })
 	if dnf || err != nil || d > time.Second {
 		t.Fatalf("fast run: d=%v dnf=%v err=%v", d, dnf, err)
 	}
-	// A cooperative long-runner: spins until the cancel flag trips, then
-	// returns ErrCanceled — exactly what the core algorithms do.
-	var flag2 atomic.Bool
-	_, dnf, err = timedRun(func() error {
-		for !flag2.Load() {
+	// A cooperative long-runner: polls the query's cancel hook until the
+	// deadline trips it, then returns ErrCanceled — exactly what the core
+	// algorithms do.
+	d, dnf, err = timedRun(&q, 20*time.Millisecond, func() error {
+		for !q.Cancel() {
 			time.Sleep(time.Millisecond)
 		}
 		return core.ErrCanceled
-	}, 20*time.Millisecond, &flag2)
-	if !dnf || err != nil {
-		t.Fatalf("overrun not detected: dnf=%v err=%v", dnf, err)
-	}
-	if !flag2.Load() {
-		t.Fatal("cancel flag never tripped")
+	})
+	if !dnf || err != nil || d != 20*time.Millisecond {
+		t.Fatalf("overrun not detected: d=%v dnf=%v err=%v", d, dnf, err)
 	}
 	wantErr := errors.New("boom")
-	var flag3 atomic.Bool
-	_, dnf, err = timedRun(func() error { return wantErr }, time.Second, &flag3)
+	_, dnf, err = timedRun(&q, time.Second, func() error { return wantErr })
 	if dnf || !errors.Is(err, wantErr) {
 		t.Fatalf("error not propagated: dnf=%v err=%v", dnf, err)
+	}
+}
+
+// TestTimedRListAllocs: a series runs on its own Scratch, as a served
+// query runs on its engine's, so a warm timed R-List query allocates only
+// its deadline binding and the answer, not |Q| expansion lanes and two
+// graph-sized node sets (hundreds of objects at M = 128).
+func TestTimedRListAllocs(t *testing.T) {
+	e, err := NewEnv(tinyConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	specs, err := e.build([]algoSpec{{name: "R-List", agg: core.Max, engine: "PHL", run: rlist}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	inst := &e.generate(workload.DefaultParams())[0]
+	run := func() {
+		if _, dnf, err := e.timeOne(&specs[0], inst, 1, time.Minute); dnf || err != nil {
+			t.Fatalf("timed R-List: dnf=%v err=%v", dnf, err)
+		}
+	}
+	run()
+	if allocs := testing.AllocsPerRun(10, run); allocs > 40 {
+		t.Fatalf("a warm timed R-List run allocates %.0f objects, want <= 40 (|Q| = %d)", allocs, len(inst.query.Q))
 	}
 }
 

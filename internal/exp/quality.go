@@ -42,15 +42,19 @@ func (t *Table) pushRatios(ratios []float64) {
 	t.push(Cell{Value: mean}, Cell{Value: std}, Cell{Value: worst})
 }
 
+// measureRatios runs each side on a Scratch of its own, where its answer
+// stays until the two are compared.
 func (e *Env) measureRatios(insts []workloadInstance, exact, apx core.GPhi) []float64 {
 	var ratios []float64
+	exactScratch, apxScratch := core.NewScratch(), core.NewScratch()
 	for qi := range insts {
 		q := insts[qi].query
-		q.Agg = core.Sum
+		q.Agg, q.Scratch = core.Sum, exactScratch
 		want, err := core.IERKNN(e.G, insts[qi].rtP, exact, q, 1)
 		if err != nil {
 			continue
 		}
+		q.Scratch = apxScratch
 		got, err := core.APXSum(e.G, apx, q, 1)
 		if err != nil {
 			continue

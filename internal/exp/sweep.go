@@ -1,10 +1,10 @@
 package exp
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"slices"
-	"sync/atomic"
 	"time"
 
 	"fannr/internal/core"
@@ -112,13 +112,14 @@ func byEngineAndAll(fig string, x axis) func(*Env) ([]*Table, error) {
 	)
 }
 
-// entry is an algorithm entry point over a workload instance.
-type entry func(g *graph.Graph, gp core.GPhi, inst *workloadInstance, k int) ([]core.Answer, error)
+// entry is an algorithm entry point over a workload instance's query and
+// its R-tree over P.
+type entry func(g *graph.Graph, gp core.GPhi, rtP *rtree.Tree, q core.Query, k int) ([]core.Answer, error)
 
-// onQuery is an entry point that reads only the instance's query.
+// onQuery is an entry point that reads only the query.
 func onQuery(f func(*graph.Graph, core.GPhi, core.Query, int) ([]core.Answer, error)) entry {
-	return func(g *graph.Graph, gp core.GPhi, inst *workloadInstance, k int) ([]core.Answer, error) {
-		return f(g, gp, inst.query, k)
+	return func(g *graph.Graph, gp core.GPhi, _ *rtree.Tree, q core.Query, k int) ([]core.Answer, error) {
+		return f(g, gp, q, k)
 	}
 }
 
@@ -128,46 +129,51 @@ var (
 	exactMax = onQuery(core.ExactMax)
 	apxSum   = onQuery(core.APXSum)
 	// ierKNN reads the instance's R-tree, built outside the timed region.
-	ierKNN entry = func(g *graph.Graph, gp core.GPhi, inst *workloadInstance, k int) ([]core.Answer, error) {
-		return core.IERKNN(g, inst.rtP, gp, inst.query, k)
+	ierKNN entry = func(g *graph.Graph, gp core.GPhi, rtP *rtree.Tree, q core.Query, k int) ([]core.Answer, error) {
+		return core.IERKNN(g, rtP, gp, q, k)
 	}
 )
 
 // algoSpec is one series: a named algorithm run on its own private
-// instance of the named engine (build makes it). Engines must not be
-// shared between specs — a run that overruns its budget is abandoned
-// mid-flight, poisoning its engine's scratch state.
+// instance of the named engine and its own Scratch (build makes both), as
+// a served query runs on the engine and Scratch it checked out.
 type algoSpec struct {
-	name   string
-	agg    core.Aggregate
-	engine string
-	run    entry
-	gp     core.GPhi
+	name    string
+	agg     core.Aggregate
+	engine  string
+	run     entry
+	gp      core.GPhi
+	scratch *core.Scratch
 }
 
-// timedRun executes run with a wall-clock budget. On overrun it trips the
-// query's cooperative cancel flag and waits for the run to unwind, so no
-// search ever keeps burning CPU behind later measurements.
-func timedRun(run func() error, budget time.Duration, flag *atomic.Bool) (time.Duration, bool, error) {
-	done := make(chan error, 1)
+// timeOne times the series on one instance within budget.
+func (e *Env) timeOne(a *algoSpec, inst *workloadInstance, k int, budget time.Duration) (time.Duration, bool, error) {
+	q := inst.query
+	q.Agg, q.Scratch = a.agg, a.scratch
+	return timedRun(&q, budget, func() error {
+		_, err := a.run(e.G, a.gp, inst.rtP, q, k)
+		return err
+	})
+}
+
+// timedRun times run, a search over q, bound as a served request is: q's
+// cancel hook follows a context whose deadline is the budget, and every
+// algorithm polls it at its loop boundaries. A run the deadline overtakes
+// is reported as the budget and DNF.
+func timedRun(q *core.Query, budget time.Duration, run func() error) (time.Duration, bool, error) {
+	ctx, cancel := context.WithTimeout(context.Background(), budget)
+	defer cancel()
+	stop := q.BindContext(ctx)
+	defer stop()
 	start := time.Now()
-	go func() { done <- run() }()
-	timer := time.NewTimer(budget)
-	defer timer.Stop()
-	select {
-	case err := <-done:
-		if errors.Is(err, core.ErrCanceled) {
-			return budget, true, nil
-		}
+	err := run()
+	if ctx.Err() == nil {
 		return time.Since(start), false, err
-	case <-timer.C:
-		flag.Store(true)
-		err := <-done // join: the algorithms poll the flag at loop boundaries
-		if err != nil && !errors.Is(err, core.ErrCanceled) {
-			return budget, true, err
-		}
-		return budget, true, nil
 	}
+	if errors.Is(err, core.ErrCanceled) {
+		err = nil
+	}
+	return budget, true, err
 }
 
 // timeTable measures every algorithm at every tick, averaging over the
@@ -184,7 +190,7 @@ func (e *Env) timeTable(id, title, xlabel, ylabel string, ticks []tickSpec, inst
 	retired := make([]bool, len(algos))
 	for ti, tick := range ticks {
 		insts := instsPerTick[ti]
-		for ai, algo := range algos {
+		for ai := range algos {
 			if retired[ai] {
 				tbl.Series[ai].Cells = append(tbl.Series[ai].Cells, Cell{DNF: true})
 				continue
@@ -193,20 +199,12 @@ func (e *Env) timeTable(id, title, xlabel, ylabel string, ticks []tickSpec, inst
 			completed := 0
 			var cell Cell
 			for qi := range insts {
-				inst := &insts[qi]
-				inst.query.Agg = algo.agg
 				budget := e.Cfg.Timeout - total
 				if budget <= 0 {
 					cell.DNF = true
 					break
 				}
-				var flag atomic.Bool
-				inst.query.Cancel = flag.Load
-				dur, dnf, err := timedRun(func() error {
-					_, err := algo.run(e.G, algo.gp, inst, max(tick.kAns, 1))
-					return err
-				}, budget, &flag)
-				inst.query.Cancel = nil
+				dur, dnf, err := e.timeOne(&algos[ai], &insts[qi], max(tick.kAns, 1), budget)
 				if dnf {
 					cell.DNF = true
 					break
@@ -260,7 +258,8 @@ func (e *Env) generate(p workload.Params) []workloadInstance {
 
 // --- algorithm sets -----------------------------------------------------
 
-// build gives every spec of a set a private instance of its engine.
+// build gives every spec of a set a private instance of its engine and a
+// Scratch of its own.
 func (e *Env) build(set []algoSpec) ([]algoSpec, error) {
 	specs := slices.Clone(set)
 	for i := range specs {
@@ -268,7 +267,7 @@ func (e *Env) build(set []algoSpec) ([]algoSpec, error) {
 		if err != nil {
 			return nil, err
 		}
-		specs[i].gp = gp
+		specs[i].gp, specs[i].scratch = gp, core.NewScratch()
 	}
 	return specs, nil
 }

@@ -285,10 +285,8 @@ func TestRequestIDsUnique(t *testing.T) {
 
 func TestTraceSpans(t *testing.T) {
 	tr := NewTrace("abc-1")
-	end := tr.Start("decode")
-	end()
-	end = tr.Start("compute")
-	end()
+	tr.StartSpan("decode").End()
+	tr.StartSpan("compute").End()
 	spans := tr.Spans()
 	if len(spans) != 2 || spans[0].Name != "decode" || spans[1].Name != "compute" {
 		t.Fatalf("spans %+v", spans)
@@ -297,7 +295,7 @@ func TestTraceSpans(t *testing.T) {
 		t.Errorf("Dur lookups wrong: %v %v", tr.Dur("compute"), tr.Dur("missing"))
 	}
 	var nilTrace *Trace
-	nilTrace.Start("x")() // must not panic
+	nilTrace.StartSpan("x").End() // must not panic
 	if nilTrace.Spans() != nil || nilTrace.Dur("x") != 0 {
 		t.Error("nil trace not inert")
 	}

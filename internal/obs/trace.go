@@ -83,13 +83,6 @@ func (t *Trace) StartSpan(name string) *Span {
 	return sp
 }
 
-// Start opens a stage and returns the func that closes it — the flat
-// API kept for call sites that never annotate the span.
-func (t *Trace) Start(name string) (end func()) {
-	sp := t.StartSpan(name)
-	return func() { sp.End() }
-}
-
 // End closes the span, records its duration, and pops it off the
 // trace's open stack. Safe on nil; ending twice keeps the first
 // duration.

@@ -74,8 +74,8 @@ func (in *Injector) Wrap(gp core.GPhi) core.GPhi {
 
 // ChaosEngine wraps a GPhi engine and injects panics, error-carrying
 // panics, and latency into Dist and DistBelow while its Injector is
-// armed. Name, Reset and Subset pass through untouched, so pools and
-// algorithms see an ordinary engine.
+// armed. Name, Reset, Subset and BindStats pass through untouched, so
+// pools and algorithms see an ordinary engine.
 type ChaosEngine struct {
 	inner core.GPhi
 	below core.DistBelower // inner's, when it can end an evaluation early
@@ -92,6 +92,9 @@ func (c *ChaosEngine) BindCancel(done <-chan struct{}) {
 	c.done = done
 	core.BindCancel(c.inner, done)
 }
+
+// BindStats binds (or, with nil, unbinds) the inner engine's counts.
+func (c *ChaosEngine) BindStats(s *core.Stats) { core.BindStats(c.inner, s) }
 
 // Name reports the inner engine's name: the wrapper is an invisible
 // fault layer, not a different engine.

@@ -390,3 +390,43 @@ func TestChaosForwardsThreshold(t *testing.T) {
 		t.Fatalf("DistBelow over an engine without the capability = (%v, %v), want Dist's %v", d, ok, want)
 	}
 }
+
+// TestChaosForwardsStats: a disarmed wrapper binds the request's Stats to
+// the engine it wraps, so GD through it counts the settles and abandoned
+// evaluations GD through the bare engine counts; binding nil unbinds the
+// inner engine as well.
+func TestChaosForwardsStats(t *testing.T) {
+	g, err := graph.Generate(graph.GenConfig{Nodes: 300, Seed: 5, Name: "chaos-stats"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var P []graph.NodeID
+	for v := 0; v < g.NumNodes(); v += 3 {
+		P = append(P, graph.NodeID(v))
+	}
+	Q := []graph.NodeID{10, 40, 70, 100, 130}
+	run := func(gp core.GPhi, st *core.Stats) {
+		core.BindStats(gp, st)
+		q := core.Query{P: P, Q: Q, Phi: 0.6, Agg: core.Sum, Stats: st}
+		if _, err := core.GD(g, gp, q, 1); err != nil {
+			t.Fatal(err)
+		}
+		core.BindStats(gp, nil)
+	}
+	var bare, chaos core.Stats
+	run(core.NewINE(g), &bare)
+	inner := core.NewINE(g)
+	run(NewInjector(ChaosConfig{Seed: 1, PanicProb: 1}).Wrap(inner), &chaos)
+	if chaos != bare {
+		t.Fatalf("GD through the disarmed wrapper counted %+v, through the bare engine %+v", chaos, bare)
+	}
+	if bare.Settled == 0 || bare.GPhiAbandoned == 0 {
+		t.Fatalf("the bare engine counted no settles or no abandons (%+v): the comparison shows nothing", bare)
+	}
+	before := chaos
+	inner.Reset(Q)
+	inner.Dist(5, 2, core.Max)
+	if chaos != before {
+		t.Fatalf("the inner engine still counts into the request's Stats after BindStats(nil): %+v, was %+v", chaos, before)
+	}
+}

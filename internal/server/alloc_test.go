@@ -36,7 +36,7 @@ func TestFANNHandlerAllocs(t *testing.T) {
 		maxExactHit, maxComputed float64
 		server                   func() (*Server, *graph.Graph)
 	}{
-		{"built", 54, 85, func() (*Server, *graph.Graph) {
+		{"built", 54, 84, func() (*Server, *graph.Graph) {
 			g, err := graph.Generate(graph.GenConfig{Nodes: 400, Seed: 29, Name: "allocs"})
 			if err != nil {
 				t.Fatal(err)
@@ -53,7 +53,7 @@ func TestFANNHandlerAllocs(t *testing.T) {
 			}
 			return srv, g
 		}},
-		{"file-backed", 55, 87, func() (*Server, *graph.Graph) {
+		{"file-backed", 55, 86, func() (*Server, *graph.Graph) {
 			h := newReloadHarness(t, true, nil, opts)
 			return h.srv, h.g
 		}},

@@ -294,12 +294,12 @@ func (s *Server) compute(c *fannCall) (answers []core.Answer, err error) {
 	// however many swaps land meanwhile. Admission then waits in the pool's
 	// queue up to the deadline; saturation beyond the queue sheds with
 	// 503 + Retry-After.
-	endAdmit := c.tr.Start("admit")
+	admit := c.tr.StartSpan("admit")
 	pinSp := c.tr.StartSpan("pin")
 	pin, err := s.engines[c.served].holder.Acquire()
 	if err != nil {
 		pinSp.End()
-		endAdmit()
+		admit.End()
 		return nil, err
 	}
 	defer pin.Release()
@@ -315,7 +315,7 @@ func (s *Server) compute(c *fannCall) (answers []core.Answer, err error) {
 	var sp *obs.Span
 	var began time.Time
 	answers, err = pool.Run(c.ctx, s.g, c.call.Algo, c.call.Query, c.call.K, func(gp core.GPhi) core.GPhi {
-		endAdmit()
+		admit.End()
 		// The engine's settles count into this request's Stats.
 		core.BindStats(gp, c.stats)
 		core.BindCancel(gp, c.ctx.Done())
@@ -324,7 +324,7 @@ func (s *Server) compute(c *fannCall) (answers []core.Answer, err error) {
 		return gp
 	})
 	if sp == nil { // admission refused: no engine was checked out
-		endAdmit()
+		admit.End()
 		return nil, err
 	}
 	sp.End()

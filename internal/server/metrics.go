@@ -14,7 +14,7 @@ import (
 
 // Metric names exposed on /metrics. They are part of the operational
 // contract: dashboards and the golden scrape test key on them, so renames
-// are breaking changes (DESIGN.md §11 is the catalogue).
+// are breaking changes (DESIGN.md §15 is the catalogue).
 const (
 	mRequestsTotal  = "fannr_requests_total"
 	mRequestSeconds = "fannr_request_seconds"

@@ -4,7 +4,7 @@
 // over the graph behind a versioned JSON-over-HTTP RPC, and a
 // coordinator that fans a query only to shards whose g_φ lower bound
 // beats the running k-th result, merging per-shard top-k lists into an
-// exact global answer. See DESIGN.md §17 for the bound derivation and
+// exact global answer. See DESIGN.md §12 for the bound derivation and
 // the failure semantics.
 package shard
 

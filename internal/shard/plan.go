@@ -239,7 +239,7 @@ func (p *Plan) LowerBound(s int, q graph.NodeID) float64 {
 // (order statistics are monotone under pointwise domination). Pruning a
 // shard whose Bound ≥ the current k-th best g_φ therefore never
 // discards an improving candidate — the exactness argument in DESIGN.md
-// §17.
+// §12.
 func (p *Plan) Bound(s int, Q []graph.NodeID, k int, agg core.Aggregate) float64 {
 	if len(p.groups[s]) == 0 {
 		return math.Inf(1)
