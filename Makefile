@@ -107,7 +107,12 @@ figures:
 ## it, the two rows every PHL request is priced by and bench/ has no rung
 ## for: the bind of one Q at hot_ier's shape (entries/bind is Σ_q |L(q)|)
 ## and the label build itself on NW 1/64 (entries/node, and how much of
-## it went into sampling trees for the hub order).
+## it went into sampling trees for the hub order). Last, the searches
+## that keep their labels in pqueue.IndexedHeap, which bench/ times only
+## inside whole requests and index builds: the heap alone on a Dijkstra
+## push/decrease/pop mix, INE's and A*'s g_φ evaluation, and G-tree's
+## one distance kernel, Dist (DistBatch on one target) against DistBatch
+## over a Q.
 microbench:
 	$(GO) test -run - -bench 'ServerThroughput|DistEndpoint' -cpu 1,2,4,8 \
 		-benchtime 1x ./internal/server/
@@ -122,6 +127,9 @@ microbench:
 	$(GO) test -run - -bench 'GDAbandon/ine' -cpu 1 -benchtime 10x ./internal/core/
 	$(GO) test -run - -bench 'DistBoundPrefix|BindTargets' -cpu 1 -benchtime 20000x ./internal/phl/
 	$(GO) test -run - -bench 'Build$$' -cpu 1 -benchtime 3x ./internal/phl/
+	$(GO) test -run - -bench 'IndexedHeapDijkstraPattern' -cpu 1 -benchtime 20000x ./internal/pqueue/
+	$(GO) test -run - -bench 'GPhiINE$$|GPhiAStar$$' -cpu 1 -benchtime 100x .
+	$(GO) test -run - -bench 'Dist$$' -cpu 1 ./internal/gtree/
 
 ## Tier 3 — race detector over the concurrency-bearing packages
 ## (engine pools, HTTP server, parallel index builds, workload draws) plus

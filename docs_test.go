@@ -47,8 +47,13 @@ var (
 	bareName = regexp.MustCompile(`^([A-Z]\w+)(?:\(.*\))?$`)
 	// A metric family, a set of them or a prefix: `fannr_cache_bytes`,
 	// `fannr_sets_{hits,fills}_total`, `fannr_pool_*`. Labels after the
-	// name (`fannr_index_bytes{index,mem}`) are not part of it.
+	// name (`fannr_index_bytes{index,mem}`) are not part of it: labelKey
+	// reads their keys.
 	metricName = regexp.MustCompile(`fannr(?:_(?:[a-z0-9]+|\{[a-z0-9_,\s]+\}|\*))+`)
+	// The key of each label in a block right after a family's name:
+	// `{index,mem}`, `{outcome="error"}`, `{engine=…}`.
+	labelBlock = regexp.MustCompile(`^\{[^}]*\}`)
+	labelKey   = regexp.MustCompile(`(?:^\{|,)\s*([a-z_]+)`)
 	// A benchmark metric: a lower-case name with an underscore after a
 	// package-like prefix, perhaps with dotted parts (`core.gphi_dist_us.ine`).
 	// A name right after a dot is a path into something else
@@ -80,6 +85,7 @@ type goIndex struct {
 	members  map[string]map[string]bool // "pkg.Type" → methods and fields
 	tests    map[string]bool
 	names    map[string]bool
+	labels   map[string]bool // the keys of obs.L calls in program code
 	flags    map[string]bool
 	exps     map[string]bool
 	metrics  []string        // the families of scrapedFamilies
@@ -92,7 +98,7 @@ func indexRepo(t *testing.T, root string) *goIndex {
 	t.Helper()
 	idx := &goIndex{
 		decls: map[string]map[string]bool{}, members: map[string]map[string]bool{}, tests: map[string]bool{},
-		names: map[string]bool{}, flags: map[string]bool{}, exps: map[string]bool{"all": true},
+		names: map[string]bool{}, labels: map[string]bool{}, flags: map[string]bool{}, exps: map[string]bool{"all": true},
 		metrics: scrapedFamilies(t), bench: benchMetrics(t, root), sections: map[string]bool{},
 	}
 	design, err := os.ReadFile(filepath.Join(root, "DESIGN.md"))
@@ -183,12 +189,26 @@ func (idx *goIndex) registeredFlags(f *ast.File) {
 }
 
 // file indexes one parsed file; literals says whether its string
-// literals count (a program's do, a test's do not).
+// literals and its obs.L label keys count (a program's do, a test's do
+// not).
 func (idx *goIndex) file(pkg string, f *ast.File, literals bool) {
 	ast.Inspect(f, func(n ast.Node) bool {
-		if lit, ok := n.(*ast.BasicLit); ok && literals && lit.Kind == token.STRING {
-			if s, err := strconv.Unquote(lit.Value); err == nil {
+		if !literals {
+			return false
+		}
+		switch n := n.(type) {
+		case *ast.BasicLit:
+			if s, err := strconv.Unquote(n.Value); n.Kind == token.STRING && err == nil {
 				idx.names[s] = true
+			}
+		case *ast.CallExpr:
+			if sel, ok := n.Fun.(*ast.SelectorExpr); ok && sel.Sel.Name == "L" && len(n.Args) == 2 {
+				if x, ok := sel.X.(*ast.Ident); ok && x.Name == "obs" {
+					if lit, ok := n.Args[0].(*ast.BasicLit); ok && lit.Kind == token.STRING {
+						key, _ := strconv.Unquote(lit.Value)
+						idx.labels[key] = true
+					}
+				}
 			}
 		}
 		return true
@@ -394,8 +414,8 @@ func (idx *goIndex) staleCitations(text string) []string {
 // benchmark or fuzz target no test file defines, a flag no binary
 // registers (go's own aside), an experiment id exp.Registry lacks, a
 // bare exported name that is nowhere declared or spelled, a metric
-// family no scrape exposes, or a benchmark metric BENCHMARK.json does not
-// declare.
+// family no scrape exposes, a label key after a family that no obs.L call
+// gives, or a benchmark metric BENCHMARK.json does not declare.
 func (idx *goIndex) stale(doc string) []string {
 	out := idx.staleCitations(doc)
 	for _, span := range inlineCode.FindAllString(fence.ReplaceAllString(doc, ""), -1) {
@@ -429,9 +449,15 @@ func (idx *goIndex) stale(doc string) []string {
 		if m := bareName.FindStringSubmatch(code); m != nil && !idx.names[m[1]] {
 			out = append(out, m[1])
 		}
-		for _, name := range metricName.FindAllString(code, -1) {
+		for _, loc := range metricName.FindAllStringIndex(code, -1) {
+			name := code[loc[0]:loc[1]]
 			if !idx.scraped(name) {
 				out = append(out, name)
+			}
+			for _, m := range labelKey.FindAllStringSubmatch(labelBlock.FindString(code[loc[1]:]), -1) {
+				if !idx.labels[m[1]] {
+					out = append(out, name+"{"+m[1]+"}")
+				}
 			}
 		}
 		for _, m := range benchName.FindAllStringSubmatch(code, -1) {
@@ -504,6 +530,8 @@ func TestDocsLintCatchesStaleNames(t *testing.T) {
 		{"`GD(g, gp, q, k)`, `KBrute`, `PHL`, `NW` and a stale `" + kgd + "`", []string{kgd}},
 		{"`fannr_cache_bytes`, `fannr_index_bytes{index,mem}`, `fannr_pool_*`, `fannr_*_total` and `fannr_shard_fanout`", nil},
 		{"`fannr_sets_{hits,\nfills}_total` and `fannr_requests_total{route=\"fann\"}`", nil},
+		{"`fannr_gphi_evals_total{engine=…}`, `fannr_index_reloads_total{outcome=\"error\"}`", nil},
+		{"a stale label key in `fannr_index_bytes{index,memory}`", []string{"fannr_index_bytes{memory}"}},
 		{"a stale `fannr_batch_wait_seconds`", []string{"fannr_batch_wait_seconds"}},
 		{"`fannr_sets_{hits,waits}_total`, `fannr_batch_*`", []string{"fannr_sets_{hits,waits}_total", "fannr_batch_*"}},
 		{"DESIGN §1, `DESIGN.md §2` and a DESIGN.md\n// §3 broken over a comment line", nil},

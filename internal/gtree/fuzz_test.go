@@ -93,8 +93,8 @@ func FuzzRead(f *testing.F) {
 
 // FuzzKNNMatchesDijkstra derives a road network, a tree shape, an object
 // set, a source and k from the fuzz input and holds KNN and DistBatch to
-// Dijkstra, and the stream under KNN to its floor contract. The seeds
-// replay under plain `go test`.
+// Dijkstra, Dist to DistBatch bit for bit, and the stream under KNN to
+// its floor contract. The seeds replay under plain `go test`.
 func FuzzKNNMatchesDijkstra(f *testing.F) {
 	f.Add(int64(1), uint8(0), uint8(7), uint8(3))
 	f.Add(int64(2), uint8(0x25), uint8(31), uint8(31))  // fanout 7, tau 12
@@ -125,11 +125,20 @@ func FuzzKNNMatchesDijkstra(f *testing.F) {
 		src := graph.NodeID(rng.Intn(n))
 		q := tr.NewQuerier()
 		ref := sp.NewDijkstra(g)
-		batch := make([]float64, len(Q))
-		q.DistBatch(src, Q, batch)
-		for i, v := range Q {
+		// The batch runs over Q and the source itself.
+		all := append(Q[:len(Q):len(Q)], src)
+		batch := make([]float64, len(all))
+		q.DistBatch(src, all, batch)
+		for i, v := range all {
 			if want := ref.Dist(src, v); math.Abs(batch[i]-want) > 1e-6 {
 				t.Fatalf("DistBatch(%d -> %d) = %v, want %v", src, v, batch[i], want)
+			}
+		}
+		// Dist is DistBatch on one target: every member, repeats and the
+		// source included, reads the same bits both ways.
+		for i, v := range all {
+			if got := q.Dist(src, v); math.Float64bits(got) != math.Float64bits(batch[i]) {
+				t.Fatalf("Dist(%d -> %d) = %v, DistBatch %v", src, v, got, batch[i])
 			}
 		}
 		k := 1 + int(kk)%len(distinct)

@@ -572,10 +572,8 @@ func (t *Tree) buildLeafMatrices(workers int) {
 			}
 		}
 		n.mat = make([]float64, len(n.borders)*nv)
-		dist := make([]float64, nv)
 		for bi, b := range n.borders {
-			localSSSP(n.ladjStart, n.ladjNode, n.ladjW, int(t.posInLeaf[b]), dist, heaps[w])
-			copy(n.mat[bi*nv:(bi+1)*nv], dist)
+			localSSSP(n.ladjStart, n.ladjNode, n.ladjW, int(t.posInLeaf[b]), n.mat[bi*nv:(bi+1)*nv], heaps[w])
 		}
 	})
 }
@@ -593,7 +591,6 @@ func (t *Tree) assembleBottomUp(workers int) {
 		maxX = max(maxX, len(t.nodes[i].X))
 	}
 	heaps := make([]*pqueue.IndexedHeap, workers)
-	dists := make([][]float64, workers)
 	// xpos[v] is v's index in the current node's X, -1 outside it.
 	xpos := make([]int32, t.g.NumNodes())
 	for v := range xpos {
@@ -652,10 +649,8 @@ func (t *Tree) assembleBottomUp(workers int) {
 		par.Do(workers, nx, func(w, s int) {
 			if heaps[w] == nil {
 				heaps[w] = pqueue.NewIndexedHeap(maxX)
-				dists[w] = make([]float64, maxX)
 			}
-			assemblySSSP(adj, s, dists[w][:nx], heaps[w])
-			copy(n.mat[s*nx:(s+1)*nx], dists[w][:nx])
+			assemblySSSP(adj, s, n.mat[s*nx:(s+1)*nx], heaps[w])
 		})
 	}
 }
@@ -741,45 +736,32 @@ func (t *Tree) refineTopDown(workers int) {
 	}
 }
 
-// localSSSP runs Dijkstra over a local CSR graph, filling dist (Inf for
-// unreachable).
+// localSSSP runs Dijkstra over a local CSR graph, writing each vertex's
+// distance into dist as it settles (Inf for unreachable).
 func localSSSP(start, nodes []int32, ws []float64, src int, dist []float64, h *pqueue.IndexedHeap) {
-	n := len(start) - 1
-	for i := 0; i < n; i++ {
-		dist[i] = math.Inf(1)
-	}
+	fillInf(dist[:len(start)-1])
 	h.Reset()
 	h.Update(int32(src), 0)
-	dist[src] = 0
 	for h.Len() > 0 {
 		v, dv := h.Pop()
-		// Weights are non-negative, so a settled u has dist[u] <= dv and
-		// the test below refuses it without a settled mark.
+		dist[v] = dv
 		for e := start[v]; e < start[v+1]; e++ {
-			u := nodes[e]
-			if du := dv + ws[e]; du < dist[u] {
-				dist[u] = du
-				h.Update(u, du)
-			}
+			h.Update(nodes[e], dv+ws[e])
 		}
 	}
 }
 
-// assemblySSSP runs Dijkstra over an adjacency-list assembly graph.
+// assemblySSSP runs Dijkstra over an adjacency-list assembly graph,
+// writing each vertex's distance into dist as it settles.
 func assemblySSSP(adj [][]arc, src int, dist []float64, h *pqueue.IndexedHeap) {
-	for i := range adj {
-		dist[i] = math.Inf(1)
-	}
+	fillInf(dist[:len(adj)])
 	h.Reset()
 	h.Update(int32(src), 0)
-	dist[src] = 0
 	for h.Len() > 0 {
 		v, dv := h.Pop()
+		dist[v] = dv
 		for _, a := range adj[v] {
-			if du := dv + a.w; du < dist[a.to] {
-				dist[a.to] = du
-				h.Update(a.to, du)
-			}
+			h.Update(a.to, dv+a.w)
 		}
 	}
 }

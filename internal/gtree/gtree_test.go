@@ -404,8 +404,9 @@ func trafficTree(b *testing.B) *Tree {
 }
 
 // BenchmarkDist times one source-to-Q distance evaluation per target:
-// point-to-point Dist, and DistBatch (the GTree-SPSP / IER-GTree path)
-// with a fresh source per batch.
+// Dist (DistBatch on one target) with a fresh source per call, and
+// DistBatch (the GTree-SPSP / IER-GTree path) with a fresh source per
+// batch.
 func BenchmarkDist(b *testing.B) {
 	tr := trafficTree(b)
 	n := tr.g.NumNodes()

@@ -9,21 +9,20 @@ import (
 
 // Querier evaluates shortest-path distance queries against a Tree. It
 // owns reusable scratch buffers; create one per goroutine.
+//
+// Dist, DistBatch and Start/Next share one per-source memo: a Dist or
+// DistBatch from another source ends a Start/Next search in progress. No
+// caller interleaves them, since each engine owns its Querier.
 type Querier struct {
-	t    *Tree
-	h    *pqueue.IndexedHeap
-	dist []float64 // within-leaf Dijkstra scratch
-	// Dist's two climbing vectors; each holds two max-|borders| halves
-	// that upVector ping-pongs between.
-	cur, next []float64
+	t *Tree
+	h *pqueue.IndexedHeap // within-leaf Dijkstra
 
-	// Per-source memo shared by DistBatch and Start/Next. vecs[n] holds the
-	// global distances from source bu to the borders of tree node n (nil
-	// until borderVec is asked for it), backed by the arena; touched lists
-	// the filled slots so a new source clears only those. While the source
-	// repeats, vectors accumulate across calls, so an incremental caller
-	// (IER resolving its candidates one at a time) pays each tree node at
-	// most once.
+	// Per-source memo. vecs[n] holds the global distances from source bu
+	// to the borders of tree node n (nil until borderVec is asked for it),
+	// backed by the arena; touched lists the filled slots so a new source
+	// clears only those. While the source repeats, vectors accumulate
+	// across calls, so an incremental caller (IER resolving its candidates
+	// one at a time) pays each tree node at most once.
 	vecs    [][]float64
 	touched []int32
 	arena   []float64
@@ -42,21 +41,17 @@ type Querier struct {
 
 // NewQuerier returns a querier with scratch sized to the tree.
 func (t *Tree) NewQuerier() *Querier {
-	maxLeaf, maxB, height := 0, 0, 0
+	maxLeaf, height := 0, 0
 	for i := range t.nodes {
 		n := &t.nodes[i]
 		if n.isLeaf() && len(n.verts) > maxLeaf {
 			maxLeaf = len(n.verts)
 		}
-		maxB = max(maxB, len(n.borders))
 		height = max(height, int(n.depth)+1)
 	}
 	return &Querier{
 		t:     t,
 		h:     pqueue.NewIndexedHeap(maxLeaf),
-		dist:  make([]float64, maxLeaf),
-		cur:   make([]float64, 2*maxB),
-		next:  make([]float64, 2*maxB),
 		vecs:  make([][]float64, len(t.nodes)),
 		arena: make([]float64, 0, 1024),
 		bu:    -1,
@@ -98,70 +93,11 @@ func fillInf(v []float64) {
 }
 
 // Dist returns the exact global shortest-path distance between u and v
-// (+Inf when disconnected).
+// (+Inf when disconnected): DistBatch on the one target v.
 func (q *Querier) Dist(u, v graph.NodeID) float64 {
-	if u == v {
-		return 0
-	}
-	t := q.t
-	lu, lv := t.leafOf[u], t.leafOf[v]
-	if lu == lv {
-		return q.sameLeafDist(lu, u, v)
-	}
-	lca := t.lca(lu, lv)
-	vu, cu := q.upVector(u, lca, q.cur)
-	vv, cv := q.upVector(v, lca, q.next)
-	// Join through the LCA matrix: rows of cu's border block, columns of
-	// cv's.
-	n := &t.nodes[lca]
-	nx := len(n.X)
-	ru, cvOff := int(t.nodes[cu].xoff), int(t.nodes[cv].xoff)
-	best := math.Inf(1)
-	for i, du := range vu {
-		if math.IsInf(du, 1) {
-			continue
-		}
-		row := n.mat[(ru+i)*nx+cvOff:][:len(vv)]
-		for j, w := range row {
-			if d := du + w + vv[j]; d < best {
-				best = d
-			}
-		}
-	}
-	return best
-}
-
-// sameLeafDist handles u,v in one leaf: the better of the within-leaf path
-// and a detour leaving and re-entering through the leaf borders (global
-// border-to-border distances come from the parent's refined matrix).
-func (q *Querier) sameLeafDist(leaf int32, u, v graph.NodeID) float64 {
-	t := q.t
-	n := &t.nodes[leaf]
-	pu, pv := int(t.posInLeaf[u]), int(t.posInLeaf[v])
-	localSSSP(n.ladjStart, n.ladjNode, n.ladjW, pu, q.dist[:len(n.verts)], q.h)
-	best := q.dist[pv]
-	if n.parent < 0 {
-		return best // the whole graph is one leaf
-	}
-	p := &t.nodes[n.parent]
-	nx, xoff := len(p.X), int(n.xoff)
-	for bi := range n.borders {
-		du := n.leafDist(bi, pu)
-		if math.IsInf(du, 1) {
-			continue
-		}
-		row := p.mat[(xoff+bi)*nx+xoff:][:len(n.borders)]
-		for bj, w := range row {
-			dv := n.leafDist(bj, pv)
-			if math.IsInf(dv, 1) {
-				continue
-			}
-			if d := du + w + dv; d < best {
-				best = d
-			}
-		}
-	}
-	return best
+	var out [1]float64
+	q.DistBatch(u, []graph.NodeID{v}, out[:])
+	return out[0]
 }
 
 // leafBase fills out with the global distances from the vertex at
@@ -190,27 +126,6 @@ func climb(p, c *node, vc, out []float64) {
 			relaxCols(out, vb, p.mat[(xoff+bi)*nx:][:nx], p.borderX)
 		}
 	}
-}
-
-// upVector computes global distances from u to the borders of the child of
-// lca that contains u, climbing the leaf-to-lca chain. buf provides two
-// halves of scratch; the returned slice aliases one of them. The second
-// return is the child-of-lca tree node index.
-func (q *Querier) upVector(u graph.NodeID, lca int32, buf []float64) ([]float64, int32) {
-	t := q.t
-	ni := t.leafOf[u]
-	n := &t.nodes[ni]
-	a, b := buf[:len(buf)/2], buf[len(buf)/2:]
-	cur := a[:len(n.borders)]
-	t.leafBase(n, int(t.posInLeaf[u]), cur)
-	for n.parent != lca {
-		p := &t.nodes[n.parent]
-		out := b[:len(p.borders)]
-		climb(p, n, cur, out)
-		a, b = b, a
-		cur, ni, n = out, n.parent, p
-	}
-	return cur, ni
 }
 
 // setSource makes u the memoized batch source, dropping the vectors of
@@ -355,10 +270,9 @@ func leafTargetDist(n *node, vec []float64, pos int) float64 {
 // target (+Inf when disconnected), writing out[i] for targets[i]. The
 // border vectors from u are shared by all targets and memoized while u
 // repeats: each target then costs a fold over its own leaf's border
-// vector, instead of the two upVector climbs plus border-pair double loop
-// that per-pair Dist pays. Like Start/Next this relies on the refined (global)
-// matrices. len(out) must be at least len(targets); warm Queriers
-// allocate nothing.
+// vector. Like Start/Next this relies on the refined (global) matrices.
+// len(out) must be at least len(targets); warm Queriers allocate
+// nothing.
 func (q *Querier) DistBatch(u graph.NodeID, targets []graph.NodeID, out []float64) {
 	if len(targets) == 0 {
 		return
@@ -390,19 +304,4 @@ func (q *Querier) DistBatch(u graph.NodeID, targets []graph.NodeID, out []float6
 		}
 		out[i] = best
 	}
-}
-
-// lca returns the lowest common ancestor of two tree nodes.
-func (t *Tree) lca(a, b int32) int32 {
-	for t.nodes[a].depth > t.nodes[b].depth {
-		a = t.nodes[a].parent
-	}
-	for t.nodes[b].depth > t.nodes[a].depth {
-		b = t.nodes[b].parent
-	}
-	for a != b {
-		a = t.nodes[a].parent
-		b = t.nodes[b].parent
-	}
-	return a
 }

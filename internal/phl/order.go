@@ -1,7 +1,6 @@
 package phl
 
 import (
-	"math"
 	"sort"
 
 	"fannr/internal/graph"
@@ -57,23 +56,16 @@ func treeWeights(g *graph.Graph, roots []graph.NodeID, h *pqueue.IndexedHeap) []
 	parent := make([]graph.NodeID, n)
 	below := make([]int32, n)
 	popped := make([]graph.NodeID, 0, n)
-	dist := make([]float64, n)
-	for i := range dist {
-		dist[i] = math.Inf(1)
-	}
 	for _, root := range roots {
 		h.Reset()
-		dist[root] = 0
 		h.Update(root, 0)
 		for h.Len() > 0 {
 			v, dv := h.Pop()
 			popped = append(popped, v)
 			nbrs, ws := g.Neighbors(v)
 			for i, u := range nbrs {
-				if du := dv + ws[i]; du < dist[u] {
-					dist[u] = du
+				if h.Update(u, dv+ws[i]) {
 					parent[u] = v
-					h.Update(u, du)
 				}
 			}
 		}
@@ -84,7 +76,7 @@ func treeWeights(g *graph.Graph, roots []graph.NodeID, h *pqueue.IndexedHeap) []
 		}
 		weight[root] += int64(below[root])
 		for _, v := range popped {
-			dist[v], below[v] = math.Inf(1), 0
+			below[v] = 0
 		}
 		popped = popped[:0]
 	}

@@ -126,9 +126,6 @@ func Build(g *graph.Graph, opts Options) (*Index, error) {
 	hubs := make([][]int32, n)
 	dists := make([][]float64, n)
 
-	dist := make([]float64, n)
-	stamp := make([]uint32, n)
-	var epoch uint32
 	// tmp[r] holds the root's label keyed by hub rank during one pruned
 	// Dijkstra, enabling O(label) prune checks, and +Inf everywhere else:
 	// a hub the root's label lacks then fails the check on its own, with
@@ -141,7 +138,6 @@ func Build(g *graph.Graph, opts Options) (*Index, error) {
 
 	for r := 0; r < n; r++ {
 		root := order[r]
-		epoch++
 		// The search appends (r, 0) to the root's own label; the entries
 		// before it are the ones to scatter, and to take back afterwards.
 		rootHubs, rootDists := hubs[root], dists[root]
@@ -149,8 +145,6 @@ func Build(g *graph.Graph, opts Options) (*Index, error) {
 			tmp[hub] = rootDists[i]
 		}
 		h.Reset()
-		stamp[root] = epoch
-		dist[root] = 0
 		h.Update(root, 0)
 		for h.Len() > 0 {
 			v, dv := h.Pop()
@@ -176,12 +170,7 @@ func Build(g *graph.Graph, opts Options) (*Index, error) {
 			}
 			nbrs, ws := g.Neighbors(v)
 			for i, u := range nbrs {
-				du := dv + ws[i]
-				if stamp[u] != epoch || du < dist[u] {
-					stamp[u] = epoch
-					dist[u] = du
-					h.Update(u, du)
-				}
+				h.Update(u, dv+ws[i])
 			}
 		}
 		for _, hub := range rootHubs {

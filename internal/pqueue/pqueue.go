@@ -2,8 +2,10 @@
 // min-heap for arbitrary payloads (best-first searches, and the k-FANN_R
 // incumbent queue keyed by −distance), and an indexed (addressable) 4-ary
 // min-heap over dense integer ids with O(log n) DecreaseKey and O(1)
-// reset between queries (every Dijkstra-style expansion, G-tree's build
-// included).
+// reset between queries. The indexed heap is also the label table of
+// every Dijkstra-style search (sp's Dijkstra and A*, the hub-label build,
+// G-tree's build and within-leaf searches): a popped id keeps its key
+// until Reset, so no search keeps a second copy of its keys.
 package pqueue
 
 // Item is a payload ordered by a float64 key.

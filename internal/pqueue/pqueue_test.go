@@ -167,14 +167,83 @@ func TestIndexedHeapProperty(t *testing.T) {
 func TestIndexedHeapEpochWrap(t *testing.T) {
 	h := NewIndexedHeap(4)
 	h.Update(1, 1)
+	h.Update(2, 0.5)
+	h.Pop()              // 2 is labelled 0.5
 	h.epoch = ^uint32(0) // force wrap on next Reset
 	h.Reset()
 	if _, ok := h.Key(1); ok {
 		t.Fatal("stale key visible after epoch wrap")
 	}
+	if _, ok := h.Label(2); ok {
+		t.Fatal("stale label visible after epoch wrap")
+	}
+	// A stale label must not refuse a larger key either.
+	if !h.Update(2, 3) {
+		t.Fatal("Update(2, 3) refused after epoch wrap")
+	}
 	h.Update(1, 2)
 	if id, key := h.Pop(); id != 1 || key != 2 {
 		t.Fatalf("Pop = (%d,%v), want (1,2)", id, key)
+	}
+	if d, ok := h.Label(1); !ok || d != 2 {
+		t.Fatalf("Label(1) after wrap = (%v,%v), want (2,true)", d, ok)
+	}
+	if _, ok := h.Label(2); ok {
+		t.Fatal("queued id 2 reads as labelled")
+	}
+}
+
+// TestIndexedHeapLabels holds the heap to the contract every search's
+// relaxation relies on: a popped id keeps its key as its label, which
+// refuses any equal or larger key, a smaller key re-queues it, and
+// Reset forgets every label.
+func TestIndexedHeapLabels(t *testing.T) {
+	h := NewIndexedHeap(8)
+	h.Update(3, 2.5)
+	h.Update(4, 7)
+	if _, ok := h.Label(3); ok {
+		t.Fatal("queued id 3 reads as labelled")
+	}
+	if id, _ := h.Pop(); id != 3 {
+		t.Fatalf("Pop = %d, want 3", id)
+	}
+	if d, ok := h.Label(3); !ok || d != 2.5 {
+		t.Fatalf("Label(3) = (%v,%v), want (2.5,true)", d, ok)
+	}
+	for _, key := range []float64{2.5, 9} {
+		if h.Update(3, key) {
+			t.Fatalf("Update(3, %v) accepted over label 2.5", key)
+		}
+		if h.Len() != 1 {
+			t.Fatalf("Update(3, %v) re-queued a popped id: Len = %d", key, h.Len())
+		}
+	}
+	if d, ok := h.Label(3); !ok || d != 2.5 {
+		t.Fatalf("Label(3) after refusals = (%v,%v), want (2.5,true)", d, ok)
+	}
+	if !h.Update(3, 1) {
+		t.Fatal("Update(3, 1) refused below label 2.5")
+	}
+	if h.Len() != 2 {
+		t.Fatalf("Len after re-queue = %d, want 2", h.Len())
+	}
+	if _, ok := h.Label(3); ok {
+		t.Fatal("re-queued id 3 still reads as labelled")
+	}
+	if id, key := h.Pop(); id != 3 || key != 1 {
+		t.Fatalf("Pop = (%d,%v), want (3,1)", id, key)
+	}
+	if d, ok := h.Label(3); !ok || d != 1 {
+		t.Fatalf("Label(3) = (%v,%v), want (1,true)", d, ok)
+	}
+	h.Reset()
+	for id := int32(0); id < 8; id++ {
+		if _, ok := h.Label(id); ok {
+			t.Fatalf("Label(%d) survives Reset", id)
+		}
+	}
+	if !h.Update(3, 5) {
+		t.Fatal("Update(3, 5) refused after Reset")
 	}
 }
 

@@ -9,23 +9,19 @@ import (
 // graph's Euclidean lower bound as its admissible heuristic. On graphs
 // without coordinates it degrades to plain Dijkstra (zero heuristic).
 type AStar struct {
-	g            *graph.Graph
-	h            *pqueue.IndexedHeap
+	g *graph.Graph
+	h *pqueue.IndexedHeap
+	// dist holds g, the distance from the source, of every node the heap
+	// has accepted since the last Reset; the heap's own key is g plus the
+	// heuristic.
 	dist         []float64
-	stamp        []uint32
-	epoch        uint32
 	nodesScanned int64
 }
 
 // NewAStar returns an engine bound to g.
 func NewAStar(g *graph.Graph) *AStar {
 	n := g.NumNodes()
-	return &AStar{
-		g:     g,
-		h:     pqueue.NewIndexedHeap(n),
-		dist:  make([]float64, n),
-		stamp: make([]uint32, n),
-	}
+	return &AStar{g: g, h: pqueue.NewIndexedHeap(n), dist: make([]float64, n)}
 }
 
 // Graph returns the graph the engine is bound to.
@@ -41,15 +37,7 @@ func (a *AStar) Dist(src, dst graph.NodeID) float64 {
 	if src == dst {
 		return 0
 	}
-	a.epoch++
 	a.h.Reset()
-	if a.epoch == 0 {
-		for i := range a.stamp {
-			a.stamp[i] = 0
-		}
-		a.epoch = 1
-	}
-	a.stamp[src] = a.epoch
 	a.dist[src] = 0
 	a.h.Update(src, a.g.LowerBound(src, dst))
 	for a.h.Len() > 0 {
@@ -61,11 +49,8 @@ func (a *AStar) Dist(src, dst graph.NodeID) float64 {
 		}
 		nbrs, ws := a.g.Neighbors(v)
 		for i, u := range nbrs {
-			du := dv + ws[i]
-			if a.stamp[u] != a.epoch || du < a.dist[u] {
-				a.stamp[u] = a.epoch
+			if du := dv + ws[i]; a.h.Update(u, du+a.g.LowerBound(u, dst)) {
 				a.dist[u] = du
-				a.h.Update(u, du+a.g.LowerBound(u, dst))
 			}
 		}
 	}

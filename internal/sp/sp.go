@@ -5,10 +5,10 @@
 // (goal-directed point-to-point search), and the landmark distance
 // vectors shard plans bound with.
 //
-// All engines are stateful and reusable: they keep stamped scratch arrays
-// sized to the graph so that running thousands of queries allocates
-// nothing. Engines are not safe for concurrent use; create one per
-// goroutine.
+// All engines are stateful and reusable: Dijkstra and A* keep their
+// labels in a pqueue.IndexedHeap sized to the graph and emptied in O(1)
+// per search, so running thousands of queries allocates nothing. Engines
+// are not safe for concurrent use; create one per goroutine.
 package sp
 
 import (
@@ -29,25 +29,16 @@ var Inf = math.Inf(1)
 
 // Dijkstra is a reusable single-source search engine.
 type Dijkstra struct {
-	g     *graph.Graph
-	h     *pqueue.IndexedHeap
-	dist  []float64
-	stamp []uint32
-	epoch uint32
-	// nodesScanned counts settled nodes since construction; used by the
-	// experiment harness to report search effort.
+	g *graph.Graph
+	h *pqueue.IndexedHeap // the search's labels: a settled node's distance is its Label
+	// nodesScanned counts settled nodes since construction; core's
+	// engines read it through NodesScanned to count settles per query.
 	nodesScanned int64
 }
 
 // NewDijkstra returns an engine bound to g.
 func NewDijkstra(g *graph.Graph) *Dijkstra {
-	n := g.NumNodes()
-	return &Dijkstra{
-		g:     g,
-		h:     pqueue.NewIndexedHeap(n),
-		dist:  make([]float64, n),
-		stamp: make([]uint32, n),
-	}
+	return &Dijkstra{g: g, h: pqueue.NewIndexedHeap(g.NumNodes())}
 }
 
 // Graph returns the graph the engine is bound to.
@@ -60,14 +51,7 @@ func (d *Dijkstra) NodesScanned() int64 { return d.nodesScanned }
 // Start begins a search from src, discarding any search in progress;
 // Step then settles its nodes one at a time.
 func (d *Dijkstra) Start(src graph.NodeID) {
-	d.epoch++
 	d.h.Reset()
-	if d.epoch == 0 {
-		clear(d.stamp)
-		d.epoch = 1
-	}
-	d.stamp[src] = d.epoch
-	d.dist[src] = 0
 	d.h.Update(src, 0)
 }
 
@@ -83,12 +67,7 @@ func (d *Dijkstra) Step() (v graph.NodeID, dist float64, ok bool) {
 	d.nodesScanned++
 	nbrs, ws := d.g.Neighbors(v)
 	for i, u := range nbrs {
-		du := dist + ws[i]
-		if d.stamp[u] != d.epoch || du < d.dist[u] {
-			d.stamp[u] = d.epoch
-			d.dist[u] = du
-			d.h.Update(u, du)
-		}
+		d.h.Update(u, dist+ws[i])
 	}
 	return v, dist, true
 }
@@ -139,16 +118,16 @@ func (d *Dijkstra) All(src graph.NodeID) []float64 {
 func (d *Dijkstra) DistBatch(src graph.NodeID, targets []graph.NodeID, out []float64) {
 	d.Start(src)
 	for i := 0; i < len(targets); {
-		if _, open := d.h.Key(targets[i]); d.stamp[targets[i]] == d.epoch && !open {
-			i++ // settled
+		if _, settled := d.h.Label(targets[i]); settled {
+			i++
 		} else if _, _, ok := d.Step(); !ok {
 			break // every reachable node has settled
 		}
 	}
 	for i, t := range targets {
 		out[i] = Inf
-		if d.stamp[t] == d.epoch {
-			out[i] = d.dist[t]
+		if dt, settled := d.h.Label(t); settled {
+			out[i] = dt
 		}
 	}
 }
