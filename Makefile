@@ -112,7 +112,9 @@ figures:
 ## inside whole requests and index builds: the heap alone on a Dijkstra
 ## push/decrease/pop mix, INE's and A*'s g_φ evaluation, and G-tree's
 ## one distance kernel, Dist (DistBatch on one target) against DistBatch
-## over a Q.
+## over a Q. The k-selection every g_φ and Euclidean bound ends in closes
+## the list, at |Q| = 8 (shard4's, where it must not lose to quickselect),
+## 128 and 256, over distinct and zero-heavy values.
 microbench:
 	$(GO) test -run - -bench 'ServerThroughput|DistEndpoint' -cpu 1,2,4,8 \
 		-benchtime 1x ./internal/server/
@@ -130,6 +132,7 @@ microbench:
 	$(GO) test -run - -bench 'IndexedHeapDijkstraPattern' -cpu 1 -benchtime 20000x ./internal/pqueue/
 	$(GO) test -run - -bench 'GPhiINE$$|GPhiAStar$$' -cpu 1 -benchtime 100x .
 	$(GO) test -run - -bench 'Dist$$' -cpu 1 ./internal/gtree/
+	$(GO) test -run - -bench 'PartialSelect' -cpu 1 ./internal/core/
 
 ## Tier 3 — race detector over the concurrency-bearing packages
 ## (engine pools, HTTP server, parallel index builds, workload draws) plus

@@ -415,9 +415,10 @@ func (e *oracleEngine) BindStats(s *Stats) { e.stats = s }
 // before it evaluates anything (canceled, or lanes that reach no
 // candidate) pays no bind. The bind is the first touch of Q's labels and
 // the dearest single step of a request that evaluates a handful of
-// points — ≈ 70 µs at |Q| = 128 in a warm in-process loop (more in a
-// server, where those labels are cold), against ≈ 9 µs for each
-// evaluation through it.
+// points — ≈ 36 µs at |Q| = 128 in a warm in-process loop
+// (BenchmarkBindTargets; more in a server, where those labels are cold),
+// against ≈ 5 µs for each evaluation through it (bench's
+// `core.gphi_dist_us.phl` on hot_ier).
 func (e *oracleEngine) Reset(Q []graph.NodeID) {
 	if !e.q.same(Q) {
 		e.bound = false

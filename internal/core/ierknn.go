@@ -30,8 +30,9 @@ func buildPTree(g *graph.Graph, P []graph.NodeID) *rtree.Tree {
 
 // euclidQ is Q's side of the flexible Euclidean aggregate g^ε_φ of
 // Lemma 1: Q's coordinates, read on first use after reset, and the
-// scratch the k nearest are selected in. IER-kNN's point bound and the
-// engines' pre-bound (rejects) are both point; nothing else computes it.
+// scratch the k nearest are selected in, as squared distances. IER-kNN's
+// point bound and the engines' pre-bound (rejects) are both point;
+// nothing else computes it.
 type euclidQ struct {
 	g       *graph.Graph // nil when the graph has no coordinates: no bound
 	q       []graph.NodeID
@@ -66,10 +67,27 @@ func (b *euclidQ) coords() {
 // network g_φ of any node there.
 func (b *euclidQ) point(x, y float64, k int, agg Aggregate) float64 {
 	b.coords()
-	for i := range b.qx {
-		b.scratch[i] = math.Hypot(b.qx[i]-x, b.qy[i]-y)
+	qy, sq := b.qy[:len(b.qx)], b.scratch[:len(b.qx)]
+	for i, qx := range b.qx {
+		dx, dy := qx-x, qy[i]-y
+		sq[i] = dx*dx + dy*dy
 	}
-	return b.g.ScaleEuclid(flexAgg(b.scratch, k, agg))
+	return b.g.ScaleEuclid(rootAgg(sq, k, agg))
+}
+
+// rootAgg is flexAgg over Euclidean distances given squared: it selects
+// the k smallest squares of sq, which order as their roots do, and takes
+// only the roots the aggregate reads — one for max, k for sum.
+func rootAgg(sq []float64, k int, agg Aggregate) float64 {
+	partialSelect(sq, k)
+	if agg == Max {
+		return math.Sqrt(maxOfFirst(sq, k))
+	}
+	total := 0.0
+	for _, v := range sq[:k] {
+		total += math.Sqrt(v)
+	}
+	return total
 }
 
 // rejects reports whether p's Euclidean bound already rules out
@@ -87,9 +105,9 @@ func (b *euclidQ) rejects(p graph.NodeID, k int, agg Aggregate, tau float64) boo
 // floating point must clear before an evaluation is abandoned on it. A
 // bound and the value it bounds are each exact up to a relative error of
 // a few units in the last place per term they add up — the edges of a
-// shortest path, the k members of a sum, the hypot and the speed scaling
-// of a Euclidean bound — so a bound can land above a value it bounds
-// exactly, by up to that share. 1e-9 is phl.boundSlack's budget (paths
+// shortest path, the k members of a sum, the square roots and the speed
+// scaling of a Euclidean bound — so a bound can land above a value it
+// bounds exactly, by up to that share. 1e-9 is phl.boundSlack's budget (paths
 // of millions of edges); a bound that clears it is a real one.
 const roundSlack = 1e-9
 
@@ -138,13 +156,18 @@ func newIERSearch(g *graph.Graph, rtP *rtree.Tree, q Query) *ierSearch {
 }
 
 // boundNode computes the admissible network-distance lower bound for an
-// R-tree node: the flexible Euclidean aggregate g^ε_φ(e, Q) of Lemma 1.
+// R-tree node: the flexible Euclidean aggregate g^ε_φ(e, Q) of Lemma 1,
+// over the squares of the distances rtree.Rect.MinDist measures — its
+// clamped differences, 0 on an axis where the point is inside.
 func (s *ierSearch) boundNode(n *rtree.Node) float64 {
 	r := n.Rect()
-	for i := range s.qx {
-		s.scratch[i] = r.MinDist(s.qx[i], s.qy[i])
+	qy, sq := s.qy[:len(s.qx)], s.scratch[:len(s.qx)]
+	for i, x := range s.qx {
+		y := qy[i]
+		dx, dy := max(r.MinX-x, 0, x-r.MaxX), max(r.MinY-y, 0, y-r.MaxY)
+		sq[i] = dx*dx + dy*dy
 	}
-	return s.g.ScaleEuclid(flexAgg(s.scratch, s.k, s.agg))
+	return s.g.ScaleEuclid(rootAgg(sq, s.k, s.agg))
 }
 
 // boundPoint is boundNode for a single data point.

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -290,4 +291,99 @@ func FuzzIERBoundAdmissible(f *testing.F) {
 		}
 		walk(rtP.Root())
 	})
+}
+
+// TestEuclidBoundMatchesHypot: boundNode and boundPoint select over
+// squared distances and take the root of only what the aggregate reads;
+// they must equal the bound built from hypot distances — sorted, the
+// k-th for max, the first k summed for sum, then scaled — to within 4
+// ulps relative. A sum may differ by more: the two add the same k terms
+// in different orders, which moves a sum of non-negative terms by up to
+// 2(k−1)·2⁻⁵³ of itself, so that much is allowed on top. Rectangles are
+// the nodes of R-trees over random points, so Q falls inside some and
+// beside others; Q has up to 256 members, and k is 1, ⌈|Q|/2⌉ and |Q|
+// under both aggregates.
+func TestEuclidBoundMatchesHypot(t *testing.T) {
+	g, err := graph.Generate(graph.GenConfig{Nodes: 64, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(6))
+	coord := func() float64 { return rng.Float64() * 1000 }
+	near := func(got, want float64, k int, agg Aggregate) bool {
+		tol := 4 * (math.Nextafter(want, math.Inf(1)) - want)
+		if agg == Sum {
+			tol += 2 * float64(k-1) * 0x1p-53 * want
+		}
+		return got == want || math.Abs(got-want) <= tol
+	}
+	for trial := 0; trial < 60; trial++ {
+		m := 1 + rng.Intn(256)
+		s := &ierSearch{euclidQ: euclidQ{g: g, q: make([]graph.NodeID, m),
+			qx: make([]float64, m), qy: make([]float64, m), scratch: make([]float64, m)}}
+		for i := range s.qx {
+			s.qx[i], s.qy[i] = coord(), coord()
+		}
+		pts := make([]rtree.Point, 1+rng.Intn(200))
+		for i := range pts {
+			pts[i] = rtree.Point{X: coord(), Y: coord(), ID: int32(i)}
+		}
+		var nodes []*rtree.Node
+		var walk func(n *rtree.Node)
+		walk = func(n *rtree.Node) {
+			nodes = append(nodes, n)
+			for _, c := range n.Children() {
+				walk(c)
+			}
+		}
+		walk(rtree.BulkLoad(pts, rtree.DefaultFanout).Root())
+		// want is the hypot formulation over Q's distances to whatever dist
+		// measures.
+		d := make([]float64, m)
+		want := func(dist func(x, y float64) float64, k int, agg Aggregate) float64 {
+			for i := range d {
+				d[i] = dist(s.qx[i], s.qy[i])
+			}
+			sort.Float64s(d)
+			if agg == Max {
+				return g.ScaleEuclid(d[k-1])
+			}
+			sum := 0.0
+			for _, v := range d[:k] {
+				sum += v
+			}
+			return g.ScaleEuclid(sum)
+		}
+		for _, agg := range []Aggregate{Max, Sum} {
+			for _, k := range []int{1, (m + 1) / 2, m} {
+				s.k, s.agg = k, agg
+				for _, n := range nodes {
+					r := n.Rect()
+					ref := want(func(x, y float64) float64 {
+						dx, dy := 0.0, 0.0
+						if x < r.MinX {
+							dx = r.MinX - x
+						} else if x > r.MaxX {
+							dx = x - r.MaxX
+						}
+						if y < r.MinY {
+							dy = r.MinY - y
+						} else if y > r.MaxY {
+							dy = y - r.MaxY
+						}
+						return math.Hypot(dx, dy)
+					}, k, agg)
+					if got := s.boundNode(n); !near(got, ref, k, agg) {
+						t.Fatalf("|Q| = %d, k = %d, %v: boundNode over %v = %v, hypot gives %v", m, k, agg, r, got, ref)
+					}
+				}
+				for _, p := range pts {
+					ref := want(func(x, y float64) float64 { return math.Hypot(x-p.X, y-p.Y) }, k, agg)
+					if got := s.boundPoint(p.X, p.Y); !near(got, ref, k, agg) {
+						t.Fatalf("|Q| = %d, k = %d, %v: boundPoint(%v, %v) = %v, hypot gives %v", m, k, agg, p.X, p.Y, got, ref)
+					}
+				}
+			}
+		}
+	}
 }

@@ -1,25 +1,41 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
 )
 
+// TestPartialSelectProperty: the k smallest land in dists[:k] — the same
+// multiset the full sort puts there — and nothing after them is smaller.
+// Half the draws are distinct, half come from a small alphabet with +0,
+// −0, the float just above them, +Inf and heavy duplicates — the runs of
+// exact zeros IER's bounds near the root are; n reaches 512, past the
+// range that finishes in the Hoare loop.
 func TestPartialSelectProperty(t *testing.T) {
-	f := func(seed int64, n8 uint8) bool {
-		n := int(n8)%100 + 1
+	alphabet := []float64{0, 0, 0, math.Copysign(0, -1), math.SmallestNonzeroFloat64, 1, 2.5, 2.5, 7, math.Inf(1)}
+	f := func(seed int64, n16 uint16, small bool) bool {
+		n := int(n16)%512 + 1
 		rng := rand.New(rand.NewSource(seed))
 		vals := make([]float64, n)
 		for i := range vals {
-			vals[i] = rng.Float64() * 100
+			if small {
+				vals[i] = alphabet[rng.Intn(len(alphabet))]
+			} else {
+				vals[i] = rng.Float64() * 100
+			}
 		}
 		k := rng.Intn(n) + 1
 		want := append([]float64(nil), vals...)
 		sort.Float64s(want)
 		partialSelect(vals, k)
+		if k < n && slices.Max(vals[:k]) > slices.Min(vals[k:]) {
+			return false
+		}
 		got := append([]float64(nil), vals[:k]...)
 		sort.Float64s(got)
 		for i := 0; i < k; i++ {
@@ -29,7 +45,7 @@ func TestPartialSelectProperty(t *testing.T) {
 		}
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 600}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -112,5 +128,39 @@ func TestQueryK(t *testing.T) {
 func TestAggregateString(t *testing.T) {
 	if Max.String() != "max" || Sum.String() != "sum" {
 		t.Fatal("Aggregate.String wrong")
+	}
+}
+
+// BenchmarkPartialSelect prices the selection every g_φ evaluation and
+// every Euclidean bound ends in, at the |Q| the benchmark serves (8 in
+// shard4, 128 in hot_ier and algo_mix, 256 beside it) and k = ⌈φ|Q|⌉ for
+// φ of 0.1, 0.5 and 1. "distinct" draws |Q| distinct values; "zeros"
+// makes three in four of them +0, as in the bounds of an R-tree node
+// whose rectangle covers most of Q. Each op copies one of 64 inputs in
+// rotation into the buffer it selects in.
+func BenchmarkPartialSelect(b *testing.B) {
+	for _, n := range []int{8, 128, 256} {
+		for _, phi := range []float64{0.1, 0.5, 1} {
+			k := int(math.Ceil(phi * float64(n)))
+			for _, input := range []string{"distinct", "zeros"} {
+				rng := rand.New(rand.NewSource(int64(n)))
+				ins := make([][]float64, 64)
+				for i := range ins {
+					ins[i] = make([]float64, n)
+					for j := range ins[i] {
+						if input == "distinct" || rng.Intn(4) == 0 {
+							ins[i][j] = rng.Float64() * 100
+						}
+					}
+				}
+				buf := make([]float64, n)
+				b.Run(fmt.Sprintf("n=%d/phi=%g/%s", n, phi, input), func(b *testing.B) {
+					for i := 0; i < b.N; i++ {
+						copy(buf, ins[i%len(ins)])
+						partialSelect(buf, k)
+					}
+				})
+			}
+		}
 	}
 }

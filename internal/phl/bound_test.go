@@ -279,7 +279,7 @@ func TestEpochWrap(t *testing.T) {
 	for _, start := range []uint32{math.MaxUint32 - 3, math.MaxUint32 - 2, math.MaxUint32 - 1, math.MaxUint32} {
 		for _, fill := range []bool{false, true} {
 			b := ix.NewBatcher()
-			b.BindTargets(drawNodes(rng, g.NumNodes(), 30)) // allocates the tables, stamps 1 and 2
+			b.BindTargets(drawNodes(rng, g.NumNodes(), 30)) // allocates the tables, stamps 1
 			b.bepoch = start
 			if fill {
 				for i := range b.bstamp {

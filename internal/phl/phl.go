@@ -268,10 +268,12 @@ type Batcher struct {
 	// inverted into one bucket per hub. Hub h's bucket is
 	// bqi/bd[bend[h]-bcnt[h] : bend[h]] — the index into the bound list
 	// of every target whose label holds h, paired with its distance to h
-	// — and is live while bstamp[h] == bepoch. The tables are allocated
-	// on the first bind and the slabs only grow, so a Batcher that never
-	// binds (one wrapped by a caller that hides BindTargets) pays nothing
-	// and a warm one allocates nothing.
+	// — and is live while bstamp[h] == bepoch, the one epoch a bind
+	// stamps. During a bind bqi first holds the distinct hubs and bend
+	// each bucket's start, the cursor the placing pass advances to its
+	// end. The tables are allocated on the first bind and the slabs only
+	// grow, so a Batcher that never binds (one wrapped by a caller that
+	// hides BindTargets) pays nothing and a warm one allocates nothing.
 	bstamp []uint32
 	bcnt   []int32
 	bend   []int32
@@ -343,9 +345,12 @@ func (b *Batcher) DistBatch(u graph.NodeID, targets []graph.NodeID, out []float6
 // many-sources-to-one-target-set shape of g_φ, where DistBatch would walk
 // every entry of every target's label again for each source. The labels
 // of targets are inverted into per-hub buckets with a two-pass counting
-// sort — count per hub, then place in target order, a bucket's extent
-// being claimed the first time the second pass meets its hub — over
-// epoch-stamped tables, so a bind costs O(Σ_t |L(t)|) whatever the graph
+// sort under one epoch: the counting pass stamps every hub it meets and
+// lists each the first time, a prefix sum over that list lays the
+// buckets out in first-sight order, and the placing pass then writes
+// every entry at its hub's cursor with no test at all — every hub it
+// meets was counted in this bind. The only branches left are the loops',
+// so a bind costs O(Σ_t |L(t)|) straight-line steps whatever the graph
 // size. targets may repeat a node and may be empty; the binding holds
 // until the next BindTargets and is independent of DistBatch.
 // Bucket offsets are int32: the labels of one target list must hold
@@ -355,42 +360,52 @@ func (b *Batcher) BindTargets(targets []graph.NodeID) {
 		n := b.ix.n
 		b.bstamp, b.bcnt, b.bend = make([]uint32, n), make([]int32, n), make([]int32, n)
 	}
-	if b.bepoch >= math.MaxUint32-1 {
+	b.bepoch++
+	if b.bepoch == 0 {
 		for i := range b.bstamp {
 			b.bstamp[i] = 0
 		}
-		b.bepoch = 0
+		b.bepoch = 1
 	}
-	counted, placed := b.bepoch+1, b.bepoch+2
-	b.bepoch = placed
+	ep, stamp, cnt, end := b.bepoch, b.bstamp, b.bcnt, b.bend
 	b.nq = len(targets)
 	total := 0
 	for _, t := range targets {
-		ht, _ := b.ix.label(t)
-		for _, h := range ht {
-			if b.bstamp[h] != counted {
-				b.bstamp[h] = counted
-				b.bcnt[h] = 0
-			}
-			b.bcnt[h]++
-		}
-		total += len(ht)
+		total += int(b.ix.off[t+1] - b.ix.off[t])
 	}
 	if cap(b.bqi) < total {
 		b.bqi, b.bd = make([]int32, total), make([]float64, total)
 	}
+	qis, ds := b.bqi[:total], b.bd[:total]
+	// The distinct hubs, in first-sight order, live in qis until the
+	// placing pass overwrites it: there are at most total of them.
+	nh := 0
+	for _, t := range targets {
+		ht, _ := b.ix.label(t)
+		for _, h := range ht {
+			c := cnt[h]
+			if stamp[h] != ep {
+				c = 0
+			}
+			stamp[h] = ep
+			cnt[h] = c + 1
+			qis[nh] = h
+			if c == 0 {
+				nh++
+			}
+		}
+	}
 	next := int32(0)
+	for _, h := range qis[:nh] {
+		end[h] = next
+		next += cnt[h]
+	}
 	for qi, t := range targets {
 		ht, dt := b.ix.label(t)
 		for j, h := range ht {
-			if b.bstamp[h] == counted {
-				b.bstamp[h] = placed
-				b.bend[h] = next
-				next += b.bcnt[h]
-			}
-			at := b.bend[h]
-			b.bqi[at], b.bd[at] = int32(qi), dt[j]
-			b.bend[h] = at + 1
+			at := end[h]
+			qis[at], ds[at] = int32(qi), dt[j]
+			end[h] = at + 1
 		}
 	}
 }
@@ -403,9 +418,10 @@ func (b *Batcher) BindTargets(targets []graph.NodeID) {
 // does not depend on the order they arrive in, so the results are
 // bit-identical to DistBatch and Dist: +Inf for an unreachable target,
 // and 0 for u itself, because u's label carries a zero-distance hub (u,
-// or a hub at distance 0 that pruned it) and no sum is negative. len(out)
-// must be at least the number of bound targets; warm Batchers allocate
-// nothing.
+// or a hub at distance 0 that pruned it) and no sum is negative. The
+// walks relax by a branch-free min, which keeps what a compare would
+// because no label distance is negative or NaN. len(out) must be at
+// least the number of bound targets; warm Batchers allocate nothing.
 func (b *Batcher) DistBound(u graph.NodeID, out []float64) {
 	out = out[:b.nq]
 	for i := range out {
@@ -460,12 +476,8 @@ func (b *Batcher) DistBoundPrefix(u graph.NodeID, hubs int, out, lb []float64) i
 		qi, dq := b.bqi[start:end], b.bd[start:end]
 		for j, t := range qi {
 			s := d + dq[j]
-			if s < out[t] {
-				out[t] = s
-			}
-			if l := math.Abs(d-dq[j]) - boundSlack*s; l > lb[t] {
-				lb[t] = l
-			}
+			out[t] = min(out[t], s)
+			lb[t] = max(lb[t], math.Abs(d-dq[j])-boundSlack*s)
 		}
 	}
 	return pos
@@ -493,9 +505,7 @@ func (b *Batcher) DistBoundResume(u graph.NodeID, pos int, out []float64) {
 		d := du[i]
 		qi, dq := b.bqi[start:end], b.bd[start:end]
 		for j, t := range qi {
-			if s := d + dq[j]; s < out[t] {
-				out[t] = s
-			}
+			out[t] = min(out[t], d+dq[j])
 		}
 	}
 }
